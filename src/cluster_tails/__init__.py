@@ -82,6 +82,7 @@ from .process import (
     batch_windows,
     estimate_mean_sum,
     simulate_window,
+    sweep_windows,
 )
 from .rng import RngStream
 

@@ -181,26 +181,60 @@ def _renewal_chunk(model: JointMarkModel, n: int, rng: RngStream):
     return h, d, 1 + k
 
 
+def _run_starts(owner: np.ndarray) -> np.ndarray:
+    """Where each run of equal values starts in a sorted, nonempty array.
+
+    ``owner[_run_starts(owner)]`` are the clusters present in a generation,
+    so per-generation reductions cost the generation's size, not the chunk's.
+    """
+    first = np.empty(owner.size, dtype=bool)
+    first[0] = True
+    np.not_equal(owner[1:], owner[:-1], out=first[1:])
+    return np.flatnonzero(first)
+
+
+def _add_broods(
+    sizes: np.ndarray, live: np.ndarray, starts: np.ndarray, brood: np.ndarray, limit: int
+) -> int | None:
+    """Adds each live cluster's brood to its size; the first largest cluster over ``limit``.
+
+    ``brood`` holds the child counts of the generation's nodes, in runs per
+    cluster: ``live`` and ``starts`` name each run's cluster and first node.
+    Called before the next generation is allocated, so one node with a huge
+    brood fails fast instead of exhausting memory.
+    """
+    grown = np.add.reduceat(brood, starts)
+    grown += sizes[live]
+    sizes[live] = grown
+    worst = int(grown.argmax())
+    return int(live[worst]) if grown[worst] > limit else None
+
+
 def _hawkes_chunk(model: JointMarkModel, n: int, rng: RngStream, max_events: int):
     gen = rng.generator
     x, kappa = sample_joint(model, rng, n)
     h = x.astype(float)
     d = x.astype(float)
     sizes = np.ones(n, dtype=np.int64)
-    owner = np.arange(n)
+    owner = live = starts = np.arange(n)
     active_kappa = np.asarray(kappa, dtype=float)
     while owner.size:
         children = gen.poisson(active_kappa)
         total = int(children.sum())
         if total == 0:
             break
+        bad = _add_broods(sizes, live, starts, children, max_events)
+        if bad is not None:
+            raise ClusterOverflow(bad, max_events)
         owner = np.repeat(owner, children)
+        starts = _run_starts(owner)
+        live = owner[starts]
+        local = np.zeros(owner.size, dtype=np.intp)
+        local[starts[1:]] = 1
+        np.cumsum(local, out=local)
         xc, kc = sample_joint(model, rng, total)
         np.maximum.at(h, owner, xc)
-        d += np.bincount(owner, weights=xc, minlength=n)
-        sizes += np.bincount(owner, minlength=n)
-        if sizes.max() > max_events:
-            raise ClusterOverflow(int(sizes.argmax()), max_events)
+        d[live] += np.bincount(local, weights=xc, minlength=live.size)
         active_kappa = np.asarray(kc, dtype=float)
     return h, d, sizes
 

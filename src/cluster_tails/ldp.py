@@ -1,12 +1,16 @@
 """Precise large-deviation sweeps over growing windows.
 
-For each horizon T the harness simulates a batch of windows, estimates the
-deviation tail on a grid starting at gamma*nu*T, and divides by the
-theoretical normalizer: mean event count times the mark tail for the max,
-nu*T times the cluster-sum tail approximation for the sum.  The certified
-range of a sweep is the part of the grid with enough exceedances for the
-Wilson band to mean anything; the per-horizon sup deviation is reported
-over that range only.
+A sweep simulates one batch of paths on [0, T_k] for its longest horizon and
+reads every horizon T_i off the same paths (see
+:func:`~cluster_tails.process.sweep_windows`).  Each horizon's windows have
+their exact marginal law, but the horizons of one sweep are positively
+correlated: differences between horizons are not independent draws.  For
+each horizon the harness estimates the deviation tail on a grid starting
+at gamma*nu*T, and divides by the theoretical normalizer: mean event count
+times the mark tail for the max, nu*T times the cluster-sum tail
+approximation for the sum.  The certified range of a sweep is the part of
+the grid with enough exceedances for the Wilson band to mean anything; the
+per-horizon sup deviation is reported over that range only.
 """
 
 from __future__ import annotations
@@ -19,14 +23,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ModelError
-from .estimate import wilson_interval
+from .estimate import _Z95, wilson_interval
 from .heavytail import (
     OracleSpec,
     TailTarget,
     model_constants,
     theoretical_denominator,
 )
-from .process import WindowConfig, batch_windows, estimate_mean_sum
+from .process import WindowConfig, estimate_mean_sums, sweep_windows
 from .rng import RngStream
 
 __all__ = [
@@ -40,8 +44,6 @@ __all__ = [
     "sweep_summary",
     "leftover_to_csv",
 ]
-
-_Z95 = 1.959963984540054
 
 
 @dataclass(frozen=True)
@@ -151,16 +153,23 @@ def _expected_events(config: WindowConfig) -> float:
     return config.nu * config.horizon * consts.max_constant_renewal
 
 
+def _sweep_paths(
+    config: SweepConfig, rng: RngStream, workers: int, fields: tuple[str, ...]
+) -> dict[str, np.ndarray]:
+    """The named statistics of the sweep's shared paths, one row per horizon."""
+    return sweep_windows(
+        config.window, config.horizons, config.replications, rng, workers, fields
+    )
+
+
 def ldp_max_sweep(
     config: SweepConfig, rng: RngStream, workers: int = 1
 ) -> list[SweepRow]:
     """Ratio of the window-max tail to E[N_T] * P(X > x), per horizon."""
+    maxima = _sweep_paths(config, rng, workers, ("max_in_window",))["max_in_window"]
     rows: list[SweepRow] = []
-    for hi, horizon in enumerate(config.horizons):
+    for horizon, dev in zip(config.horizons, maxima):
         wcfg = replace(config.window, horizon=float(horizon))
-        root = RngStream(rng.seed, rng.stream_id + 2 * hi)
-        batch = batch_windows(wcfg, config.replications, root, workers=workers)
-        dev = batch.max_in_window
         x_lo = config.gamma * wcfg.nu * wcfg.horizon
         grid = _horizon_grid(dev, x_lo, config.x_levels, config.min_exceedances)
         denom = _expected_events(wcfg) * np.asarray(
@@ -189,14 +198,15 @@ def ldp_sum_sweep(
     target = (
         TailTarget.HAWKES_SUM if config.window.model.is_hawkes else TailTarget.RENEWAL_SUM
     )
+    pilot_root = RngStream(rng.seed, rng.stream_id + 1)
+    pilots = estimate_mean_sums(
+        config.window, config.horizons, config.pilot_windows, pilot_root, workers
+    )
+    sums = _sweep_paths(config, rng, workers, ("sum_in_window",))["sum_in_window"]
     rows: list[SweepRow] = []
-    for hi, horizon in enumerate(config.horizons):
+    for horizon, pilot, s in zip(config.horizons, pilots, sums):
         wcfg = replace(config.window, horizon=float(horizon))
-        root = RngStream(rng.seed, rng.stream_id + 2 * hi)
-        pilot_root = RngStream(rng.seed, rng.stream_id + 2 * hi + 1)
-        pilot = estimate_mean_sum(wcfg, config.pilot_windows, pilot_root, workers=workers)
-        batch = batch_windows(wcfg, config.replications, root, workers=workers)
-        dev = batch.sum_in_window - pilot.value
+        dev = s - pilot.value
         x_lo = config.gamma * wcfg.nu * wcfg.horizon
         grid = _horizon_grid(dev, x_lo, config.x_levels, config.min_exceedances)
         denom = (
@@ -220,14 +230,11 @@ def leftover_scaling(
     config: SweepConfig, rng: RngStream, workers: int = 1
 ) -> list[LeftoverRow]:
     """Per-horizon E[J_T]/T and E[eps_T]/sqrt(T) with standard errors."""
+    paths = _sweep_paths(config, rng, workers, ("j_leftover", "leftover_sum"))
+    n = config.replications
     rows = []
-    for hi, horizon in enumerate(config.horizons):
-        wcfg = replace(config.window, horizon=float(horizon))
-        root = RngStream(rng.seed, rng.stream_id + 2 * hi)
-        batch = batch_windows(wcfg, config.replications, root, workers=workers)
-        n = len(batch)
-        j = batch.j_leftover.astype(float)
-        eps = batch.leftover_sum
+    for horizon, j, eps in zip(config.horizons, paths["j_leftover"], paths["leftover_sum"]):
+        j = j.astype(float)
         rows.append(
             LeftoverRow(
                 horizon=float(horizon),
@@ -259,7 +266,11 @@ def sweep_to_csv(rows: list[SweepRow], path: str | Path | None = None) -> str:
 
 
 def sweep_summary(rows: list[SweepRow]) -> dict:
-    """Per-horizon sup deviations and certified x-ranges, JSON-ready."""
+    """Per-horizon sup deviations and certified x-ranges, JSON-ready.
+
+    ``horizon_paths`` records that every horizon was read off the same
+    simulated paths, so the per-horizon results are positively correlated.
+    """
     horizons: dict[float, list[SweepRow]] = {}
     for r in rows:
         horizons.setdefault(r.horizon, []).append(r)
@@ -277,7 +288,13 @@ def sweep_summary(rows: list[SweepRow]) -> dict:
                 "certified_points": len(certified),
             }
         )
-    return {"horizons": out}
+    return {
+        "horizon_paths": (
+            "shared: one path per replication serves every horizon; each horizon "
+            "has its exact marginal law, and the horizons are positively correlated"
+        ),
+        "horizons": out,
+    }
 
 
 def leftover_to_csv(rows: list[LeftoverRow], path: str | Path | None = None) -> str:

@@ -1,5 +1,6 @@
 """Tests for cluster samplers and functionals."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
+from cluster_tails import clusters
 from cluster_tails.clusters import (
     Cluster,
     HawkesParams,
@@ -27,6 +29,7 @@ from cluster_tails.heavytail import (
     JointMarkModel,
     ParetoLaw,
     Regime,
+    sample_joint,
 )
 from cluster_tails.rng import RngStream
 
@@ -259,6 +262,51 @@ class TestBatchFunctionals:
         with pytest.raises(ClusterOverflow) as exc_info:
             batch_functionals(model, HawkesParams(max_cluster_events=30), 200_000, RngStream(9, 0))
         assert exc_info.value.replication >= 0
+
+    def test_single_brood_overflow_raises_before_drawing_it(self, monkeypatch):
+        # kappa = X/6 with Pareto(1.5) marks: among 20,000 clusters some
+        # immigrant has far more than 50 children on its own
+        model = JointMarkModel(
+            Regime.HAWKES_COMONOTONE_INTENSITY, LAW, target_mean_kappa=0.5
+        )
+        limit, n = 50, 20_000
+        # replay the first generation of the batch's only chunk
+        replay = RngStream(16, 0).child(0)
+        _, kappa = sample_joint(model, replay, n)
+        brood = replay.generator.poisson(kappa)
+        assert brood.max() > limit
+        drawn = []
+
+        def recording(model, rng, size=None):
+            drawn.append(size)
+            return sample_joint(model, rng, size)
+
+        monkeypatch.setattr(clusters, "sample_joint", recording)
+        with pytest.raises(ClusterOverflow) as exc_info:
+            batch_functionals(model, HawkesParams(max_cluster_events=limit), n, RngStream(16, 0))
+        assert exc_info.value.replication == brood.argmax()
+        assert drawn == [n]
+
+    @pytest.mark.parametrize(
+        "model, digest",
+        [
+            (hawkes_uniform(), "7c8c8cbe005fa7475e53f13b9c1b425acc9f53c3e1bc0a96e89dbb8956a9a6ab"),
+            (
+                JointMarkModel(Regime.HAWKES_COMONOTONE_INTENSITY, LAW, target_mean_kappa=0.5),
+                "90aa8bf901dc6a2e1a35ba8857a5eff56b285465eb41e2c48d9d4e4e8a4fecfd",
+            ),
+        ],
+    )
+    def test_hawkes_outputs_pinned(self, model, digest):
+        # byte-for-byte pin over two chunks: every stored Hawkes result depends on it
+        sample = batch_functionals(
+            model, HawkesParams(max_cluster_events=10**7), 300_000, RngStream(81, 0)
+        )
+        h = hashlib.sha256()
+        for a in (sample.h, sample.d, sample.sizes):
+            h.update(a.dtype.str.encode())
+            h.update(a.tobytes())
+        assert h.hexdigest() == digest
 
     def test_params_family_checked(self):
         with pytest.raises(ModelError):

@@ -122,6 +122,7 @@ class TestSumSweep:
         config = sweep_config(horizons=(10.0, 30.0), replications=30_000)
         rows = ldp_sum_sweep(config, RngStream(41, 0))
         summary = sweep_summary(rows)
+        assert summary["horizon_paths"].startswith("shared")
         assert [h["horizon"] for h in summary["horizons"]] == [10.0, 30.0]
         for entry in summary["horizons"]:
             assert entry["certified_points"] >= 1

@@ -5,9 +5,14 @@ object-level reference built directly from the single-cluster samplers,
 both for the pathwise decomposition identities and distributionally.
 """
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
+from scipy import stats
 
+from cluster_tails import process
 from cluster_tails.clusters import (
     HawkesParams,
     RenewalParams,
@@ -16,7 +21,7 @@ from cluster_tails.clusters import (
     sample_hawkes_cluster,
     sample_renewal_cluster,
 )
-from cluster_tails.errors import ClusterOverflow
+from cluster_tails.errors import ClusterOverflow, ModelError
 from cluster_tails.heavytail import (
     BoundedUniform,
     Constant,
@@ -24,13 +29,17 @@ from cluster_tails.heavytail import (
     JointMarkModel,
     ParetoLaw,
     Regime,
+    sample_joint,
 )
 from cluster_tails.process import (
+    WINDOW_FIELDS,
     WindowConfig,
     WindowStats,
     batch_windows,
     estimate_mean_sum,
+    estimate_mean_sums,
     simulate_window,
+    sweep_windows,
 )
 from cluster_tails.rng import RngStream
 
@@ -193,6 +202,132 @@ class TestWindowBatches:
         with pytest.raises(ClusterOverflow):
             batch_windows(config, 5_000, RngStream(9, 0))
 
+    def test_single_brood_overflow_raises_before_drawing_it(self, monkeypatch):
+        # kappa = X/6 with Pareto(1.5) marks: among 2,000 windows of ~10
+        # immigrants some node has far more than 40 children on its own
+        model = JointMarkModel(
+            Regime.HAWKES_COMONOTONE_INTENSITY, LAW, target_mean_kappa=0.5
+        )
+        limit = 40
+        config = WindowConfig(
+            model=model,
+            cluster_params=HawkesParams(max_cluster_events=limit),
+            nu=1.0,
+            horizon=10.0,
+        )
+        n = 2_000
+        # replay the first generation of the batch's only chunk
+        replay = RngStream(14, 0).child(0)
+        gen = replay.generator
+        c_t = gen.poisson(10.0, n)
+        win_of_cluster = np.repeat(np.arange(n), c_t)
+        gen.uniform(0.0, 10.0, win_of_cluster.size)
+        _, kappa = sample_joint(model, replay, win_of_cluster.size)
+        brood = gen.poisson(kappa)
+        assert brood.max() > limit
+        drawn = []
+
+        def recording(model, rng, size=None):
+            drawn.append(size)
+            return sample_joint(model, rng, size)
+
+        monkeypatch.setattr(process, "sample_joint", recording)
+        with pytest.raises(ClusterOverflow) as exc_info:
+            batch_windows(config, n, RngStream(14, 0))
+        assert exc_info.value.replication == win_of_cluster[brood.argmax()]
+        assert drawn == [win_of_cluster.size]
+
+
+def _digest(arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(a.dtype.str.encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+class TestSingleHorizonPinned:
+    """Single-horizon outputs are pinned byte for byte: every stored result depends on them."""
+
+    BATCH = {
+        "renewal": "625e183ff72484a9e0b1d9426015be49427374897353e321fbba1e03a3eee83a",
+        "hawkes": "6c2c4eebac5e80241ba1dbcd00697c27c0f8a805b82b9a93d6d88b96631422d1",
+    }
+    WINDOW = {
+        "renewal": "a2c37115d5e3d07f08f7929f377b38c6c84ae08d6e045fec867c2b9f7303d313",
+        "hawkes": "8c284646182fb69d49656a599108cbbd54f7a2ee8ca01f7266f429c14c342177",
+    }
+    FACTORIES = {"renewal": renewal_config, "hawkes": hawkes_config}
+
+    @pytest.mark.parametrize("kind", ["renewal", "hawkes"])
+    def test_batch_windows(self, kind):
+        batch = batch_windows(self.FACTORIES[kind](horizon=50.0), 20_000, RngStream(71, 0))
+        assert _digest(getattr(batch, f) for f in WINDOW_FIELDS) == self.BATCH[kind]
+
+    @pytest.mark.parametrize("kind", ["renewal", "hawkes"])
+    def test_simulate_window(self, kind):
+        config = self.FACTORIES[kind](horizon=10.0)
+        h = hashlib.sha256()
+        for i in range(50):
+            stats_i = simulate_window(config, RngStream(72, i))
+            h.update(repr(dataclasses.astuple(stats_i)).encode())
+        assert h.hexdigest() == self.WINDOW[kind]
+
+
+class TestSweepWindows:
+    HORIZONS = (5.0, 20.0, 60.0)
+
+    @pytest.mark.parametrize("factory", [renewal_config, hawkes_config])
+    def test_in_window_statistics_grow_with_horizon(self, factory):
+        out = sweep_windows(factory(), self.HORIZONS, 20_000, RngStream(61, 0))
+        for field in ("n_events", "sum_in_window", "max_in_window", "n_clusters"):
+            assert np.all(np.diff(out[field], axis=0) >= 0), field
+        # every point of a cluster born by T is in the window or left over
+        started = out["n_events"] + out["j_leftover"]
+        assert np.all(np.diff(started, axis=0) >= 0)
+        assert np.all(started >= out["n_clusters"])
+
+    @pytest.mark.parametrize("factory", [renewal_config, hawkes_config])
+    def test_each_horizon_matches_standalone_batch(self, factory):
+        n = 20_000
+        out = sweep_windows(factory(), self.HORIZONS, n, RngStream(62, 0))
+        for i, horizon in enumerate(self.HORIZONS):
+            alone = batch_windows(factory(horizon=horizon), n, RngStream(63, i))
+            a, b = out["n_events"][i], alone.n_events
+            se = np.sqrt(a.var(ddof=1) / n + b.var(ddof=1) / n)
+            assert abs(a.mean() - b.mean()) < 3 * se, horizon
+            ks = stats.ks_2samp(out["max_in_window"][i], alone.max_in_window)
+            assert ks.pvalue > 0.001, horizon
+
+    def test_workers_and_field_subsets_do_not_change_draws(self):
+        # several chunks at T=60, so workers=2 really splits the work
+        config = hawkes_config()
+        full = sweep_windows(config, self.HORIZONS, 40_000, RngStream(64, 0))
+        pooled = sweep_windows(
+            config, self.HORIZONS, 40_000, RngStream(64, 0), workers=2,
+            fields=("j_leftover", "leftover_sum"),
+        )
+        assert set(pooled) == {"j_leftover", "leftover_sum"}
+        for field, rows in pooled.items():
+            assert np.array_equal(rows, full[field])
+        assert full["n_events"].shape == (len(self.HORIZONS), 40_000)
+
+    def test_last_horizon_is_a_plain_batch(self):
+        config = renewal_config(horizon=20.0)
+        out = sweep_windows(config, (20.0,), 5_000, RngStream(65, 0))
+        batch = batch_windows(config, 5_000, RngStream(65, 0))
+        for field in WINDOW_FIELDS:
+            assert np.array_equal(out[field][0], getattr(batch, field))
+
+    def test_rejects_bad_horizons_and_fields(self):
+        config = renewal_config()
+        for horizons in ((), (10.0, 5.0), (0.0, 5.0)):
+            with pytest.raises(ModelError):
+                sweep_windows(config, horizons, 100, RngStream(66, 0))
+        with pytest.raises(ValueError):
+            sweep_windows(config, (5.0,), 100, RngStream(66, 0), fields=("nope",))
+
 
 class TestEstimateMeanSum:
     def test_constant_marks_no_offspring(self):
@@ -217,3 +352,10 @@ class TestEstimateMeanSum:
     def test_minimum_pilot_enforced(self):
         with pytest.raises(ValueError):
             estimate_mean_sum(renewal_config(), 100, RngStream(12, 0))
+
+    def test_nested_pilots_match_single_horizon(self):
+        config = renewal_config(horizon=20.0)
+        nested = estimate_mean_sums(config, (5.0, 20.0), 5_000, RngStream(15, 0))
+        alone = estimate_mean_sum(config, 5_000, RngStream(15, 1))
+        assert abs(nested[1].value - alone.value) < 3 * np.hypot(nested[1].se, alone.se)
+        assert nested[0].value < nested[1].value
