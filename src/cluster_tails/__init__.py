@@ -28,7 +28,6 @@ from .errors import (
     InsufficientExceedances,
     LatticeMismatch,
     ModelError,
-    NoClosedForm,
     SupercriticalModel,
     UnstableEstimate,
 )

@@ -198,11 +198,9 @@ def _parse_grid(config: dict) -> QuantileGrid:
 
 def _parse_oracle(config: dict) -> OracleSpec:
     section = config.get("oracle", {})
-    cache_dir = section.get("cache_dir")
     return OracleSpec(
         size=int(_num(section, "size", "oracle", default=10_000_000, positive=True)),
         seed=int(_num(section, "seed", "oracle", default=0)),
-        cache_dir=cache_dir,
     )
 
 

@@ -13,6 +13,7 @@ import math
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -31,6 +32,7 @@ __all__ = [
     "functional_max",
     "functional_sum",
     "batch_functionals",
+    "chunked_map",
 ]
 
 DEFAULT_MAX_CLUSTER_EVENTS = 1_000_000
@@ -169,16 +171,21 @@ class FunctionalSample:
         return (float(self.h[i]), float(self.d[i]), int(self.sizes[i]))
 
 
+def _renewal_functionals(x: np.ndarray, k: np.ndarray, marks: np.ndarray):
+    """(H, D) of renewal clusters: immigrant marks ``x``, then ``k[i]`` offspring marks each."""
+    seg = np.repeat(np.arange(len(x)), k)
+    d = x + np.bincount(seg, weights=marks, minlength=len(x))
+    h = x.astype(float)
+    np.maximum.at(h, seg, marks)
+    return h, d
+
+
 def _renewal_chunk(model: JointMarkModel, n: int, rng: RngStream):
     x, k = sample_joint(model, rng, n)
     k = np.asarray(k, dtype=np.int64)
     total = int(k.sum())
     marks = np.asarray(model.mark_law.sample(rng.generator, total))
-    seg = np.repeat(np.arange(n), k)
-    d = x + np.bincount(seg, weights=marks, minlength=n)
-    h = x.astype(float)
-    np.maximum.at(h, seg, marks)
-    return h, d, 1 + k
+    return (*_renewal_functionals(x, k, marks), 1 + k)
 
 
 def _run_starts(owner: np.ndarray) -> np.ndarray:
@@ -239,36 +246,40 @@ def _hawkes_chunk(model: JointMarkModel, n: int, rng: RngStream, max_events: int
     return h, d, sizes
 
 
-def _chunk_sizes(n: int, chunk: int) -> list[int]:
-    return [min(chunk, n - s) for s in range(0, n, chunk)]
+def _chunk_size(events_per_task: float, smallest: int, largest: int) -> int:
+    """Tasks per chunk: about 2**21 events' worth, rounded down to a power of two.
 
-
-def _functional_chunk_size(model: JointMarkModel, target_events: int = 1 << 21) -> int:
-    """Power-of-two chunk size targeting roughly ``target_events`` draws.
-
-    Depends only on the model, never on the worker count, so chunk
-    boundaries (and therefore every random draw) are reproducible.
+    The result is clamped to ``[smallest, largest]``.  It depends only on
+    the model and the task, never on the worker count, so chunk boundaries
+    (and therefore every random draw) are reproducible.
     """
-    consts = model_constants(model)
-    if model.is_hawkes:
-        per = 1.0 / (1.0 - consts.mean_count)
-    else:
-        per = 1.0 + consts.mean_count
-    raw = max(1.0, target_events / per)
-    return int(min(1 << 18, max(1 << 12, 1 << int(math.log2(raw)))))
+    raw = max(1.0, (1 << 21) / max(1.0, events_per_task))
+    return int(min(largest, max(smallest, 1 << int(math.log2(raw)))))
 
 
-def _functional_worker(args):
-    model, params, chunk_index, count, chunk_span, base = args
-    rng = base.child(chunk_index)
-    if model.is_hawkes:
-        try:
-            return chunk_index, _hawkes_chunk(model, count, rng, params.max_cluster_events)
-        except ClusterOverflow as exc:
-            raise ClusterOverflow(
-                chunk_index * chunk_span + exc.replication, exc.limit
-            ) from None
-    return chunk_index, _renewal_chunk(model, count, rng)
+def _run_chunk(task):
+    kernel, index, count, chunk, base = task
+    try:
+        return kernel(count, base.child(index))
+    except ClusterOverflow as exc:
+        raise ClusterOverflow(index * chunk + exc.replication, exc.limit) from None
+
+
+def chunked_map(kernel, n: int, chunk: int, base: RngStream, workers: int = 1) -> list:
+    """``kernel(count, rng)`` on consecutive chunks of n replications, in chunk order.
+
+    Chunk i holds replications ``[i * chunk, (i + 1) * chunk)`` and draws
+    from ``base.child(i)``, so the results are bit-identical for any worker
+    count; a picklable kernel runs in a process pool when ``workers > 1``.
+    A :class:`ClusterOverflow` is re-raised with its replication counted
+    from the first chunk.
+    """
+    starts = range(0, n, chunk)
+    tasks = [(kernel, i, min(chunk, n - s), chunk, base) for i, s in enumerate(starts)]
+    if workers > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(_run_chunk, tasks))
+    return [_run_chunk(t) for t in tasks]
 
 
 def batch_functionals(
@@ -292,18 +303,12 @@ def batch_functionals(
     if model.is_renewal and not isinstance(params, RenewalParams):
         raise ModelError("renewal model needs RenewalParams", "params")
 
-    chunk = _functional_chunk_size(model)
-    counts = _chunk_sizes(n, chunk)
-    base = rng.fresh()
-    tasks = [(model, params, i, c, chunk, base) for i, c in enumerate(counts)]
-
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = sorted(pool.map(_functional_worker, tasks), key=lambda r: r[0])
-        parts = [r[1] for r in results]
+    if model.is_hawkes:
+        kernel = partial(_hawkes_chunk, model, max_events=params.max_cluster_events)
     else:
-        parts = [_functional_worker(t)[1] for t in tasks]
-
+        kernel = partial(_renewal_chunk, model)
+    chunk = _chunk_size(model_constants(model).mean_cluster_size, 1 << 12, 1 << 18)
+    parts = chunked_map(kernel, n, chunk, rng.fresh(), workers)
     h = np.concatenate([p[0] for p in parts])
     d = np.concatenate([p[1] for p in parts])
     sizes = np.concatenate([p[2] for p in parts])

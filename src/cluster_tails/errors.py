@@ -22,10 +22,6 @@ class InfiniteMean(ModelError):
     """Mark law with tail index alpha <= 1 has no finite mean."""
 
 
-class NoClosedForm(ClusterTailsError):
-    """A joint-tail denominator needs the MC oracle but caching is disabled."""
-
-
 class ClusterOverflow(ClusterTailsError):
     """A single cluster exceeded the configured event budget.
 
@@ -39,6 +35,10 @@ class ClusterOverflow(ClusterTailsError):
         )
         self.replication = replication
         self.limit = limit
+
+    def __reduce__(self):
+        # raised in pool workers: rebuild from both fields, not the message
+        return type(self), (self.replication, self.limit)
 
 
 class InsufficientExceedances(ClusterTailsError):

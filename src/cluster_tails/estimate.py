@@ -145,9 +145,9 @@ def ratio_curve(
     """Empirical survival of the sample against the model's tail asymptotics.
 
     The confidence band propagates only the numerator's Monte Carlo error;
-    the denominator is exact (or a cached high-precision oracle, recorded in
-    the curve's provenance).  ``denominator`` overrides the model formula
-    with caller-supplied values on the same grid.
+    the denominator is exact (or a high-precision MC oracle, whose size and
+    seed the curve's provenance records).  ``denominator`` overrides the
+    model formula with caller-supplied values on the same grid.
     """
     xs = np.asarray(sample.quantile(list(grid.levels)), dtype=float)
     counts = np.asarray(sample.exceedances(xs))
@@ -161,11 +161,13 @@ def ratio_curve(
             raise ModelError("denominator grid shape mismatch", "denominator")
         provenance = "denominator=custom"
     else:
+        if joint == "mc":
+            oracle = oracle or OracleSpec()
         denom = np.asarray(
             theoretical_denominator(model, target, xs, joint=joint, oracle=oracle)
         )
         provenance = f"denominator={TailTarget.coerce(target).value} joint={joint}"
-        if joint == "mc" and oracle is not None:
+        if joint == "mc":
             provenance += f" oracle_size={oracle.size} oracle_seed={oracle.seed}"
     emp = counts / sample.n
     bands = np.array([wilson_interval(int(c), sample.n) for c in counts])

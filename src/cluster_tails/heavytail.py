@@ -7,27 +7,22 @@ lighter, heavier, or equivalent to the mark tail -- plus fully dependent
 counts, and light/heavy intensity variants for the Hawkes family.
 
 Heavy tails are exact Pareto (constant slowly varying factor), which makes
-every asymptotic denominator computable in closed form.  A cached
-Monte Carlo oracle is provided as an independent route to the joint-tail
-terms of the sum denominators.
+every asymptotic denominator computable in closed form.  A Monte Carlo
+oracle, recomputed on every call from its own seed, is an independent route
+to the joint-tail terms of the sum denominators.
 """
 
 from __future__ import annotations
 
-import csv
-import hashlib
-import io
 import math
-import os
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 from typing import NamedTuple, Union
 
 import numpy as np
 from scipy import special, stats
 
-from .errors import InfiniteMean, ModelError, NoClosedForm, SupercriticalModel
+from .errors import InfiniteMean, ModelError, SupercriticalModel
 from .rng import RngStream
 
 __all__ = [
@@ -43,17 +38,14 @@ __all__ = [
     "MarkPair",
     "TailTarget",
     "OracleSpec",
-    "OracleRecord",
     "pareto_survival",
     "sample_pareto",
     "sample_joint",
     "model_constants",
     "theoretical_denominator",
-    "mark_survival",
     "count_survival",
     "joint_tail_exact",
     "joint_tail_mc",
-    "model_hash",
 ]
 
 
@@ -370,7 +362,8 @@ class ModelConstants:
     """Exact analytic constants entering the tail asymptotics.
 
     Family-inapplicable entries are None (renewal models have no Hawkes
-    constants and vice versa).
+    constants and vice versa).  ``mean_cluster_size`` is the expected
+    number of points of one cluster: 1 + E[K], or 1 / (1 - E[kappa]).
     """
 
     mean_mark: float
@@ -378,6 +371,7 @@ class ModelConstants:
     max_constant_renewal: float | None
     max_constant_hawkes: float | None
     sum_shift_hawkes: float | None
+    mean_cluster_size: float
 
 
 def model_constants(model: JointMarkModel) -> ModelConstants:
@@ -399,6 +393,7 @@ def model_constants(model: JointMarkModel) -> ModelConstants:
             max_constant_renewal=None,
             max_constant_hawkes=1.0 / (1.0 - mc),
             sum_shift_hawkes=mx / (1.0 - mc),
+            mean_cluster_size=1.0 / (1.0 - mc),
         )
     return ModelConstants(
         mean_mark=mx,
@@ -406,12 +401,8 @@ def model_constants(model: JointMarkModel) -> ModelConstants:
         max_constant_renewal=1.0 + mc,
         max_constant_hawkes=None,
         sum_shift_hawkes=None,
+        mean_cluster_size=1.0 + mc,
     )
-
-
-def mark_survival(model: JointMarkModel, x):
-    """P(X > x) for the model's mark marginal."""
-    return model.mark_law.survival(x)
 
 
 def count_survival(model: JointMarkModel, x):
@@ -541,41 +532,15 @@ def joint_tail_exact(model: JointMarkModel, c: float, x) -> np.ndarray | float:
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo oracle for the joint-tail terms, with a disk cache
+# Monte Carlo oracle for the joint-tail terms
 
 
 @dataclass(frozen=True)
 class OracleSpec:
-    """How to obtain MC-oracle joint tails: sample size, seed, cache location."""
+    """How to draw the MC-oracle joint tails: sample size and seed."""
 
     size: int = 10_000_000
     seed: int = 0
-    cache_dir: Path | str | None = None
-
-    def resolved_cache_dir(self) -> Path | None:
-        env = os.environ.get("CLUSTER_TAILS_CACHE")
-        if env:
-            return Path(env)
-        if self.cache_dir is None:
-            return None
-        return Path(self.cache_dir)
-
-
-@dataclass(frozen=True)
-class OracleRecord:
-    """A cached (or freshly computed) MC joint-tail record."""
-
-    model_hash: str
-    target: str
-    seed: int
-    size: int
-    xs: np.ndarray
-    probs: np.ndarray
-
-
-def model_hash(model: JointMarkModel) -> str:
-    """Stable short hash of the model definition, used as the cache key."""
-    return hashlib.sha256(repr(model).encode()).hexdigest()[:16]
 
 
 _ORACLE_CHUNK = 1 << 20
@@ -596,75 +561,13 @@ def _oracle_compute(model: JointMarkModel, c: float, xs: np.ndarray, spec: Oracl
     return counts / float(spec.size)
 
 
-def _oracle_path(cache_dir: Path, mh: str, target: str) -> Path:
-    return cache_dir / f"{mh}-{target}.csv"
+def joint_tail_mc(model: JointMarkModel, c: float, x, spec: OracleSpec) -> np.ndarray:
+    """P(X + c*count > x) by high-precision MC: ``spec.size`` draws from ``spec.seed``.
 
-
-def _oracle_read(path: Path, mh: str, target: str) -> OracleRecord | None:
-    if not path.exists():
-        return None
-    with open(path, newline="") as fh:
-        header = fh.readline().strip()
-        if not header.startswith("#"):
-            return None
-        meta = dict(
-            part.split("=", 1) for part in header.lstrip("# ").split() if "=" in part
-        )
-        rows = list(csv.reader(fh))
-    if rows and rows[0] and rows[0][0] == "x":
-        rows = rows[1:]
-    xs = np.array([float(r[0]) for r in rows])
-    probs = np.array([float(r[1]) for r in rows])
-    return OracleRecord(
-        model_hash=mh,
-        target=target,
-        seed=int(meta.get("seed", -1)),
-        size=int(meta.get("size", -1)),
-        xs=xs,
-        probs=probs,
-    )
-
-
-def _oracle_write(path: Path, record: OracleRecord) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    buf = io.StringIO()
-    buf.write(f"# seed={record.seed} size={record.size} model={record.model_hash}\n")
-    buf.write("x,probability\n")
-    for xi, pi in zip(record.xs, record.probs):
-        buf.write(f"{float(xi)!r},{float(pi)!r}\n")
-    path.write_text(buf.getvalue())
-
-
-def joint_tail_mc(
-    model: JointMarkModel, c: float, x, spec: OracleSpec
-) -> OracleRecord:
-    """P(X + c*count > x) by high-precision MC, cached on disk.
-
-    The cache holds one record per (model hash, target); a record is reused
-    only when its seed, size and x-grid match the request exactly.
+    The draws depend only on the model and the spec, so a rerun reproduces
+    the probabilities bit for bit.
     """
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    mh = model_hash(model)
-    target = f"joint-sum-c{c!r}"
-    cache_dir = spec.resolved_cache_dir()
-    if cache_dir is None:
-        raise NoClosedForm(
-            "MC-oracle joint tail requested but the oracle cache is disabled"
-        )
-    path = _oracle_path(cache_dir, mh, target)
-    cached = _oracle_read(path, mh, target)
-    if (
-        cached is not None
-        and cached.seed == spec.seed
-        and cached.size == spec.size
-        and len(cached.xs) == len(xs)
-        and np.allclose(cached.xs, xs, rtol=0, atol=0)
-    ):
-        return cached
-    probs = _oracle_compute(model, c, xs, spec)
-    record = OracleRecord(mh, target, spec.seed, spec.size, xs.copy(), probs)
-    _oracle_write(path, record)
-    return record
+    return _oracle_compute(model, c, np.atleast_1d(np.asarray(x, dtype=float)), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -718,8 +621,8 @@ def theoretical_denominator(
     * hawkes sum:   P(X + (E[X]/(1-E[kappa])) kappa > x) / (1 - E[kappa])
 
     ``joint`` selects how the joint-tail term of the sum targets is computed:
-    ``"closed"`` (exact series/integral) or ``"mc"`` (cached MC oracle, which
-    then requires an :class:`OracleSpec` with caching enabled).
+    ``"closed"`` (exact series/integral) or ``"mc"`` (the MC oracle drawn as
+    ``oracle`` says; None means the default :class:`OracleSpec`).
     """
     target = TailTarget.coerce(target)
     consts = model_constants(model)
@@ -754,9 +657,5 @@ def _joint_term(model, c, xs, joint, oracle):
     if joint == "closed":
         return np.asarray(joint_tail_exact(model, c, xs))
     if joint == "mc":
-        if oracle is None:
-            raise NoClosedForm(
-                "MC-oracle joint tail requested but no oracle spec given"
-            )
-        return joint_tail_mc(model, c, xs, oracle).probs
+        return joint_tail_mc(model, c, xs, oracle or OracleSpec())
     raise ModelError(f"joint must be 'closed' or 'mc', got {joint!r}")

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 from scipy import stats
 
+from .clusters import _renewal_functionals
 from .errors import BracketTooWide, LatticeMismatch, ModelError
 from .rng import RngStream
 
@@ -308,8 +309,4 @@ def sample_renewal_functionals(
     k = ks[rows]
     total = int(k.sum())
     off = marks[gen.choice(len(marks), size=total, p=mps)]
-    seg = np.repeat(np.arange(n), k)
-    d = x + np.bincount(seg, weights=off, minlength=n)
-    h = x.astype(float).copy()
-    np.maximum.at(h, seg, off)
-    return h, d
+    return _renewal_functionals(x, k, off)

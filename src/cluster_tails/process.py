@@ -21,12 +21,19 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .clusters import HawkesParams, RenewalParams, _add_broods, _run_starts
+from .clusters import (
+    HawkesParams,
+    RenewalParams,
+    _add_broods,
+    _chunk_size,
+    _run_starts,
+    chunked_map,
+)
 from .errors import ClusterOverflow, ModelError
 from .heavytail import JointMarkModel, model_constants, sample_joint
 from .rng import RngStream
@@ -282,31 +289,6 @@ def _as_batch(out: dict[str, np.ndarray]) -> WindowBatch:
     return WindowBatch(**{name: out[name][0] for name in WINDOW_FIELDS})
 
 
-def _window_chunk_size(
-    config: WindowConfig, t_max: float, target_events: int = 1 << 21
-) -> int:
-    consts = model_constants(config.model)
-    if config.model.is_hawkes:
-        per_cluster = 1.0 / (1.0 - consts.mean_count)
-    else:
-        per_cluster = 1.0 + consts.mean_count
-    events_per_window = max(1.0, config.nu * t_max * per_cluster)
-    raw = max(1.0, target_events / events_per_window)
-    return int(min(1 << 16, max(1 << 6, 1 << int(math.log2(raw)))))
-
-
-def _window_worker(args):
-    config, horizons, fields, chunk_index, count, chunk_span, base = args
-    rng = base.child(chunk_index)
-    kernel = _hawkes_windows if config.model.is_hawkes else _renewal_windows
-    try:
-        return chunk_index, kernel(config, horizons, count, rng, fields)
-    except ClusterOverflow as exc:
-        raise ClusterOverflow(
-            chunk_index * chunk_span + exc.replication, exc.limit
-        ) from None
-
-
 def sweep_windows(
     config: WindowConfig,
     horizons,
@@ -338,18 +320,10 @@ def sweep_windows(
     if unknown:
         raise ValueError(f"unknown window statistics: {sorted(unknown)}")
     fields = tuple(f for f in WINDOW_FIELDS if f in fields)
-    chunk = _window_chunk_size(config, float(hs[-1]))
-    base = rng.fresh()
-    tasks = [
-        (config, hs, fields, i, c, chunk, base)
-        for i, c in enumerate(min(chunk, n - s) for s in range(0, n, chunk))
-    ]
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = sorted(pool.map(_window_worker, tasks), key=lambda r: r[0])
-        parts = [r[1] for r in results]
-    else:
-        parts = [_window_worker(t)[1] for t in tasks]
+    kernel = _hawkes_windows if config.model.is_hawkes else _renewal_windows
+    events = config.nu * float(hs[-1]) * model_constants(config.model).mean_cluster_size
+    chunk = _chunk_size(events, 1 << 6, 1 << 16)
+    parts = chunked_map(partial(kernel, config, hs, fields=fields), n, chunk, rng.fresh(), workers)
     return {name: np.concatenate([p[name] for p in parts], axis=1) for name in fields}
 
 

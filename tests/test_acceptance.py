@@ -127,7 +127,7 @@ class TestCriterion2RenewalSum:
 
     def test_2c_tail_equivalent(self, tmp_path):
         fs = batch_functionals(TAIL_EQUIVALENT, RP, N_CLUSTERS, RngStream(403, 0))
-        spec = OracleSpec(size=10_000_000, seed=0, cache_dir=tmp_path)
+        spec = OracleSpec(size=10_000_000, seed=0)
         curve = ratio_curve(
             TailSample.from_values(fs.d),
             TAIL_EQUIVALENT,

@@ -35,6 +35,27 @@ def tail_ratio_config(tmp_path, **overrides):
     return write_config(tmp_path, payload)
 
 
+def mc_oracle_config(tmp_path, oracle: dict) -> Path:
+    return write_config(
+        tmp_path,
+        {
+            "experiment": "tail-ratio",
+            "seed": 17,
+            "model": {
+                "regime": "IndependentTailEquivalent",
+                "mark": {"law": "pareto", "scale": 1.0, "alpha": 1.5},
+                "count": {"law": "pareto", "scale": 1.0, "alpha": 1.5},
+            },
+            "clusters": 100_000,
+            "functional": "sum",
+            "grid": {"levels": [0.9, 0.99]},
+            "joint": "mc",
+            "oracle": oracle,
+            "output_dir": str(tmp_path),
+        },
+    )
+
+
 class TestRun:
     def test_happy_path_writes_outputs(self, tmp_path):
         outputs = run(tail_ratio_config(tmp_path))
@@ -275,25 +296,27 @@ class TestOtherExperiments:
         assert summary["mean_size"] == pytest.approx(3.0, rel=0.05)
 
     def test_tail_ratio_mc_oracle(self, tmp_path):
-        config = write_config(
-            tmp_path,
-            {
-                "experiment": "tail-ratio",
-                "seed": 17,
-                "model": {
-                    "regime": "IndependentTailEquivalent",
-                    "mark": {"law": "pareto", "scale": 1.0, "alpha": 1.5},
-                    "count": {"law": "pareto", "scale": 1.0, "alpha": 1.5},
-                },
-                "clusters": 100_000,
-                "functional": "sum",
-                "grid": {"levels": [0.9, 0.99]},
-                "joint": "mc",
-                "oracle": {"size": 100_000, "seed": 5, "cache_dir": str(tmp_path / "cache")},
-                "output_dir": str(tmp_path),
-            },
+        config = mc_oracle_config(
+            tmp_path, {"size": 100_000, "seed": 5, "cache_dir": str(tmp_path / "cache")}
         )
         run(config)
         text = (tmp_path / "tail-ratio-17.csv").read_text()
         assert "oracle_size=100000" in text.splitlines()[0]
-        assert list((tmp_path / "cache").glob("*.csv"))
+        assert not (tmp_path / "cache").exists()
+
+    def test_mc_oracle_needs_no_cache_dir(self, tmp_path):
+        config = mc_oracle_config(tmp_path, {"size": 100_000, "seed": 5})
+        assert main(["run", str(config)]) == 0
+        text = (tmp_path / "tail-ratio-17.csv").read_text()
+        assert "oracle_size=100000 oracle_seed=5" in text.splitlines()[0]
+
+    def test_relative_cache_dir_is_ignored(self, tmp_path, monkeypatch):
+        # an old config's key still parses, is kept in the manifest and writes nothing
+        monkeypatch.chdir(tmp_path)
+        oracle = {"size": 100_000, "seed": 5, "cache_dir": "oracle-cache"}
+        config = mc_oracle_config(tmp_path, oracle)
+        assert main(["run", str(config)]) == 0
+        manifest = json.loads((tmp_path / "tail-ratio-17.manifest.json").read_text())
+        assert manifest["config"]["oracle"] == oracle
+        assert not list(tmp_path.rglob("oracle-cache"))
+

@@ -258,10 +258,23 @@ class TestBatchFunctionals:
         assert ks < 0.003
 
     def test_overflow_reports_replication(self):
-        model = hawkes_constant(0.9)
-        with pytest.raises(ClusterOverflow) as exc_info:
-            batch_functionals(model, HawkesParams(max_cluster_events=30), 200_000, RngStream(9, 0))
-        assert exc_info.value.replication >= 0
+        # chunks hold 2**18 clusters here; the largest cluster lies in chunk 2
+        # and is the only one over the limit, so it alone can overflow
+        model = JointMarkModel(
+            Regime.HAWKES_COMONOTONE_INTENSITY, LAW, target_mean_kappa=0.5
+        )
+        n = 600_000
+        sizes = batch_functionals(
+            model, HawkesParams(max_cluster_events=10**7), n, RngStream(1, 0)
+        ).sizes
+        limit = int(np.sort(sizes)[-2])
+        assert sizes.max() > limit and sizes.argmax() >= 2 << 18
+        for workers in (1, 2):
+            with pytest.raises(ClusterOverflow) as exc_info:
+                batch_functionals(
+                    model, HawkesParams(max_cluster_events=limit), n, RngStream(1, 0), workers
+                )
+            assert exc_info.value.replication == sizes.argmax()
 
     def test_single_brood_overflow_raises_before_drawing_it(self, monkeypatch):
         # kappa = X/6 with Pareto(1.5) marks: among 20,000 clusters some

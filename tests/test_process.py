@@ -313,6 +313,26 @@ class TestSweepWindows:
             assert np.array_equal(rows, full[field])
         assert full["n_events"].shape == (len(self.HORIZONS), 40_000)
 
+    def test_overflow_reports_global_replication(self):
+        # kappa = X/6 with Pareto(1.5) marks at T=50: chunks hold 2**14 windows,
+        # and the largest window is past chunk 0 and the only one over the limit
+        model = JointMarkModel(
+            Regime.HAWKES_COMONOTONE_INTENSITY, LAW, target_mean_kappa=0.5
+        )
+        n, fields = 40_000, ("n_events", "j_leftover")
+
+        def config(limit):
+            return WindowConfig(model, HawkesParams(max_cluster_events=limit), 1.0, 50.0)
+
+        out = sweep_windows(config(10**7), (50.0,), n, RngStream(3, 0), fields=fields)
+        started = out["n_events"][0] + out["j_leftover"][0]
+        limit = int(np.sort(started)[-2])
+        assert started.max() > limit and started.argmax() >= 2 << 14
+        for workers in (1, 2):
+            with pytest.raises(ClusterOverflow) as exc_info:
+                sweep_windows(config(limit), (50.0,), n, RngStream(3, 0), workers, fields)
+            assert exc_info.value.replication == started.argmax()
+
     def test_last_horizon_is_a_plain_batch(self):
         config = renewal_config(horizon=20.0)
         out = sweep_windows(config, (20.0,), 5_000, RngStream(65, 0))
