@@ -52,6 +52,9 @@ class InsufficientExceedances(ClusterTailsError):
         self.count = count
         self.required = required
 
+    def __reduce__(self):
+        return type(self), (self.x, self.count, self.required)
+
 
 class DegenerateTail(ClusterTailsError):
     """Top order statistics are all equal; Hill log-spacings vanish."""
@@ -72,6 +75,9 @@ class BracketTooWide(ClusterTailsError):
         super().__init__(f"bracket width {width:g} exceeds tolerance {tolerance:g}")
         self.width = width
         self.tolerance = tolerance
+
+    def __reduce__(self):
+        return type(self), (self.width, self.tolerance)
 
 
 class ConfigError(ClusterTailsError):

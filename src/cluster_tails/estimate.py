@@ -227,8 +227,9 @@ def laplace_derivative_table(
     vals = np.empty(len(s_grid))
     ses = np.empty(len(s_grid))
     v = sample.values
+    power = (-v) ** order
     for i, s in enumerate(s_grid):
-        summand = (-v) ** order * np.exp(-s * v)
+        summand = power * np.exp(-s * v)
         vals[i] = summand.mean()
         ses[i] = summand.std(ddof=1) / math.sqrt(sample.n)
     return vals, ses

@@ -20,7 +20,7 @@ from enum import Enum
 from typing import NamedTuple, Union
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .errors import InfiniteMean, ModelError, SupercriticalModel
 from .rng import RngStream
@@ -405,12 +405,26 @@ def model_constants(model: JointMarkModel) -> ModelConstants:
     )
 
 
+def _poisson_pmf(k, mu):
+    """Poisson pmf at integer k, by the formula of scipy.stats.poisson (bit for bit)."""
+    k = np.asarray(k)
+    kk = np.maximum(k, 0)
+    p = np.clip(np.exp(special.xlogy(kk, mu) - special.gammaln(kk + 1) - mu), 0, 1)
+    return np.where(k >= 0, p, 0.0)[()]
+
+
+def _poisson_sf(x, mu):
+    """Poisson P(K > x), by the formula of scipy.stats.poisson (bit for bit)."""
+    x = np.asarray(x)
+    return np.where(x < 0, 1.0, np.clip(special.pdtrc(np.floor(x), mu), 0, 1))[()]
+
+
 def count_survival(model: JointMarkModel, x):
     """P(K > x) for integer-count regimes (K = ceil of something or Poisson)."""
     r = model.regime
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if r is Regime.INDEPENDENT_LIGHT_COUNT:
-        out = stats.poisson.sf(np.floor(xs), model.count_param)
+        out = _poisson_sf(xs, model.count_param)
     elif r in (Regime.INDEPENDENT_HEAVY_COUNT, Regime.INDEPENDENT_TAIL_EQUIVALENT):
         # ceil(Z) > x  iff  Z > floor(x)
         out = np.asarray(model.count_param.survival(np.floor(xs)))
@@ -430,8 +444,8 @@ def _count_pmf_and_sf(model: JointMarkModel, kmax: int):
     r = model.regime
     ks = np.arange(kmax)
     if r is Regime.INDEPENDENT_LIGHT_COUNT:
-        pmf = stats.poisson.pmf(ks, model.count_param)
-        tail = float(stats.poisson.sf(kmax - 1, model.count_param))
+        pmf = _poisson_pmf(ks, model.count_param)
+        tail = float(_poisson_sf(kmax - 1, model.count_param))
         return pmf, tail
     if r in (Regime.INDEPENDENT_HEAVY_COUNT, Regime.INDEPENDENT_TAIL_EQUIVALENT):
         z = model.count_param

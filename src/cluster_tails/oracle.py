@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 from .clusters import _renewal_functionals
 from .errors import BracketTooWide, LatticeMismatch, ModelError
+from .heavytail import _poisson_pmf, _poisson_sf
 from .rng import RngStream
 
 __all__ = [
@@ -265,8 +265,8 @@ def truncated_hawkes_sum_tail(
             res_pow.append(_bconv(res_pow[-1], resolved, cap))
             tot_pow.append(_bconv(tot_pow[-1], total_child, cap))
         for idx, kappa, p in rows:
-            pl = stats.poisson.pmf(np.arange(mc + 1), kappa)
-            over = float(stats.poisson.sf(mc, kappa))
+            pl = _poisson_pmf(np.arange(mc + 1), kappa)
+            over = float(_poisson_sf(mc, kappa))
             res_mix = np.zeros(cap + 1)
             tot_mix = np.zeros(cap + 1)
             for l in range(mc + 1):

@@ -1,10 +1,14 @@
 """End-to-end tests of the experiment runner."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import cluster_tails
 from cluster_tails.cli import main, run, validate
 from cluster_tails.errors import ConfigError
 
@@ -188,6 +192,33 @@ class TestValidate:
 
         monkeypatch.setattr(rng_module.RngStream, "generator", property(forbidden))
         validate(tail_ratio_config(tmp_path))
+
+
+class TestColdStart:
+    """A fresh interpreter must not pay for scipy.stats or scipy.integrate."""
+
+    @staticmethod
+    def _python(*args):
+        src = str(Path(cluster_tails.__file__).resolve().parent.parent)
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        env = {**os.environ, "PYTHONPATH": path}
+        return subprocess.run(
+            [sys.executable, *args], capture_output=True, text=True, env=env
+        )
+
+    def test_import_loads_no_stats_or_integrate(self):
+        proc = self._python(
+            "-c",
+            "import sys, cluster_tails.cli; print(sorted(m for m in sys.modules"
+            " if m.startswith(('scipy.stats', 'scipy.integrate'))))",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_validate_shipped_config(self):
+        config = Path(__file__).resolve().parent.parent / "configs" / "ldp-sum.json"
+        proc = self._python("-m", "cluster_tails.cli", "validate", str(config))
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestOtherExperiments:

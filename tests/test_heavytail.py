@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from cluster_tails.errors import InfiniteMean, SupercriticalModel
 from cluster_tails.heavytail import (
@@ -14,6 +15,8 @@ from cluster_tails.heavytail import (
     ParetoLaw,
     Regime,
     TailTarget,
+    _poisson_pmf,
+    _poisson_sf,
     count_survival,
     joint_tail_exact,
     joint_tail_mc,
@@ -258,6 +261,26 @@ class TestJointTailExact:
         assert count_survival(m, 10.0) == pytest.approx(10 ** -1.5)
         assert count_survival(m, 10.7) == pytest.approx(10 ** -1.5)
         assert count_survival(m, 1.0) == 1.0
+
+
+class TestPoissonTerms:
+    """The scipy.special Poisson terms equal scipy.stats.poisson bit for bit."""
+
+    KS = np.arange(-3, 401)
+    XS = np.concatenate([KS, KS + 0.5, KS - 0.25])
+
+    @pytest.mark.parametrize("mu", [0.0, 1e-3, 0.5, 2.0, 30.0, 200.0])
+    def test_arrays(self, mu):
+        assert np.array_equal(_poisson_pmf(self.KS, mu), stats.poisson.pmf(self.KS, mu))
+        assert np.array_equal(_poisson_sf(self.XS, mu), stats.poisson.sf(self.XS, mu))
+
+    @pytest.mark.parametrize("mu", [0.0, 1e-3, 0.5, 2.0, 30.0, 200.0])
+    def test_scalars(self, mu):
+        for k in self.KS.tolist():
+            assert _poisson_pmf(k, mu) == stats.poisson.pmf(k, mu)
+        for x in self.XS.tolist():
+            assert _poisson_sf(x, mu) == stats.poisson.sf(x, mu)
+        assert np.ndim(_poisson_pmf(3, mu)) == np.ndim(_poisson_sf(2.5, mu)) == 0
 
 
 class TestOracleCache:
