@@ -101,6 +101,8 @@ def _num(section: dict, key: str, path: str, default=None, positive=False):
     value = section[key]
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError("must be a number", f"{path}.{key}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError("must be a finite number", f"{path}.{key}")
     if positive and value <= 0:
         raise ConfigError("must be positive", f"{path}.{key}")
     return value

@@ -9,11 +9,12 @@ marks, never on event times, which is what makes the vectorized batch path
 
 from __future__ import annotations
 
+import ctypes
 import math
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -257,6 +258,27 @@ def _chunk_size(events_per_task: float, smallest: int, largest: int) -> int:
     return int(min(largest, max(smallest, 1 << int(math.log2(raw)))))
 
 
+@cache
+def _keep_freed_memory() -> None:
+    """Lets glibc keep freed chunk-sized arrays for the next chunk, once per process.
+
+    By default glibc maps each array over its mmap threshold afresh and returns
+    it, or the top of the heap, to the system when it is freed, so every chunk
+    faults its temporaries in again page by page.  Arrays of up to 32 MiB now
+    come from the heap, and up to 512 MiB of free heap is kept.  Output does not
+    depend on it; where there is no ``mallopt`` this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    m_trim_threshold, m_mmap_threshold = -1, -3  # from glibc's <malloc.h>
+    mallopt(m_mmap_threshold, 32 << 20)
+    mallopt(m_trim_threshold, 512 << 20)
+
+
 def _run_chunk(task):
     kernel, index, count, chunk, base = task
     try:
@@ -274,10 +296,11 @@ def chunked_map(kernel, n: int, chunk: int, base: RngStream, workers: int = 1) -
     A :class:`ClusterOverflow` is re-raised with its replication counted
     from the first chunk.
     """
+    _keep_freed_memory()
     starts = range(0, n, chunk)
     tasks = [(kernel, i, min(chunk, n - s), chunk, base) for i, s in enumerate(starts)]
     if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_keep_freed_memory) as pool:
             return list(pool.map(_run_chunk, tasks))
     return [_run_chunk(t) for t in tasks]
 

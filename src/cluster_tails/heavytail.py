@@ -79,7 +79,14 @@ class ParetoLaw:
     def sample(self, gen: np.random.Generator, size=None):
         # inverse CDF: (1 - U)**(-1/alpha) with 1 - U in (0, 1]
         u = gen.random(size)
-        return self.scale * (1.0 - u) ** (-1.0 / self.alpha)
+        if size is None:
+            return self.scale * (1.0 - u) ** (-1.0 / self.alpha)
+        # the same operations in place: the draws are bit-identical, with no
+        # temporaries the size of the sample
+        np.subtract(1.0, u, out=u)
+        u **= -1.0 / self.alpha
+        u *= self.scale
+        return u
 
     # lower edge of the region where survival == 1
     @property

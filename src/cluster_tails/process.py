@@ -110,16 +110,6 @@ class WindowBatch:
 WINDOW_FIELDS = tuple(f.name for f in dataclasses.fields(WindowBatch))
 
 
-def _segmented_offsets(waits: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Running sums of waits within each segment of the given lengths."""
-    if counts.size == 0:
-        return np.empty(0)
-    cs = np.cumsum(waits)
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    prefix = np.concatenate(([0.0], cs))
-    return cs - np.repeat(prefix[starts], counts)
-
-
 # statistics reduced per (slot, window) and accumulated over slots; the
 # leftover ones are tallied per horizon directly
 _SLOTTED = {"n_events", "sum_in_window", "max_in_window", "n_clusters"}
@@ -217,14 +207,22 @@ def _renewal_windows(
     total = int(k.sum())
     waits = np.asarray(config.cluster_params.waiting_law.sample(gen, total), dtype=float)
     marks = np.asarray(model.mark_law.sample(gen, total), dtype=float)
-    offsets = _segmented_offsets(waits, k)
-    evt_time = np.repeat(tau, k) + offsets
+    # one running sum of the waits over the whole chunk, restarted at each
+    # cluster's birth time by subtracting what the earlier clusters' waits add up to
+    first = np.zeros(m + 1, dtype=np.int64)  # first[c]: index of cluster c's first offspring
+    np.cumsum(k, out=first[1:])
+    evt_time = np.cumsum(waits, out=waits)
+    before = np.zeros(m)
+    later = np.flatnonzero(first[:-1])
+    before[later] = evt_time[first[later] - 1]
+    evt_time += np.repeat(tau - before, k)
+    per_window = np.diff(first[np.cumsum(c_t)], prepend=0)  # offspring per window
 
     tally = _HorizonTally(horizons, n, fields)
     home = tally.slot(tau)
     tally.immigrants(win_of_cluster, home, x)
     tally.offspring(
-        np.repeat(win_of_cluster, k),
+        np.repeat(np.arange(n), per_window),
         tally.slot(evt_time),
         marks,
         np.repeat(home, k) if tally.leftover else None,

@@ -184,6 +184,28 @@ class TestValidate:
         with pytest.raises(ConfigError):
             validate(path)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["model.mark.alpha", "ldp.replications"])
+    def test_non_finite_number_rejected(self, tmp_path, capsys, field, value):
+        payload = {
+            "experiment": "ldp-max",
+            "seed": 1,
+            "model": json.loads(json.dumps(MODEL)),
+            "ldp": {"horizons": [10], "replications": 10_000},
+        }
+        assert main(["validate", str(write_config(tmp_path, payload))]) == 0
+        capsys.readouterr()
+        *parents, key = field.split(".")
+        section = payload
+        for name in parents:
+            section = section[name]
+        section[key] = value  # json.dumps writes NaN, Infinity and -Infinity
+        assert main(["validate", str(write_config(tmp_path, payload))]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError"
+        assert err["field"] == field
+        assert err["message"].endswith("must be a finite number")
+
     def test_validate_consumes_no_randomness(self, tmp_path, monkeypatch):
         import cluster_tails.rng as rng_module
 

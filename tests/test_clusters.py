@@ -321,6 +321,14 @@ class TestBatchFunctionals:
             h.update(a.tobytes())
         assert h.hexdigest() == digest
 
+    def test_allocator_helper_without_mallopt(self, monkeypatch):
+        monkeypatch.setattr(clusters.ctypes, "CDLL", lambda name: object())
+        clusters._keep_freed_memory.cache_clear()
+        try:
+            assert clusters._keep_freed_memory() is None
+        finally:
+            clusters._keep_freed_memory.cache_clear()
+
     def test_params_family_checked(self):
         with pytest.raises(ModelError):
             batch_functionals(light_count(), HP, 10, RngStream(1, 0))

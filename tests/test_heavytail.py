@@ -115,6 +115,21 @@ class TestSamplePareto:
         b = sample_pareto(LAW, RngStream(5, 3), 1000)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("size", [1000, (40, 25), 0])
+    def test_array_draws_are_the_inverse_cdf(self, size, alpha):
+        law = ParetoLaw(2.0, alpha)
+        u = np.random.default_rng(3).random(size)
+        got = law.sample(np.random.default_rng(3), size)
+        assert np.array_equal(got, 2.0 * (1 - u) ** (-1 / alpha))
+        assert got.shape == np.shape(u)
+
+    def test_scalar_draw_is_a_float(self):
+        u = np.random.default_rng(3).random()
+        got = LAW.sample(np.random.default_rng(3))
+        assert type(got) is float
+        assert got == LAW.scale * (1 - u) ** (-1 / LAW.alpha)
+
 
 class TestSampleJoint:
     def test_comonotone_construction(self):

@@ -275,6 +275,72 @@ class TestSingleHorizonPinned:
         assert h.hexdigest() == self.WINDOW[kind]
 
 
+class TestRenewalEventTimes:
+    """The renewal kernel's offspring times and windows against a per-cluster loop."""
+
+    T = 5.0
+
+    @pytest.mark.parametrize(
+        "nu, zeroed",
+        [
+            (1.0, lambda m: [0, m // 2, m - 1]),  # k = 0 at the start, middle and end
+            (1.0, lambda m: slice(None)),  # no offspring in the chunk
+            (0.2, lambda m: []),  # many windows without clusters
+            (1e-9, lambda m: []),  # no clusters in the chunk
+        ],
+        ids=["zero-k-start-middle-end", "no-offspring", "empty-windows", "no-clusters"],
+    )
+    def test_matches_per_cluster_cumsum(self, monkeypatch, nu, zeroed):
+        config = renewal_config(nu=nu, horizon=self.T, count_mean=0.8)
+        n = 300
+        real_joint = process.sample_joint
+
+        def joint_with_zeros(model, rng, size=None):
+            x, k = real_joint(model, rng, size)
+            k = np.asarray(k, dtype=np.int64)
+            k[zeroed(len(k))] = 0
+            return x, k
+
+        seen = []
+        real_slot = process._HorizonTally.slot
+        real_offspring = process._HorizonTally.offspring
+
+        def slot(self, times):
+            seen.append(times.copy())
+            return real_slot(self, times)
+
+        def offspring(self, win, *args):
+            seen.append(win.copy())
+            return real_offspring(self, win, *args)
+
+        monkeypatch.setattr(process, "sample_joint", joint_with_zeros)
+        monkeypatch.setattr(process._HorizonTally, "slot", slot)
+        monkeypatch.setattr(process._HorizonTally, "offspring", offspring)
+        process._renewal_windows(config, np.array([self.T]), n, RngStream(23, 4), WINDOW_FIELDS)
+        _, times, win = seen
+
+        # replay the kernel's draws and place each cluster's offspring by a loop
+        rng = RngStream(23, 4)
+        gen = rng.generator
+        c_t = gen.poisson(nu * self.T, n)
+        tau = gen.uniform(0.0, self.T, c_t.sum())
+        k = joint_with_zeros(config.model, rng, c_t.sum())[1]
+        waits = config.cluster_params.waiting_law.sample(gen, k.sum())
+        want_times, want_win = [], []
+        cluster = pos = 0
+        for w, count in enumerate(c_t):
+            for _ in range(count):
+                want_times.extend(tau[cluster] + np.cumsum(waits[pos : pos + k[cluster]]))
+                want_win.extend([w] * k[cluster])
+                pos += k[cluster]
+                cluster += 1
+
+        if nu == 0.2:
+            assert (c_t == 0).sum() > 10
+        np.testing.assert_allclose(times, want_times, rtol=0, atol=1e-6)
+        assert np.array_equal(win, np.array(want_win, dtype=np.int64))
+
+
 class TestSweepWindows:
     HORIZONS = (5.0, 20.0, 60.0)
 
