@@ -7,16 +7,10 @@ ratios against exact oracles and transform diagnostics.
 """
 
 from .clusters import (
-    Cluster,
     FunctionalSample,
     HawkesParams,
-    OffspringEvent,
     RenewalParams,
     batch_functionals,
-    functional_max,
-    functional_sum,
-    sample_hawkes_cluster,
-    sample_renewal_cluster,
 )
 from .errors import (
     BracketTooWide,
@@ -73,16 +67,7 @@ from .oracle import (
     exact_renewal_sum_tail,
     truncated_hawkes_sum_tail,
 )
-from .process import (
-    MeanSumEstimate,
-    WindowBatch,
-    WindowConfig,
-    WindowStats,
-    batch_windows,
-    estimate_mean_sum,
-    simulate_window,
-    sweep_windows,
-)
+from .process import WindowConfig, sweep_windows
 from .rng import RngStream
 
 __version__ = "0.1.0"

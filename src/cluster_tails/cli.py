@@ -81,30 +81,39 @@ EXPERIMENTS = (
     "ldp-sum",
     "leftover",
 )
+# the window sweeps, which read a sweep section and no cluster count
+_SWEEPS = ("ldp-max", "ldp-sum", "leftover")
 
 
 # ---------------------------------------------------------------------------
 # Config parsing
 
 
+def _field(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
 def _req(section: dict, key: str, path: str):
     if key not in section:
-        raise ConfigError("missing required field", f"{path}.{key}")
+        raise ConfigError("missing required field", _field(path, key))
     return section[key]
 
 
 def _num(section: dict, key: str, path: str, default=None, positive=False):
     if key not in section:
         if default is None:
-            raise ConfigError("missing required field", f"{path}.{key}")
+            raise ConfigError("missing required field", _field(path, key))
         return default
-    value = section[key]
+    return _number(section[key], _field(path, key), positive)
+
+
+def _number(value, field: str, positive=False):
     if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError("must be a number", f"{path}.{key}")
+        raise ConfigError("must be a number", field)
     if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError("must be a finite number", f"{path}.{key}")
+        raise ConfigError("must be a finite number", field)
     if positive and value <= 0:
-        raise ConfigError("must be positive", f"{path}.{key}")
+        raise ConfigError("must be positive", field)
     return value
 
 
@@ -246,6 +255,7 @@ class ExperimentConfig:
     raw: dict
     model: JointMarkModel | None
     cluster_params: RenewalParams | HawkesParams | None
+    clusters: int | None  # replications of the experiments that are not window sweeps
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -265,6 +275,9 @@ class ExperimentConfig:
         if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
             raise ConfigError("seed must be a 64-bit unsigned integer", "seed")
         workers = int(_num(raw, "workers", "", default=1, positive=True))
+        clusters = None
+        if experiment not in _SWEEPS:
+            clusters = int(_num(raw, "clusters", "", default=1_000_000, positive=True))
         output_dir = Path(raw.get("output_dir", "."))
         model = None
         params = None
@@ -286,6 +299,7 @@ class ExperimentConfig:
             raw=raw,
             model=model,
             cluster_params=params,
+            clusters=clusters,
         )
 
     @classmethod
@@ -306,14 +320,9 @@ class ExperimentConfig:
 # Experiment handlers: each returns (csv_text, summary_dict)
 
 
-def _clusters_n(config: ExperimentConfig, default=1_000_000) -> int:
-    return int(_num(config.raw, "clusters", "", default=default, positive=True))
-
-
 def _functional_sample(config: ExperimentConfig, rng: RngStream):
-    n = _clusters_n(config)
     return batch_functionals(
-        config.model, config.cluster_params, n, rng, workers=config.workers
+        config.model, config.cluster_params, config.clusters, rng, workers=config.workers
     )
 
 
@@ -379,11 +388,17 @@ def _run_tail_ratio(config: ExperimentConfig, rng: RngStream):
     return curve.to_csv(), summary
 
 
+def _hill_k(config: ExperimentConfig) -> int:
+    n = config.clusters
+    k = int(_num(config.raw.get("hill", {}), "k", "hill", default=math.isqrt(n), positive=True))
+    if not 2 <= k < n:
+        raise ConfigError(f"need 2 <= k < clusters = {n}", "hill.k")
+    return k
+
+
 def _run_hill(config: ExperimentConfig, rng: RngStream):
+    k = _hill_k(config)
     sample = _functional_sample(config, rng)
-    section = config.raw.get("hill", {})
-    k_default = int(math.isqrt(len(sample)))
-    k = int(_num(section, "k", "hill", default=k_default, positive=True))
     lines = ["functional,k,alpha_hat,se"]
     results = {}
     for name, values in (("max", sample.h), ("sum", sample.d)):
@@ -394,12 +409,31 @@ def _run_hill(config: ExperimentConfig, rng: RngStream):
     return "\n".join(lines) + "\n", summary
 
 
-def _run_tauberian(config: ExperimentConfig, rng: RngStream):
+def _parse_tauberian(config: ExperimentConfig):
+    """The transform source, the tail index alpha and the s-grid."""
     section = config.raw.get("tauberian", {})
     source = section.get("source", "marks")
     if source not in ("marks", "max", "sum"):
         raise ConfigError("source must be 'marks', 'max' or 'sum'", "tauberian.source")
-    n = _clusters_n(config)
+    if "alpha" in section:
+        alpha, field = _num(section, "alpha", "tauberian", positive=True), "tauberian.alpha"
+    elif isinstance(config.model.mark_law, ParetoLaw):
+        alpha, field = config.model.mark_law.alpha, "model.mark.alpha"
+    else:
+        raise ConfigError(
+            "alpha must be given when the mark law is not Pareto", "tauberian.alpha"
+        )
+    if float(alpha).is_integer():
+        raise ConfigError("the tauberian slope needs a noninteger alpha", field)
+    s_min = _num(section, "s_min", "tauberian", default=1e-3, positive=True)
+    s_max = _num(section, "s_max", "tauberian", default=1e-1, positive=True)
+    points = int(_num(section, "points", "tauberian", default=9, positive=True))
+    return source, alpha, np.geomspace(s_min, s_max, points)
+
+
+def _run_tauberian(config: ExperimentConfig, rng: RngStream):
+    source, alpha, s_grid = _parse_tauberian(config)
+    n = config.clusters
     if source == "marks":
         if not isinstance(config.model.mark_law, ParetoLaw):
             values = config.model.mark_law.sample(rng.generator, n)
@@ -408,17 +442,6 @@ def _run_tauberian(config: ExperimentConfig, rng: RngStream):
     else:
         sample = _functional_sample(config, rng)
         values = sample.h if source == "max" else sample.d
-    alpha = section.get("alpha")
-    if alpha is None:
-        if not isinstance(config.model.mark_law, ParetoLaw):
-            raise ConfigError(
-                "alpha must be given when the mark law is not Pareto", "tauberian.alpha"
-            )
-        alpha = config.model.mark_law.alpha
-    s_min = _num(section, "s_min", "tauberian", default=1e-3, positive=True)
-    s_max = _num(section, "s_max", "tauberian", default=1e-1, positive=True)
-    points = int(_num(section, "points", "tauberian", default=9, positive=True))
-    s_grid = np.geomspace(s_min, s_max, points)
     ts = TailSample.from_values(values)
     order = math.ceil(alpha)
     vals, ses = laplace_derivative_table(ts, s_grid, order)
@@ -440,7 +463,7 @@ def _run_tauberian(config: ExperimentConfig, rng: RngStream):
 def _run_oracle_compare(config: ExperimentConfig, rng: RngStream):
     model = _parse_discrete(config.raw)
     section = config.raw["discrete"]
-    n = _clusters_n(config)
+    n = config.clusters
     if model.kind == "hawkes":
         x_grid = [float(v) for v in _req(section, "x_grid", "discrete")]
         lines = ["x,lower,upper"]
@@ -476,26 +499,24 @@ def _run_oracle_compare(config: ExperimentConfig, rng: RngStream):
 
 
 def _parse_sweep(config: ExperimentConfig) -> SweepConfig:
-    window = config.raw.get("window", {})
-    nu = _num(window, "nu", "window", default=1.0, positive=True)
-    section = config.raw.get("ldp", {})
-    horizons = section.get("horizons", [10.0, 50.0, 100.0])
+    """The ``leftover`` section of a leftover sweep, else the ``ldp`` section."""
+    nu = _num(config.raw.get("window", {}), "nu", "window", default=1.0, positive=True)
+    if config.experiment == "leftover":
+        name, count_key, count = "leftover", "windows", 100_000
+        horizons = [10.0, 50.0, 100.0, 500.0]
+    else:
+        name, count_key, count = "ldp", "replications", 1_000_000
+        horizons = [10.0, 50.0, 100.0]
+    section = config.raw.get(name, {})
+    horizons = section.get("horizons", horizons)
     if not isinstance(horizons, list) or not horizons:
-        raise ConfigError("must be a nonempty list", "ldp.horizons")
-    try:
-        wcfg = WindowConfig(
-            model=config.model,
-            cluster_params=config.cluster_params,
-            nu=nu,
-            horizon=float(horizons[-1]),
-        )
-        return SweepConfig(
-            window=wcfg,
-            horizons=tuple(float(h) for h in horizons),
+        raise ConfigError("must be a nonempty list", f"{name}.horizons")
+    horizons = tuple(float(_number(h, f"{name}.horizons", positive=True)) for h in horizons)
+    count = int(_num(section, count_key, name, default=count, positive=True))
+    options = {}
+    if name == "ldp":
+        options = dict(
             gamma=_num(section, "gamma", "ldp", default=0.5, positive=True),
-            replications=int(
-                _num(section, "replications", "ldp", default=1_000_000, positive=True)
-            ),
             x_levels=int(_num(section, "x_levels", "ldp", default=12, positive=True)),
             pilot_windows=int(
                 _num(section, "pilot_windows", "ldp", default=100_000, positive=True)
@@ -504,8 +525,12 @@ def _parse_sweep(config: ExperimentConfig) -> SweepConfig:
                 _num(section, "min_exceedances", "ldp", default=50, positive=True)
             ),
         )
+    try:
+        window = WindowConfig(config.model, config.cluster_params, nu, horizons[-1])
+        return SweepConfig(window=window, horizons=horizons, replications=count, **options)
     except ModelError as exc:
-        raise ConfigError(str(exc), "ldp") from None
+        key = {"horizon": "horizons", "replications": count_key}.get(exc.field, exc.field)
+        raise ConfigError(exc.message, f"{name}.{key}") from None
 
 
 def _run_ldp_max(config: ExperimentConfig, rng: RngStream):
@@ -523,26 +548,7 @@ def _run_ldp_sum(config: ExperimentConfig, rng: RngStream):
 
 
 def _run_leftover(config: ExperimentConfig, rng: RngStream):
-    window = config.raw.get("window", {})
-    nu = _num(window, "nu", "window", default=1.0, positive=True)
-    section = config.raw.get("leftover", {})
-    horizons = section.get("horizons", [10.0, 50.0, 100.0, 500.0])
-    windows = int(_num(section, "windows", "leftover", default=100_000, positive=True))
-    try:
-        wcfg = WindowConfig(
-            model=config.model,
-            cluster_params=config.cluster_params,
-            nu=nu,
-            horizon=float(horizons[-1]),
-        )
-        sweep = SweepConfig(
-            window=wcfg,
-            horizons=tuple(float(h) for h in horizons),
-            replications=windows,
-        )
-    except ModelError as exc:
-        raise ConfigError(str(exc), "leftover") from None
-    rows = leftover_scaling(sweep, rng, workers=config.workers)
+    rows = leftover_scaling(_parse_sweep(config), rng, workers=config.workers)
     summary = {
         "horizons": [
             {
@@ -622,10 +628,14 @@ def validate(config_path: str | Path) -> dict:
     report: dict = {"experiment": config.experiment, "seed": config.seed, "valid": True}
     if config.model is not None:
         report["constants"] = _constants_dict(config.model)
-    if config.experiment in ("ldp-max", "ldp-sum"):
+    if config.experiment in _SWEEPS:
         sweep = _parse_sweep(config)
         report["horizons"] = list(sweep.horizons)
         report["replications"] = sweep.replications
+    elif config.experiment == "hill":
+        _hill_k(config)
+    elif config.experiment == "tauberian":
+        _parse_tauberian(config)
     return report
 
 

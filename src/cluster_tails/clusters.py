@@ -1,17 +1,18 @@
-"""Exact samplers for one generic cluster and its max/sum functionals.
+"""Cluster parameters, batch cluster functionals and the chunk engine.
 
 Two cluster shapes exist: renewal clusters carry a single generation of K
 offspring at renewal times, Hawkes clusters are the full progeny forest of a
 subcritical branching cascade.  The functionals of interest depend only on
 marks, never on event times, which is what makes the vectorized batch path
 (:func:`batch_functionals`) legitimate: it skips drawing times entirely.
+The Hawkes generation loop (:func:`grow_hawkes`) is shared with the window
+kernels of :mod:`cluster_tails.process`, which do draw times.
 """
 
 from __future__ import annotations
 
 import ctypes
 import math
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cache, partial
@@ -23,42 +24,14 @@ from .heavytail import JointMarkModel, LightLaw, model_constants, sample_joint
 from .rng import RngStream
 
 __all__ = [
-    "OffspringEvent",
-    "Cluster",
     "RenewalParams",
     "HawkesParams",
     "FunctionalSample",
-    "sample_renewal_cluster",
-    "sample_hawkes_cluster",
-    "functional_max",
-    "functional_sum",
     "batch_functionals",
     "chunked_map",
 ]
 
 DEFAULT_MAX_CLUSTER_EVENTS = 1_000_000
-
-
-@dataclass(frozen=True)
-class OffspringEvent:
-    """One offspring event, located relative to the cluster start."""
-
-    time_offset: float
-    mark: float
-    generation: int
-    parent: int | None = None  # index into the events list; None for generation 1
-
-
-@dataclass(frozen=True)
-class Cluster:
-    immigrant_mark: float
-    events: tuple[OffspringEvent, ...]
-    model_kind: str  # "renewal" | "hawkes"
-
-    @property
-    def size(self) -> int:
-        """Total number of points including the immigrant."""
-        return 1 + len(self.events)
 
 
 @dataclass(frozen=True)
@@ -85,72 +58,6 @@ class HawkesParams:
             raise ModelError("decay_rate must be positive", "decay_rate")
         if self.max_cluster_events < 1:
             raise ModelError("max_cluster_events must be >= 1", "max_cluster_events")
-
-
-def sample_renewal_cluster(
-    model: JointMarkModel, params: RenewalParams, rng: RngStream
-) -> Cluster:
-    """One renewal cluster: joint (X, K), then K offspring at renewal times."""
-    if not model.is_renewal:
-        raise ModelError(f"{model.regime.value} is not a renewal regime", "regime")
-    gen = rng.generator
-    x, k = sample_joint(model, rng)
-    events = []
-    t = 0.0
-    for _ in range(int(k)):
-        t += float(params.waiting_law.sample(gen))
-        mark = float(model.mark_law.sample(gen))
-        events.append(OffspringEvent(time_offset=t, mark=mark, generation=1))
-    return Cluster(immigrant_mark=float(x), events=tuple(events), model_kind="renewal")
-
-
-def sample_hawkes_cluster(
-    model: JointMarkModel, params: HawkesParams, rng: RngStream
-) -> Cluster:
-    """One Hawkes cluster, generated breadth first.
-
-    Every event (immigrant included) draws Poisson(kappa) children; each
-    child draws a fresh joint (mark, kappa) pair and an exponential time
-    displacement after its parent.  Subcriticality makes the queue die out
-    almost surely; the event guard turns near-critical runaways into a
-    ClusterOverflow instead of an unbounded loop.
-    """
-    if not model.is_hawkes:
-        raise ModelError(f"{model.regime.value} is not a Hawkes regime", "regime")
-    gen = rng.generator
-    x0, kappa0 = sample_joint(model, rng)
-    events: list[OffspringEvent] = []
-    # queue entries: (parent index or None, parent offset, parent kappa, generation of children)
-    queue: deque = deque([(None, 0.0, float(kappa0), 1)])
-    while queue:
-        parent_idx, parent_t, kappa, child_gen = queue.popleft()
-        for _ in range(int(gen.poisson(kappa))):
-            if 1 + len(events) >= params.max_cluster_events:
-                raise ClusterOverflow(0, params.max_cluster_events)
-            dt = gen.exponential(1.0 / params.decay_rate)
-            xc, kc = sample_joint(model, rng)
-            events.append(
-                OffspringEvent(
-                    time_offset=parent_t + dt,
-                    mark=float(xc),
-                    generation=child_gen,
-                    parent=parent_idx,
-                )
-            )
-            queue.append((len(events) - 1, parent_t + dt, float(kc), child_gen + 1))
-    return Cluster(immigrant_mark=float(x0), events=tuple(events), model_kind="hawkes")
-
-
-def functional_max(cluster: Cluster) -> float:
-    """Largest mark in the cluster, immigrant included."""
-    if not cluster.events:
-        return cluster.immigrant_mark
-    return max(cluster.immigrant_mark, max(e.mark for e in cluster.events))
-
-
-def functional_sum(cluster: Cluster) -> float:
-    """Sum of all marks in the cluster, immigrant included."""
-    return cluster.immigrant_mark + sum(e.mark for e in cluster.events)
 
 
 # ---------------------------------------------------------------------------
@@ -218,33 +125,49 @@ def _add_broods(
     return int(live[worst]) if grown[worst] > limit else None
 
 
+def grow_hawkes(gen: np.random.Generator, kappa, limit: int, draw) -> np.ndarray:
+    """Grows Hawkes clusters from their immigrants, one generation at a time; returns their sizes.
+
+    ``kappa`` holds the immigrants' intensities, and every node has
+    Poisson(kappa) children.  A generation's nodes come in runs, one per
+    cluster still growing.  ``draw(brood, owner, starts, live)`` gets each
+    parent's child count, each child's cluster, and each run's first child
+    and cluster; it draws the children and returns their intensities.  A
+    cluster that grows past ``limit`` events raises :class:`ClusterOverflow`
+    with its index, before its generation is drawn.
+    """
+    sizes = np.ones(len(kappa), dtype=np.int64)
+    owner = live = starts = np.arange(len(kappa))
+    kappa = np.asarray(kappa, dtype=float)
+    while owner.size:
+        brood = gen.poisson(kappa)
+        if not brood.any():
+            break
+        bad = _add_broods(sizes, live, starts, brood, limit)
+        if bad is not None:
+            raise ClusterOverflow(bad, limit)
+        owner = np.repeat(owner, brood)
+        starts = _run_starts(owner)
+        live = owner[starts]
+        kappa = np.asarray(draw(brood, owner, starts, live), dtype=float)
+    return sizes
+
+
 def _hawkes_chunk(model: JointMarkModel, n: int, rng: RngStream, max_events: int):
-    gen = rng.generator
     x, kappa = sample_joint(model, rng, n)
     h = x.astype(float)
     d = x.astype(float)
-    sizes = np.ones(n, dtype=np.int64)
-    owner = live = starts = np.arange(n)
-    active_kappa = np.asarray(kappa, dtype=float)
-    while owner.size:
-        children = gen.poisson(active_kappa)
-        total = int(children.sum())
-        if total == 0:
-            break
-        bad = _add_broods(sizes, live, starts, children, max_events)
-        if bad is not None:
-            raise ClusterOverflow(bad, max_events)
-        owner = np.repeat(owner, children)
-        starts = _run_starts(owner)
-        live = owner[starts]
+
+    def draw(brood, owner, starts, live):
         local = np.zeros(owner.size, dtype=np.intp)
         local[starts[1:]] = 1
         np.cumsum(local, out=local)
-        xc, kc = sample_joint(model, rng, total)
+        xc, kc = sample_joint(model, rng, owner.size)
         np.maximum.at(h, owner, xc)
         d[live] += np.bincount(local, weights=xc, minlength=live.size)
-        active_kappa = np.asarray(kc, dtype=float)
-    return h, d, sizes
+        return kc
+
+    return h, d, grow_hawkes(rng.generator, kappa, max_events, draw)
 
 
 def _chunk_size(events_per_task: float, smallest: int, largest: int) -> int:

@@ -30,7 +30,7 @@ from .heavytail import (
     model_constants,
     theoretical_denominator,
 )
-from .process import WindowConfig, estimate_mean_sums, sweep_windows
+from .process import WindowConfig, sweep_windows
 from .rng import RngStream
 
 __all__ = [
@@ -65,6 +65,8 @@ class SweepConfig:
             raise ModelError("gamma must be positive", "gamma")
         if self.replications < 10_000:
             raise ModelError("need at least 10^4 replications", "replications")
+        if self.pilot_windows < 1_000:
+            raise ModelError("need at least 1000 pilot windows", "pilot_windows")
         if self.x_levels < 1:
             raise ModelError("x_levels must be >= 1", "x_levels")
 
@@ -153,20 +155,13 @@ def _expected_events(config: WindowConfig) -> float:
     return config.nu * config.horizon * consts.max_constant_renewal
 
 
-def _sweep_paths(
-    config: SweepConfig, rng: RngStream, workers: int, fields: tuple[str, ...]
-) -> dict[str, np.ndarray]:
-    """The named statistics of the sweep's shared paths, one row per horizon."""
-    return sweep_windows(
-        config.window, config.horizons, config.replications, rng, workers, fields
-    )
-
-
 def ldp_max_sweep(
     config: SweepConfig, rng: RngStream, workers: int = 1
 ) -> list[SweepRow]:
     """Ratio of the window-max tail to E[N_T] * P(X > x), per horizon."""
-    maxima = _sweep_paths(config, rng, workers, ("max_in_window",))["max_in_window"]
+    maxima = sweep_windows(
+        config.window, config.horizons, config.replications, rng, workers, ("max_in_window",)
+    )["max_in_window"]
     rows: list[SweepRow] = []
     for horizon, dev in zip(config.horizons, maxima):
         wcfg = replace(config.window, horizon=float(horizon))
@@ -191,22 +186,23 @@ def ldp_sum_sweep(
 ) -> list[SweepRow]:
     """Ratio of the centered-sum tail to the cluster-sum normalizer, per horizon.
 
-    The centering uses a pilot estimate of E[S_T]; its standard error is
-    folded into the reported band by evaluating the exceedance counts at
-    thresholds shifted by +-1.96 pilot SEs.
+    The centering uses a pilot estimate of E[S_T] at each horizon, the mean
+    of ``pilot_windows`` further paths drawn from stream id + 1; its standard
+    error is folded into the reported band by evaluating the exceedance
+    counts at thresholds shifted by +-1.96 pilot SEs.
     """
     target = (
         TailTarget.HAWKES_SUM if config.window.model.is_hawkes else TailTarget.RENEWAL_SUM
     )
-    pilot_root = RngStream(rng.seed, rng.stream_id + 1)
-    pilots = estimate_mean_sums(
-        config.window, config.horizons, config.pilot_windows, pilot_root, workers
-    )
-    sums = _sweep_paths(config, rng, workers, ("sum_in_window",))["sum_in_window"]
+    window, horizons, sum_only = config.window, config.horizons, ("sum_in_window",)
+    pilot_n, pilot_rng = config.pilot_windows, RngStream(rng.seed, rng.stream_id + 1)
+    pilots = sweep_windows(window, horizons, pilot_n, pilot_rng, workers, sum_only)
+    sums = sweep_windows(window, horizons, config.replications, rng, workers, sum_only)
     rows: list[SweepRow] = []
-    for horizon, pilot, s in zip(config.horizons, pilots, sums):
-        wcfg = replace(config.window, horizon=float(horizon))
-        dev = s - pilot.value
+    for horizon, pilot, s in zip(horizons, pilots["sum_in_window"], sums["sum_in_window"]):
+        wcfg = replace(window, horizon=float(horizon))
+        dev = s - float(pilot.mean())
+        mu_se = float(pilot.std(ddof=1) / math.sqrt(pilot_n))
         x_lo = config.gamma * wcfg.nu * wcfg.horizon
         grid = _horizon_grid(dev, x_lo, config.x_levels, config.min_exceedances)
         denom = (
@@ -220,7 +216,7 @@ def ldp_sum_sweep(
         )
         rows.extend(
             _sweep_rows(
-                horizon, dev, grid, denom, config.min_exceedances, mu_se=pilot.se
+                horizon, dev, grid, denom, config.min_exceedances, mu_se=mu_se
             )
         )
     return rows
@@ -230,7 +226,10 @@ def leftover_scaling(
     config: SweepConfig, rng: RngStream, workers: int = 1
 ) -> list[LeftoverRow]:
     """Per-horizon E[J_T]/T and E[eps_T]/sqrt(T) with standard errors."""
-    paths = _sweep_paths(config, rng, workers, ("j_leftover", "leftover_sum"))
+    paths = sweep_windows(
+        config.window, config.horizons, config.replications, rng, workers,
+        ("j_leftover", "leftover_sum"),
+    )
     n = config.replications
     rows = []
     for horizon, j, eps in zip(config.horizons, paths["j_leftover"], paths["leftover_sum"]):

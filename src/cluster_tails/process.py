@@ -19,37 +19,17 @@ then hold pathwise on every replication and at every horizon.
 
 from __future__ import annotations
 
-import dataclasses
-import math
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .clusters import (
-    HawkesParams,
-    RenewalParams,
-    _add_broods,
-    _chunk_size,
-    _run_starts,
-    chunked_map,
-)
+from .clusters import HawkesParams, RenewalParams, _chunk_size, chunked_map, grow_hawkes
 from .errors import ClusterOverflow, ModelError
 from .heavytail import JointMarkModel, model_constants, sample_joint
 from .rng import RngStream
 
-__all__ = [
-    "WindowConfig",
-    "WindowStats",
-    "WindowBatch",
-    "MeanSumEstimate",
-    "simulate_window",
-    "WINDOW_FIELDS",
-    "sweep_windows",
-    "batch_windows",
-    "estimate_mean_sums",
-    "estimate_mean_sum",
-]
+__all__ = ["WindowConfig", "WINDOW_FIELDS", "sweep_windows"]
 
 
 @dataclass(frozen=True)
@@ -70,44 +50,15 @@ class WindowConfig:
             raise ModelError("renewal model needs RenewalParams", "cluster_params")
 
 
-@dataclass(frozen=True)
-class WindowStats:
-    """Summary of one simulated window."""
-
-    n_events: int
-    j_leftover: int
-    sum_in_window: float
-    max_in_window: float
-    leftover_sum: float
-    n_clusters: int
-
-
-@dataclass
-class WindowBatch:
-    """Structure-of-arrays view of n i.i.d. windows (sequence of WindowStats)."""
-
-    n_events: np.ndarray
-    j_leftover: np.ndarray
-    sum_in_window: np.ndarray
-    max_in_window: np.ndarray
-    leftover_sum: np.ndarray
-    n_clusters: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.n_events)
-
-    def __getitem__(self, i: int) -> WindowStats:
-        return WindowStats(
-            n_events=int(self.n_events[i]),
-            j_leftover=int(self.j_leftover[i]),
-            sum_in_window=float(self.sum_in_window[i]),
-            max_in_window=float(self.max_in_window[i]),
-            leftover_sum=float(self.leftover_sum[i]),
-            n_clusters=int(self.n_clusters[i]),
-        )
-
-
-WINDOW_FIELDS = tuple(f.name for f in dataclasses.fields(WindowBatch))
+# the per-window statistics, in output order
+WINDOW_FIELDS = (
+    "n_events",
+    "j_leftover",
+    "sum_in_window",
+    "max_in_window",
+    "leftover_sum",
+    "n_clusters",
+)
 
 
 # statistics reduced per (slot, window) and accumulated over slots; the
@@ -248,43 +199,25 @@ def _hawkes_windows(
     # chunk-sized arrays: hold only what the generation loop needs, whose
     # first generation is the chunk's memory peak
     del x0
-    cluster_sizes = np.ones(m, dtype=np.int64)
 
-    owner = live = starts = np.arange(m)
-    kappa = np.asarray(kappa, dtype=float)
-    while owner.size:
-        brood = gen.poisson(kappa)
-        total = int(brood.sum())
-        if total == 0:
-            break
-        bad = _add_broods(cluster_sizes, live, starts, brood, params.max_cluster_events)
-        if bad is not None:
-            raise ClusterOverflow(int(win_of_cluster[bad]), params.max_cluster_events)
-        owner = np.repeat(owner, brood)
-        starts = _run_starts(owner)
-        live = owner[starts]
-        dt = gen.exponential(1.0 / params.decay_rate, total)
+    def draw(brood, owner, starts, live):
+        nonlocal evt_time
+        dt = gen.exponential(1.0 / params.decay_rate, owner.size)
         evt_time = np.repeat(evt_time, brood) + dt
-        xc, kc = sample_joint(model, rng, total)
+        xc, kc = sample_joint(model, rng, owner.size)
         tally.offspring(
             win_of_cluster[owner],
             tally.slot(evt_time),
             np.asarray(xc, dtype=float),
             home[owner] if tally.leftover else None,
         )
-        kappa = np.asarray(kc, dtype=float)
+        return kc
+
+    try:
+        grow_hawkes(gen, kappa, params.max_cluster_events, draw)
+    except ClusterOverflow as exc:
+        raise ClusterOverflow(int(win_of_cluster[exc.replication]), exc.limit) from None
     return tally.result()
-
-
-def simulate_window(config: WindowConfig, rng: RngStream) -> WindowStats:
-    """One window drawn directly from the given stream."""
-    kernel = _hawkes_windows if config.model.is_hawkes else _renewal_windows
-    out = kernel(config, np.array([config.horizon]), 1, rng, WINDOW_FIELDS)
-    return _as_batch(out)[0]
-
-
-def _as_batch(out: dict[str, np.ndarray]) -> WindowBatch:
-    return WindowBatch(**{name: out[name][0] for name in WINDOW_FIELDS})
 
 
 def sweep_windows(
@@ -323,51 +256,3 @@ def sweep_windows(
     chunk = _chunk_size(events, 1 << 6, 1 << 16)
     parts = chunked_map(partial(kernel, config, hs, fields=fields), n, chunk, rng.fresh(), workers)
     return {name: np.concatenate([p[name] for p in parts], axis=1) for name in fields}
-
-
-def batch_windows(
-    config: WindowConfig, n: int, rng: RngStream, workers: int = 1
-) -> WindowBatch:
-    """n i.i.d. windows of length ``config.horizon``, with every statistic.
-
-    The one-horizon case of :func:`sweep_windows`, and bit-identical for any
-    worker count in the same way.
-    """
-    return _as_batch(sweep_windows(config, (config.horizon,), n, rng, workers))
-
-
-@dataclass(frozen=True)
-class MeanSumEstimate:
-    """Pilot Monte Carlo estimate of E[S_T] with its standard error."""
-
-    value: float
-    se: float
-    pilot_n: int
-
-
-def estimate_mean_sums(
-    config: WindowConfig, horizons, pilot_n: int, rng: RngStream, workers: int = 1
-) -> list[MeanSumEstimate]:
-    """Pilot estimates of the window mean sum at each horizon, from shared paths.
-
-    Used to center deviation sweeps; the estimates of one call are
-    positively correlated (see :func:`sweep_windows`).
-    """
-    if pilot_n < 1_000:
-        raise ValueError("pilot_n must be at least 1000")
-    sums = sweep_windows(config, horizons, pilot_n, rng, workers, ("sum_in_window",))
-    return [
-        MeanSumEstimate(
-            value=float(s.mean()),
-            se=float(s.std(ddof=1) / math.sqrt(pilot_n)),
-            pilot_n=pilot_n,
-        )
-        for s in sums["sum_in_window"]
-    ]
-
-
-def estimate_mean_sum(
-    config: WindowConfig, pilot_n: int, rng: RngStream, workers: int = 1
-) -> MeanSumEstimate:
-    """Pilot estimate of the mean sum of a window of length ``config.horizon``."""
-    return estimate_mean_sums(config, (config.horizon,), pilot_n, rng, workers)[0]

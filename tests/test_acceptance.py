@@ -46,7 +46,7 @@ from cluster_tails.oracle import (
     exact_renewal_sum_tail,
     sample_renewal_functionals,
 )
-from cluster_tails.process import WindowConfig, batch_windows
+from cluster_tails.process import WindowConfig, sweep_windows
 from cluster_tails.rng import RngStream
 
 MARK = ParetoLaw(1.0, 1.5)
@@ -265,8 +265,9 @@ class TestCriterion9MeanEventCount:
     def test_formulas_at_t100(self):
         renewal = WindowConfig(model=LIGHT_COUNT, cluster_params=RP, nu=1.0, horizon=100.0)
         hawkes = WindowConfig(model=HAWKES_LIGHT, cluster_params=HP, nu=1.0, horizon=100.0)
-        mean_r = batch_windows(renewal, 100_000, RngStream(302, 0)).n_events.mean()
-        mean_h = batch_windows(hawkes, 100_000, RngStream(303, 0)).n_events.mean()
+        counts = ("n_events",)
+        mean_r = sweep_windows(renewal, (100.0,), 100_000, RngStream(302, 0), fields=counts)["n_events"].mean()
+        mean_h = sweep_windows(hawkes, (100.0,), 100_000, RngStream(303, 0), fields=counts)["n_events"].mean()
         rel_r = abs(mean_r / 300.0 - 1.0)
         rel_h = abs(mean_h / 200.0 - 1.0)
         ok = rel_r < 0.05 and rel_h < 0.05

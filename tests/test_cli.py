@@ -216,6 +216,41 @@ class TestValidate:
         validate(tail_ratio_config(tmp_path))
 
 
+class TestHostileConfigs:
+    """Every field that ``run`` reads is checked by ``validate`` too, with its path."""
+
+    CASES = [
+        ("leftover", {"leftover": {"horizons": 5}}, "leftover.horizons"),
+        ("leftover", {"leftover": {"horizons": []}}, "leftover.horizons"),
+        ("ldp-max", {"ldp": {"horizons": ["a"]}}, "ldp.horizons"),
+        ("ldp-sum", {"ldp": {"horizons": [-1, 5]}}, "ldp.horizons"),
+        ("ldp-max", {"ldp": {"horizons": [50, 10]}}, "ldp.horizons"),
+        ("ldp-sum", {"ldp": {"pilot_windows": 500}}, "ldp.pilot_windows"),
+        ("leftover", {"leftover": {"windows": 5_000}}, "leftover.windows"),
+        ("tail-ratio", {"clusters": -5}, "clusters"),
+        ("hill", {"clusters": 1_000, "hill": {"k": 1_000}}, "hill.k"),
+        ("hill", {"clusters": 1_000, "hill": {"k": 1}}, "hill.k"),
+        ("tauberian", {"tauberian": {"alpha": 2}}, "tauberian.alpha"),
+        ("tauberian", {"tauberian": {"alpha": "a"}}, "tauberian.alpha"),
+        ("cluster-tails", {"workers": 0}, "workers"),
+    ]
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize(
+        "experiment, fields, field", CASES, ids=[c[2] + "-" + str(i) for i, c in enumerate(CASES)]
+    )
+    def test_rejected_with_field_path(self, tmp_path, capsys, command, experiment, fields, field):
+        payload = {"experiment": experiment, "seed": 1, "model": MODEL, "output_dir": str(tmp_path)}
+        payload.update(fields)
+        assert main([command, str(write_config(tmp_path, payload))]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1, lines
+        err = json.loads(lines[0])
+        assert err["error"] == "ConfigError"
+        assert err["field"] == field
+        assert not list(tmp_path.glob(f"{experiment}-1.*"))
+
+
 class TestColdStart:
     """A fresh interpreter must not pay for scipy.stats or scipy.integrate."""
 

@@ -1,4 +1,4 @@
-"""Tests for cluster samplers and functionals."""
+"""Tests for the reference cluster samplers and the batch functionals."""
 
 import hashlib
 import math
@@ -10,17 +10,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from cluster_tails import clusters
-from cluster_tails.clusters import (
-    Cluster,
-    HawkesParams,
-    OffspringEvent,
-    RenewalParams,
-    batch_functionals,
-    functional_max,
-    functional_sum,
-    sample_hawkes_cluster,
-    sample_renewal_cluster,
-)
+from cluster_tails.clusters import HawkesParams, RenewalParams, batch_functionals
 from cluster_tails.errors import ClusterOverflow, ModelError
 from cluster_tails.heavytail import (
     BoundedUniform,
@@ -32,6 +22,14 @@ from cluster_tails.heavytail import (
     sample_joint,
 )
 from cluster_tails.rng import RngStream
+from reference import (
+    Cluster,
+    OffspringEvent,
+    functional_max,
+    functional_sum,
+    sample_hawkes_cluster,
+    sample_renewal_cluster,
+)
 
 LAW = ParetoLaw(1.0, 1.5)
 RP = RenewalParams(waiting_law=Exponential(1.0))

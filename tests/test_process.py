@@ -1,26 +1,20 @@
 """Tests for window simulation.
 
-The vectorized batch simulator is checked against an independent
-object-level reference built directly from the single-cluster samplers,
-both for the pathwise decomposition identities and distributionally.
+The vectorized window sweep is checked against an independent
+object-level reference built directly from the single-cluster samplers of
+``tests/reference.py``, both for the pathwise decomposition identities and
+distributionally.
 """
 
-import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from cluster_tails import process
-from cluster_tails.clusters import (
-    HawkesParams,
-    RenewalParams,
-    functional_max,
-    functional_sum,
-    sample_hawkes_cluster,
-    sample_renewal_cluster,
-)
+from cluster_tails.clusters import HawkesParams, RenewalParams
 from cluster_tails.errors import ClusterOverflow, ModelError
 from cluster_tails.heavytail import (
     BoundedUniform,
@@ -31,17 +25,15 @@ from cluster_tails.heavytail import (
     Regime,
     sample_joint,
 )
-from cluster_tails.process import (
-    WINDOW_FIELDS,
-    WindowConfig,
-    WindowStats,
-    batch_windows,
-    estimate_mean_sum,
-    estimate_mean_sums,
-    simulate_window,
-    sweep_windows,
-)
+from cluster_tails.ldp import SweepConfig
+from cluster_tails.process import WINDOW_FIELDS, WindowConfig, sweep_windows
 from cluster_tails.rng import RngStream
+from reference import (
+    functional_max,
+    functional_sum,
+    sample_hawkes_cluster,
+    sample_renewal_cluster,
+)
 
 LAW = ParetoLaw(1.0, 1.5)
 RP = RenewalParams(waiting_law=Exponential(1.0))
@@ -61,10 +53,20 @@ def hawkes_config(nu=1.0, horizon=10.0, kappa=0.5):
     )
 
 
+def windows(config: WindowConfig, n: int, rng: RngStream, workers: int = 1, fields=WINDOW_FIELDS):
+    """n windows of length ``config.horizon``: one row of a one-horizon sweep per statistic."""
+    out = sweep_windows(config, (config.horizon,), n, rng, workers, fields)
+    return {field: rows[0] for field, rows in out.items()}
+
+
+def mean_and_se(values: np.ndarray) -> tuple[float, float]:
+    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(len(values)))
+
+
 def reference_window(config: WindowConfig, rng: RngStream):
     """Object-level window simulation: clusters first, then classification.
 
-    Returns the WindowStats fields plus the per-cluster functionals, so the
+    Returns the window statistics plus the per-cluster functionals, so the
     decomposition identities can be checked pathwise.
     """
     gen = rng.generator
@@ -113,11 +115,11 @@ class TestDecompositionIdentities:
     def test_vectorized_matches_reference_distribution(self, factory):
         config = factory(nu=1.0, horizon=5.0)
         n = 20_000
-        batch = batch_windows(config, n, RngStream(23, 0))
+        batch = windows(config, n, RngStream(23, 0))
         ref = [reference_window(config, RngStream(29, i))[0] for i in range(n)]
         ref_sum = np.array([r["sum_in"] for r in ref])
         # KS on the in-window sums between the two implementations
-        a, b = np.sort(batch.sum_in_window), np.sort(ref_sum)
+        a, b = np.sort(batch["sum_in_window"]), np.sort(ref_sum)
         grid = np.concatenate([a, b])
         ks = np.max(
             np.abs(
@@ -126,14 +128,14 @@ class TestDecompositionIdentities:
             )
         )
         assert ks < 0.02  # two-sample 99.9% bound is ~0.0136 at n=2e4 each
-        assert batch.n_events.mean() == pytest.approx(
+        assert batch["n_events"].mean() == pytest.approx(
             np.mean([r["n_events"] for r in ref]), rel=0.02
         )
-        assert batch.j_leftover.mean() == pytest.approx(
+        assert batch["j_leftover"].mean() == pytest.approx(
             np.mean([r["j_leftover"] for r in ref]), rel=0.05
         )
         # the window max is heavy-tailed: compare medians, not means
-        assert np.median(batch.max_in_window) == pytest.approx(
+        assert np.median(batch["max_in_window"]) == pytest.approx(
             np.median([r["max_in"] for r in ref]), rel=0.05
         )
 
@@ -141,53 +143,47 @@ class TestDecompositionIdentities:
 class TestWindowBatches:
     def test_k_zero_no_leftover(self):
         config = renewal_config(nu=2.0, horizon=10.0, count_mean=0.0)
-        batch = batch_windows(config, 100_000, RngStream(1, 0))
-        assert np.all(batch.j_leftover == 0)
-        assert np.all(batch.leftover_sum == 0.0)
-        assert batch.n_events.mean() == pytest.approx(20.0, rel=0.02)
-        assert np.array_equal(batch.n_events, batch.n_clusters)
+        batch = windows(config, 100_000, RngStream(1, 0))
+        assert np.all(batch["j_leftover"] == 0)
+        assert np.all(batch["leftover_sum"] == 0.0)
+        assert batch["n_events"].mean() == pytest.approx(20.0, rel=0.02)
+        assert np.array_equal(batch["n_events"], batch["n_clusters"])
 
     def test_mean_event_count_renewal(self):
         # approaches (1+E[K]) nu T from below; within 5% at T=50
-        batch = batch_windows(renewal_config(horizon=50.0), 30_000, RngStream(2, 0))
-        mean = batch.n_events.mean()
+        batch = windows(renewal_config(horizon=50.0), 30_000, RngStream(2, 0))
+        mean = batch["n_events"].mean()
         assert mean < 150.0
         assert mean == pytest.approx(150.0, rel=0.05)
 
     def test_mean_event_count_hawkes(self):
-        batch = batch_windows(hawkes_config(horizon=100.0), 30_000, RngStream(3, 0))
-        assert batch.n_events.mean() == pytest.approx(200.0, rel=0.05)
+        batch = windows(hawkes_config(horizon=100.0), 30_000, RngStream(3, 0))
+        assert batch["n_events"].mean() == pytest.approx(200.0, rel=0.05)
 
     def test_cluster_count_mean(self):
-        batch = batch_windows(renewal_config(nu=2.0, horizon=5.0), 1_000_000, RngStream(4, 0))
-        assert batch.n_clusters.mean() == pytest.approx(10.0, rel=0.01)
+        batch = windows(renewal_config(nu=2.0, horizon=5.0), 1_000_000, RngStream(4, 0))
+        assert batch["n_clusters"].mean() == pytest.approx(10.0, rel=0.01)
 
     def test_empty_window_all_zero(self):
         config = renewal_config(nu=1e-6, horizon=1.0)
-        batch = batch_windows(config, 500, RngStream(5, 0))
-        empty = batch.n_clusters == 0
+        batch = windows(config, 500, RngStream(5, 0))
+        empty = batch["n_clusters"] == 0
         assert empty.mean() > 0.99
         for field in ("n_events", "j_leftover", "sum_in_window", "max_in_window", "leftover_sum"):
-            assert np.all(getattr(batch, field)[empty] == 0)
+            assert np.all(batch[field][empty] == 0)
 
     def test_deterministic_and_worker_independent(self):
         config = hawkes_config(horizon=20.0)
-        a = batch_windows(config, 30_000, RngStream(6, 0))
-        b = batch_windows(config, 30_000, RngStream(6, 0), workers=2)
+        a = windows(config, 30_000, RngStream(6, 0))
+        b = windows(config, 30_000, RngStream(6, 0), workers=2)
         for field in ("n_events", "j_leftover", "sum_in_window", "max_in_window", "leftover_sum", "n_clusters"):
-            assert np.array_equal(getattr(a, field), getattr(b, field))
-
-    def test_single_window_stats_types(self):
-        stats = simulate_window(renewal_config(), RngStream(7, 0))
-        assert isinstance(stats, WindowStats)
-        assert stats.n_events >= stats.n_clusters
-        assert stats.sum_in_window >= stats.max_in_window >= 0.0
+            assert np.array_equal(a[field], b[field])
 
     def test_leftover_scaling_decreases(self):
         means = []
         for i, horizon in enumerate((10.0, 50.0, 100.0)):
-            batch = batch_windows(renewal_config(horizon=horizon), 30_000, RngStream(8, i))
-            means.append(batch.j_leftover.mean() / horizon)
+            batch = windows(renewal_config(horizon=horizon), 30_000, RngStream(8, i))
+            means.append(batch["j_leftover"].mean() / horizon)
         assert means[0] > means[1] > means[2]
 
     def test_overflow_propagates(self):
@@ -200,7 +196,7 @@ class TestWindowBatches:
             horizon=50.0,
         )
         with pytest.raises(ClusterOverflow):
-            batch_windows(config, 5_000, RngStream(9, 0))
+            windows(config, 5_000, RngStream(9, 0))
 
     def test_single_brood_overflow_raises_before_drawing_it(self, monkeypatch):
         # kappa = X/6 with Pareto(1.5) marks: among 2,000 windows of ~10
@@ -233,7 +229,7 @@ class TestWindowBatches:
 
         monkeypatch.setattr(process, "sample_joint", recording)
         with pytest.raises(ClusterOverflow) as exc_info:
-            batch_windows(config, n, RngStream(14, 0))
+            windows(config, n, RngStream(14, 0))
         assert exc_info.value.replication == win_of_cluster[brood.argmax()]
         assert drawn == [win_of_cluster.size]
 
@@ -254,25 +250,12 @@ class TestSingleHorizonPinned:
         "renewal": "625e183ff72484a9e0b1d9426015be49427374897353e321fbba1e03a3eee83a",
         "hawkes": "6c2c4eebac5e80241ba1dbcd00697c27c0f8a805b82b9a93d6d88b96631422d1",
     }
-    WINDOW = {
-        "renewal": "a2c37115d5e3d07f08f7929f377b38c6c84ae08d6e045fec867c2b9f7303d313",
-        "hawkes": "8c284646182fb69d49656a599108cbbd54f7a2ee8ca01f7266f429c14c342177",
-    }
     FACTORIES = {"renewal": renewal_config, "hawkes": hawkes_config}
 
     @pytest.mark.parametrize("kind", ["renewal", "hawkes"])
     def test_batch_windows(self, kind):
-        batch = batch_windows(self.FACTORIES[kind](horizon=50.0), 20_000, RngStream(71, 0))
-        assert _digest(getattr(batch, f) for f in WINDOW_FIELDS) == self.BATCH[kind]
-
-    @pytest.mark.parametrize("kind", ["renewal", "hawkes"])
-    def test_simulate_window(self, kind):
-        config = self.FACTORIES[kind](horizon=10.0)
-        h = hashlib.sha256()
-        for i in range(50):
-            stats_i = simulate_window(config, RngStream(72, i))
-            h.update(repr(dataclasses.astuple(stats_i)).encode())
-        assert h.hexdigest() == self.WINDOW[kind]
+        batch = windows(self.FACTORIES[kind](horizon=50.0), 20_000, RngStream(71, 0))
+        assert _digest(batch[f] for f in WINDOW_FIELDS) == self.BATCH[kind]
 
 
 class TestRenewalEventTimes:
@@ -359,11 +342,11 @@ class TestSweepWindows:
         n = 20_000
         out = sweep_windows(factory(), self.HORIZONS, n, RngStream(62, 0))
         for i, horizon in enumerate(self.HORIZONS):
-            alone = batch_windows(factory(horizon=horizon), n, RngStream(63, i))
-            a, b = out["n_events"][i], alone.n_events
+            alone = windows(factory(horizon=horizon), n, RngStream(63, i))
+            a, b = out["n_events"][i], alone["n_events"]
             se = np.sqrt(a.var(ddof=1) / n + b.var(ddof=1) / n)
             assert abs(a.mean() - b.mean()) < 3 * se, horizon
-            ks = stats.ks_2samp(out["max_in_window"][i], alone.max_in_window)
+            ks = stats.ks_2samp(out["max_in_window"][i], alone["max_in_window"])
             assert ks.pvalue > 0.001, horizon
 
     def test_workers_and_field_subsets_do_not_change_draws(self):
@@ -400,11 +383,16 @@ class TestSweepWindows:
             assert exc_info.value.replication == started.argmax()
 
     def test_last_horizon_is_a_plain_batch(self):
+        # same draws: the chunks depend only on the longest horizon; only the
+        # in-window sum is added up in another order
         config = renewal_config(horizon=20.0)
-        out = sweep_windows(config, (20.0,), 5_000, RngStream(65, 0))
-        batch = batch_windows(config, 5_000, RngStream(65, 0))
+        out = sweep_windows(config, (5.0, 20.0), 5_000, RngStream(65, 0))
+        batch = windows(config, 5_000, RngStream(65, 0))
         for field in WINDOW_FIELDS:
-            assert np.array_equal(out[field][0], getattr(batch, field))
+            if field == "sum_in_window":
+                np.testing.assert_allclose(out[field][-1], batch[field], rtol=1e-12)
+            else:
+                assert np.array_equal(out[field][-1], batch[field]), field
 
     def test_rejects_bad_horizons_and_fields(self):
         config = renewal_config()
@@ -416,32 +404,40 @@ class TestSweepWindows:
 
 
 class TestEstimateMeanSum:
+    """Window sum means and their SEs, as the ldp-sum pilot computes them."""
+
+    SUM = ("sum_in_window",)
+
     def test_constant_marks_no_offspring(self):
         model = JointMarkModel(Regime.INDEPENDENT_LIGHT_COUNT, Constant(1.0), 0.0)
         config = WindowConfig(model=model, cluster_params=RP, nu=1.0, horizon=10.0)
-        est = estimate_mean_sum(config, 10_000, RngStream(10, 0))
-        assert abs(est.value - 10.0) < 3 * est.se
+        mean, se = mean_and_se(windows(config, 10_000, RngStream(10, 0), fields=self.SUM)["sum_in_window"])
+        assert abs(mean - 10.0) < 3 * se
 
     def test_bigger_pilot_smaller_se(self):
         config = renewal_config(horizon=10.0)
-        small = estimate_mean_sum(config, 5_000, RngStream(11, 0))
-        large = estimate_mean_sum(config, 20_000, RngStream(11, 1))
-        assert large.se < small.se
+        small = mean_and_se(windows(config, 5_000, RngStream(11, 0), fields=self.SUM)["sum_in_window"])
+        large = mean_and_se(windows(config, 20_000, RngStream(11, 1), fields=self.SUM)["sum_in_window"])
+        assert large[1] < small[1]
 
     def test_boundary_deficit_range(self):
         # E[S_T] sits below nu*T*E[X]*(1+E[K]) = 180 by the leftover mass,
         # but not by more than 10%
         config = renewal_config(nu=1.0, horizon=20.0)
-        est = estimate_mean_sum(config, 50_000, RngStream(13, 0))
-        assert 162.0 <= est.value <= 180.0
+        mean, _ = mean_and_se(windows(config, 50_000, RngStream(13, 0), fields=self.SUM)["sum_in_window"])
+        assert 162.0 <= mean <= 180.0
 
     def test_minimum_pilot_enforced(self):
-        with pytest.raises(ValueError):
-            estimate_mean_sum(renewal_config(), 100, RngStream(12, 0))
+        config = renewal_config()
+        with pytest.raises(ModelError) as exc_info:
+            SweepConfig(window=config, horizons=(10.0,), pilot_windows=999)
+        assert exc_info.value.field == "pilot_windows"
+        assert SweepConfig(window=config, horizons=(10.0,), pilot_windows=1_000).pilot_windows == 1_000
 
     def test_nested_pilots_match_single_horizon(self):
         config = renewal_config(horizon=20.0)
-        nested = estimate_mean_sums(config, (5.0, 20.0), 5_000, RngStream(15, 0))
-        alone = estimate_mean_sum(config, 5_000, RngStream(15, 1))
-        assert abs(nested[1].value - alone.value) < 3 * np.hypot(nested[1].se, alone.se)
-        assert nested[0].value < nested[1].value
+        nested = sweep_windows(config, (5.0, 20.0), 5_000, RngStream(15, 0), fields=self.SUM)
+        short, long = (mean_and_se(s) for s in nested["sum_in_window"])
+        alone = mean_and_se(windows(config, 5_000, RngStream(15, 1), fields=self.SUM)["sum_in_window"])
+        assert abs(long[0] - alone[0]) < 3 * np.hypot(long[1], alone[1])
+        assert short[0] < long[0]
