@@ -99,6 +99,23 @@ def _req(section: dict, key: str, path: str):
     return section[key]
 
 
+def _section(parent: dict, key: str, path: str, required=False) -> dict:
+    """The object at ``parent[key]``; ``{}`` when it is absent and optional."""
+    if key not in parent:
+        if required:
+            raise ConfigError("missing required field", _field(path, key))
+        return {}
+    if not isinstance(parent[key], dict):
+        raise ConfigError("must be an object", _field(path, key))
+    return parent[key]
+
+
+def _seed(value, field: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value < 2**64:
+        raise ConfigError("seed must be a 64-bit unsigned integer", field)
+    return value
+
+
 def _num(section: dict, key: str, path: str, default=None, positive=False):
     if key not in section:
         if default is None:
@@ -140,9 +157,7 @@ def _parse_law(spec, path: str):
     raise ConfigError(f"unknown law kind {kind!r}", f"{path}.law")
 
 
-def _parse_model(section, path: str) -> JointMarkModel:
-    if not isinstance(section, dict):
-        raise ConfigError("model must be an object", path)
+def _parse_model(section: dict, path: str) -> JointMarkModel:
     regime_name = _req(section, "regime", path)
     try:
         regime = Regime(regime_name)
@@ -155,12 +170,14 @@ def _parse_model(section, path: str) -> JointMarkModel:
     mark = _parse_law(_req(section, "mark", path), f"{path}.mark")
     count_param = None
     if regime is Regime.INDEPENDENT_LIGHT_COUNT:
-        count = _req(section, "count", path)
+        count = _section(section, "count", path, required=True)
         count_param = _num(count, "poisson_mean", f"{path}.count")
-    elif regime in (Regime.INDEPENDENT_HEAVY_COUNT, Regime.INDEPENDENT_TAIL_EQUIVALENT):
-        count_param = _parse_law(_req(section, "count", path), f"{path}.count")
-    elif regime is Regime.HAWKES_LIGHT_INTENSITY:
-        count_param = _parse_law(_req(section, "count", path), f"{path}.count")
+    elif regime in (
+        Regime.INDEPENDENT_HEAVY_COUNT,
+        Regime.INDEPENDENT_TAIL_EQUIVALENT,
+        Regime.HAWKES_LIGHT_INTENSITY,
+    ):
+        count_param = _parse_law(_section(section, "count", path, required=True), f"{path}.count")
     tmk = section.get("target_mean_kappa")
     try:
         return JointMarkModel(
@@ -174,7 +191,7 @@ def _parse_model(section, path: str) -> JointMarkModel:
 
 
 def _parse_cluster_params(config: dict, model: JointMarkModel):
-    section = config.get("cluster", {})
+    section = _section(config, "cluster", "")
     path = "cluster"
     if model.is_hawkes:
         return HawkesParams(
@@ -189,12 +206,14 @@ def _parse_cluster_params(config: dict, model: JointMarkModel):
                 )
             ),
         )
-    waiting = section.get("waiting", {"law": "exponential", "rate": 1.0})
+    if "waiting" not in section:
+        return RenewalParams(waiting_law=Exponential(rate=1.0))
+    waiting = _section(section, "waiting", path)
     return RenewalParams(waiting_law=_parse_law(waiting, f"{path}.waiting"))
 
 
 def _parse_grid(config: dict) -> QuantileGrid:
-    section = config.get("grid", {})
+    section = _section(config, "grid", "")
     levels = section.get("levels", list(QuantileGrid().levels))
     if not isinstance(levels, list) or not levels:
         raise ConfigError("must be a nonempty list", "grid.levels")
@@ -203,22 +222,32 @@ def _parse_grid(config: dict) -> QuantileGrid:
             levels=tuple(float(v) for v in levels),
             min_exceedances=int(_num(section, "min_exceedances", "grid", default=50)),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc), "grid.levels") from None
 
 
-def _parse_oracle(config: dict) -> OracleSpec:
-    section = config.get("oracle", {})
-    return OracleSpec(
+def _parse_joint(config: dict) -> tuple[str, OracleSpec | None]:
+    """The joint-law route of the sum denominators, and its MC oracle if it uses one."""
+    joint = config.get("joint", "closed")
+    if joint not in ("closed", "mc"):
+        raise ConfigError("joint must be 'closed' or 'mc'", "joint")
+    section = _section(config, "oracle", "")
+    oracle = OracleSpec(
         size=int(_num(section, "size", "oracle", default=10_000_000, positive=True)),
-        seed=int(_num(section, "seed", "oracle", default=0)),
+        seed=_seed(section.get("seed", 0), "oracle.seed"),
     )
+    return joint, oracle if joint == "mc" else None
+
+
+def _parse_functional(config: dict) -> str:
+    functional = config.get("functional", "max")
+    if functional not in ("max", "sum"):
+        raise ConfigError("functional must be 'max' or 'sum'", "functional")
+    return functional
 
 
 def _parse_discrete(config: dict) -> DiscreteJointModel:
-    section = config.get("discrete")
-    if not isinstance(section, dict):
-        raise ConfigError("missing required section", "discrete")
+    section = _section(config, "discrete", "", required=True)
     kind = section.get("kind", "renewal")
     try:
         if "joint_csv" in section:
@@ -271,9 +300,7 @@ class ExperimentConfig:
             raise ConfigError(
                 "seed is mandatory (reproducibility contract)", "seed"
             )
-        seed = raw["seed"]
-        if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
-            raise ConfigError("seed must be a 64-bit unsigned integer", "seed")
+        seed = _seed(raw["seed"], "seed")
         workers = int(_num(raw, "workers", "", default=1, positive=True))
         clusters = None
         if experiment not in _SWEEPS:
@@ -282,7 +309,7 @@ class ExperimentConfig:
         model = None
         params = None
         if experiment != "oracle-compare":
-            model = _parse_model(_req(raw, "model", ""), "model")
+            model = _parse_model(_section(raw, "model", "", required=True), "model")
             params = _parse_cluster_params(raw, model)
             try:
                 model_constants(model)
@@ -339,8 +366,8 @@ def _constants_dict(model: JointMarkModel) -> dict:
 
 
 def _run_cluster_tails(config: ExperimentConfig, rng: RngStream):
-    sample = _functional_sample(config, rng)
     grid = _parse_grid(config.raw)
+    sample = _functional_sample(config, rng)
     lines = ["functional,level,x,exceedances,survival"]
     for name, values in (("max", sample.h), ("sum", sample.d)):
         ts = TailSample.from_values(values)
@@ -359,14 +386,11 @@ def _run_cluster_tails(config: ExperimentConfig, rng: RngStream):
 
 
 def _run_tail_ratio(config: ExperimentConfig, rng: RngStream):
-    functional = config.raw.get("functional", "max")
-    if functional not in ("max", "sum"):
-        raise ConfigError("functional must be 'max' or 'sum'", "functional")
+    functional = _parse_functional(config.raw)
+    grid = _parse_grid(config.raw)
+    joint, oracle = _parse_joint(config.raw)
     sample = _functional_sample(config, rng)
     values = sample.h if functional == "max" else sample.d
-    grid = _parse_grid(config.raw)
-    joint = config.raw.get("joint", "closed")
-    oracle = _parse_oracle(config.raw) if joint == "mc" else None
     curve = ratio_curve(
         TailSample.from_values(values),
         config.model,
@@ -390,7 +414,8 @@ def _run_tail_ratio(config: ExperimentConfig, rng: RngStream):
 
 def _hill_k(config: ExperimentConfig) -> int:
     n = config.clusters
-    k = int(_num(config.raw.get("hill", {}), "k", "hill", default=math.isqrt(n), positive=True))
+    section = _section(config.raw, "hill", "")
+    k = int(_num(section, "k", "hill", default=math.isqrt(n), positive=True))
     if not 2 <= k < n:
         raise ConfigError(f"need 2 <= k < clusters = {n}", "hill.k")
     return k
@@ -411,7 +436,7 @@ def _run_hill(config: ExperimentConfig, rng: RngStream):
 
 def _parse_tauberian(config: ExperimentConfig):
     """The transform source, the tail index alpha and the s-grid."""
-    section = config.raw.get("tauberian", {})
+    section = _section(config.raw, "tauberian", "")
     source = section.get("source", "marks")
     if source not in ("marks", "max", "sum"):
         raise ConfigError("source must be 'marks', 'max' or 'sum'", "tauberian.source")
@@ -500,14 +525,14 @@ def _run_oracle_compare(config: ExperimentConfig, rng: RngStream):
 
 def _parse_sweep(config: ExperimentConfig) -> SweepConfig:
     """The ``leftover`` section of a leftover sweep, else the ``ldp`` section."""
-    nu = _num(config.raw.get("window", {}), "nu", "window", default=1.0, positive=True)
+    nu = _num(_section(config.raw, "window", ""), "nu", "window", default=1.0, positive=True)
     if config.experiment == "leftover":
         name, count_key, count = "leftover", "windows", 100_000
         horizons = [10.0, 50.0, 100.0, 500.0]
     else:
         name, count_key, count = "ldp", "replications", 1_000_000
         horizons = [10.0, 50.0, 100.0]
-    section = config.raw.get(name, {})
+    section = _section(config.raw, name, "")
     horizons = section.get("horizons", horizons)
     if not isinstance(horizons, list) or not horizons:
         raise ConfigError("must be a nonempty list", f"{name}.horizons")
@@ -541,8 +566,7 @@ def _run_ldp_max(config: ExperimentConfig, rng: RngStream):
 
 def _run_ldp_sum(config: ExperimentConfig, rng: RngStream):
     sweep = _parse_sweep(config)
-    joint = config.raw.get("joint", "closed")
-    oracle = _parse_oracle(config.raw) if joint == "mc" else None
+    joint, oracle = _parse_joint(config.raw)
     rows = ldp_sum_sweep(sweep, rng, workers=config.workers, joint=joint, oracle=oracle)
     return sweep_to_csv(rows), sweep_summary(rows)
 
@@ -632,6 +656,14 @@ def validate(config_path: str | Path) -> dict:
         sweep = _parse_sweep(config)
         report["horizons"] = list(sweep.horizons)
         report["replications"] = sweep.replications
+        if config.experiment == "ldp-sum":
+            _parse_joint(config.raw)
+    elif config.experiment == "cluster-tails":
+        _parse_grid(config.raw)
+    elif config.experiment == "tail-ratio":
+        _parse_functional(config.raw)
+        _parse_grid(config.raw)
+        _parse_joint(config.raw)
     elif config.experiment == "hill":
         _hill_k(config)
     elif config.experiment == "tauberian":

@@ -109,54 +109,64 @@ def _run_starts(owner: np.ndarray) -> np.ndarray:
 
 
 def _add_broods(
-    sizes: np.ndarray, live: np.ndarray, starts: np.ndarray, brood: np.ndarray, limit: int
+    born: np.ndarray, live: np.ndarray, starts: np.ndarray, brood: np.ndarray, limit: int
 ) -> int | None:
-    """Adds each live cluster's brood to its size; the first largest cluster over ``limit``.
+    """Adds each live cluster's brood to ``born``; the first largest cluster over ``limit``.
 
-    ``brood`` holds the child counts of the generation's nodes, in runs per
-    cluster: ``live`` and ``starts`` name each run's cluster and first node.
-    Called before the next generation is allocated, so one node with a huge
-    brood fails fast instead of exhausting memory.
+    ``born`` counts each cluster's events after its immigrant, so a cluster
+    is over ``limit`` when its count plus one is.  ``brood`` holds the child
+    counts of the generation's nodes, in runs per cluster: ``live`` and
+    ``starts`` name each run's cluster and first node.  Called before the
+    next generation is allocated, so one node with a huge brood fails fast
+    instead of exhausting memory.
     """
     grown = np.add.reduceat(brood, starts)
-    grown += sizes[live]
-    sizes[live] = grown
+    grown += born[live]
+    born[live] = grown
     worst = int(grown.argmax())
-    return int(live[worst]) if grown[worst] > limit else None
+    return int(live[worst]) if grown[worst] + 1 > limit else None
 
 
-def grow_hawkes(gen: np.random.Generator, kappa, limit: int, draw) -> np.ndarray:
+def grow_hawkes(gen: np.random.Generator, brood: np.ndarray, limit: int, draw) -> np.ndarray:
     """Grows Hawkes clusters from their immigrants, one generation at a time; returns their sizes.
 
-    ``kappa`` holds the immigrants' intensities, and every node has
-    Poisson(kappa) children.  A generation's nodes come in runs, one per
-    cluster still growing.  ``draw(brood, owner, starts, live)`` gets each
-    parent's child count, each child's cluster, and each run's first child
-    and cluster; it draws the children and returns their intensities.  A
-    cluster that grows past ``limit`` events raises :class:`ClusterOverflow`
-    with its index, before its generation is drawn.
+    ``brood`` holds the immigrants' child counts, Poisson(kappa) draws the
+    caller makes, and every later node has Poisson(kappa) children too.  A
+    generation's nodes come in runs, one per cluster still growing.
+    ``draw(brood, owner, starts, live)`` gets each parent's child count, each
+    child's cluster, and each run's first child and cluster; it draws the
+    children and returns their intensities.  A cluster that grows past
+    ``limit`` events raises :class:`ClusterOverflow` with its index, before
+    its generation is drawn.  The sizes are returned in ``brood``'s array.
     """
-    sizes = np.ones(len(kappa), dtype=np.int64)
-    owner = live = starts = np.arange(len(kappa))
-    kappa = np.asarray(kappa, dtype=float)
+    # offspring per cluster, counted in the immigrants' brood array once
+    # generation 1 is drawn, so no second immigrant-sized array is alive then
+    born = brood
+    if born.size:
+        worst = int(born.argmax())
+        if born[worst] + 1 > limit:
+            raise ClusterOverflow(worst, limit)
+    owner = np.repeat(np.arange(born.size), brood)
     while owner.size:
-        brood = gen.poisson(kappa)
+        starts = _run_starts(owner)
+        live = owner[starts]
+        brood = gen.poisson(np.asarray(draw(brood, owner, starts, live), dtype=float))
         if not brood.any():
             break
-        bad = _add_broods(sizes, live, starts, brood, limit)
+        bad = _add_broods(born, live, starts, brood, limit)
         if bad is not None:
             raise ClusterOverflow(bad, limit)
         owner = np.repeat(owner, brood)
-        starts = _run_starts(owner)
-        live = owner[starts]
-        kappa = np.asarray(draw(brood, owner, starts, live), dtype=float)
-    return sizes
+    born += 1
+    return born
 
 
 def _hawkes_chunk(model: JointMarkModel, n: int, rng: RngStream, max_events: int):
     x, kappa = sample_joint(model, rng, n)
     h = x.astype(float)
     d = x.astype(float)
+    brood = rng.generator.poisson(kappa)
+    del x, kappa
 
     def draw(brood, owner, starts, live):
         local = np.zeros(owner.size, dtype=np.intp)
@@ -167,7 +177,7 @@ def _hawkes_chunk(model: JointMarkModel, n: int, rng: RngStream, max_events: int
         d[live] += np.bincount(local, weights=xc, minlength=live.size)
         return kc
 
-    return h, d, grow_hawkes(rng.generator, kappa, max_events, draw)
+    return h, d, grow_hawkes(rng.generator, brood, max_events, draw)
 
 
 def _chunk_size(events_per_task: float, smallest: int, largest: int) -> int:

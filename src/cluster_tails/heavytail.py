@@ -338,7 +338,12 @@ def sample_joint(model: JointMarkModel, rng: RngStream, size=None) -> MarkPair:
         return MarkPair(x, k)
     if r is Regime.HAWKES_LIGHT_INTENSITY:
         kappa = model.count_param.sample(gen, size)
-        return MarkPair(x, kappa * model.intensity_scale_factor())
+        if size is None:
+            return MarkPair(x, kappa * model.intensity_scale_factor())
+        # in place for arrays: the same products, with no second array
+        kappa = np.asarray(kappa, dtype=float)
+        kappa *= model.intensity_scale_factor()
+        return MarkPair(x, kappa)
     if r is Regime.HAWKES_COMONOTONE_INTENSITY:
         return MarkPair(x, x * model.kappa_of_mark_factor())
     raise ModelError(f"unknown regime {r}")  # pragma: no cover

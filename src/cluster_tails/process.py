@@ -61,7 +61,7 @@ WINDOW_FIELDS = (
 )
 
 
-# statistics reduced per (slot, window) and accumulated over slots; the
+# statistics reduced per (window, slot) and accumulated over slots; the
 # leftover ones are tallied per horizon directly
 _SLOTTED = {"n_events", "sum_in_window", "max_in_window", "n_clusters"}
 
@@ -72,7 +72,7 @@ class _HorizonTally:
     A point's slot is the number of horizons before its time, so
     ``len(horizons)`` means past the last one.  At horizon i a window holds
     the immigrants and offspring in slots <= i, so in-window statistics are
-    reduced per (slot, window) and accumulated over slots at the end.  An
+    reduced per (window, slot) and accumulated over slots at the end.  An
     offspring point is leftover at horizon i when its immigrant's slot is
     <= i < its own slot.  Only the statistics named in ``fields`` are kept.
     """
@@ -82,6 +82,7 @@ class _HorizonTally:
         self.n = n
         k = len(horizons)
         dtype = {"n_events": np.int64, "j_leftover": np.int64, "n_clusters": np.int64}
+        # flat over (window, slot), window-major: see _reduce
         self.slotted = {
             f: np.zeros((k + 1) * n, dtype.get(f, float)) for f in fields if f in _SLOTTED
         }
@@ -100,9 +101,11 @@ class _HorizonTally:
         acc = self.slotted
         if not acc.keys() & {*counts, "sum_in_window", "max_in_window"}:
             return
-        key = slot.astype(np.intp)
-        key *= self.n
-        key += win
+        # window-major keys, so an intp ``win`` becomes the key in place with
+        # no temporary the size of the points
+        key = win.astype(np.intp, copy=False)
+        key *= len(self.horizons) + 1
+        key += slot
         size = (len(self.horizons) + 1) * self.n
         for f in counts:
             if f in acc:
@@ -113,17 +116,22 @@ class _HorizonTally:
             np.maximum.at(acc["max_in_window"], key, marks)
 
     def immigrants(self, win: np.ndarray, slot: np.ndarray, marks: np.ndarray) -> None:
+        """Immigrant points; an intp ``win`` is overwritten."""
         self._reduce(win, slot, marks, ("n_events", "n_clusters"))
 
     def offspring(
         self, win: np.ndarray, slot: np.ndarray, marks: np.ndarray, home: np.ndarray | None
     ) -> None:
-        """Offspring points; ``home`` (their immigrants' slots) is needed for leftover only."""
+        """Offspring points; an intp ``win`` is overwritten.
+
+        ``home`` (their immigrants' slots) is needed for leftover only.
+        """
+        if self.leftover:
+            out = slot > home
+            self._leftover(win[out], slot[out], home[out], marks[out])
         self._reduce(win, slot, marks, ("n_events",))
-        if not self.leftover:
-            return
-        out = slot > home
-        win, slot, home, marks = win[out], slot[out], home[out], marks[out]
+
+    def _leftover(self, win, slot, home, marks) -> None:
         j, eps = self.leftover.get("j_leftover"), self.leftover.get("leftover_sum")
         for i in range(len(self.horizons)):
             hit = (home <= i) & (slot > i)
@@ -137,7 +145,7 @@ class _HorizonTally:
         out = dict(self.leftover)
         k = len(self.horizons)
         for f, flat in self.slotted.items():
-            per_slot = flat.reshape(k + 1, self.n)[:k]
+            per_slot = flat.reshape(self.n, k + 1)[:, :k].T
             out[f] = (np.maximum.accumulate if f == "max_in_window" else np.cumsum)(
                 per_slot, axis=0
             )
@@ -147,34 +155,38 @@ class _HorizonTally:
 def _renewal_windows(
     config: WindowConfig, horizons: np.ndarray, n: int, rng: RngStream, fields
 ) -> dict[str, np.ndarray]:
+    # chunk-sized arrays are freed as soon as they are used: the draws keep
+    # their order, but no array lives longer than its last use
     gen = rng.generator
     model, t_max = config.model, float(horizons[-1])
     c_t = gen.poisson(config.nu * t_max, n)
     m = int(c_t.sum())
-    win_of_cluster = np.repeat(np.arange(n), c_t)
     tau = gen.uniform(0.0, t_max, m)
     x, k = sample_joint(model, rng, m)
+    tally = _HorizonTally(horizons, n, fields)
+    home = tally.slot(tau)
+    tally.immigrants(np.repeat(np.arange(n), c_t), home, x)
+    del x
     k = np.asarray(k, dtype=np.int64)
     total = int(k.sum())
-    waits = np.asarray(config.cluster_params.waiting_law.sample(gen, total), dtype=float)
-    marks = np.asarray(model.mark_law.sample(gen, total), dtype=float)
+    evt_time = np.asarray(config.cluster_params.waiting_law.sample(gen, total), dtype=float)
     # one running sum of the waits over the whole chunk, restarted at each
     # cluster's birth time by subtracting what the earlier clusters' waits add up to
     first = np.zeros(m + 1, dtype=np.int64)  # first[c]: index of cluster c's first offspring
     np.cumsum(k, out=first[1:])
-    evt_time = np.cumsum(waits, out=waits)
-    before = np.zeros(m)
-    later = np.flatnonzero(first[:-1])
-    before[later] = evt_time[first[later] - 1]
-    evt_time += np.repeat(tau - before, k)
+    np.cumsum(evt_time, out=evt_time)
+    # first never decreases, so the clusters with earlier offspring are a suffix
+    later = np.searchsorted(first[:-1], 0, side="right")
+    tau[later:] -= evt_time[first[later:-1] - 1]
+    evt_time += np.repeat(tau, k)
     per_window = np.diff(first[np.cumsum(c_t)], prepend=0)  # offspring per window
-
-    tally = _HorizonTally(horizons, n, fields)
-    home = tally.slot(tau)
-    tally.immigrants(win_of_cluster, home, x)
+    del tau, first
+    slot = tally.slot(evt_time)
+    del evt_time
+    marks = np.asarray(model.mark_law.sample(gen, total), dtype=float)
     tally.offspring(
         np.repeat(np.arange(n), per_window),
-        tally.slot(evt_time),
+        slot,
         marks,
         np.repeat(home, k) if tally.leftover else None,
     )
@@ -189,7 +201,8 @@ def _hawkes_windows(
     params: HawkesParams = config.cluster_params
     c_t = gen.poisson(config.nu * t_max, n)
     m = int(c_t.sum())
-    win_of_cluster = np.repeat(np.arange(n), c_t)
+    # a chunk holds at most 2**16 windows, so this is uint16 or narrower
+    win_of_cluster = np.repeat(np.arange(n, dtype=np.min_scalar_type(n - 1)), c_t)
     evt_time = gen.uniform(0.0, t_max, m)
     x0, kappa = sample_joint(model, rng, m)
 
@@ -199,11 +212,15 @@ def _hawkes_windows(
     # chunk-sized arrays: hold only what the generation loop needs, whose
     # first generation is the chunk's memory peak
     del x0
+    brood = gen.poisson(kappa)
+    del kappa
 
     def draw(brood, owner, starts, live):
         nonlocal evt_time
         dt = gen.exponential(1.0 / params.decay_rate, owner.size)
-        evt_time = np.repeat(evt_time, brood) + dt
+        evt_time = np.repeat(evt_time, brood)
+        evt_time += dt
+        del dt
         xc, kc = sample_joint(model, rng, owner.size)
         tally.offspring(
             win_of_cluster[owner],
@@ -214,7 +231,7 @@ def _hawkes_windows(
         return kc
 
     try:
-        grow_hawkes(gen, kappa, params.max_cluster_events, draw)
+        grow_hawkes(gen, brood, params.max_cluster_events, draw)
     except ClusterOverflow as exc:
         raise ClusterOverflow(int(win_of_cluster[exc.replication]), exc.limit) from None
     return tally.result()

@@ -233,6 +233,27 @@ class TestHostileConfigs:
         ("tauberian", {"tauberian": {"alpha": 2}}, "tauberian.alpha"),
         ("tauberian", {"tauberian": {"alpha": "a"}}, "tauberian.alpha"),
         ("cluster-tails", {"workers": 0}, "workers"),
+        # fields only the tail-ratio, cluster-tails and ldp-sum handlers read
+        ("tail-ratio", {"functional": "bad"}, "functional"),
+        ("tail-ratio", {"joint": "bad"}, "joint"),
+        ("ldp-sum", {"joint": "bad"}, "joint"),
+        ("tail-ratio", {"oracle": {"size": -1}}, "oracle.size"),
+        ("tail-ratio", {"joint": "mc", "oracle": {"seed": -1}}, "oracle.seed"),
+        ("tail-ratio", {"grid": {"levels": [0.99, 0.9]}}, "grid.levels"),
+        ("cluster-tails", {"grid": {"levels": [{}]}}, "grid.levels"),
+        # sections that are not objects
+        ("ldp-max", {"window": 5}, "window"),
+        ("ldp-max", {"ldp": []}, "ldp"),
+        ("leftover", {"leftover": 5}, "leftover"),
+        ("cluster-tails", {"cluster": 5}, "cluster"),
+        ("cluster-tails", {"cluster": {"waiting": 5}}, "cluster.waiting"),
+        ("cluster-tails", {"grid": 5}, "grid"),
+        ("tail-ratio", {"oracle": 5}, "oracle"),
+        ("hill", {"clusters": 1_000, "hill": 5}, "hill"),
+        ("tauberian", {"tauberian": 5}, "tauberian"),
+        ("oracle-compare", {"discrete": 5}, "discrete"),
+        ("cluster-tails", {"model": {**MODEL, "count": 5}}, "model.count"),
+        ("cluster-tails", {"model": 5}, "model"),
     ]
 
     @pytest.mark.parametrize("command", ["validate", "run"])

@@ -8,6 +8,7 @@ distributionally.
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -322,6 +323,33 @@ class TestRenewalEventTimes:
             assert (c_t == 0).sum() > 10
         np.testing.assert_allclose(times, want_times, rtol=0, atol=1e-6)
         assert np.array_equal(win, np.array(want_win, dtype=np.int64))
+
+
+class TestChunkMemory:
+    """One chunk's peak working set per simulated point, in the bench models.
+
+    The points are the immigrants and offspring of the chunk's paths: the
+    in-window events and the leftover ones at the last horizon.
+    """
+
+    @pytest.mark.parametrize(
+        "kernel, config, n, horizons, bound",
+        [
+            (process._renewal_windows, renewal_config(), 4096, (10.0, 50.0, 100.0), 32),
+            (process._hawkes_windows, hawkes_config(), 2048, (10.0, 50.0, 100.0, 500.0), 28),
+        ],
+        ids=["renewal", "hawkes"],
+    )
+    def test_peak_bytes_per_point(self, kernel, config, n, horizons, bound):
+        tracemalloc.start()
+        try:
+            out = kernel(config, np.array(horizons), n, RngStream(5, 0).child(0), WINDOW_FIELDS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        points = int(out["n_events"][-1].sum() + out["j_leftover"][-1].sum())
+        assert points > 10**6
+        assert peak / points <= bound
 
 
 class TestSweepWindows:
