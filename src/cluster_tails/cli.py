@@ -36,7 +36,7 @@ from .estimate import (
     hill_estimator,
     laplace_derivative_table,
     ratio_curve,
-    tauberian_slope,
+    table_slope,
 )
 from .heavytail import (
     BoundedUniform,
@@ -56,6 +56,7 @@ from .ldp import (
     ldp_sum_sweep,
     leftover_scaling,
     leftover_to_csv,
+    max_estimator,
     sweep_summary,
     sweep_to_csv,
 )
@@ -84,6 +85,20 @@ EXPERIMENTS = (
 # the window sweeps, which read a sweep section and no cluster count
 _SWEEPS = ("ldp-max", "ldp-sum", "leftover")
 
+# the top-level keys each experiment reads, besides experiment, seed, workers
+# and output_dir
+_MODEL_SECTIONS = ("model", "cluster")
+_TOP_LEVEL = {
+    "cluster-tails": (*_MODEL_SECTIONS, "clusters", "grid"),
+    "tail-ratio": (*_MODEL_SECTIONS, "clusters", "functional", "grid", "joint", "oracle"),
+    "hill": (*_MODEL_SECTIONS, "clusters", "hill"),
+    "tauberian": (*_MODEL_SECTIONS, "clusters", "tauberian"),
+    "oracle-compare": ("clusters", "discrete"),
+    "ldp-max": (*_MODEL_SECTIONS, "window", "ldp"),
+    "ldp-sum": (*_MODEL_SECTIONS, "window", "ldp", "joint", "oracle"),
+    "leftover": (*_MODEL_SECTIONS, "window", "leftover"),
+}
+
 
 # ---------------------------------------------------------------------------
 # Config parsing
@@ -110,6 +125,13 @@ def _section(parent: dict, key: str, path: str, required=False) -> dict:
     return parent[key]
 
 
+def _known(section: dict, path: str, keys) -> None:
+    """Rejects the first key of ``section`` that no parser reads, by its path."""
+    for key in section:
+        if key not in keys:
+            raise ConfigError("unknown field", _field(path, key))
+
+
 def _seed(value, field: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value < 2**64:
         raise ConfigError("seed must be a 64-bit unsigned integer", field)
@@ -134,27 +156,39 @@ def _number(value, field: str, positive=False):
     return value
 
 
+# each law kind's class and its parameters, with whether they must be positive
+_LAWS = {
+    "pareto": (ParetoLaw, (("scale", True), ("alpha", True))),
+    "exponential": (Exponential, (("rate", True),)),
+    "constant": (Constant, (("value", True),)),
+    "uniform": (BoundedUniform, (("lo", False), ("hi", True))),
+}
+
+
 def _parse_law(spec, path: str):
     if not isinstance(spec, dict) or "law" not in spec:
         raise ConfigError("law spec must be an object with a 'law' key", path)
     kind = spec["law"]
+    if not isinstance(kind, str) or kind not in _LAWS:
+        raise ConfigError(f"unknown law kind {kind!r}", f"{path}.law")
+    law, params = _LAWS[kind]
+    _known(spec, path, ("law", *(key for key, _ in params)))
     try:
-        if kind == "pareto":
-            return ParetoLaw(
-                scale=_num(spec, "scale", path, positive=True),
-                alpha=_num(spec, "alpha", path, positive=True),
-            )
-        if kind == "exponential":
-            return Exponential(rate=_num(spec, "rate", path, positive=True))
-        if kind == "constant":
-            return Constant(value=_num(spec, "value", path, positive=True))
-        if kind == "uniform":
-            return BoundedUniform(
-                lo=_num(spec, "lo", path), hi=_num(spec, "hi", path, positive=True)
-            )
+        return law(**{key: _num(spec, key, path, positive=pos) for key, pos in params})
     except ModelError as exc:
         raise ConfigError(str(exc), path) from None
-    raise ConfigError(f"unknown law kind {kind!r}", f"{path}.law")
+
+
+# the model keys each regime reads besides regime and mark: the comonotone
+# regimes derive their counts from the marks, and only Hawkes regimes scale E[kappa]
+_MODEL_KEYS = {
+    Regime.INDEPENDENT_LIGHT_COUNT: ("count",),
+    Regime.INDEPENDENT_HEAVY_COUNT: ("count",),
+    Regime.INDEPENDENT_TAIL_EQUIVALENT: ("count",),
+    Regime.COMONOTONE_COUNT: (),
+    Regime.HAWKES_LIGHT_INTENSITY: ("count", "target_mean_kappa"),
+    Regime.HAWKES_COMONOTONE_INTENSITY: ("target_mean_kappa",),
+}
 
 
 def _parse_model(section: dict, path: str) -> JointMarkModel:
@@ -167,16 +201,14 @@ def _parse_model(section: dict, path: str) -> JointMarkModel:
             f"unknown regime {regime_name!r} (expected one of: {valid})",
             f"{path}.regime",
         ) from None
+    _known(section, path, ("regime", "mark", *_MODEL_KEYS[regime]))
     mark = _parse_law(_req(section, "mark", path), f"{path}.mark")
     count_param = None
     if regime is Regime.INDEPENDENT_LIGHT_COUNT:
         count = _section(section, "count", path, required=True)
+        _known(count, f"{path}.count", ("poisson_mean",))
         count_param = _num(count, "poisson_mean", f"{path}.count")
-    elif regime in (
-        Regime.INDEPENDENT_HEAVY_COUNT,
-        Regime.INDEPENDENT_TAIL_EQUIVALENT,
-        Regime.HAWKES_LIGHT_INTENSITY,
-    ):
+    elif "count" in _MODEL_KEYS[regime]:
         count_param = _parse_law(_section(section, "count", path, required=True), f"{path}.count")
     tmk = section.get("target_mean_kappa")
     try:
@@ -193,6 +225,8 @@ def _parse_model(section: dict, path: str) -> JointMarkModel:
 def _parse_cluster_params(config: dict, model: JointMarkModel):
     section = _section(config, "cluster", "")
     path = "cluster"
+    hawkes_keys = ("decay_rate", "max_cluster_events")
+    _known(section, path, hawkes_keys if model.is_hawkes else ("waiting",))
     if model.is_hawkes:
         return HawkesParams(
             decay_rate=_num(section, "decay_rate", path, default=1.0, positive=True),
@@ -214,6 +248,7 @@ def _parse_cluster_params(config: dict, model: JointMarkModel):
 
 def _parse_grid(config: dict) -> QuantileGrid:
     section = _section(config, "grid", "")
+    _known(section, "grid", ("levels", "min_exceedances"))
     levels = section.get("levels", list(QuantileGrid().levels))
     if not isinstance(levels, list) or not levels:
         raise ConfigError("must be a nonempty list", "grid.levels")
@@ -232,6 +267,8 @@ def _parse_joint(config: dict) -> tuple[str, OracleSpec | None]:
     if joint not in ("closed", "mc"):
         raise ConfigError("joint must be 'closed' or 'mc'", "joint")
     section = _section(config, "oracle", "")
+    # cache_dir names the oracle disk cache of older configs: accepted, and unused
+    _known(section, "oracle", ("size", "seed", "cache_dir"))
     oracle = OracleSpec(
         size=int(_num(section, "size", "oracle", default=10_000_000, positive=True)),
         seed=_seed(section.get("seed", 0), "oracle.seed"),
@@ -249,6 +286,9 @@ def _parse_functional(config: dict) -> str:
 def _parse_discrete(config: dict) -> DiscreteJointModel:
     section = _section(config, "discrete", "", required=True)
     kind = section.get("kind", "renewal")
+    table = ("joint_csv", "offspring_csv") if "joint_csv" in section else ("support", "offspring")
+    grid = ("x_grid",) if kind == "hawkes" else ()
+    _known(section, "discrete", ("kind", *table, "max_children", "max_depth", *grid))
     try:
         if "joint_csv" in section:
             return DiscreteJointModel.from_csv(
@@ -318,6 +358,7 @@ class ExperimentConfig:
                 raise type(exc)(exc.message, field) from None
         else:
             _parse_discrete(raw)
+        _known(raw, "", ("experiment", "seed", "workers", "output_dir", *_TOP_LEVEL[experiment]))
         return cls(
             experiment=experiment,
             seed=seed,
@@ -415,6 +456,7 @@ def _run_tail_ratio(config: ExperimentConfig, rng: RngStream):
 def _hill_k(config: ExperimentConfig) -> int:
     n = config.clusters
     section = _section(config.raw, "hill", "")
+    _known(section, "hill", ("k",))
     k = int(_num(section, "k", "hill", default=math.isqrt(n), positive=True))
     if not 2 <= k < n:
         raise ConfigError(f"need 2 <= k < clusters = {n}", "hill.k")
@@ -437,6 +479,7 @@ def _run_hill(config: ExperimentConfig, rng: RngStream):
 def _parse_tauberian(config: ExperimentConfig):
     """The transform source, the tail index alpha and the s-grid."""
     section = _section(config.raw, "tauberian", "")
+    _known(section, "tauberian", ("source", "alpha", "s_min", "s_max", "points"))
     source = section.get("source", "marks")
     if source not in ("marks", "max", "sum"):
         raise ConfigError("source must be 'marks', 'max' or 'sum'", "tauberian.source")
@@ -470,7 +513,7 @@ def _run_tauberian(config: ExperimentConfig, rng: RngStream):
     ts = TailSample.from_values(values)
     order = math.ceil(alpha)
     vals, ses = laplace_derivative_table(ts, s_grid, order)
-    slope = tauberian_slope(ts, alpha, s_grid)
+    slope = table_slope(s_grid, vals, ses)
     lines = ["s,derivative,se"]
     for s, v, e in zip(s_grid, vals, ses):
         lines.append(f"{float(s)!r},{float(v)!r},{float(e)!r}")
@@ -525,7 +568,9 @@ def _run_oracle_compare(config: ExperimentConfig, rng: RngStream):
 
 def _parse_sweep(config: ExperimentConfig) -> SweepConfig:
     """The ``leftover`` section of a leftover sweep, else the ``ldp`` section."""
-    nu = _num(_section(config.raw, "window", ""), "nu", "window", default=1.0, positive=True)
+    window = _section(config.raw, "window", "")
+    _known(window, "window", ("nu",))
+    nu = _num(window, "nu", "window", default=1.0, positive=True)
     if config.experiment == "leftover":
         name, count_key, count = "leftover", "windows", 100_000
         horizons = [10.0, 50.0, 100.0, 500.0]
@@ -533,6 +578,8 @@ def _parse_sweep(config: ExperimentConfig) -> SweepConfig:
         name, count_key, count = "ldp", "replications", 1_000_000
         horizons = [10.0, 50.0, 100.0]
     section = _section(config.raw, name, "")
+    ldp_keys = ("gamma", "x_levels", "pilot_windows", "min_exceedances")
+    _known(section, name, ("horizons", count_key, *(ldp_keys if name == "ldp" else ())))
     horizons = section.get("horizons", horizons)
     if not isinstance(horizons, list) or not horizons:
         raise ConfigError("must be a nonempty list", f"{name}.horizons")
@@ -561,7 +608,7 @@ def _parse_sweep(config: ExperimentConfig) -> SweepConfig:
 def _run_ldp_max(config: ExperimentConfig, rng: RngStream):
     sweep = _parse_sweep(config)
     rows = ldp_max_sweep(sweep, rng, workers=config.workers)
-    return sweep_to_csv(rows), sweep_summary(rows)
+    return sweep_to_csv(rows), {**sweep_summary(rows), "estimator": max_estimator(config.model)}
 
 
 def _run_ldp_sum(config: ExperimentConfig, rng: RngStream):

@@ -96,16 +96,17 @@ def _renewal_chunk(model: JointMarkModel, n: int, rng: RngStream):
     return (*_renewal_functionals(x, k, marks), 1 + k)
 
 
-def _run_starts(owner: np.ndarray) -> np.ndarray:
-    """Where each run of equal values starts in a sorted, nonempty array.
+def _runs(owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each run of equal values starts in a sorted, nonempty array, and its value.
 
-    ``owner[_run_starts(owner)]`` are the clusters present in a generation,
-    so per-generation reductions cost the generation's size, not the chunk's.
+    ``owner[starts]`` are the clusters present in a generation, so
+    per-generation reductions cost the generation's size, not the chunk's.
     """
     first = np.empty(owner.size, dtype=bool)
     first[0] = True
     np.not_equal(owner[1:], owner[:-1], out=first[1:])
-    return np.flatnonzero(first)
+    starts = np.flatnonzero(first)
+    return starts, owner[starts]
 
 
 def _add_broods(
@@ -133,11 +134,13 @@ def grow_hawkes(gen: np.random.Generator, brood: np.ndarray, limit: int, draw) -
     ``brood`` holds the immigrants' child counts, Poisson(kappa) draws the
     caller makes, and every later node has Poisson(kappa) children too.  A
     generation's nodes come in runs, one per cluster still growing.
-    ``draw(brood, owner, starts, live)`` gets each parent's child count, each
-    child's cluster, and each run's first child and cluster; it draws the
-    children and returns their intensities.  A cluster that grows past
-    ``limit`` events raises :class:`ClusterOverflow` with its index, before
-    its generation is drawn.  The sizes are returned in ``brood``'s array.
+    ``draw(brood, owner, runs)`` gets each parent's child count and each
+    child's cluster; it draws the children and returns their intensities.
+    ``runs()`` gives each run's first child and cluster, ``(starts, live)``;
+    they are built at the first call, so a draw that does not ask for them
+    does not hold them.  A cluster that grows past ``limit`` events raises
+    :class:`ClusterOverflow` with its index, before its generation is
+    drawn.  The sizes are returned in ``brood``'s array.
     """
     # offspring per cluster, counted in the immigrants' brood array once
     # generation 1 is drawn, so no second immigrant-sized array is alive then
@@ -148,11 +151,11 @@ def grow_hawkes(gen: np.random.Generator, brood: np.ndarray, limit: int, draw) -
             raise ClusterOverflow(worst, limit)
     owner = np.repeat(np.arange(born.size), brood)
     while owner.size:
-        starts = _run_starts(owner)
-        live = owner[starts]
-        brood = gen.poisson(np.asarray(draw(brood, owner, starts, live), dtype=float))
+        runs = cache(partial(_runs, owner))
+        brood = gen.poisson(np.asarray(draw(brood, owner, runs), dtype=float))
         if not brood.any():
             break
+        starts, live = runs()
         bad = _add_broods(born, live, starts, brood, limit)
         if bad is not None:
             raise ClusterOverflow(bad, limit)
@@ -168,7 +171,8 @@ def _hawkes_chunk(model: JointMarkModel, n: int, rng: RngStream, max_events: int
     brood = rng.generator.poisson(kappa)
     del x, kappa
 
-    def draw(brood, owner, starts, live):
+    def draw(brood, owner, runs):
+        starts, live = runs()
         local = np.zeros(owner.size, dtype=np.intp)
         local[starts[1:]] = 1
         np.cumsum(local, out=local)

@@ -38,6 +38,7 @@ __all__ = [
     "laplace_derivative_mc",
     "laplace_derivative_table",
     "tauberian_slope",
+    "table_slope",
     "wilson_interval",
 ]
 
@@ -248,8 +249,16 @@ def tauberian_slope(sample: TailSample, alpha: float, s_grid) -> float:
     s_grid = np.asarray(list(s_grid), dtype=float)
     if np.any(s_grid <= 0):
         raise ValueError("s-grid must be positive")
-    order = math.ceil(alpha)
-    vals, ses = laplace_derivative_table(sample, s_grid, order)
+    table = laplace_derivative_table(sample, s_grid, math.ceil(alpha))
+    return table_slope(s_grid, *table)
+
+
+def table_slope(s_grid, vals: np.ndarray, ses: np.ndarray) -> float:
+    """The slope of :func:`tauberian_slope` from a :func:`laplace_derivative_table`.
+
+    Raises :class:`UnstableEstimate` when a derivative's relative standard
+    error exceeds 25%.
+    """
     rel = np.abs(ses / vals)
     if np.any(rel > 0.25):
         worst = float(rel.max())

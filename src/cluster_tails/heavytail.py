@@ -246,6 +246,13 @@ _HAWKES_REGIMES = {
     Regime.HAWKES_LIGHT_INTENSITY,
     Regime.HAWKES_COMONOTONE_INTENSITY,
 }
+# the regimes whose marks are i.i.d. and independent of the counts (K or kappa)
+_INDEPENDENT_MARK_REGIMES = {
+    Regime.INDEPENDENT_LIGHT_COUNT,
+    Regime.INDEPENDENT_HEAVY_COUNT,
+    Regime.INDEPENDENT_TAIL_EQUIVALENT,
+    Regime.HAWKES_LIGHT_INTENSITY,
+}
 
 
 class MarkPair(NamedTuple):
@@ -302,6 +309,16 @@ class JointMarkModel:
     @property
     def is_renewal(self) -> bool:
         return self.regime in _RENEWAL_REGIMES
+
+    @property
+    def independent_marks(self) -> bool:
+        """Whether the marks are i.i.d. and independent of the counts (K or kappa).
+
+        Then the marks of a window are i.i.d. given its event count N_T, so
+        a window statistic's law follows from the law of N_T alone; for the
+        max, P(M_T <= x | N_T) = F(x)**N_T.
+        """
+        return self.regime in _INDEPENDENT_MARK_REGIMES
 
     def kappa_of_mark_factor(self) -> float:
         """Scaling r with kappa = r * X for the comonotone intensity regime."""

@@ -11,6 +11,15 @@ times the mark tail for the max, nu*T times the cluster-sum tail
 approximation for the sum.  The certified range of a sweep is the part of
 the grid with enough exceedances for the Wilson band to mean anything; the
 per-horizon sup deviation is reported over that range only.
+
+Where the marks are i.i.d. and independent of the counts
+(:attr:`~cluster_tails.heavytail.JointMarkModel.independent_marks`), the max
+sweep estimates P(M_T > x) by conditional Monte Carlo: the mean over windows
+of P(M_T > x | N_T) = 1 - F(x)**N_T, which is unbiased and uses the same
+paths.  Its band is the normal one, p +- 1.96 sd/sqrt(n).  The crude maxima
+still place and certify the grid, and their exceedance counts stay in the
+output as a cross-check.  The comonotone regimes keep the crude exceedance
+fraction and its Wilson band.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ import numpy as np
 from .errors import ModelError
 from .estimate import _Z95, wilson_interval
 from .heavytail import (
+    JointMarkModel,
     OracleSpec,
     TailTarget,
     model_constants,
@@ -38,6 +48,7 @@ __all__ = [
     "SweepRow",
     "LeftoverRow",
     "ldp_max_sweep",
+    "max_estimator",
     "ldp_sum_sweep",
     "leftover_scaling",
     "sweep_to_csv",
@@ -113,38 +124,66 @@ def _sweep_rows(
     denom: np.ndarray,
     min_exc: int,
     mu_se: float = 0.0,
+    estimate: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> list[SweepRow]:
+    """One row per grid point; ``estimate`` is a tail estimate and its SE per point.
+
+    Without ``estimate`` the tail is the exceedance fraction of
+    ``deviations`` with its Wilson band.  The exceedance counts certify the
+    grid either way.
+    """
     n = len(deviations)
     srt = np.sort(deviations)
     counts = n - np.searchsorted(srt, grid, side="right")
-    # pilot uncertainty in the centering shifts every threshold by +-z*se
-    lo_counts = n - np.searchsorted(srt, grid + _Z95 * mu_se, side="right")
-    hi_counts = n - np.searchsorted(srt, grid - _Z95 * mu_se, side="right")
-    rows = []
-    devs = [
-        abs(c / n / d - 1.0)
-        for c, d in zip(counts, denom)
-        if c >= min_exc
-    ]
-    sup_dev = float(max(devs)) if devs else float("nan")
-    for i, x in enumerate(grid):
-        lo = wilson_interval(int(lo_counts[i]), n)[0]
-        hi = wilson_interval(int(hi_counts[i]), n)[1]
-        rows.append(
-            SweepRow(
-                horizon=float(horizon),
-                x=float(x),
-                empirical=float(counts[i] / n),
-                denominator=float(denom[i]),
-                ratio=float(counts[i] / n / denom[i]),
-                ci_low=float(lo / denom[i]),
-                ci_high=float(hi / denom[i]),
-                exceedances=int(counts[i]),
-                certified=bool(counts[i] >= min_exc),
-                sup_abs_dev=sup_dev,
-            )
+    if estimate is None:
+        empirical = counts / n
+        # pilot uncertainty in the centering shifts every threshold by +-z*se
+        lo_counts = n - np.searchsorted(srt, grid + _Z95 * mu_se, side="right")
+        hi_counts = n - np.searchsorted(srt, grid - _Z95 * mu_se, side="right")
+        lo = np.array([wilson_interval(int(c), n)[0] for c in lo_counts])
+        hi = np.array([wilson_interval(int(c), n)[1] for c in hi_counts])
+    else:
+        empirical, se = estimate
+        lo = np.clip(empirical - _Z95 * se, 0.0, 1.0)
+        hi = np.clip(empirical + _Z95 * se, 0.0, 1.0)
+    ratio = empirical / denom
+    certified = counts >= min_exc
+    sup_dev = float(np.abs(ratio[certified] - 1.0).max()) if certified.any() else float("nan")
+    return [
+        SweepRow(
+            horizon=float(horizon),
+            x=float(grid[i]),
+            empirical=float(empirical[i]),
+            denominator=float(denom[i]),
+            ratio=float(ratio[i]),
+            ci_low=float(lo[i] / denom[i]),
+            ci_high=float(hi[i] / denom[i]),
+            exceedances=int(counts[i]),
+            certified=bool(certified[i]),
+            sup_abs_dev=sup_dev,
         )
-    return rows
+        for i in range(len(grid))
+    ]
+
+
+def _conditional_max_tail(
+    n_events: np.ndarray, survival: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Conditional Monte Carlo estimate of P(M_T > x) and its standard error, per x.
+
+    Each window contributes P(M_T > x | N_T) = 1 - F(x)**N_T, computed as
+    -expm1(N_T * log1p(-sf(x))) so that a small tail loses no digits.  The
+    windows are grouped by their distinct N_T, so each x costs one term per
+    distinct count.
+    """
+    values, weights = np.unique(n_events, return_counts=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = -np.expm1(np.multiply.outer(np.log1p(-survival), values))
+    terms[:, values == 0] = 0.0  # an empty window's max exceeds nothing, even where F(x) = 0
+    n = n_events.size
+    mean = terms @ weights / n
+    var = (terms - mean[:, None]) ** 2 @ weights / (n - 1)
+    return mean, np.sqrt(var / n)
 
 
 def _expected_events(config: WindowConfig) -> float:
@@ -155,23 +194,39 @@ def _expected_events(config: WindowConfig) -> float:
     return config.nu * config.horizon * consts.max_constant_renewal
 
 
+def max_estimator(model: JointMarkModel) -> str:
+    """The estimator of P(M_T > x) that :func:`ldp_max_sweep` uses for ``model``, and its band."""
+    if model.independent_marks:
+        return (
+            "conditional Monte Carlo: mean over windows of 1 - F(x)**N_T; "
+            "95% band p +- 1.96 sd/sqrt(n), clipped to [0, 1]"
+        )
+    return "crude Monte Carlo: fraction of windows with M_T > x; 95% Wilson score band"
+
+
 def ldp_max_sweep(
     config: SweepConfig, rng: RngStream, workers: int = 1
 ) -> list[SweepRow]:
-    """Ratio of the window-max tail to E[N_T] * P(X > x), per horizon."""
-    maxima = sweep_windows(
-        config.window, config.horizons, config.replications, rng, workers, ("max_in_window",)
-    )["max_in_window"]
+    """Ratio of the window-max tail to E[N_T] * P(X > x), per horizon.
+
+    The tail is estimated as :func:`max_estimator` says; the crude maxima
+    place the grid and count its exceedances in every regime.
+    """
+    conditional = config.window.model.independent_marks
+    fields = ("n_events", "max_in_window") if conditional else ("max_in_window",)
+    paths = sweep_windows(
+        config.window, config.horizons, config.replications, rng, workers, fields
+    )
     rows: list[SweepRow] = []
-    for horizon, dev in zip(config.horizons, maxima):
+    for i, (horizon, dev) in enumerate(zip(config.horizons, paths["max_in_window"])):
         wcfg = replace(config.window, horizon=float(horizon))
         x_lo = config.gamma * wcfg.nu * wcfg.horizon
         grid = _horizon_grid(dev, x_lo, config.x_levels, config.min_exceedances)
-        denom = _expected_events(wcfg) * np.asarray(
-            wcfg.model.mark_law.survival(grid)
-        )
+        survival = np.asarray(wcfg.model.mark_law.survival(grid))
+        denom = _expected_events(wcfg) * survival
+        estimate = _conditional_max_tail(paths["n_events"][i], survival) if conditional else None
         rows.extend(
-            _sweep_rows(horizon, dev, grid, denom, config.min_exceedances)
+            _sweep_rows(horizon, dev, grid, denom, config.min_exceedances, estimate=estimate)
         )
     return rows
 

@@ -215,7 +215,7 @@ def _hawkes_windows(
     brood = gen.poisson(kappa)
     del kappa
 
-    def draw(brood, owner, starts, live):
+    def draw(brood, owner, runs):
         nonlocal evt_time
         dt = gen.exponential(1.0 / params.decay_rate, owner.size)
         evt_time = np.repeat(evt_time, brood)

@@ -219,6 +219,22 @@ class TestValidate:
 class TestHostileConfigs:
     """Every field that ``run`` reads is checked by ``validate`` too, with its path."""
 
+    # keys that no parser reads
+    UNKNOWN = [
+        ("ldp-max", {"ldp": {"replication": 5000, "horizonz": [5]}}, "ldp.replication"),
+        ("tail-ratio", {"functionl": "sum"}, "functionl"),
+        ("ldp-max", {"grid": {"levels": [0.9]}}, "grid"),
+        (
+            "hill",
+            {"model": {**MODEL, "mark": {"law": "pareto", "scale": 1.0, "alpah": 1.5}}},
+            "model.mark.alpah",
+        ),
+        ("cluster-tails", {"grid": {"level": [0.9, 0.99]}}, "grid.level"),
+        ("tail-ratio", {"oracle": {"sise": 10}}, "oracle.sise"),
+        ("cluster-tails", {"cluster": {"decay_rate": 2.0}}, "cluster.decay_rate"),
+        ("hill", {"model": {**MODEL, "target_mean_kappa": 0.5}}, "model.target_mean_kappa"),
+    ]
+
     CASES = [
         ("leftover", {"leftover": {"horizons": 5}}, "leftover.horizons"),
         ("leftover", {"leftover": {"horizons": []}}, "leftover.horizons"),
@@ -254,7 +270,7 @@ class TestHostileConfigs:
         ("oracle-compare", {"discrete": 5}, "discrete"),
         ("cluster-tails", {"model": {**MODEL, "count": 5}}, "model.count"),
         ("cluster-tails", {"model": 5}, "model"),
-    ]
+    ] + UNKNOWN
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize(
@@ -270,6 +286,13 @@ class TestHostileConfigs:
         assert err["error"] == "ConfigError"
         assert err["field"] == field
         assert not list(tmp_path.glob(f"{experiment}-1.*"))
+
+    @pytest.mark.parametrize("experiment, fields, field", UNKNOWN, ids=[c[2] for c in UNKNOWN])
+    def test_unknown_field(self, tmp_path, experiment, fields, field):
+        payload = {"experiment": experiment, "seed": 1, "model": MODEL, **fields}
+        with pytest.raises(ConfigError) as excinfo:
+            validate(write_config(tmp_path, payload))
+        assert (excinfo.value.message, excinfo.value.field) == ("unknown field", field)
 
 
 class TestColdStart:
@@ -333,6 +356,33 @@ class TestOtherExperiments:
         summary = json.loads((tmp_path / "tauberian-12.json").read_text())
         assert summary["target_slope"] == -0.5
         assert abs(summary["slope"] - (-0.5)) < 0.25
+
+    def test_tauberian_computes_its_table_once(self, tmp_path, monkeypatch):
+        import cluster_tails.cli as cli_module
+        import cluster_tails.estimate as estimate_module
+
+        table = estimate_module.laplace_derivative_table
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1:])
+            return table(*args, **kwargs)
+
+        for module in (cli_module, estimate_module):
+            monkeypatch.setattr(module, "laplace_derivative_table", counted)
+        config = write_config(
+            tmp_path,
+            {
+                "experiment": "tauberian",
+                "seed": 12,
+                "model": MODEL,
+                "clusters": 1_000_000,
+                "tauberian": {"source": "marks", "points": 5},
+                "output_dir": str(tmp_path),
+            },
+        )
+        run(config)
+        assert len(calls) == 1
 
     def test_oracle_compare_experiment(self, tmp_path):
         config = write_config(

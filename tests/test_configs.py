@@ -40,8 +40,8 @@ PINNED = {
         "6c6251d7453b33480b80d37d9eb3d47b7a706f3f8ccffe4110d0f1e83a3c1a11",
     ),
     "ldp-max.json": (
-        "5301e1fa74cd4ab6eb7aa88af5a7569f619231801a0866b76b933f80c5beac17",
-        "5c773ea7836058e609dda1b4efe8dea19570d4ad32bdecc2bb698234baed428d",
+        "714d259f145a4b44c525aa680c10f4dc56a5209e80f2344fcf94ef6502411fa9",
+        "3ec055a7713e990da214dcd9c69c572cab6bae8a045c090225bfbec15e7293cc",
     ),
     "ldp-sum.json": (
         "fe9f0b0bf8a0c6e1d65321ef84d8cec308b443b3f4a27fbdcb27290e0ba665e7",

@@ -5,11 +5,16 @@ window max has the exact law P(max > x) = 1 - exp(-nu T sf(x)): every grid
 point of the sweep is compared against that closed form.
 """
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from cluster_tails.clusters import HawkesParams, RenewalParams
+from cluster_tails.cli import run
 from cluster_tails.errors import ModelError
+from cluster_tails.estimate import _Z95, wilson_interval
 from cluster_tails.heavytail import (
     BoundedUniform,
     Exponential,
@@ -115,6 +120,106 @@ class TestMaxSweep:
             assert row.denominator == pytest.approx(
                 2.0 * 20.0 * float(pareto_survival(LAW, row.x))
             )
+
+
+def model_sweep(model, params, horizons=(10.0, 30.0), replications=20_000):
+    window = WindowConfig(model=model, cluster_params=params, nu=1.0, horizon=horizons[-1])
+    return SweepConfig(window=window, horizons=horizons, replications=replications, x_levels=6)
+
+
+LIGHT_COUNT = JointMarkModel(Regime.INDEPENDENT_LIGHT_COUNT, LAW, 2.0)
+HAWKES_LIGHT = JointMarkModel(
+    Regime.HAWKES_LIGHT_INTENSITY, LAW, BoundedUniform(0.0, 1.0), target_mean_kappa=0.5
+)
+COMONOTONE = {
+    "ComonotoneCount": (JointMarkModel(Regime.COMONOTONE_COUNT, LAW), RP),
+    "HawkesComonotoneIntensity": (
+        JointMarkModel(Regime.HAWKES_COMONOTONE_INTENSITY, LAW, target_mean_kappa=0.5),
+        HawkesParams(),
+    ),
+}
+
+
+class TestConditionalMaxSweep:
+    """With independent marks the max sweep averages 1 - F(x)**N_T over the windows."""
+
+    @pytest.mark.parametrize(
+        "model, params",
+        [(LIGHT_COUNT, RP), (HAWKES_LIGHT, HawkesParams())],
+        ids=["renewal", "hawkes-light"],
+    )
+    def test_agrees_with_crude_count_on_the_same_paths(self, model, params):
+        config = model_sweep(model, params)
+        rows = ldp_max_sweep(config, RngStream(37, 0))
+        n = config.replications
+        assert len(rows) == 12
+        for row in rows:
+            crude = row.exceedances / n
+            lo, hi = wilson_interval(row.exceedances, n)
+            assert abs(row.empirical - crude) <= 4 * (hi - lo) / (2 * _Z95), row
+            assert row.empirical != crude
+
+    def test_degenerate_model_within_conditional_se_of_exact_law(self):
+        # K = 0: N_T is Poisson(nu T), so E[1 - F(x)**N_T] = 1 - exp(-nu T sf(x)) exactly
+        config = sweep_config(count_mean=0.0, horizons=(50.0,), replications=50_000)
+        rows = ldp_max_sweep(config, RngStream(38, 0))
+        for row in rows:
+            exact = -np.expm1(-50.0 * float(pareto_survival(LAW, row.x)))
+            se = (row.ci_high - row.ci_low) * row.denominator / (2 * _Z95)
+            assert 0.0 < se < 0.01
+            assert abs(row.empirical - exact) <= 4 * se, row
+
+    # sha256 of sweep_to_csv of the rows, recorded before the conditional route existed
+    CRUDE_ROWS = {
+        "ComonotoneCount": "10c7a61a944cadbb9c6ff33fceb9d7f7e34ca907134cad98737e52200c059f1b",
+        "HawkesComonotoneIntensity": (
+            "f4dae4ad68b37e8c53e91f5027f3da457907a6bcd1c7e227a2bf69d2adec9f38"
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(COMONOTONE))
+    def test_comonotone_regimes_keep_the_crude_rows(self, name):
+        model, params = COMONOTONE[name]
+        assert not model.independent_marks
+        config = model_sweep(model, params)
+        rows = ldp_max_sweep(config, RngStream(39, 0))
+        for row in rows:
+            assert row.empirical == row.exceedances / config.replications
+        digest = hashlib.sha256(sweep_to_csv(rows).encode()).hexdigest()
+        assert digest == self.CRUDE_ROWS[name]
+
+    @pytest.mark.parametrize(
+        "model, params",
+        [
+            (LIGHT_COUNT, RP),
+            (HAWKES_LIGHT, HawkesParams()),
+            *COMONOTONE.values(),
+        ],
+        ids=["renewal", "hawkes-light", *sorted(COMONOTONE)],
+    )
+    def test_band_contains_ratio_on_every_row(self, model, params):
+        rows = ldp_max_sweep(model_sweep(model, params, replications=10_000), RngStream(40, 0))
+        for row in rows:
+            assert 0.0 <= row.ci_low <= row.ratio <= row.ci_high, row
+
+    @pytest.mark.parametrize(
+        "model, route",
+        [
+            ({"regime": "IndependentLightCount", "count": {"poisson_mean": 2.0}}, "conditional"),
+            ({"regime": "ComonotoneCount"}, "crude"),
+        ],
+    )
+    def test_summary_names_the_route(self, tmp_path, model, route):
+        config = tmp_path / "ldp-max.json"
+        mark = {"law": "pareto", "scale": 1.0, "alpha": 1.5}
+        config.write_text(json.dumps({
+            "experiment": "ldp-max", "seed": 3, "model": {**model, "mark": mark},
+            "output_dir": str(tmp_path),
+            "ldp": {"horizons": [5.0], "replications": 10_000, "x_levels": 3},
+        }))
+        _, json_path, _ = run(config)
+        summary = json.loads(json_path.read_text())
+        assert summary["estimator"].startswith(route)
 
 
 class TestSumSweep:

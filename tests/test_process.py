@@ -336,7 +336,7 @@ class TestChunkMemory:
         "kernel, config, n, horizons, bound",
         [
             (process._renewal_windows, renewal_config(), 4096, (10.0, 50.0, 100.0), 32),
-            (process._hawkes_windows, hawkes_config(), 2048, (10.0, 50.0, 100.0, 500.0), 28),
+            (process._hawkes_windows, hawkes_config(), 2048, (10.0, 50.0, 100.0, 500.0), 19),
         ],
         ids=["renewal", "hawkes"],
     )
