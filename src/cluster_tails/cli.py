@@ -37,6 +37,7 @@ from .estimate import (
     laplace_derivative_table,
     ratio_curve,
     table_slope,
+    wilson_interval,
 )
 from .heavytail import (
     BoundedUniform,
@@ -54,6 +55,7 @@ from .ldp import (
     SweepConfig,
     ldp_max_sweep,
     ldp_sum_sweep,
+    leftover_estimator,
     leftover_scaling,
     leftover_to_csv,
     max_estimator,
@@ -409,13 +411,14 @@ def _constants_dict(model: JointMarkModel) -> dict:
 def _run_cluster_tails(config: ExperimentConfig, rng: RngStream):
     grid = _parse_grid(config.raw)
     sample = _functional_sample(config, rng)
-    lines = ["functional,level,x,exceedances,survival"]
+    lines = ["functional,level,x,exceedances,survival,ci_low,ci_high"]
     for name, values in (("max", sample.h), ("sum", sample.d)):
         ts = TailSample.from_values(values)
         xs = np.quantile(ts.values, list(grid.levels))
         for level, x in zip(grid.levels, xs):
             c = ts.exceedances(float(x))
-            lines.append(f"{name},{level!r},{float(x)!r},{c},{c / ts.n!r}")
+            lo, hi = wilson_interval(c, ts.n)
+            lines.append(f"{name},{level!r},{float(x)!r},{c},{c / ts.n!r},{lo!r},{hi!r}")
     summary = {
         "constants": _constants_dict(config.model),
         "n": len(sample),
@@ -630,7 +633,8 @@ def _run_leftover(config: ExperimentConfig, rng: RngStream):
                 "eps_over_sqrt_t_se": r.eps_over_sqrt_t_se,
             }
             for r in rows
-        ]
+        ],
+        "estimator": leftover_estimator(config.model),
     }
     return leftover_to_csv(rows), summary
 

@@ -20,6 +20,14 @@ paths.  Its band is the normal one, p +- 1.96 sd/sqrt(n).  The crude maxima
 still place and certify the grid, and their exceedance counts stay in the
 output as a cross-check.  The comonotone regimes keep the crude exceedance
 fraction and its Wilson band.
+
+The leftover table of a Hawkes model is conditional Monte Carlo too: each
+window contributes E[J_T | path to T] = Lambda_T / (1 - E[kappa]) and
+E[eps_T | path to T] = Lambda_T E[X] / (1 - E[kappa]), where Lambda_T is the
+decayed intensity of the window's points by T (the ``leftover_intensity``
+of :func:`~cluster_tails.process.sweep_windows`).  Only E[kappa] and E[X]
+enter, so this holds in both Hawkes regimes.  Renewal models average the
+leftover counts and mark sums themselves.
 """
 
 from __future__ import annotations
@@ -51,6 +59,7 @@ __all__ = [
     "max_estimator",
     "ldp_sum_sweep",
     "leftover_scaling",
+    "leftover_estimator",
     "sweep_to_csv",
     "sweep_summary",
     "leftover_to_csv",
@@ -70,8 +79,9 @@ class SweepConfig:
     min_exceedances: int = 50
 
     def __post_init__(self) -> None:
-        if list(self.horizons) != sorted(self.horizons) or not self.horizons:
-            raise ModelError("horizons must be a nonempty ascending list", "horizons")
+        h = self.horizons
+        if not h or any(b <= a for a, b in zip(h, h[1:])):
+            raise ModelError("horizons must be a nonempty strictly ascending list", "horizons")
         if self.gamma <= 0:
             raise ModelError("gamma must be positive", "gamma")
         if self.replications < 10_000:
@@ -277,18 +287,42 @@ def ldp_sum_sweep(
     return rows
 
 
+def leftover_estimator(model: JointMarkModel) -> str:
+    """The estimator that :func:`leftover_scaling` uses for ``model``, and its interval."""
+    if model.is_hawkes:
+        return (
+            "conditional Monte Carlo: mean over windows of E[J_T | path to T] = "
+            "Lambda_T/(1 - E[kappa]) and E[eps_T | path to T] = Lambda_T E[X]/(1 - E[kappa]), "
+            "Lambda_T = sum of kappa_p exp(-beta (T - t_p)) over the points by T; "
+            "SE sd/sqrt(n), finite when kappa has finite variance"
+        )
+    return (
+        "crude Monte Carlo: mean over windows of the leftover count and mark sum; "
+        "SE sd/sqrt(n), finite for eps only when the marks have finite variance"
+    )
+
+
 def leftover_scaling(
     config: SweepConfig, rng: RngStream, workers: int = 1
 ) -> list[LeftoverRow]:
-    """Per-horizon E[J_T]/T and E[eps_T]/sqrt(T) with standard errors."""
+    """Per-horizon E[J_T]/T and E[eps_T]/sqrt(T) with standard errors.
+
+    The per-window values are what :func:`leftover_estimator` names.
+    """
+    model = config.window.model
+    fields = ("leftover_intensity",) if model.is_hawkes else ("j_leftover", "leftover_sum")
     paths = sweep_windows(
-        config.window, config.horizons, config.replications, rng, workers,
-        ("j_leftover", "leftover_sum"),
+        config.window, config.horizons, config.replications, rng, workers, fields
     )
+    if model.is_hawkes:
+        consts = model_constants(model)
+        lam = paths["leftover_intensity"]
+        js, epss = lam * consts.mean_cluster_size, lam * consts.sum_shift_hawkes
+    else:
+        js, epss = paths["j_leftover"].astype(float), paths["leftover_sum"]
     n = config.replications
     rows = []
-    for horizon, j, eps in zip(config.horizons, paths["j_leftover"], paths["leftover_sum"]):
-        j = j.astype(float)
+    for horizon, j, eps in zip(config.horizons, js, epss):
         rows.append(
             LeftoverRow(
                 horizon=float(horizon),

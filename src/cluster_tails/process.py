@@ -15,6 +15,14 @@ replication share their early clusters and are positively correlated.
 Clusters born before time 0 are ignored by construction; the decomposition
 identities (sum + leftover == total cluster mass, window max <= cluster max)
 then hold pathwise on every replication and at every horizon.
+
+Hawkes windows can also keep ``leftover_intensity``, Lambda_T = sum over the
+points p with t_p <= T of kappa_p exp(-beta (T - t_p)): the mean number of
+children that the points by T still have after T.  Those children are
+Poisson, independent of the path up to T, and each starts a subtree of mean
+size 1 / (1 - E[kappa]) and mean mark sum E[X] / (1 - E[kappa]), so
+Lambda_T / (1 - E[kappa]) and Lambda_T E[X] / (1 - E[kappa]) are the
+conditional means of the leftover count and mark sum given that path.
 """
 
 from __future__ import annotations
@@ -61,9 +69,12 @@ WINDOW_FIELDS = (
 )
 
 
-# statistics reduced per (window, slot) and accumulated over slots; the
+# and the Hawkes kernel's own statistic: only Hawkes points carry an intensity kappa
+_FIELDS = (*WINDOW_FIELDS, "leftover_intensity")
+
+# statistics reduced per (window, slot) and combined over slots; the
 # leftover ones are tallied per horizon directly
-_SLOTTED = {"n_events", "sum_in_window", "max_in_window", "n_clusters"}
+_SLOTTED = {"n_events", "sum_in_window", "max_in_window", "n_clusters", "leftover_intensity"}
 
 
 class _HorizonTally:
@@ -74,12 +85,19 @@ class _HorizonTally:
     the immigrants and offspring in slots <= i, so in-window statistics are
     reduced per (window, slot) and accumulated over slots at the end.  An
     offspring point is leftover at horizon i when its immigrant's slot is
-    <= i < its own slot.  Only the statistics named in ``fields`` are kept.
+    <= i < its own slot.  Only the statistics named in ``fields`` are kept;
+    ``leftover_intensity`` needs the Hawkes ``decay`` rate beta.
     """
 
-    def __init__(self, horizons: np.ndarray, n: int, fields) -> None:
+    def __init__(self, horizons: np.ndarray, n: int, fields, decay: float | None = None) -> None:
+        if "leftover_intensity" in fields and decay is None:
+            raise ModelError(
+                "leftover_intensity needs a Hawkes model: renewal points carry no intensity",
+                "fields",
+            )
         self.horizons = horizons
         self.n = n
+        self.decay = decay
         k = len(horizons)
         dtype = {"n_events": np.int64, "j_leftover": np.int64, "n_clusters": np.int64}
         # flat over (window, slot), window-major: see _reduce
@@ -96,6 +114,32 @@ class _HorizonTally:
         for h in self.horizons:
             slot += times > h
         return slot
+
+    def intensity(self, win, slot, times, kappa) -> None:
+        """Adds each point's term of Lambda, kappa * exp(-beta (T_slot - t)), to its cell.
+
+        The term is 0 past the last horizon, so no exponent is positive.  The
+        points go a block at a time, so the terms and keys stay in cache and
+        no array the size of the points is made.  Does nothing unless
+        ``leftover_intensity`` is kept.
+        """
+        acc = self.slotted.get("leftover_intensity")
+        if acc is None:
+            return
+        ends = np.append(self.horizons, np.inf)
+        width = len(self.horizons) + 1
+        # each block's bincount costs the size of acc, so a block is at least 4 times that
+        step = max(1 << 15, 4 * acc.size)
+        for lo in range(0, times.size, step):
+            part = slice(lo, lo + step)
+            cell = slot[part].astype(np.intp)  # take is several times faster on intp
+            term = np.take(ends, cell)
+            np.subtract(times[part], term, out=term)
+            term *= self.decay
+            np.exp(term, out=term)
+            term *= kappa[part]
+            cell += np.multiply(win[part], width, dtype=np.intp)
+            acc += np.bincount(cell, weights=term, minlength=acc.size)
 
     def _reduce(self, win, slot, marks, counts: tuple[str, ...]) -> None:
         acc = self.slotted
@@ -146,9 +190,15 @@ class _HorizonTally:
         k = len(self.horizons)
         for f, flat in self.slotted.items():
             per_slot = flat.reshape(self.n, k + 1)[:, :k].T
-            out[f] = (np.maximum.accumulate if f == "max_in_window" else np.cumsum)(
-                per_slot, axis=0
-            )
+            if f == "leftover_intensity":
+                # Lambda_i = Lambda_{i-1} exp(-beta (T_i - T_{i-1})) + slot i's terms
+                out[f] = lam = np.array(per_slot)
+                for i, fade in enumerate(np.exp(-self.decay * np.diff(self.horizons)), 1):
+                    lam[i] += lam[i - 1] * fade
+            else:
+                out[f] = (np.maximum.accumulate if f == "max_in_window" else np.cumsum)(
+                    per_slot, axis=0
+                )
         return out
 
 
@@ -157,13 +207,13 @@ def _renewal_windows(
 ) -> dict[str, np.ndarray]:
     # chunk-sized arrays are freed as soon as they are used: the draws keep
     # their order, but no array lives longer than its last use
+    tally = _HorizonTally(horizons, n, fields)
     gen = rng.generator
     model, t_max = config.model, float(horizons[-1])
     c_t = gen.poisson(config.nu * t_max, n)
     m = int(c_t.sum())
     tau = gen.uniform(0.0, t_max, m)
     x, k = sample_joint(model, rng, m)
-    tally = _HorizonTally(horizons, n, fields)
     home = tally.slot(tau)
     tally.immigrants(np.repeat(np.arange(n), c_t), home, x)
     del x
@@ -206,8 +256,9 @@ def _hawkes_windows(
     evt_time = gen.uniform(0.0, t_max, m)
     x0, kappa = sample_joint(model, rng, m)
 
-    tally = _HorizonTally(horizons, n, fields)
+    tally = _HorizonTally(horizons, n, fields, params.decay_rate)
     home = tally.slot(evt_time)
+    tally.intensity(win_of_cluster, home, evt_time, kappa)
     tally.immigrants(win_of_cluster, home, x0)
     # chunk-sized arrays: hold only what the generation loop needs, whose
     # first generation is the chunk's memory peak
@@ -222,11 +273,10 @@ def _hawkes_windows(
         evt_time += dt
         del dt
         xc, kc = sample_joint(model, rng, owner.size)
+        win, slot = win_of_cluster[owner], tally.slot(evt_time)
+        tally.intensity(win, slot, evt_time, kc)
         tally.offspring(
-            win_of_cluster[owner],
-            tally.slot(evt_time),
-            np.asarray(xc, dtype=float),
-            home[owner] if tally.leftover else None,
+            win, slot, np.asarray(xc, dtype=float), home[owner] if tally.leftover else None
         )
         return kc
 
@@ -248,12 +298,14 @@ def sweep_windows(
     """n i.i.d. paths on [0, max(horizons)], each summarised at every horizon.
 
     Returns each statistic named in ``fields`` (a subset of
-    :data:`WINDOW_FIELDS`) as an array of shape ``(len(horizons), n)``.  Row
+    :data:`WINDOW_FIELDS`, plus ``"leftover_intensity"`` for a Hawkes model:
+    see the module docstring) as an array of shape ``(len(horizons), n)``.  Row
     i has the exact law of a window of length ``horizons[i]``: its
     immigrants are the Poisson(nu * horizons[i]) subset of the path's
     immigrants that arrive by then.  Rows of one call come from the same
     paths, so they are positively correlated, and the in-window statistics
-    never decrease along a column.  ``config.horizon`` is not used.
+    never decrease along a column.  ``config.horizon`` is not used.  Every
+    subset of ``fields`` reads the same draws.
 
     Output is bit-identical for any worker count: chunk boundaries depend
     only on the configuration and the longest horizon, and chunk i always
@@ -262,12 +314,14 @@ def sweep_windows(
     if n < 1:
         raise ValueError("n must be >= 1")
     hs = np.asarray(horizons, dtype=float)
-    if hs.ndim != 1 or hs.size == 0 or hs[0] <= 0 or np.any(np.diff(hs) < 0):
-        raise ModelError("horizons must be a nonempty ascending list of positive numbers", "horizons")
-    unknown = set(fields) - set(WINDOW_FIELDS)
+    if hs.ndim != 1 or hs.size == 0 or hs[0] <= 0 or np.any(np.diff(hs) <= 0):
+        raise ModelError(
+            "horizons must be a nonempty strictly ascending list of positive numbers", "horizons"
+        )
+    unknown = set(fields) - set(_FIELDS)
     if unknown:
         raise ValueError(f"unknown window statistics: {sorted(unknown)}")
-    fields = tuple(f for f in WINDOW_FIELDS if f in fields)
+    fields = tuple(f for f in _FIELDS if f in fields)
     kernel = _hawkes_windows if config.model.is_hawkes else _renewal_windows
     events = config.nu * float(hs[-1]) * model_constants(config.model).mean_cluster_size
     chunk = _chunk_size(events, 1 << 6, 1 << 16)

@@ -1,4 +1,4 @@
-"""Object-level reference samplers for one cluster, used only by the tests.
+"""Object-level reference samplers for one cluster, and exact means, used only by the tests.
 
 Each sampler draws one cluster event by event, with its times, marks and
 family tree, from scalar draws.  The tests check the vectorized batch and
@@ -9,6 +9,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+
+import numpy as np
+from scipy.special import gammainc
 
 from cluster_tails.clusters import HawkesParams, RenewalParams
 from cluster_tails.errors import ClusterOverflow, ModelError
@@ -102,3 +105,16 @@ def functional_max(cluster: Cluster) -> float:
 def functional_sum(cluster: Cluster) -> float:
     """Sum of all marks in the cluster, immigrant included."""
     return cluster.immigrant_mark + sum(e.mark for e in cluster.events)
+
+
+def hawkes_leftover_mean(nu: float, mean_kappa: float, decay: float, horizon: float) -> float:
+    """E[J_T] of a Hawkes window by Campbell's formula: nu * sum_g m**g E[min(Gamma_g, T)].
+
+    An immigrant arrives u before T, uniformly on [0, T]; it has m**g
+    generation-g descendants on average, each Gamma(g, decay) after it, and
+    such a descendant is left over when its delay exceeds u.
+    """
+    g = np.arange(1, 400)
+    bt = decay * horizon
+    expected_min = horizon * (1.0 - gammainc(g, bt)) + g / decay * gammainc(g + 1, bt)
+    return nu * float(np.sum(mean_kappa**g * expected_min))

@@ -1,5 +1,6 @@
 """End-to-end tests of the experiment runner."""
 
+import csv
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 import cluster_tails
 from cluster_tails.cli import main, run, validate
 from cluster_tails.errors import ConfigError
+from cluster_tails.estimate import wilson_interval
 
 MODEL = {
     "regime": "IndependentLightCount",
@@ -270,7 +272,11 @@ class TestHostileConfigs:
         ("oracle-compare", {"discrete": 5}, "discrete"),
         ("cluster-tails", {"model": {**MODEL, "count": 5}}, "model.count"),
         ("cluster-tails", {"model": 5}, "model"),
-    ] + UNKNOWN
+    ] + UNKNOWN + [
+        # a repeated horizon would write its grid rows twice
+        ("ldp-max", {"ldp": {"horizons": [10, 10]}}, "ldp.horizons"),
+        ("leftover", {"leftover": {"horizons": [10, 50, 50]}}, "leftover.horizons"),
+    ]
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize(
@@ -438,6 +444,8 @@ class TestOtherExperiments:
         run(config)
         rows = (tmp_path / "leftover-15.csv").read_text().splitlines()
         assert len(rows) == 3
+        summary = json.loads((tmp_path / "leftover-15.json").read_text())
+        assert summary["estimator"].startswith("crude Monte Carlo")
 
     def test_cluster_tails_experiment(self, tmp_path):
         config = write_config(
@@ -453,6 +461,12 @@ class TestOtherExperiments:
         run(config)
         summary = json.loads((tmp_path / "cluster-tails-16.json").read_text())
         assert summary["mean_size"] == pytest.approx(3.0, rel=0.05)
+        rows = list(csv.DictReader((tmp_path / "cluster-tails-16.csv").open()))
+        assert len(rows) == 10
+        for row in rows:
+            low, high = wilson_interval(int(row["exceedances"]), 50_000)
+            assert (float(row["ci_low"]), float(row["ci_high"])) == (low, high)
+            assert low <= float(row["survival"]) <= high
 
     def test_tail_ratio_mc_oracle(self, tmp_path):
         config = mc_oracle_config(

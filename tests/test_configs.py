@@ -32,7 +32,7 @@ REDUCED = {
 # (csv, json) sha256 of each reduced run
 PINNED = {
     "cluster-tails.json": (
-        "e5b1afa4b75eae651010d49980d8ab21992f2022ce2dd57870c4c2efb30fa941",
+        "9531361edbfea635c740330a32fea5f1faf10f3953ce97556779d1ed63e2511b",
         "0f592bffc81c6d8fcffaf201e1c4b72f5cbe219b125a912ee50a6eab61a49cee",
     ),
     "hill.json": (
@@ -48,8 +48,8 @@ PINNED = {
         "d9b9f0728a57ae391e060fe44e73fd77567a3691384928fe11f72f3277e3c528",
     ),
     "leftover.json": (
-        "8fe5a9d85ffccf626e2f95e84cd21f9d60e120806c0454af3e860f6e4a1034d1",
-        "39652227c54979383dabbe7047d2585a3de49aa6eff6f368e6631ff25b8f1684",
+        "3741c4aab6e09a215fc5a774c4fa74bad412c6deb325f5ae5e576b5261116dba",
+        "d12c697fff4f9eb9c9e9a570aab0b1dde81c28a1f5872b11be23ac29aeffafaa",
     ),
     "oracle-compare.json": (
         "dd6b13d131b49972ed54a5abf64d0e36c365f45f2b36689740d73ea2db2b5f08",

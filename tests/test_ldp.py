@@ -28,6 +28,7 @@ from cluster_tails.ldp import (
     SweepConfig,
     ldp_max_sweep,
     ldp_sum_sweep,
+    leftover_estimator,
     leftover_scaling,
     leftover_to_csv,
     sweep_summary,
@@ -35,6 +36,7 @@ from cluster_tails.ldp import (
 )
 from cluster_tails.process import WindowConfig
 from cluster_tails.rng import RngStream
+from reference import hawkes_leftover_mean
 
 LAW = ParetoLaw(1.0, 1.5)
 RP = RenewalParams(waiting_law=Exponential(1.0))
@@ -264,6 +266,36 @@ class TestLeftoverScaling:
         assert j[0] > j[1] > j[2]
         assert eps[0] > eps[1] > eps[2]
 
+    @pytest.mark.parametrize("mean_kappa", [0.3, 0.7])
+    def test_hawkes_rows_match_campbell(self, mean_kappa):
+        # Hawkes rows average E[J_T | path to T] and E[eps_T | path to T]
+        horizons = (5.0, 20.0, 100.0)
+        model = JointMarkModel(
+            Regime.HAWKES_LIGHT_INTENSITY, LAW, BoundedUniform(0.0, 1.0),
+            target_mean_kappa=mean_kappa,
+        )
+        window = WindowConfig(model, HawkesParams(), 1.0, horizons[-1])
+        config = SweepConfig(window=window, horizons=horizons, replications=20_000)
+        rows = leftover_scaling(config, RngStream(55, 0))
+        for row in rows:
+            t = row.horizon
+            exact = hawkes_leftover_mean(1.0, mean_kappa, 1.0, t)
+            assert abs(row.j_over_t - exact / t) <= 3 * row.j_over_t_se, row
+            eps = LAW.mean() * exact / t**0.5
+            assert abs(row.eps_over_sqrt_t - eps) <= 3 * row.eps_over_sqrt_t_se, row
+            # conditional: eps is E[X] times J window by window
+            assert row.eps_over_sqrt_t_se == pytest.approx(
+                LAW.mean() * row.j_over_t_se * t**0.5, rel=1e-9
+            )
+
+    def test_estimator_names_the_route(self):
+        hawkes = JointMarkModel(
+            Regime.HAWKES_LIGHT_INTENSITY, LAW, BoundedUniform(0.0, 1.0), target_mean_kappa=0.5
+        )
+        assert leftover_estimator(hawkes).startswith("conditional Monte Carlo")
+        renewal = sweep_config().window.model
+        assert leftover_estimator(renewal).startswith("crude Monte Carlo")
+
     def test_csv_output(self, tmp_path):
         config = sweep_config(horizons=(5.0,), replications=10_000)
         rows = leftover_scaling(config, RngStream(53, 0))
@@ -276,6 +308,11 @@ class TestSweepValidation:
     def test_horizons_ascending_required(self):
         with pytest.raises(ModelError):
             sweep_config(horizons=(30.0, 10.0))
+
+    def test_repeated_horizon_rejected(self):
+        with pytest.raises(ModelError) as exc_info:
+            sweep_config(horizons=(10.0, 10.0))
+        assert exc_info.value.field == "horizons"
 
     def test_min_replications(self):
         with pytest.raises(ModelError):

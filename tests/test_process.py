@@ -32,6 +32,7 @@ from cluster_tails.rng import RngStream
 from reference import (
     functional_max,
     functional_sum,
+    hawkes_leftover_mean,
     sample_hawkes_cluster,
     sample_renewal_cluster,
 )
@@ -351,6 +352,107 @@ class TestChunkMemory:
         assert points > 10**6
         assert peak / points <= bound
 
+    def test_leftover_intensity_only(self):
+        # what a Hawkes leftover sweep keeps; the intensity terms and their
+        # keys are made a block at a time, never for the whole chunk
+        config, horizons = hawkes_config(), np.array((10.0, 50.0, 100.0, 500.0))
+        counts = process._hawkes_windows(
+            config, horizons, 2048, RngStream(5, 0).child(0), ("n_events", "j_leftover")
+        )
+        points = int(counts["n_events"][-1].sum() + counts["j_leftover"][-1].sum())
+        tracemalloc.start()
+        try:
+            process._hawkes_windows(
+                config, horizons, 2048, RngStream(5, 0).child(0), ("leftover_intensity",)
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert points > 10**6
+        assert peak / points <= 19
+
+
+class TestLeftoverIntensity:
+    """Lambda_T, the decayed intensity of a Hawkes window's points by T.
+
+    E[J_T | path to T] = Lambda_T / (1 - E[kappa]), so the conditional and
+    the crude leftover counts estimate the same mean, E[J_T] from Campbell's
+    formula.
+    """
+
+    HORIZONS = (5.0, 20.0, 100.0)
+    FIELDS = ("j_leftover", "leftover_sum", "leftover_intensity")
+    N = 40_000
+    # the comonotone marks are Pareto(3), so kappa = X/3 and the marks have
+    # finite variance: the standard errors of both of its routes are real ones
+    MODELS = {
+        "light": (hawkes_config().model, HawkesParams()),
+        "comonotone": (
+            JointMarkModel(
+                Regime.HAWKES_COMONOTONE_INTENSITY, ParetoLaw(1.0, 3.0), target_mean_kappa=0.5
+            ),
+            HawkesParams(decay_rate=2.0),
+        ),
+    }
+
+    @classmethod
+    def sweep(cls, name, fields=FIELDS, workers=1, seed=81):
+        model, params = cls.MODELS[name]
+        config = WindowConfig(model, params, 1.0, cls.HORIZONS[-1])
+        return sweep_windows(config, cls.HORIZONS, cls.N, RngStream(seed, 0), workers, fields)
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_both_routes_match_campbell(self, name):
+        model, params = self.MODELS[name]
+        m, mean_mark = model.target_mean_kappa, model.mark_law.mean()
+        out = self.sweep(name)
+        for i, horizon in enumerate(self.HORIZONS):
+            exact = hawkes_leftover_mean(1.0, m, params.decay_rate, horizon)
+            conditional = out["leftover_intensity"][i] / (1.0 - m)
+            routes = {
+                "crude J": (out["j_leftover"][i], exact),
+                "conditional J": (conditional, exact),
+                "conditional eps": (conditional * mean_mark, mean_mark * exact),
+            }
+            if model.mark_law.alpha > 2:  # else the crude eps has no finite variance
+                routes["crude eps"] = (out["leftover_sum"][i], mean_mark * exact)
+            for route, (values, want) in routes.items():
+                mean, se = mean_and_se(values.astype(float))
+                assert abs(mean - want) <= 3 * se, (horizon, route, mean, want, se)
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_conditional_beats_crude_on_the_same_paths(self, name):
+        m = self.MODELS[name][0].target_mean_kappa
+        out = self.sweep(name, seed=82)
+        for i, horizon in enumerate(self.HORIZONS):
+            crude = mean_and_se(out["j_leftover"][i].astype(float))
+            conditional = mean_and_se(out["leftover_intensity"][i] / (1.0 - m))
+            assert abs(conditional[0] - crude[0]) <= 4 * crude[1], horizon
+            assert conditional[1] < 0.5 * crude[1], horizon
+
+    def test_zero_mean_kappa_has_no_intensity(self):
+        config = hawkes_config(kappa=0.0)
+        out = sweep_windows(
+            config, self.HORIZONS, 5_000, RngStream(83, 0), fields=("leftover_intensity",)
+        )
+        assert np.all(out["leftover_intensity"] == 0.0)
+
+    def test_workers_and_field_subsets_do_not_change_it(self):
+        # several chunks at T=100, so workers=2 really splits the work
+        alone = self.sweep("light", ("leftover_intensity",), seed=84)
+        pooled = self.sweep("light", ("leftover_intensity",), workers=2, seed=84)
+        full = self.sweep("light", (*WINDOW_FIELDS, "leftover_intensity"), seed=84)
+        assert np.array_equal(alone["leftover_intensity"], pooled["leftover_intensity"])
+        assert np.array_equal(alone["leftover_intensity"], full["leftover_intensity"])
+        assert np.all(alone["leftover_intensity"] >= 0.0)
+
+    def test_renewal_kernel_rejects_it(self):
+        with pytest.raises(ModelError, match="Hawkes") as exc_info:
+            sweep_windows(
+                renewal_config(), (5.0,), 100, RngStream(85, 0), fields=("leftover_intensity",)
+            )
+        assert exc_info.value.field == "fields"
+
 
 class TestSweepWindows:
     HORIZONS = (5.0, 20.0, 60.0)
@@ -424,7 +526,7 @@ class TestSweepWindows:
 
     def test_rejects_bad_horizons_and_fields(self):
         config = renewal_config()
-        for horizons in ((), (10.0, 5.0), (0.0, 5.0)):
+        for horizons in ((), (10.0, 5.0), (0.0, 5.0), (5.0, 5.0)):
             with pytest.raises(ModelError):
                 sweep_windows(config, horizons, 100, RngStream(66, 0))
         with pytest.raises(ValueError):
