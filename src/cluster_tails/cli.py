@@ -5,6 +5,12 @@ One JSON config describes one experiment; ``run`` executes it and writes
 the config and prints the derived model constants without consuming any
 randomness.  The seed is mandatory: outputs must be regenerable bit-exactly
 from the manifest alone, for any worker count.
+
+``_EXPERIMENTS`` is the one table of experiments: the top-level keys each
+reads, its parse and its run.  ``ExperimentConfig.from_dict`` parses every
+field into the experiment's plan before any randomness is drawn, so
+``validate`` checks exactly what ``run`` uses.  A key the config does not
+give is left to the library's default, which the CLI never restates.
 """
 
 from __future__ import annotations
@@ -16,19 +22,14 @@ import math
 import platform
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 import scipy
 
 from . import __version__
-from .clusters import (
-    DEFAULT_MAX_CLUSTER_EVENTS,
-    HawkesParams,
-    RenewalParams,
-    batch_functionals,
-)
+from .clusters import HawkesParams, RenewalParams, batch_functionals
 from .errors import ClusterTailsError, ConfigError, ModelError
 from .estimate import (
     QuantileGrid,
@@ -49,7 +50,6 @@ from .heavytail import (
     Regime,
     default_target,
     model_constants,
-    sample_pareto,
 )
 from .ldp import (
     SweepConfig,
@@ -73,34 +73,6 @@ from .oracle import (
 )
 from .process import WindowConfig
 from .rng import RngStream
-
-EXPERIMENTS = (
-    "cluster-tails",
-    "tail-ratio",
-    "hill",
-    "tauberian",
-    "oracle-compare",
-    "ldp-max",
-    "ldp-sum",
-    "leftover",
-)
-# the window sweeps, which read a sweep section and no cluster count
-_SWEEPS = ("ldp-max", "ldp-sum", "leftover")
-
-# the top-level keys each experiment reads, besides experiment, seed, workers
-# and output_dir
-_MODEL_SECTIONS = ("model", "cluster")
-_TOP_LEVEL = {
-    "cluster-tails": (*_MODEL_SECTIONS, "clusters", "grid"),
-    "tail-ratio": (*_MODEL_SECTIONS, "clusters", "functional", "grid", "joint", "oracle"),
-    "hill": (*_MODEL_SECTIONS, "clusters", "hill"),
-    "tauberian": (*_MODEL_SECTIONS, "clusters", "tauberian"),
-    "oracle-compare": ("clusters", "discrete"),
-    "ldp-max": (*_MODEL_SECTIONS, "window", "ldp"),
-    "ldp-sum": (*_MODEL_SECTIONS, "window", "ldp", "joint", "oracle"),
-    "leftover": (*_MODEL_SECTIONS, "window", "leftover"),
-}
-
 
 # ---------------------------------------------------------------------------
 # Config parsing
@@ -156,6 +128,34 @@ def _number(value, field: str, positive=False):
     if positive and value <= 0:
         raise ConfigError("must be positive", field)
     return value
+
+
+def _positive(value, field: str):
+    return _number(value, field, positive=True)
+
+
+def _count(value, field: str) -> int:
+    return int(_number(value, field, positive=True))
+
+
+def _list(value, field: str) -> list:
+    if not isinstance(value, list) or not value:
+        raise ConfigError("must be a nonempty list", field)
+    return value
+
+
+def _given(section: dict, path: str, converters: dict) -> dict:
+    """The keys ``section`` gives, each through its converter, in map order.
+
+    A key the map lacks is rejected; one whose converter is None is accepted
+    and dropped.  Absent keys are left to the library's defaults.
+    """
+    _known(section, path, converters)
+    return {
+        key: convert(section[key], _field(path, key))
+        for key, convert in converters.items()
+        if key in section and convert is not None
+    }
 
 
 # each law kind's class and its parameters, with whether they must be positive
@@ -226,41 +226,32 @@ def _parse_model(section: dict, path: str) -> JointMarkModel:
 
 def _parse_cluster_params(config: dict, model: JointMarkModel):
     section = _section(config, "cluster", "")
-    path = "cluster"
-    hawkes_keys = ("decay_rate", "max_cluster_events")
-    _known(section, path, hawkes_keys if model.is_hawkes else ("waiting",))
     if model.is_hawkes:
-        return HawkesParams(
-            decay_rate=_num(section, "decay_rate", path, default=1.0, positive=True),
-            max_cluster_events=int(
-                _num(
-                    section,
-                    "max_cluster_events",
-                    path,
-                    default=DEFAULT_MAX_CLUSTER_EVENTS,
-                    positive=True,
-                )
-            ),
-        )
-    if "waiting" not in section:
-        return RenewalParams(waiting_law=Exponential(rate=1.0))
-    waiting = _section(section, "waiting", path)
-    return RenewalParams(waiting_law=_parse_law(waiting, f"{path}.waiting"))
+        keys = {"decay_rate": _positive, "max_cluster_events": _count}
+        return HawkesParams(**_given(section, "cluster", keys))
+    waiting = _given(section, "cluster", {"waiting": _parse_law})
+    return RenewalParams(waiting_law=waiting.get("waiting", Exponential(rate=1.0)))
+
+
+def _levels(value, field: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(v) for v in _list(value, field))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc), field) from None
+
+
+_GRID_KEYS = {"levels": _levels, "min_exceedances": lambda v, field: int(_number(v, field))}
 
 
 def _parse_grid(config: dict) -> QuantileGrid:
-    section = _section(config, "grid", "")
-    _known(section, "grid", ("levels", "min_exceedances"))
-    levels = section.get("levels", list(QuantileGrid().levels))
-    if not isinstance(levels, list) or not levels:
-        raise ConfigError("must be a nonempty list", "grid.levels")
     try:
-        return QuantileGrid(
-            levels=tuple(float(v) for v in levels),
-            min_exceedances=int(_num(section, "min_exceedances", "grid", default=50)),
-        )
-    except (TypeError, ValueError) as exc:
+        return QuantileGrid(**_given(_section(config, "grid", ""), "grid", _GRID_KEYS))
+    except ValueError as exc:
         raise ConfigError(str(exc), "grid.levels") from None
+
+
+# cache_dir names the oracle disk cache of older configs: accepted, and unused
+_ORACLE_KEYS = {"size": _count, "seed": _seed, "cache_dir": None}
 
 
 def _parse_joint(config: dict) -> tuple[str, OracleSpec | None]:
@@ -268,29 +259,41 @@ def _parse_joint(config: dict) -> tuple[str, OracleSpec | None]:
     joint = config.get("joint", "closed")
     if joint not in ("closed", "mc"):
         raise ConfigError("joint must be 'closed' or 'mc'", "joint")
-    section = _section(config, "oracle", "")
-    # cache_dir names the oracle disk cache of older configs: accepted, and unused
-    _known(section, "oracle", ("size", "seed", "cache_dir"))
-    oracle = OracleSpec(
-        size=int(_num(section, "size", "oracle", default=10_000_000, positive=True)),
-        seed=_seed(section.get("seed", 0), "oracle.seed"),
-    )
+    oracle = OracleSpec(**_given(_section(config, "oracle", ""), "oracle", _ORACLE_KEYS))
     return joint, oracle if joint == "mc" else None
 
 
-def _parse_functional(config: dict) -> str:
-    functional = config.get("functional", "max")
+def _parse_tail_ratio(config: ExperimentConfig):
+    functional = config.raw.get("functional", "max")
     if functional not in ("max", "sum"):
         raise ConfigError("functional must be 'max' or 'sum'", "functional")
-    return functional
+    grid = _parse_grid(config.raw)
+    joint, oracle = _parse_joint(config.raw)
+    if functional == "max" and joint == "mc":
+        raise ConfigError("joint 'mc' needs functional 'sum': the max has no joint term", "joint")
+    return functional, grid, joint, oracle
 
 
-def _parse_discrete(config: dict) -> DiscreteJointModel:
-    section = _section(config, "discrete", "", required=True)
+def _x_grid(value, field: str) -> list[float]:
+    xs = [float(_number(x, field)) for x in _list(value, field)]
+    if any(x < 0 for x in xs):
+        raise ConfigError("must not be negative", field)
+    return xs
+
+
+def _parse_discrete(config: ExperimentConfig):
+    """The discrete model, and the hawkes kind's x grid (None for the renewal kind).
+
+    The renewal kind reads an offspring mark table; the hawkes kind redraws
+    every node from the joint table, and reads its truncation and x grid.
+    """
+    section = _section(config.raw, "discrete", "", required=True)
     kind = section.get("kind", "renewal")
+    hawkes = kind == "hawkes"
     table = ("joint_csv", "offspring_csv") if "joint_csv" in section else ("support", "offspring")
-    grid = ("x_grid",) if kind == "hawkes" else ()
-    _known(section, "discrete", ("kind", *table, "max_children", "max_depth", *grid))
+    extra = ("max_children", "max_depth", "x_grid") if hawkes else table[1:]
+    _known(section, "discrete", ("kind", table[0], *extra))
+    x_grid = _x_grid(_req(section, "x_grid", "discrete"), "discrete.x_grid") if hawkes else None
     try:
         if "joint_csv" in section:
             return DiscreteJointModel.from_csv(
@@ -299,7 +302,7 @@ def _parse_discrete(config: dict) -> DiscreteJointModel:
                 kind=kind,
                 max_children=int(section.get("max_children", 0)),
                 max_depth=int(section.get("max_depth", 0)),
-            )
+            ), x_grid
         support = tuple(tuple(float(v) for v in row) for row in _req(section, "support", "discrete"))
         offspring = tuple(
             tuple(float(v) for v in row) for row in section.get("offspring", [])
@@ -310,7 +313,7 @@ def _parse_discrete(config: dict) -> DiscreteJointModel:
             offspring_support=offspring,
             max_children=int(section.get("max_children", 0)),
             max_depth=int(section.get("max_depth", 0)),
-        )
+        ), x_grid
     except (ModelError, OSError, ValueError, TypeError) as exc:
         raise ConfigError(str(exc), "discrete") from None
 
@@ -327,6 +330,7 @@ class ExperimentConfig:
     model: JointMarkModel | None
     cluster_params: RenewalParams | HawkesParams | None
     clusters: int | None  # replications of the experiments that are not window sweeps
+    plan: tuple = ()  # what the experiment's parse returned; its run takes it as arguments
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -342,15 +346,16 @@ class ExperimentConfig:
             raise ConfigError(
                 "seed is mandatory (reproducibility contract)", "seed"
             )
+        keys, parse, _ = _EXPERIMENTS[experiment]
         seed = _seed(raw["seed"], "seed")
         workers = int(_num(raw, "workers", "", default=1, positive=True))
         clusters = None
-        if experiment not in _SWEEPS:
+        if "clusters" in keys:
             clusters = int(_num(raw, "clusters", "", default=1_000_000, positive=True))
         output_dir = Path(raw.get("output_dir", "."))
         model = None
         params = None
-        if experiment != "oracle-compare":
+        if "model" in keys:
             model = _parse_model(_section(raw, "model", "", required=True), "model")
             params = _parse_cluster_params(raw, model)
             try:
@@ -358,10 +363,7 @@ class ExperimentConfig:
             except ModelError as exc:
                 field = f"model.{exc.field}" if exc.field else "model"
                 raise type(exc)(exc.message, field) from None
-        else:
-            _parse_discrete(raw)
-        _known(raw, "", ("experiment", "seed", "workers", "output_dir", *_TOP_LEVEL[experiment]))
-        return cls(
+        config = cls(
             experiment=experiment,
             seed=seed,
             workers=workers,
@@ -371,6 +373,9 @@ class ExperimentConfig:
             cluster_params=params,
             clusters=clusters,
         )
+        config.plan = parse(config)
+        _known(raw, "", ("experiment", "seed", "workers", "output_dir", *keys))
+        return config
 
     @classmethod
     def from_path(cls, path: str | Path) -> "ExperimentConfig":
@@ -387,7 +392,8 @@ class ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# Experiment handlers: each returns (csv_text, summary_dict)
+# Experiments: each parse returns the plan its run takes after (config, rng);
+# each run returns (csv_text, summary_dict)
 
 
 def _functional_sample(config: ExperimentConfig, rng: RngStream):
@@ -408,8 +414,7 @@ def _constants_dict(model: JointMarkModel) -> dict:
     }
 
 
-def _run_cluster_tails(config: ExperimentConfig, rng: RngStream):
-    grid = _parse_grid(config.raw)
+def _run_cluster_tails(config: ExperimentConfig, rng: RngStream, grid: QuantileGrid):
     sample = _functional_sample(config, rng)
     lines = ["functional,level,x,exceedances,survival,ci_low,ci_high"]
     for name, values in (("max", sample.h), ("sum", sample.d)):
@@ -429,10 +434,7 @@ def _run_cluster_tails(config: ExperimentConfig, rng: RngStream):
     return "\n".join(lines) + "\n", summary
 
 
-def _run_tail_ratio(config: ExperimentConfig, rng: RngStream):
-    functional = _parse_functional(config.raw)
-    grid = _parse_grid(config.raw)
-    joint, oracle = _parse_joint(config.raw)
+def _run_tail_ratio(config: ExperimentConfig, rng: RngStream, functional, grid, joint, oracle):
     sample = _functional_sample(config, rng)
     values = sample.h if functional == "max" else sample.d
     curve = ratio_curve(
@@ -456,18 +458,17 @@ def _run_tail_ratio(config: ExperimentConfig, rng: RngStream):
     return curve.to_csv(), summary
 
 
-def _hill_k(config: ExperimentConfig) -> int:
+def _parse_hill(config: ExperimentConfig) -> tuple[int]:
     n = config.clusters
     section = _section(config.raw, "hill", "")
     _known(section, "hill", ("k",))
     k = int(_num(section, "k", "hill", default=math.isqrt(n), positive=True))
     if not 2 <= k < n:
         raise ConfigError(f"need 2 <= k < clusters = {n}", "hill.k")
-    return k
+    return (k,)
 
 
-def _run_hill(config: ExperimentConfig, rng: RngStream):
-    k = _hill_k(config)
+def _run_hill(config: ExperimentConfig, rng: RngStream, k: int):
     sample = _functional_sample(config, rng)
     lines = ["functional,k,alpha_hat,se"]
     results = {}
@@ -502,14 +503,10 @@ def _parse_tauberian(config: ExperimentConfig):
     return source, alpha, np.geomspace(s_min, s_max, points)
 
 
-def _run_tauberian(config: ExperimentConfig, rng: RngStream):
-    source, alpha, s_grid = _parse_tauberian(config)
+def _run_tauberian(config: ExperimentConfig, rng: RngStream, source: str, alpha, s_grid):
     n = config.clusters
     if source == "marks":
-        if not isinstance(config.model.mark_law, ParetoLaw):
-            values = config.model.mark_law.sample(rng.generator, n)
-        else:
-            values = sample_pareto(config.model.mark_law, rng, n)
+        values = config.model.mark_law.sample(rng.generator, n)
     else:
         sample = _functional_sample(config, rng)
         values = sample.h if source == "max" else sample.d
@@ -531,12 +528,9 @@ def _run_tauberian(config: ExperimentConfig, rng: RngStream):
     return "\n".join(lines) + "\n", summary
 
 
-def _run_oracle_compare(config: ExperimentConfig, rng: RngStream):
-    model = _parse_discrete(config.raw)
-    section = config.raw["discrete"]
+def _run_oracle_compare(config: ExperimentConfig, rng: RngStream, model, x_grid):
     n = config.clusters
     if model.kind == "hawkes":
-        x_grid = [float(v) for v in _req(section, "x_grid", "discrete")]
         lines = ["x,lower,upper"]
         rows = []
         for x in x_grid:
@@ -569,86 +563,90 @@ def _run_oracle_compare(config: ExperimentConfig, rng: RngStream):
     return "\n".join(lines) + "\n", summary
 
 
-def _parse_sweep(config: ExperimentConfig) -> SweepConfig:
+def _horizons(value, field: str) -> tuple[float, ...]:
+    return tuple(float(_number(h, field, positive=True)) for h in _list(value, field))
+
+
+_LDP_KEYS = {
+    "horizons": _horizons,
+    "replications": _count,
+    "gamma": _positive,
+    "x_levels": _count,
+    "pilot_windows": _count,
+    "min_exceedances": _count,
+}
+_LEFTOVER_KEYS = {"horizons": _horizons, "windows": _count}
+
+
+def _parse_sweep(config: ExperimentConfig) -> tuple[SweepConfig]:
     """The ``leftover`` section of a leftover sweep, else the ``ldp`` section."""
     window = _section(config.raw, "window", "")
     _known(window, "window", ("nu",))
     nu = _num(window, "nu", "window", default=1.0, positive=True)
     if config.experiment == "leftover":
-        name, count_key, count = "leftover", "windows", 100_000
-        horizons = [10.0, 50.0, 100.0, 500.0]
+        name, count_key = "leftover", "windows"
+        given = _given(_section(config.raw, name, ""), name, _LEFTOVER_KEYS)
+        horizons = given.get("horizons", (10.0, 50.0, 100.0, 500.0))
+        options = {"replications": given.get("windows", 100_000)}
     else:
-        name, count_key, count = "ldp", "replications", 1_000_000
-        horizons = [10.0, 50.0, 100.0]
-    section = _section(config.raw, name, "")
-    ldp_keys = ("gamma", "x_levels", "pilot_windows", "min_exceedances")
-    _known(section, name, ("horizons", count_key, *(ldp_keys if name == "ldp" else ())))
-    horizons = section.get("horizons", horizons)
-    if not isinstance(horizons, list) or not horizons:
-        raise ConfigError("must be a nonempty list", f"{name}.horizons")
-    horizons = tuple(float(_number(h, f"{name}.horizons", positive=True)) for h in horizons)
-    count = int(_num(section, count_key, name, default=count, positive=True))
-    options = {}
-    if name == "ldp":
-        options = dict(
-            gamma=_num(section, "gamma", "ldp", default=0.5, positive=True),
-            x_levels=int(_num(section, "x_levels", "ldp", default=12, positive=True)),
-            pilot_windows=int(
-                _num(section, "pilot_windows", "ldp", default=100_000, positive=True)
-            ),
-            min_exceedances=int(
-                _num(section, "min_exceedances", "ldp", default=50, positive=True)
-            ),
-        )
+        name, count_key = "ldp", "replications"
+        options = _given(_section(config.raw, name, ""), name, _LDP_KEYS)
+        horizons = options.pop("horizons", (10.0, 50.0, 100.0))
     try:
         window = WindowConfig(config.model, config.cluster_params, nu, horizons[-1])
-        return SweepConfig(window=window, horizons=horizons, replications=count, **options)
+        return (SweepConfig(window=window, horizons=horizons, **options),)
     except ModelError as exc:
         key = {"horizon": "horizons", "replications": count_key}.get(exc.field, exc.field)
         raise ConfigError(exc.message, f"{name}.{key}") from None
 
 
-def _run_ldp_max(config: ExperimentConfig, rng: RngStream):
-    sweep = _parse_sweep(config)
+def _run_ldp_max(config: ExperimentConfig, rng: RngStream, sweep: SweepConfig):
     rows = ldp_max_sweep(sweep, rng, workers=config.workers)
     return sweep_to_csv(rows), {**sweep_summary(rows), "estimator": max_estimator(config.model)}
 
 
-def _run_ldp_sum(config: ExperimentConfig, rng: RngStream):
-    sweep = _parse_sweep(config)
-    joint, oracle = _parse_joint(config.raw)
+def _run_ldp_sum(config: ExperimentConfig, rng: RngStream, sweep: SweepConfig, joint, oracle):
     rows = ldp_sum_sweep(sweep, rng, workers=config.workers, joint=joint, oracle=oracle)
     return sweep_to_csv(rows), sweep_summary(rows)
 
 
-def _run_leftover(config: ExperimentConfig, rng: RngStream):
-    rows = leftover_scaling(_parse_sweep(config), rng, workers=config.workers)
+def _run_leftover(config: ExperimentConfig, rng: RngStream, sweep: SweepConfig):
+    rows = leftover_scaling(sweep, rng, workers=config.workers)
     summary = {
-        "horizons": [
-            {
-                "horizon": r.horizon,
-                "j_over_t": r.j_over_t,
-                "j_over_t_se": r.j_over_t_se,
-                "eps_over_sqrt_t": r.eps_over_sqrt_t,
-                "eps_over_sqrt_t_se": r.eps_over_sqrt_t_se,
-            }
-            for r in rows
-        ],
+        "horizons": [asdict(r) for r in rows],
         "estimator": leftover_estimator(config.model),
     }
     return leftover_to_csv(rows), summary
 
 
-_HANDLERS = {
-    "cluster-tails": _run_cluster_tails,
-    "tail-ratio": _run_tail_ratio,
-    "hill": _run_hill,
-    "tauberian": _run_tauberian,
-    "oracle-compare": _run_oracle_compare,
-    "ldp-max": _run_ldp_max,
-    "ldp-sum": _run_ldp_sum,
-    "leftover": _run_leftover,
+# Each experiment: the top-level keys it reads besides experiment, seed,
+# workers and output_dir; its parse, which reads the config and draws no
+# randomness; and its run.  The runs call the library through this module's
+# globals at call time, so a wrapper set on one of them reaches every run.
+_MODEL = ("model", "cluster")
+_EXPERIMENTS = {
+    "cluster-tails": (
+        (*_MODEL, "clusters", "grid"),
+        lambda config: (_parse_grid(config.raw),),
+        _run_cluster_tails,
+    ),
+    "tail-ratio": (
+        (*_MODEL, "clusters", "functional", "grid", "joint", "oracle"),
+        _parse_tail_ratio,
+        _run_tail_ratio,
+    ),
+    "hill": ((*_MODEL, "clusters", "hill"), _parse_hill, _run_hill),
+    "tauberian": ((*_MODEL, "clusters", "tauberian"), _parse_tauberian, _run_tauberian),
+    "oracle-compare": (("clusters", "discrete"), _parse_discrete, _run_oracle_compare),
+    "ldp-max": ((*_MODEL, "window", "ldp"), _parse_sweep, _run_ldp_max),
+    "ldp-sum": (
+        (*_MODEL, "window", "ldp", "joint", "oracle"),
+        lambda config: _parse_sweep(config) + _parse_joint(config.raw),
+        _run_ldp_sum,
+    ),
+    "leftover": ((*_MODEL, "window", "leftover"), _parse_sweep, _run_leftover),
 }
+EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +662,7 @@ def run(config_path: str | Path, workers: int | None = None, output_dir: str | N
         config.output_dir = Path(output_dir)
     started = time.time()
     rng = RngStream(config.seed, 0)
-    csv_text, summary = _HANDLERS[config.experiment](config, rng)
+    csv_text, summary = _EXPERIMENTS[config.experiment][2](config, rng, *config.plan)
 
     config.output_dir.mkdir(parents=True, exist_ok=True)
     stem = f"{config.experiment}-{config.seed}"
@@ -703,22 +701,10 @@ def validate(config_path: str | Path) -> dict:
     report: dict = {"experiment": config.experiment, "seed": config.seed, "valid": True}
     if config.model is not None:
         report["constants"] = _constants_dict(config.model)
-    if config.experiment in _SWEEPS:
-        sweep = _parse_sweep(config)
+    sweep = config.plan[0]
+    if isinstance(sweep, SweepConfig):
         report["horizons"] = list(sweep.horizons)
         report["replications"] = sweep.replications
-        if config.experiment == "ldp-sum":
-            _parse_joint(config.raw)
-    elif config.experiment == "cluster-tails":
-        _parse_grid(config.raw)
-    elif config.experiment == "tail-ratio":
-        _parse_functional(config.raw)
-        _parse_grid(config.raw)
-        _parse_joint(config.raw)
-    elif config.experiment == "hill":
-        _hill_k(config)
-    elif config.experiment == "tauberian":
-        _parse_tauberian(config)
     return report
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -589,19 +590,19 @@ class OracleSpec:
 _ORACLE_CHUNK = 1 << 20
 
 
+def _oracle_counts(model: JointMarkModel, c: float, xs: np.ndarray, m: int, rng: RngStream):
+    """How many of m joint draws have X + c*count > x, for each x of ``xs``."""
+    pair = sample_joint(model, rng, m)
+    total = np.sort(pair.x + c * np.asarray(pair.count, dtype=float))
+    return m - np.searchsorted(total, xs, side="right")
+
+
 def _oracle_compute(model: JointMarkModel, c: float, xs: np.ndarray, spec: OracleSpec) -> np.ndarray:
-    counts = np.zeros(len(xs), dtype=np.int64)
-    root = RngStream(spec.seed, 0)
-    done = 0
-    chunk_idx = 0
-    while done < spec.size:
-        m = min(_ORACLE_CHUNK, spec.size - done)
-        pair = sample_joint(model, root.child(chunk_idx), m)
-        total = np.sort(pair.x + c * np.asarray(pair.count, dtype=float))
-        counts += m - np.searchsorted(total, xs, side="right")
-        done += m
-        chunk_idx += 1
-    return counts / float(spec.size)
+    from .clusters import chunked_map  # clusters imports this module
+
+    kernel = partial(_oracle_counts, model, c, xs)
+    parts = chunked_map(kernel, spec.size, _ORACLE_CHUNK, RngStream(spec.seed, 0))
+    return sum(parts, np.zeros(len(xs), dtype=np.int64)) / float(spec.size)
 
 
 def joint_tail_mc(model: JointMarkModel, c: float, x, spec: OracleSpec) -> np.ndarray:

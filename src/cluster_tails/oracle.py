@@ -236,6 +236,8 @@ def truncated_hawkes_sum_tail(
     """
     if model.kind != "hawkes":
         raise ModelError("hawkes oracle needs a hawkes-kind model", "kind")
+    if not x >= 0:  # D >= 0, and the lattice below would count v = 0 as v <= x
+        raise ModelError("x must be >= 0", "x")
     xs = [x0 for x0, _, _ in model.support]
     step = _lattice_step(xs)
     cap = max(1, int(math.floor(x / step + 1e-9)) + 1)  # indices 0..cap-1 hold v <= x

@@ -19,6 +19,17 @@ MODEL = {
     "mark": {"law": "pareto", "scale": 1.0, "alpha": 1.5},
     "count": {"poisson_mean": 2.0},
 }
+RENEWAL_DISCRETE = {
+    "kind": "renewal",
+    "support": [[1.0, 1, 0.5], [2.0, 2, 0.5]],
+    "offspring": [[1.0, 0.5], [2.0, 0.5]],
+}
+HAWKES_DISCRETE = {
+    "kind": "hawkes",
+    "support": [[1.0, 0.5, 1.0]],
+    "max_children": 4,
+    "max_depth": 3,
+}
 
 
 def write_config(tmp_path: Path, payload: dict, name: str = "config.json") -> Path:
@@ -236,6 +247,21 @@ class TestHostileConfigs:
         ("cluster-tails", {"cluster": {"decay_rate": 2.0}}, "cluster.decay_rate"),
         ("hill", {"model": {**MODEL, "target_mean_kappa": 0.5}}, "model.target_mean_kappa"),
     ]
+    # keys that only the other discrete kind reads: the hawkes kind redraws every
+    # node from the joint table, and only it is truncated
+    UNKNOWN_BY_KIND = [
+        (
+            "oracle-compare",
+            {"discrete": {**HAWKES_DISCRETE, "x_grid": [1.0], "offspring": [[1.0, 1.0]]}},
+            "discrete.offspring",
+        ),
+        (
+            "oracle-compare",
+            {"discrete": {**RENEWAL_DISCRETE, "max_children": 4}},
+            "discrete.max_children",
+        ),
+        ("oracle-compare", {"discrete": {**RENEWAL_DISCRETE, "max_depth": 3}}, "discrete.max_depth"),
+    ]
 
     CASES = [
         ("leftover", {"leftover": {"horizons": 5}}, "leftover.horizons"),
@@ -276,7 +302,14 @@ class TestHostileConfigs:
         # a repeated horizon would write its grid rows twice
         ("ldp-max", {"ldp": {"horizons": [10, 10]}}, "ldp.horizons"),
         ("leftover", {"leftover": {"horizons": [10, 50, 50]}}, "leftover.horizons"),
-    ]
+        # the max denominator has no joint term, so no oracle would be drawn
+        ("tail-ratio", {"joint": "mc", "oracle": {"size": 1000}}, "joint"),
+        ("oracle-compare", {"discrete": HAWKES_DISCRETE}, "discrete.x_grid"),
+        ("oracle-compare", {"discrete": {**HAWKES_DISCRETE, "x_grid": 5}}, "discrete.x_grid"),
+        ("oracle-compare", {"discrete": {**HAWKES_DISCRETE, "x_grid": []}}, "discrete.x_grid"),
+        ("oracle-compare", {"discrete": {**HAWKES_DISCRETE, "x_grid": ["a"]}}, "discrete.x_grid"),
+        ("oracle-compare", {"discrete": {**HAWKES_DISCRETE, "x_grid": [-1]}}, "discrete.x_grid"),
+    ] + UNKNOWN_BY_KIND
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize(
@@ -293,7 +326,11 @@ class TestHostileConfigs:
         assert err["field"] == field
         assert not list(tmp_path.glob(f"{experiment}-1.*"))
 
-    @pytest.mark.parametrize("experiment, fields, field", UNKNOWN, ids=[c[2] for c in UNKNOWN])
+    @pytest.mark.parametrize(
+        "experiment, fields, field",
+        UNKNOWN + UNKNOWN_BY_KIND,
+        ids=[c[2] for c in UNKNOWN + UNKNOWN_BY_KIND],
+    )
     def test_unknown_field(self, tmp_path, experiment, fields, field):
         payload = {"experiment": experiment, "seed": 1, "model": MODEL, **fields}
         with pytest.raises(ConfigError) as excinfo:
@@ -397,11 +434,7 @@ class TestOtherExperiments:
                 "experiment": "oracle-compare",
                 "seed": 13,
                 "clusters": 100_000,
-                "discrete": {
-                    "kind": "renewal",
-                    "support": [[1.0, 1, 0.5], [2.0, 2, 0.5]],
-                    "offspring": [[1.0, 0.5], [2.0, 0.5]],
-                },
+                "discrete": RENEWAL_DISCRETE,
                 "output_dir": str(tmp_path),
             },
         )
@@ -411,6 +444,19 @@ class TestOtherExperiments:
         assert summary["spot_checks"]["sum_tail_at_4"] == 0.375
         assert summary["ks_distance"]["max"] < 0.01
         assert summary["ks_distance"]["sum"] < 0.01
+
+    def test_oracle_compare_hawkes_brackets(self, tmp_path):
+        payload = {
+            "experiment": "oracle-compare",
+            "seed": 13,
+            "discrete": {**HAWKES_DISCRETE, "x_grid": [0, 2]},
+            "output_dir": str(tmp_path),
+        }
+        run(write_config(tmp_path, payload))
+        rows = json.loads((tmp_path / "oracle-compare-13.json").read_text())["brackets"]
+        assert [r["x"] for r in rows] == [0.0, 2.0]
+        # every cluster holds the immigrant's mark 1 > 0
+        assert (rows[0]["lower"], rows[0]["upper"]) == (1.0, 1.0)
 
     def test_ldp_max_experiment(self, tmp_path):
         config = write_config(

@@ -163,6 +163,15 @@ class TestHawkesBracket:
             a >= b - 1e-15 for a, b in zip(widths_by_children, widths_by_children[1:])
         )
 
+    def test_negative_x_rejected(self):
+        # D >= 0, so P(D > -1) = 1; the lattice would miss the mass at a zero mark
+        model = DiscreteJointModel(
+            kind="hawkes", support=((0.0, 0.5, 0.5), (1.0, 0.5, 0.5)), max_children=4, max_depth=3
+        )
+        with pytest.raises(ModelError) as excinfo:
+            truncated_hawkes_sum_tail(model, -1.0)
+        assert excinfo.value.field == "x"
+
     def test_bracket_too_wide(self):
         model = DiscreteJointModel(
             kind="hawkes", support=((1.0, 0.9, 1.0),), max_children=2, max_depth=1
