@@ -30,7 +30,7 @@ import scipy
 
 from . import __version__
 from .clusters import HawkesParams, RenewalParams, batch_functionals
-from .errors import ClusterTailsError, ConfigError, ModelError
+from .errors import ClusterTailsError, ConfigError, LatticeMismatch, ModelError
 from .estimate import (
     QuantileGrid,
     TailSample,
@@ -52,6 +52,7 @@ from .heavytail import (
     model_constants,
 )
 from .ldp import (
+    SUM_CENTRING,
     SweepConfig,
     ldp_max_sweep,
     ldp_sum_sweep,
@@ -64,6 +65,7 @@ from .ldp import (
 )
 from .oracle import (
     DiscreteJointModel,
+    _bracket_lattice,
     exact_renewal_max_distribution,
     exact_renewal_max_tail,
     exact_renewal_sum_distribution,
@@ -230,7 +232,10 @@ def _parse_cluster_params(config: dict, model: JointMarkModel):
         keys = {"decay_rate": _positive, "max_cluster_events": _count}
         return HawkesParams(**_given(section, "cluster", keys))
     waiting = _given(section, "cluster", {"waiting": _parse_law})
-    return RenewalParams(waiting_law=waiting.get("waiting", Exponential(rate=1.0)))
+    try:
+        return RenewalParams(waiting_law=waiting.get("waiting", Exponential(rate=1.0)))
+    except ModelError as exc:
+        raise ConfigError(exc.message, "cluster.waiting") from None
 
 
 def _levels(value, field: str) -> tuple[float, ...]:
@@ -286,6 +291,7 @@ def _parse_discrete(config: ExperimentConfig):
 
     The renewal kind reads an offspring mark table; the hawkes kind redraws
     every node from the joint table, and reads its truncation and x grid.
+    Each x of the grid must give a bracket small enough to compute.
     """
     section = _section(config.raw, "discrete", "", required=True)
     kind = section.get("kind", "renewal")
@@ -296,26 +302,37 @@ def _parse_discrete(config: ExperimentConfig):
     x_grid = _x_grid(_req(section, "x_grid", "discrete"), "discrete.x_grid") if hawkes else None
     try:
         if "joint_csv" in section:
-            return DiscreteJointModel.from_csv(
+            model = DiscreteJointModel.from_csv(
                 section["joint_csv"],
                 section.get("offspring_csv"),
                 kind=kind,
                 max_children=int(section.get("max_children", 0)),
                 max_depth=int(section.get("max_depth", 0)),
-            ), x_grid
-        support = tuple(tuple(float(v) for v in row) for row in _req(section, "support", "discrete"))
-        offspring = tuple(
-            tuple(float(v) for v in row) for row in section.get("offspring", [])
-        )
-        return DiscreteJointModel(
-            kind=kind,
-            support=support,
-            offspring_support=offspring,
-            max_children=int(section.get("max_children", 0)),
-            max_depth=int(section.get("max_depth", 0)),
-        ), x_grid
+            )
+        else:
+            support = tuple(
+                tuple(float(v) for v in row) for row in _req(section, "support", "discrete")
+            )
+            offspring = tuple(
+                tuple(float(v) for v in row) for row in section.get("offspring", [])
+            )
+            model = DiscreteJointModel(
+                kind=kind,
+                support=support,
+                offspring_support=offspring,
+                max_children=int(section.get("max_children", 0)),
+                max_depth=int(section.get("max_depth", 0)),
+            )
     except (ModelError, OSError, ValueError, TypeError) as exc:
         raise ConfigError(str(exc), "discrete") from None
+    for x in x_grid or ():
+        try:
+            _bracket_lattice(model, x)
+        except LatticeMismatch as exc:
+            raise ConfigError(str(exc), "discrete") from None
+        except ModelError as exc:
+            raise ConfigError(exc.message, "discrete.x_grid") from None
+    return model, x_grid
 
 
 @dataclass
@@ -572,7 +589,9 @@ _LDP_KEYS = {
     "replications": _count,
     "gamma": _positive,
     "x_levels": _count,
-    "pilot_windows": _count,
+    # the size of the pilot run that older ldp-sum configs used to estimate
+    # E[S_T]: accepted, and unused, since the sweep centres on the exact mean
+    "pilot_windows": None,
     "min_exceedances": _count,
 }
 _LEFTOVER_KEYS = {"horizons": _horizons, "windows": _count}
@@ -607,7 +626,7 @@ def _run_ldp_max(config: ExperimentConfig, rng: RngStream, sweep: SweepConfig):
 
 def _run_ldp_sum(config: ExperimentConfig, rng: RngStream, sweep: SweepConfig, joint, oracle):
     rows = ldp_sum_sweep(sweep, rng, workers=config.workers, joint=joint, oracle=oracle)
-    return sweep_to_csv(rows), sweep_summary(rows)
+    return sweep_to_csv(rows), {**sweep_summary(rows), "centring": SUM_CENTRING}
 
 
 def _run_leftover(config: ExperimentConfig, rng: RngStream, sweep: SweepConfig):

@@ -36,9 +36,19 @@ DEFAULT_MAX_CLUSTER_EVENTS = 1_000_000
 
 @dataclass(frozen=True)
 class RenewalParams:
-    """Inter-event waiting-time law for the renewal chain."""
+    """Inter-event waiting-time law for the renewal chain.
+
+    Only the light laws are accepted: the mean event count of a window needs
+    E[(t - S_r)^+] for the sum S_r of r waits in closed form.
+    """
 
     waiting_law: LightLaw
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.waiting_law, LightLaw):
+            raise ModelError(
+                "waiting law must be exponential, constant or uniform", "waiting_law"
+            )
 
 
 @dataclass(frozen=True)

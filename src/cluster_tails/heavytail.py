@@ -142,6 +142,16 @@ class Exponential:
             return flat
         return flat + (math.exp(-self.rate * lo) - math.exp(-self.rate * hi)) / self.rate
 
+    def shortfall(self, t: float, r: np.ndarray) -> np.ndarray:
+        """E[(t - S_r)^+] for each count in ``r``, S_r the sum of r independent draws.
+
+        S_r is Gamma(r, rate), so this is t P(r, rate t) - (r/rate) P(r + 1, rate t)
+        with P the regularized lower incomplete gamma function.
+        """
+        x = self.rate * t
+        gap = t * special.gammainc(r, x) - r / self.rate * special.gammainc(r + 1, x)
+        return np.maximum(gap, 0.0)  # where both terms are tiny they may round below 0
+
 
 @dataclass(frozen=True)
 class Constant:
@@ -172,6 +182,10 @@ class Constant:
         if b <= a:
             return 0.0
         return max(0.0, min(b, self.value) - a)
+
+    def shortfall(self, t: float, r: np.ndarray) -> np.ndarray:
+        """E[(t - S_r)^+] = (t - r c)^+ for each count in ``r``: S_r = r c exactly."""
+        return np.maximum(t - r * self.value, 0.0)
 
 
 @dataclass(frozen=True)
@@ -208,6 +222,49 @@ class BoundedUniform:
         width = self.hi - self.lo
         # integral of (hi - t)/width over [lo, hi_]
         return flat + ((self.hi - lo) ** 2 - (self.hi - hi) ** 2) / (2.0 * width)
+
+    def shortfall(self, t: float, r: np.ndarray) -> np.ndarray:
+        """E[(t - S_r)^+] for each count in ``r``, S_r the sum of r independent draws.
+
+        S_r = r lo + w U_r with w = hi - lo and U_r Irwin-Hall, so this is
+        w E[(y - U_r)^+] at y = (t - r lo) / w (see :func:`_irwin_hall_shortfall`).
+        """
+        width = self.hi - self.lo
+        r = np.asarray(r)
+        return width * _irwin_hall_shortfall((t - r * self.lo) / width, r)
+
+
+def _irwin_hall_shortfall(y: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """E[(y_i - U_{r_i})^+] for each i, U_r the sum of r >= 1 independent U(0, 1).
+
+    E[(y - U_r)^+] is the integral of F_r over [0, y], which is
+    sum_{j=0}^{floor y} F_{r+1}(y - j), F_n the cdf of U_n.  The cdfs come
+    from the B-spline recursion F_n(z) = (z F_{n-1}(z) + (n - z) F_{n-1}(z - 1)) / n,
+    from F_0(z) = 1{z >= 0}, on the lattice z = frac(y) + 0, 1, 2, ...; where
+    z < n both weights are nonnegative, so no term cancels (the closed
+    alternating Irwin-Hall sum loses every digit as r grows), and F_n = 1
+    from z = n on.  All counts whose y share a fractional part share one
+    lattice, and one pass of n = 1, 2, ... serves them all.
+    """
+    out = np.zeros(len(y))
+    live = np.flatnonzero(y > 0)
+    if live.size == 0:
+        return out
+    frac, lattice = np.unique(y[live] % 1.0, return_inverse=True)
+    width = int(y[live].max()) + 1
+    z = frac[:, None] + np.arange(width)
+    f = np.ones_like(z)
+    done_at = r[live] + 1
+    for n in range(1, int(done_at.max()) + 1):
+        cols = min(n, width)  # F_n = 1 from z = n on
+        below = np.zeros((len(frac), cols))
+        below[:, 1:] = f[:, : cols - 1]
+        f[:, :cols] = (z[:, :cols] * f[:, :cols] + (n - z[:, :cols]) * below) / n
+        hit = np.flatnonzero(done_at == n)
+        if hit.size:
+            cut = np.floor(y[live[hit]]).astype(np.int64)
+            out[live[hit]] = np.cumsum(f[lattice[hit]], axis=1)[np.arange(hit.size), cut]
+    return out
 
 
 LightLaw = Union[Exponential, Constant, BoundedUniform]

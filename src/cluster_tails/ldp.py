@@ -12,6 +12,11 @@ approximation for the sum.  The certified range of a sweep is the part of
 the grid with enough exceedances for the Wilson band to mean anything; the
 per-horizon sup deviation is reported over that range only.
 
+The sum is centred on its exact mean, E[S_T] = E[X] E[N_T] by Campbell's
+formula: in every regime a point's mark has mean E[X] and does not depend
+on whether the point falls in the window, which only its ancestors decide.
+E[N_T] is :func:`~cluster_tails.process.mean_events`.
+
 Where the marks are i.i.d. and independent of the counts
 (:attr:`~cluster_tails.heavytail.JointMarkModel.independent_marks`), the max
 sweep estimates P(M_T > x) by conditional Monte Carlo: the mean over windows
@@ -48,7 +53,7 @@ from .heavytail import (
     model_constants,
     theoretical_denominator,
 )
-from .process import WindowConfig, sweep_windows
+from .process import WindowConfig, mean_events, sweep_windows
 from .rng import RngStream
 
 __all__ = [
@@ -58,6 +63,7 @@ __all__ = [
     "ldp_max_sweep",
     "max_estimator",
     "ldp_sum_sweep",
+    "SUM_CENTRING",
     "leftover_scaling",
     "leftover_estimator",
     "sweep_to_csv",
@@ -75,7 +81,6 @@ class SweepConfig:
     gamma: float = 0.5
     replications: int = 1_000_000
     x_levels: int = 12
-    pilot_windows: int = 100_000
     min_exceedances: int = 50
 
     def __post_init__(self) -> None:
@@ -86,8 +91,6 @@ class SweepConfig:
             raise ModelError("gamma must be positive", "gamma")
         if self.replications < 10_000:
             raise ModelError("need at least 10^4 replications", "replications")
-        if self.pilot_windows < 1_000:
-            raise ModelError("need at least 1000 pilot windows", "pilot_windows")
         if self.x_levels < 1:
             raise ModelError("x_levels must be >= 1", "x_levels")
 
@@ -133,7 +136,6 @@ def _sweep_rows(
     grid: np.ndarray,
     denom: np.ndarray,
     min_exc: int,
-    mu_se: float = 0.0,
     estimate: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> list[SweepRow]:
     """One row per grid point; ``estimate`` is a tail estimate and its SE per point.
@@ -147,11 +149,7 @@ def _sweep_rows(
     counts = n - np.searchsorted(srt, grid, side="right")
     if estimate is None:
         empirical = counts / n
-        # pilot uncertainty in the centering shifts every threshold by +-z*se
-        lo_counts = n - np.searchsorted(srt, grid + _Z95 * mu_se, side="right")
-        hi_counts = n - np.searchsorted(srt, grid - _Z95 * mu_se, side="right")
-        lo = np.array([wilson_interval(int(c), n)[0] for c in lo_counts])
-        hi = np.array([wilson_interval(int(c), n)[1] for c in hi_counts])
+        lo, hi = np.array([wilson_interval(int(c), n) for c in counts]).T
     else:
         empirical, se = estimate
         lo = np.clip(empirical - _Z95 * se, 0.0, 1.0)
@@ -241,6 +239,10 @@ def ldp_max_sweep(
     return rows
 
 
+# what ldp_sum_sweep subtracts from S_T, as its summary names it
+SUM_CENTRING = "exact Campbell mean: E[S_T] = E[X] E[N_T], with E[N_T] in closed form"
+
+
 def ldp_sum_sweep(
     config: SweepConfig,
     rng: RngStream,
@@ -249,25 +251,21 @@ def ldp_sum_sweep(
     joint: str = "closed",
     oracle: OracleSpec | None = None,
 ) -> list[SweepRow]:
-    """Ratio of the centered-sum tail to the cluster-sum normalizer, per horizon.
+    """Ratio of the centred-sum tail to the cluster-sum normalizer, per horizon.
 
-    The centering uses a pilot estimate of E[S_T] at each horizon, the mean
-    of ``pilot_windows`` further paths drawn from stream id + 1; its standard
-    error is folded into the reported band by evaluating the exceedance
-    counts at thresholds shifted by +-1.96 pilot SEs.
+    The centring is :data:`SUM_CENTRING`; the tail is the exceedance
+    fraction of S_T - E[S_T] with its Wilson band.
     """
     target = (
         TailTarget.HAWKES_SUM if config.window.model.is_hawkes else TailTarget.RENEWAL_SUM
     )
-    window, horizons, sum_only = config.window, config.horizons, ("sum_in_window",)
-    pilot_n, pilot_rng = config.pilot_windows, RngStream(rng.seed, rng.stream_id + 1)
-    pilots = sweep_windows(window, horizons, pilot_n, pilot_rng, workers, sum_only)
-    sums = sweep_windows(window, horizons, config.replications, rng, workers, sum_only)
+    window, horizons = config.window, config.horizons
+    means = model_constants(window.model).mean_mark * mean_events(window, horizons)
+    sums = sweep_windows(window, horizons, config.replications, rng, workers, ("sum_in_window",))
     rows: list[SweepRow] = []
-    for horizon, pilot, s in zip(horizons, pilots["sum_in_window"], sums["sum_in_window"]):
+    for horizon, mean, s in zip(horizons, means, sums["sum_in_window"]):
         wcfg = replace(window, horizon=float(horizon))
-        dev = s - float(pilot.mean())
-        mu_se = float(pilot.std(ddof=1) / math.sqrt(pilot_n))
+        dev = s - float(mean)
         x_lo = config.gamma * wcfg.nu * wcfg.horizon
         grid = _horizon_grid(dev, x_lo, config.x_levels, config.min_exceedances)
         denom = (
@@ -279,11 +277,7 @@ def ldp_sum_sweep(
                 )
             )
         )
-        rows.extend(
-            _sweep_rows(
-                horizon, dev, grid, denom, config.min_exceedances, mu_se=mu_se
-            )
-        )
+        rows.extend(_sweep_rows(horizon, dev, grid, denom, config.min_exceedances))
     return rows
 
 

@@ -23,6 +23,13 @@ Poisson, independent of the path up to T, and each starts a subtree of mean
 size 1 / (1 - E[kappa]) and mean mark sum E[X] / (1 - E[kappa]), so
 Lambda_T / (1 - E[kappa]) and Lambda_T E[X] / (1 - E[kappa]) are the
 conditional means of the leftover count and mark sum given that path.
+
+The mean in-window event count E[N_T] has a closed form in every regime
+(:func:`mean_events`), by Campbell's formula: an immigrant arriving u
+before T has on average 1 + sum_r P(K >= r) P(S_r <= u) points by T in a
+renewal cluster, S_r the sum of r waits, and 1 + m (1 - exp(-beta (1 - m) u)) / (1 - m)
+in a Hawkes cluster with m = E[kappa] (Hawkes & Oakes 1974; Daley &
+Vere-Jones, *An Introduction to the Theory of Point Processes*).
 """
 
 from __future__ import annotations
@@ -34,10 +41,10 @@ import numpy as np
 
 from .clusters import HawkesParams, RenewalParams, _chunk_size, chunked_map, grow_hawkes
 from .errors import ClusterOverflow, ModelError
-from .heavytail import JointMarkModel, model_constants, sample_joint
+from .heavytail import JointMarkModel, count_survival, model_constants, sample_joint
 from .rng import RngStream
 
-__all__ = ["WindowConfig", "WINDOW_FIELDS", "sweep_windows"]
+__all__ = ["WindowConfig", "WINDOW_FIELDS", "mean_events", "sweep_windows"]
 
 
 @dataclass(frozen=True)
@@ -56,6 +63,39 @@ class WindowConfig:
             raise ModelError("Hawkes model needs HawkesParams", "cluster_params")
         if self.model.is_renewal and not isinstance(self.cluster_params, RenewalParams):
             raise ModelError("renewal model needs RenewalParams", "cluster_params")
+
+
+def mean_events(config: WindowConfig, horizons) -> np.ndarray:
+    """E[N_T], the mean number of points in a window of length T, for each horizon T.
+
+    Hawkes: nu T / (1 - m) - nu m (1 - exp(-beta (1 - m) T)) / (beta (1 - m)**2),
+    with m = E[kappa] and beta the decay rate.  Renewal:
+    nu T + nu sum_{r >= 1} P(K >= r) E[(T - S_r)^+], S_r the sum of r waits,
+    which are independent of K.  The r-sum stops at the first n of 64, 128,
+    256, ... with E[(T - S_n)^+] E[K] <= 1e-15 T: the shortfall never grows
+    with r, so the terms past n add at most E[(T - S_n)^+] sum_{r > n} P(K >= r)
+    <= E[(T - S_n)^+] E[K], which is below 1e-15 of E[N_T] >= nu T.
+    ``config.horizon`` is not used.
+    """
+    ts = np.asarray(horizons, dtype=float)
+    model, nu = config.model, config.nu
+    m = model_constants(model).mean_count
+    if model.is_hawkes:
+        decay = config.cluster_params.decay_rate
+        fade = -np.expm1(-decay * (1.0 - m) * ts)
+        return nu * ts / (1.0 - m) - nu * m * fade / (decay * (1.0 - m) ** 2)
+    waiting = config.cluster_params.waiting_law
+    out = np.empty(ts.size)
+    for i, t in enumerate(ts):
+        n = 64
+        while True:
+            r = np.arange(1, n + 1)
+            shortfall = waiting.shortfall(t, r)
+            if shortfall[-1] * m <= 1e-15 * t:
+                break
+            n *= 2
+        out[i] = nu * (t + count_survival(model, r - 1) @ shortfall)
+    return out
 
 
 # the per-window statistics, in output order

@@ -325,7 +325,6 @@ class TestCriterion10LdpSweeps:
             gamma=0.5,
             replications=1_000_000,
             x_levels=12,
-            pilot_windows=100_000,
         )
 
     def test_max_sweep(self):

@@ -269,7 +269,11 @@ class TestHostileConfigs:
         ("ldp-max", {"ldp": {"horizons": ["a"]}}, "ldp.horizons"),
         ("ldp-sum", {"ldp": {"horizons": [-1, 5]}}, "ldp.horizons"),
         ("ldp-max", {"ldp": {"horizons": [50, 10]}}, "ldp.horizons"),
-        ("ldp-sum", {"ldp": {"pilot_windows": 500}}, "ldp.pilot_windows"),
+        (
+            "ldp-sum",
+            {"cluster": {"waiting": {"law": "pareto", "scale": 1.0, "alpha": 1.5}}},
+            "cluster.waiting",
+        ),
         ("leftover", {"leftover": {"windows": 5_000}}, "leftover.windows"),
         ("tail-ratio", {"clusters": -5}, "clusters"),
         ("hill", {"clusters": 1_000, "hill": {"k": 1_000}}, "hill.k"),
@@ -309,7 +313,10 @@ class TestHostileConfigs:
         ("oracle-compare", {"discrete": {**HAWKES_DISCRETE, "x_grid": []}}, "discrete.x_grid"),
         ("oracle-compare", {"discrete": {**HAWKES_DISCRETE, "x_grid": ["a"]}}, "discrete.x_grid"),
         ("oracle-compare", {"discrete": {**HAWKES_DISCRETE, "x_grid": [-1]}}, "discrete.x_grid"),
-    ] + UNKNOWN_BY_KIND
+    ] + UNKNOWN_BY_KIND + [
+        # a bracket over 10^6 lattice cells would run for hours
+        ("oracle-compare", {"discrete": {**HAWKES_DISCRETE, "x_grid": [2, 1e6]}}, "discrete.x_grid"),
+    ]
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize(
@@ -474,6 +481,20 @@ class TestOtherExperiments:
         run(config)
         summary = json.loads((tmp_path / "ldp-max-14.json").read_text())
         assert len(summary["horizons"]) == 2
+
+    def test_ldp_pilot_windows_ignored(self, tmp_path):
+        # older ldp-sum configs size a pilot run; the sweep centres on the exact mean
+        outputs = []
+        for name, extra in (("plain", {}), ("pilot", {"pilot_windows": 5_000})):
+            ldp = {"horizons": [5.0, 10.0], "replications": 10_000, "x_levels": 3, **extra}
+            payload = {"experiment": "ldp-sum", "seed": 18, "model": MODEL, "ldp": ldp}
+            csv_path, json_path, _ = run(
+                write_config(tmp_path, payload, f"{name}.json"), output_dir=str(tmp_path / name)
+            )
+            outputs.append((csv_path.read_bytes(), json_path.read_bytes()))
+        assert outputs[0] == outputs[1]
+        summary = json.loads(outputs[0][1])
+        assert summary["centring"].startswith("exact Campbell mean")
 
     def test_leftover_experiment(self, tmp_path):
         config = write_config(

@@ -44,8 +44,8 @@ PINNED = {
         "3ec055a7713e990da214dcd9c69c572cab6bae8a045c090225bfbec15e7293cc",
     ),
     "ldp-sum.json": (
-        "fe9f0b0bf8a0c6e1d65321ef84d8cec308b443b3f4a27fbdcb27290e0ba665e7",
-        "d9b9f0728a57ae391e060fe44e73fd77567a3691384928fe11f72f3277e3c528",
+        "ba1e3e58be0ade603b9ba445c2c87782908550076a5d07848861e54e8a1ddd96",
+        "69f2382419ec72319ad45faa69374b1e864fd8f1ad800382560ee91add5fcdc2",
     ),
     "leftover.json": (
         "3741c4aab6e09a215fc5a774c4fa74bad412c6deb325f5ae5e576b5261116dba",

@@ -52,7 +52,6 @@ def sweep_config(count_mean=2.0, horizons=(10.0, 30.0), replications=50_000, **k
         horizons=horizons,
         replications=replications,
         x_levels=kw.pop("x_levels", 6),
-        pilot_windows=kw.pop("pilot_windows", 20_000),
         **kw,
     )
 

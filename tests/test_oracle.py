@@ -1,6 +1,7 @@
 """Tests for the exact discrete oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -171,6 +172,32 @@ class TestHawkesBracket:
         with pytest.raises(ModelError) as excinfo:
             truncated_hawkes_sum_tail(model, -1.0)
         assert excinfo.value.field == "x"
+
+    def test_oversized_bracket_rejected_before_allocating(self):
+        # 10^6 lattice cells: about 10^13 units of convolution work
+        model = DiscreteJointModel(
+            kind="hawkes", support=((1.0, 0.5, 1.0),), max_children=4, max_depth=3
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(ModelError) as excinfo:
+                truncated_hawkes_sum_tail(model, 1e6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert excinfo.value.field == "x"
+        assert peak < 1 << 20
+
+    def test_benchmark_sized_bracket_accepted(self):
+        # x <= 16 with 8 children to depth 10 is far inside the work budget
+        model = DiscreteJointModel(
+            kind="hawkes",
+            support=((1.0, 0.4, 0.5), (2.0, 0.7, 0.5)),
+            max_children=8,
+            max_depth=10,
+        )
+        lo, hi = truncated_hawkes_sum_tail(model, 16.0)
+        assert 0.0 <= lo <= hi <= 1.0
 
     def test_bracket_too_wide(self):
         model = DiscreteJointModel(

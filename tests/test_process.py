@@ -9,6 +9,7 @@ distributionally.
 import hashlib
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,13 +27,13 @@ from cluster_tails.heavytail import (
     Regime,
     sample_joint,
 )
-from cluster_tails.ldp import SweepConfig
 from cluster_tails.process import WINDOW_FIELDS, WindowConfig, sweep_windows
 from cluster_tails.rng import RngStream
 from reference import (
     functional_max,
     functional_sum,
     hawkes_leftover_mean,
+    irwin_hall_shortfall,
     sample_hawkes_cluster,
     sample_renewal_cluster,
 )
@@ -534,7 +535,7 @@ class TestSweepWindows:
 
 
 class TestEstimateMeanSum:
-    """Window sum means and their SEs, as the ldp-sum pilot computes them."""
+    """Simulated window sum means and their SEs."""
 
     SUM = ("sum_in_window",)
 
@@ -551,18 +552,13 @@ class TestEstimateMeanSum:
         assert large[1] < small[1]
 
     def test_boundary_deficit_range(self):
-        # E[S_T] sits below nu*T*E[X]*(1+E[K]) = 180 by the leftover mass,
-        # but not by more than 10%
-        config = renewal_config(nu=1.0, horizon=20.0)
-        mean, _ = mean_and_se(windows(config, 50_000, RngStream(13, 0), fields=self.SUM)["sum_in_window"])
-        assert 162.0 <= mean <= 180.0
-
-    def test_minimum_pilot_enforced(self):
-        config = renewal_config()
-        with pytest.raises(ModelError) as exc_info:
-            SweepConfig(window=config, horizons=(10.0,), pilot_windows=999)
-        assert exc_info.value.field == "pilot_windows"
-        assert SweepConfig(window=config, horizons=(10.0,), pilot_windows=1_000).pilot_windows == 1_000
+        # E[S_T] = E[X] E[N_T] sits below nu*T*E[X]*(1+E[K]) = 60 by the leftover mass
+        model = JointMarkModel(Regime.INDEPENDENT_LIGHT_COUNT, Constant(1.0), 2.0)
+        config = WindowConfig(model=model, cluster_params=RP, nu=1.0, horizon=20.0)
+        mean, se = mean_and_se(windows(config, 50_000, RngStream(13, 0), fields=self.SUM)["sum_in_window"])
+        exact = 1.0 * process.mean_events(config, (20.0,))[0]
+        assert exact < 60.0
+        assert abs(mean - exact) < 3 * se
 
     def test_nested_pilots_match_single_horizon(self):
         config = renewal_config(horizon=20.0)
@@ -571,3 +567,85 @@ class TestEstimateMeanSum:
         alone = mean_and_se(windows(config, 5_000, RngStream(15, 1), fields=self.SUM)["sum_in_window"])
         assert abs(long[0] - alone[0]) < 3 * np.hypot(long[1], alone[1])
         assert short[0] < long[0]
+
+
+class TestMeanEvents:
+    """The closed-form E[N_T] against exact values, exact references and simulation."""
+
+    HORIZONS = (10.0, 50.0, 100.0)
+
+    def test_pinned_renewal(self):
+        # Poisson(2) counts, Exp(1) waits; quadrature of nu * int_0^T E[1 + #{r <= K: S_r <= u}] du
+        got = process.mean_events(renewal_config(), self.HORIZONS)
+        np.testing.assert_allclose(got, [26.00932511906326, 146.0, 296.0], rtol=1e-9)
+
+    def test_pinned_hawkes(self):
+        # E[kappa] = 0.5, beta = nu = 1
+        got = process.mean_events(hawkes_config(), self.HORIZONS)
+        np.testing.assert_allclose(got, [18.01347589399817, 98.0, 198.0], rtol=1e-9)
+        # E[N_T] + E[J_T] = nu T E[cluster size], with E[J_T] by generations
+        left = [hawkes_leftover_mean(1.0, 0.5, 1.0, t) for t in self.HORIZONS]
+        np.testing.assert_allclose(got + left, 2.0 * np.array(self.HORIZONS), rtol=1e-12)
+
+    @pytest.mark.parametrize("waiting", [Exponential(1.0), Constant(0.5), BoundedUniform(0.0, 1.0)])
+    def test_no_offspring_is_nu_t(self, waiting):
+        model = JointMarkModel(Regime.INDEPENDENT_LIGHT_COUNT, LAW, 0.0)
+        config = WindowConfig(model, RenewalParams(waiting), nu=1.3, horizon=100.7)
+        horizons = (0.3, 10.0, 100.7)
+        assert list(process.mean_events(config, horizons)) == [1.3 * t for t in horizons]
+        hawkes = hawkes_config(nu=1.3, kappa=0.0)
+        assert list(process.mean_events(hawkes, horizons)) == [1.3 * t for t in horizons]
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (0.0, 2.5), (0.3, 1.0), (0.25, 1.5)])
+    def test_uniform_shortfall_exact(self, lo, hi):
+        law = BoundedUniform(lo, hi)
+        r = np.arange(1, 41)
+        for t in (0.4, 3.7, 12.0, 25.3):
+            got = law.shortfall(t, r)
+            width = Fraction(hi) - Fraction(lo)
+            exact = [
+                float(width * irwin_hall_shortfall((Fraction(t) - k * Fraction(lo)) / width, k))
+                if t > k * lo else 0.0
+                for k in r.tolist()
+            ]
+            np.testing.assert_allclose(got, exact, rtol=1e-12, atol=1e-12)
+
+    def test_constant_shortfall_brute_force(self):
+        law = Constant(0.7)
+        r = np.arange(1, 30)
+        for t in (0.5, 3.5, 14.0):
+            expected = [max(t - sum([0.7] * k), 0.0) for k in r.tolist()]
+            np.testing.assert_allclose(law.shortfall(t, r), expected, rtol=0, atol=1e-12)
+
+    def test_exponential_shortfall_monte_carlo(self):
+        gen = np.random.default_rng(5)
+        sums = gen.exponential(0.5, (400_000, 6)).cumsum(axis=1)
+        gaps = np.maximum(2.0 - sums, 0.0)
+        got = Exponential(2.0).shortfall(2.0, np.arange(1, 7))
+        assert np.all(np.abs(gaps.mean(axis=0) - got) < 3 * gaps.std(axis=0) / np.sqrt(len(gaps)))
+
+    # each case draws from its own stream: cases on one stream share their
+    # immigrants, so one excursion of the immigrant counts would fail them all
+    @pytest.mark.parametrize(
+        "stream, waiting",
+        enumerate([Exponential(1.0), Constant(0.7), BoundedUniform(0.0, 1.0), BoundedUniform(0.25, 1.5)]),
+    )
+    def test_renewal_matches_simulation(self, stream, waiting):
+        model = JointMarkModel(Regime.INDEPENDENT_LIGHT_COUNT, LAW, 2.0)
+        config = WindowConfig(model, RenewalParams(waiting), nu=1.0, horizon=100.0)
+        self._check_simulated(config, RngStream(73, stream))
+
+    @pytest.mark.parametrize("stream, decay", enumerate([1.0, 0.3]))
+    def test_hawkes_matches_simulation(self, stream, decay):
+        config = hawkes_config(horizon=100.0)
+        config = WindowConfig(config.model, HawkesParams(decay_rate=decay), 1.0, 100.0)
+        self._check_simulated(config, RngStream(74, stream))
+
+    @staticmethod
+    def _check_simulated(config, rng):
+        horizons = (5.0, 20.0, 100.0)
+        counts = sweep_windows(config, horizons, 20_000, rng, fields=("n_events",))["n_events"]
+        exact = process.mean_events(config, horizons)
+        for row, mean in zip(counts, exact):
+            sim, se = mean_and_se(row)
+            assert abs(sim - mean) < 3 * se, (sim, mean, se)
