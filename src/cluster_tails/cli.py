@@ -676,7 +676,7 @@ def run(config_path: str | Path, workers: int | None = None, output_dir: str | N
     """Execute the experiment and write CSV, JSON summary, and manifest."""
     config = ExperimentConfig.from_path(config_path)
     if workers is not None:
-        config.workers = workers
+        config.workers = _count(workers, "workers")
     if output_dir is not None:
         config.output_dir = Path(output_dir)
     started = time.time()

@@ -247,7 +247,10 @@ def chunked_map(kernel, n: int, chunk: int, base: RngStream, workers: int = 1) -
     starts = range(0, n, chunk)
     tasks = [(kernel, i, min(chunk, n - s), chunk, base) for i, s in enumerate(starts)]
     if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_keep_freed_memory) as pool:
+        # the pool starts all its processes at once, so it asks for no more than there are chunks
+        with ProcessPoolExecutor(
+            max_workers=min(workers, len(tasks)), initializer=_keep_freed_memory
+        ) as pool:
             return list(pool.map(_run_chunk, tasks))
     return [_run_chunk(t) for t in tasks]
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
+from functools import lru_cache, partial
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -402,8 +402,7 @@ def sample_joint(model: JointMarkModel, rng: RngStream, size=None) -> MarkPair:
     r = model.regime
     x = model.mark_law.sample(gen, size)
     if r is Regime.INDEPENDENT_LIGHT_COUNT:
-        k = gen.poisson(model.count_param, size)
-        return MarkPair(x, k)
+        return MarkPair(x, _poisson_counts(gen, model.count_param, size))
     if r in (Regime.INDEPENDENT_HEAVY_COUNT, Regime.INDEPENDENT_TAIL_EQUIVALENT):
         z = model.count_param.sample(gen, size)
         k = np.ceil(z).astype(np.int64) if size is not None else int(math.ceil(z))
@@ -504,6 +503,64 @@ def _poisson_sf(x, mu):
     """Poisson P(K > x), by the formula of scipy.stats.poisson (bit for bit)."""
     x = np.asarray(x)
     return np.where(x < 0, 1.0, np.clip(special.pdtrc(np.floor(x), mu), 0, 1))[()]
+
+
+# Poisson counts by inversion: a mean whose cdf reaches 1.0 (in floats)
+# within _POISSON_TABLE_CAP terms is drawn from its table, a larger one by
+# numpy.  The uniforms are drawn and inverted a block at a time.
+_POISSON_TABLE_CAP = 1 << 10
+_POISSON_GUIDE_CELLS = 1 << 12
+_POISSON_BLOCK = 1 << 16
+
+
+@lru_cache(maxsize=64)
+def _poisson_table(mu: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """The Poisson(mu) cdf up to its first 1.0, and its guide table; None if that is long.
+
+    ``guide[j]`` is the first count whose cdf exceeds ``j / cells``: where
+    the inverse of a uniform in cell j starts.
+    """
+    cdf = 1.0 - _poisson_sf(np.arange(_POISSON_TABLE_CAP), mu)
+    full = np.flatnonzero(cdf == 1.0)
+    if full.size == 0:
+        return None
+    cdf = cdf[: full[0] + 1]
+    cells = np.arange(_POISSON_GUIDE_CELLS) / _POISSON_GUIDE_CELLS
+    guide = np.searchsorted(cdf, cells, side="right")
+    for a in (cdf, guide):
+        a.setflags(write=False)  # every caller shares the cached arrays
+    return cdf, guide
+
+
+def _poisson_counts(gen: np.random.Generator, mu: float, size=None):
+    """Poisson(mu) counts, each by inversion of one uniform where mu has a table.
+
+    A count is ``np.searchsorted(cdf, u, side="right")`` of its uniform u,
+    found by a guide table (Chen & Asau 1974; Devroye 1986, ch. III): the
+    guide gives where u's cell starts, one compare steps past a cdf jump
+    inside the cell, and the rare u whose cell holds more jumps are
+    searched.  The uniforms are the generator's next ``size`` doubles, drawn
+    a block at a time, so no temporary the size of the sample is made.
+    """
+    table = _poisson_table(float(mu))
+    if table is None:
+        return gen.poisson(mu, size)
+    cdf, guide = table
+    if size is None:
+        return int(np.searchsorted(cdf, gen.random(), side="right"))
+    k = np.empty(size, dtype=np.intp)
+    flat = k.reshape(-1)
+    buf = np.empty(min(flat.size, _POISSON_BLOCK))
+    for lo in range(0, flat.size, _POISSON_BLOCK):
+        part = flat[lo : lo + _POISSON_BLOCK]
+        u = gen.random(part.size, out=buf[: part.size])
+        np.multiply(u, _POISSON_GUIDE_CELLS, out=part, casting="unsafe")  # u's cell
+        # index j is read before part[j] is written, and "clip" leaves ``out`` unbuffered
+        np.take(guide, part, out=part, mode="clip")
+        part += np.take(cdf, part) <= u
+        rest = np.flatnonzero(np.take(cdf, part) <= u)
+        part[rest] = np.searchsorted(cdf, u[rest], side="right")
+    return k
 
 
 def count_survival(model: JointMarkModel, x):
@@ -658,7 +715,8 @@ def _oracle_compute(model: JointMarkModel, c: float, xs: np.ndarray, spec: Oracl
     from .clusters import chunked_map  # clusters imports this module
 
     kernel = partial(_oracle_counts, model, c, xs)
-    parts = chunked_map(kernel, spec.size, _ORACLE_CHUNK, RngStream(spec.seed, 0))
+    # root 1: an experiment runs on root 0, so at equal seeds the two share no draws
+    parts = chunked_map(kernel, spec.size, _ORACLE_CHUNK, RngStream(spec.seed, 1))
     return sum(parts, np.zeros(len(xs), dtype=np.int64)) / float(spec.size)
 
 

@@ -132,6 +132,15 @@ class TestRun:
         assert err["error"] == "ConfigError"
         assert err["field"] == "seed"
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_flag_below_one_rejected(self, tmp_path, capsys, workers):
+        config = tail_ratio_config(tmp_path)
+        assert main(["run", str(config), "--workers", workers]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError"
+        assert err["field"] == "workers"
+        assert not (tmp_path / "out").exists()
+
     def test_supercritical_model_error(self, tmp_path, capsys):
         config = write_config(
             tmp_path,

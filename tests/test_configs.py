@@ -32,44 +32,44 @@ REDUCED = {
 # (csv, json) sha256 of each reduced run
 PINNED = {
     "cluster-tails.json": (
-        "9531361edbfea635c740330a32fea5f1faf10f3953ce97556779d1ed63e2511b",
-        "0f592bffc81c6d8fcffaf201e1c4b72f5cbe219b125a912ee50a6eab61a49cee",
+        "9a76c5820117b9f080d4dafb13e7d52ca1816b4567d0ddf7f3eb11336e80ec34",
+        "9a58b8d704f1c9a6430dd295183d0bac4c39b8d3ad3ea140ab9f35712fc35d00",
     ),
     "hill.json": (
-        "df7d4a7d5a74f7d7e9647950c8b05fde30c7f292ad638515bf9931fd7a530111",
-        "6c6251d7453b33480b80d37d9eb3d47b7a706f3f8ccffe4110d0f1e83a3c1a11",
+        "111f711890bc1f30177cb32e53678b16c8968c157849e5b0297f9683cc86af83",
+        "c50e3a56c7af679b1641332c09de2f3083191eb583167e39f53649a19b733fd9",
     ),
     "ldp-max.json": (
-        "714d259f145a4b44c525aa680c10f4dc56a5209e80f2344fcf94ef6502411fa9",
-        "3ec055a7713e990da214dcd9c69c572cab6bae8a045c090225bfbec15e7293cc",
+        "af250e0a97811403213a7742fdfeca85b4eba0c56bcf459fe668791674e67380",
+        "0de711f50e94dde2fe6da1481c419c7e4cce706b20394438cd95cf354b108bce",
     ),
     "ldp-sum.json": (
-        "ba1e3e58be0ade603b9ba445c2c87782908550076a5d07848861e54e8a1ddd96",
-        "69f2382419ec72319ad45faa69374b1e864fd8f1ad800382560ee91add5fcdc2",
+        "80c1997a956b4dfbd11287ceb18f61ebd18ebfe92b98d2e2bd4f354dc1664772",
+        "cd951717fb557ceb127b9cd260911891237ffae6cbc079b1415d56377b6ca84d",
     ),
     "leftover.json": (
-        "3741c4aab6e09a215fc5a774c4fa74bad412c6deb325f5ae5e576b5261116dba",
-        "d12c697fff4f9eb9c9e9a570aab0b1dde81c28a1f5872b11be23ac29aeffafaa",
+        "157178131c7f95cb9bc6bed43cc27b507845c2acf8da33fe4f4ca6ffb2fb93fe",
+        "4edd45f4af24aec11831ac087208eed49d7268af7253a3a4a1268e186ee6424f",
     ),
     "oracle-compare.json": (
-        "dd6b13d131b49972ed54a5abf64d0e36c365f45f2b36689740d73ea2db2b5f08",
-        "265611565903b32a5c9376fe67fab359395781bf243148312e117ae90eb9ecfd",
+        "59ef0d260de7e401062b9d0fed8488b8ea657a72956b3abcf5d5732431aa928b",
+        "7355956766ddb5fdb9be900460391f2e16a2100d5e51c3141c198be8c7b9629f",
     ),
     "tail-ratio-hawkes-sum.json": (
-        "c74dc335b94dba2c4da6a19a23dc19e1aee50ffaa55d864ea7e34d959d52f408",
-        "572e53cf98832a956f59f298d000659070baf4f75272cd93262e35d4e5b8ad6d",
+        "1a48fd0e75405f3fbe09d2b8d64e9cffacc4a7421dace7f4494b6ae170e91be9",
+        "b250c630ecafa24bb5cae87b8bd27cc06247c41b167e2aae7dd738a70fb98c56",
     ),
     "tail-ratio-renewal-max.json": (
-        "dd74acac97590659041e638767f0cbddb1fb44b0d1f40b9c36a828152a97a310",
-        "61e814af160502cb96cae9484545aa348f8ef1a72d6c65cee396626269242b05",
+        "e43a4e8b3c0df256afbc91d47bc1b592912cdef7915725aa72abe6a5651f7cf2",
+        "26edb596202b185eeb6f2b94f5e4df54bb951475b708fb74857d4be197cf0321",
     ),
     "tail-ratio-tail-equivalent-mc.json": (
-        "6dd7af97f435bdaf7c611d08a04c792f8fe64d7928c8bcc375c8eec64294c13a",
-        "7c74e50713ea1f245780bebc0c510566ce51aba80aa2294bc65ab9c4f492bd14",
+        "64d7289b654fff7a9443611877d6dce958858c3789f7a269a6dbfa5f519dfaa4",
+        "ca8cbd93f46d6f04a976707620c0050a71f791fbe834fa7a6ea75da632d27a01",
     ),
     "tauberian.json": (
-        "14944544ed999e43e53f685f8643bc9cbb2a5a0a45a1b15baa43ee90d4fc0fad",
-        "41ee63aaeef874be3e363b46f4ea8f1c17d85f56c2f8be993f26c9b032b16ff8",
+        "46737f1596b1739509d930bfb8d90630f1d842260f6c59c8dbac1c6a54e442ff",
+        "2c14924424bdef3a152cf8fbfbe4e5cd4c9c0ff4fe5ff243bfe5d539ce9b9a09",
     ),
 }
 

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from cluster_tails import clusters, heavytail
+from cluster_tails.clusters import RenewalParams, batch_functionals
 from cluster_tails.errors import InfiniteMean, SupercriticalModel
 from cluster_tails.heavytail import (
     BoundedUniform,
@@ -15,8 +17,10 @@ from cluster_tails.heavytail import (
     ParetoLaw,
     Regime,
     TailTarget,
+    _poisson_counts,
     _poisson_pmf,
     _poisson_sf,
+    _poisson_table,
     count_survival,
     joint_tail_exact,
     joint_tail_mc,
@@ -298,6 +302,71 @@ class TestPoissonTerms:
         assert np.ndim(_poisson_pmf(3, mu)) == np.ndim(_poisson_sf(2.5, mu)) == 0
 
 
+class _FixedUniforms:
+    """A generator stand-in whose ``random`` returns given uniforms, in order."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+        self.used = 0
+
+    def random(self, size, out):
+        out[:] = self.u[self.used : self.used + size]
+        self.used += size
+        return out
+
+
+class TestPoissonCounts:
+    """The inversion sampler of the IndependentLightCount counts."""
+
+    @pytest.mark.parametrize("mu", [0.3, 2.0, 50.0])
+    def test_equals_searchsorted_on_the_same_uniforms(self, mu):
+        cdf, guide = _poisson_table(mu)
+        n = 1 << 20
+        k = _poisson_counts(np.random.Generator(np.random.PCG64DXSM(3)), mu, n)
+        u = np.random.Generator(np.random.PCG64DXSM(3)).random(n)
+        assert np.array_equal(k, np.searchsorted(cdf, u, side="right"))
+        # the cdf's jumps, their neighbours and the guide cells' edges
+        edges = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.arange(1 << 12) / (1 << 12)])
+        edges = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], edges[edges < 1.0]])
+        edges = np.tile(edges, 20)  # over several blocks, the last one short
+        k = _poisson_counts(_FixedUniforms(edges), mu, edges.size)
+        assert np.array_equal(k, np.searchsorted(cdf, edges, side="right"))
+        assert cdf[-1] == 1.0 and len(cdf) <= 1 << 10 and len(guide) == 1 << 12
+
+    @pytest.mark.parametrize("mu", [0.3, 2.0, 50.0])
+    def test_chi_square_against_pmf(self, mu):
+        n = 1 << 20
+        k = _poisson_counts(np.random.Generator(np.random.PCG64DXSM(8)), mu, n)
+        expected = n * _poisson_pmf(np.arange(k.max() + 1), mu)
+        # cells with at least 5 expected draws; the rest are lumped into the two ends
+        keep = np.flatnonzero(expected >= 5)
+        lo, hi = keep[0], keep[-1]
+        observed = np.bincount(k, minlength=expected.size).astype(float)
+        obs = np.concatenate(
+            [[observed[: lo + 1].sum()], observed[lo + 1 : hi], [observed[hi:].sum()]]
+        )
+        exp = np.concatenate(
+            [[expected[: lo + 1].sum()], expected[lo + 1 : hi], [n - expected[:hi].sum()]]
+        )
+        assert stats.chisquare(obs, exp).pvalue > 1e-3
+
+    def test_mean_zero_gives_zeros(self):
+        gen = np.random.Generator(np.random.PCG64DXSM(1))
+        assert not _poisson_counts(gen, 0.0, 10_000).any()
+        assert _poisson_counts(gen, 0.0) == 0
+
+    @pytest.mark.parametrize("mu", [0.0, 2.0, 5000.0])
+    def test_scalar_is_an_int(self, mu):
+        k = _poisson_counts(np.random.Generator(np.random.PCG64DXSM(1)), mu)
+        assert isinstance(k, int)
+
+    def test_long_table_falls_back_to_numpy(self):
+        assert _poisson_table(5000.0) is None
+        k = _poisson_counts(np.random.Generator(np.random.PCG64DXSM(4)), 5000.0, 1000)
+        want = np.random.Generator(np.random.PCG64DXSM(4)).poisson(5000.0, 1000)
+        assert np.array_equal(k, want)
+
+
 class TestOracleCache:
     def test_cache_round_trip(self):
         model = tail_equivalent()
@@ -307,6 +376,24 @@ class TestOracleCache:
         assert np.array_equal(probs, joint_tail_mc(model, 3.0, xs, spec))
         exact = np.asarray(joint_tail_exact(model, 3.0, xs))
         assert np.all(np.abs(probs - exact) < 6 * np.sqrt(exact / spec.size) + 1e-4)
+
+    def test_shares_no_draws_with_the_experiment(self, monkeypatch):
+        # at equal seeds (0 is the default oracle seed) the oracle's chunk 0
+        # and a batch run's chunk 0 draw from different streams
+        model, seen = tail_equivalent(), []
+
+        def recording(model, rng, size=None):
+            pair = sample_joint(model, rng, size)
+            seen.append(np.array(pair.x))
+            return pair
+
+        monkeypatch.setattr(heavytail, "sample_joint", recording)
+        monkeypatch.setattr(clusters, "sample_joint", recording)
+        joint_tail_mc(model, 3.0, 5.0, OracleSpec(size=4096, seed=0))
+        batch_functionals(model, RenewalParams(Exponential(1.0)), 4096, RngStream(0, 0))
+        oracle_x, experiment_x = seen
+        assert oracle_x.size == experiment_x.size == 4096
+        assert np.intersect1d(oracle_x, experiment_x).size == 0
 
 
 class TestRngStream:
@@ -324,9 +411,28 @@ class TestRngStream:
         base = RngStream(9, 3)
         c0 = base.child(0)
         c1 = base.child(1)
-        assert c0.stream_id != c1.stream_id
+        assert (base.spawn_key, c0.spawn_key, c1.spawn_key) == ((3,), (3, 0), (3, 1))
         with pytest.raises(ValueError):
             c0.child(0)  # no double nesting
+
+    def test_children_do_not_alias_roots(self):
+        # root 0 is the one every experiment runs on
+        root = RngStream(9, 0)
+        draws = [s.generator.random(64) for s in (root, root.child(0), root.child(5), RngStream(9, 5))]
+        for i, a in enumerate(draws):
+            for b in draws[i + 1 :]:
+                assert not np.array_equal(a, b)
+
+    def test_children_of_root_zero_have_no_children(self):
+        with pytest.raises(ValueError):
+            RngStream(9, 0).child(0).child(0)
+
+    def test_ids_fit_one_key_word(self):
+        # a larger id would be split into two words, the key of a child
+        with pytest.raises(ValueError):
+            RngStream(9, 2**32)
+        with pytest.raises(ValueError):
+            RngStream(9, 0).child(2**32)
 
     @settings(max_examples=20)
     @given(seed=st.integers(0, 2**64 - 1), sid=st.integers(0, 2**32 - 1))

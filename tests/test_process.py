@@ -250,8 +250,8 @@ class TestSingleHorizonPinned:
     """Single-horizon outputs are pinned byte for byte: every stored result depends on them."""
 
     BATCH = {
-        "renewal": "625e183ff72484a9e0b1d9426015be49427374897353e321fbba1e03a3eee83a",
-        "hawkes": "6c2c4eebac5e80241ba1dbcd00697c27c0f8a805b82b9a93d6d88b96631422d1",
+        "renewal": "96852d71046bbe5b4dc37a7c94d7614f3f7d76353cd16fb2ee5f4d5b5bd2f308",
+        "hawkes": "651794b2735c5e77026ce59fef6de6e737fb5c47c915dbc5b5b40bfd4f7fd252",
     }
     FACTORIES = {"renewal": renewal_config, "hawkes": hawkes_config}
 
@@ -494,8 +494,9 @@ class TestSweepWindows:
         assert full["n_events"].shape == (len(self.HORIZONS), 40_000)
 
     def test_overflow_reports_global_replication(self):
-        # kappa = X/6 with Pareto(1.5) marks at T=50: chunks hold 2**14 windows,
-        # and the largest window is past chunk 0 and the only one over the limit
+        # kappa = X/6 with Pareto(1.5) marks at T=50: chunks hold 2**14 windows.
+        # The limit is the second largest window's size, so the largest window
+        # alone can overflow; the first seed that puts it past chunk 0 is used
         model = JointMarkModel(
             Regime.HAWKES_COMONOTONE_INTENSITY, LAW, target_mean_kappa=0.5
         )
@@ -504,13 +505,17 @@ class TestSweepWindows:
         def config(limit):
             return WindowConfig(model, HawkesParams(max_cluster_events=limit), 1.0, 50.0)
 
-        out = sweep_windows(config(10**7), (50.0,), n, RngStream(3, 0), fields=fields)
-        started = out["n_events"][0] + out["j_leftover"][0]
-        limit = int(np.sort(started)[-2])
-        assert started.max() > limit and started.argmax() >= 2 << 14
+        for seed in range(3, 23):
+            out = sweep_windows(config(10**7), (50.0,), n, RngStream(seed, 0), fields=fields)
+            started = out["n_events"][0] + out["j_leftover"][0]
+            limit = int(np.sort(started)[-2])
+            if started.max() > limit and started.argmax() >= 1 << 14:
+                break
+        else:
+            pytest.fail("no seed puts the largest window past chunk 0")
         for workers in (1, 2):
             with pytest.raises(ClusterOverflow) as exc_info:
-                sweep_windows(config(limit), (50.0,), n, RngStream(3, 0), workers, fields)
+                sweep_windows(config(limit), (50.0,), n, RngStream(seed, 0), workers, fields)
             assert exc_info.value.replication == started.argmax()
 
     def test_last_horizon_is_a_plain_batch(self):
