@@ -13,7 +13,6 @@ from .clusters import (
     batch_functionals,
 )
 from .errors import (
-    BracketTooWide,
     ClusterOverflow,
     ClusterTailsError,
     ConfigError,
@@ -30,11 +29,11 @@ from .estimate import (
     QuantileGrid,
     RatioCurve,
     TailSample,
-    empirical_survival,
     hill_estimator,
-    laplace_derivative_mc,
+    laplace_derivative_table,
     ratio_curve,
-    tauberian_slope,
+    table_slope,
+    wilson_interval,
 )
 from .heavytail import (
     BoundedUniform,
@@ -46,11 +45,8 @@ from .heavytail import (
     OracleSpec,
     ParetoLaw,
     Regime,
-    TailTarget,
     model_constants,
-    pareto_survival,
     sample_joint,
-    sample_pareto,
     theoretical_denominator,
 )
 from .ldp import (

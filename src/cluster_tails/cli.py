@@ -48,7 +48,7 @@ from .heavytail import (
     OracleSpec,
     ParetoLaw,
     Regime,
-    default_target,
+    denominator_label,
     model_constants,
 )
 from .ldp import (
@@ -136,8 +136,13 @@ def _positive(value, field: str):
     return _number(value, field, positive=True)
 
 
-def _count(value, field: str) -> int:
-    return int(_number(value, field, positive=True))
+def _count(value, field: str, least: int = 1) -> int:
+    """A whole number >= ``least``; a whole float such as 1e6 counts as one."""
+    value = _number(value, field)
+    if value < least or value != math.floor(value):
+        whole = "a positive integer" if least == 1 else f"an integer >= {least}"
+        raise ConfigError(f"must be {whole}", field)
+    return int(value)
 
 
 def _list(value, field: str) -> list:
@@ -245,7 +250,7 @@ def _levels(value, field: str) -> tuple[float, ...]:
         raise ConfigError(str(exc), field) from None
 
 
-_GRID_KEYS = {"levels": _levels, "min_exceedances": lambda v, field: int(_number(v, field))}
+_GRID_KEYS = {"levels": _levels, "min_exceedances": _count}
 
 
 def _parse_grid(config: dict) -> QuantileGrid:
@@ -300,14 +305,13 @@ def _parse_discrete(config: ExperimentConfig):
     extra = ("max_children", "max_depth", "x_grid") if hawkes else table[1:]
     _known(section, "discrete", ("kind", table[0], *extra))
     x_grid = _x_grid(_req(section, "x_grid", "discrete"), "discrete.x_grid") if hawkes else None
+    bounds = {
+        k: _count(section.get(k, 0), f"discrete.{k}", 0) for k in ("max_children", "max_depth")
+    }
     try:
         if "joint_csv" in section:
             model = DiscreteJointModel.from_csv(
-                section["joint_csv"],
-                section.get("offspring_csv"),
-                kind=kind,
-                max_children=int(section.get("max_children", 0)),
-                max_depth=int(section.get("max_depth", 0)),
+                section["joint_csv"], section.get("offspring_csv"), kind=kind, **bounds
             )
         else:
             support = tuple(
@@ -320,8 +324,7 @@ def _parse_discrete(config: ExperimentConfig):
                 kind=kind,
                 support=support,
                 offspring_support=offspring,
-                max_children=int(section.get("max_children", 0)),
-                max_depth=int(section.get("max_depth", 0)),
+                **bounds,
             )
     except (ModelError, OSError, ValueError, TypeError) as exc:
         raise ConfigError(str(exc), "discrete") from None
@@ -365,10 +368,10 @@ class ExperimentConfig:
             )
         keys, parse, _ = _EXPERIMENTS[experiment]
         seed = _seed(raw["seed"], "seed")
-        workers = int(_num(raw, "workers", "", default=1, positive=True))
+        workers = _count(raw.get("workers", 1), "workers")
         clusters = None
         if "clusters" in keys:
-            clusters = int(_num(raw, "clusters", "", default=1_000_000, positive=True))
+            clusters = _count(raw.get("clusters", 1_000_000), "clusters")
         output_dir = Path(raw.get("output_dir", "."))
         model = None
         params = None
@@ -425,8 +428,8 @@ def _constants_dict(model: JointMarkModel) -> dict:
         "regime": model.regime.value,
         "mean_mark": c.mean_mark,
         "mean_count": c.mean_count,
-        "max_constant_renewal": c.max_constant_renewal,
-        "max_constant_hawkes": c.max_constant_hawkes,
+        "max_constant_renewal": None if model.is_hawkes else c.mean_cluster_size,
+        "max_constant_hawkes": c.mean_cluster_size if model.is_hawkes else None,
         "sum_shift_hawkes": c.sum_shift_hawkes,
     }
 
@@ -455,17 +458,12 @@ def _run_tail_ratio(config: ExperimentConfig, rng: RngStream, functional, grid, 
     sample = _functional_sample(config, rng)
     values = sample.h if functional == "max" else sample.d
     curve = ratio_curve(
-        TailSample.from_values(values),
-        config.model,
-        default_target(config.model, functional),
-        grid,
-        joint=joint,
-        oracle=oracle,
+        TailSample.from_values(values), config.model, functional, grid, joint=joint, oracle=oracle
     )
     summary = {
         "constants": _constants_dict(config.model),
         "functional": functional,
-        "target": default_target(config.model, functional).value,
+        "target": denominator_label(config.model, functional),
         "n": len(sample),
         "max_abs_dev": float(np.max(np.abs(curve.ratio - 1.0))),
         "ratios": curve.ratio.tolist(),
@@ -479,7 +477,7 @@ def _parse_hill(config: ExperimentConfig) -> tuple[int]:
     n = config.clusters
     section = _section(config.raw, "hill", "")
     _known(section, "hill", ("k",))
-    k = int(_num(section, "k", "hill", default=math.isqrt(n), positive=True))
+    k = _count(section.get("k", math.isqrt(n)), "hill.k")
     if not 2 <= k < n:
         raise ConfigError(f"need 2 <= k < clusters = {n}", "hill.k")
     return (k,)
@@ -516,7 +514,10 @@ def _parse_tauberian(config: ExperimentConfig):
         raise ConfigError("the tauberian slope needs a noninteger alpha", field)
     s_min = _num(section, "s_min", "tauberian", default=1e-3, positive=True)
     s_max = _num(section, "s_max", "tauberian", default=1e-1, positive=True)
-    points = int(_num(section, "points", "tauberian", default=9, positive=True))
+    if s_min >= s_max:
+        raise ConfigError(f"must be below s_max = {s_max!r}", "tauberian.s_min")
+    # a slope is fitted through the points: one point gives no slope
+    points = _count(section.get("points", 9), "tauberian.points", 2)
     return source, alpha, np.geomspace(s_min, s_max, points)
 
 
@@ -612,10 +613,10 @@ def _parse_sweep(config: ExperimentConfig) -> tuple[SweepConfig]:
         options = _given(_section(config.raw, name, ""), name, _LDP_KEYS)
         horizons = options.pop("horizons", (10.0, 50.0, 100.0))
     try:
-        window = WindowConfig(config.model, config.cluster_params, nu, horizons[-1])
+        window = WindowConfig(config.model, config.cluster_params, nu)
         return (SweepConfig(window=window, horizons=horizons, **options),)
     except ModelError as exc:
-        key = {"horizon": "horizons", "replications": count_key}.get(exc.field, exc.field)
+        key = {"replications": count_key}.get(exc.field, exc.field)
         raise ConfigError(exc.message, f"{name}.{key}") from None
 
 

@@ -85,9 +85,6 @@ class FunctionalSample:
     def __len__(self) -> int:
         return len(self.h)
 
-    def __getitem__(self, i):
-        return (float(self.h[i]), float(self.d[i]), int(self.sizes[i]))
-
 
 def _renewal_functionals(x: np.ndarray, k: np.ndarray, marks: np.ndarray):
     """(H, D) of renewal clusters: immigrant marks ``x``, then ``k[i]`` offspring marks each."""
@@ -281,7 +278,7 @@ def batch_functionals(
     else:
         kernel = partial(_renewal_chunk, model)
     chunk = _chunk_size(model_constants(model).mean_cluster_size, 1 << 12, 1 << 18)
-    parts = chunked_map(kernel, n, chunk, rng.fresh(), workers)
+    parts = chunked_map(kernel, n, chunk, rng, workers)
     h = np.concatenate([p[0] for p in parts])
     d = np.concatenate([p[1] for p in parts])
     sizes = np.concatenate([p[2] for p in parts])

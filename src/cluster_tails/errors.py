@@ -68,18 +68,6 @@ class LatticeMismatch(ClusterTailsError):
     """Discrete marks are not multiples of a common grid step."""
 
 
-class BracketTooWide(ClusterTailsError):
-    """Truncated branching bracket wider than the requested tolerance."""
-
-    def __init__(self, width: float, tolerance: float):
-        super().__init__(f"bracket width {width:g} exceeds tolerance {tolerance:g}")
-        self.width = width
-        self.tolerance = tolerance
-
-    def __reduce__(self):
-        return type(self), (self.width, self.tolerance)
-
-
 class ConfigError(ClusterTailsError):
     """An experiment configuration failed to parse or validate."""
 

@@ -10,20 +10,14 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    DegenerateTail,
-    InsufficientExceedances,
-    ModelError,
-    UnstableEstimate,
-)
+from .errors import DegenerateTail, InsufficientExceedances, UnstableEstimate
 from .heavytail import (
     JointMarkModel,
     OracleSpec,
-    TailTarget,
+    denominator_label,
     theoretical_denominator,
 )
 
@@ -32,12 +26,9 @@ __all__ = [
     "QuantileGrid",
     "RatioCurve",
     "HillEstimate",
-    "empirical_survival",
     "ratio_curve",
     "hill_estimator",
-    "laplace_derivative_mc",
     "laplace_derivative_table",
-    "tauberian_slope",
     "table_slope",
     "wilson_interval",
 ]
@@ -78,12 +69,6 @@ def wilson_interval(count: int, n: int, z: float = _Z95) -> tuple[float, float]:
     return max(0.0, min(center - half, p)), min(1.0, max(center + half, p))
 
 
-def empirical_survival(sample: TailSample, x: float):
-    """(P_hat(value > x), (wilson_low, wilson_high)) at 95%."""
-    count = sample.exceedances(x)
-    return count / sample.n, wilson_interval(count, sample.n)
-
-
 @dataclass(frozen=True)
 class QuantileGrid:
     """Grid specification by empirical quantile levels.
@@ -115,7 +100,7 @@ class RatioCurve:
     exceedances: np.ndarray
     provenance: str = ""
 
-    def to_csv(self, path: str | Path | None = None) -> str:
+    def to_csv(self) -> str:
         buf = io.StringIO()
         if self.provenance:
             buf.write(f"# {self.provenance}\n")
@@ -127,28 +112,25 @@ class RatioCurve:
                 f"{float(self.ratio[i])!r},{float(self.ci_low[i])!r},"
                 f"{float(self.ci_high[i])!r}\n"
             )
-        text = buf.getvalue()
-        if path is not None:
-            Path(path).write_text(text)
-        return text
+        return buf.getvalue()
 
 
 def ratio_curve(
     sample: TailSample,
     model: JointMarkModel,
-    target: TailTarget | str,
+    functional: str,
     grid: QuantileGrid = QuantileGrid(),
     *,
     joint: str = "closed",
     oracle: OracleSpec | None = None,
-    denominator: np.ndarray | None = None,
 ) -> RatioCurve:
     """Empirical survival of the sample against the model's tail asymptotics.
 
+    ``functional`` ('max' or 'sum') and the model's family pick the
+    denominator (see :func:`~cluster_tails.heavytail.theoretical_denominator`).
     The confidence band propagates only the numerator's Monte Carlo error;
     the denominator is exact (or a high-precision MC oracle, whose size and
-    seed the curve's provenance records).  ``denominator`` overrides the
-    model formula with caller-supplied values on the same grid.
+    seed the curve's provenance records).
     """
     xs = np.asarray(sample.quantile(list(grid.levels)), dtype=float)
     counts = np.asarray(sample.exceedances(xs))
@@ -156,20 +138,12 @@ def ratio_curve(
         raise InsufficientExceedances(
             float(xs[-1]), int(counts[-1]), grid.min_exceedances
         )
-    if denominator is not None:
-        denom = np.asarray(denominator, dtype=float)
-        if denom.shape != xs.shape:
-            raise ModelError("denominator grid shape mismatch", "denominator")
-        provenance = "denominator=custom"
-    else:
-        if joint == "mc":
-            oracle = oracle or OracleSpec()
-        denom = np.asarray(
-            theoretical_denominator(model, target, xs, joint=joint, oracle=oracle)
-        )
-        provenance = f"denominator={TailTarget.coerce(target).value} joint={joint}"
-        if joint == "mc":
-            provenance += f" oracle_size={oracle.size} oracle_seed={oracle.seed}"
+    if joint == "mc":
+        oracle = oracle or OracleSpec()
+    denom = np.asarray(theoretical_denominator(model, functional, xs, joint=joint, oracle=oracle))
+    provenance = f"denominator={denominator_label(model, functional)} joint={joint}"
+    if joint == "mc":
+        provenance += f" oracle_size={oracle.size} oracle_seed={oracle.seed}"
     emp = counts / sample.n
     bands = np.array([wilson_interval(int(c), sample.n) for c in counts])
     return RatioCurve(
@@ -211,20 +185,14 @@ def hill_estimator(sample: TailSample, k: int) -> HillEstimate:
     return HillEstimate(k=k, alpha_hat=alpha_hat, se=alpha_hat / math.sqrt(k))
 
 
-def laplace_derivative_mc(sample: TailSample, s: float, order: int) -> float:
-    """Sample mean of (-x)**order * exp(-s*x): the transform derivative at s."""
-    if s < 0:
-        raise ValueError("s must be nonnegative")
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    v = sample.values
-    return float(np.mean((-v) ** order * np.exp(-s * v)))
-
-
 def laplace_derivative_table(
     sample: TailSample, s_grid, order: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Transform derivative and its MC standard error on an s-grid."""
+    """Transform derivative and its MC standard error on an s-grid.
+
+    The derivative of order ``order`` at s is the sample mean of
+    (-x)**order * exp(-s*x).
+    """
     vals = np.empty(len(s_grid))
     ses = np.empty(len(s_grid))
     v = sample.values
@@ -236,26 +204,14 @@ def laplace_derivative_table(
     return vals, ses
 
 
-def tauberian_slope(sample: TailSample, alpha: float, s_grid) -> float:
+def table_slope(s_grid, vals: np.ndarray, ses: np.ndarray) -> float:
     """Least-squares slope of log |transform derivative| against log s.
 
-    Under an exact power tail of noninteger index alpha the ceil(alpha)-th
-    transform derivative blows up like s**(alpha - ceil(alpha)) as s -> 0,
-    so the fitted slope converges to alpha - ceil(alpha); light-tailed input
-    gives a slope near zero.
-    """
-    if float(alpha).is_integer():
-        raise ValueError("tauberian slope needs a noninteger alpha")
-    s_grid = np.asarray(list(s_grid), dtype=float)
-    if np.any(s_grid <= 0):
-        raise ValueError("s-grid must be positive")
-    table = laplace_derivative_table(sample, s_grid, math.ceil(alpha))
-    return table_slope(s_grid, *table)
-
-
-def table_slope(s_grid, vals: np.ndarray, ses: np.ndarray) -> float:
-    """The slope of :func:`tauberian_slope` from a :func:`laplace_derivative_table`.
-
+    ``vals`` and ``ses`` are a :func:`laplace_derivative_table` on the
+    positive ``s_grid``.  Under an exact power tail of noninteger index
+    alpha the ceil(alpha)-th transform derivative blows up like
+    s**(alpha - ceil(alpha)) as s -> 0, so the fitted slope converges to
+    alpha - ceil(alpha); light-tailed input gives a slope near zero.
     Raises :class:`UnstableEstimate` when a derivative's relative standard
     error exceeds 25%.
     """

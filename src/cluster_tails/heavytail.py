@@ -37,13 +37,11 @@ __all__ = [
     "JointMarkModel",
     "ModelConstants",
     "MarkPair",
-    "TailTarget",
     "OracleSpec",
-    "pareto_survival",
-    "sample_pareto",
     "sample_joint",
     "model_constants",
     "theoretical_denominator",
+    "denominator_label",
     "count_survival",
     "joint_tail_exact",
     "joint_tail_mc",
@@ -271,16 +269,6 @@ LightLaw = Union[Exponential, Constant, BoundedUniform]
 MarkLaw = Union[ParetoLaw, LightLaw]
 
 
-def pareto_survival(law: ParetoLaw, x):
-    """P(X > x) for an exact Pareto law; 1 on (0, scale]."""
-    return law.survival(x)
-
-
-def sample_pareto(law: ParetoLaw, rng: RngStream, size=None):
-    """Inverse-CDF Pareto sampler; every draw is >= scale."""
-    return law.sample(rng.generator, size)
-
-
 # ---------------------------------------------------------------------------
 # Joint mark models
 
@@ -449,13 +437,12 @@ class ModelConstants:
 
     Family-inapplicable entries are None (renewal models have no Hawkes
     constants and vice versa).  ``mean_cluster_size`` is the expected
-    number of points of one cluster: 1 + E[K], or 1 / (1 - E[kappa]).
+    number of points of one cluster, 1 + E[K] or 1 / (1 - E[kappa]), which
+    is also the constant of either family's max-tail asymptotics.
     """
 
     mean_mark: float
     mean_count: float
-    max_constant_renewal: float | None
-    max_constant_hawkes: float | None
     sum_shift_hawkes: float | None
     mean_cluster_size: float
 
@@ -476,16 +463,12 @@ def model_constants(model: JointMarkModel) -> ModelConstants:
         return ModelConstants(
             mean_mark=mx,
             mean_count=mc,
-            max_constant_renewal=None,
-            max_constant_hawkes=1.0 / (1.0 - mc),
             sum_shift_hawkes=mx / (1.0 - mc),
             mean_cluster_size=1.0 / (1.0 - mc),
         )
     return ModelConstants(
         mean_mark=mx,
         mean_count=mc,
-        max_constant_renewal=1.0 + mc,
-        max_constant_hawkes=None,
         sum_shift_hawkes=None,
         mean_cluster_size=1.0 + mc,
     )
@@ -733,82 +716,47 @@ def joint_tail_mc(model: JointMarkModel, c: float, x, spec: OracleSpec) -> np.nd
 # The asymptotic denominators
 
 
-class TailTarget(str, Enum):
-    RENEWAL_MAX = "renewal-max"
-    RENEWAL_SUM = "renewal-sum"
-    HAWKES_MAX = "hawkes-max"
-    HAWKES_SUM = "hawkes-sum"
-
-    @classmethod
-    def coerce(cls, value: "TailTarget | str") -> "TailTarget":
-        if isinstance(value, cls):
-            return value
-        aliases = {
-            "renewalmax": cls.RENEWAL_MAX,
-            "renewalsum": cls.RENEWAL_SUM,
-            "hawkesmax": cls.HAWKES_MAX,
-            "hawkessum": cls.HAWKES_SUM,
-        }
-        key = str(value).replace("-", "").replace("_", "").lower()
-        if key not in aliases:
-            raise ModelError(f"unknown tail target {value!r}", "target")
-        return aliases[key]
-
-
-def default_target(model: JointMarkModel, functional: str) -> TailTarget:
-    """The natural target for a model family and functional ('max' or 'sum')."""
-    if functional not in ("max", "sum"):
-        raise ModelError(f"functional must be 'max' or 'sum', got {functional!r}")
-    if model.is_hawkes:
-        return TailTarget.HAWKES_MAX if functional == "max" else TailTarget.HAWKES_SUM
-    return TailTarget.RENEWAL_MAX if functional == "max" else TailTarget.RENEWAL_SUM
+def denominator_label(model: JointMarkModel, functional: str) -> str:
+    """The family and functional of a denominator, e.g. 'renewal-max' or 'hawkes-sum'."""
+    return f"{'hawkes' if model.is_hawkes else 'renewal'}-{functional}"
 
 
 def theoretical_denominator(
     model: JointMarkModel,
-    target: TailTarget | str,
+    functional: str,
     x,
     *,
     joint: str = "closed",
     oracle: OracleSpec | None = None,
 ):
-    """The asymptotic tail approximation for the requested functional at x.
+    """The asymptotic tail approximation of the cluster ``functional`` ('max' or 'sum') at x.
+
+    The model's family picks the formula:
 
     * renewal max:  (1 + E[K]) * P(X > x)
     * renewal sum:  P(X + E[X] K > x) + E[K] P(X > x)
     * hawkes max:   P(X > x) / (1 - E[kappa])
     * hawkes sum:   P(X + (E[X]/(1-E[kappa])) kappa > x) / (1 - E[kappa])
 
-    ``joint`` selects how the joint-tail term of the sum targets is computed:
+    ``joint`` selects how the joint-tail term of the sums is computed:
     ``"closed"`` (exact series/integral) or ``"mc"`` (the MC oracle drawn as
     ``oracle`` says; None means the default :class:`OracleSpec`).
     """
-    target = TailTarget.coerce(target)
+    if functional not in ("max", "sum"):
+        raise ModelError(f"must be 'max' or 'sum', got {functional!r}", "functional")
     consts = model_constants(model)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(xs <= 0):
         raise ModelError("denominator requires x > 0", "x")
 
-    if target is TailTarget.RENEWAL_MAX:
-        if not model.is_renewal:
-            raise ModelError("renewal target on a Hawkes model", "target")
-        out = consts.max_constant_renewal * np.asarray(model.mark_law.survival(xs))
-    elif target is TailTarget.HAWKES_MAX:
-        if not model.is_hawkes:
-            raise ModelError("Hawkes target on a renewal model", "target")
-        out = consts.max_constant_hawkes * np.asarray(model.mark_law.survival(xs))
-    elif target is TailTarget.RENEWAL_SUM:
-        if not model.is_renewal:
-            raise ModelError("renewal target on a Hawkes model", "target")
-        c = consts.mean_mark
-        jt = _joint_term(model, c, xs, joint, oracle)
+    if functional == "max":
+        out = consts.mean_cluster_size * np.asarray(model.mark_law.survival(xs))
+    elif model.is_hawkes:
+        jt = _joint_term(model, consts.sum_shift_hawkes, xs, joint, oracle)
+        out = consts.mean_cluster_size * jt
+    else:
+        jt = _joint_term(model, consts.mean_mark, xs, joint, oracle)
         out = jt + consts.mean_count * np.asarray(model.mark_law.survival(xs))
-    else:  # HAWKES_SUM
-        if not model.is_hawkes:
-            raise ModelError("Hawkes target on a renewal model", "target")
-        c = consts.sum_shift_hawkes
-        jt = _joint_term(model, c, xs, joint, oracle)
-        out = consts.max_constant_hawkes * jt
     return out if np.ndim(x) else float(out[0])
 
 

@@ -39,20 +39,13 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, replace
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ModelError
 from .estimate import _Z95, wilson_interval
-from .heavytail import (
-    JointMarkModel,
-    OracleSpec,
-    TailTarget,
-    model_constants,
-    theoretical_denominator,
-)
+from .heavytail import JointMarkModel, OracleSpec, model_constants, theoretical_denominator
 from .process import WindowConfig, mean_events, sweep_windows
 from .rng import RngStream
 
@@ -194,12 +187,9 @@ def _conditional_max_tail(
     return mean, np.sqrt(var / n)
 
 
-def _expected_events(config: WindowConfig) -> float:
+def _expected_events(config: WindowConfig, horizon: float) -> float:
     """E[N_T] from the cluster-independence formula (no boundary correction)."""
-    consts = model_constants(config.model)
-    if config.model.is_hawkes:
-        return config.nu * config.horizon * consts.max_constant_hawkes
-    return config.nu * config.horizon * consts.max_constant_renewal
+    return config.nu * horizon * model_constants(config.model).mean_cluster_size
 
 
 def max_estimator(model: JointMarkModel) -> str:
@@ -226,12 +216,12 @@ def ldp_max_sweep(
         config.window, config.horizons, config.replications, rng, workers, fields
     )
     rows: list[SweepRow] = []
+    window = config.window
     for i, (horizon, dev) in enumerate(zip(config.horizons, paths["max_in_window"])):
-        wcfg = replace(config.window, horizon=float(horizon))
-        x_lo = config.gamma * wcfg.nu * wcfg.horizon
+        x_lo = config.gamma * window.nu * float(horizon)
         grid = _horizon_grid(dev, x_lo, config.x_levels, config.min_exceedances)
-        survival = np.asarray(wcfg.model.mark_law.survival(grid))
-        denom = _expected_events(wcfg) * survival
+        survival = np.asarray(window.model.mark_law.survival(grid))
+        denom = _expected_events(window, float(horizon)) * survival
         estimate = _conditional_max_tail(paths["n_events"][i], survival) if conditional else None
         rows.extend(
             _sweep_rows(horizon, dev, grid, denom, config.min_exceedances, estimate=estimate)
@@ -256,27 +246,16 @@ def ldp_sum_sweep(
     The centring is :data:`SUM_CENTRING`; the tail is the exceedance
     fraction of S_T - E[S_T] with its Wilson band.
     """
-    target = (
-        TailTarget.HAWKES_SUM if config.window.model.is_hawkes else TailTarget.RENEWAL_SUM
-    )
     window, horizons = config.window, config.horizons
     means = model_constants(window.model).mean_mark * mean_events(window, horizons)
     sums = sweep_windows(window, horizons, config.replications, rng, workers, ("sum_in_window",))
     rows: list[SweepRow] = []
     for horizon, mean, s in zip(horizons, means, sums["sum_in_window"]):
-        wcfg = replace(window, horizon=float(horizon))
         dev = s - float(mean)
-        x_lo = config.gamma * wcfg.nu * wcfg.horizon
+        x_lo = config.gamma * window.nu * float(horizon)
         grid = _horizon_grid(dev, x_lo, config.x_levels, config.min_exceedances)
-        denom = (
-            wcfg.nu
-            * wcfg.horizon
-            * np.asarray(
-                theoretical_denominator(
-                    wcfg.model, target, grid, joint=joint, oracle=oracle
-                )
-            )
-        )
+        tail = theoretical_denominator(window.model, "sum", grid, joint=joint, oracle=oracle)
+        denom = window.nu * float(horizon) * np.asarray(tail)
         rows.extend(_sweep_rows(horizon, dev, grid, denom, config.min_exceedances))
     return rows
 
@@ -331,7 +310,7 @@ def leftover_scaling(
     return rows
 
 
-def sweep_to_csv(rows: list[SweepRow], path: str | Path | None = None) -> str:
+def sweep_to_csv(rows: list[SweepRow]) -> str:
     buf = io.StringIO()
     buf.write(
         "horizon,x,exceedances,empirical,denominator,ratio,ci_low,ci_high,sup_abs_dev\n"
@@ -341,10 +320,7 @@ def sweep_to_csv(rows: list[SweepRow], path: str | Path | None = None) -> str:
             f"{r.horizon!r},{r.x!r},{r.exceedances},{r.empirical!r},{r.denominator!r},"
             f"{r.ratio!r},{r.ci_low!r},{r.ci_high!r},{r.sup_abs_dev!r}\n"
         )
-    text = buf.getvalue()
-    if path is not None:
-        Path(path).write_text(text)
-    return text
+    return buf.getvalue()
 
 
 def sweep_summary(rows: list[SweepRow]) -> dict:
@@ -379,7 +355,7 @@ def sweep_summary(rows: list[SweepRow]) -> dict:
     }
 
 
-def leftover_to_csv(rows: list[LeftoverRow], path: str | Path | None = None) -> str:
+def leftover_to_csv(rows: list[LeftoverRow]) -> str:
     buf = io.StringIO()
     buf.write("horizon,j_over_t,j_over_t_se,eps_over_sqrt_t,eps_over_sqrt_t_se\n")
     for r in rows:
@@ -387,7 +363,4 @@ def leftover_to_csv(rows: list[LeftoverRow], path: str | Path | None = None) -> 
             f"{r.horizon!r},{r.j_over_t!r},{r.j_over_t_se!r},"
             f"{r.eps_over_sqrt_t!r},{r.eps_over_sqrt_t_se!r}\n"
         )
-    text = buf.getvalue()
-    if path is not None:
-        Path(path).write_text(text)
-    return text
+    return buf.getvalue()

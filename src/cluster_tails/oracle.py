@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .clusters import _renewal_functionals
-from .errors import BracketTooWide, LatticeMismatch, ModelError
+from .errors import LatticeMismatch, ModelError
 from .heavytail import _poisson_pmf, _poisson_sf
 from .rng import RngStream
 
@@ -257,9 +257,7 @@ def _bracket_lattice(model: DiscreteJointModel, x: float) -> tuple[float, int]:
     return step, cap
 
 
-def truncated_hawkes_sum_tail(
-    model: DiscreteJointModel, x: float, tolerance: float | None = None
-) -> tuple[float, float]:
+def truncated_hawkes_sum_tail(model: DiscreteJointModel, x: float) -> tuple[float, float]:
     """Bracket [lower, upper] for P(D > x) of the discrete Hawkes cascade.
 
     Dynamic programming over depth, tracking jointly the partial sum on the
@@ -311,8 +309,6 @@ def truncated_hawkes_sum_tail(
 
     lower = float(resolved[cap] + cut[cap])
     upper = float(resolved[cap] + cut.sum())
-    if tolerance is not None and upper - lower > tolerance:
-        raise BracketTooWide(upper - lower, tolerance)
     return lower, upper
 
 

@@ -52,13 +52,10 @@ class WindowConfig:
     model: JointMarkModel
     cluster_params: RenewalParams | HawkesParams
     nu: float
-    horizon: float
 
     def __post_init__(self) -> None:
         if self.nu <= 0:
             raise ModelError("immigration rate nu must be positive", "nu")
-        if self.horizon <= 0:
-            raise ModelError("horizon must be positive", "horizon")
         if self.model.is_hawkes and not isinstance(self.cluster_params, HawkesParams):
             raise ModelError("Hawkes model needs HawkesParams", "cluster_params")
         if self.model.is_renewal and not isinstance(self.cluster_params, RenewalParams):
@@ -75,7 +72,6 @@ def mean_events(config: WindowConfig, horizons) -> np.ndarray:
     256, ... with E[(T - S_n)^+] E[K] <= 1e-15 T: the shortfall never grows
     with r, so the terms past n add at most E[(T - S_n)^+] sum_{r > n} P(K >= r)
     <= E[(T - S_n)^+] E[K], which is below 1e-15 of E[N_T] >= nu T.
-    ``config.horizon`` is not used.
     """
     ts = np.asarray(horizons, dtype=float)
     model, nu = config.model, config.nu
@@ -344,8 +340,8 @@ def sweep_windows(
     immigrants are the Poisson(nu * horizons[i]) subset of the path's
     immigrants that arrive by then.  Rows of one call come from the same
     paths, so they are positively correlated, and the in-window statistics
-    never decrease along a column.  ``config.horizon`` is not used.  Every
-    subset of ``fields`` reads the same draws.
+    never decrease along a column.  Every subset of ``fields`` reads the
+    same draws.
 
     Output is bit-identical for any worker count: chunk boundaries depend
     only on the configuration and the longest horizon, and chunk i always
@@ -365,5 +361,5 @@ def sweep_windows(
     kernel = _hawkes_windows if config.model.is_hawkes else _renewal_windows
     events = config.nu * float(hs[-1]) * model_constants(config.model).mean_cluster_size
     chunk = _chunk_size(events, 1 << 6, 1 << 16)
-    parts = chunked_map(partial(kernel, config, hs, fields=fields), n, chunk, rng.fresh(), workers)
+    parts = chunked_map(partial(kernel, config, hs, fields=fields), n, chunk, rng, workers)
     return {name: np.concatenate([p[name] for p in parts], axis=1) for name in fields}

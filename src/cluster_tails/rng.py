@@ -67,7 +67,3 @@ class RngStream:
         if self.index is not None:
             raise ValueError("child streams have no children")
         return RngStream(self.seed, self.stream_id, index)
-
-    def fresh(self) -> "RngStream":
-        """A copy with untouched generator state (for repeatable replays)."""
-        return RngStream(self.seed, self.stream_id, self.index)

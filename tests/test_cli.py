@@ -1,6 +1,7 @@
 """End-to-end tests of the experiment runner."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -30,6 +31,7 @@ HAWKES_DISCRETE = {
     "max_children": 4,
     "max_depth": 3,
 }
+HAWKES_BRACKETS = {**HAWKES_DISCRETE, "x_grid": [1.0]}
 
 
 def write_config(tmp_path: Path, payload: dict, name: str = "config.json") -> Path:
@@ -326,6 +328,28 @@ class TestHostileConfigs:
         # a bracket over 10^6 lattice cells would run for hours
         ("oracle-compare", {"discrete": {**HAWKES_DISCRETE, "x_grid": [2, 1e6]}}, "discrete.x_grid"),
     ]
+    # counts are whole numbers: a fraction used to be truncated, or to fail
+    # only once the run had started
+    COUNTS = [
+        ("tail-ratio", {"clusters": 0.5}, "clusters"),
+        ("cluster-tails", {"workers": 0.5}, "workers"),
+        ("oracle-compare", {"clusters": 0.5, "discrete": RENEWAL_DISCRETE}, "clusters"),
+        ("hill", {"clusters": 1_000, "hill": {"k": 2.5}}, "hill.k"),
+        ("tauberian", {"tauberian": {"points": 4.5}}, "tauberian.points"),
+        ("cluster-tails", {"grid": {"min_exceedances": -5}}, "grid.min_exceedances"),
+        ("cluster-tails", {"grid": {"min_exceedances": 2.5}}, "grid.min_exceedances"),
+    ] + [
+        ("oracle-compare", {"discrete": {**HAWKES_BRACKETS, key: value}}, f"discrete.{key}")
+        for key in ("max_children", "max_depth")
+        for value in (2.5, -1)
+    ]
+    # a tauberian slope is fitted through at least two distinct points of the s-grid
+    TAUBERIAN_GRID = [
+        ("tauberian", {"tauberian": {"points": 1}}, "tauberian.points"),
+        ("tauberian", {"tauberian": {"s_min": 0.01, "s_max": 0.01}}, "tauberian.s_min"),
+        ("tauberian", {"tauberian": {"s_min": 0.5}}, "tauberian.s_min"),
+    ]
+    CASES += COUNTS + TAUBERIAN_GRID
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize(
@@ -343,6 +367,29 @@ class TestHostileConfigs:
         assert not list(tmp_path.glob(f"{experiment}-1.*"))
 
     @pytest.mark.parametrize(
+        "value, field, message",
+        [
+            (0.5, "clusters", "must be a positive integer"),
+            (2.5, "discrete.max_children", "must be an integer >= 0"),
+            (1, "tauberian.points", "must be an integer >= 2"),
+        ],
+    )
+    def test_count_message(self, tmp_path, value, field, message):
+        payloads = {
+            "clusters": {"experiment": "tail-ratio", "model": MODEL, "clusters": value},
+            "discrete.max_children": {
+                "experiment": "oracle-compare",
+                "discrete": {**HAWKES_BRACKETS, "max_children": value},
+            },
+            "tauberian.points": {
+                "experiment": "tauberian", "model": MODEL, "tauberian": {"points": value}
+            },
+        }
+        with pytest.raises(ConfigError) as excinfo:
+            validate(write_config(tmp_path, {"seed": 1, **payloads[field]}))
+        assert (excinfo.value.message, excinfo.value.field) == (message, field)
+
+    @pytest.mark.parametrize(
         "experiment, fields, field",
         UNKNOWN + UNKNOWN_BY_KIND,
         ids=[c[2] for c in UNKNOWN + UNKNOWN_BY_KIND],
@@ -352,6 +399,39 @@ class TestHostileConfigs:
         with pytest.raises(ConfigError) as excinfo:
             validate(write_config(tmp_path, payload))
         assert (excinfo.value.message, excinfo.value.field) == ("unknown field", field)
+
+
+class TestValidateOutput:
+    """What ``cluster-tails validate`` prints for each shipped config, pinned by its sha256."""
+
+    CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+    PINNED = {
+        "cluster-tails.json": "1aae593b4b70ffc6f82329537acc99b51b4c890482a92f88cafa0b1995f9b8c2",
+        "hill.json": "d3fc1310a5ca93c980e93bed10d57471f642ada8dd2f16afc2a6dc72ffd17a2f",
+        "ldp-max.json": "4ba0ab6eca7786d1212912a3ca25500204697ec6d8adb9e7af85b7541287df76",
+        "ldp-sum.json": "55967124f1991631677299c13b10a5adaccea010e305e6cd3540c0405f7760da",
+        "leftover.json": "26d2187a0cc034da4a4bf446e208a391c0c4fb930589e7794744b2376a06c2fb",
+        "oracle-compare.json": "b6ebbfedd72ef8998fea3f8cab985f01f646c0118dd406f6326338209beff0a0",
+        "tail-ratio-hawkes-sum.json": (
+            "3e8dc15bc6024aafddf8a14f8f4b017fe2ec9f302b25f066dc1f14706dc31790"
+        ),
+        "tail-ratio-renewal-max.json": (
+            "41041ed337f209d5c1ad560ccdeb9e4f4ddb1a9a28800d22bb11ceaa10cfa7a1"
+        ),
+        "tail-ratio-tail-equivalent-mc.json": (
+            "bc4e997c1a0ec757a6d0d8ca167da558b7c14f609b4d058e5b42de95fcc7687a"
+        ),
+        "tauberian.json": "672ad313665a5c23557d98a00f26664f18ce306532dc8ceb6383aaa3d2ed8f57",
+    }
+
+    def test_every_shipped_config_is_pinned(self):
+        assert sorted(p.name for p in self.CONFIGS.glob("*.json")) == sorted(self.PINNED)
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_stdout_pinned(self, capsys, name):
+        assert main(["validate", str(self.CONFIGS / name)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED[name], out
 
 
 class TestColdStart:

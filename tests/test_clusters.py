@@ -203,8 +203,7 @@ class TestBatchFunctionals:
     def test_single_degenerate(self):
         fs = batch_functionals(hawkes_constant(0.0), HP, 1, RngStream(1, 0))
         assert len(fs) == 1
-        h, d, size = fs[0]
-        assert h == d and size == 1
+        assert fs.h[0] == fs.d[0] and fs.sizes[0] == 1
 
     def test_deterministic_and_worker_independent(self):
         a = batch_functionals(light_count(), RP, 50_000, RngStream(2, 0))

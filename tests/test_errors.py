@@ -18,7 +18,6 @@ SAMPLES = {
     errors.DegenerateTail: ("all equal",),
     errors.UnstableEstimate: ("se too large",),
     errors.LatticeMismatch: ("no common step",),
-    errors.BracketTooWide: (0.1, 0.01),
     errors.ConfigError: ("expected a number", "grid.x_max"),
 }
 

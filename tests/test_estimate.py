@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cluster_tails.errors import (
+    ConfigError,
     DegenerateTail,
     InsufficientExceedances,
     UnstableEstimate,
@@ -15,45 +16,45 @@ from cluster_tails.errors import (
 from cluster_tails.estimate import (
     QuantileGrid,
     TailSample,
-    empirical_survival,
     hill_estimator,
-    laplace_derivative_mc,
     laplace_derivative_table,
     ratio_curve,
-    tauberian_slope,
+    table_slope,
     wilson_interval,
 )
-from cluster_tails.heavytail import (
-    JointMarkModel,
-    ParetoLaw,
-    Regime,
-    sample_pareto,
-)
+from cluster_tails.heavytail import JointMarkModel, ParetoLaw, Regime
 from cluster_tails.rng import RngStream
 
 LAW = ParetoLaw(1.0, 1.5)
 
 
+def pareto_values(seed: int, n: int) -> np.ndarray:
+    return LAW.sample(RngStream(seed, 0).generator, n)
+
+
 class TestEmpiricalSurvival:
+    """Exceedance counts and their Wilson bands, as the cluster-tails experiment reports them."""
+
+    SAMPLE = TailSample.from_values([1.0, 2.0, 3.0, 4.0])
+
     def test_simple_count(self):
-        sample = TailSample.from_values([1.0, 2.0, 3.0, 4.0])
-        p, _ = empirical_survival(sample, 2.5)
-        assert p == 0.5
+        assert self.SAMPLE.exceedances(2.5) == 2
 
     def test_below_min(self):
-        sample = TailSample.from_values([1.0, 2.0, 3.0, 4.0])
-        assert empirical_survival(sample, 0.5)[0] == 1.0
+        assert self.SAMPLE.exceedances(0.5) == self.SAMPLE.n
 
     def test_above_max_wilson_positive(self):
-        sample = TailSample.from_values([1.0, 2.0, 3.0, 4.0])
-        p, (lo, hi) = empirical_survival(sample, 10.0)
-        assert p == 0.0 and lo == 0.0 and hi > 0.0
+        count = self.SAMPLE.exceedances(10.0)
+        lo, hi = wilson_interval(count, self.SAMPLE.n)
+        assert count == 0 and lo == 0.0 and hi > 0.0
 
     @given(st.lists(st.floats(0, 1e6), min_size=1, max_size=200), st.floats(0, 1e6))
     def test_exact_order_statistic_count(self, values, x):
         sample = TailSample.from_values(values)
-        p, _ = empirical_survival(sample, x)
-        assert p == sum(1 for v in values if v > x) / len(values)
+        count = sample.exceedances(x)
+        assert count == sum(1 for v in values if v > x)
+        lo, hi = wilson_interval(count, sample.n)
+        assert lo <= count / sample.n <= hi
 
     def test_wilson_contains_estimate(self):
         for count, n in [(0, 10), (5, 10), (10, 10), (37, 1000)]:
@@ -62,44 +63,26 @@ class TestEmpiricalSurvival:
 
 
 class TestRatioCurve:
-    def test_identity_denominator(self):
-        values = sample_pareto(LAW, RngStream(1, 0), 200_000)
-        sample = TailSample.from_values(values)
-        grid = QuantileGrid(levels=(0.9, 0.99, 0.999))
-        xs = np.asarray(sample.quantile(list(grid.levels)))
-        own = np.array([sample.exceedances(float(x)) / sample.n for x in xs])
-        curve = ratio_curve(
-            sample,
-            JointMarkModel(Regime.INDEPENDENT_LIGHT_COUNT, LAW, 0.0),
-            "renewal-max",
-            grid,
-            denominator=own,
-        )
-        assert np.allclose(curve.ratio, 1.0)
-        assert np.all(curve.ci_low <= curve.ratio)
-        assert np.all(curve.ratio <= curve.ci_high)
-
     def test_insufficient_exceedances(self):
         sample = TailSample.from_values(range(1, 101))
         with pytest.raises(InsufficientExceedances):
             ratio_curve(
                 sample,
                 JointMarkModel(Regime.INDEPENDENT_LIGHT_COUNT, LAW, 0.0),
-                "renewal-max",
+                "max",
                 QuantileGrid(levels=(0.5, 0.999), min_exceedances=50),
             )
 
-    def test_exceedances_nonincreasing_and_csv(self, tmp_path):
-        values = sample_pareto(LAW, RngStream(2, 0), 100_000)
+    def test_exceedances_nonincreasing_and_csv(self):
         curve = ratio_curve(
-            TailSample.from_values(values),
+            TailSample.from_values(pareto_values(2, 100_000)),
             JointMarkModel(Regime.INDEPENDENT_LIGHT_COUNT, LAW, 0.0),
-            "renewal-max",
+            "max",
             QuantileGrid(levels=(0.9, 0.99, 0.999)),
         )
         assert np.all(np.diff(curve.exceedances) <= 0)
-        text = curve.to_csv(tmp_path / "curve.csv")
-        assert (tmp_path / "curve.csv").read_text() == text
+        text = curve.to_csv()
+        assert text.splitlines()[0] == "# denominator=renewal-max joint=closed"
         assert text.splitlines()[1].startswith("x,exceedances")
 
 
@@ -111,8 +94,7 @@ class TestHill:
         assert est.se == pytest.approx(0.5 / math.sqrt(3))
 
     def test_pareto_recovery(self):
-        values = sample_pareto(LAW, RngStream(3, 0), 1_000_000)
-        est = hill_estimator(TailSample.from_values(values), 1000)
+        est = hill_estimator(TailSample.from_values(pareto_values(3, 1_000_000)), 1000)
         assert est.alpha_hat == pytest.approx(1.5, abs=0.15)
 
     @given(scale=st.floats(0.001, 1000))
@@ -138,39 +120,45 @@ class TestHill:
 
 
 class TestLaplaceDerivative:
+    """Exact values of one-point tables: the derivative at one s and its standard error."""
+
     def test_order_two_at_zero(self):
-        sample = TailSample.from_values([1.0, 1.0, 1.0])
-        assert laplace_derivative_mc(sample, 0.0, 2) == 1.0
+        (val,), (se,) = laplace_derivative_table(TailSample.from_values([1.0, 1.0, 1.0]), [0.0], 2)
+        assert (val, se) == (1.0, 0.0)
 
     def test_single_point(self):
-        sample = TailSample.from_values([2.0])
-        assert laplace_derivative_mc(sample, math.log(2), 1) == pytest.approx(-0.5)
+        # one value, twice, so that its standard error is defined (and 0)
+        sample = TailSample.from_values([2.0, 2.0])
+        (val,), (se,) = laplace_derivative_table(sample, [math.log(2)], 1)
+        assert val == pytest.approx(-0.5) and se == 0.0
 
     def test_large_s_vanishes(self):
-        values = sample_pareto(LAW, RngStream(4, 0), 1000)
-        sample = TailSample.from_values(values)
-        assert abs(laplace_derivative_mc(sample, 1e6, 3)) < 1e-12
+        sample = TailSample.from_values(pareto_values(4, 1000))
+        (val,), (se,) = laplace_derivative_table(sample, [1e6], 3)
+        assert abs(val) < 1e-12 and se < 1e-12
 
     def test_zeroth_order_is_one_at_zero(self):
-        values = sample_pareto(LAW, RngStream(5, 0), 1000)
-        assert laplace_derivative_mc(TailSample.from_values(values), 0.0, 0) == 1.0
+        sample = TailSample.from_values(pareto_values(5, 1000))
+        (val,), (se,) = laplace_derivative_table(sample, [0.0], 0)
+        assert (val, se) == (1.0, 0.0)
 
 
 class TestTauberianSlope:
+    """``table_slope`` of the ceil(alpha)-th derivative's table: the tauberian experiment's fit."""
+
     S_GRID = np.geomspace(1e-3, 1e-1, 9)
 
     def test_pareto_slope(self):
-        values = sample_pareto(LAW, RngStream(6, 0), 10_000_000)
-        slope = tauberian_slope(TailSample.from_values(values), 1.5, self.S_GRID)
+        sample = TailSample.from_values(pareto_values(6, 10_000_000))
+        slope = table_slope(self.S_GRID, *laplace_derivative_table(sample, self.S_GRID, 2))
         assert slope == pytest.approx(-0.5, abs=0.1)
 
     def test_matches_exact_transform(self):
         # for Pareto(1, 3/2): E[X^2 e^{-sX}] = 1.5 s^{-1/2} Gamma(1/2, s)
         from scipy import special
 
-        values = sample_pareto(LAW, RngStream(7, 0), 2_000_000)
         vals, _ = laplace_derivative_table(
-            TailSample.from_values(values), self.S_GRID, 2
+            TailSample.from_values(pareto_values(7, 2_000_000)), self.S_GRID, 2
         )
         exact = (
             1.5
@@ -183,15 +171,25 @@ class TestTauberianSlope:
     def test_light_tail_flat(self):
         gen = RngStream(8, 0).generator
         sample = TailSample.from_values(gen.exponential(1.0, 10_000_000))
-        slope = tauberian_slope(sample, 1.5, self.S_GRID)
+        slope = table_slope(self.S_GRID, *laplace_derivative_table(sample, self.S_GRID, 2))
         assert abs(slope) < 0.1
 
     def test_integer_alpha_rejected(self):
-        sample = TailSample.from_values([1.0, 2.0])
-        with pytest.raises(ValueError):
-            tauberian_slope(sample, 2.0, self.S_GRID)
+        # the ceil(alpha)-th derivative of an integer alpha has no power-law
+        # blow-up to fit, so the experiment rejects alpha = 2 before it draws
+        from cluster_tails.cli import ExperimentConfig
+
+        model = {
+            "regime": "IndependentLightCount",
+            "mark": {"law": "pareto", "scale": 1.0, "alpha": 2.0},
+            "count": {"poisson_mean": 1.0},
+        }
+        with pytest.raises(ConfigError) as excinfo:
+            ExperimentConfig.from_dict({"experiment": "tauberian", "seed": 1, "model": model})
+        assert excinfo.value.field == "model.mark.alpha"
 
     def test_unstable_estimate(self):
         sample = TailSample.from_values([1.0] * 99 + [1e6])
+        s_grid = [1e-6, 1e-5]
         with pytest.raises(UnstableEstimate):
-            tauberian_slope(sample, 1.5, [1e-6, 1e-5])
+            table_slope(s_grid, *laplace_derivative_table(sample, s_grid, 2))

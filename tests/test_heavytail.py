@@ -8,7 +8,7 @@ from scipy import stats
 
 from cluster_tails import clusters, heavytail
 from cluster_tails.clusters import RenewalParams, batch_functionals
-from cluster_tails.errors import InfiniteMean, SupercriticalModel
+from cluster_tails.errors import InfiniteMean, ModelError, SupercriticalModel
 from cluster_tails.heavytail import (
     BoundedUniform,
     Exponential,
@@ -16,18 +16,16 @@ from cluster_tails.heavytail import (
     OracleSpec,
     ParetoLaw,
     Regime,
-    TailTarget,
     _poisson_counts,
     _poisson_pmf,
     _poisson_sf,
     _poisson_table,
     count_survival,
+    denominator_label,
     joint_tail_exact,
     joint_tail_mc,
     model_constants,
-    pareto_survival,
     sample_joint,
-    sample_pareto,
     theoretical_denominator,
 )
 from cluster_tails.rng import RngStream
@@ -79,13 +77,13 @@ ALL_MODELS = {
 
 class TestParetoSurvival:
     def test_closed_form(self):
-        assert pareto_survival(LAW, 2.0) == pytest.approx(2.0 ** -1.5)
+        assert LAW.survival(2.0) == pytest.approx(2.0 ** -1.5)
 
     def test_boundary(self):
-        assert pareto_survival(LAW, 1.0) == 1.0
+        assert LAW.survival(1.0) == 1.0
 
     def test_below_scale(self):
-        assert pareto_survival(LAW, 0.5) == 1.0
+        assert LAW.survival(0.5) == 1.0
 
     @given(
         scale=st.floats(0.1, 10),
@@ -103,20 +101,20 @@ class TestParetoSurvival:
 
 class TestSamplePareto:
     def test_support_and_median(self):
-        s = sample_pareto(LAW, RngStream(42, 0), 1_000_000)
+        s = LAW.sample(RngStream(42, 0).generator, 1_000_000)
         assert s.min() >= LAW.scale
         assert np.median(s) == pytest.approx(2 ** (2 / 3), rel=0.01)
 
     def test_hill_crosscheck(self):
         from cluster_tails.estimate import TailSample, hill_estimator
 
-        s = sample_pareto(LAW, RngStream(7, 0), 1_000_000)
+        s = LAW.sample(RngStream(7, 0).generator, 1_000_000)
         est = hill_estimator(TailSample.from_values(s), 1000)
         assert est.alpha_hat == pytest.approx(1.5, abs=0.15)
 
     def test_reproducible(self):
-        a = sample_pareto(LAW, RngStream(5, 3), 1000)
-        b = sample_pareto(LAW, RngStream(5, 3), 1000)
+        a = LAW.sample(RngStream(5, 3).generator, 1000)
+        b = LAW.sample(RngStream(5, 3).generator, 1000)
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
@@ -174,14 +172,12 @@ class TestModelConstants:
         c = model_constants(light_count())
         assert c.mean_mark == pytest.approx(3.0)
         assert c.mean_count == pytest.approx(2.0)
-        assert c.max_constant_renewal == pytest.approx(3.0)
-        assert c.max_constant_hawkes is None
+        assert c.mean_cluster_size == pytest.approx(3.0)
         assert c.sum_shift_hawkes is None
 
     def test_hawkes_max_constant(self):
         c = model_constants(hawkes_light(0.45))
-        assert c.max_constant_hawkes == pytest.approx(1 / 0.55)
-        assert c.max_constant_renewal is None
+        assert c.mean_cluster_size == pytest.approx(1 / 0.55)
 
     def test_hawkes_sum_shift(self):
         c = model_constants(hawkes_comonotone(0.5))
@@ -190,7 +186,7 @@ class TestModelConstants:
     def test_identity_exact(self):
         for kappa in (0.3, 0.5, 0.8, 0.95):
             c = model_constants(hawkes_light(kappa))
-            assert c.max_constant_hawkes * (1.0 - c.mean_count) == pytest.approx(
+            assert c.mean_cluster_size * (1.0 - c.mean_count) == pytest.approx(
                 1.0, abs=1e-12
             )
 
@@ -212,16 +208,16 @@ class TestModelConstants:
 
 class TestTheoreticalDenominator:
     def test_renewal_max_example(self):
-        v = theoretical_denominator(light_count(), "renewal-max", 10.0)
+        v = theoretical_denominator(light_count(), "max", 10.0)
         assert v == pytest.approx(3 * 10 ** -1.5)
 
     def test_hawkes_max_example(self):
-        v = theoretical_denominator(hawkes_light(0.5), "hawkes-max", 10.0)
+        v = theoretical_denominator(hawkes_light(0.5), "max", 10.0)
         assert v == pytest.approx(2 * 10 ** -1.5)
 
     def test_hawkes_sum_comonotone_example(self):
         # kappa = X/6, shift c = 6, so X + c*kappa = 2X
-        v = theoretical_denominator(hawkes_comonotone(0.5), "hawkes-sum", 10.0)
+        v = theoretical_denominator(hawkes_comonotone(0.5), "sum", 10.0)
         assert v == pytest.approx(2 * 5 ** -1.5)
 
     def test_max_ratio_constant_in_x(self):
@@ -231,29 +227,29 @@ class TestTheoreticalDenominator:
             (tail_equivalent(), 1.0 + model_constants(tail_equivalent()).mean_count),
             (comonotone(), 1.0 + model_constants(comonotone()).mean_count),
         ]:
-            ratio = theoretical_denominator(model, "renewal-max", xs) / np.asarray(
-                pareto_survival(model.mark_law, xs)
-            )
+            ratio = theoretical_denominator(model, "max", xs) / model.mark_law.survival(xs)
             assert np.allclose(ratio, constant)
 
     @pytest.mark.parametrize("name", sorted(ALL_MODELS))
     def test_nonincreasing_in_x(self, name):
         model = ALL_MODELS[name]
         xs = np.geomspace(0.5, 2000, 40)
-        targets = (
-            (TailTarget.HAWKES_MAX, TailTarget.HAWKES_SUM)
-            if model.is_hawkes
-            else (TailTarget.RENEWAL_MAX, TailTarget.RENEWAL_SUM)
-        )
-        for target in targets:
-            vals = np.asarray(theoretical_denominator(model, target, xs))
+        for functional in ("max", "sum"):
+            vals = np.asarray(theoretical_denominator(model, functional, xs))
             assert np.all(np.diff(vals) <= 1e-12)
 
-    def test_family_mismatch_rejected(self):
-        from cluster_tails.errors import ModelError
+    @pytest.mark.parametrize("functional", ["mean", "renewal-max", "hawkes-sum"])
+    def test_unknown_functional_rejected(self, functional):
+        with pytest.raises(ModelError) as excinfo:
+            theoretical_denominator(light_count(), functional, 5.0)
+        assert excinfo.value.field == "functional"
 
-        with pytest.raises(ModelError):
-            theoretical_denominator(light_count(), "hawkes-max", 5.0)
+    @pytest.mark.parametrize("name", sorted(ALL_MODELS))
+    def test_label_names_the_family(self, name):
+        model = ALL_MODELS[name]
+        family = "hawkes" if model.is_hawkes else "renewal"
+        assert denominator_label(model, "max") == f"{family}-max"
+        assert denominator_label(model, "sum") == f"{family}-sum"
 
 
 class TestJointTailExact:

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cluster_tails.errors import BracketTooWide, LatticeMismatch, ModelError
+from cluster_tails.errors import LatticeMismatch, ModelError
 from cluster_tails.oracle import (
     DiscreteJointModel,
     exact_renewal_max_distribution,
@@ -198,13 +198,6 @@ class TestHawkesBracket:
         )
         lo, hi = truncated_hawkes_sum_tail(model, 16.0)
         assert 0.0 <= lo <= hi <= 1.0
-
-    def test_bracket_too_wide(self):
-        model = DiscreteJointModel(
-            kind="hawkes", support=((1.0, 0.9, 1.0),), max_children=2, max_depth=1
-        )
-        with pytest.raises(BracketTooWide):
-            truncated_hawkes_sum_tail(model, 3.0, tolerance=1e-6)
 
     def test_bracket_vs_monte_carlo(self):
         from cluster_tails.clusters import HawkesParams, batch_functionals

@@ -42,23 +42,23 @@ LAW = ParetoLaw(1.0, 1.5)
 RP = RenewalParams(waiting_law=Exponential(1.0))
 
 
-def renewal_config(nu=1.0, horizon=10.0, count_mean=2.0):
+def renewal_config(nu=1.0, count_mean=2.0):
     model = JointMarkModel(Regime.INDEPENDENT_LIGHT_COUNT, LAW, count_mean)
-    return WindowConfig(model=model, cluster_params=RP, nu=nu, horizon=horizon)
+    return WindowConfig(model=model, cluster_params=RP, nu=nu)
 
 
-def hawkes_config(nu=1.0, horizon=10.0, kappa=0.5):
+def hawkes_config(nu=1.0, kappa=0.5):
     model = JointMarkModel(
         Regime.HAWKES_LIGHT_INTENSITY, LAW, BoundedUniform(0.0, 1.0), target_mean_kappa=kappa
     )
-    return WindowConfig(
-        model=model, cluster_params=HawkesParams(), nu=nu, horizon=horizon
-    )
+    return WindowConfig(model=model, cluster_params=HawkesParams(), nu=nu)
 
 
-def windows(config: WindowConfig, n: int, rng: RngStream, workers: int = 1, fields=WINDOW_FIELDS):
-    """n windows of length ``config.horizon``: one row of a one-horizon sweep per statistic."""
-    out = sweep_windows(config, (config.horizon,), n, rng, workers, fields)
+def windows(
+    config: WindowConfig, horizon: float, n: int, rng: RngStream, workers=1, fields=WINDOW_FIELDS
+):
+    """n windows of length ``horizon``: one row of a one-horizon sweep per statistic."""
+    out = sweep_windows(config, (horizon,), n, rng, workers, fields)
     return {field: rows[0] for field, rows in out.items()}
 
 
@@ -66,14 +66,14 @@ def mean_and_se(values: np.ndarray) -> tuple[float, float]:
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(len(values)))
 
 
-def reference_window(config: WindowConfig, rng: RngStream):
+def reference_window(config: WindowConfig, horizon: float, rng: RngStream):
     """Object-level window simulation: clusters first, then classification.
 
     Returns the window statistics plus the per-cluster functionals, so the
     decomposition identities can be checked pathwise.
     """
     gen = rng.generator
-    t_max = config.horizon
+    t_max = horizon
     c_t = int(gen.poisson(config.nu * t_max))
     stats = dict(
         n_events=0, j_leftover=0, sum_in=0.0, max_in=0.0, leftover=0.0, n_clusters=c_t
@@ -104,10 +104,10 @@ def reference_window(config: WindowConfig, rng: RngStream):
 class TestDecompositionIdentities:
     @pytest.mark.parametrize("factory", [renewal_config, hawkes_config])
     def test_pathwise_sum_and_sandwich(self, factory):
-        config = factory(nu=2.0, horizon=5.0)
+        config = factory(nu=2.0)
         rng = RngStream(17, 0)
         for _ in range(300):
-            stats, sums, maxes = reference_window(config, rng)
+            stats, sums, maxes = reference_window(config, 5.0, rng)
             total = stats["sum_in"] + stats["leftover"]
             assert total == pytest.approx(sum(sums), rel=1e-9)
             if maxes:
@@ -116,10 +116,10 @@ class TestDecompositionIdentities:
 
     @pytest.mark.parametrize("factory", [renewal_config, hawkes_config])
     def test_vectorized_matches_reference_distribution(self, factory):
-        config = factory(nu=1.0, horizon=5.0)
+        config = factory(nu=1.0)
         n = 20_000
-        batch = windows(config, n, RngStream(23, 0))
-        ref = [reference_window(config, RngStream(29, i))[0] for i in range(n)]
+        batch = windows(config, 5.0, n, RngStream(23, 0))
+        ref = [reference_window(config, 5.0, RngStream(29, i))[0] for i in range(n)]
         ref_sum = np.array([r["sum_in"] for r in ref])
         # KS on the in-window sums between the two implementations
         a, b = np.sort(batch["sum_in_window"]), np.sort(ref_sum)
@@ -145,8 +145,8 @@ class TestDecompositionIdentities:
 
 class TestWindowBatches:
     def test_k_zero_no_leftover(self):
-        config = renewal_config(nu=2.0, horizon=10.0, count_mean=0.0)
-        batch = windows(config, 100_000, RngStream(1, 0))
+        config = renewal_config(nu=2.0, count_mean=0.0)
+        batch = windows(config, 10.0, 100_000, RngStream(1, 0))
         assert np.all(batch["j_leftover"] == 0)
         assert np.all(batch["leftover_sum"] == 0.0)
         assert batch["n_events"].mean() == pytest.approx(20.0, rel=0.02)
@@ -154,38 +154,38 @@ class TestWindowBatches:
 
     def test_mean_event_count_renewal(self):
         # approaches (1+E[K]) nu T from below; within 5% at T=50
-        batch = windows(renewal_config(horizon=50.0), 30_000, RngStream(2, 0))
+        batch = windows(renewal_config(), 50.0, 30_000, RngStream(2, 0))
         mean = batch["n_events"].mean()
         assert mean < 150.0
         assert mean == pytest.approx(150.0, rel=0.05)
 
     def test_mean_event_count_hawkes(self):
-        batch = windows(hawkes_config(horizon=100.0), 30_000, RngStream(3, 0))
+        batch = windows(hawkes_config(), 100.0, 30_000, RngStream(3, 0))
         assert batch["n_events"].mean() == pytest.approx(200.0, rel=0.05)
 
     def test_cluster_count_mean(self):
-        batch = windows(renewal_config(nu=2.0, horizon=5.0), 1_000_000, RngStream(4, 0))
+        batch = windows(renewal_config(nu=2.0), 5.0, 1_000_000, RngStream(4, 0))
         assert batch["n_clusters"].mean() == pytest.approx(10.0, rel=0.01)
 
     def test_empty_window_all_zero(self):
-        config = renewal_config(nu=1e-6, horizon=1.0)
-        batch = windows(config, 500, RngStream(5, 0))
+        config = renewal_config(nu=1e-6)
+        batch = windows(config, 1.0, 500, RngStream(5, 0))
         empty = batch["n_clusters"] == 0
         assert empty.mean() > 0.99
         for field in ("n_events", "j_leftover", "sum_in_window", "max_in_window", "leftover_sum"):
             assert np.all(batch[field][empty] == 0)
 
     def test_deterministic_and_worker_independent(self):
-        config = hawkes_config(horizon=20.0)
-        a = windows(config, 30_000, RngStream(6, 0))
-        b = windows(config, 30_000, RngStream(6, 0), workers=2)
+        config = hawkes_config()
+        a = windows(config, 20.0, 30_000, RngStream(6, 0))
+        b = windows(config, 20.0, 30_000, RngStream(6, 0), workers=2)
         for field in ("n_events", "j_leftover", "sum_in_window", "max_in_window", "leftover_sum", "n_clusters"):
             assert np.array_equal(a[field], b[field])
 
     def test_leftover_scaling_decreases(self):
         means = []
         for i, horizon in enumerate((10.0, 50.0, 100.0)):
-            batch = windows(renewal_config(horizon=horizon), 30_000, RngStream(8, i))
+            batch = windows(renewal_config(), horizon, 30_000, RngStream(8, i))
             means.append(batch["j_leftover"].mean() / horizon)
         assert means[0] > means[1] > means[2]
 
@@ -196,10 +196,9 @@ class TestWindowBatches:
             ),
             cluster_params=HawkesParams(max_cluster_events=25),
             nu=1.0,
-            horizon=50.0,
         )
         with pytest.raises(ClusterOverflow):
-            windows(config, 5_000, RngStream(9, 0))
+            windows(config, 50.0, 5_000, RngStream(9, 0))
 
     def test_single_brood_overflow_raises_before_drawing_it(self, monkeypatch):
         # kappa = X/6 with Pareto(1.5) marks: among 2,000 windows of ~10
@@ -212,7 +211,6 @@ class TestWindowBatches:
             model=model,
             cluster_params=HawkesParams(max_cluster_events=limit),
             nu=1.0,
-            horizon=10.0,
         )
         n = 2_000
         # replay the first generation of the batch's only chunk
@@ -232,7 +230,7 @@ class TestWindowBatches:
 
         monkeypatch.setattr(process, "sample_joint", recording)
         with pytest.raises(ClusterOverflow) as exc_info:
-            windows(config, n, RngStream(14, 0))
+            windows(config, 10.0, n, RngStream(14, 0))
         assert exc_info.value.replication == win_of_cluster[brood.argmax()]
         assert drawn == [win_of_cluster.size]
 
@@ -257,7 +255,7 @@ class TestSingleHorizonPinned:
 
     @pytest.mark.parametrize("kind", ["renewal", "hawkes"])
     def test_batch_windows(self, kind):
-        batch = windows(self.FACTORIES[kind](horizon=50.0), 20_000, RngStream(71, 0))
+        batch = windows(self.FACTORIES[kind](), 50.0, 20_000, RngStream(71, 0))
         assert _digest(batch[f] for f in WINDOW_FIELDS) == self.BATCH[kind]
 
 
@@ -277,7 +275,7 @@ class TestRenewalEventTimes:
         ids=["zero-k-start-middle-end", "no-offspring", "empty-windows", "no-clusters"],
     )
     def test_matches_per_cluster_cumsum(self, monkeypatch, nu, zeroed):
-        config = renewal_config(nu=nu, horizon=self.T, count_mean=0.8)
+        config = renewal_config(nu=nu, count_mean=0.8)
         n = 300
         real_joint = process.sample_joint
 
@@ -399,7 +397,7 @@ class TestLeftoverIntensity:
     @classmethod
     def sweep(cls, name, fields=FIELDS, workers=1, seed=81):
         model, params = cls.MODELS[name]
-        config = WindowConfig(model, params, 1.0, cls.HORIZONS[-1])
+        config = WindowConfig(model, params, 1.0)
         return sweep_windows(config, cls.HORIZONS, cls.N, RngStream(seed, 0), workers, fields)
 
     @pytest.mark.parametrize("name", sorted(MODELS))
@@ -473,7 +471,7 @@ class TestSweepWindows:
         n = 20_000
         out = sweep_windows(factory(), self.HORIZONS, n, RngStream(62, 0))
         for i, horizon in enumerate(self.HORIZONS):
-            alone = windows(factory(horizon=horizon), n, RngStream(63, i))
+            alone = windows(factory(), horizon, n, RngStream(63, i))
             a, b = out["n_events"][i], alone["n_events"]
             se = np.sqrt(a.var(ddof=1) / n + b.var(ddof=1) / n)
             assert abs(a.mean() - b.mean()) < 3 * se, horizon
@@ -503,7 +501,7 @@ class TestSweepWindows:
         n, fields = 40_000, ("n_events", "j_leftover")
 
         def config(limit):
-            return WindowConfig(model, HawkesParams(max_cluster_events=limit), 1.0, 50.0)
+            return WindowConfig(model, HawkesParams(max_cluster_events=limit), 1.0)
 
         for seed in range(3, 23):
             out = sweep_windows(config(10**7), (50.0,), n, RngStream(seed, 0), fields=fields)
@@ -521,9 +519,9 @@ class TestSweepWindows:
     def test_last_horizon_is_a_plain_batch(self):
         # same draws: the chunks depend only on the longest horizon; only the
         # in-window sum is added up in another order
-        config = renewal_config(horizon=20.0)
+        config = renewal_config()
         out = sweep_windows(config, (5.0, 20.0), 5_000, RngStream(65, 0))
-        batch = windows(config, 5_000, RngStream(65, 0))
+        batch = windows(config, 20.0, 5_000, RngStream(65, 0))
         for field in WINDOW_FIELDS:
             if field == "sum_in_window":
                 np.testing.assert_allclose(out[field][-1], batch[field], rtol=1e-12)
@@ -546,30 +544,30 @@ class TestEstimateMeanSum:
 
     def test_constant_marks_no_offspring(self):
         model = JointMarkModel(Regime.INDEPENDENT_LIGHT_COUNT, Constant(1.0), 0.0)
-        config = WindowConfig(model=model, cluster_params=RP, nu=1.0, horizon=10.0)
-        mean, se = mean_and_se(windows(config, 10_000, RngStream(10, 0), fields=self.SUM)["sum_in_window"])
+        config = WindowConfig(model=model, cluster_params=RP, nu=1.0)
+        mean, se = mean_and_se(windows(config, 10.0, 10_000, RngStream(10, 0), fields=self.SUM)["sum_in_window"])
         assert abs(mean - 10.0) < 3 * se
 
     def test_bigger_pilot_smaller_se(self):
-        config = renewal_config(horizon=10.0)
-        small = mean_and_se(windows(config, 5_000, RngStream(11, 0), fields=self.SUM)["sum_in_window"])
-        large = mean_and_se(windows(config, 20_000, RngStream(11, 1), fields=self.SUM)["sum_in_window"])
+        config = renewal_config()
+        small = mean_and_se(windows(config, 10.0, 5_000, RngStream(11, 0), fields=self.SUM)["sum_in_window"])
+        large = mean_and_se(windows(config, 10.0, 20_000, RngStream(11, 1), fields=self.SUM)["sum_in_window"])
         assert large[1] < small[1]
 
     def test_boundary_deficit_range(self):
         # E[S_T] = E[X] E[N_T] sits below nu*T*E[X]*(1+E[K]) = 60 by the leftover mass
         model = JointMarkModel(Regime.INDEPENDENT_LIGHT_COUNT, Constant(1.0), 2.0)
-        config = WindowConfig(model=model, cluster_params=RP, nu=1.0, horizon=20.0)
-        mean, se = mean_and_se(windows(config, 50_000, RngStream(13, 0), fields=self.SUM)["sum_in_window"])
+        config = WindowConfig(model=model, cluster_params=RP, nu=1.0)
+        mean, se = mean_and_se(windows(config, 20.0, 50_000, RngStream(13, 0), fields=self.SUM)["sum_in_window"])
         exact = 1.0 * process.mean_events(config, (20.0,))[0]
         assert exact < 60.0
         assert abs(mean - exact) < 3 * se
 
     def test_nested_pilots_match_single_horizon(self):
-        config = renewal_config(horizon=20.0)
+        config = renewal_config()
         nested = sweep_windows(config, (5.0, 20.0), 5_000, RngStream(15, 0), fields=self.SUM)
         short, long = (mean_and_se(s) for s in nested["sum_in_window"])
-        alone = mean_and_se(windows(config, 5_000, RngStream(15, 1), fields=self.SUM)["sum_in_window"])
+        alone = mean_and_se(windows(config, 20.0, 5_000, RngStream(15, 1), fields=self.SUM)["sum_in_window"])
         assert abs(long[0] - alone[0]) < 3 * np.hypot(long[1], alone[1])
         assert short[0] < long[0]
 
@@ -595,7 +593,7 @@ class TestMeanEvents:
     @pytest.mark.parametrize("waiting", [Exponential(1.0), Constant(0.5), BoundedUniform(0.0, 1.0)])
     def test_no_offspring_is_nu_t(self, waiting):
         model = JointMarkModel(Regime.INDEPENDENT_LIGHT_COUNT, LAW, 0.0)
-        config = WindowConfig(model, RenewalParams(waiting), nu=1.3, horizon=100.7)
+        config = WindowConfig(model, RenewalParams(waiting), nu=1.3)
         horizons = (0.3, 10.0, 100.7)
         assert list(process.mean_events(config, horizons)) == [1.3 * t for t in horizons]
         hawkes = hawkes_config(nu=1.3, kappa=0.0)
@@ -637,13 +635,13 @@ class TestMeanEvents:
     )
     def test_renewal_matches_simulation(self, stream, waiting):
         model = JointMarkModel(Regime.INDEPENDENT_LIGHT_COUNT, LAW, 2.0)
-        config = WindowConfig(model, RenewalParams(waiting), nu=1.0, horizon=100.0)
+        config = WindowConfig(model, RenewalParams(waiting), nu=1.0)
         self._check_simulated(config, RngStream(73, stream))
 
     @pytest.mark.parametrize("stream, decay", enumerate([1.0, 0.3]))
     def test_hawkes_matches_simulation(self, stream, decay):
-        config = hawkes_config(horizon=100.0)
-        config = WindowConfig(config.model, HawkesParams(decay_rate=decay), 1.0, 100.0)
+        config = hawkes_config()
+        config = WindowConfig(config.model, HawkesParams(decay_rate=decay), 1.0)
         self._check_simulated(config, RngStream(74, stream))
 
     @staticmethod
