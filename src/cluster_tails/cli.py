@@ -38,7 +38,7 @@ from .estimate import (
     laplace_derivative_table,
     ratio_curve,
     table_slope,
-    wilson_interval,
+    tail_bands,
 )
 from .heavytail import (
     BoundedUniform,
@@ -58,10 +58,8 @@ from .ldp import (
     ldp_sum_sweep,
     leftover_estimator,
     leftover_scaling,
-    leftover_to_csv,
     max_estimator,
     sweep_summary,
-    sweep_to_csv,
 )
 from .oracle import (
     DiscreteJointModel,
@@ -219,7 +217,9 @@ def _parse_model(section: dict, path: str) -> JointMarkModel:
         count_param = _num(count, "poisson_mean", f"{path}.count")
     elif "count" in _MODEL_KEYS[regime]:
         count_param = _parse_law(_section(section, "count", path, required=True), f"{path}.count")
-    tmk = section.get("target_mean_kappa")
+    tmk = None
+    if "target_mean_kappa" in section:
+        tmk = _number(section["target_mean_kappa"], f"{path}.target_mean_kappa")
     try:
         return JointMarkModel(
             regime=regime,
@@ -264,13 +264,13 @@ def _parse_grid(config: dict) -> QuantileGrid:
 _ORACLE_KEYS = {"size": _count, "seed": _seed, "cache_dir": None}
 
 
-def _parse_joint(config: dict) -> tuple[str, OracleSpec | None]:
-    """The joint-law route of the sum denominators, and its MC oracle if it uses one."""
+def _parse_joint(config: dict) -> OracleSpec | None:
+    """The MC oracle of the sum denominators' joint term; None when it is in closed form."""
     joint = config.get("joint", "closed")
     if joint not in ("closed", "mc"):
         raise ConfigError("joint must be 'closed' or 'mc'", "joint")
     oracle = OracleSpec(**_given(_section(config, "oracle", ""), "oracle", _ORACLE_KEYS))
-    return joint, oracle if joint == "mc" else None
+    return oracle if joint == "mc" else None
 
 
 def _parse_tail_ratio(config: ExperimentConfig):
@@ -278,10 +278,10 @@ def _parse_tail_ratio(config: ExperimentConfig):
     if functional not in ("max", "sum"):
         raise ConfigError("functional must be 'max' or 'sum'", "functional")
     grid = _parse_grid(config.raw)
-    joint, oracle = _parse_joint(config.raw)
-    if functional == "max" and joint == "mc":
+    oracle = _parse_joint(config.raw)
+    if functional == "max" and oracle is not None:
         raise ConfigError("joint 'mc' needs functional 'sum': the max has no joint term", "joint")
-    return functional, grid, joint, oracle
+    return functional, grid, oracle
 
 
 def _x_grid(value, field: str) -> list[float]:
@@ -308,6 +308,10 @@ def _parse_discrete(config: ExperimentConfig):
     bounds = {
         k: _count(section.get(k, 0), f"discrete.{k}", 0) for k in ("max_children", "max_depth")
     }
+    for key in ("joint_csv", "offspring_csv"):
+        # a number would be taken as a file descriptor: 0 reads stdin
+        if key in section and not isinstance(section[key], str):
+            raise ConfigError("must be a path string", f"discrete.{key}")
     try:
         if "joint_csv" in section:
             model = DiscreteJointModel.from_csv(
@@ -372,7 +376,9 @@ class ExperimentConfig:
         clusters = None
         if "clusters" in keys:
             clusters = _count(raw.get("clusters", 1_000_000), "clusters")
-        output_dir = Path(raw.get("output_dir", "."))
+        output_dir = raw.get("output_dir", ".")
+        if not isinstance(output_dir, str):
+            raise ConfigError("must be a path string", "output_dir")
         model = None
         params = None
         if "model" in keys:
@@ -387,7 +393,7 @@ class ExperimentConfig:
             experiment=experiment,
             seed=seed,
             workers=workers,
-            output_dir=output_dir,
+            output_dir=Path(output_dir),
             raw=raw,
             model=model,
             cluster_params=params,
@@ -413,7 +419,32 @@ class ExperimentConfig:
 
 # ---------------------------------------------------------------------------
 # Experiments: each parse returns the plan its run takes after (config, rng);
-# each run returns (csv_text, summary_dict)
+# each run returns (csv_text, summary_dict), its CSV written by _csv
+
+
+def _cell(value) -> str:
+    """A string or an integer as it is, any other number as repr(float(v)): the same double."""
+    if isinstance(value, (str, int, np.integer)):
+        return str(value)
+    return repr(float(value))
+
+
+def _csv(header: str, rows, comment: str = "") -> str:
+    """A ``# comment`` line if one is given, the header, then one line of cells per row."""
+    lines = [f"# {comment}"] if comment else []
+    lines.append(header)
+    lines += [",".join(map(_cell, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _attrs(header: str, records) -> list[list]:
+    """Each record's attributes, in the order that ``header`` names them."""
+    keys = header.split(",")
+    return [[getattr(r, k) for k in keys] for r in records]
+
+
+_SWEEP_COLUMNS = "horizon,x,exceedances,empirical,denominator,ratio,ci_low,ci_high,sup_abs_dev"
+_LEFTOVER_COLUMNS = "horizon,j_over_t,j_over_t_se,eps_over_sqrt_t,eps_over_sqrt_t_se"
 
 
 def _functional_sample(config: ExperimentConfig, rng: RngStream):
@@ -436,14 +467,11 @@ def _constants_dict(model: JointMarkModel) -> dict:
 
 def _run_cluster_tails(config: ExperimentConfig, rng: RngStream, grid: QuantileGrid):
     sample = _functional_sample(config, rng)
-    lines = ["functional,level,x,exceedances,survival,ci_low,ci_high"]
+    rows = []
     for name, values in (("max", sample.h), ("sum", sample.d)):
         ts = TailSample.from_values(values)
-        xs = np.quantile(ts.values, list(grid.levels))
-        for level, x in zip(grid.levels, xs):
-            c = ts.exceedances(float(x))
-            lo, hi = wilson_interval(c, ts.n)
-            lines.append(f"{name},{level!r},{float(x)!r},{c},{c / ts.n!r},{lo!r},{hi!r}")
+        xs = ts.quantile(list(grid.levels))
+        rows += [(name, *cells) for cells in zip(grid.levels, xs, *tail_bands(ts, xs))]
     summary = {
         "constants": _constants_dict(config.model),
         "n": len(sample),
@@ -451,14 +479,14 @@ def _run_cluster_tails(config: ExperimentConfig, rng: RngStream, grid: QuantileG
         "mean_sum": float(sample.d.mean()),
         "mean_size": float(sample.sizes.mean()),
     }
-    return "\n".join(lines) + "\n", summary
+    return _csv("functional,level,x,exceedances,survival,ci_low,ci_high", rows), summary
 
 
-def _run_tail_ratio(config: ExperimentConfig, rng: RngStream, functional, grid, joint, oracle):
+def _run_tail_ratio(config: ExperimentConfig, rng: RngStream, functional, grid, oracle):
     sample = _functional_sample(config, rng)
     values = sample.h if functional == "max" else sample.d
     curve = ratio_curve(
-        TailSample.from_values(values), config.model, functional, grid, joint=joint, oracle=oracle
+        TailSample.from_values(values), config.model, functional, grid, oracle=oracle
     )
     summary = {
         "constants": _constants_dict(config.model),
@@ -470,7 +498,10 @@ def _run_tail_ratio(config: ExperimentConfig, rng: RngStream, functional, grid, 
         "grid": curve.grid.tolist(),
         "provenance": curve.provenance,
     }
-    return curve.to_csv(), summary
+    c = curve
+    rows = zip(c.grid, c.exceedances, c.empirical, c.denominator, c.ratio, c.ci_low, c.ci_high)
+    header = "x,exceedances,empirical,denominator,ratio,ci_low,ci_high"
+    return _csv(header, rows, c.provenance), summary
 
 
 def _parse_hill(config: ExperimentConfig) -> tuple[int]:
@@ -485,14 +516,13 @@ def _parse_hill(config: ExperimentConfig) -> tuple[int]:
 
 def _run_hill(config: ExperimentConfig, rng: RngStream, k: int):
     sample = _functional_sample(config, rng)
-    lines = ["functional,k,alpha_hat,se"]
     results = {}
     for name, values in (("max", sample.h), ("sum", sample.d)):
         est = hill_estimator(TailSample.from_values(values), k)
-        lines.append(f"{name},{est.k},{est.alpha_hat!r},{est.se!r}")
         results[name] = {"k": est.k, "alpha_hat": est.alpha_hat, "se": est.se}
+    rows = [(name, r["k"], r["alpha_hat"], r["se"]) for name, r in results.items()]
     summary = {"constants": _constants_dict(config.model), "n": len(sample), "hill": results}
-    return "\n".join(lines) + "\n", summary
+    return _csv("functional,k,alpha_hat,se", rows), summary
 
 
 def _parse_tauberian(config: ExperimentConfig):
@@ -516,8 +546,10 @@ def _parse_tauberian(config: ExperimentConfig):
     s_max = _num(section, "s_max", "tauberian", default=1e-1, positive=True)
     if s_min >= s_max:
         raise ConfigError(f"must be below s_max = {s_max!r}", "tauberian.s_min")
-    # a slope is fitted through the points: one point gives no slope
+    # a slope is fitted through the points: one point gives no slope, and
+    # one cluster gives no standard error
     points = _count(section.get("points", 9), "tauberian.points", 2)
+    _count(config.clusters, "clusters", 2)
     return source, alpha, np.geomspace(s_min, s_max, points)
 
 
@@ -532,9 +564,6 @@ def _run_tauberian(config: ExperimentConfig, rng: RngStream, source: str, alpha,
     order = math.ceil(alpha)
     vals, ses = laplace_derivative_table(ts, s_grid, order)
     slope = table_slope(s_grid, vals, ses)
-    lines = ["s,derivative,se"]
-    for s, v, e in zip(s_grid, vals, ses):
-        lines.append(f"{float(s)!r},{float(v)!r},{float(e)!r}")
     summary = {
         "source": source,
         "alpha": alpha,
@@ -543,21 +572,18 @@ def _run_tauberian(config: ExperimentConfig, rng: RngStream, source: str, alpha,
         "target_slope": alpha - order,
         "n": int(ts.n),
     }
-    return "\n".join(lines) + "\n", summary
+    return _csv("s,derivative,se", zip(s_grid, vals, ses)), summary
 
 
 def _run_oracle_compare(config: ExperimentConfig, rng: RngStream, model, x_grid):
     n = config.clusters
     if model.kind == "hawkes":
-        lines = ["x,lower,upper"]
-        rows = []
-        for x in x_grid:
-            lo, hi = truncated_hawkes_sum_tail(model, x)
-            lines.append(f"{x!r},{lo!r},{hi!r}")
-            rows.append({"x": x, "lower": lo, "upper": hi})
-        return "\n".join(lines) + "\n", {"kind": "hawkes", "brackets": rows}
+        header = "x,lower,upper"
+        rows = [(x, *truncated_hawkes_sum_tail(model, x)) for x in x_grid]
+        brackets = [dict(zip(header.split(","), row)) for row in rows]
+        return _csv(header, rows), {"kind": "hawkes", "brackets": brackets}
     h, d = sample_renewal_functionals(model, n, rng)
-    lines = ["functional,x,exact,mc"]
+    rows = []
     ks_stats = {}
     for name, values, dist in (
         ("max", h, exact_renewal_max_distribution(model)),
@@ -567,8 +593,7 @@ def _run_oracle_compare(config: ExperimentConfig, rng: RngStream, model, x_grid)
         exact_cdf = np.cumsum(pmf)
         emp_cdf = np.searchsorted(np.sort(values), xs, side="right") / n
         ks_stats[name] = float(np.max(np.abs(emp_cdf - exact_cdf)))
-        for x, ec, mc in zip(xs, exact_cdf, emp_cdf):
-            lines.append(f"{name},{float(x)!r},{float(1.0 - ec)!r},{float(1.0 - mc)!r}")
+        rows += [(name, x, 1.0 - ec, 1.0 - mc) for x, ec, mc in zip(xs, exact_cdf, emp_cdf)]
     summary = {
         "kind": "renewal",
         "n": n,
@@ -578,7 +603,7 @@ def _run_oracle_compare(config: ExperimentConfig, rng: RngStream, model, x_grid)
             "sum_tail_at_4": exact_renewal_sum_tail(model, 4.0),
         },
     }
-    return "\n".join(lines) + "\n", summary
+    return _csv("functional,x,exact,mc", rows), summary
 
 
 def _horizons(value, field: str) -> tuple[float, ...]:
@@ -622,12 +647,14 @@ def _parse_sweep(config: ExperimentConfig) -> tuple[SweepConfig]:
 
 def _run_ldp_max(config: ExperimentConfig, rng: RngStream, sweep: SweepConfig):
     rows = ldp_max_sweep(sweep, rng, workers=config.workers)
-    return sweep_to_csv(rows), {**sweep_summary(rows), "estimator": max_estimator(config.model)}
+    summary = {**sweep_summary(rows), "estimator": max_estimator(config.model)}
+    return _csv(_SWEEP_COLUMNS, _attrs(_SWEEP_COLUMNS, rows)), summary
 
 
-def _run_ldp_sum(config: ExperimentConfig, rng: RngStream, sweep: SweepConfig, joint, oracle):
-    rows = ldp_sum_sweep(sweep, rng, workers=config.workers, joint=joint, oracle=oracle)
-    return sweep_to_csv(rows), {**sweep_summary(rows), "centring": SUM_CENTRING}
+def _run_ldp_sum(config: ExperimentConfig, rng: RngStream, sweep: SweepConfig, oracle):
+    rows = ldp_sum_sweep(sweep, rng, workers=config.workers, oracle=oracle)
+    summary = {**sweep_summary(rows), "centring": SUM_CENTRING}
+    return _csv(_SWEEP_COLUMNS, _attrs(_SWEEP_COLUMNS, rows)), summary
 
 
 def _run_leftover(config: ExperimentConfig, rng: RngStream, sweep: SweepConfig):
@@ -636,7 +663,7 @@ def _run_leftover(config: ExperimentConfig, rng: RngStream, sweep: SweepConfig):
         "horizons": [asdict(r) for r in rows],
         "estimator": leftover_estimator(config.model),
     }
-    return leftover_to_csv(rows), summary
+    return _csv(_LEFTOVER_COLUMNS, _attrs(_LEFTOVER_COLUMNS, rows)), summary
 
 
 # Each experiment: the top-level keys it reads besides experiment, seed,
@@ -661,7 +688,7 @@ _EXPERIMENTS = {
     "ldp-max": ((*_MODEL, "window", "ldp"), _parse_sweep, _run_ldp_max),
     "ldp-sum": (
         (*_MODEL, "window", "ldp", "joint", "oracle"),
-        lambda config: _parse_sweep(config) + _parse_joint(config.raw),
+        lambda config: (*_parse_sweep(config), _parse_joint(config.raw)),
         _run_ldp_sum,
     ),
     "leftover": ((*_MODEL, "window", "leftover"), _parse_sweep, _run_leftover),

@@ -1,13 +1,12 @@
 """Empirical-tail machinery.
 
-Survival estimates with Wilson bands, ratio curves against the asymptotic
+Tail estimates with their 95% bands, ratio curves against the asymptotic
 denominators, the Hill tail-index estimator, and numeric Laplace-transform
 slope checks of regular variation.
 """
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -26,6 +25,7 @@ __all__ = [
     "QuantileGrid",
     "RatioCurve",
     "HillEstimate",
+    "tail_bands",
     "ratio_curve",
     "hill_estimator",
     "laplace_derivative_table",
@@ -38,7 +38,7 @@ _Z95 = 1.959963984540054
 
 @dataclass(frozen=True)
 class TailSample:
-    """A sorted sample of nonnegative values."""
+    """A sorted sample of real values."""
 
     values: np.ndarray
     n: int
@@ -67,6 +67,23 @@ def wilson_interval(count: int, n: int, z: float = _Z95) -> tuple[float, float]:
     center = (p + z * z / (2 * n)) / denom
     half = z * math.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n)) / denom
     return max(0.0, min(center - half, p)), min(1.0, max(center + half, p))
+
+
+def tail_bands(sample: TailSample, xs, estimate=None):
+    """Exceedance counts, tail estimates and their 95% bands at each x of ``xs``.
+
+    Without ``estimate`` the tail is the exceedance fraction of ``sample``
+    with its Wilson band.  ``estimate`` is a (tail, standard error) pair of
+    arrays over ``xs``; its band is p +- 1.96 se, clipped to [0, 1].  Returns
+    (counts, tail, low, high).
+    """
+    counts = np.asarray(sample.exceedances(np.asarray(xs, dtype=float)))
+    if estimate is None:
+        tail = counts / sample.n
+        low, high = np.array([wilson_interval(int(c), sample.n) for c in counts]).T
+        return counts, tail, low, high
+    tail, se = estimate
+    return counts, tail, np.clip(tail - _Z95 * se, 0.0, 1.0), np.clip(tail + _Z95 * se, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -100,20 +117,6 @@ class RatioCurve:
     exceedances: np.ndarray
     provenance: str = ""
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        if self.provenance:
-            buf.write(f"# {self.provenance}\n")
-        buf.write("x,exceedances,empirical,denominator,ratio,ci_low,ci_high\n")
-        for i in range(len(self.grid)):
-            buf.write(
-                f"{float(self.grid[i])!r},{int(self.exceedances[i])},"
-                f"{float(self.empirical[i])!r},{float(self.denominator[i])!r},"
-                f"{float(self.ratio[i])!r},{float(self.ci_low[i])!r},"
-                f"{float(self.ci_high[i])!r}\n"
-            )
-        return buf.getvalue()
-
 
 def ratio_curve(
     sample: TailSample,
@@ -121,7 +124,6 @@ def ratio_curve(
     functional: str,
     grid: QuantileGrid = QuantileGrid(),
     *,
-    joint: str = "closed",
     oracle: OracleSpec | None = None,
 ) -> RatioCurve:
     """Empirical survival of the sample against the model's tail asymptotics.
@@ -129,32 +131,28 @@ def ratio_curve(
     ``functional`` ('max' or 'sum') and the model's family pick the
     denominator (see :func:`~cluster_tails.heavytail.theoretical_denominator`).
     The confidence band propagates only the numerator's Monte Carlo error;
-    the denominator is exact (or a high-precision MC oracle, whose size and
-    seed the curve's provenance records).
+    the denominator is exact, or, when ``oracle`` is given, the MC oracle
+    drawn as it says, whose size and seed the curve's provenance records.
     """
     xs = np.asarray(sample.quantile(list(grid.levels)), dtype=float)
-    counts = np.asarray(sample.exceedances(xs))
+    counts, emp, low, high = tail_bands(sample, xs)
     if counts[-1] < grid.min_exceedances:
         raise InsufficientExceedances(
             float(xs[-1]), int(counts[-1]), grid.min_exceedances
         )
-    if joint == "mc":
-        oracle = oracle or OracleSpec()
-    denom = np.asarray(theoretical_denominator(model, functional, xs, joint=joint, oracle=oracle))
-    provenance = f"denominator={denominator_label(model, functional)} joint={joint}"
-    if joint == "mc":
-        provenance += f" oracle_size={oracle.size} oracle_seed={oracle.seed}"
-    emp = counts / sample.n
-    bands = np.array([wilson_interval(int(c), sample.n) for c in counts])
+    denom = np.asarray(theoretical_denominator(model, functional, xs, oracle=oracle))
+    route = "closed"
+    if oracle is not None:
+        route = f"mc oracle_size={oracle.size} oracle_seed={oracle.seed}"
     return RatioCurve(
         grid=xs,
         empirical=emp,
         denominator=denom,
         ratio=emp / denom,
-        ci_low=bands[:, 0] / denom,
-        ci_high=bands[:, 1] / denom,
+        ci_low=low / denom,
+        ci_high=high / denom,
         exceedances=counts,
-        provenance=provenance,
+        provenance=f"denominator={denominator_label(model, functional)} joint={route}",
     )
 
 
@@ -212,9 +210,11 @@ def table_slope(s_grid, vals: np.ndarray, ses: np.ndarray) -> float:
     alpha the ceil(alpha)-th transform derivative blows up like
     s**(alpha - ceil(alpha)) as s -> 0, so the fitted slope converges to
     alpha - ceil(alpha); light-tailed input gives a slope near zero.
-    Raises :class:`UnstableEstimate` when a derivative's relative standard
-    error exceeds 25%.
+    Raises :class:`UnstableEstimate` when a derivative or its standard error
+    is not finite, or when a derivative's relative standard error exceeds 25%.
     """
+    if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(ses))):
+        raise UnstableEstimate("a transform derivative or its MC standard error is not finite")
     rel = np.abs(ses / vals)
     if np.any(rel > 0.25):
         worst = float(rel.max())

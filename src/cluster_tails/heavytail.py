@@ -726,7 +726,6 @@ def theoretical_denominator(
     functional: str,
     x,
     *,
-    joint: str = "closed",
     oracle: OracleSpec | None = None,
 ):
     """The asymptotic tail approximation of the cluster ``functional`` ('max' or 'sum') at x.
@@ -738,9 +737,8 @@ def theoretical_denominator(
     * hawkes max:   P(X > x) / (1 - E[kappa])
     * hawkes sum:   P(X + (E[X]/(1-E[kappa])) kappa > x) / (1 - E[kappa])
 
-    ``joint`` selects how the joint-tail term of the sums is computed:
-    ``"closed"`` (exact series/integral) or ``"mc"`` (the MC oracle drawn as
-    ``oracle`` says; None means the default :class:`OracleSpec`).
+    The joint-tail term of the sums is the exact series/integral, or, when
+    ``oracle`` is given, the MC oracle drawn as it says.
     """
     if functional not in ("max", "sum"):
         raise ModelError(f"must be 'max' or 'sum', got {functional!r}", "functional")
@@ -751,18 +749,11 @@ def theoretical_denominator(
 
     if functional == "max":
         out = consts.mean_cluster_size * np.asarray(model.mark_law.survival(xs))
-    elif model.is_hawkes:
-        jt = _joint_term(model, consts.sum_shift_hawkes, xs, joint, oracle)
-        out = consts.mean_cluster_size * jt
     else:
-        jt = _joint_term(model, consts.mean_mark, xs, joint, oracle)
-        out = jt + consts.mean_count * np.asarray(model.mark_law.survival(xs))
+        c = consts.sum_shift_hawkes if model.is_hawkes else consts.mean_mark
+        jt = joint_tail_mc(model, c, xs, oracle) if oracle else joint_tail_exact(model, c, xs)
+        if model.is_hawkes:
+            out = consts.mean_cluster_size * jt
+        else:
+            out = jt + consts.mean_count * np.asarray(model.mark_law.survival(xs))
     return out if np.ndim(x) else float(out[0])
-
-
-def _joint_term(model, c, xs, joint, oracle):
-    if joint == "closed":
-        return np.asarray(joint_tail_exact(model, c, xs))
-    if joint == "mc":
-        return joint_tail_mc(model, c, xs, oracle or OracleSpec())
-    raise ModelError(f"joint must be 'closed' or 'mc', got {joint!r}")

@@ -37,14 +37,13 @@ leftover counts and mark sums themselves.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ModelError
-from .estimate import _Z95, wilson_interval
+from .estimate import TailSample, tail_bands
 from .heavytail import JointMarkModel, OracleSpec, model_constants, theoretical_denominator
 from .process import WindowConfig, mean_events, sweep_windows
 from .rng import RngStream
@@ -59,9 +58,7 @@ __all__ = [
     "SUM_CENTRING",
     "leftover_scaling",
     "leftover_estimator",
-    "sweep_to_csv",
     "sweep_summary",
-    "leftover_to_csv",
 ]
 
 
@@ -111,44 +108,31 @@ class LeftoverRow:
     eps_over_sqrt_t_se: float
 
 
-def _horizon_grid(
-    deviations: np.ndarray, x_lo: float, levels: int, min_exc: int
-) -> np.ndarray:
-    """Geometric grid from the sweep threshold up to the certified tail edge."""
-    srt = np.sort(deviations)
-    n = len(srt)
-    x_hi = float(srt[max(0, n - min_exc - 1)])
-    if x_hi <= x_lo or levels == 1:
+def _horizon_grid(config: SweepConfig, horizon: float, sample: TailSample) -> np.ndarray:
+    """Geometric grid from the sweep threshold gamma*nu*T up to the certified tail edge."""
+    x_lo = config.gamma * config.window.nu * float(horizon)
+    x_hi = float(sample.values[max(0, sample.n - config.min_exceedances - 1)])
+    if x_hi <= x_lo or config.x_levels == 1:
         return np.array([x_lo])
-    return np.geomspace(x_lo, x_hi, levels)
+    return np.geomspace(x_lo, x_hi, config.x_levels)
 
 
 def _sweep_rows(
+    config: SweepConfig,
     horizon: float,
-    deviations: np.ndarray,
+    sample: TailSample,
     grid: np.ndarray,
     denom: np.ndarray,
-    min_exc: int,
     estimate: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> list[SweepRow]:
-    """One row per grid point; ``estimate`` is a tail estimate and its SE per point.
+    """One row per grid point, with the tail and band of :func:`~cluster_tails.estimate.tail_bands`.
 
-    Without ``estimate`` the tail is the exceedance fraction of
-    ``deviations`` with its Wilson band.  The exceedance counts certify the
-    grid either way.
+    The exceedance counts of the deviations in ``sample`` certify the grid
+    whichever estimate the tail is.
     """
-    n = len(deviations)
-    srt = np.sort(deviations)
-    counts = n - np.searchsorted(srt, grid, side="right")
-    if estimate is None:
-        empirical = counts / n
-        lo, hi = np.array([wilson_interval(int(c), n) for c in counts]).T
-    else:
-        empirical, se = estimate
-        lo = np.clip(empirical - _Z95 * se, 0.0, 1.0)
-        hi = np.clip(empirical + _Z95 * se, 0.0, 1.0)
+    counts, empirical, lo, hi = tail_bands(sample, grid, estimate)
     ratio = empirical / denom
-    certified = counts >= min_exc
+    certified = counts >= config.min_exceedances
     sup_dev = float(np.abs(ratio[certified] - 1.0).max()) if certified.any() else float("nan")
     return [
         SweepRow(
@@ -218,14 +202,12 @@ def ldp_max_sweep(
     rows: list[SweepRow] = []
     window = config.window
     for i, (horizon, dev) in enumerate(zip(config.horizons, paths["max_in_window"])):
-        x_lo = config.gamma * window.nu * float(horizon)
-        grid = _horizon_grid(dev, x_lo, config.x_levels, config.min_exceedances)
+        sample = TailSample.from_values(dev)
+        grid = _horizon_grid(config, horizon, sample)
         survival = np.asarray(window.model.mark_law.survival(grid))
         denom = _expected_events(window, float(horizon)) * survival
         estimate = _conditional_max_tail(paths["n_events"][i], survival) if conditional else None
-        rows.extend(
-            _sweep_rows(horizon, dev, grid, denom, config.min_exceedances, estimate=estimate)
-        )
+        rows.extend(_sweep_rows(config, horizon, sample, grid, denom, estimate))
     return rows
 
 
@@ -238,25 +220,24 @@ def ldp_sum_sweep(
     rng: RngStream,
     workers: int = 1,
     *,
-    joint: str = "closed",
     oracle: OracleSpec | None = None,
 ) -> list[SweepRow]:
     """Ratio of the centred-sum tail to the cluster-sum normalizer, per horizon.
 
     The centring is :data:`SUM_CENTRING`; the tail is the exceedance
-    fraction of S_T - E[S_T] with its Wilson band.
+    fraction of S_T - E[S_T] with its Wilson band.  The normalizer's joint
+    term is in closed form, or the MC oracle that ``oracle`` gives.
     """
     window, horizons = config.window, config.horizons
     means = model_constants(window.model).mean_mark * mean_events(window, horizons)
     sums = sweep_windows(window, horizons, config.replications, rng, workers, ("sum_in_window",))
     rows: list[SweepRow] = []
     for horizon, mean, s in zip(horizons, means, sums["sum_in_window"]):
-        dev = s - float(mean)
-        x_lo = config.gamma * window.nu * float(horizon)
-        grid = _horizon_grid(dev, x_lo, config.x_levels, config.min_exceedances)
-        tail = theoretical_denominator(window.model, "sum", grid, joint=joint, oracle=oracle)
+        sample = TailSample.from_values(s - float(mean))
+        grid = _horizon_grid(config, horizon, sample)
+        tail = theoretical_denominator(window.model, "sum", grid, oracle=oracle)
         denom = window.nu * float(horizon) * np.asarray(tail)
-        rows.extend(_sweep_rows(horizon, dev, grid, denom, config.min_exceedances))
+        rows.extend(_sweep_rows(config, horizon, sample, grid, denom))
     return rows
 
 
@@ -310,19 +291,6 @@ def leftover_scaling(
     return rows
 
 
-def sweep_to_csv(rows: list[SweepRow]) -> str:
-    buf = io.StringIO()
-    buf.write(
-        "horizon,x,exceedances,empirical,denominator,ratio,ci_low,ci_high,sup_abs_dev\n"
-    )
-    for r in rows:
-        buf.write(
-            f"{r.horizon!r},{r.x!r},{r.exceedances},{r.empirical!r},{r.denominator!r},"
-            f"{r.ratio!r},{r.ci_low!r},{r.ci_high!r},{r.sup_abs_dev!r}\n"
-        )
-    return buf.getvalue()
-
-
 def sweep_summary(rows: list[SweepRow]) -> dict:
     """Per-horizon sup deviations and certified x-ranges, JSON-ready.
 
@@ -354,13 +322,3 @@ def sweep_summary(rows: list[SweepRow]) -> dict:
         "horizons": out,
     }
 
-
-def leftover_to_csv(rows: list[LeftoverRow]) -> str:
-    buf = io.StringIO()
-    buf.write("horizon,j_over_t,j_over_t_se,eps_over_sqrt_t,eps_over_sqrt_t_se\n")
-    for r in rows:
-        buf.write(
-            f"{r.horizon!r},{r.j_over_t!r},{r.j_over_t_se!r},"
-            f"{r.eps_over_sqrt_t!r},{r.eps_over_sqrt_t_se!r}\n"
-        )
-    return buf.getvalue()

@@ -132,7 +132,6 @@ class TestCriterion2RenewalSum:
             TAIL_EQUIVALENT,
             "sum",
             GRID,
-            joint="mc",
             oracle=spec,
         )
         ok = bool(np.all((curve.ratio >= 0.80) & (curve.ratio <= 1.20)))

@@ -32,12 +32,32 @@ HAWKES_DISCRETE = {
     "max_depth": 3,
 }
 HAWKES_BRACKETS = {**HAWKES_DISCRETE, "x_grid": [1.0]}
+HAWKES_COMONOTONE = {
+    "regime": "HawkesComonotoneIntensity",
+    "mark": {"law": "pareto", "scale": 1.0, "alpha": 1.5},
+    "target_mean_kappa": 0.5,
+}
 
 
 def write_config(tmp_path: Path, payload: dict, name: str = "config.json") -> Path:
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return path
+
+
+def python(*args):
+    """Runs a fresh interpreter on the package under test, with no stdin and a time limit."""
+    src = str(Path(cluster_tails.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        stdin=subprocess.DEVNULL,
+        timeout=60,
+    )
 
 
 def tail_ratio_config(tmp_path, **overrides):
@@ -90,6 +110,10 @@ class TestRun:
         assert manifest["outputs"]["tail-ratio-7.csv"]
         summary = json.loads(outputs[1].read_text())
         assert summary["constants"]["max_constant_renewal"] == 3.0
+        assert outputs[0].read_text().splitlines()[:2] == [
+            "# denominator=renewal-max joint=closed",
+            "x,exceedances,empirical,denominator,ratio,ci_low,ci_high",
+        ]
 
     def test_rerun_byte_identical(self, tmp_path):
         config = tail_ratio_config(tmp_path)
@@ -349,7 +373,20 @@ class TestHostileConfigs:
         ("tauberian", {"tauberian": {"s_min": 0.01, "s_max": 0.01}}, "tauberian.s_min"),
         ("tauberian", {"tauberian": {"s_min": 0.5}}, "tauberian.s_min"),
     ]
-    CASES += COUNTS + TAUBERIAN_GRID
+    # fields that used to reach the library untyped and fail there, or pass as nonsense
+    TYPED = [
+        (
+            "tail-ratio",
+            {"model": {**HAWKES_COMONOTONE, "target_mean_kappa": value}},
+            "model.target_mean_kappa",
+        )
+        for value in ("a", [], float("nan"), True)
+    ] + [
+        ("tail-ratio", {"output_dir": 5}, "output_dir"),
+        # one cluster gives NaN standard errors, which the slope fit used to ignore
+        ("tauberian", {"clusters": 1}, "clusters"),
+    ]
+    CASES += COUNTS + TAUBERIAN_GRID + TYPED
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize(
@@ -365,6 +402,21 @@ class TestHostileConfigs:
         assert err["error"] == "ConfigError"
         assert err["field"] == field
         assert not list(tmp_path.glob(f"{experiment}-1.*"))
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("key", ["joint_csv", "offspring_csv"])
+    def test_discrete_table_path_must_be_a_string(self, tmp_path, command, key):
+        # 0 used to open file descriptor 0, so the CLI read its table from stdin
+        payload = {
+            "experiment": "oracle-compare",
+            "seed": 1,
+            "discrete": {"kind": "renewal", "joint_csv": str(tmp_path / "joint.csv"), key: 0},
+            "output_dir": str(tmp_path),
+        }
+        proc = python("-m", "cluster_tails.cli", command, str(write_config(tmp_path, payload)))
+        assert proc.returncode == 2, proc.stderr
+        err = json.loads(proc.stderr.splitlines()[-1])
+        assert (err["error"], err["field"]) == ("ConfigError", f"discrete.{key}")
 
     @pytest.mark.parametrize(
         "value, field, message",
@@ -437,17 +489,8 @@ class TestValidateOutput:
 class TestColdStart:
     """A fresh interpreter must not pay for scipy.stats or scipy.integrate."""
 
-    @staticmethod
-    def _python(*args):
-        src = str(Path(cluster_tails.__file__).resolve().parent.parent)
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        env = {**os.environ, "PYTHONPATH": path}
-        return subprocess.run(
-            [sys.executable, *args], capture_output=True, text=True, env=env
-        )
-
     def test_import_loads_no_stats_or_integrate(self):
-        proc = self._python(
+        proc = python(
             "-c",
             "import sys, cluster_tails.cli; print(sorted(m for m in sys.modules"
             " if m.startswith(('scipy.stats', 'scipy.integrate'))))",
@@ -457,7 +500,7 @@ class TestColdStart:
 
     def test_validate_shipped_config(self):
         config = Path(__file__).resolve().parent.parent / "configs" / "ldp-sum.json"
-        proc = self._python("-m", "cluster_tails.cli", "validate", str(config))
+        proc = python("-m", "cluster_tails.cli", "validate", str(config))
         assert proc.returncode == 0, proc.stderr
 
 

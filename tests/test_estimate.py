@@ -20,6 +20,7 @@ from cluster_tails.estimate import (
     laplace_derivative_table,
     ratio_curve,
     table_slope,
+    tail_bands,
     wilson_interval,
 )
 from cluster_tails.heavytail import JointMarkModel, ParetoLaw, Regime
@@ -62,6 +63,33 @@ class TestEmpiricalSurvival:
             assert lo <= count / n <= hi
 
 
+class TestTailBands:
+    """The one routine behind every printed tail estimate and its band."""
+
+    SAMPLE = TailSample.from_values(pareto_values(1, 2_000))
+    XS = np.array([0.5, 1.5, 3.0, 10.0, 100.0, 1e6])
+
+    def test_counts_are_the_exceedances(self):
+        counts, _, _, _ = tail_bands(self.SAMPLE, self.XS)
+        assert counts.tolist() == [self.SAMPLE.exceedances(float(x)) for x in self.XS]
+
+    def test_fraction_with_its_wilson_band(self):
+        counts, tail, low, high = tail_bands(self.SAMPLE, self.XS)
+        n = self.SAMPLE.n
+        assert tail.tolist() == [int(c) / n for c in counts]
+        assert list(zip(low, high)) == [wilson_interval(int(c), n) for c in counts]
+
+    def test_estimate_with_its_clipped_normal_band(self):
+        p = np.array([0.5, 0.2, 0.01, 0.001, 1e-5, 0.0])
+        se = np.array([0.1, 0.15, 0.02, 0.0, 1e-4, 0.0])
+        counts, tail, low, high = tail_bands(self.SAMPLE, self.XS, (p, se))
+        assert counts.tolist() == [self.SAMPLE.exceedances(float(x)) for x in self.XS]
+        assert tail is p
+        assert np.array_equal(low, np.clip(p - 1.959963984540054 * se, 0.0, 1.0))
+        assert np.array_equal(high, np.clip(p + 1.959963984540054 * se, 0.0, 1.0))
+        assert low[4] == 0.0 and high[3] == low[3] == p[3]
+
+
 class TestRatioCurve:
     def test_insufficient_exceedances(self):
         sample = TailSample.from_values(range(1, 101))
@@ -73,7 +101,7 @@ class TestRatioCurve:
                 QuantileGrid(levels=(0.5, 0.999), min_exceedances=50),
             )
 
-    def test_exceedances_nonincreasing_and_csv(self):
+    def test_exceedances_nonincreasing_and_provenance(self):
         curve = ratio_curve(
             TailSample.from_values(pareto_values(2, 100_000)),
             JointMarkModel(Regime.INDEPENDENT_LIGHT_COUNT, LAW, 0.0),
@@ -81,9 +109,7 @@ class TestRatioCurve:
             QuantileGrid(levels=(0.9, 0.99, 0.999)),
         )
         assert np.all(np.diff(curve.exceedances) <= 0)
-        text = curve.to_csv()
-        assert text.splitlines()[0] == "# denominator=renewal-max joint=closed"
-        assert text.splitlines()[1].startswith("x,exceedances")
+        assert curve.provenance == "denominator=renewal-max joint=closed"
 
 
 class TestHill:
@@ -187,6 +213,12 @@ class TestTauberianSlope:
         with pytest.raises(ConfigError) as excinfo:
             ExperimentConfig.from_dict({"experiment": "tauberian", "seed": 1, "model": model})
         assert excinfo.value.field == "model.mark.alpha"
+
+    @pytest.mark.parametrize("vals, ses", [([1.0, math.nan], [0.1, 0.1]), ([1.0, 0.5], [math.nan, 0.1])])
+    def test_non_finite_table_rejected(self, vals, ses):
+        # a NaN relative error is not above 25%, so it used to pass the check
+        with pytest.raises(UnstableEstimate):
+            table_slope([1e-3, 1e-2], np.array(vals), np.array(ses))
 
     def test_unstable_estimate(self):
         sample = TailSample.from_values([1.0] * 99 + [1e6])

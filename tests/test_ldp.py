@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from cluster_tails.clusters import HawkesParams, RenewalParams
-from cluster_tails.cli import run
+from cluster_tails.cli import _LEFTOVER_COLUMNS, _SWEEP_COLUMNS, _attrs, _csv, run
 from cluster_tails.errors import ModelError
 from cluster_tails.estimate import _Z95, wilson_interval
 from cluster_tails.heavytail import (
@@ -29,9 +29,7 @@ from cluster_tails.ldp import (
     ldp_sum_sweep,
     leftover_estimator,
     leftover_scaling,
-    leftover_to_csv,
     sweep_summary,
-    sweep_to_csv,
 )
 from cluster_tails.process import WindowConfig
 from cluster_tails.rng import RngStream
@@ -39,6 +37,11 @@ from reference import hawkes_leftover_mean
 
 LAW = ParetoLaw(1.0, 1.5)
 RP = RenewalParams(waiting_law=Exponential(1.0))
+
+
+def sweep_csv(rows) -> str:
+    """The CSV that the ldp-max and ldp-sum experiments write for ``rows``."""
+    return _csv(_SWEEP_COLUMNS, _attrs(_SWEEP_COLUMNS, rows))
 
 
 def sweep_config(count_mean=2.0, horizons=(10.0, 30.0), replications=50_000, **kw):
@@ -165,7 +168,7 @@ class TestConditionalMaxSweep:
             assert 0.0 < se < 0.01
             assert abs(row.empirical - exact) <= 4 * se, row
 
-    # sha256 of sweep_to_csv of the rows: the comonotone regimes keep the crude estimator
+    # sha256 of the CSV of the rows: the comonotone regimes keep the crude estimator
     CRUDE_ROWS = {
         "ComonotoneCount": "06205c6efc01a0b293b3c1f909a8fb5ea48054aeca0e3ef1ec7e04183312892d",
         "HawkesComonotoneIntensity": (
@@ -181,7 +184,7 @@ class TestConditionalMaxSweep:
         rows = ldp_max_sweep(config, RngStream(39, 0))
         for row in rows:
             assert row.empirical == row.exceedances / config.replications
-        digest = hashlib.sha256(sweep_to_csv(rows).encode()).hexdigest()
+        digest = hashlib.sha256(sweep_csv(rows).encode()).hexdigest()
         assert digest == self.CRUDE_ROWS[name]
 
     @pytest.mark.parametrize(
@@ -293,7 +296,7 @@ class TestLeftoverScaling:
     def test_csv_output(self):
         config = sweep_config(horizons=(5.0,), replications=10_000)
         rows = leftover_scaling(config, RngStream(53, 0))
-        text = leftover_to_csv(rows)
+        text = _csv(_LEFTOVER_COLUMNS, _attrs(_LEFTOVER_COLUMNS, rows))
         assert text.startswith("horizon,")
         assert len(text.splitlines()) == len(rows) + 1
 
@@ -315,7 +318,7 @@ class TestSweepValidation:
     def test_csv_format(self):
         config = sweep_config(horizons=(10.0,), replications=20_000)
         rows = ldp_max_sweep(config, RngStream(54, 0))
-        text = sweep_to_csv(rows)
+        text = sweep_csv(rows)
         header = text.splitlines()[0]
         assert header == (
             "horizon,x,exceedances,empirical,denominator,ratio,ci_low,ci_high,sup_abs_dev"
