@@ -183,7 +183,8 @@ def _parse_law(spec, path: str):
     try:
         return law(**{key: _num(spec, key, path, positive=pos) for key, pos in params})
     except ModelError as exc:
-        raise ConfigError(str(exc), path) from None
+        # a law's fields are spelt as its config keys
+        raise ConfigError(exc.message, f"{path}.{exc.field}" if exc.field else path) from None
 
 
 # the model keys each regime reads besides regime and mark: the comonotone
@@ -196,6 +197,17 @@ _MODEL_KEYS = {
     Regime.HAWKES_LIGHT_INTENSITY: ("count", "target_mean_kappa"),
     Regime.HAWKES_COMONOTONE_INTENSITY: ("target_mean_kappa",),
 }
+
+# the JointMarkModel attributes whose config keys are spelt otherwise
+_MODEL_KEY_OF = {"count_param": "count", "mark_law": "mark"}
+
+
+def _model_field(exc: ModelError, path: str) -> str:
+    """The config path of the model key that ``exc`` names, or ``path`` if it names none."""
+    if not exc.field:
+        return path
+    head, dot, rest = exc.field.partition(".")
+    return f"{path}.{_MODEL_KEY_OF.get(head, head)}{dot}{rest}"
 
 
 def _parse_model(section: dict, path: str) -> JointMarkModel:
@@ -228,7 +240,7 @@ def _parse_model(section: dict, path: str) -> JointMarkModel:
             target_mean_kappa=tmk,
         )
     except ModelError as exc:
-        raise ConfigError(str(exc), path) from None
+        raise ConfigError(exc.message, _model_field(exc, path)) from None
 
 
 def _parse_cluster_params(config: dict, model: JointMarkModel):
@@ -387,8 +399,7 @@ class ExperimentConfig:
             try:
                 model_constants(model)
             except ModelError as exc:
-                field = f"model.{exc.field}" if exc.field else "model"
-                raise type(exc)(exc.message, field) from None
+                raise type(exc)(exc.message, _model_field(exc, "model")) from None
         config = cls(
             experiment=experiment,
             seed=seed,

@@ -27,12 +27,14 @@ output as a cross-check.  The comonotone regimes keep the crude exceedance
 fraction and its Wilson band.
 
 The leftover table of a Hawkes model is conditional Monte Carlo too: each
-window contributes E[J_T | path to T] = Lambda_T / (1 - E[kappa]) and
-E[eps_T | path to T] = Lambda_T E[X] / (1 - E[kappa]), where Lambda_T is the
-decayed intensity of the window's points by T (the ``leftover_intensity``
-of :func:`~cluster_tails.process.sweep_windows`).  Only E[kappa] and E[X]
-enter, so this holds in both Hawkes regimes.  Renewal models average the
-leftover counts and mark sums themselves.
+window contributes E[J_T | immigrants by T] = L_T / (1 - E[kappa]) and
+E[eps_T | immigrants by T] = L_T E[X] / (1 - E[kappa]), where
+L_T = sum over the window's immigrants by T of
+kappa_i exp(-beta (1 - E[kappa]) (T - t_i)) is the conditional mean of the
+decayed intensity of its points by T (the ``leftover_intensity`` of
+:func:`~cluster_tails.process.sweep_windows`), so no cluster is grown.  Only
+E[kappa] and E[X] enter, so this holds in both Hawkes regimes.  Renewal
+models average the leftover counts and mark sums themselves.
 """
 
 from __future__ import annotations
@@ -245,10 +247,10 @@ def leftover_estimator(model: JointMarkModel) -> str:
     """The estimator that :func:`leftover_scaling` uses for ``model``, and its interval."""
     if model.is_hawkes:
         return (
-            "conditional Monte Carlo: mean over windows of E[J_T | path to T] = "
-            "Lambda_T/(1 - E[kappa]) and E[eps_T | path to T] = Lambda_T E[X]/(1 - E[kappa]), "
-            "Lambda_T = sum of kappa_p exp(-beta (T - t_p)) over the points by T; "
-            "SE sd/sqrt(n), finite when kappa has finite variance"
+            "conditional Monte Carlo: mean over windows of E[J_T | immigrants by T] = "
+            "L_T/(1 - E[kappa]) and E[eps_T | immigrants by T] = L_T E[X]/(1 - E[kappa]), "
+            "L_T = sum of kappa_i exp(-beta (1 - E[kappa]) (T - t_i)) over the immigrants "
+            "by T; SE sd/sqrt(n), finite when kappa has finite variance"
         )
     return (
         "crude Monte Carlo: mean over windows of the leftover count and mark sum; "

@@ -16,13 +16,21 @@ Clusters born before time 0 are ignored by construction; the decomposition
 identities (sum + leftover == total cluster mass, window max <= cluster max)
 then hold pathwise on every replication and at every horizon.
 
-Hawkes windows can also keep ``leftover_intensity``, Lambda_T = sum over the
-points p with t_p <= T of kappa_p exp(-beta (T - t_p)): the mean number of
-children that the points by T still have after T.  Those children are
-Poisson, independent of the path up to T, and each starts a subtree of mean
-size 1 / (1 - E[kappa]) and mean mark sum E[X] / (1 - E[kappa]), so
-Lambda_T / (1 - E[kappa]) and Lambda_T E[X] / (1 - E[kappa]) are the
-conditional means of the leftover count and mark sum given that path.
+Hawkes windows can also keep ``leftover_intensity``, the conditional mean
+of Lambda_T given the window's immigrants.  Lambda_T = sum over the points p
+with t_p <= T of kappa_p exp(-beta (T - t_p)) is the mean number of children
+that the points by T still have after T.  Those children are Poisson,
+independent of the path up to T, and each starts a subtree of mean size
+1 / (1 - m) and mean mark sum E[X] / (1 - m), m = E[kappa]; so
+Lambda_T / (1 - m) and Lambda_T E[X] / (1 - m) are the conditional means of
+the leftover count and mark sum given that path.  One cluster's Lambda(s) at
+age s decays at rate beta, and its children arrive at rate beta Lambda(s),
+each adding an independent kappa of mean m, so
+d E[Lambda(s)] / ds = -beta (1 - m) E[Lambda(s)]: an immigrant with
+intensity kappa_i has E[Lambda(s) | kappa_i] = kappa_i exp(-beta (1 - m) s).
+The kernel keeps the sum of these over the immigrants by T.  By the tower
+property it has the mean of Lambda_T, and by Rao-Blackwell no larger a
+variance; when nothing else is kept, the kernel draws no offspring at all.
 
 The mean in-window event count E[N_T] has a closed form in every regime
 (:func:`mean_events`), by Campbell's formula: an immigrant arriving u
@@ -122,7 +130,8 @@ class _HorizonTally:
     reduced per (window, slot) and accumulated over slots at the end.  An
     offspring point is leftover at horizon i when its immigrant's slot is
     <= i < its own slot.  Only the statistics named in ``fields`` are kept;
-    ``leftover_intensity`` needs the Hawkes ``decay`` rate beta.
+    ``leftover_intensity`` needs the rate ``decay`` at which a Hawkes
+    cluster's mean intensity fades, beta (1 - E[kappa]).
     """
 
     def __init__(self, horizons: np.ndarray, n: int, fields, decay: float | None = None) -> None:
@@ -152,24 +161,23 @@ class _HorizonTally:
         return slot
 
     def intensity(self, win, slot, times, kappa) -> None:
-        """Adds each point's term of Lambda, kappa * exp(-beta (T_slot - t)), to its cell.
+        """Adds each immigrant's term, kappa * exp(-decay (T_slot - t)), to its cell.
 
-        The term is 0 past the last horizon, so no exponent is positive.  The
-        points go a block at a time, so the terms and keys stay in cache and
+        Immigrants arrive by the last horizon, so no exponent is positive.
+        They go a block at a time, so the terms and keys stay in cache and
         no array the size of the points is made.  Does nothing unless
         ``leftover_intensity`` is kept.
         """
         acc = self.slotted.get("leftover_intensity")
         if acc is None:
             return
-        ends = np.append(self.horizons, np.inf)
         width = len(self.horizons) + 1
         # each block's bincount costs the size of acc, so a block is at least 4 times that
         step = max(1 << 15, 4 * acc.size)
         for lo in range(0, times.size, step):
             part = slice(lo, lo + step)
             cell = slot[part].astype(np.intp)  # take is several times faster on intp
-            term = np.take(ends, cell)
+            term = np.take(self.horizons, cell)
             np.subtract(times[part], term, out=term)
             term *= self.decay
             np.exp(term, out=term)
@@ -227,7 +235,7 @@ class _HorizonTally:
         for f, flat in self.slotted.items():
             per_slot = flat.reshape(self.n, k + 1)[:, :k].T
             if f == "leftover_intensity":
-                # Lambda_i = Lambda_{i-1} exp(-beta (T_i - T_{i-1})) + slot i's terms
+                # Lambda_i = Lambda_{i-1} exp(-decay (T_i - T_{i-1})) + slot i's terms
                 out[f] = lam = np.array(per_slot)
                 for i, fade in enumerate(np.exp(-self.decay * np.diff(self.horizons)), 1):
                     lam[i] += lam[i - 1] * fade
@@ -292,10 +300,15 @@ def _hawkes_windows(
     evt_time = gen.uniform(0.0, t_max, m)
     x0, kappa = sample_joint(model, rng, m)
 
-    tally = _HorizonTally(horizons, n, fields, params.decay_rate)
+    # E[Lambda] of a cluster fades at beta (1 - E[kappa]): see the module docstring
+    fade = params.decay_rate * (1.0 - model_constants(model).mean_count)
+    tally = _HorizonTally(horizons, n, fields, fade)
     home = tally.slot(evt_time)
     tally.intensity(win_of_cluster, home, evt_time, kappa)
     tally.immigrants(win_of_cluster, home, x0)
+    if set(fields) <= {"leftover_intensity", "n_clusters"}:
+        # the immigrants alone give these; the cascade would draw after them
+        return tally.result()
     # chunk-sized arrays: hold only what the generation loop needs, whose
     # first generation is the chunk's memory peak
     del x0
@@ -310,7 +323,6 @@ def _hawkes_windows(
         del dt
         xc, kc = sample_joint(model, rng, owner.size)
         win, slot = win_of_cluster[owner], tally.slot(evt_time)
-        tally.intensity(win, slot, evt_time, kc)
         tally.offspring(
             win, slot, np.asarray(xc, dtype=float), home[owner] if tally.leftover else None
         )

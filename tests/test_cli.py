@@ -187,6 +187,13 @@ class TestRun:
         assert err["error"] == "SupercriticalModel"
         assert "target_mean_kappa" in (err["field"] or "") + err["message"]
 
+    def test_infinite_mean_names_the_mark_key(self, tmp_path, capsys):
+        model = {**MODEL, "mark": {"law": "pareto", "scale": 1.0, "alpha": 0.8}}
+        config = write_config(tmp_path, {"experiment": "hill", "seed": 1, "model": model})
+        assert main(["validate", str(config)]) == 3
+        err = json.loads(capsys.readouterr().err.strip())
+        assert (err["error"], err["field"]) == ("InfiniteMean", "model.mark.alpha")
+
 
 class TestValidate:
     def test_prints_constants(self, tmp_path):
@@ -386,7 +393,36 @@ class TestHostileConfigs:
         # one cluster gives NaN standard errors, which the slope fit used to ignore
         ("tauberian", {"clusters": 1}, "clusters"),
     ]
-    CASES += COUNTS + TAUBERIAN_GRID + TYPED
+    # a JointMarkModel error names the config key at fault, not the model section
+    MODEL_KEYS = [
+        (
+            "hill",
+            {"model": {k: v for k, v in HAWKES_COMONOTONE.items() if k != "target_mean_kappa"}},
+            "model.target_mean_kappa",
+        ),
+        (
+            "hill",
+            {"model": {**HAWKES_COMONOTONE, "target_mean_kappa": -0.5}},
+            "model.target_mean_kappa",
+        ),
+        (
+            "hill",
+            {"model": {"regime": "ComonotoneCount", "mark": {"law": "exponential", "rate": 1.0}}},
+            "model.mark",
+        ),
+        (
+            "hill",
+            {
+                "model": {
+                    **HAWKES_COMONOTONE,
+                    "regime": "HawkesLightIntensity",
+                    "count": {"law": "uniform", "lo": 2.0, "hi": 1.0},
+                }
+            },
+            "model.count.lo",
+        ),
+    ]
+    CASES += COUNTS + TAUBERIAN_GRID + TYPED + MODEL_KEYS
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize(
@@ -402,6 +438,15 @@ class TestHostileConfigs:
         assert err["error"] == "ConfigError"
         assert err["field"] == field
         assert not list(tmp_path.glob(f"{experiment}-1.*"))
+
+    @pytest.mark.parametrize("experiment, fields, field", MODEL_KEYS)
+    def test_model_error_names_its_key_once(self, tmp_path, capsys, experiment, fields, field):
+        payload = {"experiment": experiment, "seed": 1, **fields}
+        assert main(["validate", str(write_config(tmp_path, payload))]) == 2
+        err = json.loads(capsys.readouterr().err)
+        # the message is the model's own, prefixed by the config path alone
+        assert err["message"].startswith(f"{field}: ")
+        assert err["message"].count(":") == 1, err["message"]
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize("key", ["joint_csv", "offspring_csv"])

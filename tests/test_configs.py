@@ -48,8 +48,8 @@ PINNED = {
         "cd951717fb557ceb127b9cd260911891237ffae6cbc079b1415d56377b6ca84d",
     ),
     "leftover.json": (
-        "157178131c7f95cb9bc6bed43cc27b507845c2acf8da33fe4f4ca6ffb2fb93fe",
-        "4edd45f4af24aec11831ac087208eed49d7268af7253a3a4a1268e186ee6424f",
+        "17ff6d39f93771e396bc40692a90f55471a7e0cf19824e8f69527fe6b3515fa4",
+        "2288449b4bcd3608d00af2c630c4c13de797393e4f1dcc22f7bbf1561a0424ce",
     ),
     "oracle-compare.json": (
         "59ef0d260de7e401062b9d0fed8488b8ea657a72956b3abcf5d5732431aa928b",

@@ -265,7 +265,7 @@ class TestLeftoverScaling:
 
     @pytest.mark.parametrize("mean_kappa", [0.3, 0.7])
     def test_hawkes_rows_match_campbell(self, mean_kappa):
-        # Hawkes rows average E[J_T | path to T] and E[eps_T | path to T]
+        # Hawkes rows average E[J_T | immigrants by T] and E[eps_T | immigrants by T]
         horizons = (5.0, 20.0, 100.0)
         model = JointMarkModel(
             Regime.HAWKES_LIGHT_INTENSITY, LAW, BoundedUniform(0.0, 1.0),

@@ -352,8 +352,8 @@ class TestChunkMemory:
         assert peak / points <= bound
 
     def test_leftover_intensity_only(self):
-        # what a Hawkes leftover sweep keeps; the intensity terms and their
-        # keys are made a block at a time, never for the whole chunk
+        # what a Hawkes leftover sweep keeps: the immigrants alone, whose
+        # intensity terms and keys are made a block at a time
         config, horizons = hawkes_config(), np.array((10.0, 50.0, 100.0, 500.0))
         counts = process._hawkes_windows(
             config, horizons, 2048, RngStream(5, 0).child(0), ("n_events", "j_leftover")
@@ -372,11 +372,11 @@ class TestChunkMemory:
 
 
 class TestLeftoverIntensity:
-    """Lambda_T, the decayed intensity of a Hawkes window's points by T.
+    """E[Lambda_T | immigrants], Lambda_T the decayed intensity of a Hawkes window's points by T.
 
-    E[J_T | path to T] = Lambda_T / (1 - E[kappa]), so the conditional and
-    the crude leftover counts estimate the same mean, E[J_T] from Campbell's
-    formula.
+    E[J_T | path to T] = Lambda_T / (1 - E[kappa]), and conditioning further
+    on the immigrants keeps the mean, so the conditional and the crude
+    leftover counts estimate the same mean, E[J_T] from Campbell's formula.
     """
 
     HORIZONS = (5.0, 20.0, 100.0)
@@ -451,6 +451,53 @@ class TestLeftoverIntensity:
                 renewal_config(), (5.0,), 100, RngStream(85, 0), fields=("leftover_intensity",)
             )
         assert exc_info.value.field == "fields"
+
+    @pytest.mark.parametrize("mean_kappa", [0.0, 0.5])
+    @pytest.mark.parametrize("decay", [1.0, 2.0])
+    @pytest.mark.parametrize("horizon", [5.0, 20.0, 100.0, 500.0])
+    def test_closed_form_mean_is_campbell(self, horizon, decay, mean_kappa):
+        # E[sum_i kappa_i exp(-beta (1 - m) (T - t_i))] over a Poisson(nu)
+        # immigration on [0, T], divided by (1 - m)
+        m, fade = mean_kappa, decay * (1.0 - mean_kappa)
+        closed = m * -math.expm1(-fade * horizon) / fade / (1.0 - m)
+        want = hawkes_leftover_mean(1.0, m, decay, horizon)
+        assert closed == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_is_the_immigrants_decayed_kappa(self, name):
+        # replay the only chunk's immigrants: each window's value is the sum
+        # of kappa_i exp(-beta (1 - m) (T - t_i)) over its immigrants by T
+        model, params = self.MODELS[name]
+        n, t_max = 500, self.HORIZONS[-1]
+        out = sweep_windows(
+            WindowConfig(model, params, 1.0), self.HORIZONS, n, RngStream(86, 0),
+            fields=("leftover_intensity",),
+        )
+        replay = RngStream(86, 0).child(0)
+        gen = replay.generator
+        c_t = gen.poisson(t_max, n)
+        times = gen.uniform(0.0, t_max, c_t.sum())
+        kappa = sample_joint(model, replay, c_t.sum())[1]
+        win = np.repeat(np.arange(n), c_t)
+        fade = params.decay_rate * (1.0 - model.target_mean_kappa)
+        for i, horizon in enumerate(self.HORIZONS):
+            by_t = times <= horizon
+            terms = kappa[by_t] * np.exp(-fade * (horizon - times[by_t]))
+            want = np.bincount(win[by_t], weights=terms, minlength=n)
+            np.testing.assert_allclose(out["leftover_intensity"][i], want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize(
+        "fields", [("leftover_intensity",), ("leftover_intensity", "n_clusters"), ("n_clusters",)]
+    )
+    def test_immigrant_fields_grow_no_clusters(self, monkeypatch, fields):
+        def no_growth(*args):
+            raise AssertionError("grow_hawkes called")
+
+        monkeypatch.setattr(process, "grow_hawkes", no_growth)
+        out = self.sweep("light", fields, seed=87)
+        assert set(out) == set(fields)
+        with pytest.raises(AssertionError, match="grow_hawkes called"):
+            self.sweep("light", (*fields, "n_events"), seed=87)
 
 
 class TestSweepWindows:
