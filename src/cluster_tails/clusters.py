@@ -96,10 +96,11 @@ def _renewal_functionals(x: np.ndarray, k: np.ndarray, marks: np.ndarray):
 
 
 def _renewal_chunk(model: JointMarkModel, n: int, rng: RngStream):
-    x, k = sample_joint(model, rng, n)
+    gen = rng.generator
+    x, k = sample_joint(model, gen, gen, n)
     k = np.asarray(k, dtype=np.int64)
     total = int(k.sum())
-    marks = np.asarray(model.mark_law.sample(rng.generator, total))
+    marks = np.asarray(model.mark_law.sample(gen, total))
     return (*_renewal_functionals(x, k, marks), 1 + k)
 
 
@@ -172,10 +173,11 @@ def grow_hawkes(gen: np.random.Generator, brood: np.ndarray, limit: int, draw) -
 
 
 def _hawkes_chunk(model: JointMarkModel, n: int, rng: RngStream, max_events: int):
-    x, kappa = sample_joint(model, rng, n)
+    gen = rng.generator
+    x, kappa = sample_joint(model, gen, gen, n)
     h = x.astype(float)
     d = x.astype(float)
-    brood = rng.generator.poisson(kappa)
+    brood = gen.poisson(kappa)
     del x, kappa
 
     def draw(brood, owner, runs):
@@ -183,12 +185,12 @@ def _hawkes_chunk(model: JointMarkModel, n: int, rng: RngStream, max_events: int
         local = np.zeros(owner.size, dtype=np.intp)
         local[starts[1:]] = 1
         np.cumsum(local, out=local)
-        xc, kc = sample_joint(model, rng, owner.size)
+        xc, kc = sample_joint(model, gen, gen, owner.size)
         np.maximum.at(h, owner, xc)
         d[live] += np.bincount(local, weights=xc, minlength=live.size)
         return kc
 
-    return h, d, grow_hawkes(rng.generator, brood, max_events, draw)
+    return h, d, grow_hawkes(gen, brood, max_events, draw)
 
 
 def _chunk_size(events_per_task: float, smallest: int, largest: int) -> int:

@@ -52,8 +52,52 @@ __all__ = [
 # Marginal laws
 
 
+class _MaxSampler:
+    """Maxima of i.i.d. draws from a mark law, one uniform per maximum.
+
+    The max of c i.i.d. draws has cdf F**c, so it is F^{-1}(U**(1/c)) for one
+    uniform U (Devroye 1986, *Non-Uniform Random Variate Generation*, ch.
+    V).  Its survival p = 1 - U**(1/c) = -expm1(log(U) / c) keeps its digits
+    when c is huge, and the law's ``isf`` maps it back: for any int64 count
+    p is in (0, 1], and it is 1 at U = 0.  A count of 0 gives 0.
+    """
+
+    def sample_max(self, gen: np.random.Generator, counts) -> np.ndarray:
+        """The max of ``counts[j]`` i.i.d. draws for each j, from the next ``counts.size`` uniforms."""
+        return self.sample_running_max(gen, np.asarray(counts)[None])[0]
+
+    def sample_running_max(self, gen: np.random.Generator, counts) -> np.ndarray:
+        """Row i, column j: the max of the first ``counts[i, j]`` of column j's i.i.d. draws.
+
+        ``counts`` is (k, n) and nondecreasing down each column.  The last
+        row is the max of ``counts[-1]`` draws from the next n uniforms, as
+        :meth:`sample_max` draws it, so it does not depend on the other
+        rows; each earlier row then takes one more uniform per column.  Of
+        c' draws with max m, the first c hold m with probability c / c';
+        else they are c draws conditioned below m, whose max has
+        P(M <= y) = (F(y) / F(m))**c.  One uniform W inverts that mixture:
+        with a = 1 - c / c', the max stays m where W >= a, and otherwise has
+        survival p' + q (1 - p'), p' the survival of m and q that of the
+        max of c draws at the uniform W / a.
+        """
+        c = np.asarray(counts, dtype=float)
+        u = gen.random(c.shape)[::-1]  # the last row takes the first uniforms
+        p = np.empty_like(c)
+        with np.errstate(divide="ignore"):  # log(0) = -inf, and x / 0 = -inf where c = 0
+            p[-1] = -np.expm1(np.log(u[-1]) / c[-1])
+            for i in range(len(c) - 2, -1, -1):
+                a = np.divide(c[i + 1] - c[i], c[i + 1], out=np.zeros(c.shape[1]), where=c[i + 1] > 0)
+                p[i] = p[i + 1]
+                fresh = np.flatnonzero(u[i] < a)
+                q = -np.expm1(np.log(u[i, fresh] / a[fresh]) / c[i, fresh])
+                p[i, fresh] += q * (1.0 - p[i, fresh])
+        out = self.isf(p)
+        out[c == 0] = 0.0
+        return out
+
+
 @dataclass(frozen=True)
-class ParetoLaw:
+class ParetoLaw(_MaxSampler):
     """Exact power-law tail: P(X > x) = (scale/x)**alpha for x > scale."""
 
     scale: float
@@ -87,6 +131,10 @@ class ParetoLaw:
         u *= self.scale
         return u
 
+    def isf(self, p: np.ndarray) -> np.ndarray:
+        """The x with P(X > x) = p, for p in (0, 1]."""
+        return self.scale * p ** (-1.0 / self.alpha)
+
     # lower edge of the region where survival == 1
     @property
     def support_min(self) -> float:
@@ -109,7 +157,7 @@ class ParetoLaw:
 
 
 @dataclass(frozen=True)
-class Exponential:
+class Exponential(_MaxSampler):
     rate: float
 
     def __post_init__(self) -> None:
@@ -126,6 +174,10 @@ class Exponential:
 
     def sample(self, gen: np.random.Generator, size=None):
         return gen.exponential(1.0 / self.rate, size)
+
+    def isf(self, p: np.ndarray) -> np.ndarray:
+        """The x with P(X > x) = p, for p in (0, 1]."""
+        return -np.log(p) / self.rate
 
     @property
     def support_min(self) -> float:
@@ -152,7 +204,7 @@ class Exponential:
 
 
 @dataclass(frozen=True)
-class Constant:
+class Constant(_MaxSampler):
     value: float
 
     def __post_init__(self) -> None:
@@ -172,6 +224,10 @@ class Constant:
             return self.value
         return np.full(size, self.value)
 
+    def isf(self, p: np.ndarray) -> np.ndarray:
+        """The value, for every p in (0, 1]: it is the law's only point."""
+        return np.full(np.shape(p), self.value)
+
     @property
     def support_min(self) -> float:
         return self.value
@@ -187,7 +243,7 @@ class Constant:
 
 
 @dataclass(frozen=True)
-class BoundedUniform:
+class BoundedUniform(_MaxSampler):
     lo: float
     hi: float
 
@@ -205,6 +261,10 @@ class BoundedUniform:
 
     def sample(self, gen: np.random.Generator, size=None):
         return gen.uniform(self.lo, self.hi, size)
+
+    def isf(self, p: np.ndarray) -> np.ndarray:
+        """The x with P(X > x) = p, for p in (0, 1]."""
+        return self.hi - p * (self.hi - self.lo)
 
     @property
     def support_min(self) -> float:
@@ -302,7 +362,7 @@ _INDEPENDENT_MARK_REGIMES = {
 
 
 class MarkPair(NamedTuple):
-    """One joint draw: the mark X and its count K (renewal) or kappa (Hawkes)."""
+    """One joint draw: the mark X (None if not drawn) and its count K (renewal) or kappa (Hawkes)."""
 
     x: np.ndarray | float
     count: np.ndarray | float
@@ -380,26 +440,39 @@ class JointMarkModel:
         return self.target_mean_kappa / base_mean
 
 
-def sample_joint(model: JointMarkModel, rng: RngStream, size=None) -> MarkPair:
+def sample_joint(
+    model: JointMarkModel,
+    marks: np.random.Generator | None,
+    counts: np.random.Generator,
+    size=None,
+) -> MarkPair:
     """Draw (X, K) or (X, kappa) from the regime's joint law.
 
-    Draw order per regime is fixed (mark first, then count variable) so that
-    identical streams reproduce identical pairs bit for bit.
+    X comes from ``marks`` and K or kappa from ``counts``; passing one
+    generator as both draws X first, then the count variable, so identical
+    streams reproduce identical pairs bit for bit.  Where the marks are
+    independent of the counts, ``marks`` may be None: no mark is drawn and
+    ``x`` is None.  The comonotone regimes derive the count from X and need
+    ``marks``.
     """
-    gen = rng.generator
     r = model.regime
-    x = model.mark_law.sample(gen, size)
+    if marks is None:
+        if not model.independent_marks:
+            raise ModelError(f"{r.value} derives its counts from the marks", "marks")
+        x = None
+    else:
+        x = model.mark_law.sample(marks, size)
     if r is Regime.INDEPENDENT_LIGHT_COUNT:
-        return MarkPair(x, _poisson_counts(gen, model.count_param, size))
+        return MarkPair(x, _poisson_counts(counts, model.count_param, size))
     if r in (Regime.INDEPENDENT_HEAVY_COUNT, Regime.INDEPENDENT_TAIL_EQUIVALENT):
-        z = model.count_param.sample(gen, size)
+        z = model.count_param.sample(counts, size)
         k = np.ceil(z).astype(np.int64) if size is not None else int(math.ceil(z))
         return MarkPair(x, k)
     if r is Regime.COMONOTONE_COUNT:
         k = np.ceil(x).astype(np.int64) if size is not None else int(math.ceil(x))
         return MarkPair(x, k)
     if r is Regime.HAWKES_LIGHT_INTENSITY:
-        kappa = model.count_param.sample(gen, size)
+        kappa = model.count_param.sample(counts, size)
         if size is None:
             return MarkPair(x, kappa * model.intensity_scale_factor())
         # in place for arrays: the same products, with no second array
@@ -689,7 +762,8 @@ _ORACLE_CHUNK = 1 << 20
 
 def _oracle_counts(model: JointMarkModel, c: float, xs: np.ndarray, m: int, rng: RngStream):
     """How many of m joint draws have X + c*count > x, for each x of ``xs``."""
-    pair = sample_joint(model, rng, m)
+    gen = rng.generator
+    pair = sample_joint(model, gen, gen, m)
     total = np.sort(pair.x + c * np.asarray(pair.count, dtype=float))
     return m - np.searchsorted(total, xs, side="right")
 

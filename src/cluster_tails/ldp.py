@@ -23,8 +23,10 @@ sweep estimates P(M_T > x) by conditional Monte Carlo: the mean over windows
 of P(M_T > x | N_T) = 1 - F(x)**N_T, which is unbiased and uses the same
 paths.  Its band is the normal one, p +- 1.96 sd/sqrt(n).  The crude maxima
 still place and certify the grid, and their exceedance counts stay in the
-output as a cross-check.  The comonotone regimes keep the crude exceedance
-fraction and its Wilson band.
+output as a cross-check; in these regimes they too are drawn from the
+in-window counts (see :mod:`~cluster_tails.process`), so the sweep draws no
+mark at all.  The comonotone regimes keep the crude exceedance fraction of
+the drawn marks' maxima and its Wilson band.
 
 The leftover table of a Hawkes model is conditional Monte Carlo too: each
 window contributes E[J_T | immigrants by T] = L_T / (1 - E[kappa]) and
@@ -194,7 +196,9 @@ def ldp_max_sweep(
     """Ratio of the window-max tail to E[N_T] * P(X > x), per horizon.
 
     The tail is estimated as :func:`max_estimator` says; the crude maxima
-    place the grid and count its exceedances in every regime.
+    place the grid and count its exceedances in every regime.  Where the
+    marks are independent of the counts, the sweep keeps only counts and
+    maxima, which read no mark.
     """
     conditional = config.window.model.independent_marks
     fields = ("n_events", "max_in_window") if conditional else ("max_in_window",)

@@ -13,8 +13,25 @@ each horizon keeps its exact marginal law, while the horizons of one
 replication share their early clusters and are positively correlated.
 
 Clusters born before time 0 are ignored by construction; the decomposition
-identities (sum + leftover == total cluster mass, window max <= cluster max)
-then hold pathwise on every replication and at every horizon.
+identity sum + leftover == total cluster mass then holds pathwise on every
+replication and at every horizon.
+
+Each chunk splits its randomness by spawn key (:meth:`RngStream.branch`):
+the structure (immigrant times, K or kappa, waits, broods) comes from the
+chunk's own stream ``(stream_id, i)``, the marks from ``(stream_id, i, 1)``
+and the window maxima from ``(stream_id, i, 2)``.  Marks are drawn only when
+a kept statistic reads them (``sum_in_window``, ``leftover_sum``) or when
+the regime derives K or kappa from X (the comonotone ones).  Where the
+marks are i.i.d. and independent of the counts, a window's in-window marks
+are i.i.d. given its counts, so ``max_in_window`` is drawn from the
+in-window counts alone: at the horizons' counts C_1 <= ... <= C_k it is the
+running max of one i.i.d. sequence, the last horizon's from one uniform by
+F^{-1}(U**(1/C_k)) (Devroye 1986, ch. V) and each earlier one by
+conditioning on it (:meth:`~cluster_tails.heavytail.ParetoLaw.sample_running_max`).
+Each statistic then has its exact law, jointly over the horizons, but
+``max_in_window`` and ``sum_in_window`` are no longer read off the same
+marks: their joint law within a window is not the path's.  The comonotone
+regimes take the max of the drawn marks.
 
 Hawkes windows can also keep ``leftover_intensity``, the conditional mean
 of Lambda_T given the window's immigrants.  Lambda_T = sum over the points p
@@ -120,6 +137,10 @@ _FIELDS = (*WINDOW_FIELDS, "leftover_intensity")
 # leftover ones are tallied per horizon directly
 _SLOTTED = {"n_events", "sum_in_window", "max_in_window", "n_clusters", "leftover_intensity"}
 
+# the branches of a window chunk's stream (RngStream.branch): the chunk's own
+# generator draws the structure (immigrant times, K or kappa, waits, broods)
+_MARKS, _MAXIMA = 1, 2
+
 
 class _HorizonTally:
     """Window statistics at every horizon, reduced from one path per window.
@@ -132,9 +153,17 @@ class _HorizonTally:
     <= i < its own slot.  Only the statistics named in ``fields`` are kept;
     ``leftover_intensity`` needs the rate ``decay`` at which a Hawkes
     cluster's mean intensity fades, beta (1 - E[kappa]).
+
+    Where the model's marks are independent of its counts, ``max_in_window``
+    reads no mark: it is drawn from the in-window event counts alone
+    (:meth:`result`).  ``reads_marks`` says whether a kept statistic reads
+    the points' marks; the comonotone regimes draw marks in any case, since
+    their counts derive from them (:meth:`mark_generator`).
     """
 
-    def __init__(self, horizons: np.ndarray, n: int, fields, decay: float | None = None) -> None:
+    def __init__(
+        self, horizons: np.ndarray, n: int, fields, model: JointMarkModel, decay: float | None = None
+    ) -> None:
         if "leftover_intensity" in fields and decay is None:
             raise ModelError(
                 "leftover_intensity needs a Hawkes model: renewal points carry no intensity",
@@ -143,15 +172,30 @@ class _HorizonTally:
         self.horizons = horizons
         self.n = n
         self.decay = decay
+        self.fields = set(fields)
+        self.model = model
+        slotted = self.fields & _SLOTTED
+        if model.independent_marks and "max_in_window" in slotted:
+            # drawn from the in-window counts at the end: see result
+            slotted = (slotted - {"max_in_window"}) | {"n_events"}
+        self.reads_marks = bool(slotted & {"sum_in_window", "max_in_window"}) or (
+            "leftover_sum" in self.fields
+        )
         k = len(horizons)
         dtype = {"n_events": np.int64, "j_leftover": np.int64, "n_clusters": np.int64}
         # flat over (window, slot), window-major: see _reduce
         self.slotted = {
-            f: np.zeros((k + 1) * n, dtype.get(f, float)) for f in fields if f in _SLOTTED
+            f: np.zeros((k + 1) * n, dtype.get(f, float)) for f in _FIELDS if f in slotted
         }
         self.leftover = {
             f: np.zeros((k, n), dtype.get(f, float)) for f in fields if f not in _SLOTTED
         }
+
+    def mark_generator(self, rng: RngStream) -> np.random.Generator | None:
+        """The chunk's marks branch, if a kept statistic reads marks or the counts derive from them."""
+        if self.reads_marks or not self.model.independent_marks:
+            return rng.branch(_MARKS).generator
+        return None
 
     def slot(self, times: np.ndarray) -> np.ndarray:
         """The slot of each time, in the narrowest dtype that holds it."""
@@ -203,20 +247,28 @@ class _HorizonTally:
         if "max_in_window" in acc:
             np.maximum.at(acc["max_in_window"], key, marks)
 
-    def immigrants(self, win: np.ndarray, slot: np.ndarray, marks: np.ndarray) -> None:
-        """Immigrant points; an intp ``win`` is overwritten."""
+    def immigrants(self, win: np.ndarray, slot: np.ndarray, marks: np.ndarray | None) -> None:
+        """Immigrant points; an intp ``win`` is overwritten.
+
+        ``marks`` may be None unless ``reads_marks``.
+        """
         self._reduce(win, slot, marks, ("n_events", "n_clusters"))
 
     def offspring(
-        self, win: np.ndarray, slot: np.ndarray, marks: np.ndarray, home: np.ndarray | None
+        self,
+        win: np.ndarray,
+        slot: np.ndarray,
+        marks: np.ndarray | None,
+        home: np.ndarray | None,
     ) -> None:
         """Offspring points; an intp ``win`` is overwritten.
 
-        ``home`` (their immigrants' slots) is needed for leftover only.
+        ``marks`` may be None unless ``reads_marks``; ``home`` (their
+        immigrants' slots) is needed for leftover only.
         """
         if self.leftover:
             out = slot > home
-            self._leftover(win[out], slot[out], home[out], marks[out])
+            self._leftover(win[out], slot[out], home[out], None if marks is None else marks[out])
         self._reduce(win, slot, marks, ("n_events",))
 
     def _leftover(self, win, slot, home, marks) -> None:
@@ -228,8 +280,16 @@ class _HorizonTally:
             if eps is not None:
                 eps[i] += np.bincount(win[hit], weights=marks[hit], minlength=self.n)
 
-    def result(self) -> dict[str, np.ndarray]:
-        """Each kept statistic as a (horizon, window) array."""
+    def result(self, rng: RngStream) -> dict[str, np.ndarray]:
+        """Each kept statistic as a (horizon, window) array.
+
+        A max read from the counts is drawn here, from ``rng``'s maxima
+        branch: a window's in-window marks are i.i.d. and independent of its
+        event counts, so its max at each horizon is the running max of one
+        i.i.d. sequence, read at the in-window counts (the mark law's
+        ``sample_running_max``).  The last horizon's max takes the first
+        uniforms, so it does not depend on the other horizons.
+        """
         out = dict(self.leftover)
         k = len(self.horizons)
         for f, flat in self.slotted.items():
@@ -243,7 +303,10 @@ class _HorizonTally:
                 out[f] = (np.maximum.accumulate if f == "max_in_window" else np.cumsum)(
                     per_slot, axis=0
                 )
-        return out
+        if "max_in_window" in self.fields and "max_in_window" not in out:
+            gen = rng.branch(_MAXIMA).generator
+            out["max_in_window"] = self.model.mark_law.sample_running_max(gen, out["n_events"])
+        return {f: out[f] for f in self.fields}
 
 
 def _renewal_windows(
@@ -251,13 +314,13 @@ def _renewal_windows(
 ) -> dict[str, np.ndarray]:
     # chunk-sized arrays are freed as soon as they are used: the draws keep
     # their order, but no array lives longer than its last use
-    tally = _HorizonTally(horizons, n, fields)
-    gen = rng.generator
     model, t_max = config.model, float(horizons[-1])
+    tally = _HorizonTally(horizons, n, fields, model)
+    gen, marks = rng.generator, tally.mark_generator(rng)
     c_t = gen.poisson(config.nu * t_max, n)
     m = int(c_t.sum())
     tau = gen.uniform(0.0, t_max, m)
-    x, k = sample_joint(model, rng, m)
+    x, k = sample_joint(model, marks, gen, m)
     home = tally.slot(tau)
     tally.immigrants(np.repeat(np.arange(n), c_t), home, x)
     del x
@@ -277,38 +340,36 @@ def _renewal_windows(
     del tau, first
     slot = tally.slot(evt_time)
     del evt_time
-    marks = np.asarray(model.mark_law.sample(gen, total), dtype=float)
     tally.offspring(
         np.repeat(np.arange(n), per_window),
         slot,
-        marks,
+        np.asarray(model.mark_law.sample(marks, total), dtype=float) if tally.reads_marks else None,
         np.repeat(home, k) if tally.leftover else None,
     )
-    return tally.result()
+    return tally.result(rng)
 
 
 def _hawkes_windows(
     config: WindowConfig, horizons: np.ndarray, n: int, rng: RngStream, fields
 ) -> dict[str, np.ndarray]:
-    gen = rng.generator
     model, t_max = config.model, float(horizons[-1])
     params: HawkesParams = config.cluster_params
+    # E[Lambda] of a cluster fades at beta (1 - E[kappa]): see the module docstring
+    fade = params.decay_rate * (1.0 - model_constants(model).mean_count)
+    tally = _HorizonTally(horizons, n, fields, model, fade)
+    gen, marks = rng.generator, tally.mark_generator(rng)
     c_t = gen.poisson(config.nu * t_max, n)
     m = int(c_t.sum())
     # a chunk holds at most 2**16 windows, so this is uint16 or narrower
     win_of_cluster = np.repeat(np.arange(n, dtype=np.min_scalar_type(n - 1)), c_t)
     evt_time = gen.uniform(0.0, t_max, m)
-    x0, kappa = sample_joint(model, rng, m)
-
-    # E[Lambda] of a cluster fades at beta (1 - E[kappa]): see the module docstring
-    fade = params.decay_rate * (1.0 - model_constants(model).mean_count)
-    tally = _HorizonTally(horizons, n, fields, fade)
+    x0, kappa = sample_joint(model, marks, gen, m)
     home = tally.slot(evt_time)
     tally.intensity(win_of_cluster, home, evt_time, kappa)
     tally.immigrants(win_of_cluster, home, x0)
-    if set(fields) <= {"leftover_intensity", "n_clusters"}:
+    if tally.fields <= {"leftover_intensity", "n_clusters"}:
         # the immigrants alone give these; the cascade would draw after them
-        return tally.result()
+        return tally.result(rng)
     # chunk-sized arrays: hold only what the generation loop needs, whose
     # first generation is the chunk's memory peak
     del x0
@@ -321,18 +382,16 @@ def _hawkes_windows(
         evt_time = np.repeat(evt_time, brood)
         evt_time += dt
         del dt
-        xc, kc = sample_joint(model, rng, owner.size)
+        xc, kc = sample_joint(model, marks, gen, owner.size)
         win, slot = win_of_cluster[owner], tally.slot(evt_time)
-        tally.offspring(
-            win, slot, np.asarray(xc, dtype=float), home[owner] if tally.leftover else None
-        )
+        tally.offspring(win, slot, xc, home[owner] if tally.leftover else None)
         return kc
 
     try:
         grow_hawkes(gen, brood, params.max_cluster_events, draw)
     except ClusterOverflow as exc:
         raise ClusterOverflow(int(win_of_cluster[exc.replication]), exc.limit) from None
-    return tally.result()
+    return tally.result(rng)
 
 
 def sweep_windows(
@@ -353,7 +412,11 @@ def sweep_windows(
     immigrants that arrive by then.  Rows of one call come from the same
     paths, so they are positively correlated, and the in-window statistics
     never decrease along a column.  Every subset of ``fields`` reads the
-    same draws.
+    same draws, so each statistic is the same array whatever else is kept:
+    the marks, the maxima and the structure come from separate streams (see
+    the module docstring), and a subset that reads no mark draws none.  In
+    the independent-mark regimes ``max_in_window`` is drawn from the
+    in-window counts, not read off the marks that ``sum_in_window`` sums.
 
     Output is bit-identical for any worker count: chunk boundaries depend
     only on the configuration and the longest horizon, and chunk i always

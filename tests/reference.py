@@ -50,7 +50,7 @@ def sample_renewal_cluster(
     if not model.is_renewal:
         raise ModelError(f"{model.regime.value} is not a renewal regime", "regime")
     gen = rng.generator
-    x, k = sample_joint(model, rng)
+    x, k = sample_joint(model, gen, gen)
     events = []
     t = 0.0
     for _ in range(int(k)):
@@ -74,7 +74,7 @@ def sample_hawkes_cluster(
     if not model.is_hawkes:
         raise ModelError(f"{model.regime.value} is not a Hawkes regime", "regime")
     gen = rng.generator
-    x0, kappa0 = sample_joint(model, rng)
+    x0, kappa0 = sample_joint(model, gen, gen)
     events: list[OffspringEvent] = []
     # queue entries: (parent index or None, parent offset, parent kappa, generation of children)
     queue: deque = deque([(None, 0.0, float(kappa0), 1)])
@@ -84,7 +84,7 @@ def sample_hawkes_cluster(
             if 1 + len(events) >= params.max_cluster_events:
                 raise ClusterOverflow(0, params.max_cluster_events)
             dt = gen.exponential(1.0 / params.decay_rate)
-            xc, kc = sample_joint(model, rng)
+            xc, kc = sample_joint(model, gen, gen)
             events.append(
                 OffspringEvent(
                     time_offset=parent_t + dt,

@@ -287,14 +287,15 @@ class TestBatchFunctionals:
         limit, n = 50, 20_000
         # replay the first generation of the batch's only chunk
         replay = RngStream(16, 0).child(0)
-        _, kappa = sample_joint(model, replay, n)
-        brood = replay.generator.poisson(kappa)
+        gen = replay.generator
+        _, kappa = sample_joint(model, gen, gen, n)
+        brood = gen.poisson(kappa)
         assert brood.max() > limit
         drawn = []
 
-        def recording(model, rng, size=None):
+        def recording(model, marks, counts, size=None):
             drawn.append(size)
-            return sample_joint(model, rng, size)
+            return sample_joint(model, marks, counts, size)
 
         monkeypatch.setattr(clusters, "sample_joint", recording)
         with pytest.raises(ClusterOverflow) as exc_info:

@@ -40,16 +40,16 @@ PINNED = {
         "c50e3a56c7af679b1641332c09de2f3083191eb583167e39f53649a19b733fd9",
     ),
     "ldp-max.json": (
-        "af250e0a97811403213a7742fdfeca85b4eba0c56bcf459fe668791674e67380",
-        "0de711f50e94dde2fe6da1481c419c7e4cce706b20394438cd95cf354b108bce",
+        "3b5010efe372af1e4af454461eb0ada4869f7ba68bc116fd3eb28b334aa25022",
+        "192e72c65bd8df193eb162e3311dad331ce5ccc6986a0eb53e1802ec84b613c5",
     ),
     "ldp-sum.json": (
-        "80c1997a956b4dfbd11287ceb18f61ebd18ebfe92b98d2e2bd4f354dc1664772",
-        "cd951717fb557ceb127b9cd260911891237ffae6cbc079b1415d56377b6ca84d",
+        "9291a267d3652d843ca07aa74b9c096e211fd6b849a017576d00ed94095c74ab",
+        "42861663d38ced80e4cf2810024f0b3f9c554664ea1e313ceb39c72cdc0ceaf0",
     ),
     "leftover.json": (
-        "17ff6d39f93771e396bc40692a90f55471a7e0cf19824e8f69527fe6b3515fa4",
-        "2288449b4bcd3608d00af2c630c4c13de797393e4f1dcc22f7bbf1561a0424ce",
+        "2ab7a82ee2bcec05ee381e17f457e97b0d1e888ef5d34643a1cb0d8e62f9236c",
+        "d998b79b42776debb6549cf50ce0ebcaba78d1a079effe6f40693f7d08e8c37a",
     ),
     "oracle-compare.json": (
         "59ef0d260de7e401062b9d0fed8488b8ea657a72956b3abcf5d5732431aa928b",

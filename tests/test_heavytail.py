@@ -1,5 +1,7 @@
 """Tests for mark laws, joint models, constants, and tail denominators."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from cluster_tails.clusters import RenewalParams, batch_functionals
 from cluster_tails.errors import InfiniteMean, ModelError, SupercriticalModel
 from cluster_tails.heavytail import (
     BoundedUniform,
+    Constant,
     Exponential,
     JointMarkModel,
     OracleSpec,
@@ -133,26 +136,113 @@ class TestSamplePareto:
         assert got == LAW.scale * (1 - u) ** (-1 / LAW.alpha)
 
 
+MARK_LAWS = {
+    "pareto": LAW,
+    "exponential": Exponential(2.0),
+    "constant": Constant(1.5),
+    "uniform": BoundedUniform(0.5, 2.0),
+}
+
+
+def generator(seed):
+    return np.random.Generator(np.random.PCG64DXSM(seed))
+
+
+class _ZeroUniforms:
+    """A generator stand-in whose ``random`` returns zeros: the log(0) path of the max samplers."""
+
+    def random(self, shape):
+        return np.zeros(shape)
+
+
+class TestMaxSampler:
+    """The max-of-c samplers of the mark laws against the max of c direct draws."""
+
+    N = 500
+
+    @pytest.mark.parametrize("c", [1, 7, 10**4])
+    @pytest.mark.parametrize("name", sorted(MARK_LAWS))
+    def test_matches_max_of_direct_draws(self, name, c):
+        law = MARK_LAWS[name]
+        got = law.sample_max(generator(1), np.full(self.N, c))
+        gen = generator(2)
+        direct = np.array([law.sample(gen, c).max() for _ in range(self.N)])
+        if isinstance(law, Constant):
+            assert np.all(got == law.value) and np.all(direct == law.value)
+        else:
+            assert stats.ks_2samp(got, direct).pvalue > 1e-3
+
+    @pytest.mark.parametrize("name", sorted(MARK_LAWS))
+    def test_zero_count_gives_zero_and_huge_counts_stay_finite(self, name):
+        law = MARK_LAWS[name]
+        counts = np.array([0, 1, 0, 2**62, 10**18, 0])
+        got = law.sample_max(generator(3), counts)
+        assert np.all(got[counts == 0] == 0.0)
+        assert np.all(np.isfinite(got))
+        assert np.all(got[counts > 0] >= law.support_min)
+
+    @pytest.mark.parametrize("name", sorted(MARK_LAWS))
+    def test_zero_uniforms_and_zero_counts_warn_nothing(self, name):
+        law = MARK_LAWS[name]
+        counts = np.array([[0, 0, 3], [0, 5, 9]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = law.sample_running_max(_ZeroUniforms(), counts)
+            law.sample_running_max(generator(4), counts)
+        assert np.all(got[counts == 0] == 0.0)
+        assert np.all(np.isfinite(got))
+
+    def test_one_draw_is_the_inverse_cdf(self):
+        # c = 1: the survival -expm1(log U) is 1 - U up to rounding
+        u = generator(5).random(1000)
+        got = LAW.sample_max(generator(5), np.ones(1000, dtype=np.int64))
+        np.testing.assert_allclose(got, LAW.scale * (1 - u) ** (-1 / LAW.alpha), rtol=1e-9)
+
+    @pytest.mark.parametrize("name", ["pareto", "exponential", "uniform"])
+    def test_running_max_is_the_max_of_nested_draws(self, name):
+        # columns of 3 then 10 draws: row 0 is the max of the first 3, row 1 of all 10
+        law, n = MARK_LAWS[name], 20_000
+        counts = np.repeat([[3], [10]], n, axis=1)
+        got = law.sample_running_max(generator(6), counts)
+        assert np.array_equal(got[-1], law.sample_max(generator(6), counts[-1]))
+        assert np.all(got[0] <= got[1])
+        gen = generator(7)
+        direct = np.maximum.accumulate(law.sample(gen, (n, 10)), axis=1)[:, [2, 9]].T
+        for row, want in zip(got, direct):
+            assert stats.ks_2samp(row, want).pvalue > 1e-3
+        # the first 3 hold the max of all 10 with probability 3/10
+        tied = (got[0] == got[1]).mean()
+        assert abs(tied - 0.3) <= 4 * np.sqrt(0.3 * 0.7 / n)
+        want_tied = (direct[0] == direct[1]).mean()
+        assert abs(tied - want_tied) <= 4 * np.sqrt(2 * 0.3 * 0.7 / n)
+
+
+def one_generator(seed, stream_id):
+    """The marks and the counts generator of sample_joint, both one stream's generator."""
+    gen = RngStream(seed, stream_id).generator
+    return gen, gen
+
+
 class TestSampleJoint:
     def test_comonotone_construction(self):
-        x, k = sample_joint(comonotone(), RngStream(1, 0), 100_000)
+        x, k = sample_joint(comonotone(), *one_generator(1, 0), 100_000)
         assert np.array_equal(k, np.ceil(x).astype(np.int64))
         assert np.all(k >= x)
 
     def test_independent_corr(self):
-        x, k = sample_joint(light_count(), RngStream(2, 0), 1_000_000)
+        x, k = sample_joint(light_count(), *one_generator(2, 0), 1_000_000)
         assert abs(np.corrcoef(x, k)[0, 1]) < 0.005
 
     def test_hawkes_comonotone_mean_kappa(self):
         # kappa = X * 0.5 / 3 = X / 6
-        x, kappa = sample_joint(hawkes_comonotone(0.5), RngStream(1, 0), 1_000_000)
+        x, kappa = sample_joint(hawkes_comonotone(0.5), *one_generator(1, 0), 1_000_000)
         assert np.allclose(kappa, x / 6.0)
         assert kappa.mean() == pytest.approx(0.5, rel=0.01)
 
     @pytest.mark.parametrize("name", sorted(ALL_MODELS))
     def test_mark_marginal_ks(self, name):
         model = ALL_MODELS[name]
-        x, _ = sample_joint(model, RngStream(11, 0), 1_000_000)
+        x, _ = sample_joint(model, *one_generator(11, 0), 1_000_000)
         s = np.sort(x)
         n = len(s)
         cdf = 1.0 - np.asarray(model.mark_law.survival(s))
@@ -162,8 +252,21 @@ class TestSampleJoint:
         )
         assert ks < 0.003
 
+    @pytest.mark.parametrize("model", [light_count(), heavy_count(), hawkes_light()])
+    def test_counts_alone_draw_no_mark(self, model):
+        x, count = sample_joint(model, None, generator(8), 1000)
+        assert x is None
+        pair = sample_joint(model, generator(9), generator(8), 1000)
+        assert np.array_equal(count, pair.count)
+
+    @pytest.mark.parametrize("model", [comonotone(), hawkes_comonotone()])
+    def test_comonotone_counts_need_the_marks(self, model):
+        with pytest.raises(ModelError, match="marks") as exc_info:
+            sample_joint(model, None, generator(8), 1000)
+        assert exc_info.value.field == "marks"
+
     def test_scalar_draws(self):
-        x, k = sample_joint(light_count(), RngStream(4, 0))
+        x, k = sample_joint(light_count(), *one_generator(4, 0))
         assert isinstance(x, float) and isinstance(k, int)
 
 
@@ -262,7 +365,7 @@ class TestJointTailExact:
             if model.is_hawkes
             else consts.mean_mark
         )
-        x, count = sample_joint(model, RngStream(99, 1), 1_000_000)
+        x, count = sample_joint(model, *one_generator(99, 1), 1_000_000)
         total = x + c * np.asarray(count, dtype=float)
         xs = np.quantile(total, [0.5, 0.9, 0.99, 0.999])
         exact = np.asarray(joint_tail_exact(model, c, xs))
@@ -378,8 +481,8 @@ class TestOracleCache:
         # and a batch run's chunk 0 draw from different streams
         model, seen = tail_equivalent(), []
 
-        def recording(model, rng, size=None):
-            pair = sample_joint(model, rng, size)
+        def recording(model, marks, counts, size=None):
+            pair = sample_joint(model, marks, counts, size)
             seen.append(np.array(pair.x))
             return pair
 
@@ -410,6 +513,22 @@ class TestRngStream:
         assert (base.spawn_key, c0.spawn_key, c1.spawn_key) == ((3,), (3, 0), (3, 1))
         with pytest.raises(ValueError):
             c0.child(0)  # no double nesting
+
+    def test_branch_layout(self):
+        child = RngStream(9, 3).child(4)
+        branches = [child.branch(1), child.branch(2)]
+        assert [b.spawn_key for b in branches] == [(3, 4, 1), (3, 4, 2)]
+        draws = [s.generator.random(64) for s in (child, *branches, RngStream(9, 3).child(1))]
+        for i, a in enumerate(draws):
+            for b in draws[i + 1 :]:
+                assert not np.array_equal(a, b)
+        assert np.array_equal(draws[1], child.branch(1).generator.random(64))
+        with pytest.raises(ValueError):
+            RngStream(9, 3).branch(1)  # the key (3, 1) is chunk 1's
+        with pytest.raises(ValueError):
+            branches[0].branch(1)
+        with pytest.raises(ValueError):
+            child.branch(2**32)
 
     def test_children_do_not_alias_roots(self):
         # root 0 is the one every experiment runs on

@@ -170,9 +170,9 @@ class TestConditionalMaxSweep:
 
     # sha256 of the CSV of the rows: the comonotone regimes keep the crude estimator
     CRUDE_ROWS = {
-        "ComonotoneCount": "06205c6efc01a0b293b3c1f909a8fb5ea48054aeca0e3ef1ec7e04183312892d",
+        "ComonotoneCount": "7a79b2f21c775360bf6711e7acccf70b539efa9d514d500d8f62f3bf6096dca6",
         "HawkesComonotoneIntensity": (
-            "4c0c2bcbc14261244c95db1c3e2791953b33432f77a9ac5d4c94769f7b0d2528"
+            "265911c95e7fcbd366d4492cd7bb80c6b4035593bf126392a645bac2a7ade249"
         ),
     }
 

@@ -27,6 +27,7 @@ from cluster_tails.heavytail import (
     Regime,
     sample_joint,
 )
+from cluster_tails.ldp import SweepConfig, ldp_max_sweep, leftover_scaling
 from cluster_tails.process import WINDOW_FIELDS, WindowConfig, sweep_windows
 from cluster_tails.rng import RngStream
 from reference import (
@@ -45,6 +46,15 @@ RP = RenewalParams(waiting_law=Exponential(1.0))
 def renewal_config(nu=1.0, count_mean=2.0):
     model = JointMarkModel(Regime.INDEPENDENT_LIGHT_COUNT, LAW, count_mean)
     return WindowConfig(model=model, cluster_params=RP, nu=nu)
+
+
+def comonotone_config(nu=1.0):
+    return WindowConfig(JointMarkModel(Regime.COMONOTONE_COUNT, LAW), RP, nu)
+
+
+def hawkes_comonotone_config(nu=1.0):
+    model = JointMarkModel(Regime.HAWKES_COMONOTONE_INTENSITY, LAW, target_mean_kappa=0.5)
+    return WindowConfig(model, HawkesParams(), nu)
 
 
 def hawkes_config(nu=1.0, kappa=0.5):
@@ -219,14 +229,15 @@ class TestWindowBatches:
         c_t = gen.poisson(10.0, n)
         win_of_cluster = np.repeat(np.arange(n), c_t)
         gen.uniform(0.0, 10.0, win_of_cluster.size)
-        _, kappa = sample_joint(model, replay, win_of_cluster.size)
+        marks = replay.branch(process._MARKS).generator  # kappa derives from the marks
+        _, kappa = sample_joint(model, marks, gen, win_of_cluster.size)
         brood = gen.poisson(kappa)
         assert brood.max() > limit
         drawn = []
 
-        def recording(model, rng, size=None):
+        def recording(model, marks, counts, size=None):
             drawn.append(size)
-            return sample_joint(model, rng, size)
+            return sample_joint(model, marks, counts, size)
 
         monkeypatch.setattr(process, "sample_joint", recording)
         with pytest.raises(ClusterOverflow) as exc_info:
@@ -248,8 +259,8 @@ class TestSingleHorizonPinned:
     """Single-horizon outputs are pinned byte for byte: every stored result depends on them."""
 
     BATCH = {
-        "renewal": "96852d71046bbe5b4dc37a7c94d7614f3f7d76353cd16fb2ee5f4d5b5bd2f308",
-        "hawkes": "651794b2735c5e77026ce59fef6de6e737fb5c47c915dbc5b5b40bfd4f7fd252",
+        "renewal": "b0a686b0c388086bf0ff34e4638859a3b7e48b7acf8921e2f9dd2e23fb4f1e4c",
+        "hawkes": "9715b7d4aa45d2d157ea1ad32ad10d1773e9768806fdf146d3e201bda63eee9c",
     }
     FACTORIES = {"renewal": renewal_config, "hawkes": hawkes_config}
 
@@ -279,8 +290,8 @@ class TestRenewalEventTimes:
         n = 300
         real_joint = process.sample_joint
 
-        def joint_with_zeros(model, rng, size=None):
-            x, k = real_joint(model, rng, size)
+        def joint_with_zeros(model, marks, counts, size=None):
+            x, k = real_joint(model, marks, counts, size)
             k = np.asarray(k, dtype=np.int64)
             k[zeroed(len(k))] = 0
             return x, k
@@ -300,15 +311,17 @@ class TestRenewalEventTimes:
         monkeypatch.setattr(process, "sample_joint", joint_with_zeros)
         monkeypatch.setattr(process._HorizonTally, "slot", slot)
         monkeypatch.setattr(process._HorizonTally, "offspring", offspring)
-        process._renewal_windows(config, np.array([self.T]), n, RngStream(23, 4), WINDOW_FIELDS)
+        process._renewal_windows(
+            config, np.array([self.T]), n, RngStream(23, 4).child(0), WINDOW_FIELDS
+        )
         _, times, win = seen
 
         # replay the kernel's draws and place each cluster's offspring by a loop
-        rng = RngStream(23, 4)
+        rng = RngStream(23, 4).child(0)
         gen = rng.generator
         c_t = gen.poisson(nu * self.T, n)
         tau = gen.uniform(0.0, self.T, c_t.sum())
-        k = joint_with_zeros(config.model, rng, c_t.sum())[1]
+        k = joint_with_zeros(config.model, None, gen, c_t.sum())[1]  # K reads no mark
         waits = config.cluster_params.waiting_law.sample(gen, k.sum())
         want_times, want_win = [], []
         cluster = pos = 0
@@ -477,7 +490,9 @@ class TestLeftoverIntensity:
         gen = replay.generator
         c_t = gen.poisson(t_max, n)
         times = gen.uniform(0.0, t_max, c_t.sum())
-        kappa = sample_joint(model, replay, c_t.sum())[1]
+        # the comonotone kappa derives from the marks, drawn from their own branch
+        marks = None if model.independent_marks else replay.branch(process._MARKS).generator
+        kappa = sample_joint(model, marks, gen, c_t.sum())[1]
         win = np.repeat(np.arange(n), c_t)
         fade = params.decay_rate * (1.0 - model.target_mean_kappa)
         for i, horizon in enumerate(self.HORIZONS):
@@ -526,17 +541,19 @@ class TestSweepWindows:
             assert ks.pvalue > 0.001, horizon
 
     def test_workers_and_field_subsets_do_not_change_draws(self):
-        # several chunks at T=60, so workers=2 really splits the work
-        config = hawkes_config()
-        full = sweep_windows(config, self.HORIZONS, 40_000, RngStream(64, 0))
-        pooled = sweep_windows(
-            config, self.HORIZONS, 40_000, RngStream(64, 0), workers=2,
-            fields=("j_leftover", "leftover_sum"),
-        )
-        assert set(pooled) == {"j_leftover", "leftover_sum"}
-        for field, rows in pooled.items():
-            assert np.array_equal(rows, full[field])
-        assert full["n_events"].shape == (len(self.HORIZONS), 40_000)
+        # several chunks at T=60, so workers=2 really splits the work; the
+        # max reads the counts alone in the first two models, the marks in the last
+        for factory in (hawkes_config, renewal_config, comonotone_config):
+            config = factory()
+            full = sweep_windows(config, self.HORIZONS, 40_000, RngStream(64, 0))
+            for subset in (("j_leftover", "leftover_sum"), ("n_events", "max_in_window")):
+                pooled = sweep_windows(
+                    config, self.HORIZONS, 40_000, RngStream(64, 0), workers=2, fields=subset
+                )
+                assert set(pooled) == set(subset)
+                for field, rows in pooled.items():
+                    assert np.array_equal(rows, full[field]), (factory.__name__, field)
+            assert full["n_events"].shape == (len(self.HORIZONS), 40_000)
 
     def test_overflow_reports_global_replication(self):
         # kappa = X/6 with Pareto(1.5) marks at T=50: chunks hold 2**14 windows.
@@ -582,6 +599,75 @@ class TestSweepWindows:
                 sweep_windows(config, horizons, 100, RngStream(66, 0))
         with pytest.raises(ValueError):
             sweep_windows(config, (5.0,), 100, RngStream(66, 0), fields=("nope",))
+
+
+class TestMarkFreeSweeps:
+    """A sweep draws marks only where a kept statistic reads them or the counts derive from them.
+
+    Every model here has Pareto marks and no other Pareto law, so a Pareto
+    draw is a mark draw.
+    """
+
+    HORIZONS = (10.0, 50.0)
+
+    @pytest.fixture
+    def no_marks(self, monkeypatch):
+        def sample(self, gen, size=None):
+            raise AssertionError("mark drawn")
+
+        monkeypatch.setattr(ParetoLaw, "sample", sample)
+
+    @staticmethod
+    def sweep(config, fields, n=2_000):
+        return sweep_windows(config, TestMarkFreeSweeps.HORIZONS, n, RngStream(91, 0), fields=fields)
+
+    @pytest.mark.parametrize("factory", [renewal_config, hawkes_config])
+    def test_ldp_max_draws_no_mark(self, no_marks, factory):
+        sweep = SweepConfig(factory(), self.HORIZONS, replications=10_000, x_levels=4)
+        rows = ldp_max_sweep(sweep, RngStream(92, 0))
+        assert len(rows) == 8 and all(0.0 < r.empirical < 1.0 for r in rows)
+        out = self.sweep(factory(), ("n_events", "max_in_window"))
+        assert np.all(out["max_in_window"][out["n_events"] > 0] >= LAW.scale)
+        with pytest.raises(AssertionError, match="mark drawn"):
+            self.sweep(factory(), ("n_events", "max_in_window", "sum_in_window"))
+
+    def test_hawkes_leftover_draws_no_mark(self, no_marks):
+        sweep = SweepConfig(hawkes_config(), self.HORIZONS, replications=10_000)
+        rows = leftover_scaling(sweep, RngStream(93, 0))
+        assert all(r.j_over_t > 0.0 for r in rows)
+        with pytest.raises(AssertionError, match="mark drawn"):
+            self.sweep(hawkes_config(), ("leftover_intensity", "leftover_sum"))
+
+    @pytest.mark.parametrize("factory", [comonotone_config, hawkes_comonotone_config])
+    def test_comonotone_regimes_always_draw_marks(self, no_marks, factory):
+        for fields in (("n_events",), ("n_clusters",), ("n_events", "max_in_window")):
+            with pytest.raises(AssertionError, match="mark drawn"):
+                self.sweep(factory(), fields)
+
+    @pytest.mark.parametrize("factory", [renewal_config, hawkes_config])
+    def test_crude_max_agrees_with_the_conditional_estimate(self, factory):
+        # the max drawn from the counts has P(M_T > x | N_T) = 1 - F(x)**N_T,
+        # so the crude and the conditional estimate differ by noise alone
+        # the x are where both horizons' tails are neither near 0 nor near 1,
+        # so a sample SE is a fair yardstick
+        config, n = factory(), 5_000
+        xs = np.array([10.0, 25.0, 100.0, 400.0])
+        survival = LAW.survival(xs)
+        diffs = []
+        for seed in range(20):
+            out = sweep_windows(
+                config, self.HORIZONS, n, RngStream(100 + seed, 0),
+                fields=("n_events", "max_in_window"),
+            )
+            for counts, maxima in zip(out["n_events"], out["max_in_window"]):
+                crude = maxima[:, None] > xs
+                conditional = -np.expm1(counts[:, None] * np.log1p(-survival))
+                diffs.append(crude - conditional)
+        # per horizon and x, the mean difference over all 20 seeds' windows
+        pooled = np.stack(diffs).reshape(20, len(self.HORIZONS), n, len(xs))
+        mean = pooled.mean(axis=(0, 2))
+        se = pooled.std(axis=(0, 2), ddof=1) / math.sqrt(20 * n)
+        assert np.all(np.abs(mean) <= 4 * se), mean / se
 
 
 class TestEstimateMeanSum:
