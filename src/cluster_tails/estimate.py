@@ -57,7 +57,19 @@ class TailSample:
         return out if np.ndim(x) else int(out)
 
     def quantile(self, level) -> np.ndarray | float:
-        return np.quantile(self.values, level)
+        """The sample quantile at each level, by numpy's "linear" rule, bit for bit.
+
+        The values are sorted, so the order statistics at h = (n - 1) level
+        are read off directly, with no partition; between the two that
+        bracket h the interpolation is numpy's, from the nearer one.
+        """
+        h = (self.n - 1) * np.asarray(level, dtype=float)
+        lo = np.floor(h)
+        below = self.values[lo.astype(np.intp)]
+        above = self.values[np.minimum(lo + 1, self.n - 1).astype(np.intp)]
+        t = h - lo
+        diff = above - below
+        return np.where(t >= 0.5, above - diff * (1 - t), below + diff * t)[()]
 
 
 def wilson_interval(count: int, n: int, z: float = _Z95) -> tuple[float, float]:

@@ -21,7 +21,6 @@ from functools import lru_cache, partial
 from typing import NamedTuple, Union
 
 import numpy as np
-from scipy import special
 
 from .errors import InfiniteMean, ModelError, SupercriticalModel
 from .rng import RngStream
@@ -195,12 +194,18 @@ class Exponential(_MaxSampler):
     def shortfall(self, t: float, r: np.ndarray) -> np.ndarray:
         """E[(t - S_r)^+] for each count in ``r``, S_r the sum of r independent draws.
 
-        S_r is Gamma(r, rate), so this is t P(r, rate t) - (r/rate) P(r + 1, rate t)
-        with P the regularized lower incomplete gamma function.
+        With N_s the count of a rate-``rate`` Poisson process by time s,
+        S_r <= s iff N_s >= r, and the integral of P(N_s = j) over [0, t] is
+        P(N_t > j) / rate.  So E[(t - S_r)^+] = (1/rate) sum_{i >= r} P(N_t > i),
+        N_t ~ Poisson(rate t): one reverse cumulative sum of positive terms,
+        with no cancellation.
         """
-        x = self.rate * t
-        gap = t * special.gammainc(r, x) - r / self.rate * special.gammainc(r + 1, x)
-        return np.maximum(gap, 0.0)  # where both terms are tiny they may round below 0
+        r = np.asarray(r)
+        mu = self.rate * t
+        first = int(r.min())
+        i = np.arange(first, max(int(r.max()), _poisson_span(mu)[1]) + 1)
+        tail = np.cumsum(_poisson_sf(i, mu)[::-1])[::-1]
+        return tail[r - first] / self.rate
 
 
 @dataclass(frozen=True)
@@ -489,7 +494,31 @@ def _ceil_pareto_mean(z: ParetoLaw) -> float:
     if z.alpha <= 1:
         raise InfiniteMean("count mean requires alpha > 1 on the count law")
     k0 = math.floor(z.scale) + 1
-    return k0 + z.scale**z.alpha * special.zeta(z.alpha, k0)
+    return k0 + z.scale**z.alpha * _hurwitz_zeta(z.alpha, k0)
+
+
+# B_2, B_4, ..., B_14
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
+
+
+def _hurwitz_zeta(s: float, q: float) -> float:
+    """The Hurwitz zeta sum_{k >= 0} (q + k)**-s for s > 1 and q > 0, by Euler-Maclaurin.
+
+    The first 16 terms are summed directly.  The rest, from a = q + 16 on,
+    is a**(1 - s) / (s - 1) + a**-s / 2 plus the corrections
+    B_2j / (2j)! * s (s + 1) ... (s + 2j - 2) * a**(1 - s - 2j) for j = 1 .. 7.
+    With q >= 1, so a >= 17, the first one left out is below 1e-19 of the
+    sum for every s > 1.
+    """
+    a = q + 16.0
+    total = math.fsum((q + k) ** -s for k in range(16)) + a ** (1.0 - s) / (s - 1.0) + 0.5 * a**-s
+    rising, factorial, power = s, 2.0, a ** (-s - 1.0)
+    for j, b in enumerate(_BERNOULLI, start=1):
+        total += b / factorial * rising * power
+        rising *= (s + 2 * j - 1) * (s + 2 * j)
+        factorial *= (2 * j + 1) * (2 * j + 2)
+        power /= a * a
+    return total
 
 
 def mean_count(model: JointMarkModel) -> float:
@@ -548,17 +577,59 @@ def model_constants(model: JointMarkModel) -> ModelConstants:
 
 
 def _poisson_pmf(k, mu):
-    """Poisson pmf at integer k, by the formula of scipy.stats.poisson (bit for bit)."""
+    """Poisson pmf exp(k log mu - log k! - mu) at integer k (0 for k < 0), for scalar or array mu."""
     k = np.asarray(k)
     kk = np.maximum(k, 0)
-    p = np.clip(np.exp(special.xlogy(kk, mu) - special.gammaln(kk + 1) - mu), 0, 1)
+    log_factorial = np.fromiter(map(math.lgamma, (kk + 1.0).ravel().tolist()), float, kk.size).reshape(kk.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):  # mu = 0: log 0 = -inf, and 0 * -inf at k = 0
+        k_log_mu = np.where(kk == 0, 0.0, kk * np.log(mu))
+    p = np.clip(np.exp(k_log_mu - log_factorial - mu), 0, 1)
     return np.where(k >= 0, p, 0.0)[()]
 
 
+# Bennett's inequality puts P(K <= mu - t) and P(K >= mu + t) below exp(-L)
+# with t = sqrt(2 L mu) and t = L/3 + sqrt(L**2/9 + 2 L mu); at L = 800 both
+# lie far below the least positive double
+_POISSON_EDGE = 800.0
+
+
+def _poisson_span(mu: float) -> tuple[int, int]:
+    """(lo, hi): P(K < lo) and P(K >= hi) are both below exp(-800) for K ~ Poisson(mu)."""
+    lo = max(0, math.floor(mu - math.sqrt(2.0 * _POISSON_EDGE * mu)))
+    hi = math.ceil(mu + _POISSON_EDGE / 3 + math.sqrt(_POISSON_EDGE**2 / 9 + 2.0 * _POISSON_EDGE * mu))
+    return lo, hi
+
+
 def _poisson_sf(x, mu):
-    """Poisson P(K > x), by the formula of scipy.stats.poisson (bit for bit)."""
-    x = np.asarray(x)
-    return np.where(x < 0, 1.0, np.clip(special.pdtrc(np.floor(x), mu), 0, 1))[()]
+    """Poisson P(K > x) for scalar or array mu, from pmf terms summed smallest first.
+
+    Below lo of :func:`_poisson_span` the survival is 1 and from hi on 0,
+    both to far better than double precision.  Between them it is summed
+    from the nearer far tail: from the mode up as sum_{k > x} pmf(k), so a
+    deep tail keeps its relative accuracy, and below the mode as
+    1 - sum_{k <= x} pmf(k), so a survival near 1 does not take on the
+    rounding of all the terms' total.  So at most the O(sqrt(mu)) terms
+    between lo and hi are summed, whatever x and mu are.
+    """
+    n, mus = np.broadcast_arrays(np.floor(np.asarray(x, dtype=float)), np.asarray(mu, dtype=float))
+    out = np.where(n < 0, 1.0, np.nan)  # a nan, infinite or negative mean gives nan
+    valid = (n >= 0) & np.isfinite(mus) & (mus >= 0)
+    for m in set(mus[valid].tolist()):  # not np.unique, which imports numpy.ma
+        at = np.flatnonzero(valid & (mus == m))
+        lo, hi = _poisson_span(float(m))
+        k = n.flat[at]
+        out.flat[at] = np.where(k < lo, 1.0, 0.0)
+        below = at[(k >= lo) & (k < math.floor(m))]
+        if below.size:
+            kb = n.flat[below].astype(np.int64)
+            head = np.cumsum(_poisson_pmf(np.arange(lo, kb.max() + 1), m))
+            out.flat[below] = 1.0 - head[kb - lo]
+        above = at[(k >= math.floor(m)) & (k < hi)]
+        if above.size:
+            ka = n.flat[above].astype(np.int64)
+            tail = np.cumsum(_poisson_pmf(np.arange(ka.min() + 1, hi + 1), m)[::-1])[::-1]
+            out.flat[above] = tail[ka - ka.min()]
+    return out[()]
 
 
 # Poisson counts by inversion: a mean whose cdf reaches 1.0 (in floats)

@@ -21,7 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
+# by name, not as np.random: numpy loads its random module lazily, and a run's
+# first chunk should not pay for that import
+from numpy.random import PCG64DXSM, Generator, SeedSequence
 
 # SeedSequence splits a key word of 2**32 or more into 32-bit words, so
 # (2**32,) would be the key (0, 1); ids below 2**32 keep every key distinct
@@ -44,7 +46,7 @@ class RngStream:
     stream_id: int = 0
     index: int | None = None
     word: int | None = None
-    _gen: np.random.Generator | None = field(
+    _gen: Generator | None = field(
         default=None, repr=False, compare=False
     )
 
@@ -64,11 +66,11 @@ class RngStream:
         return tuple(k for k in key if k is not None)
 
     @property
-    def generator(self) -> np.random.Generator:
+    def generator(self) -> Generator:
         """The live numpy generator for this stream (created on first use)."""
         if self._gen is None:
-            seq = np.random.SeedSequence(self.seed, spawn_key=self.spawn_key)
-            self._gen = np.random.Generator(np.random.PCG64DXSM(seq))
+            seq = SeedSequence(self.seed, spawn_key=self.spawn_key)
+            self._gen = Generator(PCG64DXSM(seq))
         return self._gen
 
     def child(self, index: int) -> "RngStream":

@@ -532,16 +532,48 @@ class TestValidateOutput:
 
 
 class TestColdStart:
-    """A fresh interpreter must not pay for scipy.stats or scipy.integrate."""
+    """A fresh interpreter pays for no scipy submodule, and a run imports nothing set-up did not.
+
+    ``scipy.special`` alone loads scipy's array-API layer, numpy.f2py,
+    numpy.testing and numpy.ma, which doubled the start-up time; and a
+    module first imported inside a run moves that cost into the run.
+    """
 
     def test_import_loads_no_stats_or_integrate(self):
         proc = python(
             "-c",
-            "import sys, cluster_tails.cli; print(sorted(m for m in sys.modules"
-            " if m.startswith(('scipy.stats', 'scipy.integrate'))))",
+            "import sys, cluster_tails.cli; print(sorted(m for m in sys.modules if m.startswith("
+            "('scipy.special', 'scipy.stats', 'scipy.integrate', 'scipy.optimize'))))",
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_runs_import_no_numpy_or_scipy_module(self, tmp_path):
+        configs = Path(__file__).resolve().parent.parent / "configs"
+        reduced = {
+            "ldp-sum.json": {"ldp": {"replications": 5_000, "pilot_windows": 1_000}},
+            "cluster-tails.json": {"clusters": 100_000},
+            "tail-ratio-renewal-max.json": {"clusters": 100_000, "grid": {"levels": [0.9, 0.99, 0.999]}},
+        }
+        paths = []
+        for name, sizes in reduced.items():
+            raw = json.loads((configs / name).read_text())
+            for key, value in sizes.items():
+                raw[key] = {**raw.get(key, {}), **value} if isinstance(value, dict) else value
+            raw["output_dir"] = str(tmp_path / "out")
+            paths.append(str(write_config(tmp_path, raw, name)))
+        script = (
+            "import json, sys\n"
+            "import cluster_tails.cli as cli\n"
+            "before = set(sys.modules)\n"
+            "for path in sys.argv[1:]:\n"
+            "    cli.main(['run', path])\n"
+            "new = sorted(m for m in set(sys.modules) - before if m.startswith(('numpy', 'scipy')))\n"
+            "print(json.dumps(new))\n"
+        )
+        proc = python("-c", script, *paths)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.strip().splitlines()[-1]) == []
 
     def test_validate_shipped_config(self):
         config = Path(__file__).resolve().parent.parent / "configs" / "ldp-sum.json"

@@ -44,7 +44,7 @@ PINNED = {
         "192e72c65bd8df193eb162e3311dad331ce5ccc6986a0eb53e1802ec84b613c5",
     ),
     "ldp-sum.json": (
-        "9291a267d3652d843ca07aa74b9c096e211fd6b849a017576d00ed94095c74ab",
+        "c8f8acea07bd88b14d9c3d198afe81463088aa87fae4db17131b5d5b12797f1c",
         "42861663d38ced80e4cf2810024f0b3f9c554664ea1e313ceb39c72cdc0ceaf0",
     ),
     "leftover.json": (

@@ -63,6 +63,28 @@ class TestEmpiricalSurvival:
             assert lo <= count / n <= hi
 
 
+class TestQuantile:
+    """Quantiles read off the sorted sample equal np.quantile's, bit for bit and type for type."""
+
+    LEVELS = [0.0, 1 / 3, 0.5, 0.9, 0.99, 0.995, 0.999, 0.9995, 0.9999, 1.0]
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 1000, 12_345])
+    def test_equals_numpy(self, n):
+        for values in (pareto_values(n, n), np.round(pareto_values(n, n)), np.append(pareto_values(n, n - 1), np.inf)):
+            sample = TailSample.from_values(values)
+            with np.errstate(invalid="ignore"):  # inf - inf between two infinite order statistics
+                assert np.array_equal(sample.quantile(self.LEVELS), np.quantile(sample.values, self.LEVELS), equal_nan=True)
+                for level in self.LEVELS:
+                    got, want = sample.quantile(level), np.quantile(sample.values, level)
+                    assert type(got) is type(want)
+                    assert got == want or (np.isnan(got) and np.isnan(want))
+
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=50), st.floats(0.0, 1.0))
+    def test_equals_numpy_on_any_sample(self, values, level):
+        sample = TailSample.from_values(values)
+        assert sample.quantile(level) == np.quantile(sample.values, level)
+
+
 class TestTailBands:
     """The one routine behind every printed tail estimate and its band."""
 

@@ -1,12 +1,13 @@
 """Tests for mark laws, joint models, constants, and tail denominators."""
 
+import time
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from cluster_tails import clusters, heavytail
 from cluster_tails.clusters import RenewalParams, batch_functionals
@@ -19,6 +20,7 @@ from cluster_tails.heavytail import (
     OracleSpec,
     ParetoLaw,
     Regime,
+    _hurwitz_zeta,
     _poisson_counts,
     _poisson_pmf,
     _poisson_sf,
@@ -382,23 +384,103 @@ class TestJointTailExact:
 
 
 class TestPoissonTerms:
-    """The scipy.special Poisson terms equal scipy.stats.poisson bit for bit."""
+    """The numpy Poisson terms agree with scipy's, which serve as the independent reference.
+
+    The terms are computed from ``math.lgamma`` and numpy, not by scipy, so
+    they cannot equal scipy's bit for bit.  The pmf's exponent
+    k log mu - log k! - mu rounds to within a few ulps of its largest part
+    (about 2e-13 at k = 400, mu = 200), which exp turns into a relative
+    error; 1e-12 bounds that on this grid.  The k < 0, x < 0 and mu = 0
+    cases are exact.
+    """
 
     KS = np.arange(-3, 401)
     XS = np.concatenate([KS, KS + 0.5, KS - 0.25])
+    MEANS = [0.0, 1e-3, 0.5, 2.0, 30.0, 200.0]
 
-    @pytest.mark.parametrize("mu", [0.0, 1e-3, 0.5, 2.0, 30.0, 200.0])
+    @staticmethod
+    def assert_agrees(got, want, rtol=1e-12):
+        got, want = np.asarray(got), np.asarray(want)
+        assert got.shape == want.shape
+        big = want > 1e-300
+        np.testing.assert_allclose(got[big], want[big], rtol=rtol, atol=0)
+        assert np.all(got[~big] <= 1e-290)
+
+    @pytest.mark.parametrize("mu", MEANS)
     def test_arrays(self, mu):
-        assert np.array_equal(_poisson_pmf(self.KS, mu), stats.poisson.pmf(self.KS, mu))
-        assert np.array_equal(_poisson_sf(self.XS, mu), stats.poisson.sf(self.XS, mu))
+        self.assert_agrees(_poisson_pmf(self.KS, mu), stats.poisson.pmf(self.KS, mu))
+        self.assert_agrees(_poisson_sf(self.XS, mu), stats.poisson.sf(self.XS, mu))
 
-    @pytest.mark.parametrize("mu", [0.0, 1e-3, 0.5, 2.0, 30.0, 200.0])
+    @pytest.mark.parametrize("mu", MEANS)
     def test_scalars(self, mu):
-        for k in self.KS.tolist():
-            assert _poisson_pmf(k, mu) == stats.poisson.pmf(k, mu)
-        for x in self.XS.tolist():
-            assert _poisson_sf(x, mu) == stats.poisson.sf(x, mu)
+        self.assert_agrees([_poisson_pmf(k, mu) for k in self.KS.tolist()], stats.poisson.pmf(self.KS, mu))
+        self.assert_agrees([_poisson_sf(x, mu) for x in self.XS.tolist()], stats.poisson.sf(self.XS, mu))
         assert np.ndim(_poisson_pmf(3, mu)) == np.ndim(_poisson_sf(2.5, mu)) == 0
+
+    @pytest.mark.parametrize("mu", MEANS)
+    def test_exact_cases(self, mu):
+        negative = self.XS[self.XS < 0]
+        assert np.all(_poisson_pmf(self.KS[self.KS < 0], mu) == 0.0)
+        assert np.all(_poisson_sf(negative, mu) == 1.0)
+        assert _poisson_pmf(0, 0.0) == 1.0
+        assert np.all(_poisson_pmf(self.KS[self.KS > 0], 0.0) == 0.0)
+        assert np.all(_poisson_sf(self.XS[self.XS >= 0], 0.0) == 0.0)
+
+    # the exponent's rounding grows with k log mu, so the mean of 5000, whose
+    # tail runs to k = 8000, gets a wider bound
+    @pytest.mark.parametrize(
+        "mu, rtol",
+        [(0.0, 1e-12), (1e-3, 1e-12), (0.5, 1e-12), (2.0, 1e-12), (30.0, 1e-12), (200.0, 1e-11), (5000.0, 1e-10)],
+    )
+    def test_survival_far_into_the_tail(self, mu, rtol):
+        # from below the mean to x >> mu, where the survival underflows
+        xs = np.concatenate([self.XS[self.XS >= 0], mu + np.arange(0.0, 40 * np.sqrt(mu) + 600, 1.5)])
+        self.assert_agrees(_poisson_sf(xs, mu), special.pdtrc(np.floor(xs), mu), rtol)
+
+    def test_survival_of_an_array_of_means(self):
+        # the Hawkes bracket oracle asks for P(K > max_children) of a row of kappas
+        kappas = np.array([0.0, 1e-3, 0.3, 0.9, 2.5, 7.0])
+        for mc in (0, 1, 5, 20, 60):
+            self.assert_agrees(_poisson_sf(mc, kappas), special.pdtrc(mc, kappas))
+            self.assert_agrees(_poisson_pmf(mc, kappas), stats.poisson.pmf(mc, kappas))
+        xs = np.arange(-1.0, 40.0, 0.5)[:, None]
+        want = np.where(xs < 0, 1.0, special.pdtrc(np.maximum(np.floor(xs), 0), kappas))
+        self.assert_agrees(_poisson_sf(xs, kappas), want)
+
+    def test_mean_of_a_million_in_bounded_time(self):
+        mu = 1e6
+        model = light_count(mu)
+        xs = np.arange(0.0, 2e6, 997.0)
+        start = time.perf_counter()
+        assert _poisson_table.__wrapped__(mu) is None  # drawn by numpy
+        got = count_survival(model, xs)
+        # about 80,000 pmf terms between the span's ends, never the 10^6 below them
+        assert time.perf_counter() - start < 2.0
+        assert np.all(np.diff(got) <= 0) and got[0] == 1.0 and got[-1] == 0.0
+        near = np.abs(xs - mu) < 2000  # within 2 sd, where pdtrc is accurate
+        np.testing.assert_allclose(got[near], special.pdtrc(xs[near], mu), rtol=1e-8)
+
+
+class TestShortfallAndZeta:
+    """The Erlang shortfall and the Hurwitz zeta against their scipy formulas."""
+
+    @pytest.mark.parametrize("t", [1.0, 10.0, 100.0, 500.0])
+    @pytest.mark.parametrize("rate", [1.0, 2.0])
+    def test_exponential_shortfall_against_gamma_cdf(self, t, rate):
+        r = np.arange(1, 257)
+        got = Exponential(rate).shortfall(t, r)
+        # t P(r, rate t) - (r / rate) P(r + 1, rate t) with P the Gamma cdf: the
+        # two terms cancel, so the reference's own error scales with their sum
+        first = t * special.gammainc(r, rate * t)
+        second = r / rate * special.gammainc(r + 1, rate * t)
+        normal = first > 1e-300  # below, gammainc is subnormal and has lost its digits
+        assert np.all(np.abs(got - (first - second))[normal] <= 1e-12 * (first + second)[normal])
+        assert np.all(got >= 0) and np.all(got[~normal] <= 1e-300)
+
+    @pytest.mark.parametrize("s", [1.01, 1.1, 1.5, 2.0, 3.0, 7.5])
+    @pytest.mark.parametrize("q", [1, 2, 5, 100, 1000])
+    def test_hurwitz_zeta(self, s, q):
+        assert _hurwitz_zeta(s, q) == pytest.approx(special.zeta(s, q), rel=2e-15)
 
 
 class _FixedUniforms:
