@@ -54,6 +54,7 @@ from .heavytail import (
 from .ldp import (
     SUM_CENTRING,
     SweepConfig,
+    check_left_edges,
     ldp_max_sweep,
     ldp_sum_sweep,
     leftover_estimator,
@@ -635,7 +636,7 @@ _LEFTOVER_KEYS = {"horizons": _horizons, "windows": _count}
 
 
 def _parse_sweep(config: ExperimentConfig) -> tuple[SweepConfig]:
-    """The ``leftover`` section of a leftover sweep, else the ``ldp`` section."""
+    """The ``leftover`` section of a leftover sweep, else the ``ldp`` section, its left edges checked."""
     window = _section(config.raw, "window", "")
     _known(window, "window", ("nu",))
     nu = _num(window, "nu", "window", default=1.0, positive=True)
@@ -650,7 +651,10 @@ def _parse_sweep(config: ExperimentConfig) -> tuple[SweepConfig]:
         horizons = options.pop("horizons", (10.0, 50.0, 100.0))
     try:
         window = WindowConfig(config.model, config.cluster_params, nu)
-        return (SweepConfig(window=window, horizons=horizons, **options),)
+        sweep = SweepConfig(window=window, horizons=horizons, **options)
+        if name == "ldp":
+            check_left_edges(sweep, config.experiment.removeprefix("ldp-"))
+        return (sweep,)
     except ModelError as exc:
         key = {"replications": count_key}.get(exc.field, exc.field)
         raise ConfigError(exc.message, f"{name}.{key}") from None

@@ -710,61 +710,14 @@ def count_survival(model: JointMarkModel, x):
 # Exact joint-tail terms P(X + c*count > x)
 
 
-def _count_pmf_and_sf(model: JointMarkModel, kmax: int):
-    """pmf on 0..kmax-1 and P(K >= kmax) for integer-count regimes."""
-    r = model.regime
+def _count_pmf(model: JointMarkModel, kmax: int) -> np.ndarray:
+    """P(K = k) for k = 0 .. kmax - 1: Poisson terms, or the survival steps of K = ceil(Z)."""
     ks = np.arange(kmax)
-    if r is Regime.INDEPENDENT_LIGHT_COUNT:
-        pmf = _poisson_pmf(ks, model.count_param)
-        tail = float(_poisson_sf(kmax - 1, model.count_param))
-        return pmf, tail
-    if r in (Regime.INDEPENDENT_HEAVY_COUNT, Regime.INDEPENDENT_TAIL_EQUIVALENT):
-        z = model.count_param
-        # P(ceil Z = k) = P(Z > k-1) - P(Z > k); P(K >= kmax) = P(Z > kmax-1)
-        sf_prev = np.asarray(z.survival(ks - 1.0))
-        sf_k = np.asarray(z.survival(ks.astype(float)))
-        pmf = sf_prev - sf_k
-        tail = float(z.survival(float(kmax - 1)))
-        return pmf, tail
-    raise ModelError("independent-count series applies to independent regimes only")
-
-
-def _sum_tail_independent_count(model: JointMarkModel, c: float, x: float) -> float:
-    """P(X + c*K > x) for K independent of X, by conditioning on K."""
-    lo = model.mark_law.support_min
-    if x <= lo:
-        return 1.0
-    if c <= 0:
-        return float(model.mark_law.survival(x))
-    # smallest k with x - c*k <= lo: whole mark support qualifies from there on
-    k0 = max(0, math.ceil((x - lo) / c))
-    if k0 == 0:
-        return 1.0
-    pmf, tail = _count_pmf_and_sf(model, k0)
-    ks = np.arange(k0)
-    vals = np.asarray(model.mark_law.survival(x - c * ks))
-    return float(np.dot(pmf, vals) + tail)
-
-
-def _sum_tail_comonotone_count(model: JointMarkModel, c: float, x: float) -> float:
-    """P(X + c*ceil(X) > x) for Pareto X, by slicing on K = ceil(X)."""
-    law = model.mark_law
-    lo = law.support_min
-    if x <= lo:
-        return 1.0
-    total = 0.0
-    k = math.floor(lo) + 1
-    while True:
-        slice_lo = max(lo, float(k - 1))
-        if x - c * k <= slice_lo:
-            # the whole remaining tail {X > slice_lo} qualifies
-            total += float(law.survival(slice_lo))
-            break
-        threshold = x - c * k
-        if threshold < k:
-            total += float(law.survival(threshold)) - float(law.survival(float(k)))
-        k += 1
-    return min(1.0, total)
+    if model.regime is Regime.INDEPENDENT_LIGHT_COUNT:
+        return _poisson_pmf(ks, model.count_param)
+    # P(ceil Z = k) = P(Z > k - 1) - P(Z > k)
+    sf = np.asarray(model.count_param.survival(np.arange(-1.0, kmax)))
+    return sf[:-1] - sf[1:]
 
 
 def _sum_tail_hawkes(model: JointMarkModel, c: float, x: float) -> float:
@@ -800,19 +753,33 @@ def _sum_tail_hawkes(model: JointMarkModel, c: float, x: float) -> float:
 
 
 def joint_tail_exact(model: JointMarkModel, c: float, x) -> np.ndarray | float:
-    """P(X + c*count > x) evaluated exactly (series / slicing / integral)."""
+    """P(X + c*count > x) evaluated exactly, for c > 0, over the whole grid x at once.
+
+    * Independent counts: condition on K.  From k0, the first count with
+      x - c k0 at or below the mark support, every mark qualifies, so the
+      term is sum_{k < k0} P(K = k) P(X > x - c k) + P(K >= k0); one pmf up
+      to the grid's largest k0 serves every x.
+    * ComonotoneCount: X + c ceil(X) increases with X, so the event is
+      {X > t}.  With k = ceil(x / (1 + c)), X <= k - 1 falls short of x and
+      X > k exceeds it, and on (k - 1, k] the sum is X + c k: so
+      t = max(k - 1, x - c k).
+    * Hawkes: one x at a time, by :func:`_sum_tail_hawkes`.
+    """
+    if not c > 0:
+        raise ModelError(f"the shift c must be positive, got {c}", "c")
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    r = model.regime
-    if r in (
-        Regime.INDEPENDENT_LIGHT_COUNT,
-        Regime.INDEPENDENT_HEAVY_COUNT,
-        Regime.INDEPENDENT_TAIL_EQUIVALENT,
-    ):
-        out = np.array([_sum_tail_independent_count(model, c, xi) for xi in xs])
-    elif r is Regime.COMONOTONE_COUNT:
-        out = np.array([_sum_tail_comonotone_count(model, c, xi) for xi in xs])
-    else:
+    law = model.mark_law
+    if model.is_hawkes:
         out = np.array([_sum_tail_hawkes(model, c, xi) for xi in xs])
+    elif model.regime is Regime.COMONOTONE_COUNT:
+        k = np.ceil(xs / (1.0 + c))
+        out = np.asarray(law.survival(np.maximum(k - 1.0, xs - c * k)))
+    else:
+        k0 = np.maximum(np.ceil((xs - law.support_min) / c), 0.0).astype(np.int64)
+        pmf = _count_pmf(model, int(k0.max(initial=0)))
+        out = np.asarray(count_survival(model, k0 - 1.0))  # P(K >= k0)
+        for i, k in enumerate(k0):
+            out[i] += pmf[:k] @ law.survival(xs[i] - c * np.arange(k))
     return out if np.ndim(x) else float(out[0])
 
 
@@ -839,22 +806,19 @@ def _oracle_counts(model: JointMarkModel, c: float, xs: np.ndarray, m: int, rng:
     return m - np.searchsorted(total, xs, side="right")
 
 
-def _oracle_compute(model: JointMarkModel, c: float, xs: np.ndarray, spec: OracleSpec) -> np.ndarray:
-    from .clusters import chunked_map  # clusters imports this module
-
-    kernel = partial(_oracle_counts, model, c, xs)
-    # root 1: an experiment runs on root 0, so at equal seeds the two share no draws
-    parts = chunked_map(kernel, spec.size, _ORACLE_CHUNK, RngStream(spec.seed, 1))
-    return sum(parts, np.zeros(len(xs), dtype=np.int64)) / float(spec.size)
-
-
 def joint_tail_mc(model: JointMarkModel, c: float, x, spec: OracleSpec) -> np.ndarray:
     """P(X + c*count > x) by high-precision MC: ``spec.size`` draws from ``spec.seed``.
 
     The draws depend only on the model and the spec, so a rerun reproduces
     the probabilities bit for bit.
     """
-    return _oracle_compute(model, c, np.atleast_1d(np.asarray(x, dtype=float)), spec)
+    from .clusters import chunked_map  # clusters imports this module
+
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    kernel = partial(_oracle_counts, model, c, xs)
+    # root 1: an experiment runs on root 0, so at equal seeds the two share no draws
+    parts = chunked_map(kernel, spec.size, _ORACLE_CHUNK, RngStream(spec.seed, 1))
+    return sum(parts, np.zeros(len(xs), dtype=np.int64)) / float(spec.size)
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,12 @@ reads every horizon T_i off the same paths (see
 their exact marginal law, but the horizons of one sweep are positively
 correlated: differences between horizons are not independent draws.  For
 each horizon the harness estimates the deviation tail on a grid starting
-at gamma*nu*T, and divides by the theoretical normalizer: mean event count
-times the mark tail for the max, nu*T times the cluster-sum tail
-approximation for the sum.  The certified range of a sweep is the part of
-the grid with enough exceedances for the Wilson band to mean anything; the
-per-horizon sup deviation is reported over that range only.
+at gamma*nu*T, and divides by the theoretical normalizer: nu*T E[cluster
+size] times the mark tail for the max, nu*T times the cluster-sum tail
+approximation for the sum (see :func:`check_left_edges`).  The certified
+range of a sweep is the part of the grid with enough exceedances for the
+Wilson band to mean anything; the per-horizon sup deviation is reported
+over that range only.
 
 The sum is centred on its exact mean, E[S_T] = E[X] E[N_T] by Campbell's
 formula: in every regime a point's mark has mean E[X] and does not depend
@@ -56,6 +57,7 @@ __all__ = [
     "SweepConfig",
     "SweepRow",
     "LeftoverRow",
+    "check_left_edges",
     "ldp_max_sweep",
     "max_estimator",
     "ldp_sum_sweep",
@@ -175,9 +177,34 @@ def _conditional_max_tail(
     return mean, np.sqrt(var / n)
 
 
-def _expected_events(config: WindowConfig, horizon: float) -> float:
-    """E[N_T] from the cluster-independence formula (no boundary correction)."""
-    return config.nu * horizon * model_constants(config.model).mean_cluster_size
+def _normalizer(
+    config: SweepConfig, functional: str, horizon: float, grid: np.ndarray, oracle: OracleSpec | None = None
+) -> np.ndarray:
+    """What a sweep of ``functional`` divides its tail at T = ``horizon`` by, on ``grid``.
+
+    The max's is nu T E[cluster size] P(X > x), where nu T E[cluster size]
+    counts the points of the clusters that start by T, those after T too:
+    it is not E[N_T].  The sum's is nu T times the cluster-sum tail
+    approximation, whose joint term is in closed form or the MC oracle
+    that ``oracle`` gives.
+    """
+    model, nu_t = config.window.model, config.window.nu * horizon
+    if functional == "max":
+        return nu_t * model_constants(model).mean_cluster_size * np.asarray(model.mark_law.survival(grid))
+    return nu_t * np.asarray(theoretical_denominator(model, "sum", grid, oracle=oracle))
+
+
+def check_left_edges(config: SweepConfig, functional: str) -> None:
+    """Raise ModelError on ``horizons`` where the closed-form normalizer is 0 at gamma*nu*T.
+
+    Each grid starts there, so an underflow would make a horizon's every
+    ratio nan.  The closed form stands in for an MC oracle too: no
+    randomness is drawn.
+    """
+    for horizon in map(float, config.horizons):
+        x = config.gamma * config.window.nu * horizon
+        if _normalizer(config, functional, horizon, np.array([x]))[0] == 0.0:
+            raise ModelError(f"the {functional} normalizer is 0 at T = {horizon:g}, x = {x:g}", "horizons")
 
 
 def max_estimator(model: JointMarkModel) -> str:
@@ -193,13 +220,14 @@ def max_estimator(model: JointMarkModel) -> str:
 def ldp_max_sweep(
     config: SweepConfig, rng: RngStream, workers: int = 1
 ) -> list[SweepRow]:
-    """Ratio of the window-max tail to E[N_T] * P(X > x), per horizon.
+    """Ratio of the window-max tail to nu T E[cluster size] P(X > x), per horizon.
 
     The tail is estimated as :func:`max_estimator` says; the crude maxima
     place the grid and count its exceedances in every regime.  Where the
     marks are independent of the counts, the sweep keeps only counts and
-    maxima, which read no mark.
+    maxima, which read no mark.  :func:`check_left_edges` runs first.
     """
+    check_left_edges(config, "max")
     conditional = config.window.model.independent_marks
     fields = ("n_events", "max_in_window") if conditional else ("max_in_window",)
     paths = sweep_windows(
@@ -211,7 +239,7 @@ def ldp_max_sweep(
         sample = TailSample.from_values(dev)
         grid = _horizon_grid(config, horizon, sample)
         survival = np.asarray(window.model.mark_law.survival(grid))
-        denom = _expected_events(window, float(horizon)) * survival
+        denom = _normalizer(config, "max", float(horizon), grid)
         estimate = _conditional_max_tail(paths["n_events"][i], survival) if conditional else None
         rows.extend(_sweep_rows(config, horizon, sample, grid, denom, estimate))
     return rows
@@ -233,7 +261,9 @@ def ldp_sum_sweep(
     The centring is :data:`SUM_CENTRING`; the tail is the exceedance
     fraction of S_T - E[S_T] with its Wilson band.  The normalizer's joint
     term is in closed form, or the MC oracle that ``oracle`` gives.
+    :func:`check_left_edges` runs first.
     """
+    check_left_edges(config, "sum")
     window, horizons = config.window, config.horizons
     means = model_constants(window.model).mean_mark * mean_events(window, horizons)
     sums = sweep_windows(window, horizons, config.replications, rng, workers, ("sum_in_window",))
@@ -241,8 +271,7 @@ def ldp_sum_sweep(
     for horizon, mean, s in zip(horizons, means, sums["sum_in_window"]):
         sample = TailSample.from_values(s - float(mean))
         grid = _horizon_grid(config, horizon, sample)
-        tail = theoretical_denominator(window.model, "sum", grid, oracle=oracle)
-        denom = window.nu * float(horizon) * np.asarray(tail)
+        denom = _normalizer(config, "sum", float(horizon), grid, oracle)
         rows.extend(_sweep_rows(config, horizon, sample, grid, denom))
     return rows
 

@@ -1,8 +1,10 @@
-"""Object-level reference samplers for one cluster, and exact means, used only by the tests.
+"""Object-level reference samplers for one cluster, exact means and joint tails, used only by the tests.
 
 Each sampler draws one cluster event by event, with its times, marks and
 family tree, from scalar draws.  The tests check the vectorized batch and
-window kernels of the package against these, as an independent route.
+window kernels of the package against these, as an independent route.  The
+joint tails P(X + c K > x) are computed one x at a time, by a series or a
+walk over slices, against the package's forms that take a whole grid.
 """
 
 from __future__ import annotations
@@ -10,14 +12,14 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import ceil, comb, factorial, floor
 
 import numpy as np
 from scipy.special import gammainc
 
 from cluster_tails.clusters import HawkesParams, RenewalParams
 from cluster_tails.errors import ClusterOverflow, ModelError
-from cluster_tails.heavytail import JointMarkModel, sample_joint
+from cluster_tails.heavytail import JointMarkModel, Regime, _poisson_pmf, _poisson_sf, sample_joint
 from cluster_tails.rng import RngStream
 
 
@@ -135,3 +137,52 @@ def irwin_hall_shortfall(y: Fraction, r: int) -> Fraction:
         (-1) ** k * comb(r, k) * (y - k) ** (r + 1) for k in range(r + 1) if y > k
     )
     return sum(terms, Fraction(0)) / factorial(r + 1)
+
+
+def independent_count_joint_tail(model: JointMarkModel, c: float, x: float) -> float:
+    """P(X + c K > x) for a count K independent of X and c > 0, by conditioning on K.
+
+    From k0, the first count with x - c k0 at or below the mark support,
+    every mark qualifies, so this is
+    sum_{k < k0} P(K = k) P(X > x - c k) + P(K >= k0), with the count's pmf
+    and tail built afresh for this x alone.
+    """
+    lo = model.mark_law.support_min
+    if x <= lo:
+        return 1.0
+    k0 = ceil((x - lo) / c)
+    ks = np.arange(k0)
+    if model.regime is Regime.INDEPENDENT_LIGHT_COUNT:
+        pmf = _poisson_pmf(ks, model.count_param)
+        tail = float(_poisson_sf(k0 - 1, model.count_param))
+    else:  # K = ceil(Z): P(K = k) = P(Z > k - 1) - P(Z > k)
+        z = model.count_param
+        pmf = np.asarray(z.survival(ks - 1.0)) - np.asarray(z.survival(ks.astype(float)))
+        tail = float(z.survival(float(k0 - 1)))
+    vals = np.asarray(model.mark_law.survival(x - c * ks))
+    return float(np.dot(pmf, vals) + tail)
+
+
+def comonotone_count_joint_tail(model: JointMarkModel, c: float, x: float) -> float:
+    """P(X + c ceil(X) > x) for Pareto X, slice by slice of K = ceil(X).
+
+    On the slice {K = k}, X in (k - 1, k], the event is {X > x - c k}; the
+    walk over k stops at the first slice that lies wholly inside the event,
+    where the rest of the tail is added at once.
+    """
+    law = model.mark_law
+    lo = law.support_min
+    if x <= lo:
+        return 1.0
+    total = 0.0
+    k = floor(lo) + 1
+    while True:
+        slice_lo = max(lo, float(k - 1))
+        if x - c * k <= slice_lo:
+            total += float(law.survival(slice_lo))
+            break
+        threshold = x - c * k
+        if threshold < k:
+            total += float(law.survival(threshold)) - float(law.survival(float(k)))
+        k += 1
+    return min(1.0, total)

@@ -32,6 +32,7 @@ HAWKES_DISCRETE = {
     "max_depth": 3,
 }
 HAWKES_BRACKETS = {**HAWKES_DISCRETE, "x_grid": [1.0]}
+EXPONENTIAL_MARKS = {**MODEL, "mark": {"law": "exponential", "rate": 1.0}}
 HAWKES_COMONOTONE = {
     "regime": "HawkesComonotoneIntensity",
     "mark": {"law": "pareto", "scale": 1.0, "alpha": 1.5},
@@ -422,7 +423,22 @@ class TestHostileConfigs:
             "model.count.lo",
         ),
     ]
-    CASES += COUNTS + TAUBERIAN_GRID + TYPED + MODEL_KEYS
+    # the normalizer underflows to 0 at the long horizon's left edge gamma*nu*T,
+    # which would make each of its ratios nan; the sum's check takes the closed
+    # form under an MC oracle too
+    LEFT_EDGES = [
+        (
+            experiment,
+            {"model": EXPONENTIAL_MARKS, "ldp": {"horizons": [100, t], "replications": 10_000}, **joint},
+            "ldp.horizons",
+        )
+        for experiment, t, joint in (
+            ("ldp-max", 1600, {}),
+            ("ldp-sum", 2100, {}),
+            ("ldp-sum", 2100, {"joint": "mc", "oracle": {"size": 1000}}),
+        )
+    ]
+    CASES += COUNTS + TAUBERIAN_GRID + TYPED + MODEL_KEYS + LEFT_EDGES
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize(

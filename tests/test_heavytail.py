@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import special, stats
+from scipy import integrate, special, stats
 
 from cluster_tails import clusters, heavytail
 from cluster_tails.clusters import RenewalParams, batch_functionals
@@ -34,6 +34,7 @@ from cluster_tails.heavytail import (
     theoretical_denominator,
 )
 from cluster_tails.rng import RngStream
+from reference import comonotone_count_joint_tail, independent_count_joint_tail
 
 LAW = ParetoLaw(1.0, 1.5)
 
@@ -357,10 +358,38 @@ class TestTheoreticalDenominator:
         assert denominator_label(model, "sum") == f"{family}-sum"
 
 
+# the sum-denominator branches beyond ALL_MODELS: each kappa law of the light
+# intensity regime, and the survival integral of each light mark law
+JOINT_TAIL_MODELS = {
+    **ALL_MODELS,
+    "hawkes_constant_kappa": hawkes_light(base=Constant(1.0)),
+    "hawkes_exponential_kappa": hawkes_light(base=Exponential(1.0)),
+    **{
+        f"hawkes_{name}_marks": JointMarkModel(
+            Regime.HAWKES_LIGHT_INTENSITY, mark, BoundedUniform(0.0, 1.0), target_mean_kappa=0.5
+        )
+        for name, mark in (
+            ("exponential", Exponential(2.0)),
+            ("constant", Constant(1.5)),
+            ("uniform", BoundedUniform(0.5, 2.0)),
+        )
+    },
+}
+
+# the renewal models, each with its reference route one x at a time
+REFERENCE_ROUTES = {
+    "light_count": (light_count(), independent_count_joint_tail),
+    "light_count_exponential_marks": (light_count(mark=Exponential(1.0)), independent_count_joint_tail),
+    "heavy_count": (heavy_count(), independent_count_joint_tail),
+    "tail_equivalent": (tail_equivalent(), independent_count_joint_tail),
+    "comonotone": (comonotone(), comonotone_count_joint_tail),
+}
+
+
 class TestJointTailExact:
-    @pytest.mark.parametrize("name", sorted(ALL_MODELS))
+    @pytest.mark.parametrize("name", sorted(JOINT_TAIL_MODELS))
     def test_against_monte_carlo(self, name):
-        model = ALL_MODELS[name]
+        model = JOINT_TAIL_MODELS[name]
         consts = model_constants(model)
         c = (
             consts.sum_shift_hawkes
@@ -375,12 +404,66 @@ class TestJointTailExact:
         se = np.sqrt(emp * (1 - emp) / len(total))
         assert np.all(np.abs(emp - exact) < 5 * se + 1e-4)
 
+    @pytest.mark.parametrize("c", [0.3, 1.0, 3.0])
+    @pytest.mark.parametrize("name", sorted(REFERENCE_ROUTES))
+    def test_whole_grid_matches_the_route_per_x(self, name, c):
+        model, route = REFERENCE_ROUTES[name]
+        edge = model.mark_law.support_min
+        kinks = np.arange(1, 25) * (1.0 + c)  # where K = ceil(X) steps in the comonotone sum
+        xs = np.concatenate(
+            [[-1.0, 0.5 * edge, edge], kinks, kinks - 1e-9, kinks + 1e-9, np.geomspace(1.5, 1e4, 15)]
+        )
+        want = np.array([route(model, c, x) for x in xs])
+        got = joint_tail_exact(model, c, xs)
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+        assert joint_tail_exact(model, c, float(xs[-1])) == got[-1]
+
+    def test_one_count_pmf_per_grid(self, monkeypatch):
+        calls = []
+
+        def counted(k, mu):
+            calls.append(np.size(k))
+            return _poisson_pmf(k, mu)
+
+        monkeypatch.setattr(heavytail, "_poisson_pmf", counted)
+        joint_tail_exact(light_count(), 3.0, np.geomspace(10.0, 1000.0, 12))
+        # one table of counts for the series, one run of terms for the tails P(K >= k0)
+        assert len(calls) <= 2, calls
+
+    def test_shift_must_be_positive(self):
+        for c in (0.0, -1.0, float("nan")):
+            with pytest.raises(ModelError):
+                joint_tail_exact(light_count(), c, 5.0)
+
     def test_count_survival_heavy(self):
         m = heavy_count()
         # ceil(Z) > x iff Z > floor(x)
         assert count_survival(m, 10.0) == pytest.approx(10 ** -1.5)
         assert count_survival(m, 10.7) == pytest.approx(10 ** -1.5)
         assert count_survival(m, 1.0) == 1.0
+
+
+class TestSurvivalIntegral:
+    LAWS = [
+        ParetoLaw(1.0, 1.5),
+        ParetoLaw(2.0, 1.0),
+        Exponential(2.0),
+        Constant(1.5),
+        BoundedUniform(0.5, 2.0),
+    ]
+
+    @pytest.mark.parametrize("law", LAWS, ids=repr)
+    @pytest.mark.parametrize("a, b", [(-1.0, 3.0), (0.5, 1.5), (1.2, 40.0), (-3.0, -1.0), (-1.0, 0.25)])
+    def test_against_quadrature_of_the_survival(self, law, a, b):
+        # the support edges are where the survival has a kink or a jump
+        edges = [e for e in (law.support_min, getattr(law, "hi", None)) if e is not None and a < e < b]
+        want, _ = integrate.quad(law.survival, a, b, points=edges or None, limit=200, epsabs=1e-13, epsrel=1e-12)
+        assert law.survival_integral(a, b) == pytest.approx(want, rel=1e-10, abs=1e-13)
+
+    @pytest.mark.parametrize("law", LAWS, ids=repr)
+    @pytest.mark.parametrize("a, b", [(3.0, 2.0), (1.0, 1.0), (-1.0, -2.0)])
+    def test_empty_interval_is_zero(self, law, a, b):
+        assert law.survival_integral(a, b) == 0.0
 
 
 class TestPoissonTerms:
