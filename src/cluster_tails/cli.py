@@ -72,7 +72,7 @@ from .oracle import (
     sample_renewal_functionals,
     truncated_hawkes_sum_tail,
 )
-from .process import WindowConfig
+from .process import WindowConfig, check_mean_events
 from .rng import RngStream
 
 # ---------------------------------------------------------------------------
@@ -314,36 +314,20 @@ def _parse_discrete(config: ExperimentConfig):
     section = _section(config.raw, "discrete", "", required=True)
     kind = section.get("kind", "renewal")
     hawkes = kind == "hawkes"
-    table = ("joint_csv", "offspring_csv") if "joint_csv" in section else ("support", "offspring")
-    extra = ("max_children", "max_depth", "x_grid") if hawkes else table[1:]
-    _known(section, "discrete", ("kind", table[0], *extra))
+    extra = ("max_children", "max_depth", "x_grid") if hawkes else ("offspring",)
+    _known(section, "discrete", ("kind", "support", *extra))
     x_grid = _x_grid(_req(section, "x_grid", "discrete"), "discrete.x_grid") if hawkes else None
     bounds = {
         k: _count(section.get(k, 0), f"discrete.{k}", 0) for k in ("max_children", "max_depth")
     }
-    for key in ("joint_csv", "offspring_csv"):
-        # a number would be taken as a file descriptor: 0 reads stdin
-        if key in section and not isinstance(section[key], str):
-            raise ConfigError("must be a path string", f"discrete.{key}")
     try:
-        if "joint_csv" in section:
-            model = DiscreteJointModel.from_csv(
-                section["joint_csv"], section.get("offspring_csv"), kind=kind, **bounds
-            )
-        else:
-            support = tuple(
-                tuple(float(v) for v in row) for row in _req(section, "support", "discrete")
-            )
-            offspring = tuple(
-                tuple(float(v) for v in row) for row in section.get("offspring", [])
-            )
-            model = DiscreteJointModel(
-                kind=kind,
-                support=support,
-                offspring_support=offspring,
-                **bounds,
-            )
-    except (ModelError, OSError, ValueError, TypeError) as exc:
+        model = DiscreteJointModel(
+            kind=kind,
+            support=tuple(tuple(map(float, row)) for row in _req(section, "support", "discrete")),
+            offspring_support=tuple(tuple(map(float, row)) for row in section.get("offspring", [])),
+            **bounds,
+        )
+    except (ModelError, ValueError, TypeError) as exc:
         raise ConfigError(str(exc), "discrete") from None
     for x in x_grid or ():
         try:
@@ -636,7 +620,8 @@ _LEFTOVER_KEYS = {"horizons": _horizons, "windows": _count}
 
 
 def _parse_sweep(config: ExperimentConfig) -> tuple[SweepConfig]:
-    """The ``leftover`` section of a leftover sweep, else the ``ldp`` section, its left edges checked."""
+    """The ``leftover`` section of a leftover sweep, else the ``ldp`` section, its left
+    edges checked, and for ldp-sum the work of E[N_T] on ``cluster.waiting``."""
     window = _section(config.raw, "window", "")
     _known(window, "window", ("nu",))
     nu = _num(window, "nu", "window", default=1.0, positive=True)
@@ -654,10 +639,12 @@ def _parse_sweep(config: ExperimentConfig) -> tuple[SweepConfig]:
         sweep = SweepConfig(window=window, horizons=horizons, **options)
         if name == "ldp":
             check_left_edges(sweep, config.experiment.removeprefix("ldp-"))
+        if config.experiment == "ldp-sum":
+            check_mean_events(window, horizons)
         return (sweep,)
     except ModelError as exc:
-        key = {"replications": count_key}.get(exc.field, exc.field)
-        raise ConfigError(exc.message, f"{name}.{key}") from None
+        fields = {"replications": f"{name}.{count_key}", "waiting": "cluster.waiting"}
+        raise ConfigError(exc.message, fields.get(exc.field, f"{name}.{exc.field}")) from None
 
 
 def _run_ldp_max(config: ExperimentConfig, rng: RngStream, sweep: SweepConfig):

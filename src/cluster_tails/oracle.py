@@ -9,10 +9,8 @@ exactness is only achievable as an interval).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -75,39 +73,6 @@ class DiscreteJointModel:
         else:
             if self.max_children < 0 or self.max_depth < 0:
                 raise ModelError("truncation parameters must be >= 0", "max_children")
-
-    @classmethod
-    def from_csv(
-        cls,
-        joint_path: str | Path,
-        offspring_path: str | Path | None = None,
-        *,
-        kind: str = "renewal",
-        max_children: int = 0,
-        max_depth: int = 0,
-    ) -> "DiscreteJointModel":
-        """Load from plain CSVs: (x_value, k_value_or_kappa, probability) and
-        optionally (mark, probability)."""
-        support = []
-        with open(joint_path, newline="") as fh:
-            for row in csv.reader(fh):
-                if not row or row[0].startswith("#") or row[0] == "x_value":
-                    continue
-                support.append((float(row[0]), float(row[1]), float(row[2])))
-        offspring = []
-        if offspring_path is not None:
-            with open(offspring_path, newline="") as fh:
-                for row in csv.reader(fh):
-                    if not row or row[0].startswith("#") or row[0] == "mark":
-                        continue
-                    offspring.append((float(row[0]), float(row[1])))
-        return cls(
-            kind=kind,
-            support=tuple(support),
-            offspring_support=tuple(offspring),
-            max_children=max_children,
-            max_depth=max_depth,
-        )
 
 
 def _float_gcd(a: float, b: float, tol: float = 1e-9) -> float:

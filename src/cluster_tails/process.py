@@ -66,10 +66,10 @@ import numpy as np
 
 from .clusters import HawkesParams, RenewalParams, _chunk_size, chunked_map, grow_hawkes
 from .errors import ClusterOverflow, ModelError
-from .heavytail import JointMarkModel, count_survival, model_constants, sample_joint
+from .heavytail import BoundedUniform, JointMarkModel, count_survival, model_constants, sample_joint
 from .rng import RngStream
 
-__all__ = ["WindowConfig", "WINDOW_FIELDS", "mean_events", "sweep_windows"]
+__all__ = ["WindowConfig", "WINDOW_FIELDS", "check_mean_events", "mean_events", "sweep_windows"]
 
 
 @dataclass(frozen=True)
@@ -87,6 +87,32 @@ class WindowConfig:
             raise ModelError("renewal model needs RenewalParams", "cluster_params")
 
 
+# 10^6 exponential-wait terms take mean_events about 3 s and 150 MB on a 2-core host
+MEAN_EVENTS_BUDGET = 1e6
+
+
+def check_mean_events(config: WindowConfig, horizons) -> None:
+    """Raise ModelError on ``waiting`` where :func:`mean_events` would outgrow its budget.
+
+    A renewal r-sum runs to about T / E[W] terms at the longest horizon T,
+    and for uniform waits each term is a pass over T / (hi - lo) + 1 lattice
+    cells; the terms, or terms times cells, must be at most MEAN_EVENTS_BUDGET.
+    """
+    if config.model.is_hawkes:
+        return
+    waiting, t = config.cluster_params.waiting_law, float(np.max(horizons, initial=0.0))
+    mean_wait = waiting.mean()
+    work = t / mean_wait if mean_wait > 0 else np.inf
+    if isinstance(waiting, BoundedUniform):
+        work *= t / (waiting.hi - waiting.lo) + 1.0
+    if not work <= MEAN_EVENTS_BUDGET:
+        raise ModelError(
+            f"E[N_T] at T = {t:g} would take {work:.3g} steps, over the budget of "
+            f"{MEAN_EVENTS_BUDGET:.0e}: the waits are too short for the horizon",
+            "waiting",
+        )
+
+
 def mean_events(config: WindowConfig, horizons) -> np.ndarray:
     """E[N_T], the mean number of points in a window of length T, for each horizon T.
 
@@ -97,8 +123,10 @@ def mean_events(config: WindowConfig, horizons) -> np.ndarray:
     256, ... with E[(T - S_n)^+] E[K] <= 1e-15 T: the shortfall never grows
     with r, so the terms past n add at most E[(T - S_n)^+] sum_{r > n} P(K >= r)
     <= E[(T - S_n)^+] E[K], which is below 1e-15 of E[N_T] >= nu T.
+    :func:`check_mean_events` runs first.
     """
     ts = np.asarray(horizons, dtype=float)
+    check_mean_events(config, ts)
     model, nu = config.model, config.nu
     m = model_constants(model).mean_count
     if model.is_hawkes:

@@ -348,7 +348,7 @@ class TestCriterion10LdpSweeps:
         assert elapsed <= 1800
         assert capped, (
             f"sup|ratio-1| at T=100 is {sups[100.0]:.3f} >= 0.3: at gamma*nu*T=50 "
-            f"the normalizer E[N_T]*P(X>x) is ~0.85 (not a small probability), and "
+            f"the normalizer nu*T*E[cluster size]*P(X>x) is ~0.85 (not a small probability), and "
             f"the exact window-max law gives (1-exp(-mu))/mu ~ 0.67 there, a 0.33 "
             f"deviation that no replication count removes at T=100"
         )

@@ -265,12 +265,3 @@ class TestValidationAndIO:
                 support=((1.0, 1.5, 1.0),),
                 offspring_support=((1.0, 1.0),),
             )
-
-    def test_csv_round_trip(self, tmp_path):
-        joint = tmp_path / "joint.csv"
-        offspring = tmp_path / "offspring.csv"
-        joint.write_text("x_value,k_value_or_kappa,probability\n1.0,1,0.5\n2.0,2,0.5\n")
-        offspring.write_text("mark,probability\n1.0,0.5\n2.0,0.5\n")
-        model = DiscreteJointModel.from_csv(joint, offspring)
-        assert model == HAND_MODEL
-        assert exact_renewal_max_tail(model, 1.0) == pytest.approx(0.75)

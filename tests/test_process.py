@@ -732,6 +732,16 @@ class TestMeanEvents:
         hawkes = hawkes_config(nu=1.3, kappa=0.0)
         assert list(process.mean_events(hawkes, horizons)) == [1.3 * t for t in horizons]
 
+    # at T = 100 the r-sum would take 10^11 terms or more; the last mean wait underflows to 0
+    @pytest.mark.parametrize(
+        "waiting", [Constant(1e-9), Exponential(1e9), BoundedUniform(0.0, 1e-4), BoundedUniform(0.0, 5e-324)]
+    )
+    def test_short_waits_refused_by_the_work_budget(self, waiting):
+        model = JointMarkModel(Regime.INDEPENDENT_LIGHT_COUNT, LAW, 2.0)
+        with pytest.raises(ModelError, match="budget") as err:
+            process.mean_events(WindowConfig(model, RenewalParams(waiting), nu=1.0), self.HORIZONS)
+        assert err.value.field == "waiting"
+
     @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (0.0, 2.5), (0.3, 1.0), (0.25, 1.5)])
     def test_uniform_shortfall_exact(self, lo, hi):
         law = BoundedUniform(lo, hi)
