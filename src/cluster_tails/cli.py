@@ -29,7 +29,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .clusters import HawkesParams, RenewalParams, batch_functionals
+from .clusters import FunctionalSample, HawkesParams, RenewalParams, batch_functionals
 from .errors import ClusterTailsError, ConfigError, LatticeMismatch, ModelError
 from .estimate import (
     QuantileGrid,
@@ -443,10 +443,18 @@ _SWEEP_COLUMNS = "horizon,x,exceedances,empirical,denominator,ratio,ci_low,ci_hi
 _LEFTOVER_COLUMNS = "horizon,j_over_t,j_over_t_se,eps_over_sqrt_t,eps_over_sqrt_t_se"
 
 
-def _functional_sample(config: ExperimentConfig, rng: RngStream):
+def _functional_sample(config: ExperimentConfig, rng: RngStream, fields) -> FunctionalSample:
+    """The cluster functionals named in ``fields`` (see ``batch_functionals``), and no others."""
     return batch_functionals(
-        config.model, config.cluster_params, config.clusters, rng, workers=config.workers
+        config.model, config.cluster_params, config.clusters, rng, config.workers, fields
     )
+
+
+def _sorted(sample: FunctionalSample, field: str) -> TailSample:
+    """The sorted ``field`` of ``sample``, which lets go of its unsorted array."""
+    values = getattr(sample, field)
+    setattr(sample, field, None)
+    return TailSample.from_values(values)
 
 
 def _constants_dict(model: JointMarkModel) -> dict:
@@ -462,12 +470,8 @@ def _constants_dict(model: JointMarkModel) -> dict:
 
 
 def _run_cluster_tails(config: ExperimentConfig, rng: RngStream, grid: QuantileGrid):
-    sample = _functional_sample(config, rng)
-    rows = []
-    for name, values in (("max", sample.h), ("sum", sample.d)):
-        ts = TailSample.from_values(values)
-        xs = ts.quantile(list(grid.levels))
-        rows += [(name, *cells) for cells in zip(grid.levels, xs, *tail_bands(ts, xs))]
+    sample = _functional_sample(config, rng, ("h", "d", "sizes"))
+    # the means of the unsorted arrays, before any is let go of
     summary = {
         "constants": _constants_dict(config.model),
         "n": len(sample),
@@ -475,15 +479,20 @@ def _run_cluster_tails(config: ExperimentConfig, rng: RngStream, grid: QuantileG
         "mean_sum": float(sample.d.mean()),
         "mean_size": float(sample.sizes.mean()),
     }
+    sample.sizes = None
+    rows = []
+    for name, field in (("max", "h"), ("sum", "d")):
+        ts = _sorted(sample, field)
+        xs = ts.quantile(list(grid.levels))
+        rows += [(name, *cells) for cells in zip(grid.levels, xs, *tail_bands(ts, xs))]
+        del ts  # one sorted copy at a time
     return _csv("functional,level,x,exceedances,survival,ci_low,ci_high", rows), summary
 
 
 def _run_tail_ratio(config: ExperimentConfig, rng: RngStream, functional, grid, oracle):
-    sample = _functional_sample(config, rng)
-    values = sample.h if functional == "max" else sample.d
-    curve = ratio_curve(
-        TailSample.from_values(values), config.model, functional, grid, oracle=oracle
-    )
+    field = "h" if functional == "max" else "d"
+    sample = _functional_sample(config, rng, (field,))
+    curve = ratio_curve(_sorted(sample, field), config.model, functional, grid, oracle=oracle)
     summary = {
         "constants": _constants_dict(config.model),
         "functional": functional,
@@ -511,10 +520,10 @@ def _parse_hill(config: ExperimentConfig) -> tuple[int]:
 
 
 def _run_hill(config: ExperimentConfig, rng: RngStream, k: int):
-    sample = _functional_sample(config, rng)
+    sample = _functional_sample(config, rng, ("h", "d"))
     results = {}
-    for name, values in (("max", sample.h), ("sum", sample.d)):
-        est = hill_estimator(TailSample.from_values(values), k)
+    for name, field in (("max", "h"), ("sum", "d")):
+        est = hill_estimator(_sorted(sample, field), k)
         results[name] = {"k": est.k, "alpha_hat": est.alpha_hat, "se": est.se}
     rows = [(name, r["k"], r["alpha_hat"], r["se"]) for name, r in results.items()]
     summary = {"constants": _constants_dict(config.model), "n": len(sample), "hill": results}
@@ -550,13 +559,11 @@ def _parse_tauberian(config: ExperimentConfig):
 
 
 def _run_tauberian(config: ExperimentConfig, rng: RngStream, source: str, alpha, s_grid):
-    n = config.clusters
     if source == "marks":
-        values = config.model.mark_law.sample(rng.generator, n)
+        ts = TailSample.from_values(config.model.mark_law.sample(rng.generator, config.clusters))
     else:
-        sample = _functional_sample(config, rng)
-        values = sample.h if source == "max" else sample.d
-    ts = TailSample.from_values(values)
+        field = "h" if source == "max" else "d"
+        ts = _sorted(_functional_sample(config, rng, (field,)), field)
     order = math.ceil(alpha)
     vals, ses = laplace_derivative_table(ts, s_grid, order)
     slope = table_slope(s_grid, vals, ses)
@@ -587,7 +594,8 @@ def _run_oracle_compare(config: ExperimentConfig, rng: RngStream, model, x_grid)
     ):
         xs, pmf = dist
         exact_cdf = np.cumsum(pmf)
-        emp_cdf = np.searchsorted(np.sort(values), xs, side="right") / n
+        values.sort()  # in place: the sample has no other use
+        emp_cdf = np.searchsorted(values, xs, side="right") / n
         ks_stats[name] = float(np.max(np.abs(emp_cdf - exact_cdf)))
         rows += [(name, x, 1.0 - ec, 1.0 - mc) for x, ec, mc in zip(xs, exact_cdf, emp_cdf)]
     summary = {

@@ -26,8 +26,10 @@ from .rng import RngStream
 __all__ = [
     "RenewalParams",
     "HawkesParams",
+    "FUNCTIONALS",
     "FunctionalSample",
     "batch_functionals",
+    "chunked_fill",
     "chunked_map",
 ]
 
@@ -74,34 +76,52 @@ class HawkesParams:
 # Vectorized batch generation
 
 
+# the cluster functionals: the max H, the sum D and the total size
+FUNCTIONALS = ("h", "d", "sizes")
+
+
 @dataclass
 class FunctionalSample:
-    """n i.i.d. cluster functionals as parallel arrays (H, D, total size)."""
+    """n i.i.d. cluster functionals as parallel arrays (H, D, total size).
 
-    h: np.ndarray
-    d: np.ndarray
-    sizes: np.ndarray
+    A functional that was not asked for is None.
+    """
+
+    n: int
+    h: np.ndarray | None = None
+    d: np.ndarray | None = None
+    sizes: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return len(self.h)
+        return self.n
 
 
-def _renewal_functionals(x: np.ndarray, k: np.ndarray, marks: np.ndarray):
-    """(H, D) of renewal clusters: immigrant marks ``x``, then ``k[i]`` offspring marks each."""
+def _renewal_functionals(x: np.ndarray, k: np.ndarray, marks: np.ndarray, fields) -> dict:
+    """The ``fields`` of renewal clusters: immigrant marks ``x``, then ``k[i]`` offspring marks each.
+
+    The sizes are made in ``k``'s array, so it is overwritten when they are kept.
+    """
     seg = np.repeat(np.arange(len(x)), k)
-    d = x + np.bincount(seg, weights=marks, minlength=len(x))
-    h = x.astype(float)
-    np.maximum.at(h, seg, marks)
-    return h, d
+    out = {}
+    if "d" in fields:
+        out["d"] = d = np.bincount(seg, weights=marks, minlength=len(x))
+        d += x
+    if "h" in fields:
+        out["h"] = h = x.astype(float)
+        np.maximum.at(h, seg, marks)
+    if "sizes" in fields:
+        out["sizes"] = k
+        k += 1
+    return out
 
 
-def _renewal_chunk(model: JointMarkModel, n: int, rng: RngStream):
+def _renewal_chunk(model: JointMarkModel, n: int, rng: RngStream, fields):
     gen = rng.generator
     x, k = sample_joint(model, gen, gen, n)
     k = np.asarray(k, dtype=np.int64)
     total = int(k.sum())
     marks = np.asarray(model.mark_law.sample(gen, total))
-    return (*_renewal_functionals(x, k, marks), 1 + k)
+    return _renewal_functionals(x, k, marks, fields)
 
 
 def _runs(owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -172,25 +192,30 @@ def grow_hawkes(gen: np.random.Generator, brood: np.ndarray, limit: int, draw) -
     return born
 
 
-def _hawkes_chunk(model: JointMarkModel, n: int, rng: RngStream, max_events: int):
+def _hawkes_chunk(model: JointMarkModel, n: int, rng: RngStream, max_events: int, fields):
     gen = rng.generator
     x, kappa = sample_joint(model, gen, gen, n)
-    h = x.astype(float)
-    d = x.astype(float)
+    out = {f: x.astype(float) for f in ("h", "d") if f in fields}
+    h, d = out.get("h"), out.get("d")
     brood = gen.poisson(kappa)
     del x, kappa
 
     def draw(brood, owner, runs):
-        starts, live = runs()
-        local = np.zeros(owner.size, dtype=np.intp)
-        local[starts[1:]] = 1
-        np.cumsum(local, out=local)
         xc, kc = sample_joint(model, gen, gen, owner.size)
-        np.maximum.at(h, owner, xc)
-        d[live] += np.bincount(local, weights=xc, minlength=live.size)
+        if h is not None:
+            np.maximum.at(h, owner, xc)
+        if d is not None:
+            starts, live = runs()
+            local = np.zeros(owner.size, dtype=np.intp)
+            local[starts[1:]] = 1
+            np.cumsum(local, out=local)
+            d[live] += np.bincount(local, weights=xc, minlength=live.size)
         return kc
 
-    return h, d, grow_hawkes(gen, brood, max_events, draw)
+    sizes = grow_hawkes(gen, brood, max_events, draw)
+    if "sizes" in fields:
+        out["sizes"] = sizes
+    return out
 
 
 def _chunk_size(events_per_task: float, smallest: int, largest: int) -> int:
@@ -233,14 +258,15 @@ def _run_chunk(task):
         raise ClusterOverflow(index * chunk + exc.replication, exc.limit) from None
 
 
-def chunked_map(kernel, n: int, chunk: int, base: RngStream, workers: int = 1) -> list:
-    """``kernel(count, rng)`` on consecutive chunks of n replications, in chunk order.
+def chunked_map(kernel, n: int, chunk: int, base: RngStream, workers: int = 1):
+    """Yields ``kernel(count, rng)`` on consecutive chunks of n replications, in chunk order.
 
     Chunk i holds replications ``[i * chunk, (i + 1) * chunk)`` and draws
     from ``base.child(i)``, so the results are bit-identical for any worker
     count; a picklable kernel runs in a process pool when ``workers > 1``.
-    A :class:`ClusterOverflow` is re-raised with its replication counted
-    from the first chunk.
+    Each result is yielded as it is ready, so the caller need not hold them
+    all.  A :class:`ClusterOverflow` is re-raised with its replication
+    counted from the first chunk.
     """
     _keep_freed_memory()
     starts = range(0, n, chunk)
@@ -250,8 +276,29 @@ def chunked_map(kernel, n: int, chunk: int, base: RngStream, workers: int = 1) -
         with ProcessPoolExecutor(
             max_workers=min(workers, len(tasks)), initializer=_keep_freed_memory
         ) as pool:
-            return list(pool.map(_run_chunk, tasks))
-    return [_run_chunk(t) for t in tasks]
+            yield from pool.map(_run_chunk, tasks)
+    else:
+        yield from map(_run_chunk, tasks)
+
+
+def chunked_fill(kernel, n: int, chunk: int, base: RngStream, workers: int = 1) -> dict:
+    """:func:`chunked_map`'s results, dicts of arrays over n replications, joined.
+
+    Each array of a chunk's dict has its replications on its last axis; it
+    is copied into place as the chunk arrives, so the result equals
+    concatenating the chunks along that axis without holding them all.
+    """
+    out, start = {}, 0
+    for part in chunked_map(kernel, n, chunk, base, workers):
+        for name, values in part.items():
+            if name not in out:
+                out[name] = np.empty((*values.shape[:-1], n), values.dtype)
+            out[name][..., start : start + chunk] = values
+        start += chunk
+        # let go of the chunk before the next is drawn (a zip or enumerate
+        # would hold it in its reused result tuple until then)
+        part = values = None
+    return out
 
 
 def batch_functionals(
@@ -260,28 +307,33 @@ def batch_functionals(
     n: int,
     rng: RngStream,
     workers: int = 1,
+    fields=FUNCTIONALS,
 ) -> FunctionalSample:
     """n i.i.d. (H, D, size) triples, O(n) memory, worker-count independent.
 
     Replications are partitioned into fixed chunks; chunk ``i`` draws from
     ``rng.child(i)``, so the output is bit-identical for any worker count.
     Waiting times and displacement times are never drawn here: the
-    functionals do not depend on them.
+    functionals do not depend on them.  Only the functionals named in
+    ``fields`` (a subset of :data:`FUNCTIONALS`) are kept; every subset
+    makes the same draws, so each kept array is the same whatever else is.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    unknown = set(fields) - set(FUNCTIONALS)
+    if unknown:
+        raise ValueError(f"unknown cluster functionals: {sorted(unknown)}")
     if model.is_hawkes and not isinstance(params, HawkesParams):
         raise ModelError("Hawkes model needs HawkesParams", "params")
     if model.is_renewal and not isinstance(params, RenewalParams):
         raise ModelError("renewal model needs RenewalParams", "params")
 
+    fields = tuple(f for f in FUNCTIONALS if f in fields)
     if model.is_hawkes:
-        kernel = partial(_hawkes_chunk, model, max_events=params.max_cluster_events)
+        kernel = partial(
+            _hawkes_chunk, model, max_events=params.max_cluster_events, fields=fields
+        )
     else:
-        kernel = partial(_renewal_chunk, model)
+        kernel = partial(_renewal_chunk, model, fields=fields)
     chunk = _chunk_size(model_constants(model).mean_cluster_size, 1 << 12, 1 << 18)
-    parts = chunked_map(kernel, n, chunk, rng, workers)
-    h = np.concatenate([p[0] for p in parts])
-    d = np.concatenate([p[1] for p in parts])
-    sizes = np.concatenate([p[2] for p in parts])
-    return FunctionalSample(h=h, d=d, sizes=sizes)
+    return FunctionalSample(n, **chunked_fill(kernel, n, chunk, rng, workers))

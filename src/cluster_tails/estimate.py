@@ -206,9 +206,15 @@ def laplace_derivative_table(
     vals = np.empty(len(s_grid))
     ses = np.empty(len(s_grid))
     v = sample.values
-    power = (-v) ** order
+    # (-x)**order, and each s's summands in one reused buffer: the same
+    # operations on the same operands as (-v)**order * np.exp(-s * v)
+    power = np.negative(v)
+    power **= order
+    summand = np.empty_like(v)
     for i, s in enumerate(s_grid):
-        summand = power * np.exp(-s * v)
+        np.multiply(v, -s, out=summand)
+        np.exp(summand, out=summand)
+        summand *= power
         vals[i] = summand.mean()
         ses[i] = summand.std(ddof=1) / math.sqrt(sample.n)
     return vals, ses

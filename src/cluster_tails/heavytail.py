@@ -802,7 +802,11 @@ def _oracle_counts(model: JointMarkModel, c: float, xs: np.ndarray, m: int, rng:
     """How many of m joint draws have X + c*count > x, for each x of ``xs``."""
     gen = rng.generator
     pair = sample_joint(model, gen, gen, m)
-    total = np.sort(pair.x + c * np.asarray(pair.count, dtype=float))
+    # the same sums as x + c * float(count), built and sorted in one array
+    total = np.multiply(pair.count, c, dtype=float)
+    total += pair.x
+    del pair
+    total.sort()
     return m - np.searchsorted(total, xs, side="right")
 
 

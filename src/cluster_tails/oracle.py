@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .clusters import _renewal_functionals
+from .clusters import _renewal_functionals, chunked_fill
 from .errors import LatticeMismatch, ModelError
 from .heavytail import _poisson_pmf, _poisson_sf
 from .rng import RngStream
@@ -281,12 +282,11 @@ def truncated_hawkes_sum_tail(model: DiscreteJointModel, x: float) -> tuple[floa
 # Monte Carlo on the same discrete instances (for oracle-vs-simulation checks)
 
 
-def sample_renewal_functionals(
-    model: DiscreteJointModel, n: int, rng: RngStream
-) -> tuple[np.ndarray, np.ndarray]:
-    """n i.i.d. (H, D) pairs simulated from a discrete renewal cluster law."""
-    if model.kind != "renewal":
-        raise ModelError("renewal sampler needs a renewal-kind model", "kind")
+# clusters per chunk of the discrete renewal sampler
+_SAMPLE_CHUNK = 1 << 18
+
+
+def _discrete_renewal_chunk(model: DiscreteJointModel, n: int, rng: RngStream) -> dict:
     gen = rng.generator
     xs = np.array([x0 for x0, _, _ in model.support])
     ks = np.array([int(k) for _, k, _ in model.support], dtype=np.int64)
@@ -299,4 +299,20 @@ def sample_renewal_functionals(
     k = ks[rows]
     total = int(k.sum())
     off = marks[gen.choice(len(marks), size=total, p=mps)]
-    return _renewal_functionals(x, k, off)
+    return _renewal_functionals(x, k, off, ("h", "d"))
+
+
+def sample_renewal_functionals(
+    model: DiscreteJointModel, n: int, rng: RngStream
+) -> tuple[np.ndarray, np.ndarray]:
+    """n i.i.d. (H, D) pairs simulated from a discrete renewal cluster law.
+
+    The clusters are drawn in fixed chunks, chunk i from ``rng.child(i)``.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if model.kind != "renewal":
+        raise ModelError("renewal sampler needs a renewal-kind model", "kind")
+    kernel = partial(_discrete_renewal_chunk, model)
+    out = chunked_fill(kernel, n, _SAMPLE_CHUNK, rng)
+    return out["h"], out["d"]

@@ -64,9 +64,17 @@ from functools import partial
 
 import numpy as np
 
-from .clusters import HawkesParams, RenewalParams, _chunk_size, chunked_map, grow_hawkes
+from .clusters import HawkesParams, RenewalParams, _chunk_size, chunked_fill, grow_hawkes
 from .errors import ClusterOverflow, ModelError
-from .heavytail import BoundedUniform, JointMarkModel, count_survival, model_constants, sample_joint
+from .heavytail import (
+    BoundedUniform,
+    Exponential,
+    JointMarkModel,
+    _poisson_span,
+    count_survival,
+    model_constants,
+    sample_joint,
+)
 from .rng import RngStream
 
 __all__ = ["WindowConfig", "WINDOW_FIELDS", "check_mean_events", "mean_events", "sweep_windows"]
@@ -94,17 +102,24 @@ MEAN_EVENTS_BUDGET = 1e6
 def check_mean_events(config: WindowConfig, horizons) -> None:
     """Raise ModelError on ``waiting`` where :func:`mean_events` would outgrow its budget.
 
-    A renewal r-sum runs to about T / E[W] terms at the longest horizon T,
-    and for uniform waits each term is a pass over T / (hi - lo) + 1 lattice
-    cells; the terms, or terms times cells, must be at most MEAN_EVENTS_BUDGET.
+    A renewal r-sum runs to about T / E[W] terms at the longest horizon T.
+    For uniform waits each term is a pass over T / (hi - lo) + 1 lattice
+    cells in each of the lattice's rows, one row per distinct fractional
+    part of (T - r lo) / (hi - lo) over the terms r with r lo < T (see
+    :func:`~cluster_tails.heavytail._irwin_hall_shortfall`).  The terms, or
+    terms times rows times cells, must be at most MEAN_EVENTS_BUDGET; the
+    rows are counted only once the terms are within it.
     """
     if config.model.is_hawkes:
         return
     waiting, t = config.cluster_params.waiting_law, float(np.max(horizons, initial=0.0))
     mean_wait = waiting.mean()
     work = t / mean_wait if mean_wait > 0 else np.inf
-    if isinstance(waiting, BoundedUniform):
-        work *= t / (waiting.hi - waiting.lo) + 1.0
+    if isinstance(waiting, BoundedUniform) and work <= MEAN_EVENTS_BUDGET:
+        width = waiting.hi - waiting.lo
+        y = (t - np.arange(1, int(work) + 1) * waiting.lo) / width
+        rows = np.unique(y[y > 0] % 1.0).size
+        work *= max(rows, 1) * (t / width + 1.0)
     if not work <= MEAN_EVENTS_BUDGET:
         raise ModelError(
             f"E[N_T] at T = {t:g} would take {work:.3g} steps, over the budget of "
@@ -136,15 +151,29 @@ def mean_events(config: WindowConfig, horizons) -> np.ndarray:
     waiting = config.cluster_params.waiting_law
     out = np.empty(ts.size)
     for i, t in enumerate(ts):
-        n = 64
-        while True:
-            r = np.arange(1, n + 1)
-            shortfall = waiting.shortfall(t, r)
+        for shortfall in _shortfalls(waiting, t):
             if shortfall[-1] * m <= 1e-15 * t:
                 break
-            n *= 2
-        out[i] = nu * (t + count_survival(model, r - 1) @ shortfall)
+        out[i] = nu * (t + count_survival(model, np.arange(shortfall.size)) @ shortfall)
     return out
+
+
+def _shortfalls(waiting, t: float):
+    """E[(t - S_r)^+] for r = 1 .. n, for n = 64, 128, 256, ... in turn.
+
+    Exponential waits ask once: from the upper end of the Poisson(rate t)
+    span on the shortfall is 0, so the doubling stops at the first n past
+    it at the latest, and since :meth:`Exponential.shortfall` sums down
+    from that end whatever r it is asked for, each prefix of the one vector
+    is bit-equal to its own call.  Other laws are asked for each n.
+    """
+    n, whole = 64, None
+    if isinstance(waiting, Exponential):
+        last = max(n, 1 << (_poisson_span(waiting.rate * t)[1] - 1).bit_length())
+        whole = waiting.shortfall(t, np.arange(1, last + 1))
+    while True:
+        yield waiting.shortfall(t, np.arange(1, n + 1)) if whole is None else whole[:n]
+        n *= 2
 
 
 # the per-window statistics, in output order
@@ -464,5 +493,5 @@ def sweep_windows(
     kernel = _hawkes_windows if config.model.is_hawkes else _renewal_windows
     events = config.nu * float(hs[-1]) * model_constants(config.model).mean_cluster_size
     chunk = _chunk_size(events, 1 << 6, 1 << 16)
-    parts = chunked_map(partial(kernel, config, hs, fields=fields), n, chunk, rng, workers)
-    return {name: np.concatenate([p[name] for p in parts], axis=1) for name in fields}
+    out = chunked_fill(partial(kernel, config, hs, fields=fields), n, chunk, rng, workers)
+    return {name: out[name] for name in fields}

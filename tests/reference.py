@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, comb, factorial, floor
+from math import ceil, comb, factorial, floor, sqrt
 
 import numpy as np
 from scipy.special import gammainc
@@ -186,3 +186,20 @@ def comonotone_count_joint_tail(model: JointMarkModel, c: float, x: float) -> fl
             total += float(law.survival(threshold)) - float(law.survival(float(k)))
         k += 1
     return min(1.0, total)
+
+
+def laplace_derivative_table(values: np.ndarray, s_grid, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The transform derivative's mean and MC standard error on an s-grid, a new summand array per s.
+
+    The summands at s are (-v)**order * exp(-s * v), written as one
+    expression over the sorted ``values``.
+    """
+    vals = np.empty(len(s_grid))
+    ses = np.empty(len(s_grid))
+    v = values
+    power = (-v) ** order
+    for i, s in enumerate(s_grid):
+        summand = power * np.exp(-s * v)
+        vals[i] = summand.mean()
+        ses[i] = summand.std(ddof=1) / sqrt(len(v))
+    return vals, ses

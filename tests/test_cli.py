@@ -461,7 +461,20 @@ class TestHostileConfigs:
         ("oracle-compare", {"discrete": {**RENEWAL_DISCRETE, key: "table.csv"}}, f"discrete.{key}")
         for key in ("joint_csv", "offspring_csv")
     ]
+    # uniform waits whose lattice keeps a row for nearly every one of the
+    # r-sum's 1,187 terms, each of 741 cells: admitted, E[N_T] took 36 s
+    LATTICE_ROWS = [
+        (
+            "ldp-sum",
+            {
+                "cluster": {"waiting": {"law": "uniform", "lo": 0.0123456, "hi": 0.1123456}},
+                "ldp": {"horizons": [74]},
+            },
+            "cluster.waiting",
+        )
+    ]
     CASES += COUNTS + TAUBERIAN_GRID + TYPED + MODEL_KEYS + LEFT_EDGES + SHORT_WAITS + TABLE_PATHS
+    CASES += LATTICE_ROWS
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Tests for the reference cluster samplers and the batch functionals."""
 
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -325,6 +326,36 @@ class TestBatchFunctionals:
             h.update(a.tobytes())
         assert h.hexdigest() == digest
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "model, params",
+        [
+            (light_count(), RP),
+            (JointMarkModel(Regime.HAWKES_COMONOTONE_INTENSITY, LAW, target_mean_kappa=0.5), HP),
+        ],
+        ids=["renewal", "hawkes"],
+    )
+    def test_every_field_subset_keeps_the_same_arrays(self, monkeypatch, model, params, workers):
+        # every subset makes the same draws, in three chunks here
+        monkeypatch.setattr(clusters, "_chunk_size", lambda *args: 1 << 12)
+        n = 10_000
+        full = batch_functionals(model, params, n, RngStream(12, 0))
+        subsets = [s for k in range(4) for s in itertools.combinations(clusters.FUNCTIONALS, k)]
+        for fields in subsets:
+            sample = batch_functionals(model, params, n, RngStream(12, 0), workers, fields)
+            assert len(sample) == n
+            for name in clusters.FUNCTIONALS:
+                kept = getattr(sample, name)
+                if name in fields:
+                    assert kept.dtype == getattr(full, name).dtype
+                    assert np.array_equal(kept, getattr(full, name)), (fields, name)
+                else:
+                    assert kept is None, (fields, name)
+
+    def test_unknown_field_refused(self):
+        with pytest.raises(ValueError, match="size"):
+            batch_functionals(light_count(), RP, 10, RngStream(1, 0), fields=("h", "size"))
+
     @pytest.mark.parametrize("workers, asked", [(2, 2), (5000, 10)])
     def test_pool_asks_for_no_more_workers_than_chunks(self, monkeypatch, workers, asked):
         # a process pool starts every worker it is asked for at once, so an
@@ -346,9 +377,9 @@ class TestBatchFunctionals:
 
         monkeypatch.setattr(clusters, "ProcessPoolExecutor", InlinePool)
         kernel = lambda count, rng: (count, rng.spawn_key)
-        parts = clusters.chunked_map(kernel, 95, 10, RngStream(3, 0), workers)
+        parts = list(clusters.chunked_map(kernel, 95, 10, RngStream(3, 0), workers))
         assert requests == [asked]
-        assert parts == clusters.chunked_map(kernel, 95, 10, RngStream(3, 0))
+        assert parts == list(clusters.chunked_map(kernel, 95, 10, RngStream(3, 0)))
         assert parts[-1] == (5, (0, 9))
 
     def test_allocator_helper_without_mallopt(self, monkeypatch):

@@ -52,8 +52,8 @@ PINNED = {
         "d998b79b42776debb6549cf50ce0ebcaba78d1a079effe6f40693f7d08e8c37a",
     ),
     "oracle-compare.json": (
-        "59ef0d260de7e401062b9d0fed8488b8ea657a72956b3abcf5d5732431aa928b",
-        "7355956766ddb5fdb9be900460391f2e16a2100d5e51c3141c198be8c7b9629f",
+        "638cf6f07617ef93e4dc48e6fa77f8f8fa20fdc961a52472c63a801d7eb98109",
+        "784c6c738ee6ac084d54a1f85443c0a505590ab429e15a1c5738431baf236957",
     ),
     "tail-ratio-hawkes-sum.json": (
         "1a48fd0e75405f3fbe09d2b8d64e9cffacc4a7421dace7f4494b6ae170e91be9",

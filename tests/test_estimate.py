@@ -25,6 +25,7 @@ from cluster_tails.estimate import (
 )
 from cluster_tails.heavytail import JointMarkModel, ParetoLaw, Regime
 from cluster_tails.rng import RngStream
+from reference import laplace_derivative_table as reference_laplace_table
 
 LAW = ParetoLaw(1.0, 1.5)
 
@@ -189,6 +190,18 @@ class TestLaplaceDerivative:
         sample = TailSample.from_values(pareto_values(5, 1000))
         (val,), (se,) = laplace_derivative_table(sample, [0.0], 0)
         assert (val, se) == (1.0, 0.0)
+
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_equals_the_expression_bit_for_bit(self, order):
+        # one buffer reused over the grid does the same IEEE operations on
+        # the same operands as the one-expression reference
+        sample = TailSample.from_values(pareto_values(7, 100_003))
+        s_grid = [0.0, *np.geomspace(1e-3, 10.0, 7).tolist(), 3]
+        got = laplace_derivative_table(sample, s_grid, order)
+        expected = reference_laplace_table(sample.values, s_grid, order)
+        for a, b in zip(got, expected):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestTauberianSlope:

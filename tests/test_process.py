@@ -16,7 +16,7 @@ import pytest
 from scipy import stats
 
 from cluster_tails import process
-from cluster_tails.clusters import HawkesParams, RenewalParams
+from cluster_tails.clusters import HawkesParams, RenewalParams, batch_functionals
 from cluster_tails.errors import ClusterOverflow, ModelError
 from cluster_tails.heavytail import (
     BoundedUniform,
@@ -382,6 +382,31 @@ class TestChunkMemory:
             tracemalloc.stop()
         assert points > 10**6
         assert peak / points <= 19
+
+
+class TestBatchMemory:
+    """The peak working set of ``batch_functionals`` per cluster, in the criterion-2a model.
+
+    Each kept functional takes 8 bytes a cluster, and one chunk of 2**18
+    clusters is alive at a time, at 56 to 64 bytes per chunk cluster here,
+    which at n = 2**21 adds 7 to 8 bytes a cluster.  The chunks' results
+    are copied into place as they arrive, not held until the end.
+    """
+
+    @pytest.mark.parametrize(
+        "fields, bound", [(("h", "d", "sizes"), 36), (("h",), 18), (("d",), 18)]
+    )
+    def test_peak_bytes_per_cluster(self, fields, bound):
+        n = 1 << 21
+        model = JointMarkModel(Regime.INDEPENDENT_LIGHT_COUNT, LAW, 2.0)
+        tracemalloc.start()
+        try:
+            sample = batch_functionals(model, RP, n, RngStream(5, 0), fields=fields)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(sample) == n
+        assert peak / n <= bound
 
 
 class TestLeftoverIntensity:
@@ -755,6 +780,19 @@ class TestMeanEvents:
                 for k in r.tolist()
             ]
             np.testing.assert_allclose(got, exact, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("rate", [1.0, 0.01, 3.7, 50.0])
+    def test_exponential_shortfall_asked_once(self, rate):
+        # each prefix of the one vector is bit-equal to a call for its own
+        # length, up to the first that ends in 0, where the doubling stops
+        for t in (0.3, 10.0, 100.0):
+            n = 64
+            for got in process._shortfalls(Exponential(rate), t):
+                expected = Exponential(rate).shortfall(t, np.arange(1, n + 1))
+                assert got.tobytes() == expected.tobytes(), (t, n)
+                if got[-1] == 0:
+                    break
+                n *= 2
 
     def test_constant_shortfall_brute_force(self):
         law = Constant(0.7)
