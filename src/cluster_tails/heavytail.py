@@ -265,7 +265,13 @@ class BoundedUniform(_MaxSampler):
         return 0.5 * (self.lo + self.hi)
 
     def sample(self, gen: np.random.Generator, size=None):
-        return gen.uniform(self.lo, self.hi, size)
+        if size is None:
+            return gen.uniform(self.lo, self.hi)
+        # numpy's lo + (hi - lo) * U, in place: bit-identical draws, no second array
+        u = gen.random(size)
+        u *= self.hi - self.lo
+        u += self.lo
+        return u
 
     def isf(self, p: np.ndarray) -> np.ndarray:
         """The x with P(X > x) = p, for p in (0, 1]."""

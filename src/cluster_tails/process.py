@@ -11,6 +11,12 @@ replication and reads every horizon off it (:func:`sweep_windows`): the
 immigrants that arrive by T_i are a Poisson(nu T_i) process on [0, T_i], so
 each horizon keeps its exact marginal law, while the horizons of one
 replication share their early clusters and are positively correlated.
+Hawkes windows draw that process per horizon slot (T_{s-1}, T_s]: a Poisson
+count for each (slot, window) cell and uniform times in the slot, the same
+law, since a Poisson process restricted to disjoint intervals has
+independent Poisson counts there with uniform points (Daley & Vere-Jones).
+Each cell is then one stretch of the chunk's immigrants and each
+immigrant's slot is known from its draw (:func:`_cell_immigrants`).
 
 Clusters born before time 0 are ignored by construction; the decomposition
 identity sum + leftover == total cluster mass then holds pathwise on every
@@ -45,9 +51,10 @@ age s decays at rate beta, and its children arrive at rate beta Lambda(s),
 each adding an independent kappa of mean m, so
 d E[Lambda(s)] / ds = -beta (1 - m) E[Lambda(s)]: an immigrant with
 intensity kappa_i has E[Lambda(s) | kappa_i] = kappa_i exp(-beta (1 - m) s).
-The kernel keeps the sum of these over the immigrants by T.  By the tower
-property it has the mean of Lambda_T, and by Rao-Blackwell no larger a
-variance; when nothing else is kept, the kernel draws no offspring at all.
+The kernel keeps the sum of these over the immigrants by T, summed per
+(slot, window) cell with no per-immigrant key.  By the tower property it
+has the mean of Lambda_T, and by Rao-Blackwell no larger a variance; when
+nothing else is kept, the kernel draws no offspring at all.
 
 The mean in-window event count E[N_T] has a closed form in every regime
 (:func:`mean_events`), by Campbell's formula: an immigrant arriving u
@@ -149,13 +156,14 @@ def mean_events(config: WindowConfig, horizons) -> np.ndarray:
         fade = -np.expm1(-decay * (1.0 - m) * ts)
         return nu * ts / (1.0 - m) - nu * m * fade / (decay * (1.0 - m) ** 2)
     waiting = config.cluster_params.waiting_law
-    out = np.empty(ts.size)
-    for i, t in enumerate(ts):
-        for shortfall in _shortfalls(waiting, t):
-            if shortfall[-1] * m <= 1e-15 * t:
-                break
-        out[i] = nu * (t + count_survival(model, np.arange(shortfall.size)) @ shortfall)
-    return out
+    shortfalls = [
+        next(s for s in _shortfalls(waiting, t) if s[-1] * m <= 1e-15 * t) for t in ts
+    ]
+    # P(K > r), r = 0 .. n - 1, for the longest range n: each horizon's prefix
+    # is bit-equal to a call over its own range, since _poisson_sf sums from
+    # the Poisson span's ends, not the range's
+    survival = count_survival(model, np.arange(max((s.size for s in shortfalls), default=0)))
+    return np.array([nu * (t + survival[: s.size] @ s) for t, s in zip(ts, shortfalls)])
 
 
 def _shortfalls(waiting, t: float):
@@ -191,12 +199,16 @@ WINDOW_FIELDS = (
 _FIELDS = (*WINDOW_FIELDS, "leftover_intensity")
 
 # statistics reduced per (window, slot) and combined over slots; the
-# leftover ones are tallied per horizon directly
-_SLOTTED = {"n_events", "sum_in_window", "max_in_window", "n_clusters", "leftover_intensity"}
+# leftover count and sum are tallied per horizon directly, and
+# leftover_intensity per (slot, window) cell
+_SLOTTED = {"n_events", "sum_in_window", "max_in_window", "n_clusters"}
 
 # the branches of a window chunk's stream (RngStream.branch): the chunk's own
 # generator draws the structure (immigrant times, K or kappa, waits, broods)
 _MARKS, _MAXIMA = 1, 2
+
+# immigrants per block of intensity terms: 128 KiB of float64
+_TERM_BLOCK = 1 << 14
 
 
 class _HorizonTally:
@@ -210,6 +222,11 @@ class _HorizonTally:
     <= i < its own slot.  Only the statistics named in ``fields`` are kept;
     ``leftover_intensity`` needs the rate ``decay`` at which a Hawkes
     cluster's mean intensity fades, beta (1 - E[kappa]).
+
+    Hawkes immigrants come cell by cell (:func:`_cell_immigrants`), so
+    their counts are read off the cell counts (:meth:`cell_counts`) and
+    their intensity terms summed per cell (:meth:`intensity`); renewal
+    immigrants and all offspring are keyed by window and slot.
 
     Where the model's marks are independent of its counts, ``max_in_window``
     reads no mark: it is drawn from the in-window event counts alone
@@ -245,8 +262,12 @@ class _HorizonTally:
             f: np.zeros((k + 1) * n, dtype.get(f, float)) for f in _FIELDS if f in slotted
         }
         self.leftover = {
-            f: np.zeros((k, n), dtype.get(f, float)) for f in fields if f not in _SLOTTED
+            f: np.zeros((k, n), dtype.get(f, float))
+            for f in ("j_leftover", "leftover_sum")
+            if f in self.fields
         }
+        # the sum of each (slot, window) cell's intensity terms
+        self.lam = np.zeros((k, n)) if "leftover_intensity" in self.fields else None
 
     def mark_generator(self, rng: RngStream) -> np.random.Generator | None:
         """The chunk's marks branch, if a kept statistic reads marks or the counts derive from them."""
@@ -261,30 +282,42 @@ class _HorizonTally:
             slot += times > h
         return slot
 
-    def intensity(self, win, slot, times, kappa) -> None:
-        """Adds each immigrant's term, kappa * exp(-decay (T_slot - t)), to its cell.
+    def _per_slot(self, flat: np.ndarray) -> np.ndarray:
+        """A window-major tally's (slot, window) view, without the slot past the last horizon."""
+        return flat.reshape(self.n, len(self.horizons) + 1)[:, :-1].T
 
-        Immigrants arrive by the last horizon, so no exponent is positive.
-        They go a block at a time, so the terms and keys stay in cache and
-        no array the size of the points is made.  Does nothing unless
-        ``leftover_intensity`` is kept.
+    def cell_counts(self, cells: np.ndarray) -> None:
+        """Immigrants counted per cell: ``cells[s, w]`` arrive in window w's slot s."""
+        for f in ("n_events", "n_clusters"):
+            if f in self.slotted:
+                self._per_slot(self.slotted[f])[...] += cells
+
+    def intensity(self, cells: np.ndarray, times: np.ndarray, kappa: np.ndarray) -> None:
+        """Sums kappa * exp(-decay (T_slot - t)) over each cell's immigrants; ``kappa`` is overwritten.
+
+        ``cells`` counts the immigrants of each (slot, window) cell, and
+        ``times`` and ``kappa`` hold them cell by cell, slot-major: a slot's
+        terms take its horizon as a scalar, and each nonempty cell's sum is
+        one stretch of the terms, which are made in place of kappa.
+        Immigrants arrive by their slot's horizon, so no exponent is
+        positive.  Does nothing unless ``leftover_intensity`` is kept.
         """
-        acc = self.slotted.get("leftover_intensity")
-        if acc is None:
+        if self.lam is None:
             return
-        width = len(self.horizons) + 1
-        # each block's bincount costs the size of acc, so a block is at least 4 times that
-        step = max(1 << 15, 4 * acc.size)
-        for lo in range(0, times.size, step):
-            part = slice(lo, lo + step)
-            cell = slot[part].astype(np.intp)  # take is several times faster on intp
-            term = np.take(self.horizons, cell)
-            np.subtract(times[part], term, out=term)
-            term *= self.decay
-            np.exp(term, out=term)
-            term *= kappa[part]
-            cell += np.multiply(win[part], width, dtype=np.intp)
-            acc += np.bincount(cell, weights=term, minlength=acc.size)
+        counts = cells.ravel()
+        ends = np.cumsum(counts)
+        slot_ends = ends[self.n - 1 :: self.n]
+        for h, start, end in zip(self.horizons, (0, *slot_ends[:-1]), slot_ends):
+            # a cache-sized block at a time: no temporary the size of the slot
+            for lo in range(start, end, _TERM_BLOCK):
+                part = slice(lo, min(lo + _TERM_BLOCK, end))
+                term = times[part] - h
+                term *= self.decay
+                np.exp(term, out=term)
+                kappa[part] *= term
+        full = np.flatnonzero(counts)
+        if full.size:
+            self.lam.reshape(-1)[full] = np.add.reduceat(kappa, ends[full] - counts[full])
 
     def _reduce(self, win, slot, marks, counts: tuple[str, ...]) -> None:
         acc = self.slotted
@@ -304,12 +337,15 @@ class _HorizonTally:
         if "max_in_window" in acc:
             np.maximum.at(acc["max_in_window"], key, marks)
 
-    def immigrants(self, win: np.ndarray, slot: np.ndarray, marks: np.ndarray | None) -> None:
+    def immigrants(
+        self, win: np.ndarray, slot: np.ndarray, marks: np.ndarray | None, counted: bool = False
+    ) -> None:
         """Immigrant points; an intp ``win`` is overwritten.
 
-        ``marks`` may be None unless ``reads_marks``.
+        ``marks`` may be None unless ``reads_marks``.  ``counted`` says that
+        :meth:`cell_counts` has counted them already.
         """
-        self._reduce(win, slot, marks, ("n_events", "n_clusters"))
+        self._reduce(win, slot, marks, () if counted else ("n_events", "n_clusters"))
 
     def offspring(
         self,
@@ -348,18 +384,15 @@ class _HorizonTally:
         uniforms, so it does not depend on the other horizons.
         """
         out = dict(self.leftover)
-        k = len(self.horizons)
         for f, flat in self.slotted.items():
-            per_slot = flat.reshape(self.n, k + 1)[:, :k].T
-            if f == "leftover_intensity":
-                # Lambda_i = Lambda_{i-1} exp(-decay (T_i - T_{i-1})) + slot i's terms
-                out[f] = lam = np.array(per_slot)
-                for i, fade in enumerate(np.exp(-self.decay * np.diff(self.horizons)), 1):
-                    lam[i] += lam[i - 1] * fade
-            else:
-                out[f] = (np.maximum.accumulate if f == "max_in_window" else np.cumsum)(
-                    per_slot, axis=0
-                )
+            out[f] = (np.maximum.accumulate if f == "max_in_window" else np.cumsum)(
+                self._per_slot(flat), axis=0
+            )
+        if self.lam is not None:
+            # Lambda_i = Lambda_{i-1} exp(-decay (T_i - T_{i-1})) + slot i's terms
+            out["leftover_intensity"] = lam = self.lam
+            for i, fade in enumerate(np.exp(-self.decay * np.diff(self.horizons)), 1):
+                lam[i] += lam[i - 1] * fade
         if "max_in_window" in self.fields and "max_in_window" not in out:
             gen = rng.branch(_MAXIMA).generator
             out["max_in_window"] = self.model.mark_law.sample_running_max(gen, out["n_events"])
@@ -406,32 +439,60 @@ def _renewal_windows(
     return tally.result(rng)
 
 
+def _cell_immigrants(gen: np.random.Generator, nu: float, horizons: np.ndarray, n: int):
+    """The immigrants of n windows on [0, T_k], drawn cell by cell: ``(cells, times)``.
+
+    A Poisson process restricted to disjoint intervals has independent
+    Poisson counts there, each with uniform points (Daley & Vere-Jones), so
+    window w has ``cells[s, w]`` ~ Poisson(nu (T_s - T_{s-1})) immigrants in
+    slot s, at T_{s-1} + (T_s - T_{s-1}) U (T_0 = 0).  ``times`` holds them
+    slot-major, windows ascending within a slot, so each (slot, window) cell
+    is one stretch.  A time is rounded, so a gap between horizons narrower
+    than its rounding can put it on T_{s-1}; it stays in slot s.  With one
+    horizon the draws are those of ``gen.poisson(nu T, n)`` and
+    ``gen.uniform(0, T, cells.sum())``, bit for bit.
+    """
+    start = np.concatenate(([0.0], horizons[:-1]))
+    width = horizons - start
+    cells = gen.poisson(nu * width[:, None], (len(horizons), n))
+    per_slot = cells.sum(axis=1)
+    times = gen.random(int(per_slot.sum()))
+    lo = 0
+    for t0, dt, hi in zip(start, width, np.cumsum(per_slot)):
+        times[lo:hi] *= dt
+        times[lo:hi] += t0
+        lo = hi
+    return cells, times
+
+
 def _hawkes_windows(
     config: WindowConfig, horizons: np.ndarray, n: int, rng: RngStream, fields
 ) -> dict[str, np.ndarray]:
-    model, t_max = config.model, float(horizons[-1])
+    model, k = config.model, len(horizons)
     params: HawkesParams = config.cluster_params
     # E[Lambda] of a cluster fades at beta (1 - E[kappa]): see the module docstring
     fade = params.decay_rate * (1.0 - model_constants(model).mean_count)
     tally = _HorizonTally(horizons, n, fields, model, fade)
     gen, marks = rng.generator, tally.mark_generator(rng)
-    c_t = gen.poisson(config.nu * t_max, n)
-    m = int(c_t.sum())
-    # a chunk holds at most 2**16 windows, so this is uint16 or narrower
-    win_of_cluster = np.repeat(np.arange(n, dtype=np.min_scalar_type(n - 1)), c_t)
-    evt_time = gen.uniform(0.0, t_max, m)
-    x0, kappa = sample_joint(model, marks, gen, m)
-    home = tally.slot(evt_time)
-    tally.intensity(win_of_cluster, home, evt_time, kappa)
-    tally.immigrants(win_of_cluster, home, x0)
-    if tally.fields <= {"leftover_intensity", "n_clusters"}:
-        # the immigrants alone give these; the cascade would draw after them
+    cells, evt_time = _cell_immigrants(gen, config.nu, horizons, n)
+    tally.cell_counts(cells)
+    x0, kappa = sample_joint(model, marks, gen, evt_time.size)
+    # the immigrants alone give leftover_intensity and n_clusters; a cascade
+    # draws after them, its first broods from kappa before the terms overwrite it
+    grows = not tally.fields <= {"leftover_intensity", "n_clusters"}
+    brood = gen.poisson(kappa) if grows else None
+    tally.intensity(cells, evt_time, kappa)
+    del kappa
+    if not grows:
         return tally.result(rng)
     # chunk-sized arrays: hold only what the generation loop needs, whose
     # first generation is the chunk's memory peak
-    del x0
-    brood = gen.poisson(kappa)
-    del kappa
+    home = np.repeat(np.arange(k, dtype=np.min_scalar_type(k)), cells.sum(axis=1))
+    # a chunk holds at most 2**16 windows, so this is uint16 or narrower
+    windows = np.tile(np.arange(n, dtype=np.min_scalar_type(n - 1)), k)
+    win_of_cluster = np.repeat(windows, cells.ravel())
+    tally.immigrants(win_of_cluster, home, x0, counted=True)
+    del x0, windows
 
     def draw(brood, owner, runs):
         nonlocal evt_time

@@ -48,8 +48,8 @@ PINNED = {
         "42861663d38ced80e4cf2810024f0b3f9c554664ea1e313ceb39c72cdc0ceaf0",
     ),
     "leftover.json": (
-        "2ab7a82ee2bcec05ee381e17f457e97b0d1e888ef5d34643a1cb0d8e62f9236c",
-        "d998b79b42776debb6549cf50ce0ebcaba78d1a079effe6f40693f7d08e8c37a",
+        "57eb12c797f0db11cf33b60281aa56e66ee7b2f083c4a038f4019cf2989e0ebe",
+        "2532020771572216edeec618ce89b880ca40ef1cf334c93eaebe83ba8723e3f0",
     ),
     "oracle-compare.json": (
         "638cf6f07617ef93e4dc48e6fa77f8f8fa20fdc961a52472c63a801d7eb98109",

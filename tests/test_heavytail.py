@@ -139,6 +139,17 @@ class TestSamplePareto:
         assert got == LAW.scale * (1 - u) ** (-1 / LAW.alpha)
 
 
+class TestSampleUniform:
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (0.25, 1.5), (3.7, 1000.0)])
+    @pytest.mark.parametrize("size", [100_000, (40, 25), 0, None])
+    def test_draws_are_numpys_uniform(self, lo, hi, size):
+        # the in-place lo + (hi - lo) * U is numpy's own, bit for bit
+        got = BoundedUniform(lo, hi).sample(np.random.default_rng(4), size)
+        want = np.random.default_rng(4).uniform(lo, hi, size)
+        assert type(got) is type(want)
+        assert np.array_equal(got, want) and np.shape(got) == np.shape(want)
+
+
 MARK_LAWS = {
     "pareto": LAW,
     "exponential": Exponential(2.0),

@@ -174,7 +174,7 @@ class TestConditionalMaxSweep:
     CRUDE_ROWS = {
         "ComonotoneCount": "7a79b2f21c775360bf6711e7acccf70b539efa9d514d500d8f62f3bf6096dca6",
         "HawkesComonotoneIntensity": (
-            "265911c95e7fcbd366d4492cd7bb80c6b4035593bf126392a645bac2a7ade249"
+            "ccb882a7ea21ba1ad3a2ef18b72df0412c74b0318dee9d6ad9195473f9253dae"
         ),
     }
 

@@ -10,13 +10,16 @@ import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from cluster_tails import process
-from cluster_tails.clusters import HawkesParams, RenewalParams, batch_functionals
+from cluster_tails.clusters import HawkesParams, RenewalParams, batch_functionals, chunked_fill
 from cluster_tails.errors import ClusterOverflow, ModelError
 from cluster_tails.heavytail import (
     BoundedUniform,
@@ -366,7 +369,7 @@ class TestChunkMemory:
 
     def test_leftover_intensity_only(self):
         # what a Hawkes leftover sweep keeps: the immigrants alone, whose
-        # intensity terms and keys are made a block at a time
+        # intensity terms overwrite their kappa
         config, horizons = hawkes_config(), np.array((10.0, 50.0, 100.0, 500.0))
         counts = process._hawkes_windows(
             config, horizons, 2048, RngStream(5, 0).child(0), ("n_events", "j_leftover")
@@ -503,22 +506,26 @@ class TestLeftoverIntensity:
 
     @pytest.mark.parametrize("name", sorted(MODELS))
     def test_is_the_immigrants_decayed_kappa(self, name):
-        # replay the only chunk's immigrants: each window's value is the sum
-        # of kappa_i exp(-beta (1 - m) (T - t_i)) over its immigrants by T
+        # replay the only chunk's immigrants, a Poisson count per (slot,
+        # window) cell and uniform times in the slot, stored slot-major with
+        # the windows ascending: each window's value is the sum of
+        # kappa_i exp(-beta (1 - m) (T - t_i)) over its immigrants by T
         model, params = self.MODELS[name]
-        n, t_max = 500, self.HORIZONS[-1]
+        n, horizons = 500, np.array(self.HORIZONS)
         out = sweep_windows(
             WindowConfig(model, params, 1.0), self.HORIZONS, n, RngStream(86, 0),
             fields=("leftover_intensity",),
         )
         replay = RngStream(86, 0).child(0)
         gen = replay.generator
-        c_t = gen.poisson(t_max, n)
-        times = gen.uniform(0.0, t_max, c_t.sum())
+        start = np.concatenate(([0.0], horizons[:-1]))
+        cells = gen.poisson((horizons - start)[:, None], (len(horizons), n))
+        slot = np.repeat(np.arange(len(horizons)), cells.sum(axis=1))
+        times = start[slot] + (horizons - start)[slot] * gen.random(cells.sum())
         # the comonotone kappa derives from the marks, drawn from their own branch
         marks = None if model.independent_marks else replay.branch(process._MARKS).generator
-        kappa = sample_joint(model, marks, gen, c_t.sum())[1]
-        win = np.repeat(np.arange(n), c_t)
+        kappa = sample_joint(model, marks, gen, cells.sum())[1]
+        win = np.repeat(np.tile(np.arange(n), len(horizons)), cells.ravel())
         fade = params.decay_rate * (1.0 - model.target_mean_kappa)
         for i, horizon in enumerate(self.HORIZONS):
             by_t = times <= horizon
@@ -538,6 +545,105 @@ class TestLeftoverIntensity:
         assert set(out) == set(fields)
         with pytest.raises(AssertionError, match="grow_hawkes called"):
             self.sweep("light", (*fields, "n_events"), seed=87)
+
+
+class TestHawkesCells:
+    """Hawkes immigrants drawn per (slot, window) cell and stored slot-major.
+
+    A Poisson process restricted to disjoint intervals has independent
+    Poisson counts there, each with uniform points: window w has
+    Poisson(nu (T_s - T_{s-1})) immigrants in slot s, uniform on (T_{s-1}, T_s].
+    """
+
+    HORIZONS = np.array([4.0, 10.0, 25.0, 60.0])
+
+    def test_slot_counts_have_mean_nu_times_the_slot_length(self):
+        nu, n = 1.3, 20_000
+        cells, times = process._cell_immigrants(np.random.default_rng(131), nu, self.HORIZONS, n)
+        assert cells.shape == (len(self.HORIZONS), n) and times.size == cells.sum()
+        mean = nu * np.diff(self.HORIZONS, prepend=0.0)
+        z = (cells.mean(axis=1) - mean) / np.sqrt(mean / n)
+        assert np.all(np.abs(z) <= 4), z
+
+    def test_slot_times_are_uniform_on_the_slot(self):
+        cells, times = process._cell_immigrants(np.random.default_rng(132), 1.0, self.HORIZONS, 5_000)
+        ends = np.cumsum(cells.sum(axis=1))
+        starts = np.concatenate(([0.0], self.HORIZONS[:-1]))
+        for lo, hi, t0, t1 in zip(ends - cells.sum(axis=1), ends, starts, self.HORIZONS):
+            block = times[lo:hi]
+            assert np.all((block > t0) & (block <= t1)), (t0, t1)
+            observed = np.histogram(block, bins=20, range=(t0, t1))[0]
+            assert stats.chisquare(observed).pvalue > 1e-3, (t0, t1)
+
+    def test_one_horizon_draws_are_the_window_major_ones(self):
+        # one slot: the cells are the windows, drawn as gen.poisson(nu T, n)
+        # and gen.uniform(0, T, m) were before the draw went cell by cell
+        cells, times = process._cell_immigrants(np.random.default_rng(133), 0.7, np.array([50.0]), 3_000)
+        gen = np.random.default_rng(133)
+        counts = gen.poisson(0.7 * 50.0, 3_000)
+        assert np.array_equal(cells[0], counts)
+        assert np.array_equal(times, gen.uniform(0.0, 50.0, counts.sum()))
+
+    # sha256 of each statistic of a one-horizon sweep, recorded before the
+    # immigrants were drawn cell by cell; they must not move
+    ONE_HORIZON = {
+        "light": {
+            "n_events": "95c3628bb81c81e00c85ee184b6cb8222fb11eefdde723580c654fe6bd6cf8d8",
+            "j_leftover": "a6bae9532b014fe4131b60d614fa5309694433b1d07ee7748892886e7f27ce8f",
+            "sum_in_window": "2cf04421e58370e819c93de3b73233f5b432619be4f1c201ea4b3eb8484d6cf7",
+            "max_in_window": "2dd20e03b3213a242e25d30cdcc525edae7154d7e6b2bf28c24faf5dab9b6b52",
+            "leftover_sum": "7fb95bf3db15c81359a3f1137fa445f49a2047af366006a2bb3537c00b86963f",
+            "n_clusters": "565c79207614bf53cc38145a179396b8a33a1f6af156d54d2cc302961e26d7fb",
+        },
+        "comonotone": {
+            "n_events": "4d9c1701b149944f98b248119174804f9cad6cb94e685c15d685a51014fc5fc6",
+            "j_leftover": "5e4a48e80c1c2401c937aefaf467f9f4763d67d798a0443c55677b20e3b7667c",
+            "sum_in_window": "61f353a46f0295a502ce1161a81941fc9ab34891c180d4c4a473b2b6cf545f8a",
+            "max_in_window": "27c050e7d56fce382b1a7ac1b3c4413c2c7850c1507ee6fdee6521a1df72310b",
+            "leftover_sum": "8cf716740ac89d38e5e29d4343dbf1fe99ba652ceae0fbcaa01eed7cd82bacba",
+            "n_clusters": "565c79207614bf53cc38145a179396b8a33a1f6af156d54d2cc302961e26d7fb",
+        },
+    }
+
+    @pytest.mark.parametrize("name", sorted(ONE_HORIZON))
+    def test_one_horizon_sweep_unchanged_array_for_array(self, name):
+        factory = {"light": hawkes_config, "comonotone": hawkes_comonotone_config}[name]
+        fields = (*WINDOW_FIELDS, "leftover_intensity")
+        out = sweep_windows(factory(nu=0.8), (30.0,), 6_000, RngStream(134, 0), fields=fields)
+        got = {f: hashlib.sha256(out[f][0].tobytes()).hexdigest() for f in WINDOW_FIELDS}
+        assert got == self.ONE_HORIZON[name]
+
+    # quarter-unit horizons: a gap narrower than a time's rounding could put
+    # an immigrant on the horizon before its slot (see _cell_immigrants)
+    @settings(max_examples=25, deadline=None)
+    @given(
+        ticks=st.lists(st.integers(1, 240), min_size=1, max_size=5, unique=True),
+        nu=st.floats(0.05, 3.0),
+    )
+    def test_kernel_reads_its_counts_and_intensity_off_the_cells(self, ticks, nu):
+        horizons = np.array(sorted(ticks)) / 4.0
+        n, chunk, rng = 40, 16, RngStream(135, 0)
+        kernel = partial(process._hawkes_windows, hawkes_config(nu=nu), horizons)
+
+        def fill(fields, workers=1):
+            return chunked_fill(partial(kernel, fields=fields), n, chunk, rng, workers)
+
+        full = fill((*WINDOW_FIELDS, "leftover_intensity"))
+        # n_clusters counts each window's immigrants by T_i: replay every chunk's
+        for i, lo in enumerate(range(0, n, chunk)):
+            count = min(chunk, n - lo)
+            cells, times = process._cell_immigrants(rng.child(i).generator, nu, horizons, count)
+            win = np.repeat(np.tile(np.arange(count), len(horizons)), cells.ravel())
+            for row, h in zip(full["n_clusters"][:, lo : lo + count], horizons):
+                assert np.array_equal(row, np.bincount(win[times <= h], minlength=count)), h
+        assert np.all(full["n_events"] >= full["n_clusters"])
+        # a window with no cluster by T_i has no point by then, in it or left over
+        empty = full["n_clusters"] == 0
+        assert not full["n_events"][empty].any() and not full["j_leftover"][empty].any()
+        alone = fill(("leftover_intensity",))["leftover_intensity"]
+        pooled = fill(("leftover_intensity",), workers=2)["leftover_intensity"]
+        assert np.array_equal(alone, full["leftover_intensity"])
+        assert np.array_equal(alone, pooled)
 
 
 class TestSweepWindows:
@@ -747,6 +853,36 @@ class TestMeanEvents:
         # E[N_T] + E[J_T] = nu T E[cluster size], with E[J_T] by generations
         left = [hawkes_leftover_mean(1.0, 0.5, 1.0, t) for t in self.HORIZONS]
         np.testing.assert_allclose(got + left, 2.0 * np.array(self.HORIZONS), rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            JointMarkModel(Regime.INDEPENDENT_LIGHT_COUNT, LAW, 2.0),
+            JointMarkModel(Regime.INDEPENDENT_LIGHT_COUNT, LAW, 900.0),
+            JointMarkModel(Regime.INDEPENDENT_HEAVY_COUNT, Exponential(1.0), ParetoLaw(1.0, 1.5)),
+            JointMarkModel(Regime.COMONOTONE_COUNT, LAW),
+        ],
+        ids=["poisson-2", "poisson-900", "heavy", "comonotone"],
+    )
+    def test_one_count_survival_per_call(self, monkeypatch, model):
+        # each horizon reads a prefix of one call over the longest r-range,
+        # bit-equal to a call over its own range
+        for n in (64, 128, 256, 1024):
+            whole = process.count_survival(model, np.arange(4096))
+            assert whole[:n].tobytes() == process.count_survival(model, np.arange(n)).tobytes(), n
+        config = WindowConfig(model, RenewalParams(Exponential(0.5)), nu=1.0)
+        horizons = (2.0, 30.0, 400.0)
+        alone = np.concatenate([process.mean_events(config, (t,)) for t in horizons])
+        real, sizes = process.count_survival, []
+
+        def counted(model, x):
+            sizes.append(np.size(x))
+            return real(model, x)
+
+        monkeypatch.setattr(process, "count_survival", counted)
+        got = process.mean_events(config, horizons)
+        assert len(sizes) == 1 and sizes[0] > 64
+        assert got.tobytes() == alone.tobytes()
 
     @pytest.mark.parametrize("waiting", [Exponential(1.0), Constant(0.5), BoundedUniform(0.0, 1.0)])
     def test_no_offspring_is_nu_t(self, waiting):
