@@ -30,14 +30,15 @@ mark at all.  The comonotone regimes keep the crude exceedance fraction of
 the drawn marks' maxima and its Wilson band.
 
 The leftover table of a Hawkes model is conditional Monte Carlo too: each
-window contributes E[J_T | immigrants by T] = L_T / (1 - E[kappa]) and
-E[eps_T | immigrants by T] = L_T E[X] / (1 - E[kappa]), where
-L_T = sum over the window's immigrants by T of
-kappa_i exp(-beta (1 - E[kappa]) (T - t_i)) is the conditional mean of the
-decayed intensity of its points by T (the ``leftover_intensity`` of
-:func:`~cluster_tails.process.sweep_windows`), so no cluster is grown.  Only
-E[kappa] and E[X] enter, so this holds in both Hawkes regimes.  Renewal
-models average the leftover counts and mark sums themselves.
+window contributes E[J_T | C] = L_T / (1 - E[kappa]) and
+E[eps_T | C] = L_T E[X] / (1 - E[kappa]), C its immigrant counts per
+horizon slot, where L_T is the conditional mean given C of the decayed
+intensity of its points by T (the ``leftover_intensity`` of
+:func:`~cluster_tails.process.sweep_windows`, a closed form in C), so no
+cluster is grown.  Only E[kappa] and E[X] enter, so this holds in both
+Hawkes regimes, and each value is linear in Poisson counts, so its
+standard error is a real one in both.  Renewal models average the leftover
+counts and mark sums themselves.
 """
 
 from __future__ import annotations
@@ -280,10 +281,10 @@ def leftover_estimator(model: JointMarkModel) -> str:
     """The estimator that :func:`leftover_scaling` uses for ``model``, and its interval."""
     if model.is_hawkes:
         return (
-            "conditional Monte Carlo: mean over windows of E[J_T | immigrants by T] = "
-            "L_T/(1 - E[kappa]) and E[eps_T | immigrants by T] = L_T E[X]/(1 - E[kappa]), "
-            "L_T = sum of kappa_i exp(-beta (1 - E[kappa]) (T - t_i)) over the immigrants "
-            "by T; SE sd/sqrt(n), finite when kappa has finite variance"
+            "conditional Monte Carlo: mean over windows of E[J_T | immigrant counts per horizon "
+            "slot] = L_T/(1 - E[kappa]) and E[eps_T | the same] = L_T E[X]/(1 - E[kappa]), L_T "
+            "the mean decayed intensity given the counts, a closed form linear in them; "
+            "SE sd/sqrt(n), finite in every Hawkes regime"
         )
     return (
         "crude Monte Carlo: mean over windows of the leftover count and mark sum; "

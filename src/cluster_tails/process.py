@@ -15,8 +15,8 @@ Hawkes windows draw that process per horizon slot (T_{s-1}, T_s]: a Poisson
 count for each (slot, window) cell and uniform times in the slot, the same
 law, since a Poisson process restricted to disjoint intervals has
 independent Poisson counts there with uniform points (Daley & Vere-Jones).
-Each cell is then one stretch of the chunk's immigrants and each
-immigrant's slot is known from its draw (:func:`_cell_immigrants`).
+The counts come first (:func:`_cell_counts`), then the times cell by cell
+(:func:`_cell_times`), so each immigrant's slot is known from its draw.
 
 Clusters born before time 0 are ignored by construction; the decomposition
 identity sum + leftover == total cluster mass then holds pathwise on every
@@ -40,21 +40,21 @@ marks: their joint law within a window is not the path's.  The comonotone
 regimes take the max of the drawn marks.
 
 Hawkes windows can also keep ``leftover_intensity``, the conditional mean
-of Lambda_T given the window's immigrants.  Lambda_T = sum over the points p
-with t_p <= T of kappa_p exp(-beta (T - t_p)) is the mean number of children
-that the points by T still have after T.  Those children are Poisson,
-independent of the path up to T, and each starts a subtree of mean size
-1 / (1 - m) and mean mark sum E[X] / (1 - m), m = E[kappa]; so
-Lambda_T / (1 - m) and Lambda_T E[X] / (1 - m) are the conditional means of
-the leftover count and mark sum given that path.  One cluster's Lambda(s) at
-age s decays at rate beta, and its children arrive at rate beta Lambda(s),
-each adding an independent kappa of mean m, so
-d E[Lambda(s)] / ds = -beta (1 - m) E[Lambda(s)]: an immigrant with
-intensity kappa_i has E[Lambda(s) | kappa_i] = kappa_i exp(-beta (1 - m) s).
-The kernel keeps the sum of these over the immigrants by T, summed per
-(slot, window) cell with no per-immigrant key.  By the tower property it
-has the mean of Lambda_T, and by Rao-Blackwell no larger a variance; when
-nothing else is kept, the kernel draws no offspring at all.
+of Lambda_T given the window's immigrant counts per horizon slot.
+Lambda_T = sum over the points p with t_p <= T of kappa_p exp(-beta (T - t_p))
+is the mean number of children that the points by T still have after T.
+Those children are Poisson, independent of the path up to T, and each
+starts a subtree of mean size 1 / (1 - m) and mean mark sum E[X] / (1 - m),
+m = E[kappa]; so Lambda_T / (1 - m) and Lambda_T E[X] / (1 - m) are the
+conditional means of the leftover count and mark sum given that path.  One
+cluster's Lambda(s) at age s decays at rate beta, and its children arrive
+at rate beta Lambda(s), each adding an independent kappa of mean m, so
+d E[Lambda(s)] / ds = -fade E[Lambda(s)], fade = beta (1 - m).  An immigrant's
+kappa is independent of its time, uniform on its slot, so C_r immigrants in
+slot r give E[Lambda_{T_s} | C] = m sum_{r <= s} C_r g_r exp(-fade (T_s - T_r)),
+g_r = (1 - exp(-fade dT_r)) / (fade dT_r): by the tower property the mean of
+Lambda_T, by Rao-Blackwell no larger a variance.  A field set within it
+and ``n_clusters`` draws no time, kappa, mark or offspring, in either regime.
 
 The mean in-window event count E[N_T] has a closed form in every regime
 (:func:`mean_events`), by Campbell's formula: an immigrant arriving u
@@ -199,16 +199,15 @@ WINDOW_FIELDS = (
 _FIELDS = (*WINDOW_FIELDS, "leftover_intensity")
 
 # statistics reduced per (window, slot) and combined over slots; the
-# leftover count and sum are tallied per horizon directly, and
-# leftover_intensity per (slot, window) cell
+# leftover count and sum are tallied per horizon directly
 _SLOTTED = {"n_events", "sum_in_window", "max_in_window", "n_clusters"}
+
+# the Hawkes statistics read off the cell counts alone: see _HorizonTally.cell_counts
+_CELL_FIELDS = {"leftover_intensity", "n_clusters"}
 
 # the branches of a window chunk's stream (RngStream.branch): the chunk's own
 # generator draws the structure (immigrant times, K or kappa, waits, broods)
 _MARKS, _MAXIMA = 1, 2
-
-# immigrants per block of intensity terms: 128 KiB of float64
-_TERM_BLOCK = 1 << 14
 
 
 class _HorizonTally:
@@ -220,13 +219,12 @@ class _HorizonTally:
     reduced per (window, slot) and accumulated over slots at the end.  An
     offspring point is leftover at horizon i when its immigrant's slot is
     <= i < its own slot.  Only the statistics named in ``fields`` are kept;
-    ``leftover_intensity`` needs the rate ``decay`` at which a Hawkes
-    cluster's mean intensity fades, beta (1 - E[kappa]).
+    ``leftover_intensity`` needs the Hawkes decay rate ``decay``.
 
-    Hawkes immigrants come cell by cell (:func:`_cell_immigrants`), so
-    their counts are read off the cell counts (:meth:`cell_counts`) and
-    their intensity terms summed per cell (:meth:`intensity`); renewal
-    immigrants and all offspring are keyed by window and slot.
+    Hawkes immigrants come cell by cell (:func:`_cell_counts`), so their
+    counts and ``leftover_intensity`` are read off the cell counts
+    (:meth:`cell_counts`); renewal immigrants and all offspring are keyed
+    by window and slot.
 
     Where the model's marks are independent of its counts, ``max_in_window``
     reads no mark: it is drawn from the in-window event counts alone
@@ -266,8 +264,7 @@ class _HorizonTally:
             for f in ("j_leftover", "leftover_sum")
             if f in self.fields
         }
-        # the sum of each (slot, window) cell's intensity terms
-        self.lam = np.zeros((k, n)) if "leftover_intensity" in self.fields else None
+        self.lam = None
 
     def mark_generator(self, rng: RngStream) -> np.random.Generator | None:
         """The chunk's marks branch, if a kept statistic reads marks or the counts derive from them."""
@@ -287,37 +284,20 @@ class _HorizonTally:
         return flat.reshape(self.n, len(self.horizons) + 1)[:, :-1].T
 
     def cell_counts(self, cells: np.ndarray) -> None:
-        """Immigrants counted per cell: ``cells[s, w]`` arrive in window w's slot s."""
+        """Immigrants counted per cell (``cells[s, w]`` in window w's slot s), and their ``leftover_intensity``."""
         for f in ("n_events", "n_clusters"):
             if f in self.slotted:
                 self._per_slot(self.slotted[f])[...] += cells
-
-    def intensity(self, cells: np.ndarray, times: np.ndarray, kappa: np.ndarray) -> None:
-        """Sums kappa * exp(-decay (T_slot - t)) over each cell's immigrants; ``kappa`` is overwritten.
-
-        ``cells`` counts the immigrants of each (slot, window) cell, and
-        ``times`` and ``kappa`` hold them cell by cell, slot-major: a slot's
-        terms take its horizon as a scalar, and each nonempty cell's sum is
-        one stretch of the terms, which are made in place of kappa.
-        Immigrants arrive by their slot's horizon, so no exponent is
-        positive.  Does nothing unless ``leftover_intensity`` is kept.
-        """
-        if self.lam is None:
-            return
-        counts = cells.ravel()
-        ends = np.cumsum(counts)
-        slot_ends = ends[self.n - 1 :: self.n]
-        for h, start, end in zip(self.horizons, (0, *slot_ends[:-1]), slot_ends):
-            # a cache-sized block at a time: no temporary the size of the slot
-            for lo in range(start, end, _TERM_BLOCK):
-                part = slice(lo, min(lo + _TERM_BLOCK, end))
-                term = times[part] - h
-                term *= self.decay
-                np.exp(term, out=term)
-                kappa[part] *= term
-        full = np.flatnonzero(counts)
-        if full.size:
-            self.lam.reshape(-1)[full] = np.add.reduceat(kappa, ends[full] - counts[full])
+        if "leftover_intensity" in self.fields:
+            # an immigrant of slot r adds E[kappa] g_r to E[Lambda_{T_r}], which
+            # decays by exp(-fade (T_s - T_r)) by T_s: see the module docstring
+            m = model_constants(self.model).mean_count
+            fade = self.decay * (1.0 - m) * np.diff(self.horizons, prepend=0.0)
+            g = np.ones_like(fade)  # g's limit where fade dT underflows to 0
+            np.divide(-np.expm1(-fade), fade, out=g, where=fade > 0)
+            self.lam = lam = cells * (m * g)[:, None]
+            for i, carry in enumerate(np.exp(-fade[1:]), 1):
+                lam[i] += lam[i - 1] * carry
 
     def _reduce(self, win, slot, marks, counts: tuple[str, ...]) -> None:
         acc = self.slotted
@@ -389,10 +369,7 @@ class _HorizonTally:
                 self._per_slot(flat), axis=0
             )
         if self.lam is not None:
-            # Lambda_i = Lambda_{i-1} exp(-decay (T_i - T_{i-1})) + slot i's terms
-            out["leftover_intensity"] = lam = self.lam
-            for i, fade in enumerate(np.exp(-self.decay * np.diff(self.horizons)), 1):
-                lam[i] += lam[i - 1] * fade
+            out["leftover_intensity"] = self.lam
         if "max_in_window" in self.fields and "max_in_window" not in out:
             gen = rng.branch(_MAXIMA).generator
             out["max_in_window"] = self.model.mark_law.sample_running_max(gen, out["n_events"])
@@ -439,22 +416,29 @@ def _renewal_windows(
     return tally.result(rng)
 
 
-def _cell_immigrants(gen: np.random.Generator, nu: float, horizons: np.ndarray, n: int):
-    """The immigrants of n windows on [0, T_k], drawn cell by cell: ``(cells, times)``.
+def _cell_counts(gen: np.random.Generator, nu: float, horizons: np.ndarray, n: int) -> np.ndarray:
+    """The immigrant counts of n windows on [0, T_k], per (slot, window) cell.
 
     A Poisson process restricted to disjoint intervals has independent
     Poisson counts there, each with uniform points (Daley & Vere-Jones), so
     window w has ``cells[s, w]`` ~ Poisson(nu (T_s - T_{s-1})) immigrants in
-    slot s, at T_{s-1} + (T_s - T_{s-1}) U (T_0 = 0).  ``times`` holds them
-    slot-major, windows ascending within a slot, so each (slot, window) cell
-    is one stretch.  A time is rounded, so a gap between horizons narrower
-    than its rounding can put it on T_{s-1}; it stays in slot s.  With one
-    horizon the draws are those of ``gen.poisson(nu T, n)`` and
+    slot s (T_0 = 0).  With one horizon the draw is that of
+    ``gen.poisson(nu T, n)``, bit for bit.
+    """
+    return gen.poisson(nu * np.diff(horizons, prepend=0.0)[:, None], (len(horizons), n))
+
+
+def _cell_times(gen: np.random.Generator, horizons: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """The immigrants' times given their cell counts: T_{s-1} + (T_s - T_{s-1}) U in slot s.
+
+    They are stored slot-major, windows ascending within a slot, so each
+    (slot, window) cell is one stretch.  A time is rounded, so a gap between
+    horizons narrower than its rounding can put it on T_{s-1}; it stays in
+    slot s.  With one horizon the draw is that of
     ``gen.uniform(0, T, cells.sum())``, bit for bit.
     """
     start = np.concatenate(([0.0], horizons[:-1]))
     width = horizons - start
-    cells = gen.poisson(nu * width[:, None], (len(horizons), n))
     per_slot = cells.sum(axis=1)
     times = gen.random(int(per_slot.sum()))
     lo = 0
@@ -462,7 +446,7 @@ def _cell_immigrants(gen: np.random.Generator, nu: float, horizons: np.ndarray, 
         times[lo:hi] *= dt
         times[lo:hi] += t0
         lo = hi
-    return cells, times
+    return times
 
 
 def _hawkes_windows(
@@ -470,21 +454,19 @@ def _hawkes_windows(
 ) -> dict[str, np.ndarray]:
     model, k = config.model, len(horizons)
     params: HawkesParams = config.cluster_params
-    # E[Lambda] of a cluster fades at beta (1 - E[kappa]): see the module docstring
-    fade = params.decay_rate * (1.0 - model_constants(model).mean_count)
-    tally = _HorizonTally(horizons, n, fields, model, fade)
-    gen, marks = rng.generator, tally.mark_generator(rng)
-    cells, evt_time = _cell_immigrants(gen, config.nu, horizons, n)
+    tally = _HorizonTally(horizons, n, fields, model, params.decay_rate)
+    gen = rng.generator
+    cells = _cell_counts(gen, config.nu, horizons, n)
     tally.cell_counts(cells)
-    x0, kappa = sample_joint(model, marks, gen, evt_time.size)
-    # the immigrants alone give leftover_intensity and n_clusters; a cascade
-    # draws after them, its first broods from kappa before the terms overwrite it
-    grows = not tally.fields <= {"leftover_intensity", "n_clusters"}
-    brood = gen.poisson(kappa) if grows else None
-    tally.intensity(cells, evt_time, kappa)
-    del kappa
-    if not grows:
+    # the cell counts alone give leftover_intensity and n_clusters; a cascade
+    # draws the times, x0 and kappa, and the broods after them
+    if tally.fields <= _CELL_FIELDS:
         return tally.result(rng)
+    marks = tally.mark_generator(rng)
+    evt_time = _cell_times(gen, horizons, cells)
+    x0, kappa = sample_joint(model, marks, gen, evt_time.size)
+    brood = gen.poisson(kappa)
+    del kappa
     # chunk-sized arrays: hold only what the generation loop needs, whose
     # first generation is the chunk's memory peak
     home = np.repeat(np.arange(k, dtype=np.min_scalar_type(k)), cells.sum(axis=1))
@@ -538,7 +520,10 @@ def sweep_windows(
 
     Output is bit-identical for any worker count: chunk boundaries depend
     only on the configuration and the longest horizon, and chunk i always
-    draws from ``rng.child(i)``.
+    draws from ``rng.child(i)``.  A Hawkes field set within
+    ``leftover_intensity`` and ``n_clusters`` runs in this process whatever
+    ``workers`` is: each of its chunks is one Poisson draw of the cell
+    counts, far cheaper than starting a process pool.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -552,6 +537,8 @@ def sweep_windows(
         raise ValueError(f"unknown window statistics: {sorted(unknown)}")
     fields = tuple(f for f in _FIELDS if f in fields)
     kernel = _hawkes_windows if config.model.is_hawkes else _renewal_windows
+    if config.model.is_hawkes and set(fields) <= _CELL_FIELDS:
+        workers = 1
     events = config.nu * float(hs[-1]) * model_constants(config.model).mean_cluster_size
     chunk = _chunk_size(events, 1 << 6, 1 << 16)
     out = chunked_fill(partial(kernel, config, hs, fields=fields), n, chunk, rng, workers)

@@ -124,6 +124,28 @@ def hawkes_leftover_mean(nu: float, mean_kappa: float, decay: float, horizon: fl
     return nu * float(np.sum(mean_kappa**g * expected_min))
 
 
+def immigrant_intensity(
+    cells: np.ndarray, times: np.ndarray, kappa: np.ndarray, horizons, fade: float
+) -> np.ndarray:
+    """Sum of kappa_i exp(-fade (T - t_i)) over each window's immigrants by T, per horizon T.
+
+    ``cells[s, w]`` counts window w's immigrants in horizon slot s, and
+    ``times`` and ``kappa`` hold them slot-major, windows ascending within a
+    slot.  With fade = beta (1 - E[kappa]) this is E[Lambda_T | immigrants],
+    Lambda_T a Hawkes window's decayed intensity at T.  Returns a (horizon,
+    window) array.
+    """
+    k, n = cells.shape
+    win = np.repeat(np.tile(np.arange(n), k), cells.ravel())
+    slot = np.repeat(np.arange(k), cells.sum(axis=1))
+    out = np.empty((k, n))
+    for i, horizon in enumerate(horizons):
+        by_t = slot <= i
+        terms = kappa[by_t] * np.exp(-fade * (horizon - times[by_t]))
+        out[i] = np.bincount(win[by_t], weights=terms, minlength=n)
+    return out
+
+
 def irwin_hall_shortfall(y: Fraction, r: int) -> Fraction:
     """E[(y - U_r)^+] for U_r the sum of r independent U(0, 1), in exact rationals.
 

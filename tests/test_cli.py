@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -490,6 +491,27 @@ class TestHostileConfigs:
         assert err["error"] == "ConfigError"
         assert err["field"] == field
         assert not list(tmp_path.glob(f"{experiment}-1.*"))
+
+    # configs that run: gaps between horizons so narrow that the Hawkes
+    # leftover's fade * gap underflows to 0, where its slot weight takes its limit
+    RUNS = [
+        (
+            "leftover",
+            {"model": HAWKES_COMONOTONE, "leftover": {"horizons": [5e-324, 1e-323], "windows": 10_000}},
+        ),
+    ]
+
+    @pytest.mark.parametrize("experiment, fields", RUNS, ids=[str(i) for i in range(len(RUNS))])
+    def test_runs_without_warnings(self, tmp_path, experiment, fields):
+        payload = {"experiment": experiment, "seed": 1, "model": MODEL, "output_dir": str(tmp_path)}
+        payload.update(fields)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", str(write_config(tmp_path, payload))]) == 0
+        with open(tmp_path / f"{experiment}-1.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) == 2
+        assert all(float(v) == 0.0 for row in rows for k, v in row.items() if k != "horizon")
 
     @pytest.mark.parametrize("experiment, fields, field", MODEL_KEYS)
     def test_model_error_names_its_key_once(self, tmp_path, capsys, experiment, fields, field):

@@ -48,8 +48,8 @@ PINNED = {
         "42861663d38ced80e4cf2810024f0b3f9c554664ea1e313ceb39c72cdc0ceaf0",
     ),
     "leftover.json": (
-        "57eb12c797f0db11cf33b60281aa56e66ee7b2f083c4a038f4019cf2989e0ebe",
-        "2532020771572216edeec618ce89b880ca40ef1cf334c93eaebe83ba8723e3f0",
+        "2e6c50d922722f6bdf1e76b9d0e1f597170dd3a770fed1a09c3662d417ef6954",
+        "3b7e9add52a2e701b991f3b6662dedee1840c02ff13b0e7b5ee84f46d9cb4ed4",
     ),
     "oracle-compare.json": (
         "638cf6f07617ef93e4dc48e6fa77f8f8fa20fdc961a52472c63a801d7eb98109",

@@ -287,6 +287,20 @@ class TestLeftoverScaling:
                 LAW.mean() * row.j_over_t_se * t**0.5, rel=1e-9
             )
 
+    def test_infinite_variance_kappa_rows_match_campbell(self):
+        # kappa = X/3 with Pareto(1.5) marks has infinite variance, but each
+        # window's value is linear in its Poisson cell counts, so the SE is a real one
+        model = JointMarkModel(Regime.HAWKES_COMONOTONE_INTENSITY, LAW, target_mean_kappa=0.5)
+        window = WindowConfig(model, HawkesParams(), 1.0)
+        config = SweepConfig(window=window, horizons=(5.0, 20.0, 100.0), replications=20_000)
+        rows = leftover_scaling(config, RngStream(56, 0))
+        for row in rows:
+            t = row.horizon
+            exact = hawkes_leftover_mean(1.0, 0.5, 1.0, t)
+            assert abs(row.j_over_t - exact / t) <= 3 * row.j_over_t_se, row
+            eps = LAW.mean() * exact / t**0.5
+            assert abs(row.eps_over_sqrt_t - eps) <= 3 * row.eps_over_sqrt_t_se, row
+
     def test_estimator_names_the_route(self):
         hawkes = JointMarkModel(
             Regime.HAWKES_LIGHT_INTENSITY, LAW, BoundedUniform(0.0, 1.0), target_mean_kappa=0.5

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from cluster_tails import process
+from cluster_tails import clusters, process
 from cluster_tails.clusters import HawkesParams, RenewalParams, batch_functionals, chunked_fill
 from cluster_tails.errors import ClusterOverflow, ModelError
 from cluster_tails.heavytail import (
@@ -37,6 +37,7 @@ from reference import (
     functional_max,
     functional_sum,
     hawkes_leftover_mean,
+    immigrant_intensity,
     irwin_hall_shortfall,
     sample_hawkes_cluster,
     sample_renewal_cluster,
@@ -368,8 +369,9 @@ class TestChunkMemory:
         assert peak / points <= bound
 
     def test_leftover_intensity_only(self):
-        # what a Hawkes leftover sweep keeps: the immigrants alone, whose
-        # intensity terms overwrite their kappa
+        # what a Hawkes leftover sweep keeps: read off the (slot, window) cell
+        # counts alone, so its chunk holds no per-point array, only about
+        # 33 B per cell (the counts, the result and their temporaries)
         config, horizons = hawkes_config(), np.array((10.0, 50.0, 100.0, 500.0))
         counts = process._hawkes_windows(
             config, horizons, 2048, RngStream(5, 0).child(0), ("n_events", "j_leftover")
@@ -384,7 +386,8 @@ class TestChunkMemory:
         finally:
             tracemalloc.stop()
         assert points > 10**6
-        assert peak / points <= 19
+        assert peak / points <= 1
+        assert peak / (2048 * len(horizons)) <= 40
 
 
 class TestBatchMemory:
@@ -506,32 +509,64 @@ class TestLeftoverIntensity:
 
     @pytest.mark.parametrize("name", sorted(MODELS))
     def test_is_the_immigrants_decayed_kappa(self, name):
-        # replay the only chunk's immigrants, a Poisson count per (slot,
-        # window) cell and uniform times in the slot, stored slot-major with
-        # the windows ascending: each window's value is the sum of
-        # kappa_i exp(-beta (1 - m) (T - t_i)) over its immigrants by T
+        # replay the only chunk's cell counts, a Poisson count per (slot,
+        # window): each window's value is the mean of
+        # sum_i kappa_i exp(-fade (T - t_i)) over its immigrants by T given
+        # them, E[kappa] sum_{r <= s} C_r g_r exp(-fade (T_s - T_r)), with
+        # fade = beta (1 - m) and g_r = (1 - exp(-fade dT_r)) / (fade dT_r)
         model, params = self.MODELS[name]
         n, horizons = 500, np.array(self.HORIZONS)
         out = sweep_windows(
             WindowConfig(model, params, 1.0), self.HORIZONS, n, RngStream(86, 0),
             fields=("leftover_intensity",),
         )
-        replay = RngStream(86, 0).child(0)
-        gen = replay.generator
-        start = np.concatenate(([0.0], horizons[:-1]))
-        cells = gen.poisson((horizons - start)[:, None], (len(horizons), n))
-        slot = np.repeat(np.arange(len(horizons)), cells.sum(axis=1))
-        times = start[slot] + (horizons - start)[slot] * gen.random(cells.sum())
-        # the comonotone kappa derives from the marks, drawn from their own branch
-        marks = None if model.independent_marks else replay.branch(process._MARKS).generator
-        kappa = sample_joint(model, marks, gen, cells.sum())[1]
-        win = np.repeat(np.tile(np.arange(n), len(horizons)), cells.ravel())
+        width = np.diff(horizons, prepend=0.0)
+        cells = RngStream(86, 0).child(0).generator.poisson(width[:, None], (len(horizons), n))
+        m = model.target_mean_kappa
+        fade = params.decay_rate * (1.0 - m)
+        g = -np.expm1(-fade * width) / (fade * width)
+        for s, horizon in enumerate(horizons):
+            weights = m * g[: s + 1] * np.exp(-fade * (horizon - horizons[: s + 1]))
+            want = weights @ cells[: s + 1]
+            np.testing.assert_allclose(out["leftover_intensity"][s], want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_closed_form_is_the_mean_over_times_and_kappa(self, name):
+        # fixed cell counts, the immigrants' times and kappa redrawn R times:
+        # the mean of the per-immigrant sum is the kernel's closed form
+        model, params = self.MODELS[name]
+        horizons, reps = np.array(self.HORIZONS), 20_000
+        cells = np.array([[0, 1, 3, 0], [2, 0, 5, 0], [1, 4, 0, 0]])
+        k, n = cells.shape
+        tally = process._HorizonTally(horizons, n, ("leftover_intensity",), model, params.decay_rate)
+        tally.cell_counts(cells)
+        closed = tally.result(RngStream(87, 0))["leftover_intensity"]
+        # each redraw is another n windows of the same cells
+        many = np.tile(cells, (1, reps))
+        rng = RngStream(87, 0).child(1)
+        times = process._cell_times(rng.generator, horizons, many)
+        kappa = sample_joint(model, rng.branch(process._MARKS).generator, rng.generator, times.size)[1]
         fade = params.decay_rate * (1.0 - model.target_mean_kappa)
-        for i, horizon in enumerate(self.HORIZONS):
-            by_t = times <= horizon
-            terms = kappa[by_t] * np.exp(-fade * (horizon - times[by_t]))
-            want = np.bincount(win[by_t], weights=terms, minlength=n)
-            np.testing.assert_allclose(out["leftover_intensity"][i], want, rtol=1e-12, atol=0)
+        sums = immigrant_intensity(many, times, kappa, horizons, fade).reshape(k, reps, n)
+        mean, se = sums.mean(axis=1), sums.std(axis=1, ddof=1) / math.sqrt(reps)
+        assert np.all(np.abs(mean - closed) <= 4 * se), (mean - closed) / se
+        assert np.all(closed[:, -1] == 0.0) and np.all(closed[:, 1] > 0.0)
+
+    def test_cell_fields_start_no_pool(self, monkeypatch):
+        # each chunk is one Poisson draw of the cell counts, so a pool would
+        # cost more than it saves; T=100 gives several chunks
+        fields = ("leftover_intensity", "n_clusters")
+        alone = self.sweep("light", fields, seed=88)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("pool started")
+
+        monkeypatch.setattr(clusters, "ProcessPoolExecutor", no_pool)
+        pooled = self.sweep("light", fields, workers=2, seed=88)
+        for field in fields:
+            assert np.array_equal(alone[field], pooled[field]), field
+        with pytest.raises(AssertionError, match="pool started"):
+            self.sweep("light", (*fields, "n_events"), workers=2, seed=88)
 
     @pytest.mark.parametrize(
         "fields", [("leftover_intensity",), ("leftover_intensity", "n_clusters"), ("n_clusters",)]
@@ -559,14 +594,18 @@ class TestHawkesCells:
 
     def test_slot_counts_have_mean_nu_times_the_slot_length(self):
         nu, n = 1.3, 20_000
-        cells, times = process._cell_immigrants(np.random.default_rng(131), nu, self.HORIZONS, n)
+        gen = np.random.default_rng(131)
+        cells = process._cell_counts(gen, nu, self.HORIZONS, n)
+        times = process._cell_times(gen, self.HORIZONS, cells)
         assert cells.shape == (len(self.HORIZONS), n) and times.size == cells.sum()
         mean = nu * np.diff(self.HORIZONS, prepend=0.0)
         z = (cells.mean(axis=1) - mean) / np.sqrt(mean / n)
         assert np.all(np.abs(z) <= 4), z
 
     def test_slot_times_are_uniform_on_the_slot(self):
-        cells, times = process._cell_immigrants(np.random.default_rng(132), 1.0, self.HORIZONS, 5_000)
+        gen = np.random.default_rng(132)
+        cells = process._cell_counts(gen, 1.0, self.HORIZONS, 5_000)
+        times = process._cell_times(gen, self.HORIZONS, cells)
         ends = np.cumsum(cells.sum(axis=1))
         starts = np.concatenate(([0.0], self.HORIZONS[:-1]))
         for lo, hi, t0, t1 in zip(ends - cells.sum(axis=1), ends, starts, self.HORIZONS):
@@ -578,7 +617,9 @@ class TestHawkesCells:
     def test_one_horizon_draws_are_the_window_major_ones(self):
         # one slot: the cells are the windows, drawn as gen.poisson(nu T, n)
         # and gen.uniform(0, T, m) were before the draw went cell by cell
-        cells, times = process._cell_immigrants(np.random.default_rng(133), 0.7, np.array([50.0]), 3_000)
+        horizons, drawn = np.array([50.0]), np.random.default_rng(133)
+        cells = process._cell_counts(drawn, 0.7, horizons, 3_000)
+        times = process._cell_times(drawn, horizons, cells)
         gen = np.random.default_rng(133)
         counts = gen.poisson(0.7 * 50.0, 3_000)
         assert np.array_equal(cells[0], counts)
@@ -614,7 +655,7 @@ class TestHawkesCells:
         assert got == self.ONE_HORIZON[name]
 
     # quarter-unit horizons: a gap narrower than a time's rounding could put
-    # an immigrant on the horizon before its slot (see _cell_immigrants)
+    # an immigrant on the horizon before its slot (see _cell_times)
     @settings(max_examples=25, deadline=None)
     @given(
         ticks=st.lists(st.integers(1, 240), min_size=1, max_size=5, unique=True),
@@ -632,7 +673,9 @@ class TestHawkesCells:
         # n_clusters counts each window's immigrants by T_i: replay every chunk's
         for i, lo in enumerate(range(0, n, chunk)):
             count = min(chunk, n - lo)
-            cells, times = process._cell_immigrants(rng.child(i).generator, nu, horizons, count)
+            gen = rng.child(i).generator
+            cells = process._cell_counts(gen, nu, horizons, count)
+            times = process._cell_times(gen, horizons, cells)
             win = np.repeat(np.tile(np.arange(count), len(horizons)), cells.ravel())
             for row, h in zip(full["n_clusters"][:, lo : lo + count], horizons):
                 assert np.array_equal(row, np.bincount(win[times <= h], minlength=count)), h
@@ -771,9 +814,24 @@ class TestMarkFreeSweeps:
 
     @pytest.mark.parametrize("factory", [comonotone_config, hawkes_comonotone_config])
     def test_comonotone_regimes_always_draw_marks(self, no_marks, factory):
-        for fields in (("n_events",), ("n_clusters",), ("n_events", "max_in_window")):
+        fields = [("n_events",), ("n_events", "max_in_window")]
+        if not factory().model.is_hawkes:  # a Hawkes n_clusters grows nothing: see below
+            fields.append(("n_clusters",))
+        for kept in fields:
             with pytest.raises(AssertionError, match="mark drawn"):
-                self.sweep(factory(), fields)
+                self.sweep(factory(), kept)
+
+    @pytest.mark.parametrize("factory", [hawkes_config, hawkes_comonotone_config])
+    def test_hawkes_cell_fields_draw_no_time_kappa_or_mark(self, no_marks, monkeypatch, factory):
+        # the cell counts alone give them, in either regime
+        def drawn(*args):
+            raise AssertionError("times or kappa drawn")
+
+        monkeypatch.setattr(process, "_cell_times", drawn)
+        monkeypatch.setattr(process, "sample_joint", drawn)
+        for fields in (("n_clusters",), ("leftover_intensity",), ("leftover_intensity", "n_clusters")):
+            out = self.sweep(factory(), fields)
+            assert set(out) == set(fields) and out[fields[0]].shape == (len(self.HORIZONS), 2_000)
 
     @pytest.mark.parametrize("factory", [renewal_config, hawkes_config])
     def test_crude_max_agrees_with_the_conditional_estimate(self, factory):
