@@ -34,8 +34,11 @@ from .errors import ClusterTailsError, ConfigError, LatticeMismatch, ModelError
 from .estimate import (
     QuantileGrid,
     TailSample,
+    conditional_max_tail,
+    crude_tail_estimator,
     hill_estimator,
     laplace_derivative_table,
+    max_tail_estimator,
     ratio_curve,
     table_slope,
     tail_bands,
@@ -470,29 +473,40 @@ def _constants_dict(model: JointMarkModel) -> dict:
 
 
 def _run_cluster_tails(config: ExperimentConfig, rng: RngStream, grid: QuantileGrid):
+    model = config.model
     sample = _functional_sample(config, rng, ("h", "d", "sizes"))
     # the means of the unsorted arrays, before any is let go of
     summary = {
-        "constants": _constants_dict(config.model),
+        "constants": _constants_dict(model),
         "n": len(sample),
         "mean_max": float(sample.h.mean()),
         "mean_sum": float(sample.d.mean()),
         "mean_size": float(sample.sizes.mean()),
+        "estimator": {
+            "max": max_tail_estimator(model),
+            "sum": crude_tail_estimator("clusters", "D"),
+        },
     }
-    sample.sizes = None
     rows = []
     for name, field in (("max", "h"), ("sum", "d")):
         ts = _sorted(sample, field)
         xs = ts.quantile(list(grid.levels))
-        rows += [(name, *cells) for cells in zip(grid.levels, xs, *tail_bands(ts, xs))]
-        del ts  # one sorted copy at a time
+        estimate = None
+        if name == "max" and model.independent_marks:
+            # the max tail is read off the sizes where the marks are independent of them
+            estimate = conditional_max_tail(sample.sizes, np.asarray(model.mark_law.survival(xs)))
+        rows += [(name, *cells) for cells in zip(grid.levels, xs, *tail_bands(ts, xs, estimate))]
     return _csv("functional,level,x,exceedances,survival,ci_low,ci_high", rows), summary
 
 
 def _run_tail_ratio(config: ExperimentConfig, rng: RngStream, functional, grid, oracle):
     field = "h" if functional == "max" else "d"
-    sample = _functional_sample(config, rng, (field,))
-    curve = ratio_curve(_sorted(sample, field), config.model, functional, grid, oracle=oracle)
+    # the max tail is read off the sizes where the marks are independent of them
+    conditional = functional == "max" and config.model.independent_marks
+    sample = _functional_sample(config, rng, (field, "sizes") if conditional else (field,))
+    curve = ratio_curve(
+        _sorted(sample, field), config.model, functional, grid, oracle=oracle, sizes=sample.sizes
+    )
     summary = {
         "constants": _constants_dict(config.model),
         "functional": functional,
@@ -503,6 +517,9 @@ def _run_tail_ratio(config: ExperimentConfig, rng: RngStream, functional, grid, 
         "grid": curve.grid.tolist(),
         "provenance": curve.provenance,
     }
+    if functional == "max":
+        # a sum has one estimator, the crude fraction, which its summary does not name
+        summary["estimator"] = max_tail_estimator(config.model)
     c = curve
     rows = zip(c.grid, c.exceedances, c.empirical, c.denominator, c.ratio, c.ci_low, c.ci_high)
     header = "x,exceedances,empirical,denominator,ratio,ci_low,ci_high"

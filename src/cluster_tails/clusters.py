@@ -104,7 +104,8 @@ def _renewal_functionals(x: np.ndarray, k: np.ndarray, marks: np.ndarray, fields
     seg = np.repeat(np.arange(len(x)), k)
     out = {}
     if "d" in fields:
-        out["d"] = d = np.bincount(seg, weights=marks, minlength=len(x))
+        # with no offspring mark at all, bincount counts in int64 instead of weighing in float64
+        out["d"] = d = np.bincount(seg, weights=marks, minlength=len(x)).astype(float, copy=False)
         d += x
     if "h" in fields:
         out["h"] = h = x.astype(float)

@@ -3,6 +3,13 @@
 Tail estimates with their 95% bands, ratio curves against the asymptotic
 denominators, the Hill tail-index estimator, and numeric Laplace-transform
 slope checks of regular variation.
+
+Where the marks are i.i.d. and independent of the counts
+(:attr:`~cluster_tails.heavytail.JointMarkModel.independent_marks`), the
+max of N marks exceeds x with probability 1 - F(x)**N given N, so the tail
+of a max is estimated by conditional Monte Carlo from the counts alone
+(:func:`conditional_max_tail`): N is a window's event count for the ldp-max
+sweep, and a cluster's size for the cluster max H.
 """
 
 from __future__ import annotations
@@ -26,6 +33,9 @@ __all__ = [
     "RatioCurve",
     "HillEstimate",
     "tail_bands",
+    "conditional_max_tail",
+    "crude_tail_estimator",
+    "max_tail_estimator",
     "ratio_curve",
     "hill_estimator",
     "laplace_derivative_table",
@@ -98,6 +108,65 @@ def tail_bands(sample: TailSample, xs, estimate=None):
     return counts, tail, np.clip(tail - _Z95 * se, 0.0, 1.0), np.clip(tail + _Z95 * se, 0.0, 1.0)
 
 
+def _distinct_counts(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of a nonnegative integer array, ascending, and how often each occurs.
+
+    They are tallied by ``np.bincount``, which makes no sorted copy of the
+    array, unless the largest value reaches the array's length; then by
+    ``np.unique``, so the tally is never longer than the array.
+    """
+    if int(counts.max()) >= counts.size:
+        return np.unique(counts, return_counts=True)
+    tally = np.bincount(counts)
+    values = np.flatnonzero(tally)
+    return values, tally[values]
+
+
+def conditional_max_tail(
+    counts: np.ndarray, survival: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Conditional Monte Carlo estimate of P(max > x) and its standard error, per x.
+
+    ``counts`` holds each replication's number N of i.i.d. marks, which
+    must be independent of them, and ``survival`` the mark law's P(X > x)
+    at each x.  Each replication contributes P(max > x | N) = 1 - F(x)**N,
+    computed as -expm1(N * log1p(-sf(x))) so that a small tail loses no
+    digits.  The replications are grouped by their distinct N, so each x
+    costs one term per distinct count.
+    """
+    values, weights = _distinct_counts(counts)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = -np.expm1(np.multiply.outer(np.log1p(-survival), values))
+    terms[:, values == 0] = 0.0  # the max of no mark exceeds nothing, even where F(x) = 0
+    n = counts.size
+    mean = terms @ weights / n
+    var = (terms - mean[:, None]) ** 2 @ weights / (n - 1)
+    return mean, np.sqrt(var / n)
+
+
+def crude_tail_estimator(over: str, statistic: str) -> str:
+    """The crude estimator of P(``statistic`` > x) over ``over``, and its band."""
+    return f"crude Monte Carlo: fraction of {over} with {statistic} > x; 95% Wilson score band"
+
+
+def max_tail_estimator(
+    model: JointMarkModel, over: str = "clusters", count: str = "size", maximum: str = "H"
+) -> str:
+    """The estimator of P(``maximum`` > x) over ``over`` for ``model``, and its band.
+
+    Where the marks are independent of the counts it is
+    :func:`conditional_max_tail` with N = ``count``; in the comonotone
+    regimes, the crude exceedance fraction.  The defaults name the cluster
+    max H.
+    """
+    if model.independent_marks:
+        return (
+            f"conditional Monte Carlo: mean over {over} of 1 - F(x)**{count}; "
+            "95% band p +- 1.96 sd/sqrt(n), clipped to [0, 1]"
+        )
+    return crude_tail_estimator(over, maximum)
+
+
 @dataclass(frozen=True)
 class QuantileGrid:
     """Grid specification by empirical quantile levels.
@@ -137,6 +206,7 @@ def ratio_curve(
     grid: QuantileGrid = QuantileGrid(),
     *,
     oracle: OracleSpec | None = None,
+    sizes: np.ndarray | None = None,
 ) -> RatioCurve:
     """Empirical survival of the sample against the model's tail asymptotics.
 
@@ -145,9 +215,25 @@ def ratio_curve(
     The confidence band propagates only the numerator's Monte Carlo error;
     the denominator is exact, or, when ``oracle`` is given, the MC oracle
     drawn as it says, whose size and seed the curve's provenance records.
+
+    The numerator is the exceedance fraction of ``sample`` with its Wilson
+    band, unless ``sizes`` gives the sizes of the clusters whose maxima
+    ``sample`` holds: then it is :func:`conditional_max_tail` of the sizes,
+    which needs a max and a model whose marks are independent of the
+    counts, and the provenance says so.  The sample's quantiles place the
+    grid and its exceedance counts certify it either way.
     """
     xs = np.asarray(sample.quantile(list(grid.levels)), dtype=float)
-    counts, emp, low, high = tail_bands(sample, xs)
+    estimate = None
+    if sizes is not None:
+        if functional != "max" or not model.independent_marks:
+            raise ValueError(
+                "cluster sizes give the tail of the max where the marks are independent of the counts"
+            )
+        if len(sizes) != sample.n:
+            raise ValueError(f"{len(sizes)} cluster sizes for {sample.n} maxima")
+        estimate = conditional_max_tail(sizes, np.asarray(model.mark_law.survival(xs)))
+    counts, emp, low, high = tail_bands(sample, xs, estimate)
     if counts[-1] < grid.min_exceedances:
         raise InsufficientExceedances(
             float(xs[-1]), int(counts[-1]), grid.min_exceedances
@@ -156,6 +242,9 @@ def ratio_curve(
     route = "closed"
     if oracle is not None:
         route = f"mc oracle_size={oracle.size} oracle_seed={oracle.seed}"
+    provenance = f"denominator={denominator_label(model, functional)} joint={route}"
+    if estimate is not None:
+        provenance += " estimator=conditional"
     return RatioCurve(
         grid=xs,
         empirical=emp,
@@ -164,7 +253,7 @@ def ratio_curve(
         ci_low=low / denom,
         ci_high=high / denom,
         exceedances=counts,
-        provenance=f"denominator={denominator_label(model, functional)} joint={route}",
+        provenance=provenance,
     )
 
 

@@ -22,12 +22,13 @@ Where the marks are i.i.d. and independent of the counts
 (:attr:`~cluster_tails.heavytail.JointMarkModel.independent_marks`), the max
 sweep estimates P(M_T > x) by conditional Monte Carlo: the mean over windows
 of P(M_T > x | N_T) = 1 - F(x)**N_T, which is unbiased and uses the same
-paths.  Its band is the normal one, p +- 1.96 sd/sqrt(n).  The crude maxima
-still place and certify the grid, and their exceedance counts stay in the
-output as a cross-check; in these regimes they too are drawn from the
-in-window counts (see :mod:`~cluster_tails.process`), so the sweep draws no
-mark at all.  The comonotone regimes keep the crude exceedance fraction of
-the drawn marks' maxima and its Wilson band.
+paths (:func:`~cluster_tails.estimate.conditional_max_tail`).  Its band is
+the normal one, p +- 1.96 sd/sqrt(n).  The crude maxima still place and
+certify the grid, and their exceedance counts stay in the output as a
+cross-check; in these regimes they too are drawn from the in-window counts
+(see :mod:`~cluster_tails.process`), so the sweep draws no mark at all.
+The comonotone regimes keep the crude exceedance fraction of the drawn
+marks' maxima and its Wilson band.
 
 The leftover table of a Hawkes model is conditional Monte Carlo too: each
 window contributes E[J_T | C] = L_T / (1 - E[kappa]) and
@@ -49,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelError
-from .estimate import TailSample, tail_bands
+from .estimate import TailSample, conditional_max_tail, max_tail_estimator, tail_bands
 from .heavytail import JointMarkModel, OracleSpec, model_constants, theoretical_denominator
 from .process import WindowConfig, mean_events, sweep_windows
 from .rng import RngStream
@@ -158,26 +159,6 @@ def _sweep_rows(
     ]
 
 
-def _conditional_max_tail(
-    n_events: np.ndarray, survival: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Conditional Monte Carlo estimate of P(M_T > x) and its standard error, per x.
-
-    Each window contributes P(M_T > x | N_T) = 1 - F(x)**N_T, computed as
-    -expm1(N_T * log1p(-sf(x))) so that a small tail loses no digits.  The
-    windows are grouped by their distinct N_T, so each x costs one term per
-    distinct count.
-    """
-    values, weights = np.unique(n_events, return_counts=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = -np.expm1(np.multiply.outer(np.log1p(-survival), values))
-    terms[:, values == 0] = 0.0  # an empty window's max exceeds nothing, even where F(x) = 0
-    n = n_events.size
-    mean = terms @ weights / n
-    var = (terms - mean[:, None]) ** 2 @ weights / (n - 1)
-    return mean, np.sqrt(var / n)
-
-
 def _normalizer(
     config: SweepConfig, functional: str, horizon: float, grid: np.ndarray, oracle: OracleSpec | None = None
 ) -> np.ndarray:
@@ -210,12 +191,7 @@ def check_left_edges(config: SweepConfig, functional: str) -> None:
 
 def max_estimator(model: JointMarkModel) -> str:
     """The estimator of P(M_T > x) that :func:`ldp_max_sweep` uses for ``model``, and its band."""
-    if model.independent_marks:
-        return (
-            "conditional Monte Carlo: mean over windows of 1 - F(x)**N_T; "
-            "95% band p +- 1.96 sd/sqrt(n), clipped to [0, 1]"
-        )
-    return "crude Monte Carlo: fraction of windows with M_T > x; 95% Wilson score band"
+    return max_tail_estimator(model, "windows", "N_T", "M_T")
 
 
 def ldp_max_sweep(
@@ -241,7 +217,7 @@ def ldp_max_sweep(
         grid = _horizon_grid(config, horizon, sample)
         survival = np.asarray(window.model.mark_law.survival(grid))
         denom = _normalizer(config, "max", float(horizon), grid)
-        estimate = _conditional_max_tail(paths["n_events"][i], survival) if conditional else None
+        estimate = conditional_max_tail(paths["n_events"][i], survival) if conditional else None
         rows.extend(_sweep_rows(config, horizon, sample, grid, denom, estimate))
     return rows
 

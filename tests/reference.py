@@ -4,7 +4,9 @@ Each sampler draws one cluster event by event, with its times, marks and
 family tree, from scalar draws.  The tests check the vectorized batch and
 window kernels of the package against these, as an independent route.  The
 joint tails P(X + c K > x) are computed one x at a time, by a series or a
-walk over slices, against the package's forms that take a whole grid.
+walk over slices, against the package's forms that take a whole grid.  The
+exact cluster-max laws of the regimes with independent marks, by their
+pgfs, check the conditional estimator of the cluster-max tail.
 """
 
 from __future__ import annotations
@@ -12,14 +14,24 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, comb, factorial, floor, sqrt
+from math import ceil, comb, exp, expm1, factorial, floor, log1p, sqrt
 
 import numpy as np
+from scipy.optimize import brentq
 from scipy.special import gammainc
 
 from cluster_tails.clusters import HawkesParams, RenewalParams
 from cluster_tails.errors import ClusterOverflow, ModelError
-from cluster_tails.heavytail import JointMarkModel, Regime, _poisson_pmf, _poisson_sf, sample_joint
+from cluster_tails.heavytail import (
+    BoundedUniform,
+    Constant,
+    JointMarkModel,
+    Regime,
+    _count_pmf,
+    _poisson_pmf,
+    _poisson_sf,
+    sample_joint,
+)
 from cluster_tails.rng import RngStream
 
 
@@ -208,6 +220,58 @@ def comonotone_count_joint_tail(model: JointMarkModel, c: float, x: float) -> fl
             total += float(law.survival(threshold)) - float(law.survival(float(k)))
         k += 1
     return min(1.0, total)
+
+
+def renewal_cluster_max_tail(model: JointMarkModel, x: float) -> float:
+    """P(H > x) for a renewal cluster whose marks are independent of K, by the pgf G of K.
+
+    H <= x when the immigrant and each of the K offspring marks are, so
+    P(H <= x) = F G(F), F = F(x).  It is written as
+    sf + F sum_k P(K = k) (1 - F**k), each 1 - F**k as an expm1, so no
+    digit is lost to 1 - (a number near 1).  For K = ceil(Z) the series
+    runs to kmax, where F**kmax < e**-40, and P(K >= kmax) stands in for
+    the rest of it, which lies between P(K >= kmax) (1 - F**kmax) and that.
+    """
+    sf = float(model.mark_law.survival(x))
+    log_f = log1p(-sf)
+    if model.regime is Regime.INDEPENDENT_LIGHT_COUNT:
+        # G(F) = exp(mu (F - 1))
+        return -expm1(log_f - model.count_param * sf)
+    if model.regime not in (Regime.INDEPENDENT_HEAVY_COUNT, Regime.INDEPENDENT_TAIL_EQUIVALENT):
+        raise ValueError(f"{model.regime.value} has no independent renewal count")
+    kmax = max(1_000, ceil(40.0 / sf))
+    pmf = _count_pmf(model, kmax)
+    rest = float(model.count_param.survival(kmax - 1.0))  # P(K >= kmax) = P(Z > kmax - 1)
+    series = float(pmf @ -np.expm1(np.arange(kmax) * log_f)) + rest
+    return sf + (1.0 - sf) * series
+
+
+def _intensity_mgf(model: JointMarkModel, t: float) -> float:
+    """E[exp(t kappa)] for t <= 0 in HawkesLightIntensity, kappa = s U with U the base law."""
+    base, s = model.count_param, model.intensity_scale_factor()
+    if isinstance(base, Constant):
+        return exp(t * s * base.value)
+    if isinstance(base, BoundedUniform):
+        a, b = t * s * base.lo, t * s * base.hi
+        return 1.0 if a == b else (expm1(b) - expm1(a)) / (b - a)
+    raise ValueError(f"no mgf for the intensity base law {base!r}")
+
+
+def hawkes_cluster_max_tail(model: JointMarkModel, x: float) -> float:
+    """P(H > x) for a HawkesLightIntensity cluster, by the fixed point of its pgf.
+
+    A node's subtree stays at or below x when its own mark does and each of
+    its Poisson(kappa) children's subtrees does, so g = P(H <= x) solves
+    g = F E[exp(kappa (g - 1))], F = F(x).  q = 1 - g is found by ``brentq``
+    on [sf(x), 1]: the fixed point is unique there since E[kappa] < 1.
+    """
+    if model.regime is not Regime.HAWKES_LIGHT_INTENSITY:
+        raise ValueError(f"{model.regime.value} is not HawkesLightIntensity")
+    sf = float(model.mark_law.survival(x))
+    f = 1.0 - sf
+    return brentq(
+        lambda q: q - (1.0 - f * _intensity_mgf(model, -q)), sf, 1.0, xtol=1e-300, rtol=1e-15
+    )
 
 
 def laplace_derivative_table(values: np.ndarray, s_grid, order: int) -> tuple[np.ndarray, np.ndarray]:

@@ -113,9 +113,20 @@ class TestRun:
         summary = json.loads(outputs[1].read_text())
         assert summary["constants"]["max_constant_renewal"] == 3.0
         assert outputs[0].read_text().splitlines()[:2] == [
-            "# denominator=renewal-max joint=closed",
+            "# denominator=renewal-max joint=closed estimator=conditional",
             "x,exceedances,empirical,denominator,ratio,ci_low,ci_high",
         ]
+        assert summary["estimator"].startswith("conditional Monte Carlo")
+
+    def test_comonotone_max_keeps_the_crude_fraction(self, tmp_path):
+        model = {"regime": "ComonotoneCount", "mark": MODEL["mark"]}
+        outputs = run(tail_ratio_config(tmp_path, model=model))
+        summary = json.loads(outputs[1].read_text())
+        assert summary["estimator"].startswith("crude Monte Carlo")
+        assert outputs[0].read_text().splitlines()[0] == "# denominator=renewal-max joint=closed"
+        rows = list(csv.DictReader(outputs[0].read_text().splitlines()[1:]))
+        for row in rows:
+            assert float(row["empirical"]) == int(row["exceedances"]) / 100_000
 
     def test_rerun_byte_identical(self, tmp_path):
         config = tail_ratio_config(tmp_path)
@@ -720,6 +731,33 @@ class TestOtherExperiments:
         assert summary["ks_distance"]["max"] < 0.01
         assert summary["ks_distance"]["sum"] < 0.01
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"experiment": "tail-ratio", "functional": "sum", "grid": {"levels": [0.9, 0.99]}},
+            {"experiment": "cluster-tails", "grid": {"levels": [0.9, 0.99]}},
+            {
+                "experiment": "tauberian",
+                "tauberian": {"source": "sum", "s_min": 0.05, "s_max": 0.5, "points": 3},
+            },
+            {
+                "experiment": "oracle-compare",
+                "discrete": {**RENEWAL_DISCRETE, "support": [[1.0, 0, 0.5], [2.0, 0, 0.5]]},
+            },
+        ],
+        ids=["tail-ratio-sum", "cluster-tails", "tauberian-sum", "oracle-compare"],
+    )
+    def test_renewal_clusters_without_offspring(self, tmp_path, payload):
+        # every K is 0, so no chunk draws an offspring mark; D is then X
+        model = {**MODEL, "count": {"poisson_mean": 0.0}}
+        config = {"seed": 19, "clusters": 20_000, "output_dir": str(tmp_path), **payload}
+        if payload["experiment"] != "oracle-compare":
+            config["model"] = model
+        assert main(["run", str(write_config(tmp_path, config))]) == 0
+        if payload["experiment"] == "oracle-compare":
+            summary = json.loads((tmp_path / "oracle-compare-19.json").read_text())
+            assert summary["ks_distance"]["sum"] == summary["ks_distance"]["max"]
+
     def test_oracle_compare_hawkes_brackets(self, tmp_path):
         payload = {
             "experiment": "oracle-compare",
@@ -796,12 +834,19 @@ class TestOtherExperiments:
         run(config)
         summary = json.loads((tmp_path / "cluster-tails-16.json").read_text())
         assert summary["mean_size"] == pytest.approx(3.0, rel=0.05)
+        assert summary["estimator"]["max"].startswith("conditional Monte Carlo")
+        assert summary["estimator"]["sum"].startswith("crude Monte Carlo")
         rows = list(csv.DictReader((tmp_path / "cluster-tails-16.csv").open()))
         assert len(rows) == 10
         for row in rows:
-            low, high = wilson_interval(int(row["exceedances"]), 50_000)
-            assert (float(row["ci_low"]), float(row["ci_high"])) == (low, high)
+            low, high = float(row["ci_low"]), float(row["ci_high"])
             assert low <= float(row["survival"]) <= high
+            wilson = wilson_interval(int(row["exceedances"]), 50_000)
+            if row["functional"] == "sum":
+                assert (low, high) == wilson
+            else:
+                # the conditional band is far narrower than the crude count's
+                assert high - low < (wilson[1] - wilson[0]) / 3
 
     def test_tail_ratio_mc_oracle(self, tmp_path):
         config = mc_oracle_config(

@@ -326,14 +326,34 @@ class TestBatchFunctionals:
             h.update(a.tobytes())
         assert h.hexdigest() == digest
 
+    def test_no_offspring_gives_float_sums_of_the_immigrant_alone(self):
+        # with K = 0 in every chunk no offspring mark is drawn at all
+        fs = batch_functionals(light_count(0.0), RP, 10_000, RngStream(13, 0))
+        assert fs.d.dtype == np.float64
+        assert np.array_equal(fs.d, fs.h)
+        assert np.all(fs.sizes == 1)
+
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize(
         "model, params",
         [
             (light_count(), RP),
+            (light_count(0.0), RP),
+            (JointMarkModel(Regime.INDEPENDENT_HEAVY_COUNT, LAW, ParetoLaw(1.0, 2.5)), RP),
+            (JointMarkModel(Regime.INDEPENDENT_TAIL_EQUIVALENT, LAW, ParetoLaw(1.0, 1.5)), RP),
+            (JointMarkModel(Regime.COMONOTONE_COUNT, LAW), RP),
+            (hawkes_uniform(), HP),
             (JointMarkModel(Regime.HAWKES_COMONOTONE_INTENSITY, LAW, target_mean_kappa=0.5), HP),
         ],
-        ids=["renewal", "hawkes"],
+        ids=[
+            "renewal",
+            "light-count-zero-mean",
+            "heavy-count",
+            "tail-equivalent",
+            "comonotone-count",
+            "hawkes-light",
+            "hawkes",
+        ],
     )
     def test_every_field_subset_keeps_the_same_arrays(self, monkeypatch, model, params, workers):
         # every subset makes the same draws, in three chunks here

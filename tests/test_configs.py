@@ -32,8 +32,8 @@ REDUCED = {
 # (csv, json) sha256 of each reduced run
 PINNED = {
     "cluster-tails.json": (
-        "9a76c5820117b9f080d4dafb13e7d52ca1816b4567d0ddf7f3eb11336e80ec34",
-        "9a58b8d704f1c9a6430dd295183d0bac4c39b8d3ad3ea140ab9f35712fc35d00",
+        "5429ae180d2fd0c8078d01c1b726411e7bd5da6d899d9df28fceb5db2fe83cb7",
+        "e74ab44db7515645c3ecf79006d89676ddc653ef2b7e268dc2aedb5060c35c39",
     ),
     "hill.json": (
         "111f711890bc1f30177cb32e53678b16c8968c157849e5b0297f9683cc86af83",
@@ -60,8 +60,8 @@ PINNED = {
         "b250c630ecafa24bb5cae87b8bd27cc06247c41b167e2aae7dd738a70fb98c56",
     ),
     "tail-ratio-renewal-max.json": (
-        "e43a4e8b3c0df256afbc91d47bc1b592912cdef7915725aa72abe6a5651f7cf2",
-        "26edb596202b185eeb6f2b94f5e4df54bb951475b708fb74857d4be197cf0321",
+        "f1a7318fcf265cb80d31e845bafd6503ed6081fbc445a38dd6537d7575e72654",
+        "1a24c5badd9b92cb2284203c8e4a5642c9fd831c4aca6b230e74e295ea842515",
     ),
     "tail-ratio-tail-equivalent-mc.json": (
         "64d7289b654fff7a9443611877d6dce958858c3789f7a269a6dbfa5f519dfaa4",

@@ -13,9 +13,11 @@ from cluster_tails.errors import (
     InsufficientExceedances,
     UnstableEstimate,
 )
+from cluster_tails.clusters import HawkesParams, RenewalParams, batch_functionals
 from cluster_tails.estimate import (
     QuantileGrid,
     TailSample,
+    conditional_max_tail,
     hill_estimator,
     laplace_derivative_table,
     ratio_curve,
@@ -23,8 +25,9 @@ from cluster_tails.estimate import (
     tail_bands,
     wilson_interval,
 )
-from cluster_tails.heavytail import JointMarkModel, ParetoLaw, Regime
+from cluster_tails.heavytail import BoundedUniform, Exponential, JointMarkModel, ParetoLaw, Regime
 from cluster_tails.rng import RngStream
+from reference import hawkes_cluster_max_tail, renewal_cluster_max_tail
 from reference import laplace_derivative_table as reference_laplace_table
 
 LAW = ParetoLaw(1.0, 1.5)
@@ -133,6 +136,87 @@ class TestRatioCurve:
         )
         assert np.all(np.diff(curve.exceedances) <= 0)
         assert curve.provenance == "denominator=renewal-max joint=closed"
+
+
+# the independent-mark regimes of the conditional cluster-max test, each with its exact law
+CLUSTER_MAX_MODELS = {
+    "light-count": (
+        JointMarkModel(Regime.INDEPENDENT_LIGHT_COUNT, LAW, 2.0),
+        RenewalParams(Exponential(1.0)),
+        renewal_cluster_max_tail,
+    ),
+    "heavy-count": (
+        JointMarkModel(Regime.INDEPENDENT_HEAVY_COUNT, Exponential(1.0), ParetoLaw(1.0, 1.5)),
+        RenewalParams(Exponential(1.0)),
+        renewal_cluster_max_tail,
+    ),
+    "hawkes-light": (
+        JointMarkModel(
+            Regime.HAWKES_LIGHT_INTENSITY, LAW, BoundedUniform(0.0, 1.0), target_mean_kappa=0.5
+        ),
+        HawkesParams(),
+        hawkes_cluster_max_tail,
+    ),
+}
+
+
+class TestConditionalMaxTail:
+    def test_groups_by_count_exactly(self):
+        # the tally by bincount and by unique give the same terms as a plain mean
+        counts = np.array([0, 3, 1, 3, 2, 0, 7, 3])
+        survival = np.array([1.0, 0.5, 0.01, 0.0])
+        mean, se = conditional_max_tail(counts, survival)
+        terms = np.where(counts > 0, 1.0 - (1.0 - survival[:, None]) ** counts, 0.0)
+        assert np.allclose(mean, terms.mean(axis=1), rtol=1e-14, atol=0)
+        se_direct = terms.std(axis=1, ddof=1) / math.sqrt(counts.size)
+        assert np.allclose(se, se_direct, rtol=1e-12, atol=0)
+        # one count above the array's length: the tally falls back on np.unique
+        wide = np.append(counts, 100)
+        assert np.allclose(
+            conditional_max_tail(wide, survival)[0],
+            np.where(wide > 0, 1.0 - (1.0 - survival[:, None]) ** wide, 0.0).mean(axis=1),
+            rtol=1e-14,
+            atol=0,
+        )
+
+    @pytest.mark.parametrize("name", sorted(CLUSTER_MAX_MODELS))
+    def test_agrees_with_the_exact_law_and_the_crude_band(self, name):
+        model, params, exact_law = CLUSTER_MAX_MODELS[name]
+        n, grid = 600_000, QuantileGrid()
+        sample = batch_functionals(model, params, n, RngStream(44, 0), fields=("h", "sizes"))
+        h = TailSample.from_values(sample.h)
+        xs = h.quantile(list(grid.levels))
+        tail, se = conditional_max_tail(sample.sizes, np.asarray(model.mark_law.survival(xs)))
+        counts = h.exceedances(xs)
+        assert counts[-1] >= grid.min_exceedances  # every point is certified
+        for x, p, s, count in zip(xs, tail, se, counts):
+            exact = exact_law(model, float(x))
+            assert abs(p - exact) <= 4 * s, (x, p, s, exact)
+            # the crude band at z = 4, so that fifteen checks do not fail by chance
+            low, high = wilson_interval(int(count), n, z=4.0)
+            assert low <= p <= high, (x, p, low, high)
+        crude_rel_var = (1.0 - counts[-1] / n) / counts[-1]
+        assert (se[-1] / tail[-1]) ** 2 * 100 <= crude_rel_var
+
+    def test_ratio_curve_reads_the_sizes(self):
+        model, params, _ = CLUSTER_MAX_MODELS["light-count"]
+        sample = batch_functionals(model, params, 100_000, RngStream(45, 0), fields=("h", "sizes"))
+        grid = QuantileGrid(levels=(0.9, 0.99))
+        h = TailSample.from_values(sample.h)
+        crude = ratio_curve(h, model, "max", grid)
+        curve = ratio_curve(h, model, "max", grid, sizes=sample.sizes)
+        tail, _ = conditional_max_tail(sample.sizes, np.asarray(LAW.survival(curve.grid)))
+        assert np.array_equal(curve.grid, crude.grid)
+        assert np.array_equal(curve.exceedances, crude.exceedances)
+        assert np.array_equal(curve.empirical, tail)
+        assert curve.provenance == crude.provenance + " estimator=conditional"
+        with pytest.raises(ValueError, match="independent"):
+            ratio_curve(h, model, "sum", grid, sizes=sample.sizes)
+        comonotone = JointMarkModel(Regime.COMONOTONE_COUNT, LAW)
+        with pytest.raises(ValueError, match="independent"):
+            ratio_curve(h, comonotone, "max", grid, sizes=sample.sizes)
+        with pytest.raises(ValueError, match="sizes"):
+            ratio_curve(h, model, "max", grid, sizes=sample.sizes[1:])
 
 
 class TestHill:
