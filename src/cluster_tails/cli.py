@@ -40,6 +40,7 @@ from .estimate import (
     laplace_derivative_table,
     max_tail_estimator,
     ratio_curve,
+    size_control,
     table_slope,
     tail_bands,
 )
@@ -454,10 +455,11 @@ def _functional_sample(config: ExperimentConfig, rng: RngStream, fields) -> Func
 
 
 def _sorted(sample: FunctionalSample, field: str) -> TailSample:
-    """The sorted ``field`` of ``sample``, which lets go of its unsorted array."""
-    values = getattr(sample, field)
+    """The ``field`` of ``sample``, which lets go of it, sorted in place: no second copy."""
+    values = np.asarray(getattr(sample, field), dtype=float)
     setattr(sample, field, None)
-    return TailSample.from_values(values)
+    values.sort()
+    return TailSample(values=values, n=values.size)
 
 
 def _constants_dict(model: JointMarkModel) -> dict:
@@ -486,6 +488,8 @@ def _run_cluster_tails(config: ExperimentConfig, rng: RngStream, grid: QuantileG
             "max": max_tail_estimator(model),
             "sum": crude_tail_estimator("clusters", "D"),
         },
+        "min_exceedances": grid.min_exceedances,
+        "certified_points": {},
     }
     rows = []
     for name, field in (("max", "h"), ("sum", "d")):
@@ -494,9 +498,14 @@ def _run_cluster_tails(config: ExperimentConfig, rng: RngStream, grid: QuantileG
         estimate = None
         if name == "max" and model.independent_marks:
             # the max tail is read off the sizes where the marks are independent of them
-            estimate = conditional_max_tail(sample.sizes, np.asarray(model.mark_law.survival(xs)))
-        rows += [(name, *cells) for cells in zip(grid.levels, xs, *tail_bands(ts, xs, estimate))]
-    return _csv("functional,level,x,exceedances,survival,ci_low,ci_high", rows), summary
+            survival = np.asarray(model.mark_law.survival(xs))
+            estimate = conditional_max_tail(sample.sizes, survival, size_control(model))
+        counts, *tail = tail_bands(ts, xs, estimate)
+        # a point is certified by the exceedances of the sample, whichever estimate its tail is
+        certified = [bool(c >= grid.min_exceedances) for c in counts]
+        summary["certified_points"][name] = sum(certified)
+        rows += [(name, *cells) for cells in zip(grid.levels, xs, counts, *tail, certified)]
+    return _csv("functional,level,x,exceedances,survival,ci_low,ci_high,certified", rows), summary
 
 
 def _run_tail_ratio(config: ExperimentConfig, rng: RngStream, functional, grid, oracle):
@@ -646,7 +655,8 @@ _LEFTOVER_KEYS = {"horizons": _horizons, "windows": _count}
 
 def _parse_sweep(config: ExperimentConfig) -> tuple[SweepConfig]:
     """The ``leftover`` section of a leftover sweep, else the ``ldp`` section, its left
-    edges checked, and for ldp-sum the work of E[N_T] on ``cluster.waiting``."""
+    edges checked, and the work of E[N_T] on ``cluster.waiting`` where the sweep
+    needs E[N_T]: ldp-sum, and ldp-max where the count is its control variate."""
     window = _section(config.raw, "window", "")
     _known(window, "window", ("nu",))
     nu = _num(window, "nu", "window", default=1.0, positive=True)
@@ -664,7 +674,9 @@ def _parse_sweep(config: ExperimentConfig) -> tuple[SweepConfig]:
         sweep = SweepConfig(window=window, horizons=horizons, **options)
         if name == "ldp":
             check_left_edges(sweep, config.experiment.removeprefix("ldp-"))
-        if config.experiment == "ldp-sum":
+        if config.experiment == "ldp-sum" or (
+            config.experiment == "ldp-max" and config.model.count_control
+        ):
             check_mean_events(window, horizons)
         return (sweep,)
     except ModelError as exc:

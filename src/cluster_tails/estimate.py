@@ -9,7 +9,9 @@ Where the marks are i.i.d. and independent of the counts
 max of N marks exceeds x with probability 1 - F(x)**N given N, so the tail
 of a max is estimated by conditional Monte Carlo from the counts alone
 (:func:`conditional_max_tail`): N is a window's event count for the ldp-max
-sweep, and a cluster's size for the cluster max H.
+sweep, and a cluster's size for the cluster max H.  Where N also has a
+finite second moment (:attr:`~cluster_tails.heavytail.JointMarkModel.count_control`),
+N minus its exact mean is a control variate for that estimate.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .heavytail import (
     JointMarkModel,
     OracleSpec,
     denominator_label,
+    model_constants,
     theoretical_denominator,
 )
 
@@ -34,6 +37,7 @@ __all__ = [
     "HillEstimate",
     "tail_bands",
     "conditional_max_tail",
+    "size_control",
     "crude_tail_estimator",
     "max_tail_estimator",
     "ratio_curve",
@@ -123,25 +127,46 @@ def _distinct_counts(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def conditional_max_tail(
-    counts: np.ndarray, survival: np.ndarray
+    counts: np.ndarray, survival: np.ndarray, count_mean: float | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Conditional Monte Carlo estimate of P(max > x) and its standard error, per x.
 
     ``counts`` holds each replication's number N of i.i.d. marks, which
     must be independent of them, and ``survival`` the mark law's P(X > x)
-    at each x.  Each replication contributes P(max > x | N) = 1 - F(x)**N,
-    computed as -expm1(N * log1p(-sf(x))) so that a small tail loses no
-    digits.  The replications are grouped by their distinct N, so each x
-    costs one term per distinct count.
+    at each x.  Each replication contributes g(N) = P(max > x | N) =
+    1 - F(x)**N, computed as -expm1(N * log1p(-sf(x))) so that a small tail
+    loses no digits.  The replications are grouped by their distinct N, so
+    each x costs one term per distinct count.
+
+    ``count_mean``, the exact E[N] where N has a finite second moment, makes
+    N - E[N] a control variate (Asmussen & Glynn 2007, *Stochastic
+    Simulation*, section V.2): each replication then contributes
+    g(N) - beta(x) (N - E[N]), with beta(x) = g'(E[N]) =
+    -log F(x) F(x)**E[N], the slope of g's tangent at the mean, and
+    beta = 0 where F(x) = 0.  The coefficient is fixed, not fitted, so the
+    estimate stays exactly unbiased; where g is nearly linear in N, as it
+    is wherever F(x)**E[N] is near 1, the control removes nearly all of its
+    variance.
     """
     values, weights = _distinct_counts(counts)
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = -np.expm1(np.multiply.outer(np.log1p(-survival), values))
+        log_f = np.log1p(-survival)
+        terms = -np.expm1(np.multiply.outer(log_f, values))
+        if count_mean is not None:
+            # where F(x) = 0, -log F(x) F(x)**E[N] is inf * 0: g is 1 for every N >= 1
+            beta = np.where(survival < 1.0, -log_f * np.exp(count_mean * log_f), 0.0)
     terms[:, values == 0] = 0.0  # the max of no mark exceeds nothing, even where F(x) = 0
+    if count_mean is not None:
+        terms -= np.multiply.outer(beta, values - count_mean)
     n = counts.size
     mean = terms @ weights / n
     var = (terms - mean[:, None]) ** 2 @ weights / (n - 1)
     return mean, np.sqrt(var / n)
+
+
+def size_control(model: JointMarkModel) -> float | None:
+    """The exact mean cluster size where :func:`conditional_max_tail` of the sizes can use it, else None."""
+    return model_constants(model).mean_cluster_size if model.count_control else None
 
 
 def crude_tail_estimator(over: str, statistic: str) -> str:
@@ -155,15 +180,21 @@ def max_tail_estimator(
     """The estimator of P(``maximum`` > x) over ``over`` for ``model``, and its band.
 
     Where the marks are independent of the counts it is
-    :func:`conditional_max_tail` with N = ``count``; in the comonotone
-    regimes, the crude exceedance fraction.  The defaults name the cluster
-    max H.
+    :func:`conditional_max_tail` with N = ``count``, and with ``count``
+    minus its exact mean as control variate where
+    :attr:`~cluster_tails.heavytail.JointMarkModel.count_control` holds; in
+    the comonotone regimes, the crude exceedance fraction.  The defaults
+    name the cluster max H.
     """
-    if model.independent_marks:
+    band = "95% band p +- 1.96 sd/sqrt(n), clipped to [0, 1]"
+    if model.count_control:
         return (
-            f"conditional Monte Carlo: mean over {over} of 1 - F(x)**{count}; "
-            "95% band p +- 1.96 sd/sqrt(n), clipped to [0, 1]"
+            f"conditional Monte Carlo with control variate: mean over {over} of "
+            f"1 - F(x)**{count} - beta(x) ({count} - E[{count}]), E[{count}] exact, "
+            f"beta(x) = -log F(x) F(x)**E[{count}]; {band}"
         )
+    if model.independent_marks:
+        return f"conditional Monte Carlo: mean over {over} of 1 - F(x)**{count}; {band}"
     return crude_tail_estimator(over, maximum)
 
 
@@ -220,8 +251,9 @@ def ratio_curve(
     band, unless ``sizes`` gives the sizes of the clusters whose maxima
     ``sample`` holds: then it is :func:`conditional_max_tail` of the sizes,
     which needs a max and a model whose marks are independent of the
-    counts, and the provenance says so.  The sample's quantiles place the
-    grid and its exceedance counts certify it either way.
+    counts, and the provenance says so; the exact mean size is its control
+    variate where :func:`size_control` gives one.  The sample's quantiles
+    place the grid and its exceedance counts certify it either way.
     """
     xs = np.asarray(sample.quantile(list(grid.levels)), dtype=float)
     estimate = None
@@ -232,7 +264,8 @@ def ratio_curve(
             )
         if len(sizes) != sample.n:
             raise ValueError(f"{len(sizes)} cluster sizes for {sample.n} maxima")
-        estimate = conditional_max_tail(sizes, np.asarray(model.mark_law.survival(xs)))
+        survival = np.asarray(model.mark_law.survival(xs))
+        estimate = conditional_max_tail(sizes, survival, size_control(model))
     counts, emp, low, high = tail_bands(sample, xs, estimate)
     if counts[-1] < grid.min_exceedances:
         raise InsufficientExceedances(

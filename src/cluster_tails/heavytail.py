@@ -437,6 +437,19 @@ class JointMarkModel:
         """
         return self.regime in _INDEPENDENT_MARK_REGIMES
 
+    @property
+    def count_control(self) -> bool:
+        """Whether a count minus its exact mean is a control variate for the max's tail.
+
+        It is where the marks are independent of the counts and a cluster's
+        size, so also a window's event count N_T, has a finite second
+        moment: every independent-mark regime but a K = ceil(Z) count with
+        Z ~ Pareto(alpha <= 2), whose control has infinite variance.
+        """
+        if not self.independent_marks:
+            return False
+        return not isinstance(self.count_param, ParetoLaw) or self.count_param.alpha > 2
+
     def kappa_of_mark_factor(self) -> float:
         """Scaling r with kappa = r * X for the comonotone intensity regime."""
         assert self.regime is Regime.HAWKES_COMONOTONE_INTENSITY

@@ -6,7 +6,11 @@ window kernels of the package against these, as an independent route.  The
 joint tails P(X + c K > x) are computed one x at a time, by a series or a
 walk over slices, against the package's forms that take a whole grid.  The
 exact cluster-max laws of the regimes with independent marks, by their
-pgfs, check the conditional estimator of the cluster-max tail.
+pgfs, check the conditional estimator of the cluster-max tail; the exact
+window-max law of a Poisson-count renewal model checks the ldp-max sweep's.
+The conditional estimator as it was before the count became its control
+variate is kept here, to check that the estimator without a control mean
+is still that one, bit for bit.
 """
 
 from __future__ import annotations
@@ -289,3 +293,52 @@ def laplace_derivative_table(values: np.ndarray, s_grid, order: int) -> tuple[np
         vals[i] = summand.mean()
         ses[i] = summand.std(ddof=1) / sqrt(len(v))
     return vals, ses
+
+
+def renewal_window_max_tail(
+    model: JointMarkModel, wait_rate: float, nu: float, horizon: float, x: float
+) -> float:
+    """P(M_T > x) for an IndependentLightCount model with Exp(``wait_rate``) waits, in closed form.
+
+    An immigrant born u before T has its own mark and min(K, Pi(u)) offspring
+    marks by T, Pi the Poisson process of its waits.  With Poisson(nu T)
+    immigrants, P(M_T <= x) = exp(-Lambda), where
+    Lambda = nu int_0^T (1 - F E[F**min(K, Pi(u))]) du
+           = nu (T sf + F sf sum_{r >= 1} F**(r - 1) P(K >= r) E[(T - S_r)^+]),
+    since 1 - E[z**M] = (1 - z) sum_r z**(r - 1) P(M >= r), P(M >= r) =
+    P(K >= r) P(S_r <= u), and int_0^T P(S_r <= u) du = E[(T - S_r)^+] for
+    S_r ~ Gamma(r, wait_rate).  Both probabilities are regularized
+    incomplete gammas: P(K >= r) = P(Gamma(r, 1) <= E[K]).
+    """
+    if model.regime is not Regime.INDEPENDENT_LIGHT_COUNT:
+        raise ValueError(f"{model.regime.value} has no Poisson count")
+    mu = float(model.count_param)
+    sf = float(model.mark_law.survival(x))
+    f = 1.0 - sf
+    r = np.arange(1, int(mu + 40.0 * sqrt(mu + 1.0)) + 50)
+    rate_t = wait_rate * horizon
+    shortfall = horizon * gammainc(r, rate_t) - r / wait_rate * gammainc(r + 1, rate_t)
+    series = float(np.sum(f ** (r - 1.0) * gammainc(r, mu) * shortfall)) if mu > 0 else 0.0
+    return -expm1(-nu * (horizon * sf + f * sf * series))
+
+
+def plain_conditional_max_tail(counts: np.ndarray, survival: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The mean over replications of 1 - F(x)**N and its standard error, grouped by distinct N.
+
+    The package's estimator with no control mean, as it stood before the
+    count became its control variate: the tests check that it still gives
+    these bits.
+    """
+    if int(counts.max()) >= counts.size:
+        values, weights = np.unique(counts, return_counts=True)
+    else:
+        tally = np.bincount(counts)
+        values = np.flatnonzero(tally)
+        weights = tally[values]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = -np.expm1(np.multiply.outer(np.log1p(-survival), values))
+    terms[:, values == 0] = 0.0
+    n = counts.size
+    mean = terms @ weights / n
+    var = (terms - mean[:, None]) ** 2 @ weights / (n - 1)
+    return mean, np.sqrt(var / n)

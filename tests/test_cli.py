@@ -487,6 +487,8 @@ class TestHostileConfigs:
     ]
     CASES += COUNTS + TAUBERIAN_GRID + TYPED + MODEL_KEYS + LEFT_EDGES + SHORT_WAITS + TABLE_PATHS
     CASES += LATTICE_ROWS
+    # ldp-max needs E[N_T] too where the count is its control variate: a Poisson count
+    CASES += [("ldp-max", *case[1:]) for case in SHORT_WAITS + LATTICE_ROWS]
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize(
@@ -847,6 +849,26 @@ class TestOtherExperiments:
             else:
                 # the conditional band is far narrower than the crude count's
                 assert high - low < (wilson[1] - wilson[0]) / 3
+
+    def test_cluster_tails_certifies_its_points(self, tmp_path):
+        # 50,000 clusters: 500, 250, 50, 25 and 5 exceedances on the default levels
+        payload = {"experiment": "cluster-tails", "seed": 16, "model": MODEL, "clusters": 50_000}
+        for least, points in ((50, 3), (100, 2)):
+            out = tmp_path / str(least)
+            run(write_config(tmp_path, {**payload, "grid": {"min_exceedances": least}, "output_dir": str(out)}))
+            summary = json.loads((out / "cluster-tails-16.json").read_text())
+            assert summary["min_exceedances"] == least
+            assert summary["certified_points"] == {"max": points, "sum": points}
+            rows = list(csv.DictReader((out / "cluster-tails-16.csv").open()))
+            for row in rows:
+                assert row["certified"] == str(int(row["exceedances"]) >= least)
+
+    def test_ldp_max_waits_unchecked_without_a_control(self, tmp_path):
+        # a ceil(Pareto(1.5)) count has no control, so its sweep needs no E[N_T]
+        heavy = {**MODEL, "regime": "IndependentHeavyCount", "count": {"law": "pareto", "scale": 1.0, "alpha": 1.5}}
+        payload = {"experiment": "ldp-max", "seed": 1, "model": heavy}
+        payload["cluster"] = {"waiting": {"law": "exponential", "rate": 1e9}}
+        assert validate(write_config(tmp_path, payload))["valid"]
 
     def test_tail_ratio_mc_oracle(self, tmp_path):
         config = mc_oracle_config(

@@ -3,10 +3,16 @@
 The sha256 of each CSV/JSON output is pinned, so a refactor that changes a
 single draw, a chunk boundary or a printed digit of any experiment fails
 here.  Sizes are cut so that each run still spans several chunks.
+
+``PYTHONPATH=src python tests/test_configs.py`` prints each reduced run's
+current (csv, json) sha256 beside its pin, flags the runs whose outputs
+moved, and exits 1 if any did.
 """
 
 import hashlib
 import json
+import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -32,16 +38,16 @@ REDUCED = {
 # (csv, json) sha256 of each reduced run
 PINNED = {
     "cluster-tails.json": (
-        "5429ae180d2fd0c8078d01c1b726411e7bd5da6d899d9df28fceb5db2fe83cb7",
-        "e74ab44db7515645c3ecf79006d89676ddc653ef2b7e268dc2aedb5060c35c39",
+        "5edf8324c2b7cbd345a51e334b1880a9ddd0eecbe77a63c8d2e6c9191323f8e3",
+        "c2ede7df6120da47756ac380f83a8fa9f570027090a76ff7f0bc5fb99a3c2a06",
     ),
     "hill.json": (
         "111f711890bc1f30177cb32e53678b16c8968c157849e5b0297f9683cc86af83",
         "c50e3a56c7af679b1641332c09de2f3083191eb583167e39f53649a19b733fd9",
     ),
     "ldp-max.json": (
-        "3b5010efe372af1e4af454461eb0ada4869f7ba68bc116fd3eb28b334aa25022",
-        "192e72c65bd8df193eb162e3311dad331ce5ccc6986a0eb53e1802ec84b613c5",
+        "3d29f2e7d5aa0d26e10d8a83093bfd0ead66de36eba22b597ce81156731a2ded",
+        "c564529f1d404fdccf521ceea557afc408f5771c4b946d43fd5889e60b2ed4ae",
     ),
     "ldp-sum.json": (
         "c8f8acea07bd88b14d9c3d198afe81463088aa87fae4db17131b5d5b12797f1c",
@@ -60,8 +66,8 @@ PINNED = {
         "b250c630ecafa24bb5cae87b8bd27cc06247c41b167e2aae7dd738a70fb98c56",
     ),
     "tail-ratio-renewal-max.json": (
-        "f1a7318fcf265cb80d31e845bafd6503ed6081fbc445a38dd6537d7575e72654",
-        "1a24c5badd9b92cb2284203c8e4a5642c9fd831c4aca6b230e74e295ea842515",
+        "595df339aecce52ef3563c9eebf61b3b448205689fc2b80c30d637e04ddafb8d",
+        "f04af333bf6985d0768f7efc380ee0ae6f3468d185c6c507260ca00d8f9b9988",
     ),
     "tail-ratio-tail-equivalent-mc.json": (
         "64d7289b654fff7a9443611877d6dce958858c3789f7a269a6dbfa5f519dfaa4",
@@ -86,13 +92,36 @@ def test_every_config_is_pinned():
     assert sorted(p.name for p in CONFIGS.glob("*.json")) == sorted(PINNED) == sorted(REDUCED)
 
 
-@pytest.mark.parametrize("name", sorted(PINNED))
-def test_reduced_config_outputs_pinned(name, tmp_path):
+def reduced_digests(name: str, tmp_path: Path) -> tuple[str, str]:
+    """The (csv, json) sha256 of the shipped config ``name`` run at its reduced size in ``tmp_path``."""
     raw = json.loads((CONFIGS / name).read_text())
     _merge(raw, REDUCED[name])
     raw["output_dir"] = str(tmp_path)
     config = tmp_path / name
     config.write_text(json.dumps(raw))
     csv_path, json_path, _ = run(config)
-    digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (csv_path, json_path))
-    assert digests == PINNED[name]
+    return tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (csv_path, json_path))
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_reduced_config_outputs_pinned(name, tmp_path):
+    assert reduced_digests(name, tmp_path) == PINNED[name]
+
+
+def main() -> int:
+    moved = []
+    for name in sorted(PINNED):
+        with tempfile.TemporaryDirectory() as tmp:
+            digests = reduced_digests(name, Path(tmp))
+        flag = "ok   " if digests == PINNED[name] else "MOVED"
+        if digests != PINNED[name]:
+            moved.append(name)
+        print(f"{flag} {name}")
+        for kind, now, pin in zip(("csv ", "json"), digests, PINNED[name]):
+            print(f"      {kind} now {now}\n           pin {pin}")
+    print(f"{len(moved)} of {len(PINNED)} pins moved: {', '.join(moved) or 'none'}")
+    return 1 if moved else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

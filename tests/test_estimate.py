@@ -1,10 +1,11 @@
 """Tests for empirical-tail machinery."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cluster_tails.errors import (
@@ -15,19 +16,28 @@ from cluster_tails.errors import (
 )
 from cluster_tails.clusters import HawkesParams, RenewalParams, batch_functionals
 from cluster_tails.estimate import (
+    _Z95,
     QuantileGrid,
     TailSample,
     conditional_max_tail,
     hill_estimator,
     laplace_derivative_table,
     ratio_curve,
+    size_control,
     table_slope,
     tail_bands,
     wilson_interval,
 )
-from cluster_tails.heavytail import BoundedUniform, Exponential, JointMarkModel, ParetoLaw, Regime
+from cluster_tails.heavytail import (
+    BoundedUniform,
+    Exponential,
+    JointMarkModel,
+    ParetoLaw,
+    Regime,
+    model_constants,
+)
 from cluster_tails.rng import RngStream
-from reference import hawkes_cluster_max_tail, renewal_cluster_max_tail
+from reference import hawkes_cluster_max_tail, plain_conditional_max_tail, renewal_cluster_max_tail
 from reference import laplace_derivative_table as reference_laplace_table
 
 LAW = ParetoLaw(1.0, 1.5)
@@ -205,7 +215,8 @@ class TestConditionalMaxTail:
         h = TailSample.from_values(sample.h)
         crude = ratio_curve(h, model, "max", grid)
         curve = ratio_curve(h, model, "max", grid, sizes=sample.sizes)
-        tail, _ = conditional_max_tail(sample.sizes, np.asarray(LAW.survival(curve.grid)))
+        # the exact mean size 1 + E[K] = 3 is the control variate of a Poisson(2) count
+        tail, _ = conditional_max_tail(sample.sizes, np.asarray(LAW.survival(curve.grid)), 3.0)
         assert np.array_equal(curve.grid, crude.grid)
         assert np.array_equal(curve.exceedances, crude.exceedances)
         assert np.array_equal(curve.empirical, tail)
@@ -217,6 +228,73 @@ class TestConditionalMaxTail:
             ratio_curve(h, comonotone, "max", grid, sizes=sample.sizes)
         with pytest.raises(ValueError, match="sizes"):
             ratio_curve(h, model, "max", grid, sizes=sample.sizes[1:])
+
+
+class TestCountControl:
+    """The count minus its exact mean as control variate of the conditional max."""
+
+    @settings(deadline=None)
+    @given(
+        counts=st.lists(st.integers(0, 300), min_size=2, max_size=60),
+        survival=st.lists(
+            st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)), min_size=1, max_size=8
+        ),
+    )
+    def test_without_a_mean_the_estimate_is_unchanged(self, counts, survival):
+        counts, survival = np.array(counts), np.array(survival)
+        mean, se = conditional_max_tail(counts, survival)
+        plain_mean, plain_se = plain_conditional_max_tail(counts, survival)
+        assert np.array_equal(mean, plain_mean) and np.array_equal(se, plain_se)
+
+    def test_terms_are_the_tangent_corrected_ones(self):
+        counts = np.array([0, 3, 1, 3, 2, 0, 7, 3])
+        survival = np.array([0.5, 0.01, 1e-6])
+        mu = 2.5
+        log_f = np.log1p(-survival)[:, None]
+        terms = -np.expm1(counts * log_f) + log_f * np.exp(mu * log_f) * (counts - mu)
+        mean, se = conditional_max_tail(counts, survival, mu)
+        assert np.allclose(mean, terms.mean(axis=1), rtol=1e-12, atol=0)
+        assert np.allclose(se, terms.std(axis=1, ddof=1) / math.sqrt(counts.size), rtol=1e-9, atol=0)
+
+    def test_edges_emit_no_warning(self):
+        # F(x) = 0 (sf 1), F(x) = 1 (sf 0) and replications with no mark
+        counts = np.array([0, 0, 4, 1, 0, 2])
+        survival = np.array([1.0, 0.0, 0.3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            mean, se = conditional_max_tail(counts, survival, 1.5)
+            zeros, zeros_se = conditional_max_tail(np.zeros(5, dtype=np.int64), survival, 1.5)
+        # beta = 0 where F(x) = 0: the fraction with a mark; where F(x) = 1 nothing exceeds x
+        assert mean[0] == 0.5 and mean[1] == 0.0 and se[1] == 0.0
+        assert np.all(np.isfinite(mean)) and np.all(np.isfinite(se))
+        # N = 0 everywhere: each replication is 0 - beta (0 - mu), a constant
+        beta = -math.log1p(-0.3) * (0.7**1.5)
+        assert zeros[2] == pytest.approx(beta * 1.5, rel=1e-14) and zeros_se[2] == 0.0
+        assert np.array_equal(zeros[:2], [0.0, 0.0])
+
+    def test_size_control_where_the_count_has_a_finite_second_moment(self):
+        for name, (model, _, _) in CLUSTER_MAX_MODELS.items():
+            want = None if name == "heavy-count" else model_constants(model).mean_cluster_size
+            assert size_control(model) == want, name
+        square_integrable = JointMarkModel(Regime.INDEPENDENT_HEAVY_COUNT, LAW, ParetoLaw(1.0, 2.5))
+        assert size_control(square_integrable) == model_constants(square_integrable).mean_cluster_size
+        assert size_control(JointMarkModel(Regime.COMONOTONE_COUNT, ParetoLaw(1.0, 3.0))) is None
+
+    # criterion 1's model and criterion 3's, on the criteria's quantile grid
+    @pytest.mark.parametrize("name", ["light-count", "hawkes-light"])
+    def test_within_its_band_of_the_exact_law(self, name):
+        model, params, exact_law = CLUSTER_MAX_MODELS[name]
+        n, grid = 600_000, QuantileGrid()
+        sample = batch_functionals(model, params, n, RngStream(46, 0), fields=("h", "sizes"))
+        xs = TailSample.from_values(sample.h).quantile(list(grid.levels))
+        survival = np.asarray(model.mark_law.survival(xs))
+        tail, se = conditional_max_tail(sample.sizes, survival, size_control(model))
+        _, plain_se = conditional_max_tail(sample.sizes, survival)
+        for x, p, s in zip(xs, tail, se):
+            exact = exact_law(model, float(x))
+            assert abs(p - exact) <= _Z95 * s, (x, p, s, exact)
+        # at least a thousandfold variance cut on every point of the grid
+        assert np.all((se / plain_se) ** 2 <= 1e-3), se / plain_se
 
 
 class TestHill:

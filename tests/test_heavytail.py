@@ -323,6 +323,24 @@ class TestModelConstants:
         assert c.mean_count == pytest.approx(2.0 + (zeta(1.5, 2.0)), rel=1e-12)
 
 
+class TestCountControl:
+    """Where a count minus its exact mean is a control variate: independent marks and E[N**2] finite."""
+
+    def test_shipped_regimes(self):
+        want = {"light_count": True, "hawkes_light": True, "heavy_count": False}
+        want |= {"tail_equivalent": False, "comonotone": False, "hawkes_comonotone": False}
+        assert {name: model.count_control for name, model in ALL_MODELS.items()} == want
+
+    @pytest.mark.parametrize("alpha, control", [(1.5, False), (2.0, False), (2.01, True), (3.5, True)])
+    @pytest.mark.parametrize("regime", [Regime.INDEPENDENT_HEAVY_COUNT, Regime.INDEPENDENT_TAIL_EQUIVALENT])
+    def test_ceil_pareto_count_needs_alpha_above_two(self, regime, alpha, control):
+        assert JointMarkModel(regime, LAW, ParetoLaw(1.0, alpha)).count_control is control
+
+    def test_comonotone_count_never(self):
+        # ceil(X) has a finite second moment here, but the marks are not independent of it
+        assert not JointMarkModel(Regime.COMONOTONE_COUNT, ParetoLaw(1.0, 3.0)).count_control
+
+
 class TestTheoreticalDenominator:
     def test_renewal_max_example(self):
         v = theoretical_denominator(light_count(), "max", 10.0)

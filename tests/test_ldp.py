@@ -15,7 +15,7 @@ from cluster_tails import heavytail, ldp
 from cluster_tails.clusters import HawkesParams, RenewalParams
 from cluster_tails.cli import _LEFTOVER_COLUMNS, _SWEEP_COLUMNS, _attrs, _csv, run
 from cluster_tails.errors import ModelError
-from cluster_tails.estimate import _Z95, wilson_interval
+from cluster_tails.estimate import _Z95, conditional_max_tail, wilson_interval
 from cluster_tails.heavytail import (
     BoundedUniform,
     Exponential,
@@ -33,9 +33,9 @@ from cluster_tails.ldp import (
     leftover_scaling,
     sweep_summary,
 )
-from cluster_tails.process import WindowConfig
+from cluster_tails.process import WindowConfig, mean_events, sweep_windows
 from cluster_tails.rng import RngStream
-from reference import hawkes_leftover_mean
+from reference import hawkes_leftover_mean, plain_conditional_max_tail, renewal_window_max_tail
 
 LAW = ParetoLaw(1.0, 1.5)
 RP = RenewalParams(waiting_law=Exponential(1.0))
@@ -221,6 +221,48 @@ class TestConditionalMaxSweep:
         _, json_path, _ = run(config)
         summary = json.loads(json_path.read_text())
         assert summary["estimator"].startswith(route)
+
+
+class TestCountControlSweep:
+    """N_T minus its exact mean E[N_T] as the control variate of the conditional max sweep."""
+
+    HORIZONS = (10.0, 50.0, 100.0)
+
+    def test_criterion_10_left_edges_within_3_se_of_the_exact_law(self):
+        # criterion 10's model, and the deviations |ratio - 1| of its exact window-max law
+        config = model_sweep(LIGHT_COUNT, RP, self.HORIZONS, replications=50_000)
+        rows = ldp_max_sweep(config, RngStream(41, 0))
+        # the same paths' counts: every field subset of a sweep reads the same draws
+        counts = sweep_windows(config.window, self.HORIZONS, 50_000, RngStream(41, 0), fields=("n_events",))
+        means = mean_events(config.window, self.HORIZONS)
+        for i, (horizon, deviation) in enumerate(zip(self.HORIZONS, (0.6727, 0.4290, 0.3333))):
+            edge = next(r for r in rows if r.horizon == horizon)
+            assert edge.x == 0.5 * horizon
+            exact = renewal_window_max_tail(LIGHT_COUNT, 1.0, 1.0, horizon, edge.x) / edge.denominator
+            assert round(1.0 - exact, 4) == deviation
+            survival = np.asarray(LAW.survival([edge.x]))
+            tail, se = conditional_max_tail(counts["n_events"][i], survival, means[i])
+            # one grid point, not the horizon's twelve: the same sums up to their last bits
+            assert edge.empirical == pytest.approx(tail[0], rel=1e-13)
+            se_ratio = se[0] / edge.denominator
+            assert abs(edge.ratio - exact) <= 3 * se_ratio, (horizon, edge.ratio, exact, se_ratio)
+            if horizon == 100.0:
+                _, plain_se = conditional_max_tail(counts["n_events"][i], survival)
+                assert se[0] <= plain_se[0] / 10, (se, plain_se)
+
+    def test_square_integrable_counts_only(self):
+        # a ceil(Pareto(1.5)) count has an infinite second moment: the plain estimate, bit for bit
+        heavy = JointMarkModel(Regime.INDEPENDENT_HEAVY_COUNT, LAW, ParetoLaw(1.0, 1.5))
+        config = model_sweep(heavy, RP, replications=10_000)
+        rows = ldp_max_sweep(config, RngStream(42, 0))
+        counts = sweep_windows(config.window, config.horizons, 10_000, RngStream(42, 0), fields=("n_events",))
+        for i, horizon in enumerate(config.horizons):
+            hrows = [r for r in rows if r.horizon == horizon]
+            survival = np.asarray(LAW.survival([r.x for r in hrows]))
+            plain, _ = plain_conditional_max_tail(counts["n_events"][i], survival)
+            assert [r.empirical for r in hrows] == plain.tolist()
+        assert ldp.max_estimator(heavy).startswith("conditional Monte Carlo: ")
+        assert ldp.max_estimator(LIGHT_COUNT).startswith("conditional Monte Carlo with control variate")
 
 
 class TestSumSweep:

@@ -689,6 +689,39 @@ class TestHawkesCells:
         assert np.array_equal(alone, pooled)
 
 
+@st.composite
+def window_configs(draw):
+    """A window config of any regime, with random mark and count tails, E[kappa] and nu."""
+    regime = draw(st.sampled_from(list(Regime)))
+    mark = ParetoLaw(1.0, draw(st.floats(1.5, 3.0)))
+    kappa = draw(st.floats(0.0, 0.7))
+    count = {
+        Regime.INDEPENDENT_LIGHT_COUNT: draw(st.floats(0.0, 4.0)),
+        Regime.INDEPENDENT_HEAVY_COUNT: ParetoLaw(1.0, draw(st.floats(1.2, 3.0))),
+        Regime.INDEPENDENT_TAIL_EQUIVALENT: ParetoLaw(1.0, draw(st.floats(1.2, 3.0))),
+        Regime.HAWKES_LIGHT_INTENSITY: BoundedUniform(0.0, 1.0),
+    }.get(regime)
+    model = JointMarkModel(regime, mark, count, kappa if regime.value.startswith("Hawkes") else None)
+    params = HawkesParams() if model.is_hawkes else RP
+    return WindowConfig(model, params, draw(st.floats(0.05, 3.0)))
+
+
+class TestKernelInvariants:
+    """What every window of every regime satisfies, pathwise, at every horizon."""
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        config=window_configs(),
+        ticks=st.lists(st.integers(1, 160), min_size=1, max_size=4, unique=True),
+    )
+    def test_counts_and_in_window_statistics(self, config, ticks):
+        horizons = np.array(sorted(ticks)) / 4.0
+        out = sweep_windows(config, horizons, 30, RngStream(136, 0))
+        assert np.all(out["n_events"] >= out["n_clusters"])
+        for field in ("n_events", "sum_in_window", "max_in_window"):
+            assert np.all(np.diff(out[field], axis=0) >= 0), field
+
+
 class TestSweepWindows:
     HORIZONS = (5.0, 20.0, 60.0)
 
