@@ -291,6 +291,7 @@ def _parse_joint(config: dict) -> OracleSpec | None:
 
 
 def _parse_tail_ratio(config: ExperimentConfig):
+    _count(config.clusters, "clusters", 2)  # one cluster gives no standard error
     functional = config.raw.get("functional", "max")
     if functional not in ("max", "sum"):
         raise ConfigError("functional must be 'max' or 'sum'", "functional")
@@ -474,6 +475,11 @@ def _constants_dict(model: JointMarkModel) -> dict:
     }
 
 
+def _parse_cluster_tails(config: ExperimentConfig) -> tuple[QuantileGrid]:
+    _count(config.clusters, "clusters", 2)  # one cluster gives no standard error
+    return (_parse_grid(config.raw),)
+
+
 def _run_cluster_tails(config: ExperimentConfig, rng: RngStream, grid: QuantileGrid):
     model = config.model
     sample = _functional_sample(config, rng, ("h", "d", "sizes"))
@@ -499,7 +505,7 @@ def _run_cluster_tails(config: ExperimentConfig, rng: RngStream, grid: QuantileG
         if name == "max" and model.independent_marks:
             # the max tail is read off the sizes where the marks are independent of them
             survival = np.asarray(model.mark_law.survival(xs))
-            estimate = conditional_max_tail(sample.sizes, survival, size_control(model))
+            estimate = conditional_max_tail(sample.sizes, survival, *size_control(model))
         counts, *tail = tail_bands(ts, xs, estimate)
         # a point is certified by the exceedances of the sample, whichever estimate its tail is
         certified = [bool(c >= grid.min_exceedances) for c in counts]
@@ -656,7 +662,8 @@ _LEFTOVER_KEYS = {"horizons": _horizons, "windows": _count}
 def _parse_sweep(config: ExperimentConfig) -> tuple[SweepConfig]:
     """The ``leftover`` section of a leftover sweep, else the ``ldp`` section, its left
     edges checked, and the work of E[N_T] on ``cluster.waiting`` where the sweep
-    needs E[N_T]: ldp-sum, and ldp-max where the count is its control variate."""
+    needs the moments of N_T: ldp-sum, and ldp-max where the count is its control
+    variate."""
     window = _section(config.raw, "window", "")
     _known(window, "window", ("nu",))
     nu = _num(window, "nu", "window", default=1.0, positive=True)
@@ -675,7 +682,7 @@ def _parse_sweep(config: ExperimentConfig) -> tuple[SweepConfig]:
         if name == "ldp":
             check_left_edges(sweep, config.experiment.removeprefix("ldp-"))
         if config.experiment == "ldp-sum" or (
-            config.experiment == "ldp-max" and config.model.count_control
+            config.experiment == "ldp-max" and config.model.count_control_order
         ):
             check_mean_events(window, horizons)
         return (sweep,)
@@ -713,7 +720,7 @@ _MODEL = ("model", "cluster")
 _EXPERIMENTS = {
     "cluster-tails": (
         (*_MODEL, "clusters", "grid"),
-        lambda config: (_parse_grid(config.raw),),
+        _parse_cluster_tails,
         _run_cluster_tails,
     ),
     "tail-ratio": (

@@ -10,8 +10,10 @@ max of N marks exceeds x with probability 1 - F(x)**N given N, so the tail
 of a max is estimated by conditional Monte Carlo from the counts alone
 (:func:`conditional_max_tail`): N is a window's event count for the ldp-max
 sweep, and a cluster's size for the cluster max H.  Where N also has a
-finite second moment (:attr:`~cluster_tails.heavytail.JointMarkModel.count_control`),
-N minus its exact mean is a control variate for that estimate.
+finite second moment, N minus its exact mean is a control variate for that
+estimate, and where it has a finite fourth moment, so is (N - E[N])**2
+minus the exact Var N
+(:attr:`~cluster_tails.heavytail.JointMarkModel.count_control_order`).
 """
 
 from __future__ import annotations
@@ -127,7 +129,10 @@ def _distinct_counts(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def conditional_max_tail(
-    counts: np.ndarray, survival: np.ndarray, count_mean: float | None = None
+    counts: np.ndarray,
+    survival: np.ndarray,
+    count_mean: float | None = None,
+    count_var: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Conditional Monte Carlo estimate of P(max > x) and its standard error, per x.
 
@@ -136,37 +141,55 @@ def conditional_max_tail(
     at each x.  Each replication contributes g(N) = P(max > x | N) =
     1 - F(x)**N, computed as -expm1(N * log1p(-sf(x))) so that a small tail
     loses no digits.  The replications are grouped by their distinct N, so
-    each x costs one term per distinct count.
+    each x costs one term per distinct count, and each x is reduced on its
+    own, so its bits do not depend on the other points of ``survival``.
 
-    ``count_mean``, the exact E[N] where N has a finite second moment, makes
-    N - E[N] a control variate (Asmussen & Glynn 2007, *Stochastic
-    Simulation*, section V.2): each replication then contributes
-    g(N) - beta(x) (N - E[N]), with beta(x) = g'(E[N]) =
-    -log F(x) F(x)**E[N], the slope of g's tangent at the mean, and
-    beta = 0 where F(x) = 0.  The coefficient is fixed, not fitted, so the
-    estimate stays exactly unbiased; where g is nearly linear in N, as it
-    is wherever F(x)**E[N] is near 1, the control removes nearly all of its
-    variance.
+    ``count_mean`` and ``count_var``, the exact mu = E[N] and sigma**2 =
+    Var N, make g's Taylor terms about mu control variates (Asmussen &
+    Glynn 2007, *Stochastic Simulation*, section V.2): each replication
+    then contributes g(N) - beta1(x) (N - mu) with ``count_mean`` alone,
+    and also + beta2(x) ((N - mu)**2 - sigma**2) with both, where
+    beta1 = g'(mu) = a F(x)**mu, beta2 = -g''(mu) / 2 = a**2 F(x)**mu / 2,
+    a = -log F(x), and every beta is 0 where F(x) = 0.  The coefficients
+    are fixed, not fitted, so the estimate stays exactly unbiased; what is
+    left of the variance is g's third and higher Taylor terms, small
+    wherever a sigma is.  The linear control needs E[N**2] < inf, the
+    quadratic one E[N**4] < inf
+    (:attr:`~cluster_tails.heavytail.JointMarkModel.count_control_order`).
     """
+    n = counts.size
+    if n < 2:
+        raise ValueError(f"a standard error needs at least two replications, got {n}")
     values, weights = _distinct_counts(counts)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_f = np.log1p(-survival)
         terms = -np.expm1(np.multiply.outer(log_f, values))
         if count_mean is not None:
-            # where F(x) = 0, -log F(x) F(x)**E[N] is inf * 0: g is 1 for every N >= 1
-            beta = np.where(survival < 1.0, -log_f * np.exp(count_mean * log_f), 0.0)
+            # where F(x) = 0, a F(x)**mu is inf * 0: g is 1 for every N >= 1
+            beta1 = np.where(survival < 1.0, -log_f * np.exp(count_mean * log_f), 0.0)
+            beta2 = np.where(survival < 1.0, -0.5 * log_f * beta1, 0.0)
     terms[:, values == 0] = 0.0  # the max of no mark exceeds nothing, even where F(x) = 0
     if count_mean is not None:
-        terms -= np.multiply.outer(beta, values - count_mean)
-    n = counts.size
-    mean = terms @ weights / n
-    var = (terms - mean[:, None]) ** 2 @ weights / (n - 1)
+        deviation = values - count_mean
+        terms -= np.multiply.outer(beta1, deviation)
+        if count_var is not None:
+            terms += np.multiply.outer(beta2, deviation**2 - count_var)
+    # one reduction per x, never a matrix product over the grid: the bits of
+    # a point's estimate do not depend on how many points are reduced with it
+    mean = (terms * weights).sum(axis=1) / n
+    var = ((terms - mean[:, None]) ** 2 * weights).sum(axis=1) / (n - 1)
     return mean, np.sqrt(var / n)
 
 
-def size_control(model: JointMarkModel) -> float | None:
-    """The exact mean cluster size where :func:`conditional_max_tail` of the sizes can use it, else None."""
-    return model_constants(model).mean_cluster_size if model.count_control else None
+def size_control(model: JointMarkModel) -> tuple[float, ...]:
+    """The exact moments of a cluster's size that :func:`conditional_max_tail` of the sizes uses.
+
+    (), (mean,) or (mean, variance), as
+    :attr:`~cluster_tails.heavytail.JointMarkModel.count_control_order` says.
+    """
+    constants = model_constants(model)
+    moments = (constants.mean_cluster_size, constants.cluster_size_variance)
+    return moments[: model.count_control_order]
 
 
 def crude_tail_estimator(over: str, statistic: str) -> str:
@@ -180,14 +203,23 @@ def max_tail_estimator(
     """The estimator of P(``maximum`` > x) over ``over`` for ``model``, and its band.
 
     Where the marks are independent of the counts it is
-    :func:`conditional_max_tail` with N = ``count``, and with ``count``
-    minus its exact mean as control variate where
-    :attr:`~cluster_tails.heavytail.JointMarkModel.count_control` holds; in
-    the comonotone regimes, the crude exceedance fraction.  The defaults
-    name the cluster max H.
+    :func:`conditional_max_tail` with N = ``count``, with as many of its
+    Taylor controls as
+    :attr:`~cluster_tails.heavytail.JointMarkModel.count_control_order`
+    says; in the comonotone regimes, the crude exceedance fraction.  The
+    defaults name the cluster max H.
     """
     band = "95% band p +- 1.96 sd/sqrt(n), clipped to [0, 1]"
-    if model.count_control:
+    order = model.count_control_order
+    if order == 2:
+        dev = f"({count} - E[{count}])"
+        return (
+            f"conditional Monte Carlo with control variates: mean over {over} of "
+            f"1 - F(x)**{count} - beta1(x) {dev} + beta2(x) ({dev}**2 - Var {count}), "
+            f"E[{count}] and Var {count} exact, a(x) = -log F(x), "
+            f"beta1(x) = a(x) F(x)**E[{count}], beta2(x) = a(x)**2 F(x)**E[{count}] / 2; {band}"
+        )
+    if order == 1:
         return (
             f"conditional Monte Carlo with control variate: mean over {over} of "
             f"1 - F(x)**{count} - beta(x) ({count} - E[{count}]), E[{count}] exact, "
@@ -265,7 +297,7 @@ def ratio_curve(
         if len(sizes) != sample.n:
             raise ValueError(f"{len(sizes)} cluster sizes for {sample.n} maxima")
         survival = np.asarray(model.mark_law.survival(xs))
-        estimate = conditional_max_tail(sizes, survival, size_control(model))
+        estimate = conditional_max_tail(sizes, survival, *size_control(model))
     counts, emp, low, high = tail_bands(sample, xs, estimate)
     if counts[-1] < grid.min_exceedances:
         raise InsufficientExceedances(

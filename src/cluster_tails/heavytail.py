@@ -171,6 +171,9 @@ class Exponential(_MaxSampler):
     def mean(self) -> float:
         return 1.0 / self.rate
 
+    def variance(self) -> float:
+        return self.rate**-2
+
     def sample(self, gen: np.random.Generator, size=None):
         return gen.exponential(1.0 / self.rate, size)
 
@@ -224,6 +227,9 @@ class Constant(_MaxSampler):
     def mean(self) -> float:
         return self.value
 
+    def variance(self) -> float:
+        return 0.0
+
     def sample(self, gen: np.random.Generator, size=None):
         if size is None:
             return self.value
@@ -263,6 +269,9 @@ class BoundedUniform(_MaxSampler):
 
     def mean(self) -> float:
         return 0.5 * (self.lo + self.hi)
+
+    def variance(self) -> float:
+        return (self.hi - self.lo) ** 2 / 12.0
 
     def sample(self, gen: np.random.Generator, size=None):
         if size is None:
@@ -438,17 +447,26 @@ class JointMarkModel:
         return self.regime in _INDEPENDENT_MARK_REGIMES
 
     @property
-    def count_control(self) -> bool:
-        """Whether a count minus its exact mean is a control variate for the max's tail.
+    def count_control_order(self) -> int:
+        """How many Taylor terms of the max's tail in a count are its control variates: 0, 1 or 2.
 
-        It is where the marks are independent of the counts and a cluster's
-        size, so also a window's event count N_T, has a finite second
-        moment: every independent-mark regime but a K = ceil(Z) count with
-        Z ~ Pareto(alpha <= 2), whose control has infinite variance.
+        Given N marks, i.i.d. and independent of N, the max exceeds x with
+        probability g(N) = 1 - F(x)**N.  The first two Taylor terms of g
+        about E[N] are multiples of N - E[N] and (N - E[N])**2 - Var N, both
+        of mean 0, so each is a control variate where its variance is
+        finite: where N has a finite second, resp. fourth, moment.  A
+        cluster's size, and a window's event count N_T with it, has every
+        moment in IndependentLightCount and HawkesLightIntensity, and the
+        moments below alpha for a K = ceil(Z) count with Z ~ Pareto(alpha).
+        So the order is 2 there and for such a count with alpha > 4, 1 for
+        2 < alpha <= 4, and 0 for alpha <= 2 and the comonotone regimes,
+        whose marks are not independent of the counts.
         """
         if not self.independent_marks:
-            return False
-        return not isinstance(self.count_param, ParetoLaw) or self.count_param.alpha > 2
+            return 0
+        if not isinstance(self.count_param, ParetoLaw):
+            return 2
+        return int(self.count_param.alpha > 2) + int(self.count_param.alpha > 4)
 
     def kappa_of_mark_factor(self) -> float:
         """Scaling r with kappa = r * X for the comonotone intensity regime."""
@@ -516,6 +534,20 @@ def _ceil_pareto_mean(z: ParetoLaw) -> float:
     return k0 + z.scale**z.alpha * _hurwitz_zeta(z.alpha, k0)
 
 
+def _ceil_pareto_square(z: ParetoLaw) -> float:
+    """E[ceil(Z)**2] for Pareto Z, inf for alpha <= 2.
+
+    It is sum_{k >= 1} (2k - 1) P(ceil Z >= k), and P(ceil Z >= k) is 1 up
+    to k0 = floor(scale) + 1 and (scale / (k - 1))**alpha past it, so the
+    sum is k0**2 + scale**alpha (2 zeta(alpha - 1, k0) + zeta(alpha, k0)).
+    """
+    if z.alpha <= 2:
+        return math.inf
+    k0 = math.floor(z.scale) + 1
+    zetas = 2.0 * _hurwitz_zeta(z.alpha - 1.0, k0) + _hurwitz_zeta(z.alpha, k0)
+    return k0 * k0 + z.scale**z.alpha * zetas
+
+
 # B_2, B_4, ..., B_14
 _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
 
@@ -552,6 +584,23 @@ def mean_count(model: JointMarkModel) -> float:
     return float(model.target_mean_kappa)
 
 
+def count_variance(model: JointMarkModel) -> float:
+    """Var K for the independent-mark renewal regimes, Var kappa for HawkesLightIntensity.
+
+    Only a count control reads it, so the comonotone regimes, whose
+    ``count_control_order`` is 0, get inf and nothing is computed for them;
+    inf also where the variance is infinite.
+    """
+    r = model.regime
+    if r is Regime.INDEPENDENT_LIGHT_COUNT:
+        return float(model.count_param)
+    if r is Regime.HAWKES_LIGHT_INTENSITY:
+        return model.count_param.variance() * model.intensity_scale_factor() ** 2
+    if not model.independent_marks:
+        return math.inf
+    return _ceil_pareto_square(model.count_param) - _ceil_pareto_mean(model.count_param) ** 2
+
+
 @dataclass(frozen=True)
 class ModelConstants:
     """Exact analytic constants entering the tail asymptotics.
@@ -560,12 +609,19 @@ class ModelConstants:
     constants and vice versa).  ``mean_cluster_size`` is the expected
     number of points of one cluster, 1 + E[K] or 1 / (1 - E[kappa]), which
     is also the constant of either family's max-tail asymptotics.
+    ``cluster_size_variance`` is their variance, the count controls' second
+    moment: Var K, or (m + Var kappa) / (1 - m)**3 with m = E[kappa], since a
+    Hawkes point has a mixed-Poisson number of children, of mean m and
+    variance m + Var kappa (Harris 1963, total progeny of a branching
+    process).  It is inf where it is infinite and in the comonotone
+    regimes, which no count control reads (see :func:`count_variance`).
     """
 
     mean_mark: float
     mean_count: float
     sum_shift_hawkes: float | None
     mean_cluster_size: float
+    cluster_size_variance: float
 
 
 def model_constants(model: JointMarkModel) -> ModelConstants:
@@ -586,12 +642,14 @@ def model_constants(model: JointMarkModel) -> ModelConstants:
             mean_count=mc,
             sum_shift_hawkes=mx / (1.0 - mc),
             mean_cluster_size=1.0 / (1.0 - mc),
+            cluster_size_variance=(mc + count_variance(model)) / (1.0 - mc) ** 3,
         )
     return ModelConstants(
         mean_mark=mx,
         mean_count=mc,
         sum_shift_hawkes=None,
         mean_cluster_size=1.0 + mc,
+        cluster_size_variance=count_variance(model),
     )
 
 

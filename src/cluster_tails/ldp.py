@@ -23,19 +23,20 @@ Where the marks are i.i.d. and independent of the counts
 sweep estimates P(M_T > x) by conditional Monte Carlo: the mean over windows
 of P(M_T > x | N_T) = 1 - F(x)**N_T, which is unbiased and uses the same
 paths (:func:`~cluster_tails.estimate.conditional_max_tail`).  Where N_T
-also has a finite second moment
-(:attr:`~cluster_tails.heavytail.JointMarkModel.count_control`), N_T minus
-its exact mean E[N_T] (:func:`~cluster_tails.process.mean_events`) is a
-control variate: each window contributes
-1 - F(x)**N_T - beta(x) (N_T - E[N_T]) with the fixed tangent slope
-beta(x) = -log F(x) F(x)**E[N_T], so the estimate stays unbiased.  At the
-criterion-10 model's T = 100 left edge this cuts the variance about 230
-times, and far more further out, where 1 - F(x)**N_T is nearly linear in
-N_T.  Its band is the normal one, p +- 1.96 sd/sqrt(n).  The crude maxima
-still place and certify the grid, and their exceedance counts stay in the
-output as a cross-check; in these regimes they too are drawn from the
-in-window counts (see :mod:`~cluster_tails.process`), so the sweep draws no
-mark at all.
+also has finite moments, its exact mean E[N_T] and variance Var N_T
+(:func:`~cluster_tails.process.event_moments`) make the first Taylor terms
+of g(N) = 1 - F(x)**N about E[N_T] control variates, as many as
+:attr:`~cluster_tails.heavytail.JointMarkModel.count_control_order` says:
+each window contributes g(N_T) - beta1(x) (N_T - E[N_T]) +
+beta2(x) ((N_T - E[N_T])**2 - Var N_T), with the fixed Taylor coefficients
+beta1 = g'(E[N_T]) and beta2 = -g''(E[N_T]) / 2, so the estimate stays
+unbiased.  At the criterion-10 model's T = 100 left edge the linear term
+cuts the variance about 240 times, and the quadratic one about 130 times
+more; further out, where g is nearly linear in N_T, far more.  Its band is
+the normal one, p +- 1.96 sd/sqrt(n).  The crude maxima still place and
+certify the grid, and their exceedance counts stay in the output as a
+cross-check; in these regimes they too are drawn from the in-window counts
+(see :mod:`~cluster_tails.process`), so the sweep draws no mark at all.
 The comonotone regimes keep the crude exceedance fraction of the drawn
 marks' maxima and its Wilson band.
 
@@ -61,7 +62,7 @@ import numpy as np
 from .errors import ModelError
 from .estimate import TailSample, conditional_max_tail, max_tail_estimator, tail_bands
 from .heavytail import JointMarkModel, OracleSpec, model_constants, theoretical_denominator
-from .process import WindowConfig, mean_events, sweep_windows
+from .process import WindowConfig, event_moments, mean_events, sweep_windows
 from .rng import RngStream
 
 __all__ = [
@@ -208,8 +209,9 @@ def ldp_max_sweep(
 ) -> list[SweepRow]:
     """Ratio of the window-max tail to nu T E[cluster size] P(X > x), per horizon.
 
-    The tail is estimated as :func:`max_estimator` says, its control mean
-    E[N_T] from :func:`~cluster_tails.process.mean_events`; the crude maxima
+    The tail is estimated as :func:`max_estimator` says, its control
+    moments E[N_T] and Var N_T from
+    :func:`~cluster_tails.process.event_moments`; the crude maxima
     place the grid and count its exceedances in every regime.  Where the
     marks are independent of the counts, the sweep keeps only counts and
     maxima, which read no mark.  :func:`check_left_edges` runs first.
@@ -217,7 +219,11 @@ def ldp_max_sweep(
     check_left_edges(config, "max")
     window, horizons = config.window, config.horizons
     conditional = window.model.independent_marks
-    means = mean_events(window, horizons) if window.model.count_control else [None] * len(horizons)
+    order = window.model.count_control_order
+    # per horizon, the moments of N_T that the estimate's controls read
+    controls = [()] * len(horizons)
+    if order:
+        controls = [moments[:order] for moments in zip(*event_moments(window, horizons))]
     fields = ("n_events", "max_in_window") if conditional else ("max_in_window",)
     paths = sweep_windows(window, horizons, config.replications, rng, workers, fields)
     rows: list[SweepRow] = []
@@ -226,7 +232,7 @@ def ldp_max_sweep(
         grid = _horizon_grid(config, horizon, sample)
         survival = np.asarray(window.model.mark_law.survival(grid))
         denom = _normalizer(config, "max", float(horizon), grid)
-        estimate = conditional_max_tail(paths["n_events"][i], survival, means[i]) if conditional else None
+        estimate = conditional_max_tail(paths["n_events"][i], survival, *controls[i]) if conditional else None
         rows.extend(_sweep_rows(config, horizon, sample, grid, denom, estimate))
     return rows
 

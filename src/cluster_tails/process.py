@@ -79,12 +79,20 @@ from .heavytail import (
     JointMarkModel,
     _poisson_span,
     count_survival,
+    count_variance,
     model_constants,
     sample_joint,
 )
 from .rng import RngStream
 
-__all__ = ["WindowConfig", "WINDOW_FIELDS", "check_mean_events", "mean_events", "sweep_windows"]
+__all__ = [
+    "WindowConfig",
+    "WINDOW_FIELDS",
+    "check_mean_events",
+    "mean_events",
+    "event_moments",
+    "sweep_windows",
+]
 
 
 @dataclass(frozen=True)
@@ -138,13 +146,42 @@ def check_mean_events(config: WindowConfig, horizons) -> None:
 def mean_events(config: WindowConfig, horizons) -> np.ndarray:
     """E[N_T], the mean number of points in a window of length T, for each horizon T.
 
-    Hawkes: nu T / (1 - m) - nu m (1 - exp(-beta (1 - m) T)) / (beta (1 - m)**2),
-    with m = E[kappa] and beta the decay rate.  Renewal:
-    nu T + nu sum_{r >= 1} P(K >= r) E[(T - S_r)^+], S_r the sum of r waits,
-    which are independent of K.  The r-sum stops at the first n of 64, 128,
-    256, ... with E[(T - S_n)^+] E[K] <= 1e-15 T: the shortfall never grows
-    with r, so the terms past n add at most E[(T - S_n)^+] sum_{r > n} P(K >= r)
-    <= E[(T - S_n)^+] E[K], which is below 1e-15 of E[N_T] >= nu T.
+    The first half of :func:`event_moments`, whose checks it runs.
+    """
+    return event_moments(config, horizons)[0]
+
+
+def event_moments(config: WindowConfig, horizons) -> tuple[np.ndarray, np.ndarray]:
+    """E[N_T] and Var N_T, N_T the number of points in a window of length T, for each T.
+
+    N_T sums Y(u), the points by age u of a cluster born u before T, over
+    the Poisson(nu) immigrants, so E[N_T] = nu int_0^T E[Y(u)] du and
+    Var N_T = nu int_0^T E[Y(u)**2] du (Campbell).
+
+    Hawkes, with m = E[kappa], c = beta (1 - m) and beta the decay rate:
+    E[N_T] = nu T / (1 - m) - nu m (1 - exp(-c T)) / (beta (1 - m)**2).
+    An immigrant's children come at rate kappa beta exp(-beta s) and start
+    independent copies of its cluster, so m1 = E[Y(u)] =
+    (1 - m exp(-c u)) / (1 - m) and m2 = E[Y(u)**2] =
+    2 m1 - 1 + E[kappa**2] A**2 + m B, with A = (m1 - 1) / m =
+    (1 - exp(-c u)) / (1 - m) and B(u) = int_0^u beta exp(-beta s) m2(u - s) ds,
+    so B' = beta (2 m1 - 1 + E[kappa**2] A**2) - c B, B(0) = 0.  The
+    forcing is a sum of 1, exp(-c u) and exp(-2 c u), so B and the integral
+    of m2 are closed forms; m2 tends to E[S**2] = (1 - m**2 + E[kappa**2]) / (1 - m)**3,
+    S the cluster size.  HawkesComonotoneIntensity has no count control, so
+    its Var N_T is not computed and reads inf.
+
+    Renewal: E[N_T] = nu T + nu sum_{r >= 1} P(K >= r) E[(T - S_r)^+] and
+    Var N_T = nu T + nu sum_{r >= 1} (2r + 1) P(K >= r) E[(T - S_r)^+],
+    S_r the sum of r waits, which are independent of K: Y(u) = 1 + Z with
+    Z = min(K, #{r : S_r <= u}), so E[Y**2] = 1 + sum_r (2r + 1) P(Z >= r).
+    Both r-sums read one table of shortfalls and one of P(K >= r), and stop
+    at the first n of 64, 128, 256, ... with E[(T - S_n)^+] E[K] <= 1e-15 T:
+    the shortfall never grows with r, so the terms past n add at most
+    E[(T - S_n)^+] sum_{r > n} P(K >= r) <= E[(T - S_n)^+] E[K] to the
+    mean, below 1e-15 of E[N_T] >= nu T, and at most
+    E[(T - S_n)^+] E[K**2 + 2K] to the variance, below
+    1e-15 (E[K**2] / E[K] + 2) of Var N_T >= nu T where E[K**2] is finite.
     :func:`check_mean_events` runs first.
     """
     ts = np.asarray(horizons, dtype=float)
@@ -154,7 +191,8 @@ def mean_events(config: WindowConfig, horizons) -> np.ndarray:
     if model.is_hawkes:
         decay = config.cluster_params.decay_rate
         fade = -np.expm1(-decay * (1.0 - m) * ts)
-        return nu * ts / (1.0 - m) - nu * m * fade / (decay * (1.0 - m) ** 2)
+        means = nu * ts / (1.0 - m) - nu * m * fade / (decay * (1.0 - m) ** 2)
+        return means, _hawkes_event_variance(model, m, decay, nu, ts)
     waiting = config.cluster_params.waiting_law
     shortfalls = [
         next(s for s in _shortfalls(waiting, t) if s[-1] * m <= 1e-15 * t) for t in ts
@@ -163,7 +201,36 @@ def mean_events(config: WindowConfig, horizons) -> np.ndarray:
     # is bit-equal to a call over its own range, since _poisson_sf sums from
     # the Poisson span's ends, not the range's
     survival = count_survival(model, np.arange(max((s.size for s in shortfalls), default=0)))
-    return np.array([nu * (t + survival[: s.size] @ s) for t, s in zip(ts, shortfalls)])
+    odd = survival * (2.0 * np.arange(1, survival.size + 1) + 1.0)
+    means = np.array([nu * (t + survival[: s.size] @ s) for t, s in zip(ts, shortfalls)])
+    variances = np.array([nu * (t + odd[: s.size] @ s) for t, s in zip(ts, shortfalls)])
+    return means, variances
+
+
+def _hawkes_event_variance(
+    model: JointMarkModel, m: float, decay: float, nu: float, ts: np.ndarray
+) -> np.ndarray:
+    """Var N_T = nu int_0^T m2(u) du for a Hawkes window, m = E[kappa], in closed form.
+
+    See :func:`event_moments`.  With d = 1 - m and k2 = E[kappa**2],
+    2 m1 - 1 + k2 A**2 is a0 + a1 exp(-c u) + a2 exp(-2 c u), so
+    B = beta (a0 (1 - exp(-c u)) / c + a1 u exp(-c u) + a2 (exp(-c u) - exp(-2 c u)) / c),
+    and beta / c = 1 / d.  With no offspring (m = 0, so kappa = 0) this is
+    nu T; with E[kappa**2] = inf, m2(u) >= E[kappa**2] A**2 is infinite for
+    every u > 0, and so is Var N_T.  :func:`count_variance` gives inf for the
+    comonotone regime, whose variance no count control reads.
+    """
+    d, k2 = 1.0 - m, count_variance(model) + m * m
+    if np.isinf(k2):
+        return np.full(ts.shape, np.inf)
+    a0, a1, a2 = (1.0 + m) / d + k2 / d**2, -2.0 * (m / d + k2 / d**2), k2 / d**2
+    c = decay * d
+    e1 = -np.expm1(-c * ts) / c  # int_0^T exp(-c u) du
+    e2 = -np.expm1(-2.0 * c * ts) / (2.0 * c)  # int_0^T exp(-2 c u) du
+    u1 = (e1 - ts * np.exp(-c * ts)) / c  # int_0^T u exp(-c u) du
+    direct = a0 * ts + a1 * e1 + a2 * e2
+    offspring = a0 * (ts - e1) / d + decay * a1 * u1 + a2 * (e1 - e2) / d
+    return nu * (direct + m * offspring)
 
 
 def _shortfalls(waiting, t: float):

@@ -22,7 +22,7 @@ from math import ceil, comb, exp, expm1, factorial, floor, log1p, sqrt
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import gammainc
+from scipy.special import gammainc, gammaln
 
 from cluster_tails.clusters import HawkesParams, RenewalParams
 from cluster_tails.errors import ClusterOverflow, ModelError
@@ -261,6 +261,34 @@ def _intensity_mgf(model: JointMarkModel, t: float) -> float:
     raise ValueError(f"no mgf for the intensity base law {base!r}")
 
 
+def hawkes_cluster_size_pmf(model: JointMarkModel, kmax: int) -> np.ndarray:
+    """P(S = k), k = 0 .. kmax - 1, for the size S of a HawkesLightIntensity cluster.
+
+    A point has Poisson(kappa) children, so P(C = j) = E[exp(-kappa) kappa**j / j!],
+    for kappa = s U uniform on [a, b] the difference of the regularised
+    lower incomplete gammas P(j + 1, b) - P(j + 1, a) over b - a.  S is the
+    total progeny of a branching process, and by Dwass's formula
+    P(S = n) = P(C_1 + ... + C_n = n - 1) / n.
+    """
+    if model.regime is not Regime.HAWKES_LIGHT_INTENSITY:
+        raise ValueError(f"{model.regime.value} is not HawkesLightIntensity")
+    base, s = model.count_param, model.intensity_scale_factor()
+    j = np.arange(kmax)
+    if isinstance(base, Constant):
+        children = np.exp(j * np.log(s * base.value) - s * base.value - gammaln(j + 1.0))
+    elif isinstance(base, BoundedUniform):
+        a, b = s * base.lo, s * base.hi
+        children = (gammainc(j + 1.0, b) - gammainc(j + 1.0, a)) / (b - a)
+    else:
+        raise ValueError(f"no children's pmf for the intensity base law {base!r}")
+    pmf, power = np.zeros(kmax), np.zeros(kmax)
+    power[0] = 1.0
+    for n in range(1, kmax):
+        power = np.convolve(power, children)[:kmax]  # the law of C_1 + ... + C_n
+        pmf[n] = power[n - 1] / n
+    return pmf
+
+
 def hawkes_cluster_max_tail(model: JointMarkModel, x: float) -> float:
     """P(H > x) for a HawkesLightIntensity cluster, by the fixed point of its pgf.
 
@@ -322,12 +350,45 @@ def renewal_window_max_tail(
     return -expm1(-nu * (horizon * sf + f * sf * series))
 
 
+def renewal_window_count_variance(
+    model: JointMarkModel, wait_rate: float, nu: float, horizon: float
+) -> float:
+    """Var N_T for an IndependentLightCount model with Exp(``wait_rate``) waits, by incomplete gammas.
+
+    An immigrant born u before T has Y(u) = 1 + min(K, Pi(u)) points by T,
+    Pi the Poisson process of its waits, and Var N_T = nu int_0^T E[Y(u)**2] du
+    (Campbell).  E[Y**2] = 1 + sum_{r >= 1} (2r + 1) P(K >= r) P(S_r <= u),
+    so Var N_T = nu (T + sum_r (2r + 1) P(K >= r) E[(T - S_r)^+]), with the
+    shortfalls and P(K >= r) as in :func:`renewal_window_max_tail`.
+    """
+    if model.regime is not Regime.INDEPENDENT_LIGHT_COUNT:
+        raise ValueError(f"{model.regime.value} has no Poisson count")
+    mu = float(model.count_param)
+    r = np.arange(1, int(mu + 40.0 * sqrt(mu + 1.0)) + 50)
+    rate_t = wait_rate * horizon
+    shortfall = horizon * gammainc(r, rate_t) - r / wait_rate * gammainc(r + 1, rate_t)
+    series = float(np.sum((2.0 * r + 1.0) * gammainc(r, mu) * shortfall)) if mu > 0 else 0.0
+    return nu * (horizon + series)
+
+
+def sample_variance_z(values: np.ndarray, variance: float) -> float:
+    """(sample variance - ``variance``) over the sample variance's standard error, from the fourth moment.
+
+    The sample variance of n i.i.d. values has variance (mu4 - sigma**4) / n
+    to first order, mu4 the fourth central moment; both are estimated from
+    the sample.
+    """
+    dev = values - values.mean()
+    s2 = dev.var(ddof=1)
+    return (s2 - variance) / sqrt(max(float(np.mean(dev**4)) - s2 * s2, 0.0) / values.size)
+
+
 def plain_conditional_max_tail(counts: np.ndarray, survival: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The mean over replications of 1 - F(x)**N and its standard error, grouped by distinct N.
 
     The package's estimator with no control mean, as it stood before the
-    count became its control variate: the tests check that it still gives
-    these bits.
+    count became its control variate, each x reduced on its own: the tests
+    check that it still gives these bits.
     """
     if int(counts.max()) >= counts.size:
         values, weights = np.unique(counts, return_counts=True)
@@ -339,6 +400,6 @@ def plain_conditional_max_tail(counts: np.ndarray, survival: np.ndarray) -> tupl
         terms = -np.expm1(np.multiply.outer(np.log1p(-survival), values))
     terms[:, values == 0] = 0.0
     n = counts.size
-    mean = terms @ weights / n
-    var = (terms - mean[:, None]) ** 2 @ weights / (n - 1)
+    mean = (terms * weights).sum(axis=1) / n
+    var = ((terms - mean[:, None]) ** 2 * weights).sum(axis=1) / (n - 1)
     return mean, np.sqrt(var / n)

@@ -489,6 +489,13 @@ class TestHostileConfigs:
     CASES += LATTICE_ROWS
     # ldp-max needs E[N_T] too where the count is its control variate: a Poisson count
     CASES += [("ldp-max", *case[1:]) for case in SHORT_WAITS + LATTICE_ROWS]
+    # one cluster gives no standard error: the cluster-tails max rows' bands were nan
+    # after a RuntimeWarning, and a tail-ratio max warned before it failed
+    CASES += [
+        ("cluster-tails", {"clusters": 1}, "clusters"),
+        ("tail-ratio", {"clusters": 1}, "clusters"),
+        ("tail-ratio", {"clusters": 1, "functional": "sum"}, "clusters"),
+    ]
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize(

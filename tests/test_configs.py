@@ -38,7 +38,7 @@ REDUCED = {
 # (csv, json) sha256 of each reduced run
 PINNED = {
     "cluster-tails.json": (
-        "5edf8324c2b7cbd345a51e334b1880a9ddd0eecbe77a63c8d2e6c9191323f8e3",
+        "66bcc53d10276182c4c2570605577a8edd06e4c9591ba59fd46826c22a0eb777",
         "c2ede7df6120da47756ac380f83a8fa9f570027090a76ff7f0bc5fb99a3c2a06",
     ),
     "hill.json": (
@@ -46,8 +46,8 @@ PINNED = {
         "c50e3a56c7af679b1641332c09de2f3083191eb583167e39f53649a19b733fd9",
     ),
     "ldp-max.json": (
-        "3d29f2e7d5aa0d26e10d8a83093bfd0ead66de36eba22b597ce81156731a2ded",
-        "c564529f1d404fdccf521ceea557afc408f5771c4b946d43fd5889e60b2ed4ae",
+        "16918da84f814e59421413e0e76ed8dc1ba1f02bc33f203790281fb32ab56b86",
+        "9aca5be91e9bf9df65faa9fd7bdcea1ce95a525a95d04bed8578941b7831142b",
     ),
     "ldp-sum.json": (
         "c8f8acea07bd88b14d9c3d198afe81463088aa87fae4db17131b5d5b12797f1c",
@@ -66,8 +66,8 @@ PINNED = {
         "b250c630ecafa24bb5cae87b8bd27cc06247c41b167e2aae7dd738a70fb98c56",
     ),
     "tail-ratio-renewal-max.json": (
-        "595df339aecce52ef3563c9eebf61b3b448205689fc2b80c30d637e04ddafb8d",
-        "f04af333bf6985d0768f7efc380ee0ae6f3468d185c6c507260ca00d8f9b9988",
+        "2a3f474cebb7249d6ed99329a42f5b9b59959aca7d5a2fb015a1d8b6609b3b46",
+        "554d70de2fb945e3dd125b52cc48140d588945a7cd444793e079214115343e89",
     ),
     "tail-ratio-tail-equivalent-mc.json": (
         "64d7289b654fff7a9443611877d6dce958858c3789f7a269a6dbfa5f519dfaa4",

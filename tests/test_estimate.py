@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import poisson
 
 from cluster_tails.errors import (
     ConfigError,
@@ -37,7 +38,12 @@ from cluster_tails.heavytail import (
     model_constants,
 )
 from cluster_tails.rng import RngStream
-from reference import hawkes_cluster_max_tail, plain_conditional_max_tail, renewal_cluster_max_tail
+from reference import (
+    hawkes_cluster_max_tail,
+    hawkes_cluster_size_pmf,
+    plain_conditional_max_tail,
+    renewal_cluster_max_tail,
+)
 from reference import laplace_derivative_table as reference_laplace_table
 
 LAW = ParetoLaw(1.0, 1.5)
@@ -215,8 +221,8 @@ class TestConditionalMaxTail:
         h = TailSample.from_values(sample.h)
         crude = ratio_curve(h, model, "max", grid)
         curve = ratio_curve(h, model, "max", grid, sizes=sample.sizes)
-        # the exact mean size 1 + E[K] = 3 is the control variate of a Poisson(2) count
-        tail, _ = conditional_max_tail(sample.sizes, np.asarray(LAW.survival(curve.grid)), 3.0)
+        # the exact mean size 1 + E[K] = 3 and variance Var K = 2 of a Poisson(2) count are its controls
+        tail, _ = conditional_max_tail(sample.sizes, np.asarray(LAW.survival(curve.grid)), 3.0, 2.0)
         assert np.array_equal(curve.grid, crude.grid)
         assert np.array_equal(curve.exceedances, crude.exceedances)
         assert np.array_equal(curve.empirical, tail)
@@ -256,45 +262,102 @@ class TestCountControl:
         assert np.allclose(mean, terms.mean(axis=1), rtol=1e-12, atol=0)
         assert np.allclose(se, terms.std(axis=1, ddof=1) / math.sqrt(counts.size), rtol=1e-9, atol=0)
 
-    def test_edges_emit_no_warning(self):
+    def test_terms_with_the_quadratic_control(self):
+        counts = np.array([0, 3, 1, 3, 2, 0, 7, 3])
+        survival = np.array([0.5, 0.01, 1e-6])
+        mu, var = 2.5, 4.0
+        a = -np.log1p(-survival)[:, None]
+        f_mu = np.exp(-mu * a)
+        terms = -np.expm1(-counts * a) - a * f_mu * (counts - mu)
+        terms += 0.5 * a**2 * f_mu * ((counts - mu) ** 2 - var)
+        mean, se = conditional_max_tail(counts, survival, mu, var)
+        assert np.allclose(mean, terms.mean(axis=1), rtol=1e-12, atol=0)
+        assert np.allclose(se, terms.std(axis=1, ddof=1) / math.sqrt(counts.size), rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("control", [(), (1.5,), (1.5, 2.0)], ids=["plain", "linear", "quadratic"])
+    def test_edges_emit_no_warning(self, control):
         # F(x) = 0 (sf 1), F(x) = 1 (sf 0) and replications with no mark
         counts = np.array([0, 0, 4, 1, 0, 2])
         survival = np.array([1.0, 0.0, 0.3])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            mean, se = conditional_max_tail(counts, survival, 1.5)
-            zeros, zeros_se = conditional_max_tail(np.zeros(5, dtype=np.int64), survival, 1.5)
-        # beta = 0 where F(x) = 0: the fraction with a mark; where F(x) = 1 nothing exceeds x
+            mean, se = conditional_max_tail(counts, survival, *control)
+            zeros, zeros_se = conditional_max_tail(np.zeros(5, dtype=np.int64), survival, *control)
+        # every beta = 0 where F(x) = 0: the fraction with a mark; where F(x) = 1 nothing exceeds x
         assert mean[0] == 0.5 and mean[1] == 0.0 and se[1] == 0.0
         assert np.all(np.isfinite(mean)) and np.all(np.isfinite(se))
-        # N = 0 everywhere: each replication is 0 - beta (0 - mu), a constant
-        beta = -math.log1p(-0.3) * (0.7**1.5)
-        assert zeros[2] == pytest.approx(beta * 1.5, rel=1e-14) and zeros_se[2] == 0.0
+        # N = 0 everywhere: each replication is 0 - beta1 (0 - mu) + beta2 (mu**2 - var), a constant
+        a = -math.log1p(-0.3)
+        beta1 = a * 0.7**1.5
+        want = {(): 0.0, (1.5,): beta1 * 1.5, (1.5, 2.0): beta1 * 1.5 + 0.5 * a * beta1 * (1.5**2 - 2.0)}
+        assert zeros[2] == pytest.approx(want[control], rel=1e-14, abs=0) and zeros_se[2] == 0.0
         assert np.array_equal(zeros[:2], [0.0, 0.0])
 
-    def test_size_control_where_the_count_has_a_finite_second_moment(self):
+    @settings(deadline=None, derandomize=True, max_examples=40)
+    @given(
+        counts=st.lists(st.integers(0, 3000), min_size=2, max_size=400),
+        survival=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=12),
+        control=st.sampled_from([(), (7.0,), (7.0, 30.0)]),
+    )
+    def test_a_point_is_reduced_on_its_own(self, counts, survival, control):
+        # a point's estimate and SE have the same bits alone as inside a grid of up to twelve
+        counts, survival = np.array(counts), np.array(survival)
+        grid = conditional_max_tail(counts, survival, *control)
+        for i in range(survival.size):
+            alone = conditional_max_tail(counts, survival[i : i + 1], *control)
+            assert grid[0][i].tobytes() == alone[0][0].tobytes()
+            assert grid[1][i].tobytes() == alone[1][0].tobytes()
+
+    def test_fewer_than_two_replications_raise(self):
+        # one replication has no standard error: refused, not nan after a RuntimeWarning
+        for counts in (np.array([3]), np.array([], dtype=np.int64)):
+            with pytest.raises(ValueError, match="two replications"):
+                conditional_max_tail(counts, np.array([0.5]))
+
+    def test_size_control_follows_the_order(self):
         for name, (model, _, _) in CLUSTER_MAX_MODELS.items():
-            want = None if name == "heavy-count" else model_constants(model).mean_cluster_size
-            assert size_control(model) == want, name
+            constants = model_constants(model)
+            want = (constants.mean_cluster_size, constants.cluster_size_variance)
+            assert size_control(model) == (() if name == "heavy-count" else want), name
         square_integrable = JointMarkModel(Regime.INDEPENDENT_HEAVY_COUNT, LAW, ParetoLaw(1.0, 2.5))
-        assert size_control(square_integrable) == model_constants(square_integrable).mean_cluster_size
-        assert size_control(JointMarkModel(Regime.COMONOTONE_COUNT, ParetoLaw(1.0, 3.0))) is None
+        assert size_control(square_integrable) == (model_constants(square_integrable).mean_cluster_size,)
+        assert size_control(JointMarkModel(Regime.COMONOTONE_COUNT, ParetoLaw(1.0, 5.0))) == ()
+
+    @pytest.mark.parametrize("name", ["light-count", "hawkes-light"])
+    def test_the_controls_have_mean_zero_under_the_exact_size_law(self, name):
+        # the estimate is unbiased where both controls have mean 0, that is where
+        # size_control gives the size law's exact mean and variance: here against
+        # the law's pmf, 1 + Poisson(2) or the Hawkes total progeny by Dwass's formula
+        model, _, exact_law = CLUSTER_MAX_MODELS[name]
+        k = np.arange(600)
+        pmf = poisson.pmf(k - 1, 2.0) if name == "light-count" else hawkes_cluster_size_pmf(model, k.size)
+        mu, var = size_control(model)
+        assert pmf @ k == pytest.approx(mu, rel=1e-13, abs=0)
+        assert pmf @ (k - mu) ** 2 == pytest.approx(var, rel=1e-12, abs=0)
+        # and the pmf is the law the reference's max tail is read from; the Hawkes
+        # fixed point forms 1 - F E[...] and so loses about 1e-16 / P(H > x) of itself
+        for x in (30.0, 300.0, 3000.0):
+            g = -np.expm1(k * math.log1p(-float(LAW.survival(x))))
+            assert pmf @ g == pytest.approx(exact_law(model, x), rel=1e-10, abs=0)
 
     # criterion 1's model and criterion 3's, on the criteria's quantile grid
     @pytest.mark.parametrize("name", ["light-count", "hawkes-light"])
     def test_within_its_band_of_the_exact_law(self, name):
         model, params, exact_law = CLUSTER_MAX_MODELS[name]
         n, grid = 600_000, QuantileGrid()
-        sample = batch_functionals(model, params, n, RngStream(46, 0), fields=("h", "sizes"))
+        sample = batch_functionals(model, params, n, RngStream(47, 0), fields=("h", "sizes"))
         xs = TailSample.from_values(sample.h).quantile(list(grid.levels))
         survival = np.asarray(model.mark_law.survival(xs))
-        tail, se = conditional_max_tail(sample.sizes, survival, size_control(model))
+        tail, se = conditional_max_tail(sample.sizes, survival, *size_control(model))
+        _, linear_se = conditional_max_tail(sample.sizes, survival, size_control(model)[0])
         _, plain_se = conditional_max_tail(sample.sizes, survival)
         for x, p, s in zip(xs, tail, se):
             exact = exact_law(model, float(x))
             assert abs(p - exact) <= _Z95 * s, (x, p, s, exact)
-        # at least a thousandfold variance cut on every point of the grid
+        # at least a thousandfold variance cut on every point of the grid, a
+        # hundredfold of it by the quadratic term
         assert np.all((se / plain_se) ** 2 <= 1e-3), se / plain_se
+        assert np.all((se / linear_se) ** 2 <= 1e-2), se / linear_se
 
 
 class TestHill:

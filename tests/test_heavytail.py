@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
 from cluster_tails import clusters, heavytail
-from cluster_tails.clusters import RenewalParams, batch_functionals
+from cluster_tails.clusters import HawkesParams, RenewalParams, batch_functionals
 from cluster_tails.errors import InfiniteMean, ModelError, SupercriticalModel
 from cluster_tails.heavytail import (
     BoundedUniform,
@@ -34,7 +34,7 @@ from cluster_tails.heavytail import (
     theoretical_denominator,
 )
 from cluster_tails.rng import RngStream
-from reference import comonotone_count_joint_tail, independent_count_joint_tail
+from reference import comonotone_count_joint_tail, independent_count_joint_tail, sample_variance_z
 
 LAW = ParetoLaw(1.0, 1.5)
 
@@ -324,21 +324,83 @@ class TestModelConstants:
 
 
 class TestCountControl:
-    """Where a count minus its exact mean is a control variate: independent marks and E[N**2] finite."""
+    """How many Taylor terms of the max's tail in the count are control variates: 0, 1 or 2."""
 
     def test_shipped_regimes(self):
-        want = {"light_count": True, "hawkes_light": True, "heavy_count": False}
-        want |= {"tail_equivalent": False, "comonotone": False, "hawkes_comonotone": False}
-        assert {name: model.count_control for name, model in ALL_MODELS.items()} == want
+        want = {"light_count": 2, "hawkes_light": 2, "heavy_count": 0}
+        want |= {"tail_equivalent": 0, "comonotone": 0, "hawkes_comonotone": 0}
+        assert {name: model.count_control_order for name, model in ALL_MODELS.items()} == want
 
-    @pytest.mark.parametrize("alpha, control", [(1.5, False), (2.0, False), (2.01, True), (3.5, True)])
+    # the linear term needs E[N**2] < inf (alpha > 2), the quadratic one E[N**4] < inf (alpha > 4)
+    @pytest.mark.parametrize(
+        "alpha, order", [(1.5, 0), (2.0, 0), (2.01, 1), (3.5, 1), (4.0, 1), (4.01, 2), (5.0, 2)]
+    )
     @pytest.mark.parametrize("regime", [Regime.INDEPENDENT_HEAVY_COUNT, Regime.INDEPENDENT_TAIL_EQUIVALENT])
-    def test_ceil_pareto_count_needs_alpha_above_two(self, regime, alpha, control):
-        assert JointMarkModel(regime, LAW, ParetoLaw(1.0, alpha)).count_control is control
+    def test_ceil_pareto_count_order_follows_its_moments(self, regime, alpha, order):
+        assert JointMarkModel(regime, LAW, ParetoLaw(1.0, alpha)).count_control_order == order
 
     def test_comonotone_count_never(self):
-        # ceil(X) has a finite second moment here, but the marks are not independent of it
-        assert not JointMarkModel(Regime.COMONOTONE_COUNT, ParetoLaw(1.0, 3.0)).count_control
+        # ceil(X) has a finite fourth moment here, but the marks are not independent of it
+        assert JointMarkModel(Regime.COMONOTONE_COUNT, ParetoLaw(1.0, 5.0)).count_control_order == 0
+
+
+class TestClusterSizeVariance:
+    """``ModelConstants.cluster_size_variance``: Var K, or (m + Var kappa) / (1 - m)**3 for Hawkes."""
+
+    def test_poisson_count(self):
+        assert model_constants(light_count(2.0)).cluster_size_variance == 2.0
+        assert model_constants(light_count(0.0)).cluster_size_variance == 0.0
+
+    # scale 2.5 starts the zeta sums at k0 = 3; alpha = 3 has E[K**2] but no E[K**4]
+    @pytest.mark.parametrize("scale, alpha", [(1.0, 5.0), (2.5, 5.0), (1.0, 3.0)])
+    def test_ceil_pareto_count_by_its_survival(self, scale, alpha):
+        # E[K] = sum_k P(K >= k), E[K**2] = sum_k (2k - 1) P(K >= k), P(K >= k) = P(Z > k - 1),
+        # to k = n and then by the integrals of scale**alpha x**-alpha and of 2x times it
+        z, n = ParetoLaw(scale, alpha), 2_000_000
+        k = np.arange(1, n + 1, dtype=float)
+        at_least = np.asarray(z.survival(k - 1.0))
+        mean = at_least.sum() + scale**alpha * n ** (1.0 - alpha) / (alpha - 1.0)
+        square = (2.0 * k - 1.0) @ at_least + 2.0 * scale**alpha * n ** (2.0 - alpha) / (alpha - 2.0)
+        for regime in (Regime.INDEPENDENT_HEAVY_COUNT, Regime.INDEPENDENT_TAIL_EQUIVALENT):
+            got = model_constants(JointMarkModel(regime, LAW, z)).cluster_size_variance
+            assert got == pytest.approx(square - mean**2, rel=1e-9)
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.0])
+    def test_infinite_without_a_second_moment(self, alpha):
+        model = JointMarkModel(Regime.INDEPENDENT_HEAVY_COUNT, LAW, ParetoLaw(1.0, alpha))
+        assert model_constants(model).cluster_size_variance == np.inf
+
+    def test_comonotone_regimes_read_no_variance(self):
+        # their count control order is 0: inf, whatever the marks' moments
+        for model in (JointMarkModel(Regime.COMONOTONE_COUNT, ParetoLaw(1.0, 5.0)), hawkes_comonotone(0.0)):
+            assert model_constants(model).cluster_size_variance == np.inf
+
+    def test_hawkes_light_intensity(self):
+        # kappa = U(0, 1): m = 1/2, Var kappa = 1/12
+        assert model_constants(hawkes_light()).cluster_size_variance == pytest.approx(14.0 / 3.0, rel=1e-14)
+        # exponential kappa: Var kappa = m**2; constant kappa: 0
+        for base, var_kappa in ((Exponential(2.0), 0.09), (Constant(4.0), 0.0)):
+            c = model_constants(hawkes_light(0.3, base))
+            assert c.cluster_size_variance == pytest.approx((0.3 + var_kappa) / 0.7**3, rel=1e-14)
+            # E[S**2] = (1 - m**2 + E[kappa**2]) / (1 - m)**3
+            square = c.cluster_size_variance + c.mean_cluster_size**2
+            assert square == pytest.approx((1.0 - 0.09 + var_kappa + 0.09) / 0.7**3, rel=1e-14)
+
+    # the three regimes with a quadratic count control, a ceil(Pareto(5)) count among them
+    @pytest.mark.parametrize(
+        "model",
+        [
+            light_count(2.0),
+            JointMarkModel(Regime.INDEPENDENT_HEAVY_COUNT, LAW, ParetoLaw(1.0, 5.0)),
+            hawkes_light(),
+        ],
+        ids=["poisson", "ceil-pareto-5", "hawkes-light"],
+    )
+    def test_matches_simulated_sizes(self, model):
+        params = HawkesParams() if model.is_hawkes else RenewalParams(Exponential(1.0))
+        sizes = batch_functionals(model, params, 400_000, RngStream(91, 0), fields=("sizes",)).sizes
+        variance = model_constants(model).cluster_size_variance
+        assert abs(sample_variance_z(sizes.astype(float), variance)) < 4
 
 
 class TestTheoreticalDenominator:

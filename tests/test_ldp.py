@@ -7,6 +7,7 @@ point of the sweep is compared against that closed form.
 
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from cluster_tails.ldp import (
     leftover_scaling,
     sweep_summary,
 )
-from cluster_tails.process import WindowConfig, mean_events, sweep_windows
+from cluster_tails.process import WindowConfig, event_moments, sweep_windows
 from cluster_tails.rng import RngStream
 from reference import hawkes_leftover_mean, plain_conditional_max_tail, renewal_window_max_tail
 
@@ -224,45 +225,61 @@ class TestConditionalMaxSweep:
 
 
 class TestCountControlSweep:
-    """N_T minus its exact mean E[N_T] as the control variate of the conditional max sweep."""
+    """N_T's Taylor terms about E[N_T], with its exact mean and variance, as the sweep's controls."""
 
     HORIZONS = (10.0, 50.0, 100.0)
 
     def test_criterion_10_left_edges_within_3_se_of_the_exact_law(self):
-        # criterion 10's model, and the deviations |ratio - 1| of its exact window-max law
-        config = model_sweep(LIGHT_COUNT, RP, self.HORIZONS, replications=50_000)
+        # criterion 10's model and grid, and the deviations |ratio - 1| of its exact window-max law
+        config = replace(model_sweep(LIGHT_COUNT, RP, self.HORIZONS, replications=50_000), x_levels=12)
         rows = ldp_max_sweep(config, RngStream(41, 0))
         # the same paths' counts: every field subset of a sweep reads the same draws
         counts = sweep_windows(config.window, self.HORIZONS, 50_000, RngStream(41, 0), fields=("n_events",))
-        means = mean_events(config.window, self.HORIZONS)
+        means, variances = event_moments(config.window, self.HORIZONS)
         for i, (horizon, deviation) in enumerate(zip(self.HORIZONS, (0.6727, 0.4290, 0.3333))):
-            edge = next(r for r in rows if r.horizon == horizon)
-            assert edge.x == 0.5 * horizon
+            hrows = [r for r in rows if r.horizon == horizon]
+            edge = hrows[0]
+            assert edge.x == 0.5 * horizon and len(hrows) == 12
             exact = renewal_window_max_tail(LIGHT_COUNT, 1.0, 1.0, horizon, edge.x) / edge.denominator
             assert round(1.0 - exact, 4) == deviation
             survival = np.asarray(LAW.survival([edge.x]))
-            tail, se = conditional_max_tail(counts["n_events"][i], survival, means[i])
-            # one grid point, not the horizon's twelve: the same sums up to their last bits
-            assert edge.empirical == pytest.approx(tail[0], rel=1e-13)
+            n_events = counts["n_events"][i]
+            tail, se = conditional_max_tail(n_events, survival, means[i], variances[i])
+            # one grid point alone has the bits it has among the horizon's twelve
+            assert edge.empirical == tail[0]
+            grid_survival = np.asarray(LAW.survival([r.x for r in hrows]))
+            grid = conditional_max_tail(n_events, grid_survival, means[i], variances[i])
+            assert grid[0][0].tobytes() == tail[0].tobytes() and grid[1][0].tobytes() == se[0].tobytes()
             se_ratio = se[0] / edge.denominator
             assert abs(edge.ratio - exact) <= 3 * se_ratio, (horizon, edge.ratio, exact, se_ratio)
             if horizon == 100.0:
-                _, plain_se = conditional_max_tail(counts["n_events"][i], survival)
-                assert se[0] <= plain_se[0] / 10, (se, plain_se)
+                # the quadratic term cuts the variance at least 50 times below the linear control's
+                _, linear_se = conditional_max_tail(n_events, survival, means[i])
+                assert (se[0] / linear_se[0]) ** 2 <= 1 / 50, (se, linear_se)
 
-    def test_square_integrable_counts_only(self):
-        # a ceil(Pareto(1.5)) count has an infinite second moment: the plain estimate, bit for bit
-        heavy = JointMarkModel(Regime.INDEPENDENT_HEAVY_COUNT, LAW, ParetoLaw(1.0, 1.5))
-        config = model_sweep(heavy, RP, replications=10_000)
-        rows = ldp_max_sweep(config, RngStream(42, 0))
-        counts = sweep_windows(config.window, config.horizons, 10_000, RngStream(42, 0), fields=("n_events",))
-        for i, horizon in enumerate(config.horizons):
-            hrows = [r for r in rows if r.horizon == horizon]
-            survival = np.asarray(LAW.survival([r.x for r in hrows]))
-            plain, _ = plain_conditional_max_tail(counts["n_events"][i], survival)
-            assert [r.empirical for r in hrows] == plain.tolist()
-        assert ldp.max_estimator(heavy).startswith("conditional Monte Carlo: ")
-        assert ldp.max_estimator(LIGHT_COUNT).startswith("conditional Monte Carlo with control variate")
+    def test_the_order_follows_the_count_moments(self):
+        # a ceil(Pareto(1.5)) count has an infinite second moment: the plain estimate, bit
+        # for bit; a ceil(Pareto(3)) count has no fourth moment: the linear control alone
+        for alpha, order in ((1.5, 0), (3.0, 1)):
+            count = JointMarkModel(Regime.INDEPENDENT_HEAVY_COUNT, LAW, ParetoLaw(1.0, alpha))
+            config = model_sweep(count, RP, replications=10_000)
+            rows = ldp_max_sweep(config, RngStream(42, 0))
+            counts = sweep_windows(
+                config.window, config.horizons, 10_000, RngStream(42, 0), fields=("n_events",)
+            )
+            means = event_moments(config.window, config.horizons)[0]
+            for i, horizon in enumerate(config.horizons):
+                hrows = [r for r in rows if r.horizon == horizon]
+                survival = np.asarray(LAW.survival([r.x for r in hrows]))
+                if order == 0:
+                    want, _ = plain_conditional_max_tail(counts["n_events"][i], survival)
+                else:
+                    want, _ = conditional_max_tail(counts["n_events"][i], survival, means[i])
+                assert [r.empirical for r in hrows] == want.tolist(), (alpha, horizon)
+            estimator = ldp.max_estimator(count)
+            names = ("conditional Monte Carlo: ", "conditional Monte Carlo with control variate: ")
+            assert estimator.startswith(names[order])
+        assert ldp.max_estimator(LIGHT_COUNT).startswith("conditional Monte Carlo with control variates: ")
 
 
 class TestSumSweep:

@@ -9,6 +9,8 @@ distributionally.
 import hashlib
 import math
 import tracemalloc
+import warnings
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import partial
 
@@ -39,8 +41,10 @@ from reference import (
     hawkes_leftover_mean,
     immigrant_intensity,
     irwin_hall_shortfall,
+    renewal_window_count_variance,
     sample_hawkes_cluster,
     sample_renewal_cluster,
+    sample_variance_z,
 )
 
 LAW = ParetoLaw(1.0, 1.5)
@@ -690,9 +694,9 @@ class TestHawkesCells:
 
 
 @st.composite
-def window_configs(draw):
-    """A window config of any regime, with random mark and count tails, E[kappa] and nu."""
-    regime = draw(st.sampled_from(list(Regime)))
+def window_configs(draw, regimes=tuple(Regime)):
+    """A window config of one of ``regimes``, with random mark and count tails, E[kappa] and nu."""
+    regime = draw(st.sampled_from(regimes))
     mark = ParetoLaw(1.0, draw(st.floats(1.5, 3.0)))
     kappa = draw(st.floats(0.0, 0.7))
     count = {
@@ -720,6 +724,56 @@ class TestKernelInvariants:
         assert np.all(out["n_events"] >= out["n_clusters"])
         for field in ("n_events", "sum_in_window", "max_in_window"):
             assert np.all(np.diff(out[field], axis=0) >= 0), field
+
+
+def _outcome(run):
+    """What ``run()`` returns, as a dict of arrays, or the replication of its ClusterOverflow."""
+    try:
+        out = run()
+    except ClusterOverflow as exc:
+        return ("overflow", exc.replication)
+    if not isinstance(out, dict):
+        kept = (field for field in clusters.FUNCTIONALS if getattr(out, field) is not None)
+        out = {field: getattr(out, field) for field in kept}
+    return {field: values.tobytes() for field, values in out.items()}
+
+
+class TestWorkerInvariance:
+    """Window sweeps and cluster batches are bit-identical at one and at two workers."""
+
+    @pytest.mark.parametrize("regime", list(Regime), ids=[r.value for r in Regime])
+    @settings(derandomize=True, max_examples=5, deadline=None)
+    @given(
+        data=st.data(),
+        ticks=st.lists(st.integers(1, 120), min_size=1, max_size=3, unique=True),
+        cluster_fields=st.sets(st.sampled_from(clusters.FUNCTIONALS), min_size=1),
+    )
+    def test_one_and_two_workers_agree(self, regime, data, ticks, cluster_fields):
+        config = data.draw(window_configs(regimes=(regime,)))
+        fields = WINDOW_FIELDS + (("leftover_intensity",) if config.model.is_hawkes else ())
+        window_fields = data.draw(st.sets(st.sampled_from(fields), min_size=1))
+        horizons = np.array(sorted(ticks)) / 4.0
+        pools = []
+
+        def counted_pool(*args, **kwargs):
+            pools.append(kwargs["max_workers"])
+            return ProcessPoolExecutor(*args, **kwargs)
+
+        # chunks of 16 windows and of 64 clusters: at least three of each, for two workers to split
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(process, "_chunk_size", lambda *args: 16)
+            patch.setattr(clusters, "_chunk_size", lambda *args: 64)
+            patch.setattr(clusters, "ProcessPoolExecutor", counted_pool)
+            for run in (
+                partial(sweep_windows, config, horizons, 50, RngStream(137, 0), fields=tuple(window_fields)),
+                partial(
+                    batch_functionals, config.model, config.cluster_params, 200, RngStream(138, 0),
+                    fields=tuple(cluster_fields),
+                ),
+            ):
+                assert _outcome(partial(run, workers=1)) == _outcome(partial(run, workers=2))
+        # the batch always starts a pool, the sweep unless it only counts Hawkes cells
+        assert pools in ([2], [2, 2])
 
 
 class TestSweepWindows:
@@ -928,7 +982,7 @@ class TestEstimateMeanSum:
 
 
 class TestMeanEvents:
-    """The closed-form E[N_T] against exact values, exact references and simulation."""
+    """The closed-form E[N_T] and Var N_T against exact values, exact references and simulation."""
 
     HORIZONS = (10.0, 50.0, 100.0)
 
@@ -1056,7 +1110,64 @@ class TestMeanEvents:
     def _check_simulated(config, rng):
         horizons = (5.0, 20.0, 100.0)
         counts = sweep_windows(config, horizons, 20_000, rng, fields=("n_events",))["n_events"]
-        exact = process.mean_events(config, horizons)
-        for row, mean in zip(counts, exact):
+        means, variances = process.event_moments(config, horizons)
+        for row, mean, variance in zip(counts, means, variances):
             sim, se = mean_and_se(row)
             assert abs(sim - mean) < 3 * se, (sim, mean, se)
+            z = sample_variance_z(row.astype(float), variance)
+            assert abs(z) < 3.5, (row.var(ddof=1), variance, z)
+
+    def test_pinned_renewal_variance(self):
+        # criterion 10's model, against the incomplete-gamma route of tests/reference.py
+        got = process.event_moments(renewal_config(), self.HORIZONS)[1]
+        np.testing.assert_allclose(got, [84.7721615, 1574 / 3, 3224 / 3], rtol=1e-9)
+        exact = [renewal_window_count_variance(renewal_config().model, 1.0, 1.0, t) for t in self.HORIZONS]
+        np.testing.assert_allclose(got, exact, rtol=1e-12)
+        # past the waits' transient Var N_T grows at nu E[(1 + K)**2] = 11
+        far = process.event_moments(renewal_config(nu=0.5), (1000.0, 2000.0))[1]
+        assert (far[1] - far[0]) / 1000.0 == pytest.approx(0.5 * 11.0, rel=1e-12)
+
+    @pytest.mark.parametrize("decay", [1.0, 0.3, 7.0])
+    def test_hawkes_variance_solves_its_ode(self, decay):
+        # m2 = 2 m1 - 1 + E[kappa**2] A**2 + m B, B' = beta (2 m1 - 1 + E[kappa**2] A**2) - c B,
+        # integrated numerically with Var N_T = nu int_0^T m2
+        from scipy.integrate import solve_ivp
+
+        m, k2, nu = 0.5, 1.0 / 12.0 + 0.25, 1.3  # kappa = U(0, 1)
+        c = decay * (1.0 - m)
+
+        def rhs(u, y):
+            a = -math.expm1(-c * u) / (1.0 - m)
+            forcing = 2.0 * (1.0 - m * math.exp(-c * u)) / (1.0 - m) - 1.0 + k2 * a * a
+            return [decay * forcing - c * y[0], forcing + m * y[0]]
+
+        horizons = (0.5, 10.0, 50.0)
+        sol = solve_ivp(rhs, (0.0, 50.0), [0.0, 0.0], t_eval=horizons, rtol=1e-12, atol=1e-12)
+        config = WindowConfig(hawkes_config().model, HawkesParams(decay_rate=decay), nu)
+        got = process.event_moments(config, horizons)[1]
+        np.testing.assert_allclose(got, nu * sol.y[1], rtol=1e-8)
+
+    def test_pinned_hawkes_variance(self):
+        # kappa = U(0, 1), beta = nu = 1; the slope tends to E[S**2] = (1 - m**2 + E[kappa**2]) / (1 - m)**3
+        got = process.event_moments(hawkes_config(), (10.0, 50.0, 1000.0, 2000.0))[1]
+        np.testing.assert_allclose(got[:2], [62.4806402, 1226 / 3], rtol=1e-9)
+        assert (got[3] - got[2]) / 1000.0 == pytest.approx((1.0 - 0.25 + 1.0 / 3.0) / 0.125, rel=1e-12)
+
+    def test_comonotone_kappa_has_no_variance(self):
+        # no count control reads it, so it is inf, with no warning; E[N_T] is finite
+        for kappa in (0.5, 0.0):
+            model = JointMarkModel(Regime.HAWKES_COMONOTONE_INTENSITY, LAW, target_mean_kappa=kappa)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                means, variances = process.event_moments(WindowConfig(model, HawkesParams(), 1.3), (10.0,))
+            assert np.isfinite(means[0]) and variances[0] == np.inf
+
+    @pytest.mark.parametrize("waiting", [Exponential(1.0), Constant(0.5), BoundedUniform(0.0, 1.0)])
+    def test_no_offspring_variance_is_nu_t(self, waiting):
+        # every cluster is its immigrant: N_T is Poisson(nu T)
+        model = JointMarkModel(Regime.INDEPENDENT_LIGHT_COUNT, LAW, 0.0)
+        horizons = (0.3, 10.0, 100.7)
+        config = WindowConfig(model, RenewalParams(waiting), nu=1.3)
+        assert list(process.event_moments(config, horizons)[1]) == [1.3 * t for t in horizons]
+        hawkes = hawkes_config(nu=1.3, kappa=0.0)
+        assert list(process.event_moments(hawkes, horizons)[1]) == [1.3 * t for t in horizons]
