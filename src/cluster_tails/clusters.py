@@ -219,14 +219,34 @@ def _hawkes_chunk(model: JointMarkModel, n: int, rng: RngStream, max_events: int
     return out
 
 
-def _chunk_size(events_per_task: float, smallest: int, largest: int) -> int:
-    """Tasks per chunk: about 2**21 events' worth, rounded down to a power of two.
+# the most memory one chunk's working set may take: see _chunk_size
+_CHUNK_BYTES = 8 << 20
 
-    The result is clamped to ``[smallest, largest]``.  It depends only on
-    the model and the task, never on the worker count, so chunk boundaries
-    (and therefore every random draw) are reproducible.
+# a renewal cluster chunk's tracemalloc peak, all three functionals kept:
+# x, K, H and D per cluster, the segment index and mark per offspring.
+# Measured at 64.1 B per cluster at Poisson(2) counts and 89.2 to 90.5 at
+# ceil(Pareto(1.5)) counts (E[K] = 3.61), 2**17 clusters
+_RENEWAL_CLUSTER_BYTES, _RENEWAL_OFFSPRING_BYTES = 34, 16
+# a Hawkes cluster chunk's: X, kappa, H, D and the broods per cluster,
+# then the first generation's nodes (E[kappa] per cluster), the largest.
+# Measured at 40.1 B per cluster for E[kappa] <= 0.25, 52 at 0.5, 66 at
+# 0.75 and 79 at 0.9, 2**16 clusters, in both Hawkes regimes
+_HAWKES_CLUSTER_BYTES, _HAWKES_CHILD_BYTES = 40, 48
+
+
+def _chunk_size(bytes_per_task: float, smallest: int, largest: int) -> int:
+    """Tasks per chunk: the largest power of two whose working set fits in ``_CHUNK_BYTES``.
+
+    ``bytes_per_task`` is the kernel's measured peak memory (tracemalloc)
+    per task (a window, a cluster or a draw) at the model's mean sizes,
+    with everything the kernel can keep kept.  So the chunk a worker holds
+    takes at most 8 MiB, up to the spread of its draws about those means,
+    whatever the events per task, unless the result is clamped to
+    ``[smallest, largest]``.  It depends only on the model and the task,
+    never on the worker count or the kept fields, so chunk boundaries (and
+    therefore every random draw) are reproducible.
     """
-    raw = max(1.0, (1 << 21) / max(1.0, events_per_task))
+    raw = max(1.0, _CHUNK_BYTES / max(1.0, bytes_per_task))
     return int(min(largest, max(smallest, 1 << int(math.log2(raw)))))
 
 
@@ -336,5 +356,10 @@ def batch_functionals(
         )
     else:
         kernel = partial(_renewal_chunk, model, fields=fields)
-    chunk = _chunk_size(model_constants(model).mean_cluster_size, 1 << 12, 1 << 18)
+    mean_count = model_constants(model).mean_count
+    if model.is_hawkes:
+        per_cluster = _HAWKES_CLUSTER_BYTES + _HAWKES_CHILD_BYTES * mean_count
+    else:
+        per_cluster = _RENEWAL_CLUSTER_BYTES + _RENEWAL_OFFSPRING_BYTES * mean_count
+    chunk = _chunk_size(per_cluster, 1 << 12, 1 << 18)
     return FunctionalSample(n, **chunked_fill(kernel, n, chunk, rng, workers))

@@ -349,29 +349,53 @@ def hill_estimator(sample: TailSample, k: int) -> HillEstimate:
     return HillEstimate(k=k, alpha_hat=alpha_hat, se=alpha_hat / math.sqrt(k))
 
 
+# values per block of laplace_derivative_table: two 512 KiB buffers
+_LAPLACE_BLOCK = 1 << 16
+
+
 def laplace_derivative_table(
     sample: TailSample, s_grid, order: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Transform derivative and its MC standard error on an s-grid.
 
     The derivative of order ``order`` at s is the sample mean of
-    (-x)**order * exp(-s*x).
+    (-x)**order * exp(-s*x).  The sample is reduced in blocks of
+    ``_LAPLACE_BLOCK`` values, so the working set is two blocks, not two
+    copies of the sample: each s's block mean and sum of squared deviations
+    are merged into the running ones (Chan, Golub & LeVeque 1983), so the
+    variance is never a difference of large sums.  A sample of one block
+    gives the bits of ``summand.mean()`` and ``summand.std(ddof=1) / sqrt(n)``.
     """
-    vals = np.empty(len(s_grid))
-    ses = np.empty(len(s_grid))
+    size = len(s_grid)
+    means, squares = np.zeros(size), np.zeros(size)  # squares: about the means
+    block_means, block_squares = np.empty(size), np.empty(size)
     v = sample.values
-    # (-x)**order, and each s's summands in one reused buffer: the same
+    # (-x)**order and each s's summands in two reused buffers: the same
     # operations on the same operands as (-v)**order * np.exp(-s * v)
-    power = np.negative(v)
-    power **= order
-    summand = np.empty_like(v)
-    for i, s in enumerate(s_grid):
-        np.multiply(v, -s, out=summand)
-        np.exp(summand, out=summand)
-        summand *= power
-        vals[i] = summand.mean()
-        ses[i] = summand.std(ddof=1) / math.sqrt(sample.n)
-    return vals, ses
+    power = np.empty(min(v.size, _LAPLACE_BLOCK))
+    summand = np.empty_like(power)
+    seen = 0
+    for lo in range(0, v.size, _LAPLACE_BLOCK):
+        block = v[lo : lo + _LAPLACE_BLOCK]
+        m = block.size
+        p, term = power[:m], summand[:m]
+        np.negative(block, out=p)
+        p **= order
+        for i, s in enumerate(s_grid):
+            np.multiply(block, -s, out=term)
+            np.exp(term, out=term)
+            term *= p
+            block_means[i] = mean = term.mean()
+            term -= mean
+            np.square(term, out=term)
+            block_squares[i] = term.sum()
+        total = seen + m
+        delta = block_means - means
+        means += delta * (m / total)
+        squares += block_squares + delta * delta * (seen * m / total)
+        seen = total
+    ses = np.sqrt(squares / (sample.n - 1)) / math.sqrt(sample.n)
+    return means, ses
 
 
 def table_slope(s_grid, vals: np.ndarray, ses: np.ndarray) -> float:

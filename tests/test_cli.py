@@ -496,6 +496,21 @@ class TestHostileConfigs:
         ("tail-ratio", {"clusters": 1}, "clusters"),
         ("tail-ratio", {"clusters": 1, "functional": "sum"}, "clusters"),
     ]
+    # the ceil(Pareto) count's moments are formed from scale**alpha, which
+    # overflowed to a bare OverflowError and exit 1
+    CASES += [
+        (
+            "cluster-tails",
+            {
+                "model": {
+                    "regime": "IndependentHeavyCount",
+                    "mark": {"law": "exponential", "rate": 1.0},
+                    "count": {"law": "pareto", "scale": 1e10, "alpha": 40},
+                }
+            },
+            "model.count",
+        )
+    ]
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize(

@@ -38,44 +38,44 @@ REDUCED = {
 # (csv, json) sha256 of each reduced run
 PINNED = {
     "cluster-tails.json": (
-        "66bcc53d10276182c4c2570605577a8edd06e4c9591ba59fd46826c22a0eb777",
-        "c2ede7df6120da47756ac380f83a8fa9f570027090a76ff7f0bc5fb99a3c2a06",
+        "3e505b09db33aaa7ce81a4b3c185ba9e850b2e13a274588d41adbe115b77674f",
+        "bf2ebb8c55ca722b3b1b9598bfc1aa9de19cd20b720c41586431dedd5138de03",
     ),
     "hill.json": (
-        "111f711890bc1f30177cb32e53678b16c8968c157849e5b0297f9683cc86af83",
-        "c50e3a56c7af679b1641332c09de2f3083191eb583167e39f53649a19b733fd9",
+        "427889d7cd93932368e65ce194f96e8c303d158c1c0f38908a4f4b94e9397120",
+        "e32ae59bfc47260a1be069994354f33927037e1abdea59d3f1e16e5a8921a560",
     ),
     "ldp-max.json": (
-        "16918da84f814e59421413e0e76ed8dc1ba1f02bc33f203790281fb32ab56b86",
-        "9aca5be91e9bf9df65faa9fd7bdcea1ce95a525a95d04bed8578941b7831142b",
+        "0951e1d35946a59ccb247d6f7700f699ec51352d2b8c2fe48549d1f5a9e5e61f",
+        "652e626f8dcba0df533d4fbd3eea6421c02cf3e7e5c33594d44dc4224b53be40",
     ),
     "ldp-sum.json": (
-        "c8f8acea07bd88b14d9c3d198afe81463088aa87fae4db17131b5d5b12797f1c",
-        "42861663d38ced80e4cf2810024f0b3f9c554664ea1e313ceb39c72cdc0ceaf0",
+        "27843085e8a790a14b88c19db9d7853e88a91289aae4f30d9c0e3c9f79b48ba0",
+        "af5524781700c10bf02bbe7037b542b961a9f1e31fe6be9c49a2f4f2759e58c3",
     ),
     "leftover.json": (
         "2e6c50d922722f6bdf1e76b9d0e1f597170dd3a770fed1a09c3662d417ef6954",
         "3b7e9add52a2e701b991f3b6662dedee1840c02ff13b0e7b5ee84f46d9cb4ed4",
     ),
     "oracle-compare.json": (
-        "638cf6f07617ef93e4dc48e6fa77f8f8fa20fdc961a52472c63a801d7eb98109",
-        "784c6c738ee6ac084d54a1f85443c0a505590ab429e15a1c5738431baf236957",
+        "e627028c7b8a08f3f5e1d1910d9e06f0a1d89203d6b38ea999a3254a5f95a5f2",
+        "0ae3913703184fd6c35769cbd80a1343add5fb075b7b91fe3111dbd2ae1d3e7b",
     ),
     "tail-ratio-hawkes-sum.json": (
-        "1a48fd0e75405f3fbe09d2b8d64e9cffacc4a7421dace7f4494b6ae170e91be9",
-        "b250c630ecafa24bb5cae87b8bd27cc06247c41b167e2aae7dd738a70fb98c56",
+        "c589b6e2b716cd07c2de4c0b97e76bb5d75a53c25475a41d67951d7f296f9ce2",
+        "fc6b63f3e512e46c6ff2cb1bd7acf762d89c63fc132d2ee036d18ea4009ae808",
     ),
     "tail-ratio-renewal-max.json": (
-        "2a3f474cebb7249d6ed99329a42f5b9b59959aca7d5a2fb015a1d8b6609b3b46",
-        "554d70de2fb945e3dd125b52cc48140d588945a7cd444793e079214115343e89",
+        "c3daa454bd206bd5be621f4bd9b7a292642584f74124d8a101c470049bb49a9b",
+        "065c7859e18637d2ea54d731d6c7a22cda4f095a9bc56713d00379b5ed87f0ea",
     ),
     "tail-ratio-tail-equivalent-mc.json": (
-        "64d7289b654fff7a9443611877d6dce958858c3789f7a269a6dbfa5f519dfaa4",
-        "ca8cbd93f46d6f04a976707620c0050a71f791fbe834fa7a6ea75da632d27a01",
+        "0a0d3d22bbd9d063208d10ddb0258cfa9ccd4d04753cc95acc1a5dfa13a0ebcf",
+        "ab73f831035dc3efdb0f4bc0458dece80788bd077d1c0333aa94d64e941cb2d9",
     ),
     "tauberian.json": (
-        "46737f1596b1739509d930bfb8d90630f1d842260f6c59c8dbac1c6a54e442ff",
-        "2c14924424bdef3a152cf8fbfbe4e5cd4c9c0ff4fe5ff243bfe5d539ce9b9a09",
+        "2722607e6fd8e5b89e3811ed5a001f0030bd73b1d9d5f906156d24a34ded2b40",
+        "08585688c6b4782ada266dd9a601864b9150af08303fdeb2d3e746f3dfc0d50a",
     ),
 }
 

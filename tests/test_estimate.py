@@ -1,6 +1,7 @@
 """Tests for empirical-tail machinery."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from cluster_tails.errors import (
     InsufficientExceedances,
     UnstableEstimate,
 )
+from cluster_tails import estimate
 from cluster_tails.clusters import HawkesParams, RenewalParams, batch_functionals
 from cluster_tails.estimate import (
     _Z95,
@@ -417,16 +419,37 @@ class TestLaplaceDerivative:
         assert (val, se) == (1.0, 0.0)
 
 
+    S_GRID = [0.0, *np.geomspace(1e-3, 10.0, 7).tolist(), 3]
+
     @pytest.mark.parametrize("order", [0, 1, 2, 3])
-    def test_equals_the_expression_bit_for_bit(self, order):
-        # one buffer reused over the grid does the same IEEE operations on
-        # the same operands as the one-expression reference
-        sample = TailSample.from_values(pareto_values(7, 100_003))
-        s_grid = [0.0, *np.geomspace(1e-3, 10.0, 7).tolist(), 3]
-        got = laplace_derivative_table(sample, s_grid, order)
-        expected = reference_laplace_table(sample.values, s_grid, order)
+    def test_one_block_equals_the_expression_bit_for_bit(self, order):
+        # the buffers reused over the grid do the same IEEE operations on the
+        # same operands as the one-expression reference
+        sample = TailSample.from_values(pareto_values(7, estimate._LAPLACE_BLOCK))
+        got = laplace_derivative_table(sample, self.S_GRID, order)
+        expected = reference_laplace_table(sample.values, self.S_GRID, order)
         for a, b in zip(got, expected):
             assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_blocks_match_the_whole_array_formula(self, order):
+        # four whole blocks and a short one, merged by Chan, Golub & LeVeque
+        sample = TailSample.from_values(pareto_values(7, 4 * estimate._LAPLACE_BLOCK + 3))
+        got = laplace_derivative_table(sample, self.S_GRID, order)
+        expected = reference_laplace_table(sample.values, self.S_GRID, order)
+        for a, b in zip(got, expected):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
+
+    def test_peak_is_two_blocks(self):
+        # two 512 KiB buffers, not two copies of the sample's 16 MiB
+        sample = TailSample.from_values(pareto_values(8, 1 << 21))
+        tracemalloc.start()
+        try:
+            laplace_derivative_table(sample, np.geomspace(1e-3, 0.1, 9), 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 << 20
 
 
 class TestTauberianSlope:

@@ -322,6 +322,21 @@ class TestModelConstants:
         c = model_constants(heavy_count())
         assert c.mean_count == pytest.approx(2.0 + (zeta(1.5, 2.0)), rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "regime, count, field",
+        [
+            (Regime.INDEPENDENT_HEAVY_COUNT, ParetoLaw(1e10, 40.0), "count_param"),
+            (Regime.INDEPENDENT_TAIL_EQUIVALENT, ParetoLaw(1e10, 40.0), "count_param"),
+            (Regime.COMONOTONE_COUNT, None, "mark_law"),
+        ],
+    )
+    def test_ceil_pareto_overflow_rejected(self, regime, count, field):
+        # scale**alpha = 1e400, the factor of every ceil(Z) moment, is past a float
+        mark = ParetoLaw(1e10, 40.0) if count is None else LAW
+        with pytest.raises(ModelError, match="overflows") as excinfo:
+            JointMarkModel(regime, mark, count)
+        assert excinfo.value.field == field
+
 
 class TestCountControl:
     """How many Taylor terms of the max's tail in the count are control variates: 0, 1 or 2."""

@@ -173,7 +173,7 @@ class TestConditionalMaxSweep:
 
     # sha256 of the CSV of the rows: the comonotone regimes keep the crude estimator
     CRUDE_ROWS = {
-        "ComonotoneCount": "7a79b2f21c775360bf6711e7acccf70b539efa9d514d500d8f62f3bf6096dca6",
+        "ComonotoneCount": "fda250ec25be17b9738414bc279a7a63577ab3d3fe22f1ad59f85990337fca5c",
         "HawkesComonotoneIntensity": (
             "ccb882a7ea21ba1ad3a2ef18b72df0412c74b0318dee9d6ad9195473f9253dae"
         ),

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from cluster_tails import clusters, process
+from cluster_tails import clusters, heavytail, oracle, process
 from cluster_tails.clusters import HawkesParams, RenewalParams, batch_functionals, chunked_fill
 from cluster_tails.errors import ClusterOverflow, ModelError
 from cluster_tails.heavytail import (
@@ -267,7 +267,7 @@ class TestSingleHorizonPinned:
     """Single-horizon outputs are pinned byte for byte: every stored result depends on them."""
 
     BATCH = {
-        "renewal": "b0a686b0c388086bf0ff34e4638859a3b7e48b7acf8921e2f9dd2e23fb4f1e4c",
+        "renewal": "c692ba00586c9d8fb7a1cad17e64f52337a4315659bd6591523968ac9eb7bd42",
         "hawkes": "9715b7d4aa45d2d157ea1ad32ad10d1773e9768806fdf146d3e201bda63eee9c",
     }
     FACTORIES = {"renewal": renewal_config, "hawkes": hawkes_config}
@@ -397,9 +397,9 @@ class TestChunkMemory:
 class TestBatchMemory:
     """The peak working set of ``batch_functionals`` per cluster, in the criterion-2a model.
 
-    Each kept functional takes 8 bytes a cluster, and one chunk of 2**18
+    Each kept functional takes 8 bytes a cluster, and one chunk of 2**16
     clusters is alive at a time, at 56 to 64 bytes per chunk cluster here,
-    which at n = 2**21 adds 7 to 8 bytes a cluster.  The chunks' results
+    which at n = 2**21 adds about 2 bytes a cluster.  The chunks' results
     are copied into place as they arrive, not held until the end.
     """
 
@@ -417,6 +417,174 @@ class TestBatchMemory:
             tracemalloc.stop()
         assert len(sample) == n
         assert peak / n <= bound
+
+
+class _Picked(Exception):
+    """Raised by a stand-in chunk engine with the kernel and chunk size it was given."""
+
+
+def picked_chunk(monkeypatch, module, engine: str, call) -> tuple:
+    """The kernel and chunk size that ``call`` gives ``module``'s chunk ``engine``; none runs."""
+
+    def spy(kernel, n, chunk, *args, **kwargs):
+        raise _Picked(kernel, chunk)
+
+    monkeypatch.setattr(module, engine, spy)
+    with pytest.raises(_Picked) as excinfo:
+        call()
+    return excinfo.value.args
+
+
+def chunk_peak(kernel, chunk: int) -> int:
+    """The tracemalloc peak of one chunk of ``chunk`` tasks."""
+    tracemalloc.start()
+    try:
+        kernel(chunk, RngStream(5, 0).child(0))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestChunkBudget:
+    """The chunk each budgeted kernel is given fits in ``clusters._CHUNK_BYTES``.
+
+    The stand-in engine records the chunk size the caller picks, and one
+    chunk of that size then runs under tracemalloc.  Every field subset is
+    given the same chunk, so it reads the same draws.
+    """
+
+    @pytest.mark.parametrize(
+        "bytes_per_task", [1.0, 33.0, 64.0, 64.5, 6000.0, 1e5, 1 << 23, 1e300, np.inf]
+    )
+    def test_rule_picks_the_largest_power_of_two_that_fits(self, bytes_per_task):
+        chunk = clusters._chunk_size(bytes_per_task, 1, 1 << 30)
+        assert chunk & (chunk - 1) == 0
+        assert chunk == 1 or chunk * bytes_per_task <= clusters._CHUNK_BYTES
+        assert 2 * chunk * bytes_per_task > clusters._CHUNK_BYTES
+
+    def test_rule_is_clamped(self):
+        assert clusters._chunk_size(1e9, 64, 1 << 16) == 64
+        assert clusters._chunk_size(1.0, 64, 1 << 16) == 1 << 16
+
+    @pytest.mark.parametrize(
+        "config, horizons",
+        [
+            (renewal_config(), (10.0, 50.0, 100.0)),
+            (comonotone_config(), (10.0, 50.0, 100.0)),
+            # nearly every offspring point is past a horizon its immigrant is not past
+            (renewal_config(count_mean=20.0), (1.0,)),
+            (renewal_config(count_mean=20.0), tuple(np.linspace(10.0, 100.0, 30))),
+            # immigrants only, two cells a window
+            (renewal_config(count_mean=0.0), (1.0,)),
+        ],
+        ids=["ldp", "comonotone", "leftover-heavy", "thirty-horizons", "immigrants-only"],
+    )
+    def test_renewal_windows(self, monkeypatch, config, horizons):
+        picks = {
+            fields: picked_chunk(
+                monkeypatch,
+                process,
+                "chunked_fill",
+                lambda: sweep_windows(config, horizons, 1 << 20, RngStream(5, 0), fields=fields),
+            )
+            for fields in (("n_events", "max_in_window"), WINDOW_FIELDS)
+        }
+        assert len({chunk for _, chunk in picks.values()}) == 1
+        for kernel, chunk in picks.values():
+            assert chunk_peak(kernel, chunk) <= clusters._CHUNK_BYTES
+
+    def test_ldp_renewal_chunk(self, monkeypatch):
+        # the criterion-10 sweep: 512 windows of about 300 points, not 4,096
+        _, chunk = picked_chunk(
+            monkeypatch,
+            process,
+            "chunked_fill",
+            lambda: sweep_windows(renewal_config(), (10.0, 50.0, 100.0), 30_000, RngStream(5, 0)),
+        )
+        assert chunk == 512
+
+    @pytest.mark.parametrize("fields", [("leftover_intensity",), ("n_events", "j_leftover")])
+    def test_hawkes_windows_keep_their_chunks(self, monkeypatch, fields):
+        # 2**21 expected points a chunk at the leftover-hawkes config: 1,000 a window
+        _, chunk = picked_chunk(
+            monkeypatch,
+            process,
+            "chunked_fill",
+            lambda: sweep_windows(
+                hawkes_config(), (10.0, 50.0, 100.0, 500.0), 20_000, RngStream(5, 0), fields=fields
+            ),
+        )
+        assert chunk == 2048
+
+    @pytest.mark.parametrize(
+        "model, params",
+        [
+            (JointMarkModel(Regime.INDEPENDENT_LIGHT_COUNT, LAW, 2.0), RP),
+            (JointMarkModel(Regime.INDEPENDENT_HEAVY_COUNT, Exponential(1.0), LAW), RP),
+            (JointMarkModel(Regime.INDEPENDENT_TAIL_EQUIVALENT, LAW, LAW), RP),
+            (JointMarkModel(Regime.COMONOTONE_COUNT, LAW), RP),
+            (hawkes_config().model, HawkesParams()),
+            (hawkes_config(kappa=0.9).model, HawkesParams()),
+            (hawkes_comonotone_config().model, HawkesParams(max_cluster_events=10**7)),
+        ],
+        ids=[
+            "poisson-count",
+            "pareto-count",
+            "tail-equivalent",
+            "comonotone-count",
+            "hawkes",
+            "hawkes-0.9",
+            "hawkes-comonotone",
+        ],
+    )
+    def test_cluster_batches(self, monkeypatch, model, params):
+        picks = [
+            picked_chunk(
+                monkeypatch,
+                clusters,
+                "chunked_fill",
+                lambda: batch_functionals(model, params, 1 << 22, RngStream(5, 0), fields=fields),
+            )
+            for fields in (("h",), clusters.FUNCTIONALS)
+        ]
+        assert picks[0][1] == picks[1][1]
+        kernel, chunk = picks[1]
+        assert chunk_peak(kernel, chunk) <= clusters._CHUNK_BYTES
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            JointMarkModel(Regime.INDEPENDENT_LIGHT_COUNT, LAW, 2.0),
+            JointMarkModel(Regime.INDEPENDENT_TAIL_EQUIVALENT, LAW, LAW),
+            hawkes_comonotone_config().model,
+        ],
+        ids=["poisson-count", "pareto-count", "hawkes-comonotone"],
+    )
+    def test_mc_oracle(self, monkeypatch, model):
+        spec = heavytail.OracleSpec(size=1 << 22, seed=5)
+        xs = np.geomspace(10.0, 1e3, 5)
+        kernel, chunk = picked_chunk(
+            monkeypatch,
+            clusters,
+            "chunked_map",
+            lambda: heavytail.joint_tail_mc(model, 1.5, xs, spec),
+        )
+        assert chunk_peak(kernel, chunk) <= clusters._CHUNK_BYTES
+
+    @pytest.mark.parametrize(
+        "support",
+        [((1.0, 1, 0.5), (2.0, 2, 0.5)), ((1.0, 0, 0.5), (2.0, 10, 0.5))],
+        ids=["bench", "ten-offspring"],
+    )
+    def test_discrete_sampler(self, monkeypatch, support):
+        model = oracle.DiscreteJointModel("renewal", support, ((1.0, 0.5), (2.0, 0.5)))
+        kernel, chunk = picked_chunk(
+            monkeypatch,
+            oracle,
+            "chunked_fill",
+            lambda: oracle.sample_renewal_functionals(model, 1 << 22, RngStream(5, 0)),
+        )
+        assert chunk_peak(kernel, chunk) <= clusters._CHUNK_BYTES
 
 
 class TestLeftoverIntensity:
