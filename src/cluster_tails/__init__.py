@@ -11,6 +11,7 @@ from .clusters import (
     HawkesParams,
     RenewalParams,
     batch_functionals,
+    functional_chunks,
 )
 from .errors import (
     ClusterOverflow,
@@ -25,9 +26,11 @@ from .errors import (
     UnstableEstimate,
 )
 from .estimate import (
+    CountTally,
     HillEstimate,
     QuantileGrid,
     RatioCurve,
+    TailFold,
     TailSample,
     hill_estimator,
     laplace_derivative_table,

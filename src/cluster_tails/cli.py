@@ -23,17 +23,26 @@ import platform
 import sys
 import time
 from dataclasses import asdict, dataclass
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 import scipy
 
 from . import __version__
-from .clusters import FunctionalSample, HawkesParams, RenewalParams, batch_functionals
+from .clusters import (
+    DEFAULT_MAX_CLUSTER_EVENTS,
+    FUNCTIONALS,
+    HawkesParams,
+    RenewalParams,
+    functional_chunks,
+)
 from .errors import ClusterTailsError, ConfigError, LatticeMismatch, ModelError
 from .estimate import (
+    _LAPLACE_BLOCK,
+    CountTally,
     QuantileGrid,
-    TailSample,
+    TailFold,
     conditional_max_tail,
     crude_tail_estimator,
     hill_estimator,
@@ -73,7 +82,7 @@ from .oracle import (
     exact_renewal_max_tail,
     exact_renewal_sum_distribution,
     exact_renewal_sum_tail,
-    sample_renewal_functionals,
+    renewal_functional_chunks,
     truncated_hawkes_sum_tail,
 )
 from .process import WindowConfig, check_mean_events
@@ -253,6 +262,16 @@ def _parse_cluster_params(config: dict, model: JointMarkModel):
     if model.is_hawkes:
         keys = {"decay_rate": _positive, "max_cluster_events": _count}
         return HawkesParams(**_given(section, "cluster", keys))
+    # a ceil(Pareto) count is at least ceil(scale): past the Hawkes clusters'
+    # default guard, every renewal cluster would be drawn at that size
+    comonotone = model.regime is Regime.COMONOTONE_COUNT
+    law = model.mark_law if comonotone else model.count_param
+    if isinstance(law, ParetoLaw) and 1 + math.ceil(law.scale) > DEFAULT_MAX_CLUSTER_EVENTS:
+        raise ConfigError(
+            f"every cluster has at least 1 + ceil(scale) = {1 + math.ceil(law.scale):.6g} events, "
+            f"over the {DEFAULT_MAX_CLUSTER_EVENTS:,} a cluster may hold",
+            "model.mark" if comonotone else "model.count",
+        )
     waiting = _given(section, "cluster", {"waiting": _parse_law})
     try:
         return RenewalParams(waiting_law=waiting.get("waiting", Exponential(rate=1.0)))
@@ -448,19 +467,23 @@ _SWEEP_COLUMNS = "horizon,x,exceedances,empirical,denominator,ratio,ci_low,ci_hi
 _LEFTOVER_COLUMNS = "horizon,j_over_t,j_over_t_se,eps_over_sqrt_t,eps_over_sqrt_t_se"
 
 
-def _functional_sample(config: ExperimentConfig, rng: RngStream, fields) -> FunctionalSample:
-    """The cluster functionals named in ``fields`` (see ``batch_functionals``), and no others."""
-    return batch_functionals(
+def _cluster_chunks(config: ExperimentConfig, rng: RngStream, fields):
+    """The functionals named in ``fields``, and no others, chunk by chunk (see ``functional_chunks``)."""
+    return functional_chunks(
         config.model, config.cluster_params, config.clusters, rng, config.workers, fields
     )
 
 
-def _sorted(sample: FunctionalSample, field: str) -> TailSample:
-    """The ``field`` of ``sample``, which lets go of it, sorted in place: no second copy."""
-    values = np.asarray(getattr(sample, field), dtype=float)
-    setattr(sample, field, None)
-    values.sort()
-    return TailSample(values=values, n=values.size)
+def _fold(chunks, folds) -> None:
+    """Adds each chunk's ``field`` to ``fold`` for each (field, fold) pair, in chunk order.
+
+    No chunk is kept: a cluster experiment holds its folds and one chunk.
+    """
+    for part in chunks:
+        for field, fold in folds:
+            fold.add(part[field])
+        # let go of the chunk before the next is drawn
+        part = None
 
 
 def _constants_dict(model: JointMarkModel) -> dict:
@@ -481,15 +504,16 @@ def _parse_cluster_tails(config: ExperimentConfig) -> tuple[QuantileGrid]:
 
 
 def _run_cluster_tails(config: ExperimentConfig, rng: RngStream, grid: QuantileGrid):
-    model = config.model
-    sample = _functional_sample(config, rng, ("h", "d", "sizes"))
-    # the means of the unsorted arrays, before any is let go of
+    model, n = config.model, config.clusters
+    h, d, sizes = TailFold(grid.kept(n)), TailFold(grid.kept(n)), CountTally()
+    _fold(_cluster_chunks(config, rng, FUNCTIONALS), (("h", h), ("d", d), ("sizes", sizes)))
+    size_values, size_weights = sizes.tally
     summary = {
         "constants": _constants_dict(model),
-        "n": len(sample),
-        "mean_max": float(sample.h.mean()),
-        "mean_sum": float(sample.d.mean()),
-        "mean_size": float(sample.sizes.mean()),
+        "n": n,
+        "mean_max": h.total / n,
+        "mean_sum": d.total / n,
+        "mean_size": int(size_values @ size_weights) / n,
         "estimator": {
             "max": max_tail_estimator(model),
             "sum": crude_tail_estimator("clusters", "D"),
@@ -498,14 +522,14 @@ def _run_cluster_tails(config: ExperimentConfig, rng: RngStream, grid: QuantileG
         "certified_points": {},
     }
     rows = []
-    for name, field in (("max", "h"), ("sum", "d")):
-        ts = _sorted(sample, field)
+    for name, fold in (("max", h), ("sum", d)):
+        ts = fold.sample()
         xs = ts.quantile(list(grid.levels))
         estimate = None
         if name == "max" and model.independent_marks:
             # the max tail is read off the sizes where the marks are independent of them
             survival = np.asarray(model.mark_law.survival(xs))
-            estimate = conditional_max_tail(sample.sizes, survival, *size_control(model))
+            estimate = conditional_max_tail(sizes.tally, survival, *size_control(model))
         counts, *tail = tail_bands(ts, xs, estimate)
         # a point is certified by the exceedances of the sample, whichever estimate its tail is
         certified = [bool(c >= grid.min_exceedances) for c in counts]
@@ -515,18 +539,27 @@ def _run_cluster_tails(config: ExperimentConfig, rng: RngStream, grid: QuantileG
 
 
 def _run_tail_ratio(config: ExperimentConfig, rng: RngStream, functional, grid, oracle):
-    field = "h" if functional == "max" else "d"
-    # the max tail is read off the sizes where the marks are independent of them
-    conditional = functional == "max" and config.model.independent_marks
-    sample = _functional_sample(config, rng, (field, "sizes") if conditional else (field,))
+    top = TailFold(grid.kept(config.clusters))
+    folds = [("h" if functional == "max" else "d", top)]
+    sizes = None
+    if functional == "max" and config.model.independent_marks:
+        # the max tail is read off the sizes where the marks are independent of them
+        sizes = CountTally()
+        folds.append(("sizes", sizes))
+    _fold(_cluster_chunks(config, rng, [field for field, _ in folds]), folds)
     curve = ratio_curve(
-        _sorted(sample, field), config.model, functional, grid, oracle=oracle, sizes=sample.sizes
+        top.sample(),
+        config.model,
+        functional,
+        grid,
+        oracle=oracle,
+        size_tally=None if sizes is None else sizes.tally,
     )
     summary = {
         "constants": _constants_dict(config.model),
         "functional": functional,
         "target": denominator_label(config.model, functional),
-        "n": len(sample),
+        "n": config.clusters,
         "max_abs_dev": float(np.max(np.abs(curve.ratio - 1.0))),
         "ratios": curve.ratio.tolist(),
         "grid": curve.grid.tolist(),
@@ -552,13 +585,15 @@ def _parse_hill(config: ExperimentConfig) -> tuple[int]:
 
 
 def _run_hill(config: ExperimentConfig, rng: RngStream, k: int):
-    sample = _functional_sample(config, rng, ("h", "d"))
+    # a Hill estimate reads the top k + 1 values alone
+    h, d = TailFold(k + 1), TailFold(k + 1)
+    _fold(_cluster_chunks(config, rng, ("h", "d")), (("h", h), ("d", d)))
     results = {}
-    for name, field in (("max", "h"), ("sum", "d")):
-        est = hill_estimator(_sorted(sample, field), k)
+    for name, fold in (("max", h), ("sum", d)):
+        est = hill_estimator(fold.sample(), k)
         results[name] = {"k": est.k, "alpha_hat": est.alpha_hat, "se": est.se}
     rows = [(name, r["k"], r["alpha_hat"], r["se"]) for name, r in results.items()]
-    summary = {"constants": _constants_dict(config.model), "n": len(sample), "hill": results}
+    summary = {"constants": _constants_dict(config.model), "n": config.clusters, "hill": results}
     return _csv("functional,k,alpha_hat,se", rows), summary
 
 
@@ -591,13 +626,16 @@ def _parse_tauberian(config: ExperimentConfig):
 
 
 def _run_tauberian(config: ExperimentConfig, rng: RngStream, source: str, alpha, s_grid):
+    n = config.clusters
     if source == "marks":
-        ts = TailSample.from_values(config.model.mark_law.sample(rng.generator, config.clusters))
+        # one generator's marks, drawn a table block at a time
+        law, gen = config.model.mark_law, rng.generator
+        chunks = (law.sample(gen, min(_LAPLACE_BLOCK, n - lo)) for lo in range(0, n, _LAPLACE_BLOCK))
     else:
         field = "h" if source == "max" else "d"
-        ts = _sorted(_functional_sample(config, rng, (field,)), field)
+        chunks = map(itemgetter(field), _cluster_chunks(config, rng, (field,)))
     order = math.ceil(alpha)
-    vals, ses = laplace_derivative_table(ts, s_grid, order)
+    vals, ses = laplace_derivative_table(chunks, s_grid, order)
     slope = table_slope(s_grid, vals, ses)
     summary = {
         "source": source,
@@ -605,7 +643,7 @@ def _run_tauberian(config: ExperimentConfig, rng: RngStream, source: str, alpha,
         "order": order,
         "slope": slope,
         "target_slope": alpha - order,
-        "n": int(ts.n),
+        "n": n,
     }
     return _csv("s,derivative,se", zip(s_grid, vals, ses)), summary
 
@@ -617,17 +655,22 @@ def _run_oracle_compare(config: ExperimentConfig, rng: RngStream, model, x_grid)
         rows = [(x, *truncated_hawkes_sum_tail(model, x)) for x in x_grid]
         brackets = [dict(zip(header.split(","), row)) for row in rows]
         return _csv(header, rows), {"kind": "hawkes", "brackets": brackets}
-    h, d = sample_renewal_functionals(model, n, rng)
+    laws = {
+        "max": ("h", *exact_renewal_max_distribution(model)),
+        "sum": ("d", *exact_renewal_sum_distribution(model)),
+    }
+    # per functional, how many values lie at or below each support point of
+    # its exact law, counted chunk by chunk
+    below = {name: np.zeros(len(xs), dtype=np.int64) for name, (_, xs, _) in laws.items()}
+    for part in renewal_functional_chunks(model, n, rng):
+        for name, (field, xs, _) in laws.items():
+            below[name] += np.searchsorted(np.sort(part[field]), xs, side="right")
+        part = None  # let go of the chunk before the next is drawn
     rows = []
     ks_stats = {}
-    for name, values, dist in (
-        ("max", h, exact_renewal_max_distribution(model)),
-        ("sum", d, exact_renewal_sum_distribution(model)),
-    ):
-        xs, pmf = dist
+    for name, (_, xs, pmf) in laws.items():
         exact_cdf = np.cumsum(pmf)
-        values.sort()  # in place: the sample has no other use
-        emp_cdf = np.searchsorted(values, xs, side="right") / n
+        emp_cdf = below[name] / n
         ks_stats[name] = float(np.max(np.abs(emp_cdf - exact_cdf)))
         rows += [(name, x, 1.0 - ec, 1.0 - mc) for x, ec, mc in zip(xs, exact_cdf, emp_cdf)]
     summary = {

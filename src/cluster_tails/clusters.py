@@ -4,9 +4,12 @@ Two cluster shapes exist: renewal clusters carry a single generation of K
 offspring at renewal times, Hawkes clusters are the full progeny forest of a
 subcritical branching cascade.  The functionals of interest depend only on
 marks, never on event times, which is what makes the vectorized batch path
-(:func:`batch_functionals`) legitimate: it skips drawing times entirely.
-The Hawkes generation loop (:func:`grow_hawkes`) is shared with the window
-kernels of :mod:`cluster_tails.process`, which do draw times.
+legitimate: it skips drawing times entirely.  :func:`functional_chunks`
+yields the functionals chunk by chunk, so a caller that folds each chunk
+into what it reads never holds n clusters; :func:`batch_functionals` joins
+the same chunks into arrays of n.  The Hawkes generation loop
+(:func:`grow_hawkes`) is shared with the window kernels of
+:mod:`cluster_tails.process`, which do draw times.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ __all__ = [
     "HawkesParams",
     "FUNCTIONALS",
     "FunctionalSample",
+    "functional_chunks",
     "batch_functionals",
     "chunked_fill",
     "chunked_map",
@@ -322,23 +326,10 @@ def chunked_fill(kernel, n: int, chunk: int, base: RngStream, workers: int = 1) 
     return out
 
 
-def batch_functionals(
-    model: JointMarkModel,
-    params: RenewalParams | HawkesParams,
-    n: int,
-    rng: RngStream,
-    workers: int = 1,
-    fields=FUNCTIONALS,
-) -> FunctionalSample:
-    """n i.i.d. (H, D, size) triples, O(n) memory, worker-count independent.
-
-    Replications are partitioned into fixed chunks; chunk ``i`` draws from
-    ``rng.child(i)``, so the output is bit-identical for any worker count.
-    Waiting times and displacement times are never drawn here: the
-    functionals do not depend on them.  Only the functionals named in
-    ``fields`` (a subset of :data:`FUNCTIONALS`) are kept; every subset
-    makes the same draws, so each kept array is the same whatever else is.
-    """
+def _functional_kernel(
+    model: JointMarkModel, params: RenewalParams | HawkesParams, n: int, fields
+) -> tuple[partial, int]:
+    """A cluster batch's chunk kernel and chunk size, its arguments checked first."""
     if n < 1:
         raise ValueError("n must be >= 1")
     unknown = set(fields) - set(FUNCTIONALS)
@@ -361,5 +352,41 @@ def batch_functionals(
         per_cluster = _HAWKES_CLUSTER_BYTES + _HAWKES_CHILD_BYTES * mean_count
     else:
         per_cluster = _RENEWAL_CLUSTER_BYTES + _RENEWAL_OFFSPRING_BYTES * mean_count
-    chunk = _chunk_size(per_cluster, 1 << 12, 1 << 18)
+    return kernel, _chunk_size(per_cluster, 1 << 12, 1 << 18)
+
+
+def functional_chunks(
+    model: JointMarkModel,
+    params: RenewalParams | HawkesParams,
+    n: int,
+    rng: RngStream,
+    workers: int = 1,
+    fields=FUNCTIONALS,
+):
+    """n i.i.d. (H, D, size) triples, chunk by chunk: each a dict of arrays, in chunk order.
+
+    Replications are partitioned into fixed chunks; chunk ``i`` draws from
+    ``rng.child(i)``, so every chunk is bit-identical for any worker count,
+    and the chunks a caller holds at once are its own choice: one, if it
+    folds each into what it reads.  Waiting times and displacement times are
+    never drawn here: the functionals do not depend on them.  Only the
+    functionals named in ``fields`` (a subset of :data:`FUNCTIONALS`) are
+    kept; every subset makes the same draws, so each kept array is the same
+    whatever else is.  The arguments are checked before the first chunk is
+    drawn.
+    """
+    kernel, chunk = _functional_kernel(model, params, n, fields)
+    return chunked_map(kernel, n, chunk, rng, workers)
+
+
+def batch_functionals(
+    model: JointMarkModel,
+    params: RenewalParams | HawkesParams,
+    n: int,
+    rng: RngStream,
+    workers: int = 1,
+    fields=FUNCTIONALS,
+) -> FunctionalSample:
+    """:func:`functional_chunks`' chunks joined into arrays of n: O(n) memory."""
+    kernel, chunk = _functional_kernel(model, params, n, fields)
     return FunctionalSample(n, **chunked_fill(kernel, n, chunk, rng, workers))

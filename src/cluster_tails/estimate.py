@@ -14,6 +14,14 @@ finite second moment, N minus its exact mean is a control variate for that
 estimate, and where it has a finite fourth moment, so is (N - E[N])**2
 minus the exact Var N
 (:attr:`~cluster_tails.heavytail.JointMarkModel.count_control_order`).
+
+A cluster experiment never holds its n clusters: each chunk of them is
+folded into what its outputs read, and dropped.  A :class:`TailFold` keeps a
+functional's m largest values, all that a quantile grid or a Hill estimate
+reads; a :class:`CountTally` keeps the sizes' distinct values and their
+counts, all that :func:`conditional_max_tail` reads; and
+:func:`laplace_derivative_table` merges each chunk's moments into its
+running ones.
 """
 
 from __future__ import annotations
@@ -34,6 +42,8 @@ from .heavytail import (
 
 __all__ = [
     "TailSample",
+    "TailFold",
+    "CountTally",
     "QuantileGrid",
     "RatioCurve",
     "HillEstimate",
@@ -54,7 +64,13 @@ _Z95 = 1.959963984540054
 
 @dataclass(frozen=True)
 class TailSample:
-    """A sorted sample of real values."""
+    """The largest ``values.size`` order statistics of a sample of n real values, ascending.
+
+    :meth:`from_values` keeps the whole sample, and a :class:`TailFold` the
+    top that a quantile grid or a Hill estimate reads.  Every quantile and
+    exceedance count read off the kept part has the whole sample's bits; one
+    that needs an order statistic below it raises ValueError.
+    """
 
     values: np.ndarray
     n: int
@@ -66,10 +82,25 @@ class TailSample:
             raise ValueError("need a nonempty 1-d sample")
         return cls(values=arr, n=int(arr.size))
 
+    def _order_statistics(self, index: np.ndarray) -> np.ndarray:
+        """The order statistics at ``index``, 0 the least of all n; each must be kept."""
+        kept = index - (self.n - self.values.size)
+        if np.any(kept < 0):
+            raise ValueError(
+                f"order statistic {int(np.min(index))} of {self.n} is below the "
+                f"{self.values.size} largest that the sample keeps"
+            )
+        return self.values[kept]
+
     def exceedances(self, x) -> np.ndarray | int:
         """Number of sample values strictly above x."""
-        idx = np.searchsorted(self.values, np.asarray(x, dtype=float), side="right")
-        out = self.n - idx
+        x = np.asarray(x, dtype=float)
+        if self.values.size < self.n and np.any(x < self.values[0]):
+            raise ValueError(
+                f"x below the least of the {self.values.size} largest of {self.n} values that the sample keeps"
+            )
+        idx = np.searchsorted(self.values, x, side="right")
+        out = self.values.size - idx
         return out if np.ndim(x) else int(out)
 
     def quantile(self, level) -> np.ndarray | float:
@@ -81,11 +112,47 @@ class TailSample:
         """
         h = (self.n - 1) * np.asarray(level, dtype=float)
         lo = np.floor(h)
-        below = self.values[lo.astype(np.intp)]
-        above = self.values[np.minimum(lo + 1, self.n - 1).astype(np.intp)]
+        below = self._order_statistics(lo.astype(np.intp))
+        above = self._order_statistics(np.minimum(lo + 1, self.n - 1).astype(np.intp))
         t = h - lo
         diff = above - below
         return np.where(t >= 0.5, above - diff * (1 - t), below + diff * t)[()]
+
+
+class TailFold:
+    """A sample fed chunk by chunk, folded into its size n, its sum and its m largest values.
+
+    Each chunk's values above the least kept one are ``np.partition``ed
+    with the kept ones, and the chunk is dropped, so the fold holds m
+    values.  :meth:`sample` is their :class:`TailSample`: its values are
+    ``np.sort(v)[-m:]`` of the concatenated chunks ``v``, bit for bit.  The
+    sum adds each chunk's ``sum()`` in chunk order.
+    """
+
+    def __init__(self, m: int) -> None:
+        if m < 1:
+            raise ValueError(f"need m >= 1, got {m}")
+        self.m, self.n, self.total = m, 0, 0.0
+        self._top = np.empty(0)
+        self._least = None  # the least kept value, once m are kept
+
+    def add(self, chunk) -> None:
+        chunk = np.asarray(chunk, dtype=float)
+        self.n += chunk.size
+        self.total += float(chunk.sum())
+        if self._least is not None:
+            # a value no larger than the least kept one changes no kept value
+            chunk = chunk[chunk > self._least]
+        # the old top is let go of as soon as it is copied: 2m + chunk values at most
+        self._top = np.concatenate((self._top, chunk))
+        cut = self._top.size - self.m
+        if cut > 0:
+            self._top.partition(cut)
+            self._top = self._top[cut:].copy()
+            self._least = self._top[0]
+
+    def sample(self) -> TailSample:
+        return TailSample(values=np.sort(self._top), n=self.n)
 
 
 def wilson_interval(count: int, n: int, z: float = _Z95) -> tuple[float, float]:
@@ -121,28 +188,54 @@ def _distinct_counts(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     array, unless the largest value reaches the array's length; then by
     ``np.unique``, so the tally is never longer than the array.
     """
-    if int(counts.max()) >= counts.size:
+    if counts.size and int(counts.max()) >= counts.size:
         return np.unique(counts, return_counts=True)
     tally = np.bincount(counts)
     values = np.flatnonzero(tally)
     return values, tally[values]
 
 
+class CountTally:
+    """Nonnegative integer counts fed chunk by chunk, folded into their distinct values and weights.
+
+    ``tally`` is the (distinct values, occurrences) pair that
+    :func:`_distinct_counts` gives of the concatenated chunks, bit for bit,
+    or None before the first chunk.
+    """
+
+    def __init__(self) -> None:
+        self.tally = None
+
+    def add(self, counts) -> None:
+        values, weights = _distinct_counts(np.asarray(counts))
+        if self.tally is not None:
+            kept, kept_weights = self.tally
+            # np.union1d, or np.unique with no return_* flag, would import
+            # numpy.ma, which a run must not load (see tests' TestColdStart)
+            merged, where = np.unique(np.concatenate((kept, values)), return_inverse=True)
+            total = np.zeros(merged.size, dtype=weights.dtype)
+            np.add.at(total, where, np.concatenate((kept_weights, weights)))
+            values, weights = merged, total
+        self.tally = values, weights
+
+
 def conditional_max_tail(
-    counts: np.ndarray,
+    tally: tuple[np.ndarray, np.ndarray],
     survival: np.ndarray,
     count_mean: float | None = None,
     count_var: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Conditional Monte Carlo estimate of P(max > x) and its standard error, per x.
 
-    ``counts`` holds each replication's number N of i.i.d. marks, which
-    must be independent of them, and ``survival`` the mark law's P(X > x)
-    at each x.  Each replication contributes g(N) = P(max > x | N) =
+    ``tally`` is the replications' numbers N of i.i.d. marks, which must
+    be independent of them, grouped by their distinct N: the (distinct N,
+    replications) pair that :func:`_distinct_counts` or a
+    :class:`CountTally` gives.  ``survival`` is the mark law's P(X > x) at
+    each x.  Each replication contributes g(N) = P(max > x | N) =
     1 - F(x)**N, computed as -expm1(N * log1p(-sf(x))) so that a small tail
-    loses no digits.  The replications are grouped by their distinct N, so
-    each x costs one term per distinct count, and each x is reduced on its
-    own, so its bits do not depend on the other points of ``survival``.
+    loses no digits.  Each x costs one term per distinct count, and each x
+    is reduced on its own, so its bits do not depend on the other points of
+    ``survival``.
 
     ``count_mean`` and ``count_var``, the exact mu = E[N] and sigma**2 =
     Var N, make g's Taylor terms about mu control variates (Asmussen &
@@ -157,10 +250,10 @@ def conditional_max_tail(
     quadratic one E[N**4] < inf
     (:attr:`~cluster_tails.heavytail.JointMarkModel.count_control_order`).
     """
-    n = counts.size
+    values, weights = tally
+    n = int(weights.sum())
     if n < 2:
         raise ValueError(f"a standard error needs at least two replications, got {n}")
-    values, weights = _distinct_counts(counts)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_f = np.log1p(-survival)
         terms = -np.expm1(np.multiply.outer(log_f, values))
@@ -247,6 +340,15 @@ class QuantileGrid:
         if list(self.levels) != sorted(self.levels):
             raise ValueError("quantile levels must be ascending")
 
+    def kept(self, n: int) -> int:
+        """How many of the largest of n values the grid's quantiles read.
+
+        They are the order statistics from floor((n - 1) levels[0]) up, so a
+        :class:`TailFold` of that many gives every quantile on the grid, and
+        every exceedance count at or above them, the whole sample's bits.
+        """
+        return n - math.floor((n - 1) * self.levels[0])
+
 
 @dataclass
 class RatioCurve:
@@ -269,7 +371,7 @@ def ratio_curve(
     grid: QuantileGrid = QuantileGrid(),
     *,
     oracle: OracleSpec | None = None,
-    sizes: np.ndarray | None = None,
+    size_tally: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> RatioCurve:
     """Empirical survival of the sample against the model's tail asymptotics.
 
@@ -280,8 +382,9 @@ def ratio_curve(
     drawn as it says, whose size and seed the curve's provenance records.
 
     The numerator is the exceedance fraction of ``sample`` with its Wilson
-    band, unless ``sizes`` gives the sizes of the clusters whose maxima
-    ``sample`` holds: then it is :func:`conditional_max_tail` of the sizes,
+    band, unless ``size_tally`` gives the sizes of the clusters whose
+    maxima ``sample`` holds, tallied as :func:`conditional_max_tail` takes
+    them: then it is :func:`conditional_max_tail` of the sizes,
     which needs a max and a model whose marks are independent of the
     counts, and the provenance says so; the exact mean size is its control
     variate where :func:`size_control` gives one.  The sample's quantiles
@@ -289,15 +392,16 @@ def ratio_curve(
     """
     xs = np.asarray(sample.quantile(list(grid.levels)), dtype=float)
     estimate = None
-    if sizes is not None:
+    if size_tally is not None:
         if functional != "max" or not model.independent_marks:
             raise ValueError(
                 "cluster sizes give the tail of the max where the marks are independent of the counts"
             )
-        if len(sizes) != sample.n:
-            raise ValueError(f"{len(sizes)} cluster sizes for {sample.n} maxima")
+        tallied = int(size_tally[1].sum())
+        if tallied != sample.n:
+            raise ValueError(f"{tallied} cluster sizes for {sample.n} maxima")
         survival = np.asarray(model.mark_law.survival(xs))
-        estimate = conditional_max_tail(sizes, survival, *size_control(model))
+        estimate = conditional_max_tail(size_tally, survival, *size_control(model))
     counts, emp, low, high = tail_bands(sample, xs, estimate)
     if counts[-1] < grid.min_exceedances:
         raise InsufficientExceedances(
@@ -333,13 +437,16 @@ def hill_estimator(sample: TailSample, k: int) -> HillEstimate:
     """Hill estimate of the tail index from the top k order statistics.
 
     alpha_hat is the reciprocal mean log-excess of the k largest values over
-    the (k+1)-th largest.  Scale-invariant by construction.
+    the (k+1)-th largest, so it reads a sample's top k + 1 alone.
+    Scale-invariant by construction.
     """
     n = sample.n
     if not 2 <= k < n:
         raise ValueError(f"need 2 <= k < n, got k={k}, n={n}")
-    top = sample.values[n - k :]
-    base = sample.values[n - k - 1]
+    if sample.values.size < k + 1:
+        raise ValueError(f"need the top k + 1 = {k + 1} values, the sample keeps {sample.values.size}")
+    top = sample.values[-k:]
+    base = sample.values[-k - 1]
     if base <= 0 or top[0] <= 0:
         raise ValueError("Hill estimation needs positive order statistics")
     mean_excess = float(np.mean(np.log(top) - math.log(base)))
@@ -353,48 +460,55 @@ def hill_estimator(sample: TailSample, k: int) -> HillEstimate:
 _LAPLACE_BLOCK = 1 << 16
 
 
-def laplace_derivative_table(
-    sample: TailSample, s_grid, order: int
-) -> tuple[np.ndarray, np.ndarray]:
+def laplace_derivative_table(sample, s_grid, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Transform derivative and its MC standard error on an s-grid.
 
     The derivative of order ``order`` at s is the sample mean of
-    (-x)**order * exp(-s*x).  The sample is reduced in blocks of
+    (-x)**order * exp(-s*x).  ``sample`` is a :class:`TailSample` that
+    keeps every value, or an iterable of 1-d arrays whose concatenation is
+    the sample, consumed one at a time.  Each array is reduced in blocks of
     ``_LAPLACE_BLOCK`` values, so the working set is two blocks, not two
     copies of the sample: each s's block mean and sum of squared deviations
     are merged into the running ones (Chan, Golub & LeVeque 1983), so the
     variance is never a difference of large sums.  A sample of one block
     gives the bits of ``summand.mean()`` and ``summand.std(ddof=1) / sqrt(n)``.
     """
+    if isinstance(sample, TailSample):
+        if sample.values.size < sample.n:
+            raise ValueError("the transform reads every value of the sample, not only its largest")
+        sample = (sample.values,)
     size = len(s_grid)
     means, squares = np.zeros(size), np.zeros(size)  # squares: about the means
     block_means, block_squares = np.empty(size), np.empty(size)
-    v = sample.values
     # (-x)**order and each s's summands in two reused buffers: the same
     # operations on the same operands as (-v)**order * np.exp(-s * v)
-    power = np.empty(min(v.size, _LAPLACE_BLOCK))
-    summand = np.empty_like(power)
+    power = summand = np.empty(0)
     seen = 0
-    for lo in range(0, v.size, _LAPLACE_BLOCK):
-        block = v[lo : lo + _LAPLACE_BLOCK]
-        m = block.size
-        p, term = power[:m], summand[:m]
-        np.negative(block, out=p)
-        p **= order
-        for i, s in enumerate(s_grid):
-            np.multiply(block, -s, out=term)
-            np.exp(term, out=term)
-            term *= p
-            block_means[i] = mean = term.mean()
-            term -= mean
-            np.square(term, out=term)
-            block_squares[i] = term.sum()
-        total = seen + m
-        delta = block_means - means
-        means += delta * (m / total)
-        squares += block_squares + delta * delta * (seen * m / total)
-        seen = total
-    ses = np.sqrt(squares / (sample.n - 1)) / math.sqrt(sample.n)
+    for v in sample:
+        for lo in range(0, v.size, _LAPLACE_BLOCK):
+            block = v[lo : lo + _LAPLACE_BLOCK]
+            m = block.size
+            if power.size < m:
+                power, summand = np.empty(m), np.empty(m)
+            p, term = power[:m], summand[:m]
+            np.negative(block, out=p)
+            p **= order
+            for i, s in enumerate(s_grid):
+                np.multiply(block, -s, out=term)
+                np.exp(term, out=term)
+                term *= p
+                block_means[i] = mean = term.mean()
+                term -= mean
+                np.square(term, out=term)
+                block_squares[i] = term.sum()
+            total = seen + m
+            delta = block_means - means
+            means += delta * (m / total)
+            squares += block_squares + delta * delta * (seen * m / total)
+            seen = total
+        # let go of the array before the next is drawn
+        v = block = None
+    ses = np.sqrt(squares / (seen - 1)) / math.sqrt(seen)
     return means, ses
 
 

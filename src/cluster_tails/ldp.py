@@ -60,7 +60,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelError
-from .estimate import TailSample, conditional_max_tail, max_tail_estimator, tail_bands
+from .estimate import (
+    TailSample,
+    _distinct_counts,
+    conditional_max_tail,
+    max_tail_estimator,
+    tail_bands,
+)
 from .heavytail import JointMarkModel, OracleSpec, model_constants, theoretical_denominator
 from .process import WindowConfig, event_moments, mean_events, sweep_windows
 from .rng import RngStream
@@ -232,7 +238,10 @@ def ldp_max_sweep(
         grid = _horizon_grid(config, horizon, sample)
         survival = np.asarray(window.model.mark_law.survival(grid))
         denom = _normalizer(config, "max", float(horizon), grid)
-        estimate = conditional_max_tail(paths["n_events"][i], survival, *controls[i]) if conditional else None
+        estimate = None
+        if conditional:
+            tally = _distinct_counts(paths["n_events"][i])
+            estimate = conditional_max_tail(tally, survival, *controls[i])
         rows.extend(_sweep_rows(config, horizon, sample, grid, denom, estimate))
     return rows
 

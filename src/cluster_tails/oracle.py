@@ -15,7 +15,7 @@ from functools import partial
 
 import numpy as np
 
-from .clusters import _chunk_size, _renewal_functionals, chunked_fill
+from .clusters import _chunk_size, _renewal_functionals, chunked_fill, chunked_map
 from .errors import LatticeMismatch, ModelError
 from .heavytail import _poisson_pmf, _poisson_sf
 from .rng import RngStream
@@ -27,6 +27,7 @@ __all__ = [
     "exact_renewal_sum_distribution",
     "exact_renewal_max_distribution",
     "truncated_hawkes_sum_tail",
+    "renewal_functional_chunks",
     "sample_renewal_functionals",
 ]
 
@@ -304,21 +305,32 @@ def _discrete_renewal_chunk(model: DiscreteJointModel, n: int, rng: RngStream) -
     return _renewal_functionals(x, k, off, ("h", "d"))
 
 
-def sample_renewal_functionals(
-    model: DiscreteJointModel, n: int, rng: RngStream
-) -> tuple[np.ndarray, np.ndarray]:
-    """n i.i.d. (H, D) pairs simulated from a discrete renewal cluster law.
-
-    The clusters are drawn in fixed chunks, chunk i from ``rng.child(i)``.
-    """
+def _renewal_sampler(model: DiscreteJointModel, n: int) -> tuple[partial, int]:
+    """The discrete renewal sampler's chunk kernel and chunk size, its arguments checked first."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if model.kind != "renewal":
         raise ModelError("renewal sampler needs a renewal-kind model", "kind")
-    kernel = partial(_discrete_renewal_chunk, model)
     per_cluster = _SAMPLE_CLUSTER_BYTES + _SAMPLE_OFFSPRING_BYTES * sum(
         k * p for _, k, p in model.support
     )
-    chunk = _chunk_size(per_cluster, 1 << 12, 1 << 18)
+    return partial(_discrete_renewal_chunk, model), _chunk_size(per_cluster, 1 << 12, 1 << 18)
+
+
+def renewal_functional_chunks(model: DiscreteJointModel, n: int, rng: RngStream):
+    """n i.i.d. (H, D) pairs of a discrete renewal cluster law, chunk by chunk.
+
+    Each chunk is a dict of its "h" and "d" arrays, yielded in chunk order;
+    chunk i draws from ``rng.child(i)``.
+    """
+    kernel, chunk = _renewal_sampler(model, n)
+    return chunked_map(kernel, n, chunk, rng)
+
+
+def sample_renewal_functionals(
+    model: DiscreteJointModel, n: int, rng: RngStream
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`renewal_functional_chunks`' chunks joined into the arrays (H, D) of n."""
+    kernel, chunk = _renewal_sampler(model, n)
     out = chunked_fill(kernel, n, chunk, rng)
     return out["h"], out["d"]

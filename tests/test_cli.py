@@ -6,15 +6,17 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import pytest
 
 import cluster_tails
+from cluster_tails import clusters, oracle
 from cluster_tails.cli import main, run, validate
 from cluster_tails.errors import ConfigError
-from cluster_tails.estimate import wilson_interval
+from cluster_tails.estimate import QuantileGrid, wilson_interval
 
 MODEL = {
     "regime": "IndependentLightCount",
@@ -511,6 +513,28 @@ class TestHostileConfigs:
             "model.count",
         )
     ]
+    # a least count ceil(scale) that puts every renewal cluster past the default
+    # guard of 10^6 events: validated, then a 1 TiB allocation in the first chunk
+    CASES += [
+        (
+            experiment,
+            {
+                "model": {
+                    "regime": "IndependentHeavyCount",
+                    "mark": {"law": "exponential", "rate": 1.0},
+                    "count": {"law": "pareto", "scale": scale, "alpha": 3},
+                }
+            },
+            "model.count",
+        )
+        for experiment, scale in (("cluster-tails", 1e10), ("ldp-max", 1e6))
+    ] + [
+        (
+            "hill",
+            {"model": {"regime": "ComonotoneCount", "mark": {"law": "pareto", "scale": 1e10, "alpha": 3}}},
+            "model.mark",
+        )
+    ]
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize(
@@ -526,6 +550,15 @@ class TestHostileConfigs:
         assert err["error"] == "ConfigError"
         assert err["field"] == field
         assert not list(tmp_path.glob(f"{experiment}-1.*"))
+
+    def test_least_renewal_cluster_at_the_guard_validates(self, tmp_path):
+        # 1 + ceil(999,999) events is the most a cluster may hold, not more
+        model = {
+            "regime": "IndependentHeavyCount",
+            "mark": {"law": "exponential", "rate": 1.0},
+            "count": {"law": "pareto", "scale": 999_999, "alpha": 3},
+        }
+        assert validate(write_config(tmp_path, {"experiment": "cluster-tails", "seed": 1, "model": model}))["valid"]
 
     # configs that run: gaps between horizons so narrow that the Hawkes
     # leftover's fade * gap underflows to 0, where its slot weight takes its limit
@@ -590,6 +623,78 @@ class TestHostileConfigs:
         with pytest.raises(ConfigError) as excinfo:
             validate(write_config(tmp_path, payload))
         assert (excinfo.value.message, excinfo.value.field) == ("unknown field", field)
+
+
+# one config of each cluster experiment kind, without its size
+CLUSTER_RUNS = {
+    "cluster-tails": {"experiment": "cluster-tails", "model": MODEL},
+    "tail-ratio-max": {
+        "experiment": "tail-ratio", "model": MODEL, "functional": "max", "grid": {"levels": [0.99, 0.999]}
+    },
+    "tail-ratio-sum": {
+        "experiment": "tail-ratio",
+        "model": HAWKES_COMONOTONE,
+        "functional": "sum",
+        "grid": {"levels": [0.99, 0.999]},
+    },
+    "hill": {"experiment": "hill", "model": MODEL, "hill": {"k": 200}},
+    "tauberian-sum": {
+        "experiment": "tauberian",
+        "model": EXPONENTIAL_MARKS,
+        "tauberian": {"source": "sum", "alpha": 1.5, "s_min": 0.1, "s_max": 1.0},
+    },
+    "tauberian-marks": {
+        "experiment": "tauberian",
+        "model": EXPONENTIAL_MARKS,
+        "tauberian": {"source": "marks", "alpha": 1.5, "s_min": 0.1, "s_max": 1.0},
+    },
+    "oracle-compare": {"experiment": "oracle-compare", "discrete": RENEWAL_DISCRETE},
+}
+
+
+class TestClusterRunsFoldTheirChunks:
+    """A cluster run holds one chunk and what its outputs read, never an array of all its clusters."""
+
+    @staticmethod
+    def kept_bytes(name: str, n: int) -> int:
+        """The top-m arrays that the run ``name`` keeps at n clusters: 8 B per value."""
+        if name == "hill":
+            return 2 * 8 * (CLUSTER_RUNS[name]["hill"]["k"] + 1)
+        folded = {"cluster-tails": 2, "tail-ratio-max": 1, "tail-ratio-sum": 1}.get(name, 0)
+        levels = CLUSTER_RUNS[name].get("grid", {}).get("levels")
+        grid = QuantileGrid(levels=tuple(levels)) if levels else QuantileGrid()
+        return folded * 8 * grid.kept(n)
+
+    @pytest.mark.parametrize("name", sorted(CLUSTER_RUNS))
+    def test_peak_does_not_grow_with_the_clusters(self, tmp_path, name):
+        peaks = {}
+        for n in (1 << 18, 1 << 20):
+            path = write_config(
+                tmp_path,
+                {**CLUSTER_RUNS[name], "seed": 3, "clusters": n, "output_dir": str(tmp_path)},
+                f"{n}.json",
+            )
+            tracemalloc.start()
+            try:
+                run(path)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        growth = peaks[1 << 20] - peaks[1 << 18]
+        assert growth <= self.kept_bytes(name, 1 << 20) + (1 << 20), peaks
+
+    @pytest.mark.parametrize("name", sorted(CLUSTER_RUNS))
+    def test_one_and_two_workers_write_the_same_bytes(self, tmp_path, monkeypatch, name):
+        # chunks of 1,024 clusters: ten of them, for two workers to split
+        monkeypatch.setattr(clusters, "_chunk_size", lambda *args: 1024)
+        monkeypatch.setattr(oracle, "_chunk_size", lambda *args: 1024)
+        payload = {**CLUSTER_RUNS[name], "seed": 4, "clusters": 10_000}
+        if payload["experiment"] == "tail-ratio":
+            payload["grid"] = {"levels": [0.9, 0.99]}
+        path = write_config(tmp_path, payload)
+        outputs = [run(path, workers=w, output_dir=str(tmp_path / str(w)))[:2] for w in (1, 2)]
+        for one, two in zip(*outputs):
+            assert one.read_bytes() == two.read_bytes(), one.name
 
 
 class TestValidateOutput:

@@ -74,7 +74,7 @@ PINNED = {
         "ab73f831035dc3efdb0f4bc0458dece80788bd077d1c0333aa94d64e941cb2d9",
     ),
     "tauberian.json": (
-        "2722607e6fd8e5b89e3811ed5a001f0030bd73b1d9d5f906156d24a34ded2b40",
+        "051eb39ca0aa751c8212db31430eaf6643936abc1f9220281e74c0b0d1f2861e",
         "08585688c6b4782ada266dd9a601864b9150af08303fdeb2d3e746f3dfc0d50a",
     ),
 }

@@ -20,8 +20,11 @@ from cluster_tails import estimate
 from cluster_tails.clusters import HawkesParams, RenewalParams, batch_functionals
 from cluster_tails.estimate import (
     _Z95,
+    CountTally,
     QuantileGrid,
+    TailFold,
     TailSample,
+    _distinct_counts,
     conditional_max_tail,
     hill_estimator,
     laplace_derivative_table,
@@ -107,6 +110,121 @@ class TestQuantile:
         assert sample.quantile(level) == np.quantile(sample.values, level)
 
 
+@st.composite
+def chunked(draw, elements, max_size=300):
+    """A nonempty sample and a random chunking of it: the sample, its chunks."""
+    values = draw(st.lists(elements, min_size=1, max_size=max_size))
+    cuts = draw(st.sets(st.integers(1, max(1, len(values) - 1)), max_size=12)) if len(values) > 1 else set()
+    return values, np.split(np.array(values), sorted(cuts))
+
+
+# floats with many ties, and no -0.0, which sorts in any order among 0.0s
+FOLD_VALUES = st.one_of(st.integers(0, 5).map(float), st.floats(-1e6, 1e6).map(lambda x: x + 0.0))
+# counts whose chunks are tallied by bincount (largest below the length) and by np.unique
+FOLD_COUNTS = st.one_of(st.integers(0, 3), st.integers(0, 10_000))
+
+
+def folded(chunks, m: int) -> TailSample:
+    fold = TailFold(m)
+    for chunk in chunks:
+        fold.add(chunk)
+    return fold.sample()
+
+
+class TestFolds:
+    """Chunks folded into a sample's top m and a count tally read what the whole sample gives, bit for bit."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(data=st.data(), sample=chunked(FOLD_VALUES))
+    def test_top_m_is_the_sorted_tail(self, data, sample):
+        values, chunks = sample
+        m = data.draw(st.integers(1, len(values) + 3), label="m")  # m >= n keeps them all
+        top = folded(chunks, m)
+        assert top.n == len(values)
+        assert top.values.tobytes() == np.sort(np.array(values))[-m:].tobytes()
+
+    @pytest.mark.parametrize("m", [1, 2, 9, 10, 15])
+    def test_top_m_with_ties_at_the_cut(self, m):
+        # ten values, the largest tied, in chunks of 3, 1 and 6: m = 1, a cut inside
+        # the ties, every value (m = n) and more than there are (m > n)
+        values = np.array([4.0, 7.0, 7.0, 1.0, 7.0, 0.0, 3.0, 7.0, 2.0, 5.0])
+        top = folded(np.split(values, [3, 4]), m)
+        assert (top.n, top.values.tobytes()) == (10, np.sort(values)[-m:].tobytes())
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(sample=chunked(FOLD_COUNTS))
+    def test_tally_is_the_whole_tally(self, sample):
+        counts, chunks = sample
+        fold = CountTally()
+        for chunk in chunks:
+            fold.add(chunk)
+        for got, want in zip(fold.tally, _distinct_counts(np.array(counts))):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_tally_merges_both_branches(self):
+        # a bincount chunk, a np.unique chunk, and their concatenation by np.unique
+        chunks = [np.array([0, 1, 1, 2, 2, 2, 3, 3]), np.array([100, 2])]
+        fold = CountTally()
+        for chunk in chunks:
+            fold.add(chunk)
+        assert [a.tolist() for a in fold.tally] == [[0, 1, 2, 3, 100], [1, 2, 4, 2, 1]]
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(data=st.data(), sample=chunked(FOLD_VALUES))
+    def test_below_the_kept_part_raises(self, data, sample):
+        values, chunks = sample
+        n = len(values)
+        m = data.draw(st.integers(1, n), label="m")
+        levels = data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5), label="levels")
+        top, whole = folded(chunks, m), TailSample.from_values(values)
+        if math.floor((n - 1) * min(levels)) >= n - m:
+            xs = top.quantile(levels)
+            assert np.asarray(xs).tobytes() == np.asarray(whole.quantile(levels)).tobytes()
+            assert np.array_equal(top.exceedances(xs), whole.exceedances(xs))
+        else:
+            with pytest.raises(ValueError, match="below"):
+                top.quantile(levels)
+        if m < n:
+            with pytest.raises(ValueError, match="below"):
+                top.exceedances(np.nextafter(top.values[0], -np.inf))
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(data=st.data(), sample=chunked(st.floats(1.0, 1e6), max_size=400))
+    def test_hill_on_the_top_k_plus_one(self, data, sample):
+        values, chunks = sample
+        if len(values) < 3:
+            return
+        k = data.draw(st.integers(2, len(values) - 1), label="k")
+        whole = TailSample.from_values(values)
+        try:
+            want = hill_estimator(whole, k)
+        except DegenerateTail:
+            with pytest.raises(DegenerateTail):
+                hill_estimator(folded(chunks, k + 1), k)
+            return
+        assert hill_estimator(folded(chunks, k + 1), k) == want
+        with pytest.raises(ValueError, match="top k"):
+            hill_estimator(folded(chunks, k), k)
+
+    @settings(derandomize=True, max_examples=10, deadline=None)
+    @given(cuts=st.sets(st.integers(1, 19_999), max_size=8))
+    def test_ratio_curve_on_the_grid_top(self, cuts):
+        model, params, _ = CLUSTER_MAX_MODELS["light-count"]
+        grid = QuantileGrid(levels=(0.9, 0.99, 0.995))
+        sample = batch_functionals(model, params, 20_000, RngStream(46, 0), fields=("h", "sizes"))
+        top, sizes = TailFold(grid.kept(20_000)), CountTally()
+        for h, size in zip(np.split(sample.h, sorted(cuts)), np.split(sample.sizes, sorted(cuts))):
+            top.add(h)
+            sizes.add(size)
+        whole = TailSample.from_values(sample.h)
+        for tally in (None, _distinct_counts(sample.sizes)):
+            want = ratio_curve(whole, model, "max", grid, size_tally=tally)
+            got = ratio_curve(top.sample(), model, "max", grid, size_tally=tally and sizes.tally)
+            for field in ("grid", "empirical", "denominator", "ratio", "ci_low", "ci_high", "exceedances"):
+                assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+            assert got.provenance == want.provenance
+
+
 class TestTailBands:
     """The one routine behind every printed tail estimate and its band."""
 
@@ -183,7 +301,7 @@ class TestConditionalMaxTail:
         # the tally by bincount and by unique give the same terms as a plain mean
         counts = np.array([0, 3, 1, 3, 2, 0, 7, 3])
         survival = np.array([1.0, 0.5, 0.01, 0.0])
-        mean, se = conditional_max_tail(counts, survival)
+        mean, se = conditional_max_tail(_distinct_counts(counts), survival)
         terms = np.where(counts > 0, 1.0 - (1.0 - survival[:, None]) ** counts, 0.0)
         assert np.allclose(mean, terms.mean(axis=1), rtol=1e-14, atol=0)
         se_direct = terms.std(axis=1, ddof=1) / math.sqrt(counts.size)
@@ -191,7 +309,7 @@ class TestConditionalMaxTail:
         # one count above the array's length: the tally falls back on np.unique
         wide = np.append(counts, 100)
         assert np.allclose(
-            conditional_max_tail(wide, survival)[0],
+            conditional_max_tail(_distinct_counts(wide), survival)[0],
             np.where(wide > 0, 1.0 - (1.0 - survival[:, None]) ** wide, 0.0).mean(axis=1),
             rtol=1e-14,
             atol=0,
@@ -204,7 +322,8 @@ class TestConditionalMaxTail:
         sample = batch_functionals(model, params, n, RngStream(44, 0), fields=("h", "sizes"))
         h = TailSample.from_values(sample.h)
         xs = h.quantile(list(grid.levels))
-        tail, se = conditional_max_tail(sample.sizes, np.asarray(model.mark_law.survival(xs)))
+        survival = np.asarray(model.mark_law.survival(xs))
+        tail, se = conditional_max_tail(_distinct_counts(sample.sizes), survival)
         counts = h.exceedances(xs)
         assert counts[-1] >= grid.min_exceedances  # every point is certified
         for x, p, s, count in zip(xs, tail, se, counts):
@@ -222,20 +341,21 @@ class TestConditionalMaxTail:
         grid = QuantileGrid(levels=(0.9, 0.99))
         h = TailSample.from_values(sample.h)
         crude = ratio_curve(h, model, "max", grid)
-        curve = ratio_curve(h, model, "max", grid, sizes=sample.sizes)
+        sizes = _distinct_counts(sample.sizes)
+        curve = ratio_curve(h, model, "max", grid, size_tally=sizes)
         # the exact mean size 1 + E[K] = 3 and variance Var K = 2 of a Poisson(2) count are its controls
-        tail, _ = conditional_max_tail(sample.sizes, np.asarray(LAW.survival(curve.grid)), 3.0, 2.0)
+        tail, _ = conditional_max_tail(sizes, np.asarray(LAW.survival(curve.grid)), 3.0, 2.0)
         assert np.array_equal(curve.grid, crude.grid)
         assert np.array_equal(curve.exceedances, crude.exceedances)
         assert np.array_equal(curve.empirical, tail)
         assert curve.provenance == crude.provenance + " estimator=conditional"
         with pytest.raises(ValueError, match="independent"):
-            ratio_curve(h, model, "sum", grid, sizes=sample.sizes)
+            ratio_curve(h, model, "sum", grid, size_tally=sizes)
         comonotone = JointMarkModel(Regime.COMONOTONE_COUNT, LAW)
         with pytest.raises(ValueError, match="independent"):
-            ratio_curve(h, comonotone, "max", grid, sizes=sample.sizes)
+            ratio_curve(h, comonotone, "max", grid, size_tally=sizes)
         with pytest.raises(ValueError, match="sizes"):
-            ratio_curve(h, model, "max", grid, sizes=sample.sizes[1:])
+            ratio_curve(h, model, "max", grid, size_tally=_distinct_counts(sample.sizes[1:]))
 
 
 class TestCountControl:
@@ -250,7 +370,7 @@ class TestCountControl:
     )
     def test_without_a_mean_the_estimate_is_unchanged(self, counts, survival):
         counts, survival = np.array(counts), np.array(survival)
-        mean, se = conditional_max_tail(counts, survival)
+        mean, se = conditional_max_tail(_distinct_counts(counts), survival)
         plain_mean, plain_se = plain_conditional_max_tail(counts, survival)
         assert np.array_equal(mean, plain_mean) and np.array_equal(se, plain_se)
 
@@ -260,7 +380,7 @@ class TestCountControl:
         mu = 2.5
         log_f = np.log1p(-survival)[:, None]
         terms = -np.expm1(counts * log_f) + log_f * np.exp(mu * log_f) * (counts - mu)
-        mean, se = conditional_max_tail(counts, survival, mu)
+        mean, se = conditional_max_tail(_distinct_counts(counts), survival, mu)
         assert np.allclose(mean, terms.mean(axis=1), rtol=1e-12, atol=0)
         assert np.allclose(se, terms.std(axis=1, ddof=1) / math.sqrt(counts.size), rtol=1e-9, atol=0)
 
@@ -272,7 +392,7 @@ class TestCountControl:
         f_mu = np.exp(-mu * a)
         terms = -np.expm1(-counts * a) - a * f_mu * (counts - mu)
         terms += 0.5 * a**2 * f_mu * ((counts - mu) ** 2 - var)
-        mean, se = conditional_max_tail(counts, survival, mu, var)
+        mean, se = conditional_max_tail(_distinct_counts(counts), survival, mu, var)
         assert np.allclose(mean, terms.mean(axis=1), rtol=1e-12, atol=0)
         assert np.allclose(se, terms.std(axis=1, ddof=1) / math.sqrt(counts.size), rtol=1e-9, atol=0)
 
@@ -283,8 +403,9 @@ class TestCountControl:
         survival = np.array([1.0, 0.0, 0.3])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            mean, se = conditional_max_tail(counts, survival, *control)
-            zeros, zeros_se = conditional_max_tail(np.zeros(5, dtype=np.int64), survival, *control)
+            mean, se = conditional_max_tail(_distinct_counts(counts), survival, *control)
+            no_marks = _distinct_counts(np.zeros(5, dtype=np.int64))
+            zeros, zeros_se = conditional_max_tail(no_marks, survival, *control)
         # every beta = 0 where F(x) = 0: the fraction with a mark; where F(x) = 1 nothing exceeds x
         assert mean[0] == 0.5 and mean[1] == 0.0 and se[1] == 0.0
         assert np.all(np.isfinite(mean)) and np.all(np.isfinite(se))
@@ -304,9 +425,9 @@ class TestCountControl:
     def test_a_point_is_reduced_on_its_own(self, counts, survival, control):
         # a point's estimate and SE have the same bits alone as inside a grid of up to twelve
         counts, survival = np.array(counts), np.array(survival)
-        grid = conditional_max_tail(counts, survival, *control)
+        grid = conditional_max_tail(_distinct_counts(counts), survival, *control)
         for i in range(survival.size):
-            alone = conditional_max_tail(counts, survival[i : i + 1], *control)
+            alone = conditional_max_tail(_distinct_counts(counts), survival[i : i + 1], *control)
             assert grid[0][i].tobytes() == alone[0][0].tobytes()
             assert grid[1][i].tobytes() == alone[1][0].tobytes()
 
@@ -314,7 +435,7 @@ class TestCountControl:
         # one replication has no standard error: refused, not nan after a RuntimeWarning
         for counts in (np.array([3]), np.array([], dtype=np.int64)):
             with pytest.raises(ValueError, match="two replications"):
-                conditional_max_tail(counts, np.array([0.5]))
+                conditional_max_tail(_distinct_counts(counts), np.array([0.5]))
 
     def test_size_control_follows_the_order(self):
         for name, (model, _, _) in CLUSTER_MAX_MODELS.items():
@@ -350,9 +471,10 @@ class TestCountControl:
         sample = batch_functionals(model, params, n, RngStream(47, 0), fields=("h", "sizes"))
         xs = TailSample.from_values(sample.h).quantile(list(grid.levels))
         survival = np.asarray(model.mark_law.survival(xs))
-        tail, se = conditional_max_tail(sample.sizes, survival, *size_control(model))
-        _, linear_se = conditional_max_tail(sample.sizes, survival, size_control(model)[0])
-        _, plain_se = conditional_max_tail(sample.sizes, survival)
+        tail, se = conditional_max_tail(_distinct_counts(sample.sizes), survival, *size_control(model))
+        sizes = _distinct_counts(sample.sizes)
+        _, linear_se = conditional_max_tail(sizes, survival, size_control(model)[0])
+        _, plain_se = conditional_max_tail(sizes, survival)
         for x, p, s in zip(xs, tail, se):
             exact = exact_law(model, float(x))
             assert abs(p - exact) <= _Z95 * s, (x, p, s, exact)

@@ -16,7 +16,7 @@ from cluster_tails import heavytail, ldp
 from cluster_tails.clusters import HawkesParams, RenewalParams
 from cluster_tails.cli import _LEFTOVER_COLUMNS, _SWEEP_COLUMNS, _attrs, _csv, run
 from cluster_tails.errors import ModelError
-from cluster_tails.estimate import _Z95, conditional_max_tail, wilson_interval
+from cluster_tails.estimate import _Z95, _distinct_counts, conditional_max_tail, wilson_interval
 from cluster_tails.heavytail import (
     BoundedUniform,
     Exponential,
@@ -243,18 +243,18 @@ class TestCountControlSweep:
             exact = renewal_window_max_tail(LIGHT_COUNT, 1.0, 1.0, horizon, edge.x) / edge.denominator
             assert round(1.0 - exact, 4) == deviation
             survival = np.asarray(LAW.survival([edge.x]))
-            n_events = counts["n_events"][i]
-            tail, se = conditional_max_tail(n_events, survival, means[i], variances[i])
+            tally = _distinct_counts(counts["n_events"][i])
+            tail, se = conditional_max_tail(tally, survival, means[i], variances[i])
             # one grid point alone has the bits it has among the horizon's twelve
             assert edge.empirical == tail[0]
             grid_survival = np.asarray(LAW.survival([r.x for r in hrows]))
-            grid = conditional_max_tail(n_events, grid_survival, means[i], variances[i])
+            grid = conditional_max_tail(tally, grid_survival, means[i], variances[i])
             assert grid[0][0].tobytes() == tail[0].tobytes() and grid[1][0].tobytes() == se[0].tobytes()
             se_ratio = se[0] / edge.denominator
             assert abs(edge.ratio - exact) <= 3 * se_ratio, (horizon, edge.ratio, exact, se_ratio)
             if horizon == 100.0:
                 # the quadratic term cuts the variance at least 50 times below the linear control's
-                _, linear_se = conditional_max_tail(n_events, survival, means[i])
+                _, linear_se = conditional_max_tail(tally, survival, means[i])
                 assert (se[0] / linear_se[0]) ** 2 <= 1 / 50, (se, linear_se)
 
     def test_the_order_follows_the_count_moments(self):
@@ -274,7 +274,8 @@ class TestCountControlSweep:
                 if order == 0:
                     want, _ = plain_conditional_max_tail(counts["n_events"][i], survival)
                 else:
-                    want, _ = conditional_max_tail(counts["n_events"][i], survival, means[i])
+                    tally = _distinct_counts(counts["n_events"][i])
+                    want, _ = conditional_max_tail(tally, survival, means[i])
                 assert [r.empirical for r in hrows] == want.tolist(), (alpha, horizon)
             estimator = ldp.max_estimator(count)
             names = ("conditional Monte Carlo: ", "conditional Monte Carlo with control variate: ")
