@@ -662,7 +662,7 @@ def _run_oracle_compare(config: ExperimentConfig, rng: RngStream, model, x_grid)
     # per functional, how many values lie at or below each support point of
     # its exact law, counted chunk by chunk
     below = {name: np.zeros(len(xs), dtype=np.int64) for name, (_, xs, _) in laws.items()}
-    for part in renewal_functional_chunks(model, n, rng):
+    for part in renewal_functional_chunks(model, n, rng, config.workers):
         for name, (field, xs, _) in laws.items():
             below[name] += np.searchsorted(np.sort(part[field]), xs, side="right")
         part = None  # let go of the chunk before the next is drawn

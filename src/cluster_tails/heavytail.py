@@ -530,23 +530,29 @@ def sample_joint(
 
 
 def _check_ceil_pareto(z: ParetoLaw, field: str) -> None:
-    """Raise ModelError on ``field`` where scale**alpha, a factor of ceil(Z)'s moments, overflows."""
-    try:
-        math.pow(z.scale, z.alpha)
-    except OverflowError:
+    """Raise ModelError on ``field`` where E[ceil(Z)] or E[ceil(Z)**2], finite in law, overflows a float.
+
+    E[ceil(Z)**2] is at least scale**2, so it overflows from a scale of
+    about 1.3e154 on; the mean only near the largest float.
+    """
+    moments = ((1.0, _ceil_pareto_mean), (2.0, _ceil_pareto_square))
+    if any(z.alpha > order and not math.isfinite(moment(z)) for order, moment in moments):
         raise ModelError(
-            f"scale**alpha = {z.scale:g}**{z.alpha:g} overflows a float, and the count's "
-            "moments are formed from it",
-            field,
-        ) from None
+            f"a moment of ceil(Z), Z ~ Pareto({z.scale:g}, {z.alpha:g}), overflows a float", field
+        )
 
 
 def _ceil_pareto_mean(z: ParetoLaw) -> float:
-    """E[ceil(Z)] for Pareto Z, via the Hurwitz zeta tail sum."""
+    """E[ceil(Z)] for Pareto Z, via a Hurwitz zeta tail sum.
+
+    It is sum_{j >= 0} P(Z > j): 1 up to k0 = floor(scale) + 1 terms, then
+    (scale / j)**alpha, so k0 + sum_{k >= 0} (scale / (k0 + k))**alpha.
+    Every term is at most 1, so no scale**alpha is formed.
+    """
     if z.alpha <= 1:
         raise InfiniteMean("count mean requires alpha > 1 on the count law")
     k0 = math.floor(z.scale) + 1
-    return k0 + z.scale**z.alpha * _hurwitz_zeta(z.alpha, k0)
+    return k0 + _hurwitz_zeta(z.alpha, k0, z.scale)
 
 
 def _ceil_pareto_square(z: ParetoLaw) -> float:
@@ -554,31 +560,36 @@ def _ceil_pareto_square(z: ParetoLaw) -> float:
 
     It is sum_{k >= 1} (2k - 1) P(ceil Z >= k), and P(ceil Z >= k) is 1 up
     to k0 = floor(scale) + 1 and (scale / (k - 1))**alpha past it, so the
-    sum is k0**2 + scale**alpha (2 zeta(alpha - 1, k0) + zeta(alpha, k0)).
+    sum is k0**2 + 2 scale sum_j (scale / (k0 + j))**(alpha - 1) + sum_j (scale / (k0 + j))**alpha.
     """
     if z.alpha <= 2:
         return math.inf
-    k0 = math.floor(z.scale) + 1
-    zetas = 2.0 * _hurwitz_zeta(z.alpha - 1.0, k0) + _hurwitz_zeta(z.alpha, k0)
-    return k0 * k0 + z.scale**z.alpha * zetas
+    k0 = float(math.floor(z.scale) + 1)  # so that k0**2 past a float is inf, not an OverflowError
+    tail = 2.0 * z.scale * _hurwitz_zeta(z.alpha - 1.0, k0, z.scale)
+    return k0 * k0 + (tail + _hurwitz_zeta(z.alpha, k0, z.scale))
 
 
 # B_2, B_4, ..., B_14
 _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
 
 
-def _hurwitz_zeta(s: float, q: float) -> float:
-    """The Hurwitz zeta sum_{k >= 0} (q + k)**-s for s > 1 and q > 0, by Euler-Maclaurin.
+def _hurwitz_zeta(s: float, q: float, scale: float = 1.0) -> float:
+    """sum_{k >= 0} ((q + k) / scale)**-s, scale**s times the Hurwitz zeta, for s > 1 and q > 0.
 
-    The first 16 terms are summed directly.  The rest, from a = q + 16 on,
-    is a**(1 - s) / (s - 1) + a**-s / 2 plus the corrections
-    B_2j / (2j)! * s (s + 1) ... (s + 2j - 2) * a**(1 - s - 2j) for j = 1 .. 7.
-    With q >= 1, so a >= 17, the first one left out is below 1e-19 of the
-    sum for every s > 1.
+    By Euler-Maclaurin.  The first 16 terms are summed directly.  The rest,
+    from a = q + 16 on, is scale (a / scale)**(1 - s) / (s - 1) + (a / scale)**-s / 2
+    plus the corrections B_2j / (2j)! * s (s + 1) ... (s + 2j - 2) * (a / scale)**-s * a**(1 - 2j)
+    for j = 1 .. 7.  With q >= 1, so a >= 17, the first one left out is below
+    1e-19 of the sum for every s > 1.  No scale**s is formed, and at scale 1
+    every operation is the plain zeta's.
     """
     a = q + 16.0
-    total = math.fsum((q + k) ** -s for k in range(16)) + a ** (1.0 - s) / (s - 1.0) + 0.5 * a**-s
-    rising, factorial, power = s, 2.0, a ** (-s - 1.0)
+    total = (
+        math.fsum(((q + k) / scale) ** -s for k in range(16))
+        + scale * (a / scale) ** (1.0 - s) / (s - 1.0)
+        + 0.5 * (a / scale) ** -s
+    )
+    rising, factorial, power = s, 2.0, (a / scale) ** (-s - 1.0) / scale
     for j, b in enumerate(_BERNOULLI, start=1):
         total += b / factorial * rising * power
         rising *= (s + 2 * j - 1) * (s + 2 * j)
@@ -613,7 +624,10 @@ def count_variance(model: JointMarkModel) -> float:
         return model.count_param.variance() * model.intensity_scale_factor() ** 2
     if not model.independent_marks:
         return math.inf
-    return _ceil_pareto_square(model.count_param) - _ceil_pareto_mean(model.count_param) ** 2
+    square = _ceil_pareto_square(model.count_param)
+    if math.isinf(square):  # and the mean's square may be past a float
+        return math.inf
+    return square - _ceil_pareto_mean(model.count_param) ** 2
 
 
 @dataclass(frozen=True)
@@ -780,6 +794,57 @@ def _poisson_counts(gen: np.random.Generator, mu: float, size=None):
         rest = np.flatnonzero(np.take(cdf, part) <= u)
         part[rest] = np.searchsorted(cdf, u[rest], side="right")
     return k
+
+
+@lru_cache(maxsize=64)
+def _mixed_poisson_table(mu: float) -> np.ndarray:
+    """P(Y < j) for Y ~ Poisson(mu U), U uniform, and j = 0, 1, ... to its first 1.0 or to _POISSON_TABLE_CAP.
+
+    Y counts the points of a rate-1 Poisson process on [0, mu U], so
+    P(Y = j) = P(Pois(mu) > j) / mu and P(Y >= r) = P(S_r <= mu U) =
+    E[(mu - S_r)^+] / mu, S_r the sum of r unit exponentials.  Below
+    mu = _POISSON_TABLE_CAP the table is 1 less that Erlang shortfall over
+    mu (:meth:`Exponential.shortfall`), a tail sum, so it reaches 1.0
+    exactly where P(Y < j) does in floats, which it does within the cap up
+    to mu of about 800.  From the cap on it is the head sum of the pmf.
+    Y = 0 at mu = 0.
+    """
+    if mu == 0.0:
+        return np.array([0.0, 1.0])
+    j = np.arange(_POISSON_TABLE_CAP + 1)
+    if mu < _POISSON_TABLE_CAP:
+        below = 1.0 - Exponential(1.0).shortfall(mu, np.maximum(j, 1)) / mu
+        below[0] = 0.0
+    else:
+        below = np.concatenate(([0.0], np.cumsum(_poisson_sf(j[:-1], mu)) / mu))
+    full = np.flatnonzero(below == 1.0)
+    if full.size:
+        below = below[: full[0] + 1]
+    below.setflags(write=False)  # every caller shares the cached array
+    return below
+
+
+def _mixed_poisson_short(gen: np.random.Generator, mu: float, k: np.ndarray):
+    """One Y_j ~ Poisson(mu U_j) per count k_j, U_j uniform: the j with Y_j < k_j, and Y_j there.
+
+    Each Y_j is the inverse of one uniform u_j, the number of j' >= 1 with
+    P(Y < j') <= u_j, so Y_j < k_j iff u_j < P(Y < k_j): one compare a count,
+    and a search only where it holds.  A count past a cut table (see
+    :func:`_mixed_poisson_table`) has its Y_j from numpy's Poisson at mu U
+    instead, drawn after all the uniforms; the j are then not in order.
+    """
+    below = _mixed_poisson_table(float(mu))
+    u = gen.random(k.size)
+    short = np.flatnonzero(u < np.take(below, k, mode="clip"))  # P(Y < k) is 1 past a whole table
+    y = np.searchsorted(below, u[short], side="right") - 1
+    if below[-1] < 1.0:
+        near = k[short] < below.size
+        short, y = short[near], y[near]
+        far = np.flatnonzero(k >= below.size)
+        y_far = gen.poisson(mu * gen.random(far.size))
+        hit = y_far < k[far]
+        short, y = np.concatenate((short, far[hit])), np.concatenate((y, y_far[hit]))
+    return short, y
 
 
 def count_survival(model: JointMarkModel, x):

@@ -317,14 +317,15 @@ def _renewal_sampler(model: DiscreteJointModel, n: int) -> tuple[partial, int]:
     return partial(_discrete_renewal_chunk, model), _chunk_size(per_cluster, 1 << 12, 1 << 18)
 
 
-def renewal_functional_chunks(model: DiscreteJointModel, n: int, rng: RngStream):
+def renewal_functional_chunks(model: DiscreteJointModel, n: int, rng: RngStream, workers: int = 1):
     """n i.i.d. (H, D) pairs of a discrete renewal cluster law, chunk by chunk.
 
     Each chunk is a dict of its "h" and "d" arrays, yielded in chunk order;
-    chunk i draws from ``rng.child(i)``.
+    chunk i draws from ``rng.child(i)``, so the chunks are the same for any
+    worker count.
     """
     kernel, chunk = _renewal_sampler(model, n)
-    return chunked_map(kernel, n, chunk, rng)
+    return chunked_map(kernel, n, chunk, rng, workers)
 
 
 def sample_renewal_functionals(

@@ -18,17 +18,47 @@ independent Poisson counts there with uniform points (Daley & Vere-Jones).
 The counts come first (:func:`_cell_counts`), then the times cell by cell
 (:func:`_cell_times`), so each immigrant's slot is known from its draw.
 
+Renewal windows take one of two routes.  With exponential waits a
+cluster's offspring are the first K points of a Poisson process started at
+its birth, which has independent Poisson counts on disjoint intervals and
+forgets its past (Daley & Vere-Jones), so the slot-count route draws no
+time at all (:func:`_renewal_slot_windows`).  Its structure stream draws,
+in order: the immigrant counts per (slot, window) cell, as a Hawkes window
+does; the K of every immigrant, in cell order; one uniform per immigrant
+of each slot s, by which a cluster puts min(K, Y) offspring in its own
+slot, Y ~ Poisson(rate L_s U) with U uniform (the points of its process
+before the slot's end, which is uniform on (0, L_s) after its birth,
+L_s = T_s - T_{s-1}), drawn by inversion only where Y < K (Devroye 1986,
+ch. III); and, for each later slot t in turn, one Poisson(rate L_t) per
+cluster with offspring left, which takes that many more of them, up to
+what is left.  The offspring left after the last horizon are leftover at
+every horizon.  A cluster past its slot is tallied in runs, one for each
+later slot it reaches and one past the last horizon, which give the
+leftover per horizon.  Constant and uniform waits, which are not
+memoryless, take the path route (:func:`_renewal_path_windows`): each
+window's Poisson(nu T_k) immigrant count, their uniform times on [0, T_k],
+their K, then every offspring's wait, whose running sums place it in its
+slot.
+
 Clusters born before time 0 are ignored by construction; the decomposition
 identity sum + leftover == total cluster mass then holds pathwise on every
 replication and at every horizon.
 
 Each chunk splits its randomness by spawn key (:meth:`RngStream.branch`):
-the structure (immigrant times, K or kappa, waits, broods) comes from the
-chunk's own stream ``(stream_id, i)``, the marks from ``(stream_id, i, 1)``
-and the window maxima from ``(stream_id, i, 2)``.  Marks are drawn only when
-a kept statistic reads them (``sum_in_window``, ``leftover_sum``) or when
-the regime derives K or kappa from X (the comonotone ones).  Where the
-marks are i.i.d. and independent of the counts, a window's in-window marks
+the structure (immigrant counts or times, K or kappa, waits or slot
+counts, broods) comes from the chunk's own stream ``(stream_id, i)``, the
+marks from ``(stream_id, i, 1)`` and the window maxima from
+``(stream_id, i, 2)``.  Marks are drawn only when a kept statistic reads
+them (``sum_in_window``, ``leftover_sum``) or when the regime derives K or
+kappa from X (the comonotone ones).  The path routes draw the immigrants'
+X with their K or kappa, then each generation's offspring marks.  The
+slot-count route draws a comonotone immigrant's X with its K, then the
+marks of its runs, in run order: ``leftover_sum`` reads these alone and
+draws no more.  Then, if ``sum_in_window`` (or a comonotone max) is kept,
+it draws each cell's other in-window marks, cell by cell: its own-slot
+offspring's, and its immigrants' where their X is not drawn with K.
+
+Where the marks are i.i.d. and independent of the counts, a window's in-window marks
 are i.i.d. given its counts, so ``max_in_window`` is drawn from the
 in-window counts alone: at the horizons' counts C_1 <= ... <= C_k it is the
 running max of one i.i.d. sequence, the last horizon's from one uniform by
@@ -84,6 +114,8 @@ from .heavytail import (
     BoundedUniform,
     Exponential,
     JointMarkModel,
+    _mixed_poisson_short,
+    _poisson_counts,
     _poisson_span,
     count_survival,
     count_variance,
@@ -295,10 +327,12 @@ class _HorizonTally:
     <= i < its own slot.  Only the statistics named in ``fields`` are kept;
     ``leftover_intensity`` needs the Hawkes decay rate ``decay``.
 
-    Hawkes immigrants come cell by cell (:func:`_cell_counts`), so their
-    counts and ``leftover_intensity`` are read off the cell counts
-    (:meth:`cell_counts`); renewal immigrants and all offspring are keyed
-    by window and slot.
+    Hawkes immigrants, and those of the renewal slot-count route, come cell
+    by cell (:func:`_cell_counts`), so their counts and ``leftover_intensity``
+    are read off the cell counts (:meth:`cell_counts`); the slot-count
+    route adds its offspring per cell (:meth:`add_cells`) and in runs
+    (:meth:`runs`), and the path routes key every other point by window
+    and slot.
 
     Where the model's marks are independent of its counts, ``max_in_window``
     reads no mark: it is drawn from the in-window event counts alone
@@ -360,8 +394,7 @@ class _HorizonTally:
     def cell_counts(self, cells: np.ndarray) -> None:
         """Immigrants counted per cell (``cells[s, w]`` in window w's slot s), and their ``leftover_intensity``."""
         for f in ("n_events", "n_clusters"):
-            if f in self.slotted:
-                self._per_slot(self.slotted[f])[...] += cells
+            self.add_cells(f, cells)
         if "leftover_intensity" in self.fields:
             # an immigrant of slot r adds E[kappa] g_r to E[Lambda_{T_r}], which
             # decays by exp(-fade (T_s - T_r)) by T_s: see the module docstring
@@ -418,14 +451,38 @@ class _HorizonTally:
             self._leftover(win[out], slot[out], home[out], None if marks is None else marks[out])
         self._reduce(win, slot, marks, ("n_events",))
 
-    def _leftover(self, win, slot, home, marks) -> None:
+    def _leftover(self, win, slot, home, marks, counts=None) -> None:
         j, eps = self.leftover.get("j_leftover"), self.leftover.get("leftover_sum")
         for i in range(len(self.horizons)):
             hit = (home <= i) & (slot > i)
             if j is not None:
-                j[i] += np.bincount(win[hit], minlength=self.n)
+                weights = None if counts is None else counts[hit]
+                j[i] += np.bincount(win[hit], weights, self.n).astype(np.int64, copy=False)
             if eps is not None:
                 eps[i] += np.bincount(win[hit], weights=marks[hit], minlength=self.n)
+
+    def add_cells(self, field: str, values: np.ndarray) -> None:
+        """Adds (slot, window) values to a kept in-window statistic; a max takes their maximum."""
+        if field in self.slotted:
+            view = self._per_slot(self.slotted[field])
+            (np.maximum if field == "max_in_window" else np.add)(view, values, out=view)
+
+    def runs(self, win, slot, home, counts, sums=None, maxima=None) -> None:
+        """Runs of ``counts`` offspring each, born in slot ``home`` of window ``win``, landing in a later ``slot``.
+
+        ``sums`` and ``maxima`` are the runs' mark sums and maxima, None
+        where no kept statistic reads them.
+        """
+        if self.leftover:
+            self._leftover(win, slot, home, sums, counts)
+        key = win * (len(self.horizons) + 1) + slot  # a run past the last horizon lands in its dropped column
+        for f, values, add in (
+            ("n_events", counts, np.add),
+            ("sum_in_window", sums, np.add),
+            ("max_in_window", maxima, np.maximum),
+        ):
+            if f in self.slotted:
+                add.at(self.slotted[f], key, values)
 
     def result(self, rng: RngStream) -> dict[str, np.ndarray]:
         """Each kept statistic as a (horizon, window) array.
@@ -450,7 +507,7 @@ class _HorizonTally:
         return {f: out[f] for f in self.fields}
 
 
-# a renewal window chunk's tracemalloc peak, every statistic kept: per
+# the renewal path route's tracemalloc peak, every statistic kept: per
 # immigrant, per offspring and per (window, slot) cell, for the tallies and
 # results.  An offspring point costs 18 B in its immigrant's slot and up to
 # 54 B past a horizon its immigrant is not past (the leftover tallies copy
@@ -459,11 +516,41 @@ class _HorizonTally:
 _IMMIGRANT_BYTES, _OFFSPRING_BYTES, _CELL_BYTES = 40, 56, 72
 
 
-def _renewal_windows(
+# the slot-count route's tracemalloc peak, every statistic kept: per point
+# (immigrant or offspring: its mark, and the per-cluster arrays before the
+# marks), per run of offspring past their slot and per (window, slot) cell.
+# Measured at 0.38 to 0.91 of the price over 1 to 100 horizons, T = 1 to
+# 500, E[K] = 0 to 100 and wait rates 0.05 to 50, in all renewal regimes
+_SLOT_POINT_BYTES, _RUN_BYTES, _SLOT_CELL_BYTES = 12, 64, 136
+
+
+def _slot_window_bytes(config: WindowConfig, horizons: np.ndarray) -> float:
+    """The slot-count route's bytes per window, at the model's mean sizes.
+
+    A run holds at least one offspring and there is at most one a later
+    slot, so a cluster of slot s makes at most min(K, k - s) runs.  Its
+    j-th offspring passes the slot's end, which is uniform on (0, L_s)
+    after the cluster's birth, with probability E[min(1, S_j / L_s)] <= j / (rate L_s),
+    so the runs of a slot number at most nu E[K (K + 1)] / (2 rate) on average.
+    """
+    consts = model_constants(config.model)
+    m, rate, k = consts.mean_count, config.cluster_params.waiting_law.rate, horizons.size
+    pair = consts.cluster_size_variance + m * m + m  # E[K (K + 1)], inf where Var K is
+    lengths = np.diff(horizons, prepend=0.0)
+    runs = config.nu * np.minimum(lengths * np.minimum(m, k - np.arange(k)), pair / (2.0 * rate))
+    points = config.nu * float(horizons[-1]) * (1.0 + m)
+    return _SLOT_POINT_BYTES * points + _RUN_BYTES * runs.sum() + _SLOT_CELL_BYTES * (k + 1)
+
+
+def _renewal_path_windows(
     config: WindowConfig, horizons: np.ndarray, n: int, rng: RngStream, fields
 ) -> dict[str, np.ndarray]:
-    # chunk-sized arrays are freed as soon as they are used: the draws keep
-    # their order, but no array lives longer than its last use
+    """Renewal windows by paths: every offspring's time, placed in its slot.
+
+    See the module docstring.  Chunk-sized arrays are freed as soon as they
+    are used: the draws keep their order, but no array lives longer than
+    its last use.
+    """
     model, t_max = config.model, float(horizons[-1])
     tally = _HorizonTally(horizons, n, fields, model)
     gen, marks = rng.generator, tally.mark_generator(rng)
@@ -496,6 +583,87 @@ def _renewal_windows(
         np.asarray(model.mark_law.sample(marks, total), dtype=float) if tally.reads_marks else None,
         np.repeat(home, k) if tally.leftover else None,
     )
+    return tally.result(rng)
+
+
+def _run_totals(counts: np.ndarray, values: np.ndarray, top: bool = False) -> np.ndarray:
+    """The sum (or with ``top`` the max) of each run of ``values``: run c is the next ``counts[c]``; 0 if empty."""
+    out = np.zeros(counts.size)
+    full = np.flatnonzero(counts)
+    if full.size:
+        starts = np.cumsum(counts)[full] - counts[full]
+        out[full] = (np.maximum if top else np.add).reduceat(values, starts)
+    return out
+
+
+def _renewal_slot_windows(
+    config: WindowConfig, horizons: np.ndarray, n: int, rng: RngStream, fields
+) -> dict[str, np.ndarray]:
+    """Renewal windows with exponential waits by slot counts: no time is drawn.
+
+    See the module docstring.  The clusters are taken in cell order, slot
+    by slot and window by window within a slot.  The offspring that pass
+    their own slot are tallied in runs, one for each later slot a cluster
+    reaches and one past the last horizon.
+    """
+    model, k = config.model, len(horizons)
+    tally = _HorizonTally(horizons, n, fields, model)
+    gen, marks = rng.generator, tally.mark_generator(rng)
+    cells = _cell_counts(gen, config.nu, horizons, n)
+    tally.cell_counts(cells)
+    ends = np.cumsum(cells.ravel())  # past each cell's last cluster
+    x, kids = sample_joint(model, None if model.independent_marks else marks, gen, int(ends[-1]))
+    kids = np.asarray(kids, dtype=np.int64)
+    mus = config.cluster_params.waiting_law.rate * np.diff(horizons, prepend=0.0)
+    # a cluster's offspring are the first K points of its waits' Poisson
+    # process; the Y of them before its slot's end are in its own slot, and
+    # the clusters with Y < K spill the other K - Y past it
+    spill, rest, lo = [], [], 0
+    for mu, hi in zip(mus, ends[n - 1 :: n]):
+        short, y = _mixed_poisson_short(gen, mu, kids[lo:hi])
+        spill.append(short + lo)
+        rest.append(kids[short + lo] - y)
+        lo = hi
+    spill, rest = np.concatenate(spill), np.concatenate(rest)
+    cell = np.searchsorted(ends, spill, side="right")
+    own = np.zeros(kids.size + 1, dtype=np.int64)  # each cell's K, less what spills
+    np.cumsum(kids, out=own[1:])
+    own = np.diff(own[ends], prepend=0)
+    del kids
+    np.subtract.at(own, cell, rest)
+    own = own.reshape(k, n)
+    tally.add_cells("n_events", own)
+    home, win = np.divmod(cell, n)
+    # slot t takes Poisson(rate L_t) more points of each process that has offspring left
+    runs, counts = [], []
+    for t in range(1, k):
+        alive = np.flatnonzero((home < t) & (rest > 0))
+        step = np.minimum(rest[alive], _poisson_counts(gen, mus[t], alive.size))
+        rest[alive] -= step
+        runs.append(alive[step > 0])
+        counts.append(step[step > 0])
+    runs.append(np.flatnonzero(rest))  # past the last horizon
+    counts.append(rest[runs[-1]])
+    run_slot = np.repeat(np.arange(1, k + 1), [r.size for r in runs])
+    runs, run_count = np.concatenate(runs), np.concatenate(counts)
+    law, sums, maxima = model.mark_law, None, None
+    if tally.reads_marks:
+        # the runs' marks first, so a leftover_sum alone draws them and no more
+        values = np.asarray(law.sample(marks, int(run_count.sum())), dtype=float)
+        sums = _run_totals(run_count, values)
+        if "max_in_window" in tally.slotted:  # the comonotone max reads the marks
+            maxima = _run_totals(run_count, values, top=True)
+    tally.runs(win[runs], run_slot, home[runs], run_count, sums, maxima)
+    if tally.slotted.keys() & {"sum_in_window", "max_in_window"}:
+        # then each cell's other in-window marks: its own-slot offspring's,
+        # and its immigrants' where X was not drawn with K
+        counts = (own if x is not None else own + cells).ravel()
+        values = np.asarray(law.sample(marks, int(counts.sum())), dtype=float)
+        for f, top in (("sum_in_window", False), ("max_in_window", True)):
+            if f in tally.slotted:
+                tally.add_cells(f, _run_totals(counts, values, top).reshape(k, n))
+                if x is not None:
+                    tally.add_cells(f, _run_totals(cells.ravel(), x, top).reshape(k, n))
     return tally.result(rng)
 
 
@@ -603,7 +771,7 @@ def sweep_windows(
     in-window counts, not read off the marks that ``sum_in_window`` sums.
 
     Output is bit-identical for any worker count: chunk boundaries depend
-    only on the configuration and the longest horizon, and chunk i always
+    only on the configuration and the horizons, and chunk i always
     draws from ``rng.child(i)``.  A Hawkes field set within
     ``leftover_intensity`` and ``n_clusters`` runs in this process whatever
     ``workers`` is: each of its chunks is one Poisson draw of the cell
@@ -620,18 +788,21 @@ def sweep_windows(
     if unknown:
         raise ValueError(f"unknown window statistics: {sorted(unknown)}")
     fields = tuple(f for f in _FIELDS if f in fields)
-    kernel = _hawkes_windows if config.model.is_hawkes else _renewal_windows
     if config.model.is_hawkes and set(fields) <= _CELL_FIELDS:
         workers = 1
     immigrants, consts = config.nu * float(hs[-1]), model_constants(config.model)
     if config.model.is_hawkes:
+        kernel = _hawkes_windows
         # about 2**21 expected points a chunk, not the byte budget: the
         # cell-count-only leftover sweep must use the cascade's chunk
         # boundaries (field-subset invariance), and at a quarter of this size
         # a leftover-hawkes pass ran slower (14 to 18 against 9 to 11.5 ms)
         # at no lower peak RSS
         per_window = immigrants * consts.mean_cluster_size * (_CHUNK_BYTES / (1 << 21))
+    elif isinstance(config.cluster_params.waiting_law, Exponential):
+        kernel, per_window = _renewal_slot_windows, _slot_window_bytes(config, hs)
     else:
+        kernel = _renewal_path_windows
         per_cluster = _IMMIGRANT_BYTES + _OFFSPRING_BYTES * consts.mean_count
         per_window = immigrants * per_cluster + _CELL_BYTES * (hs.size + 1)
     chunk = _chunk_size(per_window, 1 << 6, 1 << 16)

@@ -379,6 +379,60 @@ class TestCriterion10LdpSweeps:
         )
 
 
+class TestCriterion10WhereTheClaimHolds:
+    """Criterion 10's cap of 0.3 at horizons past the onset of the asymptotics.
+
+    Criterion 10's model, gamma and x levels.  At gamma = 0.5 the sup falls
+    below 0.3 from T of about 131 for the max and from between 1,500 and
+    2,000 for the sum; it is 0.2524 / 0.1699 at T = 200 / 500 for the max and
+    0.2260 at T = 3,000 for the sum, the midpoint of its exact bracket.
+    Each sweep is sized so that its sups' standard errors are below a fifth
+    of their margins to the cap, and of the fall from the first horizon.
+    """
+
+    CAP = 0.3
+
+    def _sweep(self, sweep, horizons, replications, seed):
+        window = WindowConfig(model=LIGHT_COUNT, cluster_params=RP, nu=1.0)
+        config = SweepConfig(
+            window=window, horizons=horizons, gamma=0.5, replications=replications, x_levels=12
+        )
+        started = time.time()
+        rows = sweep(config, RngStream(seed, 0))
+        return _sup_by_horizon(rows), _sup_se_by_horizon(rows), time.time() - started
+
+    def test_max_sweep(self):
+        sups, ses, elapsed = self._sweep(ldp_max_sweep, (200.0, 500.0), 30_000, 605)
+        capped = all(sup < self.CAP for sup in sups.values())
+        falls = sups[500.0] < sups[200.0]
+        _report(
+            "10/max at T = 200, 500",
+            capped and falls,
+            f"sup|ratio-1| by horizon {({k: round(v, 4) for k, v in sups.items()})}, "
+            f"SE {({k: float(f'{v:.2g}') for k, v in ses.items()})}, {elapsed:.1f}s",
+        )
+        margins = {200.0: self.CAP - 0.2524, 500.0: self.CAP - 0.1699}
+        assert all(ses[h] < margin / 5 for h, margin in margins.items()), ses
+        assert math.hypot(ses[200.0], ses[500.0]) < (0.2524 - 0.1699) / 5, ses
+        assert capped, sups
+        assert falls, sups
+
+    def test_sum_sweep(self):
+        sups, ses, elapsed = self._sweep(ldp_sum_sweep, (1_000.0, 3_000.0), 30_000, 607)
+        capped = sups[3_000.0] < self.CAP
+        falls = sups[3_000.0] < sups[1_000.0]
+        _report(
+            "10/sum at T = 1,000, 3,000",
+            capped and falls,
+            f"sup|ratio-1| by horizon {({k: round(v, 4) for k, v in sups.items()})}, "
+            f"SE {({k: round(v, 4) for k, v in ses.items()})}, {elapsed:.1f}s",
+        )
+        assert ses[3_000.0] < (self.CAP - 0.2260) / 5, ses
+        assert math.hypot(ses[1_000.0], ses[3_000.0]) < (sups[1_000.0] - 0.2260) / 5, (sups, ses)
+        assert capped, sups
+        assert falls, sups
+
+
 class TestCriterion11LeftoverScaling:
     def test_strictly_decreasing_both_models(self):
         results = {}

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -498,8 +499,9 @@ class TestHostileConfigs:
         ("tail-ratio", {"clusters": 1}, "clusters"),
         ("tail-ratio", {"clusters": 1, "functional": "sum"}, "clusters"),
     ]
-    # the ceil(Pareto) count's moments are formed from scale**alpha, which
-    # overflowed to a bare OverflowError and exit 1
+    # scale**alpha = 1e400 once overflowed to a bare OverflowError and exit 1;
+    # the count's moments are sums of terms below 1 now, but every cluster
+    # would hold 1 + ceil(1e10) events
     CASES += [
         (
             "cluster-tails",
@@ -624,6 +626,27 @@ class TestHostileConfigs:
             validate(write_config(tmp_path, payload))
         assert (excinfo.value.message, excinfo.value.field) == ("unknown field", field)
 
+    def test_ceil_pareto_count_past_scale_to_the_alpha_validates_and_runs(self, tmp_path):
+        # 6**400 is past a float, but ceil(Z) for Z ~ Pareto(6, 400) is 7 but for
+        # a chance of about 1e-27: its moments are sums of terms below 1
+        model = {
+            "regime": "IndependentHeavyCount",
+            "mark": {"law": "exponential", "rate": 1.0},
+            "count": {"law": "pareto", "scale": 6, "alpha": 400},
+        }
+        payload = {
+            "experiment": "cluster-tails",
+            "seed": 1,
+            "model": model,
+            "clusters": 20_000,
+            "output_dir": str(tmp_path),
+        }
+        path = write_config(tmp_path, payload)
+        assert validate(path)["valid"]
+        assert main(["run", str(path)]) == 0
+        summary = json.loads((tmp_path / "cluster-tails-1.json").read_text())
+        assert summary["mean_size"] == 8.0
+
 
 # one config of each cluster experiment kind, without its size
 CLUSTER_RUNS = {
@@ -695,6 +718,22 @@ class TestClusterRunsFoldTheirChunks:
         outputs = [run(path, workers=w, output_dir=str(tmp_path / str(w)))[:2] for w in (1, 2)]
         for one, two in zip(*outputs):
             assert one.read_bytes() == two.read_bytes(), one.name
+
+    def test_oracle_compare_sampler_follows_the_workers(self, tmp_path, monkeypatch):
+        # ten chunks of the discrete renewal sampler: two workers split them in a pool
+        pools = []
+
+        def counted_pool(*args, **kwargs):
+            pools.append(kwargs["max_workers"])
+            return ProcessPoolExecutor(*args, **kwargs)
+
+        monkeypatch.setattr(clusters, "ProcessPoolExecutor", counted_pool)
+        monkeypatch.setattr(oracle, "_chunk_size", lambda *args: 1024)
+        path = write_config(tmp_path, {**CLUSTER_RUNS["oracle-compare"], "seed": 5, "clusters": 10_000})
+        outputs = [run(path, workers=w, output_dir=str(tmp_path / str(w)))[:2] for w in (1, 2)]
+        for one, two in zip(*outputs):
+            assert one.read_bytes() == two.read_bytes(), one.name
+        assert pools == [2]
 
 
 class TestValidateOutput:

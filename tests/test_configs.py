@@ -46,12 +46,12 @@ PINNED = {
         "e32ae59bfc47260a1be069994354f33927037e1abdea59d3f1e16e5a8921a560",
     ),
     "ldp-max.json": (
-        "0951e1d35946a59ccb247d6f7700f699ec51352d2b8c2fe48549d1f5a9e5e61f",
-        "652e626f8dcba0df533d4fbd3eea6421c02cf3e7e5c33594d44dc4224b53be40",
+        "764aa5187a593cc23e43222fe3cb3fc0c53a0b369f5175ad2fb7c1df7ea58068",
+        "a5d30115d1c46262e9e3450f2d797b4245cd7175f271945ae65dfb19648c4417",
     ),
     "ldp-sum.json": (
-        "27843085e8a790a14b88c19db9d7853e88a91289aae4f30d9c0e3c9f79b48ba0",
-        "af5524781700c10bf02bbe7037b542b961a9f1e31fe6be9c49a2f4f2759e58c3",
+        "44dd5cfb0d0fd80c85b481749acdcff392719b8c308ffe500dba66610d67d2ee",
+        "3d45c19a69c71021e414e41db8bf0136df7c2cc62c1ff19ea9b36fa7b958c752",
     ),
     "leftover.json": (
         "2e6c50d922722f6bdf1e76b9d0e1f597170dd3a770fed1a09c3662d417ef6954",

@@ -21,6 +21,8 @@ from cluster_tails.heavytail import (
     ParetoLaw,
     Regime,
     _hurwitz_zeta,
+    _mixed_poisson_short,
+    _mixed_poisson_table,
     _poisson_counts,
     _poisson_pmf,
     _poisson_sf,
@@ -325,17 +327,40 @@ class TestModelConstants:
     @pytest.mark.parametrize(
         "regime, count, field",
         [
-            (Regime.INDEPENDENT_HEAVY_COUNT, ParetoLaw(1e10, 40.0), "count_param"),
-            (Regime.INDEPENDENT_TAIL_EQUIVALENT, ParetoLaw(1e10, 40.0), "count_param"),
+            (Regime.INDEPENDENT_HEAVY_COUNT, ParetoLaw(1e200, 40.0), "count_param"),
+            (Regime.INDEPENDENT_TAIL_EQUIVALENT, ParetoLaw(1e200, 40.0), "count_param"),
             (Regime.COMONOTONE_COUNT, None, "mark_law"),
         ],
     )
     def test_ceil_pareto_overflow_rejected(self, regime, count, field):
-        # scale**alpha = 1e400, the factor of every ceil(Z) moment, is past a float
-        mark = ParetoLaw(1e10, 40.0) if count is None else LAW
+        # E[ceil(Z)**2] is about 1e400, past a float
+        mark = ParetoLaw(1e200, 40.0) if count is None else LAW
         with pytest.raises(ModelError, match="overflows") as excinfo:
             JointMarkModel(regime, mark, count)
         assert excinfo.value.field == field
+
+    @pytest.mark.parametrize(
+        "scale, alpha", [(6.0, 400.0), (1e10, 40.0), (20.0, 200.0), (2.5, 30.0)]
+    )
+    def test_ceil_pareto_moments_where_scale_to_the_alpha_overflows(self, scale, alpha):
+        # scale**alpha is past a float in the first two, not in the others.
+        # E[K] = k0 + sum_{j >= k0} (scale / j)**alpha and E[K**2] = k0**2 +
+        # sum_{j >= k0} (2j + 1) (scale / j)**alpha, k0 = floor(scale) + 1: the
+        # first 10**6 terms directly, the rest by the integral from the
+        # midpoint of the last term's cell on, whose error is below 1e-12 here
+        k0 = np.floor(scale) + 1.0
+        j = k0 + np.arange(10**6)
+        terms = (scale / j) ** alpha
+        edge = j[-1] + 0.5
+        tail = edge * (scale / edge) ** alpha / (alpha - 1.0)
+        mean = k0 + terms.sum() + tail
+        square = k0 * k0 + (2.0 * j + 1.0) @ terms + tail * (2.0 * edge * (alpha - 1.0) / (alpha - 2.0) + 1.0)
+        for regime in (Regime.INDEPENDENT_HEAVY_COUNT, Regime.INDEPENDENT_TAIL_EQUIVALENT):
+            c = model_constants(JointMarkModel(regime, LAW, ParetoLaw(scale, alpha)))
+            assert c.mean_count == pytest.approx(mean, rel=1e-12)
+            assert c.mean_count**2 + c.cluster_size_variance == pytest.approx(square, rel=1e-12)
+        c = model_constants(JointMarkModel(Regime.COMONOTONE_COUNT, ParetoLaw(scale, alpha)))
+        assert c.mean_count == pytest.approx(mean, rel=1e-12)
 
 
 class TestCountControl:
@@ -735,6 +760,56 @@ class TestPoissonCounts:
         k = _poisson_counts(np.random.Generator(np.random.PCG64DXSM(4)), 5000.0, 1000)
         want = np.random.Generator(np.random.PCG64DXSM(4)).poisson(5000.0, 1000)
         assert np.array_equal(k, want)
+
+
+class TestMixedPoisson:
+    """Y ~ Poisson(mu U), U uniform: a renewal cluster's offspring in its own slot, K aside."""
+
+    @pytest.mark.parametrize("mu", [1e-3, 0.5, 4.0, 40.0, 300.0])
+    def test_table_sums_to_one_with_mean_half_mu(self, mu):
+        below = _mixed_poisson_table(mu)  # P(Y < j), j = 0, 1, ...
+        pmf = np.diff(below)
+        assert below[0] == 0.0 and below[-1] == 1.0 and np.all(pmf >= 0)
+        assert pmf.sum() == 1.0
+        assert np.arange(pmf.size) @ pmf == pytest.approx(mu / 2, rel=1e-12)
+        # P(Y = j) = P(Pois(mu) > j) / mu
+        want = special.pdtrc(np.arange(pmf.size), mu) / mu
+        np.testing.assert_allclose(pmf, want, rtol=1e-9, atol=4e-16)
+
+    def test_cut_table(self):
+        # P(Y < j) reaches 1.0 within 1,024 terms up to mu of about 798.7, and
+        # P(Y = 0) = 1 at mu = 0
+        assert _mixed_poisson_table(700.0)[-1] == 1.0
+        for mu in (800.0, 1000.0, 5000.0, 1e8):
+            below = _mixed_poisson_table(mu)
+            assert below.size == 1025 and below[-1] < 1.0
+            want = np.cumsum(special.pdtrc(np.arange(1024), mu)) / mu
+            np.testing.assert_allclose(below[1:], want, rtol=1e-12)
+        assert np.array_equal(_mixed_poisson_table(0.0), [0.0, 1.0])
+
+    @pytest.mark.parametrize("mu", [0.5, 40.0, 2000.0])
+    def test_short_is_the_inversion_below_k(self, mu):
+        # the same uniforms, inverted in full: Y < k exactly where the draw says
+        # so, where k is within the table; past a cut table Y is a fresh draw
+        below, n = _mixed_poisson_table(mu), 1 << 16
+        k = np.random.Generator(np.random.PCG64DXSM(5)).integers(0, 3 * int(mu) + 3, n)
+        k[:4] = (0, below.size - 1, below.size, 10**9)  # none, the table's end, past it
+        short, y = _mixed_poisson_short(np.random.Generator(np.random.PCG64DXSM(6)), mu, k)
+        u = np.random.Generator(np.random.PCG64DXSM(6)).random(n)
+        full = np.searchsorted(below, u, side="right") - 1
+        near = (k < below.size) | (below[-1] == 1.0)
+        assert np.array_equal(short[near[short]], np.flatnonzero(near & (full < k)))
+        assert np.array_equal(y[near[short]], full[short[near[short]]])
+        assert np.all(y < k[short]) and np.unique(short).size == short.size
+
+    @pytest.mark.parametrize("mu", [3.0, 2000.0], ids=["table", "numpy"])
+    def test_mean_and_variance(self, mu):
+        # E[Y] = mu / 2 and Var Y = mu / 2 + mu**2 / 12, by the laws of total mean and variance
+        n = 200_000
+        short, y = _mixed_poisson_short(np.random.Generator(np.random.PCG64DXSM(7)), mu, np.full(n, 10**9))
+        assert short.size == n
+        assert abs(y.mean() - mu / 2) < 4 * y.std() / np.sqrt(n)
+        assert abs(sample_variance_z(y.astype(float), mu / 2 + mu * mu / 12)) < 4
 
 
 class TestOracleCache:

@@ -173,7 +173,7 @@ class TestConditionalMaxSweep:
 
     # sha256 of the CSV of the rows: the comonotone regimes keep the crude estimator
     CRUDE_ROWS = {
-        "ComonotoneCount": "fda250ec25be17b9738414bc279a7a63577ab3d3fe22f1ad59f85990337fca5c",
+        "ComonotoneCount": "d524a1718732a05a08fd5f0ddd2ba8a9474f3621e7dca81ae2cf4dafa564d7ae",
         "HawkesComonotoneIntensity": (
             "ccb882a7ea21ba1ad3a2ef18b72df0412c74b0318dee9d6ad9195473f9253dae"
         ),

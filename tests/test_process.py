@@ -51,9 +51,15 @@ LAW = ParetoLaw(1.0, 1.5)
 RP = RenewalParams(waiting_law=Exponential(1.0))
 
 
-def renewal_config(nu=1.0, count_mean=2.0):
+def renewal_config(nu=1.0, count_mean=2.0, waiting=None):
+    """Poisson(count_mean) counts and Pareto marks; exponential waits unless ``waiting`` is given."""
     model = JointMarkModel(Regime.INDEPENDENT_LIGHT_COUNT, LAW, count_mean)
-    return WindowConfig(model=model, cluster_params=RP, nu=nu)
+    params = RP if waiting is None else RenewalParams(waiting_law=waiting)
+    return WindowConfig(model=model, cluster_params=params, nu=nu)
+
+
+# waits with the exponential's mean, for the path route: the slot-count route needs exponential ones
+UNIFORM_WAITS = BoundedUniform(0.5, 1.5)
 
 
 def comonotone_config(nu=1.0):
@@ -267,19 +273,27 @@ class TestSingleHorizonPinned:
     """Single-horizon outputs are pinned byte for byte: every stored result depends on them."""
 
     BATCH = {
-        "renewal": "c692ba00586c9d8fb7a1cad17e64f52337a4315659bd6591523968ac9eb7bd42",
+        "renewal": "6b43dc93ce095eae6bdc86e9f2e7706119e4c0ce99411e02a706fd4ce192c9be",
+        "renewal-uniform-waits": "93d55a420f6972f0c46943e8d7367b39446f50e4f3050dbec219f71f450c019b",
         "hawkes": "9715b7d4aa45d2d157ea1ad32ad10d1773e9768806fdf146d3e201bda63eee9c",
     }
-    FACTORIES = {"renewal": renewal_config, "hawkes": hawkes_config}
+    FACTORIES = {
+        "renewal": renewal_config,
+        "renewal-uniform-waits": partial(renewal_config, waiting=UNIFORM_WAITS),
+        "hawkes": hawkes_config,
+    }
 
-    @pytest.mark.parametrize("kind", ["renewal", "hawkes"])
+    @pytest.mark.parametrize("kind", sorted(BATCH))
     def test_batch_windows(self, kind):
         batch = windows(self.FACTORIES[kind](), 50.0, 20_000, RngStream(71, 0))
         assert _digest(batch[f] for f in WINDOW_FIELDS) == self.BATCH[kind]
 
 
 class TestRenewalEventTimes:
-    """The renewal kernel's offspring times and windows against a per-cluster loop."""
+    """The renewal path route's offspring times and windows against a per-cluster loop.
+
+    The waits are uniform, as in every sweep that takes the path route.
+    """
 
     T = 5.0
 
@@ -294,7 +308,7 @@ class TestRenewalEventTimes:
         ids=["zero-k-start-middle-end", "no-offspring", "empty-windows", "no-clusters"],
     )
     def test_matches_per_cluster_cumsum(self, monkeypatch, nu, zeroed):
-        config = renewal_config(nu=nu, count_mean=0.8)
+        config = renewal_config(nu=nu, count_mean=0.8, waiting=UNIFORM_WAITS)
         n = 300
         real_joint = process.sample_joint
 
@@ -319,7 +333,7 @@ class TestRenewalEventTimes:
         monkeypatch.setattr(process, "sample_joint", joint_with_zeros)
         monkeypatch.setattr(process._HorizonTally, "slot", slot)
         monkeypatch.setattr(process._HorizonTally, "offspring", offspring)
-        process._renewal_windows(
+        process._renewal_path_windows(
             config, np.array([self.T]), n, RngStream(23, 4).child(0), WINDOW_FIELDS
         )
         _, times, win = seen
@@ -346,6 +360,83 @@ class TestRenewalEventTimes:
         assert np.array_equal(win, np.array(want_win, dtype=np.int64))
 
 
+ROUTES = {"slot-counts": process._renewal_slot_windows, "paths": process._renewal_path_windows}
+
+
+class TestSlotCountRoute:
+    """Exponential-wait renewal windows by slot counts agree in law with the path route.
+
+    Both routes run on one model, each called directly through the chunk
+    engine, and each is held to the closed forms within 4 SE.  The marks
+    are exponential, so the mark sums have finite variance.
+    """
+
+    HORIZONS = (5.0, 20.0, 40.0)
+    N = 40_000
+    MODEL = JointMarkModel(Regime.INDEPENDENT_LIGHT_COUNT, Exponential(1.0), 2.0)
+    CONFIG = WindowConfig(MODEL, RP, 1.0)
+
+    @classmethod
+    def sweep(cls, route: str, config=CONFIG, seed=0):
+        kernel = partial(ROUTES[route], config, np.array(cls.HORIZONS), fields=WINDOW_FIELDS)
+        return chunked_fill(kernel, cls.N, 4096, RngStream(170 + seed, 0))
+
+    @pytest.fixture(scope="class")
+    def outs(self):
+        return {route: self.sweep(route, seed=len(route)) for route in sorted(ROUTES)}
+
+    def test_event_counts_have_the_closed_form_moments(self, outs):
+        means, variances = process.event_moments(self.CONFIG, self.HORIZONS)
+        for i, horizon in enumerate(self.HORIZONS):
+            reference = renewal_window_count_variance(self.MODEL, 1.0, 1.0, horizon)
+            assert variances[i] == pytest.approx(reference, rel=1e-9)
+            for route, out in outs.items():
+                counts = out["n_events"][i].astype(float)
+                mean, se = mean_and_se(counts)
+                assert abs(mean - means[i]) < 4 * se, (route, horizon)
+                assert abs(sample_variance_z(counts, variances[i])) < 4, (route, horizon)
+
+    def test_leftover_and_sums_have_the_closed_form_means(self, outs):
+        # E[J_T] = nu T E[cluster size] - E[N_T]; the marks are independent of
+        # the counts, of mean 1, so E[leftover_sum] = E[J_T] and E[sum_in_window] = E[N_T]
+        means = process.mean_events(self.CONFIG, self.HORIZONS)
+        for route, out in outs.items():
+            for i, horizon in enumerate(self.HORIZONS):
+                leftover = horizon * 3.0 - means[i]
+                for field, want in (
+                    ("j_leftover", leftover),
+                    ("leftover_sum", leftover),
+                    ("sum_in_window", means[i]),
+                ):
+                    mean, se = mean_and_se(out[field][i])
+                    assert abs(mean - want) < 4 * se, (route, field, horizon)
+            assert np.array_equal(out["n_clusters"][-1] > 0, out["n_events"][-1] > 0)
+
+    def test_routes_agree_on_the_covariance(self, outs):
+        # Cov(N_T1, N_Tk): the horizons of one path share their early clusters
+        covariances = []
+        for out in outs.values():
+            counts = out["n_events"].astype(float)
+            products = (counts[0] - counts[0].mean()) * (counts[-1] - counts[-1].mean())
+            covariances.append(mean_and_se(products))
+        (a, se_a), (b, se_b) = covariances
+        assert a > 0 and b > 0
+        assert abs(a - b) < 4 * math.hypot(se_a, se_b)
+
+    def test_comonotone_routes_agree(self):
+        # K = ceil(X), X ~ Pareto(3): the immigrants' marks come with their counts
+        model = JointMarkModel(Regime.COMONOTONE_COUNT, ParetoLaw(1.0, 3.0))
+        config = WindowConfig(model, RP, 1.0)
+        outs = [self.sweep(route, config, seed=10 + len(route)) for route in sorted(ROUTES)]
+        means = process.mean_events(config, self.HORIZONS)
+        for out in outs:
+            for i in range(len(self.HORIZONS)):
+                mean, se = mean_and_se(out["n_events"][i])
+                assert abs(mean - means[i]) < 4 * se
+        for field in ("max_in_window", "sum_in_window", "leftover_sum"):
+            assert stats.ks_2samp(outs[0][field][-1], outs[1][field][-1]).pvalue > 1e-3, field
+
+
 class TestChunkMemory:
     """One chunk's peak working set per simulated point, in the bench models.
 
@@ -356,10 +447,17 @@ class TestChunkMemory:
     @pytest.mark.parametrize(
         "kernel, config, n, horizons, bound",
         [
-            (process._renewal_windows, renewal_config(), 4096, (10.0, 50.0, 100.0), 32),
+            (process._renewal_slot_windows, renewal_config(), 4096, (10.0, 50.0, 100.0), 16),
+            (
+                process._renewal_path_windows,
+                renewal_config(waiting=UNIFORM_WAITS),
+                4096,
+                (10.0, 50.0, 100.0),
+                32,
+            ),
             (process._hawkes_windows, hawkes_config(), 2048, (10.0, 50.0, 100.0, 500.0), 19),
         ],
-        ids=["renewal", "hawkes"],
+        ids=["renewal", "renewal-path-route", "hawkes"],
     )
     def test_peak_bytes_per_point(self, kernel, config, n, horizons, bound):
         tracemalloc.start()
@@ -476,8 +574,21 @@ class TestChunkBudget:
             (renewal_config(count_mean=20.0), tuple(np.linspace(10.0, 100.0, 30))),
             # immigrants only, two cells a window
             (renewal_config(count_mean=0.0), (1.0,)),
+            # the slot-count route at its most runs a point: a hundred slots
+            # far shorter than a wait, so nearly every offspring is a run of its own
+            (renewal_config(nu=10.0, count_mean=5.0), tuple(np.linspace(0.1, 10.0, 100))),
+            # the path route, which uniform waits take
+            (renewal_config(waiting=UNIFORM_WAITS), (10.0, 50.0, 100.0)),
         ],
-        ids=["ldp", "comonotone", "leftover-heavy", "thirty-horizons", "immigrants-only"],
+        ids=[
+            "ldp",
+            "comonotone",
+            "leftover-heavy",
+            "thirty-horizons",
+            "immigrants-only",
+            "short-slots",
+            "path-route",
+        ],
     )
     def test_renewal_windows(self, monkeypatch, config, horizons):
         picks = {
@@ -494,14 +605,14 @@ class TestChunkBudget:
             assert chunk_peak(kernel, chunk) <= clusters._CHUNK_BYTES
 
     def test_ldp_renewal_chunk(self, monkeypatch):
-        # the criterion-10 sweep: 512 windows of about 300 points, not 4,096
+        # the criterion-10 sweep: 1,024 windows of about 300 points, not 4,096
         _, chunk = picked_chunk(
             monkeypatch,
             process,
             "chunked_fill",
             lambda: sweep_windows(renewal_config(), (10.0, 50.0, 100.0), 30_000, RngStream(5, 0)),
         )
-        assert chunk == 512
+        assert chunk == 1024
 
     @pytest.mark.parametrize("fields", [("leftover_intensity",), ("n_events", "j_leftover")])
     def test_hawkes_windows_keep_their_chunks(self, monkeypatch, fields):
@@ -1010,9 +1121,10 @@ class TestSweepWindows:
             assert exc_info.value.replication == started.argmax()
 
     def test_last_horizon_is_a_plain_batch(self):
-        # same draws: the chunks depend only on the longest horizon; only the
+        # the path route, whose draws do not depend on the horizons below the
+        # longest, and the two sweeps get the same chunks here; only the
         # in-window sum is added up in another order
-        config = renewal_config()
+        config = renewal_config(waiting=UNIFORM_WAITS)
         out = sweep_windows(config, (5.0, 20.0), 5_000, RngStream(65, 0))
         batch = windows(config, 20.0, 5_000, RngStream(65, 0))
         for field in WINDOW_FIELDS:
@@ -1126,7 +1238,10 @@ class TestEstimateMeanSum:
         assert abs(mean - 10.0) < 3 * se
 
     def test_bigger_pilot_smaller_se(self):
-        config = renewal_config()
+        # exponential marks: a sum of Pareto(1.5) marks has no variance, and
+        # its sample SE is set by its largest mark, whatever the sample size
+        model = JointMarkModel(Regime.INDEPENDENT_LIGHT_COUNT, Exponential(1.0), 2.0)
+        config = WindowConfig(model=model, cluster_params=RP, nu=1.0)
         small = mean_and_se(windows(config, 10.0, 5_000, RngStream(11, 0), fields=self.SUM)["sum_in_window"])
         large = mean_and_se(windows(config, 10.0, 20_000, RngStream(11, 1), fields=self.SUM)["sum_in_window"])
         assert large[1] < small[1]
