@@ -22,23 +22,35 @@ Renewal windows take one of two routes.  With exponential waits a
 cluster's offspring are the first K points of a Poisson process started at
 its birth, which has independent Poisson counts on disjoint intervals and
 forgets its past (Daley & Vere-Jones), so the slot-count route draws no
-time at all (:func:`_renewal_slot_windows`).  Its structure stream draws,
-in order: the immigrant counts per (slot, window) cell, as a Hawkes window
-does; the K of every immigrant, in cell order; one uniform per immigrant
-of each slot s, by which a cluster puts min(K, Y) offspring in its own
-slot, Y ~ Poisson(rate L_s U) with U uniform (the points of its process
-before the slot's end, which is uniform on (0, L_s) after its birth,
-L_s = T_s - T_{s-1}), drawn by inversion only where Y < K (Devroye 1986,
-ch. III); and, for each later slot t in turn, one Poisson(rate L_t) per
+time at all (:func:`_renewal_slot_windows`).  A cluster born in slot s,
+of length L_s = T_s - T_{s-1}, has Y ~ Poisson(rate L_s U) points of that
+process before the slot's end (U uniform: its birth is uniform on the
+slot) and keeps min(K, Y) offspring there.  Where the marks are
+independent of K, the marking theorem (Daley & Vere-Jones) splits a
+(slot, window) cell's clusters into two independent Poisson counts: those
+with K <= Y, which keep all K in their slot and count only through their
+total, and the others (:class:`_SlotLaw`).  The structure stream then
+draws, in order: the thinned cell counts, slot by slot, of the clusters
+that stay and of the others; each cell's total K of its stayers, one
+inversion per set bit j of their count, of the 2**j-fold convolution of
+the law of K given K <= Y (:func:`_stay_totals`); the spilling clusters,
+slot by slot, each its K given that it may spill, then its Y given Y < K
+(Devroye 1986, ch. III), or, past the end of a table cut at 1,024 terms,
+K from the count's own tail and Y unconditioned, by numpy's Poisson at
+rate L_s U; and, for each later slot t in turn, one Poisson(rate L_t) per
 cluster with offspring left, which takes that many more of them, up to
-what is left.  The offspring left after the last horizon are leftover at
-every horizon.  A cluster past its slot is tallied in runs, one for each
-later slot it reaches and one past the last horizon, which give the
-leftover per horizon.  Constant and uniform waits, which are not
-memoryless, take the path route (:func:`_renewal_path_windows`): each
-window's Poisson(nu T_k) immigrant count, their uniform times on [0, T_k],
-their K, then every offspring's wait, whose running sums place it in its
-slot.
+what is left.  ComonotoneCount, whose K = ceil(X) ties the counts to the
+marks, draws every cluster one by one instead: the immigrant counts per
+cell, as a Hawkes window does, the X and K of every immigrant, in cell
+order, and one uniform per immigrant of each slot, by which Y is drawn by
+inversion only where Y < K; then the later slots as above.  The offspring
+left after the last horizon are leftover at every horizon.  A cluster past
+its slot is tallied in runs, one for each later slot it reaches and one
+past the last horizon, which give the leftover per horizon.  Constant and
+uniform waits, which are not memoryless, take the path route
+(:func:`_renewal_path_windows`): each window's Poisson(nu T_k) immigrant
+count, their uniform times on [0, T_k], their K, then every offspring's
+wait, whose running sums place it in its slot.
 
 Clusters born before time 0 are ignored by construction; the decomposition
 identity sum + leftover == total cluster mass then holds pathwise on every
@@ -56,7 +68,10 @@ slot-count route draws a comonotone immigrant's X with its K, then the
 marks of its runs, in run order: ``leftover_sum`` reads these alone and
 draws no more.  Then, if ``sum_in_window`` (or a comonotone max) is kept,
 it draws each cell's other in-window marks, cell by cell: its own-slot
-offspring's, and its immigrants' where their X is not drawn with K.
+offspring's, and its immigrants' where their X is not drawn with K.  Both
+are drawn in blocks of at most ``_MARK_BLOCK``, which are the draws of one
+call, since a mark law's ``sample`` of a + b values is its sample of a
+followed by that of b.
 
 Where the marks are i.i.d. and independent of the counts, a window's in-window marks
 are i.i.d. given its counts, so ``max_in_window`` is drawn from the
@@ -97,7 +112,8 @@ Vere-Jones, *An Introduction to the Theory of Point Processes*).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -114,7 +130,10 @@ from .heavytail import (
     BoundedUniform,
     Exponential,
     JointMarkModel,
+    ParetoLaw,
+    _count_pmf,
     _mixed_poisson_short,
+    _mixed_poisson_table,
     _poisson_counts,
     _poisson_span,
     count_survival,
@@ -328,11 +347,10 @@ class _HorizonTally:
     ``leftover_intensity`` needs the Hawkes decay rate ``decay``.
 
     Hawkes immigrants, and those of the renewal slot-count route, come cell
-    by cell (:func:`_cell_counts`), so their counts and ``leftover_intensity``
-    are read off the cell counts (:meth:`cell_counts`); the slot-count
-    route adds its offspring per cell (:meth:`add_cells`) and in runs
-    (:meth:`runs`), and the path routes key every other point by window
-    and slot.
+    by cell, so their counts and ``leftover_intensity`` are read off the
+    cell counts (:meth:`cell_counts`); the slot-count route adds its
+    offspring per cell (:meth:`add_cells`) and in runs (:meth:`runs`), and
+    the path routes key every other point by window and slot.
 
     Where the model's marks are independent of its counts, ``max_in_window``
     reads no mark: it is drawn from the in-window event counts alone
@@ -475,7 +493,8 @@ class _HorizonTally:
         """
         if self.leftover:
             self._leftover(win, slot, home, sums, counts)
-        key = win * (len(self.horizons) + 1) + slot  # a run past the last horizon lands in its dropped column
+        # a run past the last horizon lands in its dropped column
+        key = win.astype(np.intp) * (len(self.horizons) + 1) + slot
         for f, values, add in (
             ("n_events", counts, np.add),
             ("sum_in_window", sums, np.add),
@@ -516,30 +535,62 @@ class _HorizonTally:
 _IMMIGRANT_BYTES, _OFFSPRING_BYTES, _CELL_BYTES = 40, 56, 72
 
 
-# the slot-count route's tracemalloc peak, every statistic kept: per point
-# (immigrant or offspring: its mark, and the per-cluster arrays before the
-# marks), per run of offspring past their slot and per (window, slot) cell.
-# Measured at 0.38 to 0.91 of the price over 1 to 100 horizons, T = 1 to
-# 500, E[K] = 0 to 100 and wait rates 0.05 to 50, in all renewal regimes
-_SLOT_POINT_BYTES, _RUN_BYTES, _SLOT_CELL_BYTES = 12, 64, 136
+# the slot-count route's tracemalloc peak, every statistic kept: per
+# (window, slot) cell; per draw of a cell's stayers' total, about one per
+# bit of the largest mean stayer count; per cluster drawn one by one (its K,
+# Y, cell and offspring left); per run of offspring past their slot; and,
+# in ComonotoneCount, whose clusters are all drawn one by one with their
+# marks, per immigrant.  The marks are drawn _MARK_BLOCK at a time.
+# Measured at 0.30 to 0.91 of the price (median 0.56) over 1 to 100
+# horizons, T = 1 to 500, E[K] = 0 to 100, wait rates 0.05 to 50 and nu = 1
+# and 10, in all renewal regimes, the tables built in the chunk, and at
+# 0.03 to 0.91 where the chunk is clamped at 64 windows
+_SLOT_CELL_BYTES, _STAY_DRAW_BYTES, _SINGLE_BYTES = 176, 56, 20
+_RUN_BYTES, _IMMIGRANT_SLOT_BYTES = 64, 36
+_MARK_BLOCK = 1 << 14
+
+
+@lru_cache(maxsize=256)
+def _spill_moments(model: JointMarkModel, mu: float) -> tuple[float, float]:
+    """P(K > Y) and E[(K - Y)^+] for Y ~ Poisson(mu U), U uniform: a cluster's spill past its slot.
+
+    P(K > Y) sums P(Y = j) P(K > j); where the table of P(Y < j) is cut
+    (:func:`~cluster_tails.heavytail._mixed_poisson_table`) the Y past it
+    count at P(K > j) for its last j, an upper bound.  E[(K - Y)^+] is
+    E[K] - E[min(K, Y)], and E[min(K, Y)] = sum_{j >= 1} P(K >= j) P(Y >= j),
+    summed over the table, a lower bound.
+    """
+    below = _mixed_poisson_table(mu)
+    survival = np.atleast_1d(count_survival(model, np.arange(below.size)))
+    spill = np.diff(below) @ survival[:-1] + (1.0 - below[-1]) * survival[-1]
+    excess = model_constants(model).mean_count - survival[:-1] @ (1.0 - below[1:])
+    return float(spill), max(float(excess), 0.0)
 
 
 def _slot_window_bytes(config: WindowConfig, horizons: np.ndarray) -> float:
     """The slot-count route's bytes per window, at the model's mean sizes.
 
-    A run holds at least one offspring and there is at most one a later
-    slot, so a cluster of slot s makes at most min(K, k - s) runs.  Its
-    j-th offspring passes the slot's end, which is uniform on (0, L_s)
-    after the cluster's birth, with probability E[min(1, S_j / L_s)] <= j / (rate L_s),
-    so the runs of a slot number at most nu E[K (K + 1)] / (2 rate) on average.
+    A cluster of slot s spills past it with probability P(K > Y_s), and a
+    spilling cluster makes at most one run a later slot and one past the
+    last horizon, and at most one per offspring it spills, so the runs of
+    slot s number at most nu L_s min((k - s) P(K > Y_s), E[(K - Y_s)^+]) on
+    average (:func:`_spill_moments`).  A cell of c stayers takes one draw
+    per set bit of c (:func:`_stay_totals`).
     """
-    consts = model_constants(config.model)
-    m, rate, k = consts.mean_count, config.cluster_params.waiting_law.rate, horizons.size
-    pair = consts.cluster_size_variance + m * m + m  # E[K (K + 1)], inf where Var K is
+    model, k = config.model, horizons.size
     lengths = np.diff(horizons, prepend=0.0)
-    runs = config.nu * np.minimum(lengths * np.minimum(m, k - np.arange(k)), pair / (2.0 * rate))
-    points = config.nu * float(horizons[-1]) * (1.0 + m)
-    return _SLOT_POINT_BYTES * points + _RUN_BYTES * runs.sum() + _SLOT_CELL_BYTES * (k + 1)
+    rate = config.cluster_params.waiting_law.rate
+    spill, excess = np.transpose([_spill_moments(model, float(rate * t)) for t in lengths])
+    runs = np.minimum((k - np.arange(k)) * spill, excess)
+    per_window = _SLOT_CELL_BYTES * (k + 1) + config.nu * lengths @ (
+        _SINGLE_BYTES * spill + _RUN_BYTES * runs
+    )
+    if model.independent_marks:
+        stayers = max(config.nu * t * _slot_law(model, float(rate * t)).stay for t in lengths)
+        per_window += _STAY_DRAW_BYTES * np.log2(2.0 + stayers)
+    else:
+        per_window += _IMMIGRANT_SLOT_BYTES * config.nu * float(horizons[-1])
+    return float(per_window)
 
 
 def _renewal_path_windows(
@@ -586,14 +637,230 @@ def _renewal_path_windows(
     return tally.result(rng)
 
 
-def _run_totals(counts: np.ndarray, values: np.ndarray, top: bool = False) -> np.ndarray:
-    """The sum (or with ``top`` the max) of each run of ``values``: run c is the next ``counts[c]``; 0 if empty."""
-    out = np.zeros(counts.size)
+def _run_totals(counts: np.ndarray, blocks, top: bool):
+    """The sum, and with ``top`` the max, of each run of values; 0 where a run is empty.
+
+    Run c is the next ``counts[c]`` values of ``blocks``, arrays that are
+    read in turn; a run may span blocks.
+    """
+    sums, maxima = np.zeros(counts.size), np.zeros(counts.size) if top else None
     full = np.flatnonzero(counts)
-    if full.size:
-        starts = np.cumsum(counts)[full] - counts[full]
-        out[full] = (np.maximum if top else np.add).reduceat(values, starts)
-    return out
+    ends = np.cumsum(counts[full])
+    starts, lo = ends - counts[full], 0
+    for values in blocks:
+        # the runs with values in [lo, lo + values.size), from where each starts in the block
+        first = np.searchsorted(ends, lo, side="right")
+        last = np.searchsorted(starts, lo + values.size, side="left")
+        at, runs = np.maximum(starts[first:last] - lo, 0), full[first:last]
+        sums[runs] += np.add.reduceat(values, at)
+        if top:
+            maxima[runs] = np.maximum(maxima[runs], np.maximum.reduceat(values, at))
+        lo += values.size
+    return sums, maxima
+
+
+def _mark_blocks(law, gen: np.random.Generator, total: int):
+    """``total`` fresh marks, _MARK_BLOCK at a time.
+
+    They are the draws of one call, since a mark law's ``sample`` of a + b
+    values is its sample of a followed by that of b.
+    """
+    for lo in range(0, total, _MARK_BLOCK):
+        yield np.asarray(law.sample(gen, min(_MARK_BLOCK, total - lo)), dtype=float)
+
+
+# K = ceil(Z) past this many terms of its pmf is drawn from Z's tail
+_COUNT_TABLE = 1 << 10
+
+
+def _cdf(weights: np.ndarray) -> np.ndarray:
+    """The cdf of the law with these weights, 1 less its tail sums, so it ends at exactly 1.0."""
+    tail = np.cumsum(weights[::-1])[::-1]
+    return np.append(1.0 - tail[1:] / (tail[0] or 1.0), 1.0)  # all 1.0 where every weight is 0
+
+
+class _SlotLaw(NamedTuple):
+    """How the clusters of a slot with mu = rate L split, where the marks are independent of K.
+
+    A cluster puts Y ~ Poisson(mu U) offspring before its slot's end, U
+    uniform, if it has that many.  Those with K <= Y and K < ``cut`` keep
+    all K in their slot (probability ``stay``, K's law ``kept``, as
+    weights); the others (probability ``single``) are drawn one by one: K
+    by the cdf ``spill``, where index ``size`` stands for K's tail past its
+    table, the ceil of ``tail``; then Y given Y < K by ``below`` = P(Y < j),
+    or Y unconditioned from K = ``cut`` on.  ``cut`` is where the table of
+    K or of ``below`` ends: the Poisson count's pmf is 0 in floats from
+    its span's end on, a ceil(Pareto) count's table ends at _COUNT_TABLE,
+    and ``below`` reaches 1.0, or is cut, within 1,025 terms
+    (:func:`~cluster_tails.heavytail._mixed_poisson_table`).
+    """
+
+    below: np.ndarray
+    cut: int
+    size: int
+    stay: float
+    single: float
+    kept: np.ndarray
+    spill: np.ndarray
+    tail: ParetoLaw | None
+
+
+@lru_cache(maxsize=256)
+def _slot_law(model: JointMarkModel, mu: float) -> _SlotLaw:
+    below = _mixed_poisson_table(mu)
+    if isinstance(model.count_param, ParetoLaw):
+        size, z = _COUNT_TABLE, model.count_param
+        tail, past = ParetoLaw(max(z.scale, size - 1.0), z.alpha), count_survival(model, size - 1)
+    else:
+        size, tail, past = _poisson_span(model.count_param)[1], None, 0.0
+    pmf = _count_pmf(model, size)
+    cut = min(size, below.size)
+    kept = pmf[:cut] * (1.0 - below[:cut])
+    spill = np.concatenate((pmf[:cut] * below[:cut], pmf[cut:], [past]))
+    stay, single = float(kept.sum()), float(spill.sum())
+    spill = _cdf(spill)
+    spill = spill[: int(np.argmax(spill == 1.0)) + 1]  # no uniform in [0, 1) inverts past it
+    return _SlotLaw(below, cut, size, stay, single, kept, spill, tail)
+
+
+# the longest table of a sum of kept K that is convolved with itself, and
+# the most guide cells a table of such sums has
+_KEPT_TABLE, _KEPT_GUIDE = 1 << 14, 1 << 11
+
+
+class _KeptTables(NamedTuple):
+    """Inversion tables of the sums of 2**j i.i.d. K that stay in their slot (:class:`_SlotLaw`).
+
+    Table j holds the values from ``lo[j]`` on; their cdfs are
+    ``cdf[start[j]:start[j + 1]]``.  ``guide[j, i]`` is the index in
+    ``cdf`` of table j's first value whose cdf exceeds i / cells, for
+    ``cells = guide.shape[1]`` (Chen & Asau 1974).
+    """
+
+    lo: np.ndarray
+    start: np.ndarray
+    cdf: np.ndarray
+    guide: np.ndarray
+
+
+@lru_cache(maxsize=64)
+def _kept_tables(model: JointMarkModel, mu: float, levels: int) -> _KeptTables:
+    """The first ``levels`` tables of kept sums, up to the first one past half of _KEPT_TABLE.
+
+    Table j is the 2**j-fold convolution of ``kept``, normalised, without
+    the values before its cdf's last 0.0 and after its first 1.0, which no
+    uniform in [0, 1) inverts to: the mass left out is below the rounding
+    of one.
+    """
+    lo, pmf, los, cdfs = 0, _slot_law(model, mu).kept, [], []
+    while True:
+        cdf = _cdf(pmf / pmf.sum())
+        first, last = int(np.argmax(cdf > 0.0)), int(np.argmax(cdf == 1.0)) + 1
+        lo, pmf = lo + first, pmf[first:last] / pmf[first:last].sum()
+        los.append(lo)
+        cdfs.append(cdf[first:last])
+        if len(cdfs) == levels or last - first > _KEPT_TABLE // 2:
+            break
+        lo, pmf = 2 * lo, np.convolve(pmf, pmf)
+    start = np.cumsum([0, *(c.size for c in cdfs)])
+    cells = min(_KEPT_GUIDE, 1 << (2 * max(c.size for c in cdfs) - 1).bit_length())
+    steps = np.arange(cells) / cells
+    guide = np.stack([s + np.searchsorted(c, steps, side="right") for s, c in zip(start, cdfs)])
+    return _KeptTables(np.array(los), start, np.concatenate(cdfs), guide.astype(np.int32))
+
+
+def _stay_totals(gen: np.random.Generator, model: JointMarkModel, mu: float, counts: np.ndarray):
+    """The total K of each cell's ``counts`` clusters that stay in their slot.
+
+    A sum of c i.i.d. terms is the sum of one 2**j-fold sum per set bit j
+    of c, each the inverse of one uniform (:func:`_kept_tables`).  A table
+    past half of _KEPT_TABLE is not convolved again: if it is the 2**J-fold
+    one and bits past J are set, the cell takes c >> J inversions of it
+    instead.  The uniforms go table by table, cell by cell within one, and
+    each is inverted by its table's guide, then a search where that falls
+    short.
+    """
+    n, levels = counts.size, int(counts.max(initial=0)).bit_length()
+    if not levels:
+        return np.zeros(n, dtype=np.int64)
+    lo, start, cdf, guide = _kept_tables(model, mu, levels)
+    last, cells = lo.size - 1, guide.shape[1]
+    bits = (counts & (1 << np.arange(last))[:, None]) != 0
+    reps = counts >> last
+    # each draw's table and cell, as table * n + cell
+    cell = np.concatenate((np.flatnonzero(bits), last * n + np.repeat(np.arange(n), reps)))
+    table = np.repeat(np.arange(last + 1), [*np.count_nonzero(bits, axis=1), reps.sum()])
+    cell -= table * n
+    u = gen.random(cell.size)
+    k = guide.ravel()[table * cells + (u * cells).astype(np.intp)]
+    k += cdf[k] <= u
+    rest = np.flatnonzero(cdf[k] <= u)  # a guide cell with more than two values in it
+    for j in range(lo.size) if rest.size else ():
+        at = rest[table[rest] == j]
+        k[at] = start[j] + np.searchsorted(cdf[start[j] : start[j + 1]], u[at], side="right")
+    k += (lo - start[:-1])[table]
+    return np.bincount(cell, k, n).astype(np.int64)
+
+
+def _single_clusters(gen: np.random.Generator, model: JointMarkModel, mu: float, count: int):
+    """K and the Y <= K offspring in their slot of ``count`` clusters that do not stay (:class:`_SlotLaw`)."""
+    law = _slot_law(model, mu)
+    kids = np.searchsorted(law.spill, gen.random(count), side="right")
+    past = np.flatnonzero(kids == law.size)
+    if past.size:
+        kids[past] = np.ceil(law.tail.sample(gen, past.size))
+    u = gen.random(count)
+    near = kids < law.cut
+    y = np.empty(count, dtype=np.int64)
+    y[near] = np.searchsorted(law.below, u[near] * law.below[kids[near]], side="right") - 1
+    far = np.flatnonzero(~near)
+    y[far] = np.minimum(kids[far], gen.poisson(mu * u[far]))
+    return kids, y
+
+
+def _thinned_clusters(gen, model: JointMarkModel, rates: np.ndarray, mus: np.ndarray, n: int):
+    """Each (slot, window) cell's immigrant count and its stayers' total K; each other cluster's cell, K and Y.
+
+    By the marking theorem (Daley & Vere-Jones) the clusters of a cell that
+    stay in their slot and the others are independent Poisson counts, of
+    means ``rates[s]`` times ``stay`` and ``single`` (:class:`_SlotLaw`).
+    """
+    laws = [_slot_law(model, float(mu)) for mu in mus]
+    means = [r * p for r, law in zip(rates, laws) for p in (law.stay, law.single)]
+    split = [_poisson_counts(gen, mean, n) for mean in means]
+    stay, single = np.stack(split[0::2]), np.stack(split[1::2])
+    own = np.stack([_stay_totals(gen, model, float(mu), c) for mu, c in zip(mus, stay)])
+    ends = np.cumsum(single.sum(axis=1))
+    kids, y = np.empty((2, int(ends[-1])), dtype=np.int64)
+    for mu, lo, hi in zip(mus, ends - single.sum(axis=1), ends):
+        kids[lo:hi], y[lo:hi] = _single_clusters(gen, model, float(mu), int(hi - lo))
+    cell = np.repeat(np.arange(single.size, dtype=np.min_scalar_type(single.size)), single.ravel())
+    return stay + single, own, cell, kids, y
+
+
+def _cluster_by_cluster(gen, marks, model, nu: float, horizons, mus: np.ndarray, n: int):
+    """As :func:`_thinned_clusters`, cluster by cluster, for a comonotone K; and every immigrant's X.
+
+    Every immigrant draws X and K, then one uniform, and Y is drawn where
+    Y < K (:func:`~cluster_tails.heavytail._mixed_poisson_short`).
+    """
+    cells = _cell_counts(gen, nu, horizons, n)
+    ends = np.cumsum(cells.ravel())  # past each cell's last cluster
+    x, kids = sample_joint(model, marks, gen, int(ends[-1]))
+    kids = np.asarray(kids, dtype=np.int64)
+    spill, y, lo = [], [], 0
+    for mu, hi in zip(mus, ends[n - 1 :: n]):
+        short, y_short = _mixed_poisson_short(gen, mu, kids[lo:hi])
+        spill.append(short + lo)
+        y.append(y_short)
+        lo = hi
+    spill, y = np.concatenate(spill), np.concatenate(y)
+    own = np.zeros(kids.size + 1, dtype=np.int64)  # each cell's K, less its spilling clusters'
+    np.cumsum(kids, out=own[1:])
+    own = np.diff(own[ends], prepend=0)
+    cell, kids = np.searchsorted(ends, spill, side="right"), kids[spill]
+    np.subtract.at(own, cell, kids)
+    return cells, own.reshape(cells.shape), cell, kids, y, x
 
 
 def _renewal_slot_windows(
@@ -601,42 +868,68 @@ def _renewal_slot_windows(
 ) -> dict[str, np.ndarray]:
     """Renewal windows with exponential waits by slot counts: no time is drawn.
 
-    See the module docstring.  The clusters are taken in cell order, slot
-    by slot and window by window within a slot.  The offspring that pass
-    their own slot are tallied in runs, one for each later slot a cluster
-    reaches and one past the last horizon.
+    See the module docstring.  A cell's clusters that may put offspring
+    past their slot are taken one by one, in cell order; those that do are
+    tallied in runs, one for each later slot a cluster reaches and one past
+    the last horizon.
     """
     model, k = config.model, len(horizons)
     tally = _HorizonTally(horizons, n, fields, model)
     gen, marks = rng.generator, tally.mark_generator(rng)
-    cells = _cell_counts(gen, config.nu, horizons, n)
+    lengths = np.diff(horizons, prepend=0.0)
+    mus = config.cluster_params.waiting_law.rate * lengths
+    if model.independent_marks:
+        cells, own, cell, kids, y = _thinned_clusters(gen, model, config.nu * lengths, mus, n)
+        x = None
+    else:
+        cells, own, cell, kids, y, x = _cluster_by_cluster(
+            gen, marks, model, config.nu, horizons, mus, n
+        )
     tally.cell_counts(cells)
-    ends = np.cumsum(cells.ravel())  # past each cell's last cluster
-    x, kids = sample_joint(model, None if model.independent_marks else marks, gen, int(ends[-1]))
-    kids = np.asarray(kids, dtype=np.int64)
-    mus = config.cluster_params.waiting_law.rate * np.diff(horizons, prepend=0.0)
-    # a cluster's offspring are the first K points of its waits' Poisson
-    # process; the Y of them before its slot's end are in its own slot, and
-    # the clusters with Y < K spill the other K - Y past it
-    spill, rest, lo = [], [], 0
-    for mu, hi in zip(mus, ends[n - 1 :: n]):
-        short, y = _mixed_poisson_short(gen, mu, kids[lo:hi])
-        spill.append(short + lo)
-        rest.append(kids[short + lo] - y)
-        lo = hi
-    spill, rest = np.concatenate(spill), np.concatenate(rest)
-    cell = np.searchsorted(ends, spill, side="right")
-    own = np.zeros(kids.size + 1, dtype=np.int64)  # each cell's K, less what spills
-    np.cumsum(kids, out=own[1:])
-    own = np.diff(own[ends], prepend=0)
-    del kids
-    np.subtract.at(own, cell, rest)
-    own = own.reshape(k, n)
+    # a cell's in-slot offspring: its stayers' K and its other clusters' Y
+    own += np.bincount(cell, y, k * n).astype(np.int64).reshape(k, n)
+    rest = kids - y
+    del kids, y
+    spill = np.flatnonzero(rest)
+    rest = rest[spill]
+    home, win = np.divmod(cell[spill], n)
+    # the narrowest dtypes that hold them: the runs below copy them
+    home, win = home.astype(np.min_scalar_type(k)), win.astype(np.min_scalar_type(n - 1))
+    del cell, spill
     tally.add_cells("n_events", own)
-    home, win = np.divmod(cell, n)
-    # slot t takes Poisson(rate L_t) more points of each process that has offspring left
+    runs, run_slot, run_count = _spill_runs(gen, home, rest, mus)
+    del rest
+    law, sums, maxima = model.mark_law, None, None
+    top = "max_in_window" in tally.slotted  # the comonotone max reads the marks
+    if tally.reads_marks:
+        # the runs' marks first, so a leftover_sum alone draws them and no more
+        sums, maxima = _run_totals(run_count, _mark_blocks(law, marks, int(run_count.sum())), top)
+    tally.runs(win[runs], run_slot, home[runs], run_count, sums, maxima)
+    del runs, run_slot, run_count, home, win, sums, maxima
+    if tally.slotted.keys() & {"sum_in_window", "max_in_window"}:
+        # then each cell's other in-window marks: its own-slot offspring's,
+        # and its immigrants' where X was not drawn with K
+        counts = (own if x is not None else own + cells).ravel()
+        parts = [_run_totals(counts, _mark_blocks(law, marks, int(counts.sum())), top)]
+        if x is not None:
+            parts.append(_run_totals(cells.ravel(), [x], top))
+        for totals in parts:
+            for f, values in zip(("sum_in_window", "max_in_window"), totals):
+                if f in tally.slotted:
+                    tally.add_cells(f, values.reshape(k, n))
+    del own, cells, x
+    return tally.result(rng)
+
+
+def _spill_runs(gen: np.random.Generator, home: np.ndarray, rest: np.ndarray, mus: np.ndarray):
+    """The runs of the clusters with ``rest`` offspring past their slot ``home``: (cluster, slot, count) each.
+
+    Slot t takes Poisson(rate L_t) more points of each process that has
+    offspring left, up to what is left; what is left after the last
+    horizon is one run past it, in slot ``len(mus)``.  ``rest`` is used up.
+    """
     runs, counts = [], []
-    for t in range(1, k):
+    for t in range(1, mus.size):
         alive = np.flatnonzero((home < t) & (rest > 0))
         step = np.minimum(rest[alive], _poisson_counts(gen, mus[t], alive.size))
         rest[alive] -= step
@@ -644,27 +937,8 @@ def _renewal_slot_windows(
         counts.append(step[step > 0])
     runs.append(np.flatnonzero(rest))  # past the last horizon
     counts.append(rest[runs[-1]])
-    run_slot = np.repeat(np.arange(1, k + 1), [r.size for r in runs])
-    runs, run_count = np.concatenate(runs), np.concatenate(counts)
-    law, sums, maxima = model.mark_law, None, None
-    if tally.reads_marks:
-        # the runs' marks first, so a leftover_sum alone draws them and no more
-        values = np.asarray(law.sample(marks, int(run_count.sum())), dtype=float)
-        sums = _run_totals(run_count, values)
-        if "max_in_window" in tally.slotted:  # the comonotone max reads the marks
-            maxima = _run_totals(run_count, values, top=True)
-    tally.runs(win[runs], run_slot, home[runs], run_count, sums, maxima)
-    if tally.slotted.keys() & {"sum_in_window", "max_in_window"}:
-        # then each cell's other in-window marks: its own-slot offspring's,
-        # and its immigrants' where X was not drawn with K
-        counts = (own if x is not None else own + cells).ravel()
-        values = np.asarray(law.sample(marks, int(counts.sum())), dtype=float)
-        for f, top in (("sum_in_window", False), ("max_in_window", True)):
-            if f in tally.slotted:
-                tally.add_cells(f, _run_totals(counts, values, top).reshape(k, n))
-                if x is not None:
-                    tally.add_cells(f, _run_totals(cells.ravel(), x, top).reshape(k, n))
-    return tally.result(rng)
+    slot = np.repeat(np.arange(1, mus.size + 1, dtype=home.dtype), [r.size for r in runs])
+    return np.concatenate(runs), slot, np.concatenate(counts)
 
 
 def _cell_counts(gen: np.random.Generator, nu: float, horizons: np.ndarray, n: int) -> np.ndarray:
@@ -673,9 +947,11 @@ def _cell_counts(gen: np.random.Generator, nu: float, horizons: np.ndarray, n: i
     A Poisson process restricted to disjoint intervals has independent
     Poisson counts there, each with uniform points (Daley & Vere-Jones), so
     window w has ``cells[s, w]`` ~ Poisson(nu (T_s - T_{s-1})) immigrants in
-    slot s (T_0 = 0).  With one horizon the draw is that of
-    ``gen.poisson(nu T, n)``, bit for bit.  Each slot is drawn with its
-    scalar mean, the same draws as one broadcast call, in less time.
+    slot s (T_0 = 0).  Each slot is drawn with its scalar mean, the same
+    draws as one broadcast call, in less time; so with one horizon, in a
+    Hawkes window or a ComonotoneCount slot-count window, the draw is that
+    of ``gen.poisson(nu T, n)``, bit for bit.  The other slot-count windows
+    draw thinned counts instead (:func:`_thinned_clusters`).
     """
     return np.stack([gen.poisson(lam, n) for lam in nu * np.diff(horizons, prepend=0.0)])
 

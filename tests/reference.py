@@ -371,6 +371,35 @@ def renewal_window_count_variance(
     return nu * (horizon + series)
 
 
+def slot_window_counts(
+    model: JointMarkModel, rate: float, nu: float, horizons, n: int, gen: np.random.Generator
+) -> np.ndarray:
+    """In-window event counts of n renewal windows with Exp(rate) waits, drawn cluster by cluster.
+
+    Slot s = (T_{s-1}, T_s] of length L_s has Poisson(nu L_s) immigrants a
+    window.  Each draws its K, then Y ~ Poisson(rate L_s U), U uniform, the
+    points of its waits' Poisson process before the slot's end, and keeps
+    min(K, Y) offspring in its slot; each later slot t takes
+    Poisson(rate L_t) more of what is left.  Returns the in-window and
+    leftover counts, each a (horizon, window) array.
+    """
+    lengths = np.diff(np.asarray(horizons, dtype=float), prepend=0.0)
+    counts, mass = np.zeros((2, lengths.size, n))
+    for s, length in enumerate(lengths):
+        win = np.repeat(np.arange(n), gen.poisson(nu * length, n))
+        kids = np.asarray(sample_joint(model, None, gen, win.size).count, dtype=np.int64)
+        mass[s] += np.bincount(win, 1 + kids, n)
+        step = np.minimum(kids, gen.poisson(rate * length * gen.random(win.size)))
+        rest = kids - step
+        counts[s] += np.bincount(win, 1 + step, n)
+        for t in range(s + 1, lengths.size):
+            step = np.minimum(rest, gen.poisson(rate * lengths[t], rest.size))
+            rest -= step
+            counts[t] += np.bincount(win, step, n)
+    counts, mass = np.cumsum(counts, axis=0), np.cumsum(mass, axis=0)
+    return counts.astype(np.int64), (mass - counts).astype(np.int64)
+
+
 def sample_variance_z(values: np.ndarray, variance: float) -> float:
     """(sample variance - ``variance``) over the sample variance's standard error, from the fourth moment.
 

@@ -46,12 +46,12 @@ PINNED = {
         "e32ae59bfc47260a1be069994354f33927037e1abdea59d3f1e16e5a8921a560",
     ),
     "ldp-max.json": (
-        "764aa5187a593cc23e43222fe3cb3fc0c53a0b369f5175ad2fb7c1df7ea58068",
-        "a5d30115d1c46262e9e3450f2d797b4245cd7175f271945ae65dfb19648c4417",
+        "df03abb8bddfcaead0f1b6129e0b62bef2592b77c74a62806b467c028d65ad27",
+        "587b47986adcded79e0c98b09ffb414625d91a6722b80a0682f8f605211f23f9",
     ),
     "ldp-sum.json": (
-        "44dd5cfb0d0fd80c85b481749acdcff392719b8c308ffe500dba66610d67d2ee",
-        "3d45c19a69c71021e414e41db8bf0136df7c2cc62c1ff19ea9b36fa7b958c752",
+        "031f620e931c97cc8fb83246058e39e6194c94f68cf98db1fe95e09d48befbdc",
+        "f78cf7632e78c2ff267be3eca597b07ab4ae2340c8eb54150c444c282a978cfe",
     ),
     "leftover.json": (
         "2e6c50d922722f6bdf1e76b9d0e1f597170dd3a770fed1a09c3662d417ef6954",

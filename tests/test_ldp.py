@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cluster_tails import heavytail, ldp
+from cluster_tails import heavytail, ldp, process
 from cluster_tails.clusters import HawkesParams, RenewalParams
 from cluster_tails.cli import _LEFTOVER_COLUMNS, _SWEEP_COLUMNS, _attrs, _csv, run
 from cluster_tails.errors import ModelError
@@ -173,7 +173,7 @@ class TestConditionalMaxSweep:
 
     # sha256 of the CSV of the rows: the comonotone regimes keep the crude estimator
     CRUDE_ROWS = {
-        "ComonotoneCount": "d524a1718732a05a08fd5f0ddd2ba8a9474f3621e7dca81ae2cf4dafa564d7ae",
+        "ComonotoneCount": "16717a18c092108c38eb82269096d17ffc0da7ea29b019f7dfb7ce4c4602d460",
         "HawkesComonotoneIntensity": (
             "ccb882a7ea21ba1ad3a2ef18b72df0412c74b0318dee9d6ad9195473f9253dae"
         ),
@@ -189,6 +189,17 @@ class TestConditionalMaxSweep:
             assert row.empirical == row.exceedances / config.replications
         digest = hashlib.sha256(sweep_csv(rows).encode()).hexdigest()
         assert digest == self.CRUDE_ROWS[name]
+
+    def test_comonotone_count_draws_cluster_by_cluster_as_before(self, monkeypatch):
+        # ComonotoneCount's slot-count windows draw every cluster's X, K and
+        # one uniform: forced to 1,024-window chunks (its price gives 2,048),
+        # the rows are byte for byte those the per-cluster draws gave in
+        # 1,024-window chunks
+        monkeypatch.setattr(process, "_chunk_size", lambda *args: 1024)
+        model, params = COMONOTONE["ComonotoneCount"]
+        rows = ldp_max_sweep(model_sweep(model, params), RngStream(39, 0))
+        digest = hashlib.sha256(sweep_csv(rows).encode()).hexdigest()
+        assert digest == "d524a1718732a05a08fd5f0ddd2ba8a9474f3621e7dca81ae2cf4dafa564d7ae"
 
     @pytest.mark.parametrize(
         "model, params",

@@ -30,6 +30,7 @@ from cluster_tails.heavytail import (
     JointMarkModel,
     ParetoLaw,
     Regime,
+    model_constants,
     sample_joint,
 )
 from cluster_tails.ldp import SweepConfig, ldp_max_sweep, leftover_scaling
@@ -45,6 +46,7 @@ from reference import (
     sample_hawkes_cluster,
     sample_renewal_cluster,
     sample_variance_z,
+    slot_window_counts,
 )
 
 LAW = ParetoLaw(1.0, 1.5)
@@ -273,7 +275,7 @@ class TestSingleHorizonPinned:
     """Single-horizon outputs are pinned byte for byte: every stored result depends on them."""
 
     BATCH = {
-        "renewal": "6b43dc93ce095eae6bdc86e9f2e7706119e4c0ce99411e02a706fd4ce192c9be",
+        "renewal": "52e825d55e593da964422c903ee1c8c92df091cd05fe82e10aa4b43dee16e844",
         "renewal-uniform-waits": "93d55a420f6972f0c46943e8d7367b39446f50e4f3050dbec219f71f450c019b",
         "hawkes": "9715b7d4aa45d2d157ea1ad32ad10d1773e9768806fdf146d3e201bda63eee9c",
     }
@@ -373,7 +375,8 @@ class TestSlotCountRoute:
 
     HORIZONS = (5.0, 20.0, 40.0)
     N = 40_000
-    MODEL = JointMarkModel(Regime.INDEPENDENT_LIGHT_COUNT, Exponential(1.0), 2.0)
+    EXP = Exponential(1.0)
+    MODEL = JointMarkModel(Regime.INDEPENDENT_LIGHT_COUNT, EXP, 2.0)
     CONFIG = WindowConfig(MODEL, RP, 1.0)
 
     @classmethod
@@ -423,6 +426,60 @@ class TestSlotCountRoute:
         assert a > 0 and b > 0
         assert abs(a - b) < 4 * math.hypot(se_a, se_b)
 
+    # the regimes whose clusters the slot route thins cell by cell: (model, nu, horizons)
+    THINNED = {
+        "poisson-2": (MODEL, 1.0, HORIZONS),
+        "pareto-1.5": (JointMarkModel(Regime.INDEPENDENT_HEAVY_COUNT, EXP, LAW), 1.0, HORIZONS),
+        "pareto-2.5": (
+            JointMarkModel(Regime.INDEPENDENT_HEAVY_COUNT, EXP, ParetoLaw(1.0, 2.5)),
+            1.0,
+            HORIZONS,
+        ),
+        "tail-equivalent": (
+            JointMarkModel(Regime.INDEPENDENT_TAIL_EQUIVALENT, LAW, LAW),
+            1.0,
+            HORIZONS,
+        ),
+        "no-offspring": (JointMarkModel(Regime.INDEPENDENT_LIGHT_COUNT, EXP, 0.0), 1.0, HORIZONS),
+        # nearly every cluster spills, and runs over many slots
+        "short-slots": (
+            JointMarkModel(Regime.INDEPENDENT_LIGHT_COUNT, EXP, 5.0),
+            10.0,
+            tuple(np.linspace(0.1, 10.0, 100)),
+        ),
+        # rate L = 1,500: the table of P(Y < j) is cut at 1,024 terms
+        "cut-table": (JointMarkModel(Regime.INDEPENDENT_HEAVY_COUNT, EXP, LAW), 0.05, (1500.0,)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(THINNED))
+    def test_thinned_cells_have_the_laws_of_per_cluster_draws(self, name):
+        """Per horizon: the closed-form E[N_T] and Var N_T, E[J_T] and E[clusters] = nu T;
+        and a two-sample chi-square of N_T and J_T against windows drawn cluster by cluster.
+        """
+        model, nu, horizons = self.THINNED[name]
+        config = WindowConfig(model, RP, nu)
+        kernel = partial(process._renewal_slot_windows, config, np.array(horizons), fields=WINDOW_FIELDS)
+        out = chunked_fill(kernel, self.N, 4096, RngStream(180, len(name)))
+        gen = np.random.Generator(np.random.PCG64DXSM(190 + len(name)))
+        drawn, drawn_leftover = slot_window_counts(model, 1.0, nu, horizons, self.N, gen)
+        means, variances = process.event_moments(config, horizons)
+        consts = model_constants(model)
+        k = len(horizons)
+        for i in sorted({*range(0, k, 11), k - 1}):  # ten of the hundred short slots
+            t, counts, leftover = horizons[i], out["n_events"][i], out["j_leftover"][i]
+            mean, se = mean_and_se(counts.astype(float))
+            assert abs(mean - means[i]) < 4 * se, (t, mean, means[i])
+            assert abs(sample_variance_z(counts.astype(float), variances[i])) < 4, t
+            # E[J_T] = nu T E[cluster size] - E[N_T]; a sample mean of the leftover
+            # has a normal SE only where Var K is finite, not for ceil(Pareto(1.5))
+            if math.isfinite(consts.cluster_size_variance):
+                mean, se = mean_and_se(leftover.astype(float))
+                assert abs(mean - (nu * t * consts.mean_cluster_size - means[i])) <= 4 * se, t
+            mean = out["n_clusters"][i].mean()
+            assert abs(mean - nu * t) < 4 * math.sqrt(nu * t / self.N), t
+            assert two_sample_chi2(counts, drawn[i]) > 1e-3, t
+            assert two_sample_chi2(leftover, drawn_leftover[i]) > 1e-3, t
+
     def test_comonotone_routes_agree(self):
         # K = ceil(X), X ~ Pareto(3): the immigrants' marks come with their counts
         model = JointMarkModel(Regime.COMONOTONE_COUNT, ParetoLaw(1.0, 3.0))
@@ -437,17 +494,30 @@ class TestSlotCountRoute:
             assert stats.ks_2samp(outs[0][field][-1], outs[1][field][-1]).pvalue > 1e-3, field
 
 
-class TestChunkMemory:
-    """One chunk's peak working set per simulated point, in the bench models.
+def two_sample_chi2(a: np.ndarray, b: np.ndarray, cells: int = 20) -> float:
+    """The p-value of a chi-square test that two integer samples share a law.
 
-    The points are the immigrants and offspring of the chunk's paths: the
-    in-window events and the leftover ones at the last horizon.
+    The cells are cut at the pooled sample's quantiles.
+    """
+    edges = np.unique(np.quantile(np.concatenate((a, b)), np.linspace(0.0, 1.0, cells + 1)[1:-1]))
+    table = np.array(
+        [np.bincount(np.searchsorted(edges, x, "right"), minlength=edges.size + 1) for x in (a, b)]
+    )
+    return stats.chi2_contingency(table[:, table.sum(axis=0) > 0]).pvalue
+
+
+class TestChunkMemory:
+    """One chunk's peak working set, in the bench models.
+
+    The path routes are bounded per simulated point: the immigrants and
+    offspring of the chunk's paths, the in-window events and the leftover
+    ones at the last horizon.  The slot-count route holds no array per
+    point, so it is bounded per window.
     """
 
     @pytest.mark.parametrize(
         "kernel, config, n, horizons, bound",
         [
-            (process._renewal_slot_windows, renewal_config(), 4096, (10.0, 50.0, 100.0), 16),
             (
                 process._renewal_path_windows,
                 renewal_config(waiting=UNIFORM_WAITS),
@@ -457,7 +527,7 @@ class TestChunkMemory:
             ),
             (process._hawkes_windows, hawkes_config(), 2048, (10.0, 50.0, 100.0, 500.0), 19),
         ],
-        ids=["renewal", "renewal-path-route", "hawkes"],
+        ids=["renewal-path-route", "hawkes"],
     )
     def test_peak_bytes_per_point(self, kernel, config, n, horizons, bound):
         tracemalloc.start()
@@ -469,6 +539,26 @@ class TestChunkMemory:
         points = int(out["n_events"][-1].sum() + out["j_leftover"][-1].sum())
         assert points > 10**6
         assert peak / points <= bound
+
+    def test_slot_route_peak_per_window(self):
+        # the same 4,096 windows, every statistic kept, at T_max = 100 and
+        # 1,000: ten times the points, the same peak within 10%, under 720 B
+        # a window (cells, stayer draws, the spilling clusters, their runs
+        # and one block of marks); the tables are built before tracing
+        peaks, points = [], []
+        for horizons in ((10.0, 50.0, 100.0), (100.0, 500.0, 1000.0)):
+            run = partial(process._renewal_slot_windows, renewal_config(), np.array(horizons), 4096)
+            run(RngStream(5, 0).child(0), WINDOW_FIELDS)
+            tracemalloc.start()
+            try:
+                out = run(RngStream(5, 0).child(0), WINDOW_FIELDS)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            points.append(int(out["n_events"][-1].sum() + out["j_leftover"][-1].sum()))
+        assert points[0] > 10**6 and points[1] > 9 * points[0]
+        assert max(peaks) <= 1.1 * min(peaks)
+        assert max(peaks) / 4096 <= 720
 
     def test_leftover_intensity_only(self):
         # what a Hawkes leftover sweep keeps: read off the (slot, window) cell
@@ -605,14 +695,15 @@ class TestChunkBudget:
             assert chunk_peak(kernel, chunk) <= clusters._CHUNK_BYTES
 
     def test_ldp_renewal_chunk(self, monkeypatch):
-        # the criterion-10 sweep: 1,024 windows of about 300 points, not 4,096
+        # the criterion-10 sweep: 4,096 windows of about 300 points, priced per
+        # cell and per spilling cluster, not per point
         _, chunk = picked_chunk(
             monkeypatch,
             process,
             "chunked_fill",
             lambda: sweep_windows(renewal_config(), (10.0, 50.0, 100.0), 30_000, RngStream(5, 0)),
         )
-        assert chunk == 1024
+        assert chunk == 4096
 
     @pytest.mark.parametrize("fields", [("leftover_intensity",), ("n_events", "j_leftover")])
     def test_hawkes_windows_keep_their_chunks(self, monkeypatch, fields):
