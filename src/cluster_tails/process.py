@@ -679,6 +679,24 @@ def _cdf(weights: np.ndarray) -> np.ndarray:
     return np.append(1.0 - tail[1:] / (tail[0] or 1.0), 1.0)  # all 1.0 where every weight is 0
 
 
+def _guide(cdf: np.ndarray, cells: int) -> np.ndarray:
+    """Entry i is the first index whose ``cdf`` exceeds i / cells: where inverting a u in cell i starts (Chen & Asau 1974)."""
+    return np.searchsorted(cdf, np.arange(cells) / cells, side="right").astype(np.int32)
+
+
+def _invert(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cdf, u, side="right")``, for u below ``cdf[-1]``, by ``_guide(cdf, guide.size)``.
+
+    One compare steps past a cdf value inside u's cell; the u whose cell
+    holds more values are searched.
+    """
+    k = guide[(u * guide.size).astype(np.intp)]
+    k += cdf[k] <= u
+    rest = np.flatnonzero(cdf[k] <= u)
+    k[rest] = np.searchsorted(cdf, u[rest], side="right")
+    return k
+
+
 class _SlotLaw(NamedTuple):
     """How the clusters of a slot with mu = rate L split, where the marks are independent of K.
 
@@ -688,7 +706,8 @@ class _SlotLaw(NamedTuple):
     weights); the others (probability ``single``) are drawn one by one: K
     by the cdf ``spill``, where index ``size`` stands for K's tail past its
     table, the ceil of ``tail``; then Y given Y < K by ``below`` = P(Y < j),
-    or Y unconditioned from K = ``cut`` on.  ``cut`` is where the table of
+    or Y unconditioned from K = ``cut`` on.  The guides of ``spill`` and
+    ``below`` have twice their length in cells.  ``cut`` is where the table of
     K or of ``below`` ends: the Poisson count's pmf is 0 in floats from
     its span's end on, a ceil(Pareto) count's table ends at _COUNT_TABLE,
     and ``below`` reaches 1.0, or is cut, within 1,025 terms
@@ -703,6 +722,8 @@ class _SlotLaw(NamedTuple):
     kept: np.ndarray
     spill: np.ndarray
     tail: ParetoLaw | None
+    spill_guide: np.ndarray
+    below_guide: np.ndarray
 
 
 @lru_cache(maxsize=256)
@@ -720,7 +741,8 @@ def _slot_law(model: JointMarkModel, mu: float) -> _SlotLaw:
     stay, single = float(kept.sum()), float(spill.sum())
     spill = _cdf(spill)
     spill = spill[: int(np.argmax(spill == 1.0)) + 1]  # no uniform in [0, 1) inverts past it
-    return _SlotLaw(below, cut, size, stay, single, kept, spill, tail)
+    guides = [_guide(c, 1 << (2 * c.size - 1).bit_length()) for c in (spill, below)]
+    return _SlotLaw(below, cut, size, stay, single, kept, spill, tail, *guides)
 
 
 # the longest table of a sum of kept K that is convolved with itself, and
@@ -732,9 +754,8 @@ class _KeptTables(NamedTuple):
     """Inversion tables of the sums of 2**j i.i.d. K that stay in their slot (:class:`_SlotLaw`).
 
     Table j holds the values from ``lo[j]`` on; their cdfs are
-    ``cdf[start[j]:start[j + 1]]``.  ``guide[j, i]`` is the index in
-    ``cdf`` of table j's first value whose cdf exceeds i / cells, for
-    ``cells = guide.shape[1]`` (Chen & Asau 1974).
+    ``cdf[start[j]:start[j + 1]]``, and ``guide[j]`` is their
+    :func:`_guide`, as indices into ``cdf``.
     """
 
     lo: np.ndarray
@@ -764,9 +785,8 @@ def _kept_tables(model: JointMarkModel, mu: float, levels: int) -> _KeptTables:
         lo, pmf = 2 * lo, np.convolve(pmf, pmf)
     start = np.cumsum([0, *(c.size for c in cdfs)])
     cells = min(_KEPT_GUIDE, 1 << (2 * max(c.size for c in cdfs) - 1).bit_length())
-    steps = np.arange(cells) / cells
-    guide = np.stack([s + np.searchsorted(c, steps, side="right") for s, c in zip(start, cdfs)])
-    return _KeptTables(np.array(los), start, np.concatenate(cdfs), guide.astype(np.int32))
+    guide = np.stack([_guide(c, cells) + np.int32(s) for s, c in zip(start, cdfs)])
+    return _KeptTables(np.array(los), start, np.concatenate(cdfs), guide)
 
 
 def _stay_totals(gen: np.random.Generator, model: JointMarkModel, mu: float, counts: np.ndarray):
@@ -805,14 +825,14 @@ def _stay_totals(gen: np.random.Generator, model: JointMarkModel, mu: float, cou
 def _single_clusters(gen: np.random.Generator, model: JointMarkModel, mu: float, count: int):
     """K and the Y <= K offspring in their slot of ``count`` clusters that do not stay (:class:`_SlotLaw`)."""
     law = _slot_law(model, mu)
-    kids = np.searchsorted(law.spill, gen.random(count), side="right")
+    kids = _invert(law.spill, law.spill_guide, gen.random(count)).astype(np.int64)
     past = np.flatnonzero(kids == law.size)
     if past.size:
         kids[past] = np.ceil(law.tail.sample(gen, past.size))
     u = gen.random(count)
     near = kids < law.cut
     y = np.empty(count, dtype=np.int64)
-    y[near] = np.searchsorted(law.below, u[near] * law.below[kids[near]], side="right") - 1
+    y[near] = _invert(law.below, law.below_guide, u[near] * law.below[kids[near]]) - 1
     far = np.flatnonzero(~near)
     y[far] = np.minimum(kids[far], gen.poisson(mu * u[far]))
     return kids, y
