@@ -818,8 +818,7 @@ def _stay_totals(gen: np.random.Generator, model: JointMarkModel, mu: float, cou
     for j in range(lo.size) if rest.size else ():
         at = rest[table[rest] == j]
         k[at] = start[j] + np.searchsorted(cdf[start[j] : start[j + 1]], u[at], side="right")
-    k += (lo - start[:-1])[table]
-    return np.bincount(cell, k, n).astype(np.int64)
+    return np.bincount(cell, k + (lo - start[:-1])[table], n).astype(np.int64)
 
 
 def _single_clusters(gen: np.random.Generator, model: JointMarkModel, mu: float, count: int):
