@@ -7,9 +7,13 @@ marks, never on event times, which is what makes the vectorized batch path
 legitimate: it skips drawing times entirely.  :func:`functional_chunks`
 yields the functionals chunk by chunk, so a caller that folds each chunk
 into what it reads never holds n clusters; :func:`batch_functionals` joins
-the same chunks into arrays of n.  The Hawkes generation loop
-(:func:`grow_hawkes`) is shared with the window kernels of
-:mod:`cluster_tails.process`, which do draw times.
+the same chunks into arrays of n.  No Hawkes cluster is grown node by node:
+a HawkesLightIntensity cluster, whose marks are i.i.d. and independent of
+kappa, draws its size from the exact law of its total progeny and then its
+marks, as a renewal cluster does; a HawkesComonotoneIntensity one grows by
+generation totals, one Poisson draw per cluster and generation.  The
+window kernels of :mod:`cluster_tails.process`, which do draw times, keep
+their own node-by-node generation loop.
 """
 
 from __future__ import annotations
@@ -23,7 +27,14 @@ from functools import cache, partial
 import numpy as np
 
 from .errors import ClusterOverflow, ModelError
-from .heavytail import JointMarkModel, LightLaw, model_constants, sample_joint
+from .heavytail import (
+    JointMarkModel,
+    LightLaw,
+    _hawkes_size_table,
+    _invert,
+    model_constants,
+    sample_joint,
+)
 from .rng import RngStream
 
 __all__ = [
@@ -129,95 +140,69 @@ def _renewal_chunk(model: JointMarkModel, n: int, rng: RngStream, fields):
     return _renewal_functionals(x, k, marks, fields)
 
 
-def _runs(owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where each run of equal values starts in a sorted, nonempty array, and its value.
+def _hawkes_light_chunk(model: JointMarkModel, n: int, rng: RngStream, max_events: int, fields):
+    """HawkesLightIntensity clusters: each size S by inversion of one uniform, then S i.i.d. marks.
 
-    ``owner[starts]`` are the clusters present in a generation, so
-    per-generation reductions cost the generation's size, not the chunk's.
+    The marks are i.i.d. and independent of kappa, so a cluster's (H, D, S)
+    is a renewal cluster's with S - 1 offspring.  A size past
+    ``max_events`` raises before any mark is drawn.
     """
-    first = np.empty(owner.size, dtype=bool)
-    first[0] = True
-    np.not_equal(owner[1:], owner[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    return starts, owner[starts]
-
-
-def _add_broods(
-    born: np.ndarray, live: np.ndarray, starts: np.ndarray, brood: np.ndarray, limit: int
-) -> int | None:
-    """Adds each live cluster's brood to ``born``; the first largest cluster over ``limit``.
-
-    ``born`` counts each cluster's events after its immigrant, so a cluster
-    is over ``limit`` when its count plus one is.  ``brood`` holds the child
-    counts of the generation's nodes, in runs per cluster: ``live`` and
-    ``starts`` name each run's cluster and first node.  Called before the
-    next generation is allocated, so one node with a huge brood fails fast
-    instead of exhausting memory.
-    """
-    grown = np.add.reduceat(brood, starts)
-    grown += born[live]
-    born[live] = grown
-    worst = int(grown.argmax())
-    return int(live[worst]) if grown[worst] + 1 > limit else None
-
-
-def grow_hawkes(gen: np.random.Generator, brood: np.ndarray, limit: int, draw) -> np.ndarray:
-    """Grows Hawkes clusters from their immigrants, one generation at a time; returns their sizes.
-
-    ``brood`` holds the immigrants' child counts, Poisson(kappa) draws the
-    caller makes, and every later node has Poisson(kappa) children too.  A
-    generation's nodes come in runs, one per cluster still growing.
-    ``draw(brood, owner, runs)`` gets each parent's child count and each
-    child's cluster; it draws the children and returns their intensities.
-    ``runs()`` gives each run's first child and cluster, ``(starts, live)``;
-    they are built at the first call, so a draw that does not ask for them
-    does not hold them.  A cluster that grows past ``limit`` events raises
-    :class:`ClusterOverflow` with its index, before its generation is
-    drawn.  The sizes are returned in ``brood``'s array.
-    """
-    # offspring per cluster, counted in the immigrants' brood array once
-    # generation 1 is drawn, so no second immigrant-sized array is alive then
-    born = brood
-    if born.size:
-        worst = int(born.argmax())
-        if born[worst] + 1 > limit:
-            raise ClusterOverflow(worst, limit)
-    owner = np.repeat(np.arange(born.size), brood)
-    while owner.size:
-        runs = cache(partial(_runs, owner))
-        brood = gen.poisson(np.asarray(draw(brood, owner, runs), dtype=float))
-        if not brood.any():
-            break
-        starts, live = runs()
-        bad = _add_broods(born, live, starts, brood, limit)
-        if bad is not None:
-            raise ClusterOverflow(bad, limit)
-        owner = np.repeat(owner, brood)
-    born += 1
-    return born
-
-
-def _hawkes_chunk(model: JointMarkModel, n: int, rng: RngStream, max_events: int, fields):
     gen = rng.generator
-    x, kappa = sample_joint(model, gen, gen, n)
-    out = {f: x.astype(float) for f in ("h", "d") if f in fields}
+    cdf, guide = _hawkes_size_table(model, max_events)
+    k = _invert(cdf, guide, gen.random(n)).astype(np.int64)
+    worst = int(k.argmax())
+    if k[worst] > max_events:
+        raise ClusterOverflow(worst, max_events)
+    if "h" not in fields and "d" not in fields:
+        return {"sizes": k} if fields else {}
+    k -= 1
+    x = model.mark_law.sample(gen, n)
+    marks = model.mark_law.sample(gen, int(k.sum()))
+    return _renewal_functionals(x, k, marks, fields)
+
+
+def _hawkes_comonotone_chunk(model: JointMarkModel, n: int, rng: RngStream, max_events: int, fields):
+    """HawkesComonotoneIntensity clusters, grown one generation at a time by generation totals.
+
+    A node with mark X has Poisson(r X) children, independently, so a
+    generation whose marks sum to D has Poisson(r D) children in all
+    (superposition), each with an i.i.d. mark: one Poisson draw per
+    cluster still growing, then its children's marks.  A cluster whose
+    running size passes ``max_events`` raises, the first largest, before
+    its generation's marks are drawn.
+    """
+
+    def check(grown, clusters):
+        worst = int(grown.argmax())
+        if grown[worst] > max_events:
+            raise ClusterOverflow(int(clusters[worst]), max_events)
+
+    gen = rng.generator
+    r = model.kappa_of_mark_factor()
+    x = model.mark_law.sample(gen, n)
+    # D grows in x's array once x has drawn the first generation
+    out = {f: x if f == "d" else x.copy() for f in ("h", "d") if f in fields}
     h, d = out.get("h"), out.get("d")
-    brood = gen.poisson(kappa)
-    del x, kappa
-
-    def draw(brood, owner, runs):
-        xc, kc = sample_joint(model, gen, gen, owner.size)
-        if h is not None:
-            np.maximum.at(h, owner, xc)
+    brood = gen.poisson(x * r)
+    sizes = brood + 1
+    check(sizes, range(n))
+    live = np.flatnonzero(brood)
+    brood = brood[live]
+    while live.size:
+        marks = model.mark_law.sample(gen, int(brood.sum()))
+        starts = np.cumsum(brood) - brood
+        total = np.add.reduceat(marks, starts)
         if d is not None:
-            starts, live = runs()
-            local = np.zeros(owner.size, dtype=np.intp)
-            local[starts[1:]] = 1
-            np.cumsum(local, out=local)
-            d[live] += np.bincount(local, weights=xc, minlength=live.size)
-        return kc
-
-    sizes = grow_hawkes(gen, brood, max_events, draw)
+            d[live] += total
+        if h is not None:
+            h[live] = np.maximum(h[live], np.maximum.reduceat(marks, starts))
+        del marks, starts
+        brood = gen.poisson(total * r)
+        grown = sizes[live] + brood
+        sizes[live] = grown
+        check(grown, live)
+        kept = np.flatnonzero(brood)
+        live, brood = live[kept], brood[kept]
     if "sizes" in fields:
         out["sizes"] = sizes
     return out
@@ -229,13 +214,17 @@ _CHUNK_BYTES = 8 << 20
 # a renewal cluster chunk's tracemalloc peak, all three functionals kept:
 # x, K, H and D per cluster, the segment index and mark per offspring.
 # Measured at 64.1 B per cluster at Poisson(2) counts and 89.2 to 90.5 at
-# ceil(Pareto(1.5)) counts (E[K] = 3.61), 2**17 clusters
+# ceil(Pareto(1.5)) counts (E[K] = 3.61), 2**17 clusters.  A
+# HawkesLightIntensity chunk is drawn as a renewal one with S - 1
+# offspring: 32.1 B per cluster at E[kappa] = 0, 48.3 at 0.5 and 177.6 at
+# 0.9, 2**16 clusters, for each of the three intensity laws
 _RENEWAL_CLUSTER_BYTES, _RENEWAL_OFFSPRING_BYTES = 34, 16
-# a Hawkes cluster chunk's: X, kappa, H, D and the broods per cluster,
-# then the first generation's nodes (E[kappa] per cluster), the largest.
-# Measured at 40.1 B per cluster for E[kappa] <= 0.25, 52 at 0.5, 66 at
-# 0.75 and 79 at 0.9, 2**16 clusters, in both Hawkes regimes
-_HAWKES_CLUSTER_BYTES, _HAWKES_CHILD_BYTES = 40, 48
+# a HawkesComonotoneIntensity chunk's: X, H, the sizes and the first
+# generation's broods per cluster, then that generation's children
+# (E[kappa] per cluster), the largest.  Measured at 35.9 B per cluster for
+# E[kappa] = 0.25, 44.8 at 0.5, 52.5 at 0.75 and 56.4 at 0.9, 2**16
+# clusters, Pareto(1.5) marks
+_HAWKES_CLUSTER_BYTES, _HAWKES_CHILD_BYTES = 32, 28
 
 
 def _chunk_size(bytes_per_task: float, smallest: int, largest: int) -> int:
@@ -341,17 +330,20 @@ def _functional_kernel(
         raise ModelError("renewal model needs RenewalParams", "params")
 
     fields = tuple(f for f in FUNCTIONALS if f in fields)
-    if model.is_hawkes:
-        kernel = partial(
-            _hawkes_chunk, model, max_events=params.max_cluster_events, fields=fields
-        )
+    if model.is_hawkes and model.independent_marks:
+        # built once, here: a mean too near 1 fails before any chunk, and pool workers inherit it
+        _hawkes_size_table(model, params.max_cluster_events)
+        kernel = partial(_hawkes_light_chunk, model, max_events=params.max_cluster_events, fields=fields)
+    elif model.is_hawkes:
+        kernel = partial(_hawkes_comonotone_chunk, model, max_events=params.max_cluster_events, fields=fields)
     else:
         kernel = partial(_renewal_chunk, model, fields=fields)
-    mean_count = model_constants(model).mean_count
-    if model.is_hawkes:
-        per_cluster = _HAWKES_CLUSTER_BYTES + _HAWKES_CHILD_BYTES * mean_count
+    consts = model_constants(model)
+    if kernel.func is _hawkes_comonotone_chunk:
+        per_cluster = _HAWKES_CLUSTER_BYTES + _HAWKES_CHILD_BYTES * consts.mean_count
     else:
-        per_cluster = _RENEWAL_CLUSTER_BYTES + _RENEWAL_OFFSPRING_BYTES * mean_count
+        offspring = consts.mean_cluster_size - 1 if model.is_hawkes else consts.mean_count
+        per_cluster = _RENEWAL_CLUSTER_BYTES + _RENEWAL_OFFSPRING_BYTES * offspring
     return kernel, _chunk_size(per_cluster, 1 << 12, 1 << 18)
 
 

@@ -742,7 +742,7 @@ def _poisson_sf(x, mu):
 # within _POISSON_TABLE_CAP terms is drawn from its table, a larger one by
 # numpy.  The uniforms are drawn and inverted a block at a time.
 _POISSON_TABLE_CAP = 1 << 10
-_POISSON_GUIDE_CELLS = 1 << 12
+_GUIDE_CELLS = 1 << 12
 _POISSON_BLOCK = 1 << 16
 
 
@@ -758,7 +758,7 @@ def _poisson_table(mu: float) -> tuple[np.ndarray, np.ndarray] | None:
     if full.size == 0:
         return None
     cdf = cdf[: full[0] + 1]
-    cells = np.arange(_POISSON_GUIDE_CELLS) / _POISSON_GUIDE_CELLS
+    cells = np.arange(_GUIDE_CELLS) / _GUIDE_CELLS
     guide = np.searchsorted(cdf, cells, side="right")
     for a in (cdf, guide):
         a.setflags(write=False)  # every caller shares the cached arrays
@@ -787,7 +787,7 @@ def _poisson_counts(gen: np.random.Generator, mu: float, size=None):
     for lo in range(0, flat.size, _POISSON_BLOCK):
         part = flat[lo : lo + _POISSON_BLOCK]
         u = gen.random(part.size, out=buf[: part.size])
-        np.multiply(u, _POISSON_GUIDE_CELLS, out=part, casting="unsafe")  # u's cell
+        np.multiply(u, _GUIDE_CELLS, out=part, casting="unsafe")  # u's cell
         # index j is read before part[j] is written, and "clip" leaves ``out`` unbuffered
         np.take(guide, part, out=part, mode="clip")
         part += np.take(cdf, part) <= u
@@ -845,6 +845,154 @@ def _mixed_poisson_short(gen: np.random.Generator, mu: float, k: np.ndarray):
         hit = y_far < k[far]
         short, y = np.concatenate((short, far[hit])), np.concatenate((y, y_far[hit]))
     return short, y
+
+
+def _guide(cdf: np.ndarray, cells: int) -> np.ndarray:
+    """Entry i is the first index whose ``cdf`` exceeds i / cells: where inverting a u in cell i starts (Chen & Asau 1974)."""
+    return np.searchsorted(cdf, np.arange(cells) / cells, side="right").astype(np.int32)
+
+
+def _invert(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cdf, u, side="right")``, for u below ``cdf[-1]``, by ``_guide(cdf, guide.size)``.
+
+    One compare steps past a cdf value inside u's cell; the u whose cell
+    holds more values are searched.
+    """
+    k = guide[(u * guide.size).astype(np.intp)]
+    k += cdf[k] <= u
+    rest = np.flatnonzero(cdf[k] <= u)
+    k[rest] = np.searchsorted(cdf, u[rest], side="right")
+    return k
+
+
+# ---------------------------------------------------------------------------
+# The total progeny of a HawkesLightIntensity cluster
+
+# the most points on the unit circle that the size law is computed from
+_SIZE_LAW_POINTS = 1 << 21
+
+
+def _intensity_mgf(model: JointMarkModel, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """E[exp(kappa t)] and its derivative for HawkesLightIntensity's kappa, at complex t with Re t <= 0.
+
+    kappa is its base law scaled by s: a constant c, an exponential of mean
+    mu, or a uniform on [a, a + w], whose mgf is exp(a t) E(w t) with
+    E(x) = (exp(x) - 1) / x and E'(x) = (exp(x) - E(x)) / x, 1 + x / 2 and
+    1/2 + x / 3 near 0.
+    """
+    base, s = model.count_param, model.intensity_scale_factor()
+    if isinstance(base, Constant):
+        c = s * base.value
+        m = np.exp(c * t)
+        return m, c * m
+    if isinstance(base, Exponential):
+        mu = s / base.rate
+        m = 1.0 / (1.0 - mu * t)
+        return m, mu * m * m
+    a, w = s * base.lo, s * (base.hi - base.lo)
+    x = w * t
+    # below 1e-8 the first two Taylor terms are exact in floats, and a tiny x
+    # would overflow the quotients
+    small = np.abs(x) < 1e-8
+    xs = np.where(small, 1.0, x)
+    e = np.where(small, 1.0 + x / 2.0, np.expm1(xs) / xs)
+    de = np.where(small, 0.5 + x / 3.0, (np.exp(xs) - e) / xs)
+    ea = np.exp(a * t)
+    return ea * e, ea * (a * e + w * de)
+
+
+def _hawkes_size_pgf(model: JointMarkModel, z: np.ndarray) -> np.ndarray:
+    """E[z**S] at complex z on the unit circle, S the total progeny of a HawkesLightIntensity cluster.
+
+    A point has Poisson(kappa) children, each the root of a copy of the
+    cluster, so G(z) = E[z**S] solves G = z M(G - 1), M the mgf of kappa
+    (Harris 1963).  For |z| <= 1 the right side maps the unit disc into
+    itself with slope at most E[kappa] = m < 1, so the root there is
+    unique.  Newton's method finds it from z (1 - m) / (1 - z m), the
+    pgf of the geometric law of the same mean 1 / (1 - m); it stops once a
+    step is down to rounding, about eps / (1 - m), so the last one leaves
+    an error of order its square.
+    """
+    m = model.target_mean_kappa
+    g = z * (1.0 - m) / (1.0 - m * z)
+    for _ in range(50):
+        mg, slope = _intensity_mgf(model, g - 1.0)
+        step = (g - z * mg) / (1.0 - z * slope)
+        g -= step
+        if np.abs(step).max() <= 16 * np.finfo(float).eps / (1.0 - m):
+            break
+    return g
+
+
+def _dft(values: np.ndarray) -> np.ndarray:
+    """sum_j values[j] exp(-2 pi i j k / n) for k < n, n a power of two, by radix-2 butterflies.
+
+    Row k of the array at each pass is frequency k of the transforms of
+    the subsequences that its columns start, so no bit reversal is needed.
+    It is ``numpy.fft.fft``, without importing ``numpy.fft`` in a run.
+    """
+    x = values.reshape(1, -1)
+    while x.shape[1] > 1:
+        half, rows = x.shape[1] // 2, x.shape[0]
+        even, odd = x[:, :half], x[:, half:] * np.exp(-1j * np.pi / rows * np.arange(rows))[:, None]
+        x = np.concatenate((even + odd, even - odd))
+    return x.ravel()
+
+
+def _hawkes_size_tail(model: JointMarkModel) -> np.ndarray:
+    """P(S > k), k = 0, 1, ..., for the total progeny S of a HawkesLightIntensity cluster, as far as it matters.
+
+    sum_k P(S > k) z**k = (1 - G(z)) / (1 - z), E[S] = 1 / (1 - m) at z = 1,
+    so its transform at the n-th roots of unity is sum_j P(S > k + j n)
+    for each k < n (Cauchy's formula, by the trapezoidal rule).  n doubles
+    from 256 until every term of the upper half [n / 2, n) is below 2**-40;
+    the terms past n are then far smaller still.  Each term is exact to
+    about eps E[S]**(1/2) (by Parseval), not summed from pmf terms, so
+    the rounding does not add up along the tail.  A mean too near 1 for
+    ``_SIZE_LAW_POINTS`` points raises :class:`ModelError`: at
+    E[kappa] = 0.99 the law takes 2**20 or 2**21.
+    """
+    n = 1 << 8
+    while True:
+        # the roots on the upper half circle, by their angles j / n, exact in
+        # floats, a block at a time; the transform at the others is the conjugate
+        z = np.exp(2j * np.pi * (np.arange(n // 2 + 1) / n))
+        blocks = range(0, z.size, _POISSON_BLOCK)
+        g = np.concatenate([_hawkes_size_pgf(model, z[i : i + _POISSON_BLOCK]) for i in blocks])
+        # the tail's pgf, in place
+        g[1:] = (1.0 - g[1:]) / (1.0 - z[1:])
+        g[0] = 1.0 / (1.0 - model.target_mean_kappa)
+        tail = _dft(np.concatenate((g, np.conj(g[-2:0:-1])))).real / n
+        if np.abs(tail[n // 2 :]).max() < 2.0**-40:
+            return tail
+        if n == _SIZE_LAW_POINTS:
+            raise ModelError(
+                f"E[kappa]={model.target_mean_kappa:g} is too near 1: the cluster size law "
+                f"needs more than {n} terms",
+                "target_mean_kappa",
+            )
+        n *= 2
+
+
+@lru_cache(maxsize=16)
+def _hawkes_size_table(model: JointMarkModel, limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """P(S <= k), k = 0, 1, ... to the first 1.0 or to ``limit``, and its guide table.
+
+    S is a HawkesLightIntensity cluster's total progeny (:func:`_hawkes_size_tail`);
+    the rounding of its tail is kept from making the cdf decrease or pass
+    1.  The cdf first reads 1.0 where the tail is down to its rounding.  A
+    table cut at ``limit`` ends with one more entry, 1.0: a uniform that
+    inverts to ``limit + 1`` draws a cluster past the guard.
+    """
+    cdf = np.maximum.accumulate(np.clip(1.0 - _hawkes_size_tail(model), 0.0, 1.0))
+    cdf[0] = 0.0  # S >= 1
+    cdf = cdf[: np.flatnonzero(cdf == 1.0)[0] + 1]
+    if cdf.size > limit + 1:
+        cdf = np.append(cdf[: limit + 1], 1.0)
+    guide = _guide(cdf, _GUIDE_CELLS)
+    for a in (cdf, guide):
+        a.setflags(write=False)  # every caller shares the cached arrays
+    return cdf, guide
 
 
 def count_survival(model: JointMarkModel, x):

@@ -67,7 +67,14 @@ from .estimate import (
     max_tail_estimator,
     tail_bands,
 )
-from .heavytail import JointMarkModel, OracleSpec, model_constants, theoretical_denominator
+from .heavytail import (
+    JointMarkModel,
+    OracleSpec,
+    ParetoLaw,
+    Regime,
+    model_constants,
+    theoretical_denominator,
+)
 from .process import WindowConfig, event_moments, mean_events, sweep_windows
 from .rng import RngStream
 
@@ -286,10 +293,18 @@ def leftover_estimator(model: JointMarkModel) -> str:
             "the mean decayed intensity given the counts, a closed form linear in them; "
             "SE sd/sqrt(n), finite in every Hawkes regime"
         )
-    return (
+    text = (
         "crude Monte Carlo: mean over windows of the leftover count and mark sum; "
         "SE sd/sqrt(n), finite for eps only when the marks have finite variance"
     )
+    # K = ceil(Z): a window's leftover count has a finite variance only where K has
+    z = model.mark_law if model.regime is Regime.COMONOTONE_COUNT else model.count_param
+    if isinstance(z, ParetoLaw) and z.alpha <= 2:
+        text += (
+            f", and for J_T never here: K = ceil(Z) with Z ~ Pareto(alpha={z.alpha:g} <= 2) "
+            "has infinite variance, so J_T does, and its SE is no interval"
+        )
+    return text
 
 
 def leftover_scaling(

@@ -123,7 +123,6 @@ from .clusters import (
     RenewalParams,
     _chunk_size,
     chunked_fill,
-    grow_hawkes,
 )
 from .errors import ClusterOverflow, ModelError
 from .heavytail import (
@@ -132,6 +131,8 @@ from .heavytail import (
     JointMarkModel,
     ParetoLaw,
     _count_pmf,
+    _guide,
+    _invert,
     _mixed_poisson_short,
     _mixed_poisson_table,
     _poisson_counts,
@@ -679,24 +680,6 @@ def _cdf(weights: np.ndarray) -> np.ndarray:
     return np.append(1.0 - tail[1:] / (tail[0] or 1.0), 1.0)  # all 1.0 where every weight is 0
 
 
-def _guide(cdf: np.ndarray, cells: int) -> np.ndarray:
-    """Entry i is the first index whose ``cdf`` exceeds i / cells: where inverting a u in cell i starts (Chen & Asau 1974)."""
-    return np.searchsorted(cdf, np.arange(cells) / cells, side="right").astype(np.int32)
-
-
-def _invert(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(cdf, u, side="right")``, for u below ``cdf[-1]``, by ``_guide(cdf, guide.size)``.
-
-    One compare steps past a cdf value inside u's cell; the u whose cell
-    holds more values are searched.
-    """
-    k = guide[(u * guide.size).astype(np.intp)]
-    k += cdf[k] <= u
-    rest = np.flatnonzero(cdf[k] <= u)
-    k[rest] = np.searchsorted(cdf, u[rest], side="right")
-    return k
-
-
 class _SlotLaw(NamedTuple):
     """How the clusters of a slot with mu = rate L split, where the marks are independent of K.
 
@@ -996,6 +979,71 @@ def _cell_times(gen: np.random.Generator, horizons: np.ndarray, cells: np.ndarra
     return times
 
 
+def _runs(owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each run of equal values starts in a sorted, nonempty array, and its value.
+
+    ``owner[starts]`` are the clusters present in a generation, so
+    per-generation reductions cost the generation's size, not the chunk's.
+    """
+    first = np.empty(owner.size, dtype=bool)
+    first[0] = True
+    np.not_equal(owner[1:], owner[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    return starts, owner[starts]
+
+
+def _add_broods(
+    born: np.ndarray, live: np.ndarray, starts: np.ndarray, brood: np.ndarray, limit: int
+) -> int | None:
+    """Adds each live cluster's brood to ``born``; the first largest cluster over ``limit``.
+
+    ``born`` counts each cluster's events after its immigrant, so a cluster
+    is over ``limit`` when its count plus one is.  ``brood`` holds the child
+    counts of the generation's nodes, in runs per cluster: ``live`` and
+    ``starts`` name each run's cluster and first node.  Called before the
+    next generation is allocated, so one node with a huge brood fails fast
+    instead of exhausting memory.
+    """
+    grown = np.add.reduceat(brood, starts)
+    grown += born[live]
+    born[live] = grown
+    worst = int(grown.argmax())
+    return int(live[worst]) if grown[worst] + 1 > limit else None
+
+
+def grow_hawkes(gen: np.random.Generator, brood: np.ndarray, limit: int, draw) -> np.ndarray:
+    """Grows Hawkes clusters from their immigrants, one generation at a time; returns their sizes.
+
+    ``brood`` holds the immigrants' child counts, Poisson(kappa) draws the
+    caller makes, and every later node has Poisson(kappa) children too.  A
+    generation's nodes come in runs, one per cluster still growing.
+    ``draw(brood, owner)`` gets each parent's child count and each child's
+    cluster; it draws the children and returns their intensities.  A
+    cluster that grows past ``limit`` events raises
+    :class:`ClusterOverflow` with its index, before its generation is
+    drawn.  The sizes are returned in ``brood``'s array.
+    """
+    # offspring per cluster, counted in the immigrants' brood array once
+    # generation 1 is drawn, so no second immigrant-sized array is alive then
+    born = brood
+    if born.size:
+        worst = int(born.argmax())
+        if born[worst] + 1 > limit:
+            raise ClusterOverflow(worst, limit)
+    owner = np.repeat(np.arange(born.size), brood)
+    while owner.size:
+        brood = gen.poisson(np.asarray(draw(brood, owner), dtype=float))
+        if not brood.any():
+            break
+        starts, live = _runs(owner)
+        bad = _add_broods(born, live, starts, brood, limit)
+        if bad is not None:
+            raise ClusterOverflow(bad, limit)
+        owner = np.repeat(owner, brood)
+    born += 1
+    return born
+
+
 def _hawkes_windows(
     config: WindowConfig, horizons: np.ndarray, n: int, rng: RngStream, fields
 ) -> dict[str, np.ndarray]:
@@ -1023,7 +1071,7 @@ def _hawkes_windows(
     tally.immigrants(win_of_cluster, home, x0, counted=True)
     del x0, windows
 
-    def draw(brood, owner, runs):
+    def draw(brood, owner):
         nonlocal evt_time
         dt = gen.exponential(1.0 / params.decay_rate, owner.size)
         evt_time = np.repeat(evt_time, brood)

@@ -10,7 +10,8 @@ pgfs, check the conditional estimator of the cluster-max tail; the exact
 window-max law of a Poisson-count renewal model checks the ldp-max sweep's.
 The conditional estimator as it was before the count became its control
 variate is kept here, to check that the estimator without a control mean
-is still that one, bit for bit.
+is still that one, bit for bit; so is the node-by-node Hawkes cluster
+cascade, which checks the batch functionals' generation totals.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from cluster_tails.heavytail import (
     _poisson_sf,
     sample_joint,
 )
+from cluster_tails.process import grow_hawkes
 from cluster_tails.rng import RngStream
 
 
@@ -113,6 +115,31 @@ def sample_hawkes_cluster(
             )
             queue.append((len(events) - 1, parent_t + dt, float(kc), child_gen + 1))
     return Cluster(immigrant_mark=float(x0), events=tuple(events), model_kind="hawkes")
+
+
+def hawkes_cascade_functionals(
+    model: JointMarkModel, n: int, rng: RngStream, max_events: int = 10**7
+) -> dict[str, np.ndarray]:
+    """The max H, sum D and size of n Hawkes clusters, grown node by node.
+
+    Every node draws its own (X, kappa) and then Poisson(kappa) children, a
+    generation of all n clusters at a time, with the package's window
+    generation loop (``grow_hawkes``): the route the batch functionals took
+    before they drew sizes from the exact size law or grew by generation
+    totals.
+    """
+    gen = rng.generator
+    x, kappa = sample_joint(model, gen, gen, n)
+    h, d = x.astype(float), x.astype(float)
+
+    def draw(brood, owner):
+        xc, kc = sample_joint(model, gen, gen, owner.size)
+        np.maximum.at(h, owner, xc)
+        d[:] += np.bincount(owner, weights=xc, minlength=n)
+        return kc
+
+    sizes = grow_hawkes(gen, gen.poisson(kappa), max_events, draw)
+    return {"h": h, "d": d, "sizes": sizes}
 
 
 def functional_max(cluster: Cluster) -> float:

@@ -792,6 +792,9 @@ class TestColdStart:
             "ldp-sum.json": {"ldp": {"replications": 5_000, "pilot_windows": 1_000}},
             "cluster-tails.json": {"clusters": 100_000},
             "tail-ratio-renewal-max.json": {"clusters": 100_000, "grid": {"levels": [0.9, 0.99, 0.999]}},
+            # the Hawkes size table and the generation totals
+            "hill.json": {"clusters": 100_000, "hill": {"k": 100}},
+            "tail-ratio-hawkes-sum.json": {"clusters": 100_000, "grid": {"levels": [0.9, 0.99, 0.999]}},
         }
         paths = []
         for name, sizes in reduced.items():

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
-from cluster_tails import clusters
+from cluster_tails import clusters, heavytail
 from cluster_tails.clusters import HawkesParams, RenewalParams, batch_functionals
 from cluster_tails.errors import ClusterOverflow, ModelError
 from cluster_tails.heavytail import (
@@ -28,6 +28,8 @@ from reference import (
     OffspringEvent,
     functional_max,
     functional_sum,
+    hawkes_cascade_functionals,
+    hawkes_cluster_size_pmf,
     sample_hawkes_cluster,
     sample_renewal_cluster,
 )
@@ -151,6 +153,134 @@ class TestHawkesCluster:
     def test_renewal_model_rejected(self):
         with pytest.raises(ModelError):
             sample_hawkes_cluster(light_count(), HP, RngStream(11, 0))
+
+
+def hawkes_exponential(kappa):
+    return JointMarkModel(
+        Regime.HAWKES_LIGHT_INTENSITY, LAW, Exponential(2.0), target_mean_kappa=kappa
+    )
+
+
+def hawkes_comonotone(kappa=0.5):
+    return JointMarkModel(Regime.HAWKES_COMONOTONE_INTENSITY, LAW, target_mean_kappa=kappa)
+
+
+def size_pmf(model):
+    """P(S = k) for k < n, from the n tail terms P(S > k) the package computes."""
+    tail = heavytail._hawkes_size_tail(model)
+    return np.append(1.0, tail[:-1]) - tail
+
+
+class TestHawkesSizeLaw:
+    """The total progeny S of a HawkesLightIntensity cluster, from its pgf root, and the sizes drawn from it."""
+
+    @pytest.mark.parametrize("kappa", [0.5, 0.9])
+    @pytest.mark.parametrize("make", [hawkes_constant, hawkes_uniform], ids=["constant", "uniform"])
+    def test_pmf_is_dwass(self, make, kappa):
+        model = make(kappa)
+        pmf = size_pmf(model)
+        k = min(pmf.size, 300)  # the whole law at 0.5; its head at 0.9
+        assert np.max(np.abs(pmf[:k] - hawkes_cluster_size_pmf(model, k))) < 1e-12
+
+    @pytest.mark.parametrize("kappa", [0.5, 0.9])
+    def test_exponential_pmf_is_dwass_of_the_geometric(self, kappa):
+        # kappa ~ Exp of mean m gives geometric children, P(C = j) = (1 - p) p**j
+        # with p = m / (1 + m); by Dwass, P(S = n) = P(C_1 + ... + C_n = n - 1) / n
+        k = 300
+        p = kappa / (1.0 + kappa)
+        children = (1.0 - p) * p ** np.arange(k)
+        exact, power = np.zeros(k), np.zeros(k)
+        power[0] = 1.0
+        for n in range(1, k):
+            power = np.convolve(power, children)[:k]
+            exact[n] = power[n - 1] / n
+        pmf = size_pmf(hawkes_exponential(kappa))
+        k = min(pmf.size, k)
+        assert np.max(np.abs(pmf[:k] - exact[:k])) < 1e-12
+
+    @pytest.mark.parametrize(
+        "make", [hawkes_constant, hawkes_uniform, hawkes_exponential], ids=["constant", "uniform", "exponential"]
+    )
+    def test_table_mean_and_end(self, make):
+        cdf, guide = heavytail._hawkes_size_table(make(0.5), 10**6)
+        assert cdf[0] == 0.0 and cdf[-1] == 1.0 and np.all(np.diff(cdf) >= 0)
+        assert np.dot(np.arange(1, cdf.size), np.diff(cdf)) == pytest.approx(2.0, rel=1e-12)
+
+    def test_table_is_cut_at_the_guard(self):
+        model = hawkes_uniform(0.9)
+        full, _ = heavytail._hawkes_size_table(model, 10**6)
+        cut, guide = heavytail._hawkes_size_table(model, 20)
+        # sizes 0 .. 20, then 1.0: a uniform that inverts past 20 is a cluster past the guard
+        assert cut.size == 22 and cut[-1] == 1.0
+        assert np.array_equal(cut[:21], full[:21])
+        assert guide.max() <= 21
+
+    def test_mean_too_near_one_refused(self, monkeypatch):
+        monkeypatch.setattr(heavytail, "_SIZE_LAW_POINTS", 1 << 10)
+        with pytest.raises(ModelError) as exc_info:
+            heavytail._hawkes_size_tail(hawkes_constant(0.9))
+        assert exc_info.value.field == "target_mean_kappa"
+
+    @pytest.mark.parametrize("seed", [21, 22])
+    def test_sampled_sizes_chisquare(self, seed):
+        model = hawkes_uniform(0.5)
+        sizes = batch_functionals(model, HP, 400_000, RngStream(seed, 0), fields=("sizes",)).sizes
+        pmf = hawkes_cluster_size_pmf(model, 16)[1:]  # sizes 1 .. 15, then the rest
+        probs = np.append(pmf, 1.0 - pmf.sum())
+        observed = np.bincount(np.minimum(sizes, 16), minlength=17)[1:]
+        expected = sizes.size * probs
+        chi2 = ((observed - expected) ** 2 / expected).sum()
+        assert stats.chi2.sf(chi2, probs.size - 1) > 0.001
+
+    def test_light_sizes_draw_one_uniform_each_before_any_mark(self):
+        # the sizes are the inverses of the chunk's first n uniforms
+        model, n = hawkes_uniform(0.5), 5_000
+        sizes = batch_functionals(model, HP, n, RngStream(23, 0)).sizes
+        cdf, _ = heavytail._hawkes_size_table(model, HP.max_cluster_events)
+        u = RngStream(23, 0).child(0).generator.random(n)
+        assert np.array_equal(sizes, np.searchsorted(cdf, u, side="right"))
+
+    @pytest.mark.parametrize("seed", [31, 32, 33])
+    def test_comonotone_generation_totals_match_the_cascade(self, seed):
+        # two-sample KS on D and S against the node-by-node cascade
+        model, n = hawkes_comonotone(0.5), 200_000
+        fast = batch_functionals(model, HawkesParams(max_cluster_events=10**7), n, RngStream(seed, 0))
+        slow = hawkes_cascade_functionals(model, n, RngStream(seed, 1))
+        for name in ("d", "sizes", "h"):
+            assert stats.ks_2samp(getattr(fast, name), slow[name]).pvalue > 0.001, name
+
+    @pytest.mark.parametrize("seed", [34, 35])
+    def test_light_route_matches_the_cascade(self, seed):
+        model, n = hawkes_uniform(0.7), 200_000
+        fast = batch_functionals(model, HP, n, RngStream(seed, 0))
+        slow = hawkes_cascade_functionals(model, n, RngStream(seed, 1))
+        for name in ("d", "sizes", "h"):
+            assert stats.ks_2samp(getattr(fast, name), slow[name]).pvalue > 0.001, name
+
+    def test_light_overflow_reports_replication(self):
+        # chunks hold 2**15 clusters at E[kappa] = 0.9; the guard is the
+        # largest size in the first, and the first seed whose first cluster
+        # past it lies past chunk 1 is used
+        model, n = hawkes_uniform(0.9), 200_000
+        for seed in range(24, 44):
+            sizes = batch_functionals(
+                model, HawkesParams(max_cluster_events=10**7), n, RngStream(seed, 0), fields=("sizes",)
+            ).sizes
+            limit = int(sizes[: 1 << 15].max())
+            past = np.flatnonzero(sizes > limit)
+            if past.size and past[0] >= 1 << 16:
+                break
+        else:
+            pytest.fail("no seed puts the first cluster past the guard past chunk 1")
+        cdf, _ = heavytail._hawkes_size_table(model, limit)
+        assert cdf.size == limit + 2  # the table is cut at the guard
+        for workers in (1, 2):
+            with pytest.raises(ClusterOverflow) as exc_info:
+                batch_functionals(
+                    model, HawkesParams(max_cluster_events=limit), n, RngStream(seed, 0), workers
+                )
+            assert exc_info.value.replication == past[0]
+            assert exc_info.value.limit == limit
 
 
 class TestFunctionals:
@@ -292,13 +422,15 @@ class TestBatchFunctionals:
         _, kappa = sample_joint(model, gen, gen, n)
         brood = gen.poisson(kappa)
         assert brood.max() > limit
+        # every mark draw, the children's included
         drawn = []
+        sample = ParetoLaw.sample
 
-        def recording(model, marks, counts, size=None):
+        def recording(law, gen, size=None):
             drawn.append(size)
-            return sample_joint(model, marks, counts, size)
+            return sample(law, gen, size)
 
-        monkeypatch.setattr(clusters, "sample_joint", recording)
+        monkeypatch.setattr(ParetoLaw, "sample", recording)
         with pytest.raises(ClusterOverflow) as exc_info:
             batch_functionals(model, HawkesParams(max_cluster_events=limit), n, RngStream(16, 0))
         assert exc_info.value.replication == brood.argmax()
@@ -307,10 +439,10 @@ class TestBatchFunctionals:
     @pytest.mark.parametrize(
         "model, digest",
         [
-            (hawkes_uniform(), "21fb2b746d76169ba78c5aefbc261cb03c4f197b25a30902f43ceed6cd9c0ac8"),
+            (hawkes_uniform(), "1243eb6b9b3fa282ee083baf7743587e62de25ba9ec4723e2fbdf3c5e86739de"),
             (
                 JointMarkModel(Regime.HAWKES_COMONOTONE_INTENSITY, LAW, target_mean_kappa=0.5),
-                "1df21e5e46f7435c2eec56338259fd11eadfec37de83e043ca60a60a6d7b1911",
+                "34815a6e73061a7357534b539699418b8033813a74faa1762842cd408907cbae",
             ),
         ],
         ids=["light-uniform", "comonotone"],  # the digest stays out of the test's name

@@ -42,8 +42,8 @@ PINNED = {
         "bf2ebb8c55ca722b3b1b9598bfc1aa9de19cd20b720c41586431dedd5138de03",
     ),
     "hill.json": (
-        "427889d7cd93932368e65ce194f96e8c303d158c1c0f38908a4f4b94e9397120",
-        "e32ae59bfc47260a1be069994354f33927037e1abdea59d3f1e16e5a8921a560",
+        "83ff6d67c243363d7897052411ba0069126ed388455a9d7390c9a605bee7348f",
+        "6a68ed484bc9c9aa4bc2bcf111b1e5724e8be1ff1ebb96939cf34059695533cf",
     ),
     "ldp-max.json": (
         "df03abb8bddfcaead0f1b6129e0b62bef2592b77c74a62806b467c028d65ad27",
@@ -62,8 +62,8 @@ PINNED = {
         "0ae3913703184fd6c35769cbd80a1343add5fb075b7b91fe3111dbd2ae1d3e7b",
     ),
     "tail-ratio-hawkes-sum.json": (
-        "c589b6e2b716cd07c2de4c0b97e76bb5d75a53c25475a41d67951d7f296f9ce2",
-        "fc6b63f3e512e46c6ff2cb1bd7acf762d89c63fc132d2ee036d18ea4009ae808",
+        "09bcb4d0f5fae013f0e02791ba56caed781505dae2d9801b9bc07bf5bdf71a27",
+        "139e927b16236f15177463a6736f27a2f241f23824ba852f0d7ace94c83ba90e",
     ),
     "tail-ratio-renewal-max.json": (
         "c3daa454bd206bd5be621f4bd9b7a292642584f74124d8a101c470049bb49a9b",

@@ -380,6 +380,36 @@ class TestLeftoverScaling:
         renewal = sweep_config().window.model
         assert leftover_estimator(renewal).startswith("crude Monte Carlo")
 
+    @pytest.mark.parametrize(
+        "model, interval",
+        [
+            (JointMarkModel(Regime.INDEPENDENT_LIGHT_COUNT, LAW, 2.0), True),
+            (JointMarkModel(Regime.INDEPENDENT_HEAVY_COUNT, LAW, ParetoLaw(1.0, 2.5)), True),
+            (JointMarkModel(Regime.INDEPENDENT_HEAVY_COUNT, LAW, ParetoLaw(1.0, 2.0)), False),
+            (JointMarkModel(Regime.INDEPENDENT_TAIL_EQUIVALENT, LAW, ParetoLaw(1.0, 1.5)), False),
+            (JointMarkModel(Regime.COMONOTONE_COUNT, LAW), False),
+            (JointMarkModel(Regime.COMONOTONE_COUNT, ParetoLaw(1.0, 3.0)), True),
+        ],
+        ids=["poisson", "pareto-2.5", "pareto-2", "pareto-1.5", "comonotone-1.5", "comonotone-3"],
+    )
+    def test_estimator_says_when_the_count_se_is_no_interval(self, model, interval):
+        # with K = ceil(Z), Z ~ Pareto(alpha <= 2), J_T has infinite variance
+        text = leftover_estimator(model)
+        assert ("J_T never here" not in text) == interval, text
+
+    def test_summary_says_the_count_se_is_no_interval(self, tmp_path):
+        config = tmp_path / "leftover.json"
+        pareto = {"law": "pareto", "scale": 1.0, "alpha": 1.5}
+        config.write_text(json.dumps({
+            "experiment": "leftover", "seed": 5, "output_dir": str(tmp_path),
+            "model": {"regime": "IndependentHeavyCount", "mark": pareto, "count": pareto},
+            "leftover": {"horizons": [5.0], "windows": 10_000},
+        }))
+        _, json_path, _ = run(config)
+        estimator = json.loads(json_path.read_text())["estimator"]
+        assert estimator.startswith("crude Monte Carlo")
+        assert "alpha=1.5 <= 2" in estimator and "its SE is no interval" in estimator
+
     def test_csv_output(self):
         config = sweep_config(horizons=(5.0,), replications=10_000)
         rows = leftover_scaling(config, RngStream(53, 0))

@@ -9,6 +9,7 @@ import pytest
 from cluster_tails.errors import LatticeMismatch, ModelError
 from cluster_tails.oracle import (
     DiscreteJointModel,
+    _choose,
     exact_renewal_max_distribution,
     exact_renewal_max_tail,
     exact_renewal_sum_distribution,
@@ -103,6 +104,23 @@ class TestRenewalSumOracle:
         a = sample_renewal_functionals(HAND_MODEL, 1000, RngStream(2, 0))
         b = sample_renewal_functionals(HAND_MODEL, 1000, RngStream(2, 0))
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+
+class TestChoose:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_same_draws_as_generator_choice(self, seed):
+        # the dense compares invert the uniforms that choice draws, against its cdf
+        rs = np.random.default_rng(seed)
+        p = rs.random(int(rs.integers(1, 9)))
+        p[rs.random(p.size) < 0.3] = 0.0
+        p[0] += p.sum() == 0
+        p /= p.sum()
+        size = int(rs.integers(0, 5_000))
+        a, b = (np.random.Generator(np.random.PCG64DXSM(seed)) for _ in range(2))
+        expected = a.choice(p.size, size=size, p=p)
+        got = _choose(b, p, size)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+        assert a.random() == b.random()  # and the stream is left where choice leaves it
 
 
 class TestHawkesBracket:

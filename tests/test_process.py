@@ -68,8 +68,8 @@ def comonotone_config(nu=1.0):
     return WindowConfig(JointMarkModel(Regime.COMONOTONE_COUNT, LAW), RP, nu)
 
 
-def hawkes_comonotone_config(nu=1.0):
-    model = JointMarkModel(Regime.HAWKES_COMONOTONE_INTENSITY, LAW, target_mean_kappa=0.5)
+def hawkes_comonotone_config(nu=1.0, kappa=0.5):
+    model = JointMarkModel(Regime.HAWKES_COMONOTONE_INTENSITY, LAW, target_mean_kappa=kappa)
     return WindowConfig(model, HawkesParams(), nu)
 
 
@@ -728,6 +728,7 @@ class TestChunkBudget:
             (hawkes_config().model, HawkesParams()),
             (hawkes_config(kappa=0.9).model, HawkesParams()),
             (hawkes_comonotone_config().model, HawkesParams(max_cluster_events=10**7)),
+            (hawkes_comonotone_config(kappa=0.9).model, HawkesParams(max_cluster_events=10**7)),
         ],
         ids=[
             "poisson-count",
@@ -737,6 +738,7 @@ class TestChunkBudget:
             "hawkes",
             "hawkes-0.9",
             "hawkes-comonotone",
+            "hawkes-comonotone-0.9",
         ],
     )
     def test_cluster_batches(self, monkeypatch, model, params):
