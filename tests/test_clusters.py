@@ -206,6 +206,12 @@ class TestHawkesSizeLaw:
         assert cdf[0] == 0.0 and cdf[-1] == 1.0 and np.all(np.diff(cdf) >= 0)
         assert np.dot(np.arange(1, cdf.size), np.diff(cdf)) == pytest.approx(2.0, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 2, 256, 1 << 12])
+    def test_dft_is_numpy_fft(self, n):
+        rs = np.random.default_rng(n)
+        values = rs.random(n) + 1j * rs.random(n)
+        assert np.max(np.abs(heavytail._dft(values) - np.fft.fft(values))) < 1e-12
+
     def test_table_is_cut_at_the_guard(self):
         model = hawkes_uniform(0.9)
         full, _ = heavytail._hawkes_size_table(model, 10**6)
