@@ -868,12 +868,22 @@ def _invert(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # The total progeny of a HawkesLightIntensity cluster
 
-# the most points on the unit circle that the size law is computed from
-_SIZE_LAW_POINTS = 1 << 21
+# the most points on the unit circle that the size law is computed from.  The
+# transforms' tracemalloc peak is 3.4 MiB at 2**16 points (53.5 B a point),
+# within the 8 MiB a cluster chunk may take, and E[kappa] up to about 0.95
+# fits (0.93 for exponential kappa).  A law that needs more has no table
+_SIZE_LAW_POINTS = 1 << 16
+# the largest P(S > k) that the upper half of a transform may hold
+_SIZE_LAW_TAIL = 2.0**-40
+# the roots of unity that Newton's method takes at a time
+_SIZE_LAW_BLOCK = 1 << 12
 
 
 def _intensity_mgf(model: JointMarkModel, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """E[exp(kappa t)] and its derivative for HawkesLightIntensity's kappa, at complex t with Re t <= 0.
+    """E[exp(kappa t)] and its derivative for HawkesLightIntensity's kappa, at complex t with Re t <= 0 or real t.
+
+    At real t past an exponential's pole, 1 / mu, the mgf is infinite and
+    this reads a negative number.
 
     kappa is its base law scaled by s: a constant c, an exponential of mean
     mu, or a uniform on [a, a + w], whose mgf is exp(a t) E(w t) with
@@ -929,54 +939,87 @@ def _dft(values: np.ndarray) -> np.ndarray:
 
     Row k of the array at each pass is frequency k of the transforms of
     the subsequences that its columns start, so no bit reversal is needed.
-    It is ``numpy.fft.fft``, without importing ``numpy.fft`` in a run.
+    The passes go back and forth between ``values``, which is overwritten,
+    and one more array of n.  It is ``numpy.fft.fft``, without importing
+    ``numpy.fft`` in a run.
     """
     x = values.reshape(1, -1)
+    spare = np.empty_like(x)
     while x.shape[1] > 1:
-        half, rows = x.shape[1] // 2, x.shape[0]
-        even, odd = x[:, :half], x[:, half:] * np.exp(-1j * np.pi / rows * np.arange(rows))[:, None]
-        x = np.concatenate((even + odd, even - odd))
+        rows, half = x.shape[0], x.shape[1] // 2
+        even, odd = x[:, :half], x[:, half:]
+        odd *= np.exp(-1j * np.pi / rows * np.arange(rows))[:, None]
+        out = spare.reshape(2 * rows, half)
+        np.add(even, odd, out=out[:rows])
+        np.subtract(even, odd, out=out[rows:])
+        x, spare = out, x
     return x.ravel()
 
 
-def _hawkes_size_tail(model: JointMarkModel) -> np.ndarray:
+def _hawkes_size_log_rate(model: JointMarkModel) -> float:
+    """ln R, R the rate at which P(S > k) decays, S the total progeny of a HawkesLightIntensity cluster.
+
+    By Dwass, P(S = k) = P(C_1 + ... + C_k = k - 1) / k for i.i.d. child
+    counts C of pgf phi(s) = M(s - 1), M the mgf of kappa, and Chernoff's
+    bound with any s > 1 gives at most s (phi(s) / s)**k / k; so
+    ln R = max over t > 0 of ln(1 + t) - ln M(t) (Otter 1949).  The
+    maximum is taken on a grid of u = t / (1 + t), refined twice about
+    its best point.  The grid reads at most the maximum, and 0 at t = 0,
+    so the length that it gives the law errs long.
+    """
+    u = np.linspace(0.0, 1.0, 257)[:-1]
+    for _ in range(3):
+        t = u / (1.0 - u)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            m, _ = _intensity_mgf(model, t)
+            rate = np.log1p(t) - np.log(np.where(m > 0.0, m, np.inf))
+        j = int(np.argmax(rate))
+        best = float(rate[j])
+        u = np.linspace(u[max(j - 1, 0)], u[min(j + 1, u.size - 1)], 257)
+    return best
+
+
+def _hawkes_size_tail(model: JointMarkModel) -> np.ndarray | None:
     """P(S > k), k = 0, 1, ..., for the total progeny S of a HawkesLightIntensity cluster, as far as it matters.
 
     sum_k P(S > k) z**k = (1 - G(z)) / (1 - z), E[S] = 1 / (1 - m) at z = 1,
     so its transform at the n-th roots of unity is sum_j P(S > k + j n)
     for each k < n (Cauchy's formula, by the trapezoidal rule).  n doubles
-    from 256 until every term of the upper half [n / 2, n) is below 2**-40;
-    the terms past n are then far smaller still.  Each term is exact to
-    about eps E[S]**(1/2) (by Parseval), not summed from pmf terms, so
-    the rounding does not add up along the tail.  A mean too near 1 for
-    ``_SIZE_LAW_POINTS`` points raises :class:`ModelError`: at
-    E[kappa] = 0.99 the law takes 2**20 or 2**21.
+    until every term of the upper half [n / 2, n) is below 2**-40; the
+    terms past n are then far smaller still.  It starts where the decay
+    rate puts P(S > k) near 2**-40 (:func:`_hawkes_size_log_rate`), up
+    to a power of two, and at 256 at least.  Each term is exact to about
+    eps E[S]**(1/2) (by Parseval), not summed from pmf terms, so the
+    rounding does not add up along the tail.  A law that needs more than
+    ``_SIZE_LAW_POINTS`` points (the decay rate says so, or the
+    transforms do) is None: at E[kappa] = 0.99 it would take 2**20 or
+    2**21.
     """
-    n = 1 << 8
-    while True:
-        # the roots on the upper half circle, by their angles j / n, exact in
-        # floats, a block at a time; the transform at the others is the conjugate
-        z = np.exp(2j * np.pi * (np.arange(n // 2 + 1) / n))
-        blocks = range(0, z.size, _POISSON_BLOCK)
-        g = np.concatenate([_hawkes_size_pgf(model, z[i : i + _POISSON_BLOCK]) for i in blocks])
-        # the tail's pgf, in place
-        g[1:] = (1.0 - g[1:]) / (1.0 - z[1:])
-        g[0] = 1.0 / (1.0 - model.target_mean_kappa)
-        tail = _dft(np.concatenate((g, np.conj(g[-2:0:-1])))).real / n
-        if np.abs(tail[n // 2 :]).max() < 2.0**-40:
+    rate = _hawkes_size_log_rate(model)
+    reach = -math.log(_SIZE_LAW_TAIL) / rate if rate > 0.0 else math.inf
+    if not 2.0 * reach <= _SIZE_LAW_POINTS:
+        return None
+    n = 1 << max(8, math.ceil(math.log2(reach)))
+    while n <= _SIZE_LAW_POINTS:
+        # the tail's pgf at the roots on the upper half circle, by their angles
+        # j / n, exact in floats, a block at a time; at the others it is the conjugate
+        values = np.empty(n, dtype=complex)
+        values[0] = 1.0 / (1.0 - model.target_mean_kappa)
+        for lo in range(1, n // 2 + 1, _SIZE_LAW_BLOCK):
+            j = np.arange(lo, min(lo + _SIZE_LAW_BLOCK, n // 2 + 1))
+            z = np.exp(2j * np.pi * (j / n))
+            values[j] = (1.0 - _hawkes_size_pgf(model, z)) / (1.0 - z)
+        values[n // 2 + 1 :] = np.conj(values[n // 2 - 1 : 0 : -1])
+        tail = _dft(values).real / n
+        if np.abs(tail[n // 2 :]).max() < _SIZE_LAW_TAIL:
             return tail
-        if n == _SIZE_LAW_POINTS:
-            raise ModelError(
-                f"E[kappa]={model.target_mean_kappa:g} is too near 1: the cluster size law "
-                f"needs more than {n} terms",
-                "target_mean_kappa",
-            )
         n *= 2
+    return None
 
 
 @lru_cache(maxsize=16)
-def _hawkes_size_table(model: JointMarkModel, limit: int) -> tuple[np.ndarray, np.ndarray]:
-    """P(S <= k), k = 0, 1, ... to the first 1.0 or to ``limit``, and its guide table.
+def _hawkes_size_table(model: JointMarkModel, limit: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """P(S <= k), k = 0, 1, ... to the first 1.0 or to ``limit``, and its guide table; None if S has no table.
 
     S is a HawkesLightIntensity cluster's total progeny (:func:`_hawkes_size_tail`);
     the rounding of its tail is kept from making the cdf decrease or pass
@@ -984,7 +1027,10 @@ def _hawkes_size_table(model: JointMarkModel, limit: int) -> tuple[np.ndarray, n
     table cut at ``limit`` ends with one more entry, 1.0: a uniform that
     inverts to ``limit + 1`` draws a cluster past the guard.
     """
-    cdf = np.maximum.accumulate(np.clip(1.0 - _hawkes_size_tail(model), 0.0, 1.0))
+    tail = _hawkes_size_tail(model)
+    if tail is None:
+        return None
+    cdf = np.maximum.accumulate(np.clip(1.0 - tail, 0.0, 1.0))
     cdf[0] = 0.0  # S >= 1
     cdf = cdf[: np.flatnonzero(cdf == 1.0)[0] + 1]
     if cdf.size > limit + 1:

@@ -210,7 +210,8 @@ class TestHawkesSizeLaw:
     def test_dft_is_numpy_fft(self, n):
         rs = np.random.default_rng(n)
         values = rs.random(n) + 1j * rs.random(n)
-        assert np.max(np.abs(heavytail._dft(values) - np.fft.fft(values))) < 1e-12
+        expected = np.fft.fft(values)
+        assert np.max(np.abs(heavytail._dft(values) - expected)) < 1e-12  # values is overwritten
 
     def test_table_is_cut_at_the_guard(self):
         model = hawkes_uniform(0.9)
@@ -221,11 +222,48 @@ class TestHawkesSizeLaw:
         assert np.array_equal(cut[:21], full[:21])
         assert guide.max() <= 21
 
-    def test_mean_too_near_one_refused(self, monkeypatch):
+    @pytest.mark.parametrize("kappa", [0.5, 0.9, 0.99, 0.999])
+    def test_log_rate_closed_forms(self, kappa):
+        # constant kappa = c: Borel sizes, R = e**(c - 1) / c; exponential kappa of
+        # mean mu: geometric children, R = (1 + mu)**2 / (4 mu)
+        got = heavytail._hawkes_size_log_rate(hawkes_constant(kappa))
+        assert got == pytest.approx(kappa - 1.0 - math.log(kappa), rel=1e-6)
+        got = heavytail._hawkes_size_log_rate(hawkes_exponential(kappa))
+        assert got == pytest.approx(2.0 * math.log1p(kappa) - math.log(4.0 * kappa), rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "make", [hawkes_constant, hawkes_uniform, hawkes_exponential], ids=["constant", "uniform", "exponential"]
+    )
+    def test_no_table_past_the_points(self, make, monkeypatch):
+        # the decay rate says so before any transform is made
+        monkeypatch.setattr(heavytail, "_dft", None)
+        assert heavytail._hawkes_size_tail(make(0.99)) is None
+        assert heavytail._hawkes_size_table(make(0.99), HP.max_cluster_events) is None
+
+    def test_no_table_when_the_transforms_pass_the_points(self, monkeypatch):
+        # a decay rate that errs short: the transforms double up to the points, then give up
+        monkeypatch.setattr(heavytail, "_hawkes_size_log_rate", lambda model: 1.0)
         monkeypatch.setattr(heavytail, "_SIZE_LAW_POINTS", 1 << 10)
-        with pytest.raises(ModelError) as exc_info:
-            heavytail._hawkes_size_tail(hawkes_constant(0.9))
-        assert exc_info.value.field == "target_mean_kappa"
+        assert heavytail._hawkes_size_tail(hawkes_constant(0.9)) is None
+
+    @pytest.mark.parametrize(
+        "make", [hawkes_constant, hawkes_uniform, hawkes_exponential], ids=["constant", "uniform", "exponential"]
+    )
+    def test_mean_near_one_runs(self, make):
+        # no table at E[kappa] = 0.99: the sizes are grown, with mean 1 / (1 - 0.99)
+        sizes = batch_functionals(make(0.99), HP, 20_000, RngStream(36, 0)).sizes
+        se = sizes.std() / math.sqrt(sizes.size)
+        assert abs(sizes.mean() - 100.0) < 4.0 * se
+
+    @pytest.mark.parametrize("seed", [37, 38])
+    def test_grown_sizes_match_the_cascade(self, seed, monkeypatch):
+        # two-sample KS on D, S and H, the grown route made to run at 0.7
+        monkeypatch.setattr(clusters, "_hawkes_size_table", lambda model, limit: None)
+        model, n = hawkes_uniform(0.7), 200_000
+        fast = batch_functionals(model, HP, n, RngStream(seed, 0))
+        slow = hawkes_cascade_functionals(model, n, RngStream(seed, 1))
+        for name in ("d", "sizes", "h"):
+            assert stats.ks_2samp(getattr(fast, name), slow[name]).pvalue > 0.001, name
 
     @pytest.mark.parametrize("seed", [21, 22])
     def test_sampled_sizes_chisquare(self, seed):
@@ -263,23 +301,27 @@ class TestHawkesSizeLaw:
         for name in ("d", "sizes", "h"):
             assert stats.ks_2samp(getattr(fast, name), slow[name]).pvalue > 0.001, name
 
-    def test_light_overflow_reports_replication(self):
-        # chunks hold 2**15 clusters at E[kappa] = 0.9; the guard is the
-        # largest size in the first, and the first seed whose first cluster
-        # past it lies past chunk 1 is used
-        model, n = hawkes_uniform(0.9), 200_000
+    @pytest.mark.parametrize("kappa, n", [(0.9, 200_000), (0.98, 40_000)], ids=["table", "grown"])
+    def test_light_overflow_reports_replication(self, kappa, n):
+        # the guard is the largest size in the first chunk, and the first seed
+        # whose first cluster past it lies past chunk 1 is used
+        model = hawkes_uniform(kappa)
+        chunk = clusters._functional_kernel(model, HP, n, ("sizes",))[1]
         for seed in range(24, 44):
             sizes = batch_functionals(
                 model, HawkesParams(max_cluster_events=10**7), n, RngStream(seed, 0), fields=("sizes",)
             ).sizes
-            limit = int(sizes[: 1 << 15].max())
+            limit = int(sizes[:chunk].max())
             past = np.flatnonzero(sizes > limit)
-            if past.size and past[0] >= 1 << 16:
+            if past.size and past[0] >= 2 * chunk:
                 break
         else:
             pytest.fail("no seed puts the first cluster past the guard past chunk 1")
-        cdf, _ = heavytail._hawkes_size_table(model, limit)
-        assert cdf.size == limit + 2  # the table is cut at the guard
+        table = heavytail._hawkes_size_table(model, limit)
+        if kappa == 0.9:
+            assert table[0].size == limit + 2  # the table is cut at the guard
+        else:
+            assert table is None  # the sizes are grown
         for workers in (1, 2):
             with pytest.raises(ClusterOverflow) as exc_info:
                 batch_functionals(

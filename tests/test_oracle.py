@@ -108,10 +108,12 @@ class TestRenewalSumOracle:
 
 class TestChoose:
     @pytest.mark.parametrize("seed", range(8))
-    def test_same_draws_as_generator_choice(self, seed):
-        # the dense compares invert the uniforms that choice draws, against its cdf
+    @pytest.mark.parametrize("points", [9, 300])
+    def test_same_draws_as_generator_choice(self, seed, points):
+        # the dense compares, and the search past _DENSE_POINTS, invert the
+        # uniforms that choice draws, against its cdf
         rs = np.random.default_rng(seed)
-        p = rs.random(int(rs.integers(1, 9)))
+        p = rs.random(int(rs.integers(1, points)))
         p[rs.random(p.size) < 0.3] = 0.0
         p[0] += p.sum() == 0
         p /= p.sum()

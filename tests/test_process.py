@@ -727,6 +727,7 @@ class TestChunkBudget:
             (JointMarkModel(Regime.COMONOTONE_COUNT, LAW), RP),
             (hawkes_config().model, HawkesParams()),
             (hawkes_config(kappa=0.9).model, HawkesParams()),
+            (hawkes_config(kappa=0.97).model, HawkesParams()),
             (hawkes_comonotone_config().model, HawkesParams(max_cluster_events=10**7)),
             (hawkes_comonotone_config(kappa=0.9).model, HawkesParams(max_cluster_events=10**7)),
         ],
@@ -737,6 +738,7 @@ class TestChunkBudget:
             "comonotone-count",
             "hawkes",
             "hawkes-0.9",
+            "hawkes-grown-0.97",
             "hawkes-comonotone",
             "hawkes-comonotone-0.9",
         ],
