@@ -45,7 +45,6 @@ from .heavytail import (
     JointMarkModel,
     MarkPair,
     ModelConstants,
-    OracleSpec,
     ParetoLaw,
     Regime,
     model_constants,

@@ -27,7 +27,6 @@ from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .clusters import (
@@ -58,7 +57,6 @@ from .heavytail import (
     Constant,
     Exponential,
     JointMarkModel,
-    OracleSpec,
     ParetoLaw,
     Regime,
     denominator_label,
@@ -296,29 +294,12 @@ def _parse_grid(config: dict) -> QuantileGrid:
         raise ConfigError(str(exc), "grid.levels") from None
 
 
-# cache_dir names the oracle disk cache of older configs: accepted, and unused
-_ORACLE_KEYS = {"size": _count, "seed": _seed, "cache_dir": None}
-
-
-def _parse_joint(config: dict) -> OracleSpec | None:
-    """The MC oracle of the sum denominators' joint term; None when it is in closed form."""
-    joint = config.get("joint", "closed")
-    if joint not in ("closed", "mc"):
-        raise ConfigError("joint must be 'closed' or 'mc'", "joint")
-    oracle = OracleSpec(**_given(_section(config, "oracle", ""), "oracle", _ORACLE_KEYS))
-    return oracle if joint == "mc" else None
-
-
 def _parse_tail_ratio(config: ExperimentConfig):
     _count(config.clusters, "clusters", 2)  # one cluster gives no standard error
     functional = config.raw.get("functional", "max")
     if functional not in ("max", "sum"):
         raise ConfigError("functional must be 'max' or 'sum'", "functional")
-    grid = _parse_grid(config.raw)
-    oracle = _parse_joint(config.raw)
-    if functional == "max" and oracle is not None:
-        raise ConfigError("joint 'mc' needs functional 'sum': the max has no joint term", "joint")
-    return functional, grid, oracle
+    return functional, _parse_grid(config.raw)
 
 
 def _x_grid(value, field: str) -> list[float]:
@@ -538,7 +519,7 @@ def _run_cluster_tails(config: ExperimentConfig, rng: RngStream, grid: QuantileG
     return _csv("functional,level,x,exceedances,survival,ci_low,ci_high,certified", rows), summary
 
 
-def _run_tail_ratio(config: ExperimentConfig, rng: RngStream, functional, grid, oracle):
+def _run_tail_ratio(config: ExperimentConfig, rng: RngStream, functional, grid):
     top = TailFold(grid.kept(config.clusters))
     folds = [("h" if functional == "max" else "d", top)]
     sizes = None
@@ -552,7 +533,6 @@ def _run_tail_ratio(config: ExperimentConfig, rng: RngStream, functional, grid, 
         config.model,
         functional,
         grid,
-        oracle=oracle,
         size_tally=None if sizes is None else sizes.tally,
     )
     summary = {
@@ -740,8 +720,8 @@ def _run_ldp_max(config: ExperimentConfig, rng: RngStream, sweep: SweepConfig):
     return _csv(_SWEEP_COLUMNS, _attrs(_SWEEP_COLUMNS, rows)), summary
 
 
-def _run_ldp_sum(config: ExperimentConfig, rng: RngStream, sweep: SweepConfig, oracle):
-    rows = ldp_sum_sweep(sweep, rng, workers=config.workers, oracle=oracle)
+def _run_ldp_sum(config: ExperimentConfig, rng: RngStream, sweep: SweepConfig):
+    rows = ldp_sum_sweep(sweep, rng, workers=config.workers)
     summary = {**sweep_summary(rows), "centring": SUM_CENTRING}
     return _csv(_SWEEP_COLUMNS, _attrs(_SWEEP_COLUMNS, rows)), summary
 
@@ -759,6 +739,8 @@ def _run_leftover(config: ExperimentConfig, rng: RngStream, sweep: SweepConfig):
 # workers and output_dir; its parse, which reads the config and draws no
 # randomness; and its run.  The runs call the library through this module's
 # globals at call time, so a wrapper set on one of them reaches every run.
+# "joint" and "oracle" chose the Monte Carlo route of older configs to the
+# sum denominators' joint term: accepted, and unread, since it is exact.
 _MODEL = ("model", "cluster")
 _EXPERIMENTS = {
     "cluster-tails": (
@@ -775,11 +757,7 @@ _EXPERIMENTS = {
     "tauberian": ((*_MODEL, "clusters", "tauberian"), _parse_tauberian, _run_tauberian),
     "oracle-compare": (("clusters", "discrete"), _parse_discrete, _run_oracle_compare),
     "ldp-max": ((*_MODEL, "window", "ldp"), _parse_sweep, _run_ldp_max),
-    "ldp-sum": (
-        (*_MODEL, "window", "ldp", "joint", "oracle"),
-        lambda config: (*_parse_sweep(config), _parse_joint(config.raw)),
-        _run_ldp_sum,
-    ),
+    "ldp-sum": ((*_MODEL, "window", "ldp", "joint", "oracle"), _parse_sweep, _run_ldp_sum),
     "leftover": ((*_MODEL, "window", "leftover"), _parse_sweep, _run_leftover),
 }
 EXPERIMENTS = tuple(_EXPERIMENTS)
@@ -822,7 +800,6 @@ def run(config_path: str | Path, workers: int | None = None, output_dir: str | N
         "versions": {
             "cluster_tails": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": platform.python_version(),
         },
         "wall_time_s": round(time.time() - started, 3),

@@ -34,7 +34,6 @@ import numpy as np
 from .errors import DegenerateTail, InsufficientExceedances, UnstableEstimate
 from .heavytail import (
     JointMarkModel,
-    OracleSpec,
     denominator_label,
     model_constants,
     theoretical_denominator,
@@ -370,7 +369,6 @@ def ratio_curve(
     functional: str,
     grid: QuantileGrid = QuantileGrid(),
     *,
-    oracle: OracleSpec | None = None,
     size_tally: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> RatioCurve:
     """Empirical survival of the sample against the model's tail asymptotics.
@@ -378,8 +376,7 @@ def ratio_curve(
     ``functional`` ('max' or 'sum') and the model's family pick the
     denominator (see :func:`~cluster_tails.heavytail.theoretical_denominator`).
     The confidence band propagates only the numerator's Monte Carlo error;
-    the denominator is exact, or, when ``oracle`` is given, the MC oracle
-    drawn as it says, whose size and seed the curve's provenance records.
+    the denominator is exact.
 
     The numerator is the exceedance fraction of ``sample`` with its Wilson
     band, unless ``size_tally`` gives the sizes of the clusters whose
@@ -407,11 +404,8 @@ def ratio_curve(
         raise InsufficientExceedances(
             float(xs[-1]), int(counts[-1]), grid.min_exceedances
         )
-    denom = np.asarray(theoretical_denominator(model, functional, xs, oracle=oracle))
-    route = "closed"
-    if oracle is not None:
-        route = f"mc oracle_size={oracle.size} oracle_seed={oracle.seed}"
-    provenance = f"denominator={denominator_label(model, functional)} joint={route}"
+    denom = np.asarray(theoretical_denominator(model, functional, xs))
+    provenance = f"denominator={denominator_label(model, functional)} joint=closed"
     if estimate is not None:
         provenance += " estimator=conditional"
     return RatioCurve(

@@ -69,7 +69,6 @@ from .estimate import (
 )
 from .heavytail import (
     JointMarkModel,
-    OracleSpec,
     ParetoLaw,
     Regime,
     model_constants,
@@ -182,29 +181,25 @@ def _sweep_rows(
     ]
 
 
-def _normalizer(
-    config: SweepConfig, functional: str, horizon: float, grid: np.ndarray, oracle: OracleSpec | None = None
-) -> np.ndarray:
+def _normalizer(config: SweepConfig, functional: str, horizon: float, grid: np.ndarray) -> np.ndarray:
     """What a sweep of ``functional`` divides its tail at T = ``horizon`` by, on ``grid``.
 
     The max's is nu T E[cluster size] P(X > x), where nu T E[cluster size]
     counts the points of the clusters that start by T, those after T too:
     it is not E[N_T].  The sum's is nu T times the cluster-sum tail
-    approximation, whose joint term is in closed form or the MC oracle
-    that ``oracle`` gives.
+    approximation, whose joint term is in closed form.
     """
     model, nu_t = config.window.model, config.window.nu * horizon
     if functional == "max":
         return nu_t * model_constants(model).mean_cluster_size * np.asarray(model.mark_law.survival(grid))
-    return nu_t * np.asarray(theoretical_denominator(model, "sum", grid, oracle=oracle))
+    return nu_t * np.asarray(theoretical_denominator(model, "sum", grid))
 
 
 def check_left_edges(config: SweepConfig, functional: str) -> None:
-    """Raise ModelError on ``horizons`` where the closed-form normalizer is 0 at gamma*nu*T.
+    """Raise ModelError on ``horizons`` where the normalizer is 0 at gamma*nu*T.
 
     Each grid starts there, so an underflow would make a horizon's every
-    ratio nan.  The closed form stands in for an MC oracle too: no
-    randomness is drawn.
+    ratio nan.  No randomness is drawn.
     """
     for horizon in map(float, config.horizons):
         x = config.gamma * config.window.nu * horizon
@@ -257,19 +252,12 @@ def ldp_max_sweep(
 SUM_CENTRING = "exact Campbell mean: E[S_T] = E[X] E[N_T], with E[N_T] in closed form"
 
 
-def ldp_sum_sweep(
-    config: SweepConfig,
-    rng: RngStream,
-    workers: int = 1,
-    *,
-    oracle: OracleSpec | None = None,
-) -> list[SweepRow]:
+def ldp_sum_sweep(config: SweepConfig, rng: RngStream, workers: int = 1) -> list[SweepRow]:
     """Ratio of the centred-sum tail to the cluster-sum normalizer, per horizon.
 
     The centring is :data:`SUM_CENTRING`; the tail is the exceedance
     fraction of S_T - E[S_T] with its Wilson band.  The normalizer's joint
-    term is in closed form, or the MC oracle that ``oracle`` gives.
-    :func:`check_left_edges` runs first.
+    term is in closed form.  :func:`check_left_edges` runs first.
     """
     check_left_edges(config, "sum")
     window, horizons = config.window, config.horizons
@@ -279,7 +267,7 @@ def ldp_sum_sweep(
     for horizon, mean, s in zip(horizons, means, sums["sum_in_window"]):
         sample = TailSample.from_values(s - float(mean))
         grid = _horizon_grid(config, horizon, sample)
-        denom = _normalizer(config, "sum", float(horizon), grid, oracle)
+        denom = _normalizer(config, "sum", float(horizon), grid)
         rows.extend(_sweep_rows(config, horizon, sample, grid, denom))
     return rows
 

@@ -239,6 +239,9 @@ def truncated_hawkes_sum_tail(model: DiscreteJointModel, x: float) -> tuple[floa
     rows = [(int(round(x0 / step)), kappa, p) for x0, kappa, p in model.support]
     kappas = np.array([kappa for _, kappa, _ in rows])
     mc = model.max_children
+    # P(l children) for each row, l = 0..mc, and P(more than mc): the same at every depth
+    child_pmf = [_poisson_pmf(l, kappas)[:, None] for l in range(mc + 1)]
+    dropped = _poisson_sf(mc, kappas)
 
     # depth-budget 0: resolved iff the node asks for no children at all
     resolved = np.zeros(cap + 1)
@@ -258,16 +261,15 @@ def truncated_hawkes_sum_tail(model: DiscreteJointModel, x: float) -> tuple[floa
         tot_pow = res_pow
         res_mix = np.zeros((len(rows), cap + 1))
         tot_mix = np.zeros((len(rows), cap + 1))
-        for l in range(mc + 1):
+        for l, pl in enumerate(child_pmf):
             if l:
                 res_pow = _bconv(res_pow, resolved, cap)
                 tot_pow = _bconv(tot_pow, total_child, cap)
-            pl = _poisson_pmf(l, kappas)[:, None]  # P(l children) for each row
             res_mix += pl * res_pow
             tot_mix += pl * tot_pow
         cut_mix = tot_mix - res_mix
         cut_mix[cut_mix < 0] = 0.0
-        cut_mix[:, 0] += _poisson_sf(mc, kappas)  # children dropped entirely: partial sum += 0
+        cut_mix[:, 0] += dropped  # children dropped entirely: partial sum += 0
         resolved = np.zeros(cap + 1)
         cut = np.zeros(cap + 1)
         for (idx, _, p), res_row, cut_row in zip(rows, res_mix, cut_mix):

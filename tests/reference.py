@@ -4,7 +4,8 @@ Each sampler draws one cluster event by event, with its times, marks and
 family tree, from scalar draws.  The tests check the vectorized batch and
 window kernels of the package against these, as an independent route.  The
 joint tails P(X + c K > x) are computed one x at a time, by a series or a
-walk over slices, against the package's forms that take a whole grid.  The
+walk over slices, against the package's forms that take a whole grid, and
+by a Monte Carlo oracle drawn from its own seed.  The
 exact cluster-max laws of the regimes with independent marks, by their
 pgfs, check the conditional estimator of the cluster-max tail; the exact
 window-max law of a Poisson-count renewal model checks the ldp-max sweep's.
@@ -19,13 +20,14 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import ceil, comb, exp, expm1, factorial, floor, log1p, sqrt
 
 import numpy as np
 from scipy.optimize import brentq
 from scipy.special import gammainc, gammaln
 
-from cluster_tails.clusters import HawkesParams, RenewalParams
+from cluster_tails.clusters import HawkesParams, RenewalParams, _chunk_size, chunked_map
 from cluster_tails.errors import ClusterOverflow, ModelError
 from cluster_tails.heavytail import (
     BoundedUniform,
@@ -251,6 +253,45 @@ def comonotone_count_joint_tail(model: JointMarkModel, c: float, x: float) -> fl
             total += float(law.survival(threshold)) - float(law.survival(float(k)))
         k += 1
     return min(1.0, total)
+
+
+@dataclass(frozen=True)
+class OracleSpec:
+    """How to draw the MC-oracle joint tails: sample size and seed."""
+
+    size: int = 10_000_000
+    seed: int = 0
+
+
+# an oracle chunk's tracemalloc peak per draw: X, the count and their sum.
+# Measured at 24.0 to 24.3 B, and 32.0 B where the count is ceil(Pareto)
+_ORACLE_DRAW_BYTES = 33
+
+
+def _oracle_counts(model: JointMarkModel, c: float, xs: np.ndarray, m: int, rng: RngStream):
+    """How many of m joint draws have X + c*count > x, for each x of ``xs``."""
+    gen = rng.generator
+    pair = sample_joint(model, gen, gen, m)
+    # the same sums as x + c * float(count), built and sorted in one array
+    total = np.multiply(pair.count, c, dtype=float)
+    total += pair.x
+    del pair
+    total.sort()
+    return m - np.searchsorted(total, xs, side="right")
+
+
+def joint_tail_mc(model: JointMarkModel, c: float, x, spec: OracleSpec) -> np.ndarray:
+    """P(X + c*count > x) by high-precision MC: ``spec.size`` draws from ``spec.seed``.
+
+    The draws depend only on the model and the spec, so a rerun reproduces
+    the probabilities bit for bit.
+    """
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    kernel = partial(_oracle_counts, model, c, xs)
+    chunk = _chunk_size(_ORACLE_DRAW_BYTES, 1 << 12, 1 << 20)
+    # root 1: an experiment runs on root 0, so at equal seeds the two share no draws
+    parts = chunked_map(kernel, spec.size, chunk, RngStream(spec.seed, 1))
+    return sum(parts, np.zeros(len(xs), dtype=np.int64)) / float(spec.size)
 
 
 def renewal_cluster_max_tail(model: JointMarkModel, x: float) -> float:

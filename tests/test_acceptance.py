@@ -25,7 +25,6 @@ from cluster_tails.heavytail import (
     BoundedUniform,
     Exponential,
     JointMarkModel,
-    OracleSpec,
     ParetoLaw,
     Regime,
     count_survival,
@@ -126,14 +125,7 @@ class TestCriterion2RenewalSum:
 
     def test_2c_tail_equivalent(self, tmp_path):
         fs = batch_functionals(TAIL_EQUIVALENT, RP, N_CLUSTERS, RngStream(403, 0))
-        spec = OracleSpec(size=10_000_000, seed=0)
-        curve = ratio_curve(
-            TailSample.from_values(fs.d),
-            TAIL_EQUIVALENT,
-            "sum",
-            GRID,
-            oracle=spec,
-        )
+        curve = ratio_curve(TailSample.from_values(fs.d), TAIL_EQUIVALENT, "sum", GRID)
         ok = bool(np.all((curve.ratio >= 0.80) & (curve.ratio <= 1.20)))
 
         # adjudicate the tail-equivalent constant: the limit of

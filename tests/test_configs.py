@@ -31,7 +31,7 @@ REDUCED = {
     "oracle-compare.json": {"clusters": 300_000},
     "tail-ratio-hawkes-sum.json": {"clusters": 600_000},
     "tail-ratio-renewal-max.json": {"clusters": 600_000},
-    "tail-ratio-tail-equivalent-mc.json": {"clusters": 600_000, "oracle": {"size": 1_100_000}},
+    "tail-ratio-tail-equivalent.json": {"clusters": 600_000},
     "tauberian.json": {"clusters": 300_000},
 }
 
@@ -69,9 +69,9 @@ PINNED = {
         "c3daa454bd206bd5be621f4bd9b7a292642584f74124d8a101c470049bb49a9b",
         "065c7859e18637d2ea54d731d6c7a22cda4f095a9bc56713d00379b5ed87f0ea",
     ),
-    "tail-ratio-tail-equivalent-mc.json": (
-        "0a0d3d22bbd9d063208d10ddb0258cfa9ccd4d04753cc95acc1a5dfa13a0ebcf",
-        "ab73f831035dc3efdb0f4bc0458dece80788bd077d1c0333aa94d64e941cb2d9",
+    "tail-ratio-tail-equivalent.json": (
+        "84f547e8932537f44ef085a125ec2cfaf9814c751ab1468d2efa86ca348443f8",
+        "9923e9fd19a8266efebfc75a1001ec3de38c263644a734984b06e85f0be03e3a",
     ),
     "tauberian.json": (
         "051eb39ca0aa751c8212db31430eaf6643936abc1f9220281e74c0b0d1f2861e",

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
-from cluster_tails import clusters, heavytail
+from cluster_tails import heavytail
 from cluster_tails.clusters import HawkesParams, RenewalParams, batch_functionals
 from cluster_tails.errors import InfiniteMean, ModelError, SupercriticalModel
 from cluster_tails.heavytail import (
@@ -17,7 +17,6 @@ from cluster_tails.heavytail import (
     Constant,
     Exponential,
     JointMarkModel,
-    OracleSpec,
     ParetoLaw,
     Regime,
     _hurwitz_zeta,
@@ -30,13 +29,18 @@ from cluster_tails.heavytail import (
     count_survival,
     denominator_label,
     joint_tail_exact,
-    joint_tail_mc,
     model_constants,
     sample_joint,
     theoretical_denominator,
 )
 from cluster_tails.rng import RngStream
-from reference import comonotone_count_joint_tail, independent_count_joint_tail, sample_variance_z
+from reference import (
+    OracleSpec,
+    comonotone_count_joint_tail,
+    independent_count_joint_tail,
+    joint_tail_mc,
+    sample_variance_z,
+)
 
 LAW = ParetoLaw(1.0, 1.5)
 
@@ -574,6 +578,60 @@ class TestJointTailExact:
         assert count_survival(m, 1.0) == 1.0
 
 
+class TestExponentialIntensityJointTail:
+    """The exponential-kappa Hawkes joint tail against adaptive quadrature over kappa.
+
+    P(X + c kappa > x) = e^{-rate u_m} + the integral over [0, u_m] of
+    rate e^{-rate u} P(X > x - c u), u_m = (x - m) / c past which every
+    mark clears x.  quad is given the u where x - c u crosses the law's
+    edges, and 2^k times kappa's mean, where the weight changes scale.
+    """
+
+    # each law with its scale, where the x grid starts
+    LAWS = [
+        (ParetoLaw(1.0, 1.5), 1.0),
+        (Exponential(1.0), 1.0),
+        (Constant(1.0), 1.0),
+        (BoundedUniform(0.5, 2.0), 0.5),
+    ]
+
+    @staticmethod
+    def reference(law, rate, c, x):
+        m = law.support_min
+        if x <= m:
+            return 1.0
+        u_m = (x - m) / c
+        edges = [(x - e) / c for e in (getattr(law, "hi", None),) if e is not None and m < e < x]
+        # with the edges alone, or 1 and 10 times kappa's mean, quad misses up to 5e-5 of a Pareto tail
+        scales = [2.0**k / rate for k in range(64) if 2.0**k / rate < u_m]
+        val, _ = integrate.quad(
+            lambda u: rate * np.exp(-rate * u) * float(law.survival(x - c * u)),
+            0.0,
+            u_m,
+            points=edges + scales,
+            epsabs=0,
+            epsrel=1e-12,
+            limit=500,
+        )
+        return val + np.exp(-rate * u_m)
+
+    def test_gauss_legendre_rule_is_numpys(self):
+        want_nodes, want_weights = np.polynomial.legendre.leggauss(16)
+        nodes, weights = heavytail._gauss_legendre(16)
+        np.testing.assert_allclose(nodes, (want_nodes + 1.0) / 2.0, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(weights, want_weights / 2.0, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("kappa", [1e-12, 0.05, 0.5, 0.95])
+    @pytest.mark.parametrize("law, scale", LAWS, ids=[repr(law) for law, _ in LAWS])
+    def test_against_quadrature(self, law, scale, kappa):
+        model = JointMarkModel(Regime.HAWKES_LIGHT_INTENSITY, law, Exponential(1.0), target_mean_kappa=kappa)
+        c = model_constants(model).sum_shift_hawkes
+        xs = np.geomspace(scale, 1e4, 25)
+        want = [self.reference(law, 1.0 / kappa, c, x) for x in xs]
+        # below the smallest normal float a result keeps no relative digits
+        np.testing.assert_allclose(joint_tail_exact(model, c, xs), want, rtol=1e-10, atol=np.finfo(float).tiny)
+
+
 class TestSurvivalIntegral:
     LAWS = [
         ParetoLaw(1.0, 1.5),
@@ -812,7 +870,7 @@ class TestMixedPoisson:
         assert abs(sample_variance_z(y.astype(float), mu / 2 + mu * mu / 12)) < 4
 
 
-class TestOracleCache:
+class TestReferenceOracle:
     def test_cache_round_trip(self):
         model = tail_equivalent()
         spec = OracleSpec(size=200_000, seed=9)
@@ -821,24 +879,6 @@ class TestOracleCache:
         assert np.array_equal(probs, joint_tail_mc(model, 3.0, xs, spec))
         exact = np.asarray(joint_tail_exact(model, 3.0, xs))
         assert np.all(np.abs(probs - exact) < 6 * np.sqrt(exact / spec.size) + 1e-4)
-
-    def test_shares_no_draws_with_the_experiment(self, monkeypatch):
-        # at equal seeds (0 is the default oracle seed) the oracle's chunk 0
-        # and a batch run's chunk 0 draw from different streams
-        model, seen = tail_equivalent(), []
-
-        def recording(model, marks, counts, size=None):
-            pair = sample_joint(model, marks, counts, size)
-            seen.append(np.array(pair.x))
-            return pair
-
-        monkeypatch.setattr(heavytail, "sample_joint", recording)
-        monkeypatch.setattr(clusters, "sample_joint", recording)
-        joint_tail_mc(model, 3.0, 5.0, OracleSpec(size=4096, seed=0))
-        batch_functionals(model, RenewalParams(Exponential(1.0)), 4096, RngStream(0, 0))
-        oracle_x, experiment_x = seen
-        assert oracle_x.size == experiment_x.size == 4096
-        assert np.intersect1d(oracle_x, experiment_x).size == 0
 
 
 class TestRngStream:

@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cluster_tails import heavytail, ldp, process
+from cluster_tails import ldp, process
 from cluster_tails.clusters import HawkesParams, RenewalParams
 from cluster_tails.cli import _LEFTOVER_COLUMNS, _SWEEP_COLUMNS, _attrs, _csv, run
 from cluster_tails.errors import ModelError
@@ -21,7 +21,6 @@ from cluster_tails.heavytail import (
     BoundedUniform,
     Exponential,
     JointMarkModel,
-    OracleSpec,
     ParetoLaw,
     Regime,
     model_constants,
@@ -428,17 +427,8 @@ class TestSweepValidation:
             sweep_config(horizons=(10.0, 10.0))
         assert exc_info.value.field == "horizons"
 
-    @pytest.mark.parametrize(
-        "sweep, horizon, options",
-        [
-            (ldp_max_sweep, 1600.0, {}),
-            (ldp_sum_sweep, 2100.0, {}),
-            (ldp_sum_sweep, 2100.0, {"oracle": OracleSpec(size=1000)}),
-        ],
-    )
-    def test_zero_normalizer_at_a_left_edge_rejected_before_simulating(
-        self, monkeypatch, sweep, horizon, options
-    ):
+    @pytest.mark.parametrize("sweep, horizon", [(ldp_max_sweep, 1600.0), (ldp_sum_sweep, 2100.0)])
+    def test_zero_normalizer_at_a_left_edge_rejected_before_simulating(self, monkeypatch, sweep, horizon):
         # exponential marks: P(X > gamma nu T) underflows to 0 at gamma nu T = 800
         model = JointMarkModel(Regime.INDEPENDENT_LIGHT_COUNT, Exponential(1.0), 2.0)
         config = SweepConfig(WindowConfig(model, RP, 1.0), (100.0, horizon), replications=10_000)
@@ -447,9 +437,8 @@ class TestSweepValidation:
             raise AssertionError("the sweep drew randomness before rejecting its horizons")
 
         monkeypatch.setattr(ldp, "sweep_windows", no_draws)
-        monkeypatch.setattr(heavytail, "joint_tail_mc", no_draws)
         with pytest.raises(ModelError) as exc_info:
-            sweep(config, RngStream(1, 0), **options)
+            sweep(config, RngStream(1, 0))
         assert exc_info.value.field == "horizons"
         assert f"T = {horizon:g}, x = {0.5 * horizon:g}" in exc_info.value.message
 

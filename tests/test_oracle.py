@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cluster_tails import oracle
 from cluster_tails.errors import LatticeMismatch, ModelError
 from cluster_tails.oracle import (
     DiscreteJointModel,
@@ -183,6 +184,22 @@ class TestHawkesBracket:
         assert all(
             a >= b - 1e-15 for a, b in zip(widths_by_children, widths_by_children[1:])
         )
+
+    def test_child_counts_priced_once_a_bracket(self, monkeypatch):
+        # the Poisson terms of a row's child count do not depend on the depth
+        calls, pmf = [], oracle._poisson_pmf
+
+        def counted(k, mu):
+            calls.append(k)
+            return pmf(k, mu)
+
+        model = DiscreteJointModel(
+            kind="hawkes", support=((1.0, 0.4, 0.5), (2.0, 0.7, 0.5)), max_children=6, max_depth=8
+        )
+        want = truncated_hawkes_sum_tail(model, 5.0)
+        monkeypatch.setattr(oracle, "_poisson_pmf", counted)
+        assert truncated_hawkes_sum_tail(model, 5.0) == want
+        assert calls == list(range(model.max_children + 1))
 
     def test_negative_x_rejected(self):
         # D >= 0, so P(D > -1) = 1; the lattice would miss the mass at a zero mark

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from cluster_tails import clusters, heavytail, oracle, process
+from cluster_tails import clusters, oracle, process
 from cluster_tails.clusters import HawkesParams, RenewalParams, batch_functionals, chunked_fill
 from cluster_tails.errors import ClusterOverflow, ModelError
 from cluster_tails.heavytail import (
@@ -755,26 +755,6 @@ class TestChunkBudget:
         ]
         assert picks[0][1] == picks[1][1]
         kernel, chunk = picks[1]
-        assert chunk_peak(kernel, chunk) <= clusters._CHUNK_BYTES
-
-    @pytest.mark.parametrize(
-        "model",
-        [
-            JointMarkModel(Regime.INDEPENDENT_LIGHT_COUNT, LAW, 2.0),
-            JointMarkModel(Regime.INDEPENDENT_TAIL_EQUIVALENT, LAW, LAW),
-            hawkes_comonotone_config().model,
-        ],
-        ids=["poisson-count", "pareto-count", "hawkes-comonotone"],
-    )
-    def test_mc_oracle(self, monkeypatch, model):
-        spec = heavytail.OracleSpec(size=1 << 22, seed=5)
-        xs = np.geomspace(10.0, 1e3, 5)
-        kernel, chunk = picked_chunk(
-            monkeypatch,
-            clusters,
-            "chunked_map",
-            lambda: heavytail.joint_tail_mc(model, 1.5, xs, spec),
-        )
         assert chunk_peak(kernel, chunk) <= clusters._CHUNK_BYTES
 
     @pytest.mark.parametrize(
