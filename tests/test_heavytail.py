@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
-from cluster_tails import heavytail
+from cluster_tails import clusters, heavytail
 from cluster_tails.clusters import HawkesParams, RenewalParams, batch_functionals
 from cluster_tails.errors import InfiniteMean, ModelError, SupercriticalModel
 from cluster_tails.heavytail import (
@@ -34,6 +34,7 @@ from cluster_tails.heavytail import (
     theoretical_denominator,
 )
 from cluster_tails.rng import RngStream
+import reference
 from reference import (
     OracleSpec,
     comonotone_count_joint_tail,
@@ -879,6 +880,24 @@ class TestReferenceOracle:
         assert np.array_equal(probs, joint_tail_mc(model, 3.0, xs, spec))
         exact = np.asarray(joint_tail_exact(model, 3.0, xs))
         assert np.all(np.abs(probs - exact) < 6 * np.sqrt(exact / spec.size) + 1e-4)
+
+    def test_shares_no_draws_with_the_experiment(self, monkeypatch):
+        # at equal seeds (0 is the default oracle seed) the oracle's chunk 0
+        # and a batch run's chunk 0 draw from different streams
+        model, seen = tail_equivalent(), []
+
+        def recording(model, marks, counts, size=None):
+            pair = sample_joint(model, marks, counts, size)
+            seen.append(np.array(pair.x))
+            return pair
+
+        monkeypatch.setattr(reference, "sample_joint", recording)
+        monkeypatch.setattr(clusters, "sample_joint", recording)
+        joint_tail_mc(model, 3.0, 5.0, OracleSpec(size=4096, seed=0))
+        batch_functionals(model, RenewalParams(Exponential(1.0)), 4096, RngStream(0, 0))
+        oracle_x, experiment_x = seen
+        assert oracle_x.size == experiment_x.size == 4096
+        assert np.intersect1d(oracle_x, experiment_x).size == 0
 
 
 class TestRngStream:

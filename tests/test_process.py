@@ -36,6 +36,7 @@ from cluster_tails.heavytail import (
 from cluster_tails.ldp import SweepConfig, ldp_max_sweep, leftover_scaling
 from cluster_tails.process import WINDOW_FIELDS, WindowConfig, sweep_windows
 from cluster_tails.rng import RngStream
+import reference
 from reference import (
     functional_max,
     functional_sum,
@@ -755,6 +756,26 @@ class TestChunkBudget:
         ]
         assert picks[0][1] == picks[1][1]
         kernel, chunk = picks[1]
+        assert chunk_peak(kernel, chunk) <= clusters._CHUNK_BYTES
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            JointMarkModel(Regime.INDEPENDENT_LIGHT_COUNT, LAW, 2.0),
+            JointMarkModel(Regime.INDEPENDENT_TAIL_EQUIVALENT, LAW, LAW),
+            hawkes_comonotone_config().model,
+        ],
+        ids=["poisson-count", "pareto-count", "hawkes-comonotone"],
+    )
+    def test_mc_oracle(self, monkeypatch, model):
+        spec = reference.OracleSpec(size=1 << 22, seed=5)
+        xs = np.geomspace(10.0, 1e3, 5)
+        kernel, chunk = picked_chunk(
+            monkeypatch,
+            reference,
+            "chunked_map",
+            lambda: reference.joint_tail_mc(model, 1.5, xs, spec),
+        )
         assert chunk_peak(kernel, chunk) <= clusters._CHUNK_BYTES
 
     @pytest.mark.parametrize(
