@@ -63,7 +63,7 @@ from .oracle import (
     DiscreteJointModel,
     exact_renewal_max_tail,
     exact_renewal_sum_tail,
-    truncated_hawkes_sum_tail,
+    hawkes_sum_tail,
 )
 from .process import WindowConfig, sweep_windows
 from .rng import RngStream

@@ -75,13 +75,13 @@ from .ldp import (
 )
 from .oracle import (
     DiscreteJointModel,
-    _bracket_lattice,
+    _hawkes_lattice,
     exact_renewal_max_distribution,
     exact_renewal_max_tail,
     exact_renewal_sum_distribution,
     exact_renewal_sum_tail,
+    hawkes_sum_tail,
     renewal_functional_chunks,
-    truncated_hawkes_sum_tail,
 )
 from .process import WindowConfig, check_mean_events
 from .rng import RngStream
@@ -313,8 +313,10 @@ def _parse_discrete(config: ExperimentConfig):
     """The discrete model, and the hawkes kind's x grid (None for the renewal kind).
 
     The renewal kind reads an offspring mark table; the hawkes kind redraws
-    every node from the joint table, and reads its truncation and x grid.
-    Each x of the grid must give a bracket small enough to compute.
+    every node from the joint table, and reads its x grid, whose largest x
+    must fit the transform's lattice cells.  Its ``max_children`` and
+    ``max_depth``, the truncation of the bracket that older configs printed,
+    are checked as whole numbers >= 0 and unread.
     """
     section = _section(config.raw, "discrete", "", required=True)
     kind = section.get("kind", "renewal")
@@ -322,21 +324,19 @@ def _parse_discrete(config: ExperimentConfig):
     extra = ("max_children", "max_depth", "x_grid") if hawkes else ("offspring",)
     _known(section, "discrete", ("kind", "support", *extra))
     x_grid = _x_grid(_req(section, "x_grid", "discrete"), "discrete.x_grid") if hawkes else None
-    bounds = {
-        k: _count(section.get(k, 0), f"discrete.{k}", 0) for k in ("max_children", "max_depth")
-    }
+    for k in ("max_children", "max_depth"):
+        _count(section.get(k, 0), f"discrete.{k}", 0)
     try:
         model = DiscreteJointModel(
             kind=kind,
             support=tuple(tuple(map(float, row)) for row in _req(section, "support", "discrete")),
             offspring_support=tuple(tuple(map(float, row)) for row in section.get("offspring", [])),
-            **bounds,
         )
     except (ModelError, ValueError, TypeError) as exc:
         raise ConfigError(str(exc), "discrete") from None
-    for x in x_grid or ():
+    if hawkes:
         try:
-            _bracket_lattice(model, x)
+            _hawkes_lattice(model, max(x_grid))
         except LatticeMismatch as exc:
             raise ConfigError(str(exc), "discrete") from None
         except ModelError as exc:
@@ -631,8 +631,8 @@ def _run_tauberian(config: ExperimentConfig, rng: RngStream, source: str, alpha,
 def _run_oracle_compare(config: ExperimentConfig, rng: RngStream, model, x_grid):
     n = config.clusters
     if model.kind == "hawkes":
-        header = "x,lower,upper"
-        rows = [(x, *truncated_hawkes_sum_tail(model, x)) for x in x_grid]
+        header = "x,exact,lower,upper"
+        rows = [(x, *tail) for x, tail in zip(x_grid, hawkes_sum_tail(model, x_grid))]
         brackets = [dict(zip(header.split(","), row)) for row in rows]
         return _csv(header, rows), {"kind": "hawkes", "brackets": brackets}
     laws = {

@@ -938,8 +938,8 @@ def _dft(values: np.ndarray) -> np.ndarray:
     Row k of the array at each pass is frequency k of the transforms of
     the subsequences that its columns start, so no bit reversal is needed.
     The passes go back and forth between ``values``, which is overwritten,
-    and one more array of n.  It is ``numpy.fft.fft``, without importing
-    ``numpy.fft`` in a run.
+    and one more array of n.  It is numpy's own fft, without importing
+    numpy's fft module in a run.
     """
     x = values.reshape(1, -1)
     spare = np.empty_like(x)

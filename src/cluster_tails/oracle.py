@@ -2,9 +2,8 @@
 
 These oracles are the ground truth the simulators are checked against: the
 renewal max tail by direct enumeration, the renewal sum tail by exact
-lattice convolution, and the Hawkes sum tail by a rigorous bracket over a
-truncated branching tree (the Poisson offspring law is unbounded, so
-exactness is only achievable as an interval).
+lattice convolution, and the Hawkes sum tail by inverting its pgf on the
+lattice, with a printed bound on its aliasing and rounding error.
 """
 
 from __future__ import annotations
@@ -16,8 +15,8 @@ from functools import partial
 import numpy as np
 
 from .clusters import _chunk_size, _renewal_functionals, chunked_fill, chunked_map
-from .errors import LatticeMismatch, ModelError
-from .heavytail import _poisson_pmf, _poisson_sf
+from .errors import LatticeMismatch, ModelError, SupercriticalModel
+from .heavytail import _SIZE_LAW_POINTS, _dft
 from .rng import RngStream
 
 __all__ = [
@@ -26,7 +25,7 @@ __all__ = [
     "exact_renewal_sum_tail",
     "exact_renewal_sum_distribution",
     "exact_renewal_max_distribution",
-    "truncated_hawkes_sum_tail",
+    "hawkes_sum_tail",
     "renewal_functional_chunks",
     "sample_renewal_functionals",
 ]
@@ -43,14 +42,12 @@ class DiscreteJointModel:
     ``offspring_support`` gives the i.i.d. offspring mark law.  For the
     hawkes kind the second entry is a branching intensity; every node
     (immigrant or offspring) redraws its (mark, kappa) pair from
-    ``support``, and ``max_children``/``max_depth`` bound the explored tree.
+    ``support``, whose mean intensity must be below 1.
     """
 
     kind: str
     support: tuple[tuple[float, float, float], ...]
     offspring_support: tuple[tuple[float, float], ...] = ()
-    max_children: int = 0
-    max_depth: int = 0
 
     def __post_init__(self) -> None:
         if self.kind not in ("renewal", "hawkes"):
@@ -73,25 +70,29 @@ class DiscreteJointModel:
             if any(k != int(k) for _, k, _ in self.support):
                 raise ModelError("renewal counts must be integers", "support")
         else:
-            if self.max_children < 0 or self.max_depth < 0:
-                raise ModelError("truncation parameters must be >= 0", "max_children")
+            m = sum(p * kappa for _, kappa, p in self.support)
+            if not m < 1.0:
+                raise SupercriticalModel(
+                    f"mean intensity {m!r} is not below 1: the cascade is not subcritical", "support"
+                )
 
 
-def _float_gcd(a: float, b: float, tol: float = 1e-9) -> float:
+def _float_gcd(a: float, b: float, tol: float) -> float:
     while b > tol:
         a, b = b, a % b
     return a
 
 
 def _lattice_step(values) -> float:
-    """Common grid step of the given nonnegative values."""
+    """Common grid step of the given nonnegative values, to 1e-9 of the largest."""
     vals = sorted({float(v) for v in values if v > 0})
     if not vals:
         return 1.0
+    tol = 1e-9 * vals[-1]
     g = vals[0]
     for v in vals[1:]:
-        g = _float_gcd(max(g, v), min(g, v))
-    if g <= 1e-9:
+        g = _float_gcd(max(g, v), min(g, v), tol)
+    if g <= tol:
         raise LatticeMismatch("values share no common grid step")
     for v in vals:
         ratio = v / g
@@ -163,122 +164,99 @@ def exact_renewal_sum_distribution(
 def exact_renewal_sum_tail(model: DiscreteJointModel, x: float) -> float:
     """P(D > x) by exact k-fold lattice convolution."""
     values, pmf = exact_renewal_sum_distribution(model)
-    return float(pmf[values > x + 1e-12].sum())
+    return float(pmf[values > x + 1e-9 * values[-1]].sum())
 
 
 # ---------------------------------------------------------------------------
-# Truncated Hawkes bracket
+# The Hawkes cluster sum by its transform
 
 
-def _bshift(u: np.ndarray, shift: int, cap: int) -> np.ndarray:
-    out = np.zeros(cap + 1)
-    if shift >= cap:
-        out[cap] = u.sum()
-        return out
-    out[shift:cap] = u[: cap - shift]
-    out[cap] = u[cap] + u[cap - shift : cap].sum()
-    return out
+def _hawkes_lattice(model: DiscreteJointModel, x: float) -> tuple[float, int, int]:
+    """(step, cells, n): the lattice step of D, its cells 0 .. cells - 1 up to ``x``, and the transform's points.
 
-
-def _bconv(u: np.ndarray, v: np.ndarray, cap: int) -> np.ndarray:
-    """Convolution on the lattice with an absorbing 'exceeds x' bucket."""
-    w = np.convolve(u[:cap], v[:cap])
-    out = np.zeros(cap + 1)
-    out[:cap] = w[:cap]
-    out[cap] = u[cap] * v.sum() + u[:cap].sum() * v[cap] + w[cap:].sum()
-    return out
-
-
-# A bracket's work, in units of about 1 ns: max_depth levels, each of
-# max_children + 1 child convolutions and one lattice shift per support row,
-# each step charged size**2 with size = max(cells, support rows, 256).  A
-# convolution costs cells**2, mixing it into every row rows * cells, and 256**2
-# covers numpy's fixed cost per call.  On a 2-core x86 box (Python 3.11, numpy
-# 2.4) the slowest accepted shape, 202 cells with 1,000 children and one support
-# row at depth 121, takes 8-10 s; 16,002 cells with 4 children at depth 3 take 2.6 s.
-_BRACKET_WORK = 8 * 10**9
-_MIN_CELLS = 256
-
-
-def _bracket_lattice(model: DiscreteJointModel, x: float) -> tuple[float, int]:
-    """The lattice step of the Hawkes bracket at ``x``, and its cap.
-
-    Cells 0..cap-1 hold the partial sums v <= x, cell cap the rest.  Raises
-    :class:`ModelError` on field ``x``, before anything is allocated, when
-    the bracket would do more than ``_BRACKET_WORK``.
+    n is the least power of two of at least 4 * cells.  Raises
+    :class:`ModelError` on field ``x``, before anything is allocated, when n
+    would pass ``_SIZE_LAW_POINTS``.
     """
     if model.kind != "hawkes":
         raise ModelError("hawkes oracle needs a hawkes-kind model", "kind")
-    if not x >= 0:  # D >= 0, and the lattice below would count v = 0 as v <= x
-        raise ModelError("x must be >= 0", "x")
     step = _lattice_step([x0 for x0, _, _ in model.support])
-    cap = max(1, int(math.floor(x / step + 1e-9)) + 1)  # indices 0..cap-1 hold v <= x
-    rows = len(model.support)
-    steps = model.max_depth * (model.max_children + 1 + rows)
-    if steps * max(cap + 1, rows, _MIN_CELLS) ** 2 > _BRACKET_WORK:
+    last = max(x, 0.0) / step + 1e-9  # the last cell is its floor
+    if not last < _SIZE_LAW_POINTS // 4:
         raise ModelError(
-            f"the bracket at x={x:g} needs {cap + 1} lattice cells, {model.max_children} "
-            f"children and depth {model.max_depth}: more work than {_BRACKET_WORK:.0e}",
+            f"x={x:g} is {last:.0f} lattice steps of {step:g}: the transform takes at most "
+            f"{_SIZE_LAW_POINTS // 4} cells",
             "x",
         )
-    return step, cap
+    cells = math.floor(last) + 1
+    return step, cells, 1 << (4 * cells - 1).bit_length()
 
 
-def truncated_hawkes_sum_tail(model: DiscreteJointModel, x: float) -> tuple[float, float]:
-    """Bracket [lower, upper] for P(D > x) of the discrete Hawkes cascade.
+def hawkes_sum_tail(model: DiscreteJointModel, x_grid) -> list[tuple[float, float, float]]:
+    """(P(D > x), lower, upper) for each x of ``x_grid``, D the sum of the marks of a discrete Hawkes cluster.
 
-    Dynamic programming over depth, tracking jointly the partial sum on the
-    lattice and whether any truncation happened (a node drawing more than
-    ``max_children`` children, or any child request at maximal depth).
-    The lower bound gives truncated mass no further contribution; the upper
-    bound counts it as exceedance.  Enlarging the truncation never widens
-    the bracket.  A bracket too large to compute in seconds raises
-    :class:`ModelError` (see ``_BRACKET_WORK``).
+    Each node draws a row (x_i, kappa_i, p_i) of ``support`` and has
+    Poisson(kappa_i) children, each the root of a copy of the cluster.  So
+    u = G - 1, with G(z) = E[z**(D / step)] and c_i = x_i / step, solves
+    u = sum_i p_i (exp(c_i log z + kappa_i u) - 1) (Harris 1963).  For
+    |z| <= 1 the right side maps the unit disc about -1 into itself with
+    slope at most m = sum_i p_i kappa_i < 1, so the root there is unique.
+    Newton's method finds it from the childless u = E[z**c] - 1 at the
+    points z_j = theta exp(2 pi i j / n) of the upper half circle, with
+    theta**n = exp(-30), and stops once each step is down to rounding.
+    Summed as expm1, u keeps its relative accuracy near z = 1.
+
+    The tails' transform (1 - G) / (1 - z) = sum_k P(D > k step) z**k is
+    inverted by one :func:`~cluster_tails.heavytail._dft`: cell k reads
+    P(D > k step) plus its aliases sum_r P(D > (k + r n) step) theta**(r n),
+    at most theta**n / (1 - theta**n) (Abate & Whitt 1992).  Rounding is
+    bounded by each point's last Newton step or its stopping tolerance,
+    whichever is larger, and 8 log2(n) eps of the largest transform value
+    for the transform itself, both scaled by theta**-k at the last cell.
+    One bound serves the grid, so ``upper`` never rises with x, and the
+    tails are kept from rising with x too.  An x below the least mark reads
+    exactly (1.0, 1.0, 1.0), since D is at least the immigrant's mark.
     """
-    step, cap = _bracket_lattice(model, x)
-    rows = [(int(round(x0 / step)), kappa, p) for x0, kappa, p in model.support]
-    kappas = np.array([kappa for _, kappa, _ in rows])
-    mc = model.max_children
-    # P(l children) for each row, l = 0..mc, and P(more than mc): the same at every depth
-    child_pmf = [_poisson_pmf(l, kappas)[:, None] for l in range(mc + 1)]
-    dropped = _poisson_sf(mc, kappas)
-
-    # depth-budget 0: resolved iff the node asks for no children at all
-    resolved = np.zeros(cap + 1)
-    cut = np.zeros(cap + 1)
-    for idx, kappa, p in rows:
-        p0 = math.exp(-kappa)
-        tgt = min(idx, cap)
-        resolved[tgt] += p * p0
-        cut[tgt] += p * (1.0 - p0)
-
-    for _ in range(model.max_depth):
-        total_child = resolved + cut
-        # each row's mix of l-fold child convolutions, l = 0..mc, accumulated
-        # in order as the powers are built, so only one power is held
-        res_pow = np.zeros(cap + 1)
-        res_pow[0] = 1.0
-        tot_pow = res_pow
-        res_mix = np.zeros((len(rows), cap + 1))
-        tot_mix = np.zeros((len(rows), cap + 1))
-        for l, pl in enumerate(child_pmf):
-            if l:
-                res_pow = _bconv(res_pow, resolved, cap)
-                tot_pow = _bconv(tot_pow, total_child, cap)
-            res_mix += pl * res_pow
-            tot_mix += pl * tot_pow
-        cut_mix = tot_mix - res_mix
-        cut_mix[cut_mix < 0] = 0.0
-        cut_mix[:, 0] += dropped  # children dropped entirely: partial sum += 0
-        resolved = np.zeros(cap + 1)
-        cut = np.zeros(cap + 1)
-        for (idx, _, p), res_row, cut_row in zip(rows, res_mix, cut_mix):
-            resolved += p * _bshift(res_row, idx, cap)
-            cut += p * _bshift(cut_row, idx, cap)
-
-    lower = float(resolved[cap] + cut[cap])
-    upper = float(resolved[cap] + cut.sum())
-    return lower, upper
+    step, cells, n = _hawkes_lattice(model, max(x_grid))
+    rows = [(round(x0 / step), kappa, p) for x0, kappa, p in model.support]
+    m = sum(p * kappa for _, kappa, p in rows)
+    mean_c = sum(p * c for c, _, p in rows)
+    eps = np.finfo(float).eps
+    half = n // 2
+    log_z = -30.0 / n + 2j * np.pi * (np.arange(half + 1) / n)
+    u = sum(p * np.expm1(c * log_z) for c, _, p in rows)
+    for _ in range(50):
+        f, slope = u.copy(), np.ones_like(u)
+        for c, kappa, p in rows:
+            w = np.expm1(c * log_z + kappa * u)
+            f -= p * w
+            slope -= p * kappa * (w + 1.0)
+        newton = f / slope
+        u -= newton
+        tol = 16 * eps * ((1.0 + m) * np.abs(u) + mean_c * np.abs(log_z)) / (1.0 - m)
+        if np.all(np.abs(newton) <= tol):
+            break
+    z_less_1 = np.expm1(log_z)
+    values = np.empty(n, dtype=complex)
+    values[: half + 1] = u / z_less_1
+    values[half + 1 :] = np.conj(values[half - 1 : 0 : -1])
+    rounding = (np.maximum(np.abs(newton), tol) / np.abs(z_less_1)).max()
+    rounding += 8 * math.log2(n) * eps * np.abs(values).max()
+    growth = np.exp(30.0 / n * np.arange(cells))  # theta**-k
+    tail = _dft(values)[:cells].real / n * growth
+    error = 1.0 / math.expm1(30.0) + float(growth[-1] * rounding)
+    least = min(c for c, _, _ in rows)
+    tail[:least] = 1.0
+    tail = np.minimum.accumulate(np.clip(tail, 0.0, 1.0))
+    out = []
+    for x in x_grid:
+        k = math.floor(x / step + 1e-9)
+        if k < least:
+            out.append((1.0, 1.0, 1.0))
+        else:
+            v = float(tail[k])
+            out.append((v, max(v - error, 0.0), min(v + error, 1.0)))
+    return out
 
 
 # ---------------------------------------------------------------------------

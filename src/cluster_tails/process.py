@@ -192,7 +192,7 @@ def check_mean_events(config: WindowConfig, horizons) -> None:
     if isinstance(waiting, BoundedUniform) and work <= MEAN_EVENTS_BUDGET:
         width = waiting.hi - waiting.lo
         y = (t - np.arange(1, int(work) + 1) * waiting.lo) / width
-        rows = np.unique(y[y > 0] % 1.0).size
+        rows = len(set((y[y > 0] % 1.0).tolist()))  # not np.unique, which imports numpy.ma
         work *= max(rows, 1) * (t / width + 1.0)
     if not work <= MEAN_EVENTS_BUDGET:
         raise ModelError(

@@ -12,7 +12,10 @@ window-max law of a Poisson-count renewal model checks the ldp-max sweep's.
 The conditional estimator as it was before the count became its control
 variate is kept here, to check that the estimator without a control mean
 is still that one, bit for bit; so is the node-by-node Hawkes cluster
-cascade, which checks the batch functionals' generation totals.
+cascade, which checks the batch functionals' generation totals.  The
+bracket on the discrete Hawkes cluster sum by dynamic programming over a
+truncated branching tree checks that law's transform, and so does the
+same transform in extended precision, up to the largest lattice it takes.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from cluster_tails.heavytail import (
     _poisson_sf,
     sample_joint,
 )
+from cluster_tails.oracle import DiscreteJointModel, _hawkes_lattice, _lattice_step
 from cluster_tails.process import grow_hawkes
 from cluster_tails.rng import RngStream
 
@@ -500,3 +504,120 @@ def plain_conditional_max_tail(counts: np.ndarray, survival: np.ndarray) -> tupl
     mean = (terms * weights).sum(axis=1) / n
     var = ((terms - mean[:, None]) ** 2 * weights).sum(axis=1) / (n - 1)
     return mean, np.sqrt(var / n)
+
+
+def _bshift(u: np.ndarray, shift: int, cap: int) -> np.ndarray:
+    out = np.zeros(cap + 1)
+    if shift >= cap:
+        out[cap] = u.sum()
+        return out
+    out[shift:cap] = u[: cap - shift]
+    out[cap] = u[cap] + u[cap - shift : cap].sum()
+    return out
+
+
+def _bconv(u: np.ndarray, v: np.ndarray, cap: int) -> np.ndarray:
+    """Convolution on the lattice with an absorbing 'exceeds x' bucket."""
+    w = np.convolve(u[:cap], v[:cap])
+    out = np.zeros(cap + 1)
+    out[:cap] = w[:cap]
+    out[cap] = u[cap] * v.sum() + u[:cap].sum() * v[cap] + w[cap:].sum()
+    return out
+
+
+def truncated_hawkes_sum_tail(
+    model: DiscreteJointModel, x: float, max_children: int, max_depth: int
+) -> tuple[float, float]:
+    """Bracket [lower, upper] for P(D > x) of the discrete Hawkes cascade.
+
+    Dynamic programming over depth, tracking jointly the partial sum on the
+    lattice and whether any truncation happened (a node drawing more than
+    ``max_children`` children, or any child request at depth ``max_depth``).
+    The lower bound gives truncated mass no further contribution; the upper
+    bound counts it as exceedance.  Enlarging the truncation never widens
+    the bracket.  The work is quadratic in the lattice cells up to x: this
+    checks the package's transform, ``oracle.hawkes_sum_tail``.
+    """
+    if model.kind != "hawkes":
+        raise ModelError("hawkes oracle needs a hawkes-kind model", "kind")
+    if not x >= 0:  # D >= 0, and the lattice below would count v = 0 as v <= x
+        raise ModelError("x must be >= 0", "x")
+    step = _lattice_step([x0 for x0, _, _ in model.support])
+    cap = max(1, int(floor(x / step + 1e-9)) + 1)  # indices 0..cap-1 hold v <= x
+    rows = [(int(round(x0 / step)), kappa, p) for x0, kappa, p in model.support]
+    kappas = np.array([kappa for _, kappa, _ in rows])
+    # P(l children) for each row, l = 0..max_children, and P(more): the same at every depth
+    child_pmf = [_poisson_pmf(l, kappas)[:, None] for l in range(max_children + 1)]
+    dropped = _poisson_sf(max_children, kappas)
+
+    # depth-budget 0: resolved iff the node asks for no children at all
+    resolved = np.zeros(cap + 1)
+    cut = np.zeros(cap + 1)
+    for idx, kappa, p in rows:
+        p0 = exp(-kappa)
+        tgt = min(idx, cap)
+        resolved[tgt] += p * p0
+        cut[tgt] += p * (1.0 - p0)
+
+    for _ in range(max_depth):
+        total_child = resolved + cut
+        # each row's mix of l-fold child convolutions, l = 0..max_children,
+        # accumulated in order as the powers are built, so only one power is held
+        res_pow = np.zeros(cap + 1)
+        res_pow[0] = 1.0
+        tot_pow = res_pow
+        res_mix = np.zeros((len(rows), cap + 1))
+        tot_mix = np.zeros((len(rows), cap + 1))
+        for l, pl in enumerate(child_pmf):
+            if l:
+                res_pow = _bconv(res_pow, resolved, cap)
+                tot_pow = _bconv(tot_pow, total_child, cap)
+            res_mix += pl * res_pow
+            tot_mix += pl * tot_pow
+        cut_mix = tot_mix - res_mix
+        cut_mix[cut_mix < 0] = 0.0
+        cut_mix[:, 0] += dropped  # children dropped entirely: partial sum += 0
+        resolved = np.zeros(cap + 1)
+        cut = np.zeros(cap + 1)
+        for (idx, _, p), res_row, cut_row in zip(rows, res_mix, cut_mix):
+            resolved += p * _bshift(res_row, idx, cap)
+            cut += p * _bshift(cut_row, idx, cap)
+
+    lower = float(resolved[cap] + cut[cap])
+    upper = float(resolved[cap] + cut.sum())
+    return lower, upper
+
+
+def hawkes_sum_tail_extended(model: DiscreteJointModel, xs) -> list[float]:
+    """P(D > x) for each x from ``oracle.hawkes_sum_tail``'s transform, in ``np.longdouble``.
+
+    The same lattice and the same n tilted points (``oracle._hawkes_lattice``),
+    so the values carry the same aliases; but the root is taken by Newton's
+    method until its steps are below 1e-17, and each x's cell is inverted by
+    a direct sum over all n points, so they carry none of the package's
+    double rounding.  This checks its rounding bound up to the largest
+    lattice that it takes.
+    """
+    step, _, n = _hawkes_lattice(model, max(xs))
+    rows = [(round(x0 / step), kappa, p) for x0, kappa, p in model.support]
+    pi = np.longdouble("3.14159265358979323846264338327950288")
+    j = np.arange(n).astype(np.longdouble)
+    log_z = (np.longdouble(-30.0) / n + 1j * (2 * pi * j / n)).astype(np.clongdouble)
+    u = sum(np.longdouble(p) * np.expm1(c * log_z) for c, _, p in rows)
+    for _ in range(100):
+        f, slope = u.copy(), np.ones_like(u)
+        for c, kappa, p in rows:
+            w = np.expm1(c * log_z + np.longdouble(kappa) * u)
+            f -= np.longdouble(p) * w
+            slope -= np.longdouble(p * kappa) * (w + 1)
+        newton = f / slope
+        u -= newton
+        if np.abs(newton).max() < 1e-17:
+            break
+    values = u / np.expm1(log_z)
+    out = []
+    for x in xs:
+        k = floor(x / step + 1e-9)
+        kernel = np.exp(-1j * (2 * pi * ((j * k) % n) / n)).astype(np.clongdouble)
+        out.append(float((values * kernel).sum().real / n * np.exp(np.longdouble(30.0) * k / n)))
+    return out

@@ -44,6 +44,20 @@ HAWKES_COMONOTONE = {
 }
 
 
+def case_ids(names) -> list[str]:
+    """The names as test ids, numbered 1, 2, ... only where two or more are the same name.
+
+    An id then stays put when a case with another name is added or removed.
+    """
+    names = list(names)
+    seen: dict[str, int] = {}
+    ids = []
+    for name in names:
+        seen[name] = seen.get(name, 0) + 1
+        ids.append(name if names.count(name) == 1 else f"{name}-{seen[name]}")
+    return ids
+
+
 def write_config(tmp_path: Path, payload: dict, name: str = "config.json") -> Path:
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -374,8 +388,16 @@ class TestHostileConfigs:
         ("oracle-compare", {"discrete": {**HAWKES_DISCRETE, "x_grid": ["a"]}}, "discrete.x_grid"),
         ("oracle-compare", {"discrete": {**HAWKES_DISCRETE, "x_grid": [-1]}}, "discrete.x_grid"),
     ] + UNKNOWN_BY_KIND + [
-        # a bracket over 10^6 lattice cells would run for hours
+        # 10^6 lattice cells are past the transform's budget of 2^14
         ("oracle-compare", {"discrete": {**HAWKES_DISCRETE, "x_grid": [2, 1e6]}}, "discrete.x_grid"),
+    ]
+    # a Hawkes support whose mean intensity is 1 or more has no finite cluster
+    CASES += [
+        (
+            "oracle-compare",
+            {"discrete": {**HAWKES_BRACKETS, "support": [[1.0, 0.5, 0.5], [2.0, 1.5, 0.5]]}},
+            "discrete",
+        )
     ]
     # counts are whole numbers: a fraction used to be truncated, or to fail
     # only once the run had started
@@ -533,7 +555,7 @@ class TestHostileConfigs:
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize(
-        "experiment, fields, field", CASES, ids=[c[2] + "-" + str(i) for i, c in enumerate(CASES)]
+        "experiment, fields, field", CASES, ids=case_ids(f"{c[0]}-{c[2]}" for c in CASES)
     )
     def test_rejected_with_field_path(self, tmp_path, capsys, command, experiment, fields, field):
         payload = {"experiment": experiment, "seed": 1, "model": MODEL, "output_dir": str(tmp_path)}
@@ -564,7 +586,7 @@ class TestHostileConfigs:
         ),
     ]
 
-    @pytest.mark.parametrize("experiment, fields", RUNS, ids=[str(i) for i in range(len(RUNS))])
+    @pytest.mark.parametrize("experiment, fields", RUNS, ids=case_ids(c[0] for c in RUNS))
     def test_runs_without_warnings(self, tmp_path, experiment, fields):
         payload = {"experiment": experiment, "seed": 1, "model": MODEL, "output_dir": str(tmp_path)}
         payload.update(fields)
@@ -781,7 +803,7 @@ class TestColdStart:
     def test_runs_import_no_numpy_or_scipy_module(self, tmp_path):
         configs = Path(__file__).resolve().parent.parent / "configs"
         reduced = {
-            "ldp-sum.json": {"ldp": {"replications": 5_000, "pilot_windows": 1_000}},
+            "ldp-sum.json": {"ldp": {"replications": 10_000, "pilot_windows": 1_000}},
             "cluster-tails.json": {"clusters": 100_000},
             "tail-ratio-renewal-max.json": {"clusters": 100_000, "grid": {"levels": [0.9, 0.99, 0.999]}},
             # the Hawkes size table and the generation totals
@@ -797,19 +819,37 @@ class TestColdStart:
             },
             **reduced["tail-ratio-hawkes-sum.json"],
         }
+        # uniform waits: E[N_T]'s check counts the rows of their lattice
+        uniform_waits = {
+            "cluster": {"waiting": {"law": "uniform", "lo": 0.5, "hi": 1.5}},
+            "ldp": {"replications": 10_000},
+        }
+        runs = [
+            *reduced.items(),
+            ("tail-ratio-hawkes-sum.json", exponential_kappa),
+            ("ldp-max.json", uniform_waits),
+        ]
         paths = []
-        for name, sizes in [*reduced.items(), ("tail-ratio-hawkes-sum.json", exponential_kappa)]:
+        for name, sizes in runs:
             raw = json.loads((configs / name).read_text())
             for key, value in sizes.items():
                 raw[key] = {**raw.get(key, {}), **value} if isinstance(value, dict) else value
             raw["output_dir"] = str(tmp_path / "out")
             paths.append(str(write_config(tmp_path, raw, f"{len(paths)}-{name}")))
+        # the Hawkes cluster sum's transform, which no shipped config runs
+        hawkes_oracle = {
+            "experiment": "oracle-compare",
+            "seed": 1,
+            "discrete": {**HAWKES_DISCRETE, "x_grid": [0, 2, 16]},
+            "output_dir": str(tmp_path / "out"),
+        }
+        paths.append(str(write_config(tmp_path, hawkes_oracle, "hawkes-oracle-compare.json")))
         script = (
             "import json, sys\n"
             "import cluster_tails.cli as cli\n"
             "before = set(sys.modules)\n"
             "for path in sys.argv[1:]:\n"
-            "    cli.main(['run', path])\n"
+            "    assert cli.main(['run', path]) == 0, path\n"
             "new = sorted(m for m in set(sys.modules) - before if m.startswith(('numpy', 'scipy')))\n"
             "print(json.dumps(new))\n"
         )

@@ -711,7 +711,7 @@ class TestPoissonTerms:
         self.assert_agrees(_poisson_sf(xs, mu), special.pdtrc(np.floor(xs), mu), rtol)
 
     def test_survival_of_an_array_of_means(self):
-        # the Hawkes bracket oracle asks for P(K > max_children) of a row of kappas
+        # the reference Hawkes bracket asks for P(K > max_children) of a row of kappas
         kappas = np.array([0.0, 1e-3, 0.3, 0.9, 2.5, 7.0])
         for mc in (0, 1, 5, 20, 60):
             self.assert_agrees(_poisson_sf(mc, kappas), special.pdtrc(mc, kappas))

@@ -2,23 +2,30 @@
 
 import math
 import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cluster_tails import oracle
-from cluster_tails.errors import LatticeMismatch, ModelError
+import reference
+from cluster_tails.clusters import HawkesParams, batch_functionals
+from cluster_tails.errors import LatticeMismatch, ModelError, SupercriticalModel
+from cluster_tails.heavytail import Constant, JointMarkModel, Regime
 from cluster_tails.oracle import (
     DiscreteJointModel,
     _choose,
+    _lattice_step,
     exact_renewal_max_distribution,
     exact_renewal_max_tail,
     exact_renewal_sum_distribution,
     exact_renewal_sum_tail,
+    hawkes_sum_tail,
     sample_renewal_functionals,
-    truncated_hawkes_sum_tail,
 )
 from cluster_tails.rng import RngStream
+from reference import truncated_hawkes_sum_tail
 
 # X uniform{1,2}, K = X, offspring uniform{1,2}
 HAND_MODEL = DiscreteJointModel(
@@ -26,6 +33,17 @@ HAND_MODEL = DiscreteJointModel(
     support=((1.0, 1, 0.5), (2.0, 2, 0.5)),
     offspring_support=((1.0, 0.5), (2.0, 0.5)),
 )
+# the bench's oracle-compare-hawkes model
+BENCH_HAWKES = DiscreteJointModel(kind="hawkes", support=((1.0, 0.4, 0.5), (2.0, 0.7, 0.5)))
+UNIT_XS = (1.0, 2.0, 5.0, 10.0)
+
+
+@lru_cache(maxsize=1)
+def unit_mark_size_tails() -> tuple[float, ...]:
+    """P(S > x) at ``UNIT_XS`` over 200,000 simulated clusters of mark 1 and constant kappa 0.6: S is then D."""
+    sim = JointMarkModel(Regime.HAWKES_LIGHT_INTENSITY, Constant(1.0), Constant(1.0), target_mean_kappa=0.6)
+    sizes = batch_functionals(sim, HawkesParams(), 200_000, RngStream(3, 0)).sizes
+    return tuple(float((sizes > x).mean()) for x in UNIT_XS)
 
 
 class TestRenewalMaxOracle:
@@ -91,6 +109,18 @@ class TestRenewalSumOracle:
         with pytest.raises(LatticeMismatch):
             exact_renewal_sum_tail(model, 1.0)
 
+    @pytest.mark.parametrize("unit", [1e-10, 1e-13])
+    def test_lattice_step_relative_to_the_largest_value(self, unit):
+        # the hand model with every mark in units of 1e-10 or 1e-13
+        scaled = DiscreteJointModel(
+            kind="renewal",
+            support=((unit, 1, 0.5), (2 * unit, 2, 0.5)),
+            offspring_support=((unit, 0.5), (2 * unit, 0.5)),
+        )
+        assert exact_renewal_sum_tail(scaled, 4 * unit) == 0.375
+        with pytest.raises(LatticeMismatch):
+            _lattice_step([1.0, math.sqrt(2.0)])
+
     def test_monte_carlo_agreement(self):
         h, d = sample_renewal_functionals(HAND_MODEL, 200_000, RngStream(1, 0))
         values, pmf = exact_renewal_sum_distribution(HAND_MODEL)
@@ -127,59 +157,40 @@ class TestChoose:
 
 
 class TestHawkesBracket:
+    """The reference bracket by dynamic programming over a truncated tree (``tests/reference.py``)."""
+
     def test_kappa_zero_degenerate(self):
-        model = DiscreteJointModel(
-            kind="hawkes",
-            support=((1.0, 0.0, 0.5), (3.0, 0.0, 0.5)),
-            max_children=4,
-            max_depth=3,
-        )
-        assert truncated_hawkes_sum_tail(model, 2.0) == (0.5, 0.5)
+        model = DiscreteJointModel(kind="hawkes", support=((1.0, 0.0, 0.5), (3.0, 0.0, 0.5)))
+        assert truncated_hawkes_sum_tail(model, 2.0, 4, 3) == (0.5, 0.5)
 
     def test_poisson_zero_count_example(self):
         # X = 1, kappa = 0.5: P(D > 1) = P(at least one child) = 1 - e^{-1/2}
-        model = DiscreteJointModel(
-            kind="hawkes", support=((1.0, 0.5, 1.0),), max_children=8, max_depth=6
-        )
-        lo, hi = truncated_hawkes_sum_tail(model, 1.0)
+        model = DiscreteJointModel(kind="hawkes", support=((1.0, 0.5, 1.0),))
+        lo, hi = truncated_hawkes_sum_tail(model, 1.0, 8, 6)
         truth = 1.0 - math.exp(-0.5)
         assert lo <= truth <= hi
         assert hi - lo < 1e-6
 
     def test_depth_zero_bounds(self):
         # resolved mass is exactly the no-children event
-        model = DiscreteJointModel(
-            kind="hawkes", support=((1.0, 0.5, 1.0),), max_children=4, max_depth=0
-        )
+        model = DiscreteJointModel(kind="hawkes", support=((1.0, 0.5, 1.0),))
         # x below the immigrant mark: every path already exceeds
-        assert truncated_hawkes_sum_tail(model, 0.5) == (1.0, 1.0)
+        assert truncated_hawkes_sum_tail(model, 0.5, 4, 0) == (1.0, 1.0)
         # x above it: only cut paths may exceed
-        lo, hi = truncated_hawkes_sum_tail(model, 1.5)
+        lo, hi = truncated_hawkes_sum_tail(model, 1.5, 4, 0)
         assert lo == 0.0
         assert hi == pytest.approx(1.0 - math.exp(-0.5))
 
     def test_bracket_monotone_in_truncation(self):
         widths_by_depth = []
         for depth in (1, 2, 3, 5, 8):
-            model = DiscreteJointModel(
-                kind="hawkes",
-                support=((1.0, 0.4, 0.5), (2.0, 0.7, 0.5)),
-                max_children=6,
-                max_depth=depth,
-            )
-            lo, hi = truncated_hawkes_sum_tail(model, 5.0)
+            lo, hi = truncated_hawkes_sum_tail(BENCH_HAWKES, 5.0, 6, depth)
             widths_by_depth.append(hi - lo)
         assert all(a >= b - 1e-15 for a, b in zip(widths_by_depth, widths_by_depth[1:]))
 
         widths_by_children = []
         for children in (1, 2, 4, 8):
-            model = DiscreteJointModel(
-                kind="hawkes",
-                support=((1.0, 0.4, 0.5), (2.0, 0.7, 0.5)),
-                max_children=children,
-                max_depth=4,
-            )
-            lo, hi = truncated_hawkes_sum_tail(model, 5.0)
+            lo, hi = truncated_hawkes_sum_tail(BENCH_HAWKES, 5.0, children, 4)
             widths_by_children.append(hi - lo)
         assert all(
             a >= b - 1e-15 for a, b in zip(widths_by_children, widths_by_children[1:])
@@ -187,38 +198,31 @@ class TestHawkesBracket:
 
     def test_child_counts_priced_once_a_bracket(self, monkeypatch):
         # the Poisson terms of a row's child count do not depend on the depth
-        calls, pmf = [], oracle._poisson_pmf
+        calls, pmf = [], reference._poisson_pmf
 
         def counted(k, mu):
             calls.append(k)
             return pmf(k, mu)
 
-        model = DiscreteJointModel(
-            kind="hawkes", support=((1.0, 0.4, 0.5), (2.0, 0.7, 0.5)), max_children=6, max_depth=8
-        )
-        want = truncated_hawkes_sum_tail(model, 5.0)
-        monkeypatch.setattr(oracle, "_poisson_pmf", counted)
-        assert truncated_hawkes_sum_tail(model, 5.0) == want
-        assert calls == list(range(model.max_children + 1))
+        want = truncated_hawkes_sum_tail(BENCH_HAWKES, 5.0, 6, 8)
+        monkeypatch.setattr(reference, "_poisson_pmf", counted)
+        assert truncated_hawkes_sum_tail(BENCH_HAWKES, 5.0, 6, 8) == want
+        assert calls == list(range(6 + 1))
 
     def test_negative_x_rejected(self):
         # D >= 0, so P(D > -1) = 1; the lattice would miss the mass at a zero mark
-        model = DiscreteJointModel(
-            kind="hawkes", support=((0.0, 0.5, 0.5), (1.0, 0.5, 0.5)), max_children=4, max_depth=3
-        )
+        model = DiscreteJointModel(kind="hawkes", support=((0.0, 0.5, 0.5), (1.0, 0.5, 0.5)))
         with pytest.raises(ModelError) as excinfo:
-            truncated_hawkes_sum_tail(model, -1.0)
+            truncated_hawkes_sum_tail(model, -1.0, 4, 3)
         assert excinfo.value.field == "x"
 
     def test_oversized_bracket_rejected_before_allocating(self):
-        # 10^6 lattice cells: about 10^13 units of convolution work
-        model = DiscreteJointModel(
-            kind="hawkes", support=((1.0, 0.5, 1.0),), max_children=4, max_depth=3
-        )
+        # 10^6 lattice cells are past the transform's 2^14, its points' 2^16 over four
+        model = DiscreteJointModel(kind="hawkes", support=((1.0, 0.5, 1.0),))
         tracemalloc.start()
         try:
             with pytest.raises(ModelError) as excinfo:
-                truncated_hawkes_sum_tail(model, 1e6)
+                hawkes_sum_tail(model, [2.0, 1e6])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -226,37 +230,106 @@ class TestHawkesBracket:
         assert peak < 1 << 20
 
     def test_benchmark_sized_bracket_accepted(self):
-        # x <= 16 with 8 children to depth 10 is far inside the work budget
-        model = DiscreteJointModel(
-            kind="hawkes",
-            support=((1.0, 0.4, 0.5), (2.0, 0.7, 0.5)),
-            max_children=8,
-            max_depth=10,
-        )
-        lo, hi = truncated_hawkes_sum_tail(model, 16.0)
+        # x <= 16 with 8 children to depth 10
+        lo, hi = truncated_hawkes_sum_tail(BENCH_HAWKES, 16.0, 8, 10)
         assert 0.0 <= lo <= hi <= 1.0
 
     def test_bracket_vs_monte_carlo(self):
-        from cluster_tails.clusters import HawkesParams, batch_functionals
-        from cluster_tails.heavytail import Constant, JointMarkModel, Regime
-
         # constant mark 1, constant kappa 0.6
-        model = DiscreteJointModel(
-            kind="hawkes", support=((1.0, 0.6, 1.0),), max_children=12, max_depth=24
-        )
-        sim = JointMarkModel(
-            Regime.HAWKES_LIGHT_INTENSITY,
-            Constant(1.0),
-            Constant(1.0),
-            target_mean_kappa=0.6,
-        )
-        sizes = batch_functionals(
-            sim, HawkesParams(), 200_000, RngStream(3, 0)
-        ).sizes
-        for x in (1.0, 2.0, 5.0, 10.0):
-            lo, hi = truncated_hawkes_sum_tail(model, x)
-            emp = (sizes > x).mean()  # D = total size since all marks are 1
+        model = DiscreteJointModel(kind="hawkes", support=((1.0, 0.6, 1.0),))
+        for x, emp in zip(UNIT_XS, unit_mark_size_tails()):
+            lo, hi = truncated_hawkes_sum_tail(model, x, 12, 24)
             assert lo - 0.004 <= emp <= hi + 0.004
+
+
+class TestHawkesSumTail:
+    """The transform: its value inside the reference bracket, and its own [lower, upper]."""
+
+    MODELS = [
+        DiscreteJointModel(kind="hawkes", support=((1.0, 0.0, 0.5), (3.0, 0.0, 0.5))),
+        DiscreteJointModel(kind="hawkes", support=((1.0, 0.5, 1.0),)),
+        DiscreteJointModel(kind="hawkes", support=((0.0, 0.5, 0.5), (1.0, 0.5, 0.5))),
+        BENCH_HAWKES,
+    ]
+
+    @staticmethod
+    def assert_inside(model, xs, max_children, max_depth):
+        # the value may lie past a bracket that is tight to the last bits by the
+        # printed bound, and by the bracket's own rounding, 1e-14 at most here
+        for x, (value, lower, upper) in zip(xs, hawkes_sum_tail(model, xs)):
+            lo, hi = truncated_hawkes_sum_tail(model, x, max_children, max_depth)
+            assert 0.0 <= lower <= value <= upper <= 1.0
+            assert lo - (value - lower) - 1e-14 <= value <= hi + (upper - value) + 1e-14, (x, lo, value, hi)
+
+    @pytest.mark.parametrize("model", MODELS, ids=["kappa-zero", "one-row", "zero-mark", "bench"])
+    def test_inside_the_reference_bracket(self, model):
+        self.assert_inside(model, [0.0, 0.5, 1.0, 2.0, 3.5, 5.0, 9.0], 8, 10)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(st.integers(0, 6), st.floats(0.0, 3.0), st.floats(0.05, 1.0)), min_size=1, max_size=4
+        ),
+        mean=st.floats(0.0, 0.8),
+        step=st.sampled_from([1.0, 0.5, 0.25]),
+        x=st.integers(0, 20),
+    )
+    def test_inside_the_bracket_for_random_supports(self, rows, mean, step, x):
+        total = sum(p for _, _, p in rows)
+        weight = sum(kappa * p for _, kappa, p in rows) / total
+        scale = mean / weight if weight > 0 else 0.0
+        support = tuple((c * step, kappa * scale, p / total) for c, kappa, p in rows)
+        model = DiscreteJointModel(kind="hawkes", support=support)
+        self.assert_inside(model, [x * step / 2, x * step], 6, 6)
+
+    def test_bench_model_equals_a_tight_bracket(self):
+        xs = [2.0, 4.0, 8.0, 12.0, 16.0]
+        for x, (value, lower, upper) in zip(xs, hawkes_sum_tail(BENCH_HAWKES, xs)):
+            lo, hi = truncated_hawkes_sum_tail(BENCH_HAWKES, x, 20, 40)
+            assert hi - lo < 1e-13
+            assert lo - 1e-12 <= value <= hi + 1e-12
+            assert upper - lower <= 1e-11
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs a long double wider than a double")
+    @pytest.mark.parametrize("support", [((1.0, 0.99, 1.0),), ((1.0, 0.3, 0.5), (3.0, 1.5, 0.5))])
+    def test_bound_covers_extended_precision(self, support):
+        # up to the largest lattice, 2^14 cells; E[kappa] = 0.99, or a row with kappa = 1.5
+        model = DiscreteJointModel(kind="hawkes", support=support)
+        xs = [1.0, 100.0, 5_000.0, 16_383.0]
+        for (value, lower, upper), want in zip(hawkes_sum_tail(model, xs), reference.hawkes_sum_tail_extended(model, xs)):
+            assert abs(value - want) <= max(upper - value, value - lower), (value, want)
+
+    def test_unit_marks_vs_monte_carlo(self):
+        model = DiscreteJointModel(kind="hawkes", support=((1.0, 0.6, 1.0),))
+        for (value, _, _), emp in zip(hawkes_sum_tail(model, UNIT_XS), unit_mark_size_tails()):
+            assert value - 0.004 <= emp <= value + 0.004
+
+    def test_below_the_least_mark_reads_one(self):
+        # D is at least the immigrant's mark, 1 or 2
+        assert hawkes_sum_tail(BENCH_HAWKES, [-1.0, 0.0, 0.99, 1.0])[:3] == [(1.0, 1.0, 1.0)] * 3
+
+    def test_tails_and_uppers_never_rise(self):
+        rows = hawkes_sum_tail(BENCH_HAWKES, list(np.arange(0.0, 3000.0, 0.5)))
+        for column in zip(*rows):
+            assert all(b <= a for a, b in zip(column, column[1:]))
+        assert rows[-1][0] == 0.0
+
+    def test_same_law_in_any_unit(self):
+        scaled = DiscreteJointModel(kind="hawkes", support=((1e-10, 0.4, 0.5), (2e-10, 0.7, 0.5)))
+        xs = [2.0, 4.0, 8.0, 12.0, 16.0]
+        got = hawkes_sum_tail(scaled, [x * 1e-10 for x in xs])
+        want = hawkes_sum_tail(BENCH_HAWKES, xs)
+        assert np.allclose(got, want, rtol=0.0, atol=1e-14)
+
+    def test_supercritical_support_refused(self):
+        with pytest.raises(SupercriticalModel) as excinfo:
+            DiscreteJointModel(kind="hawkes", support=((1.0, 0.8, 0.5), (2.0, 1.2, 0.5)))
+        assert excinfo.value.field == "support"
+
+    def test_renewal_model_refused(self):
+        with pytest.raises(ModelError) as excinfo:
+            hawkes_sum_tail(HAND_MODEL, [1.0])
+        assert excinfo.value.field == "kind"
 
 
 class TestAdjudication:
