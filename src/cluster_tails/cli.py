@@ -42,15 +42,14 @@ from .estimate import (
     CountTally,
     QuantileGrid,
     TailFold,
-    conditional_max_tail,
+    cluster_max_tail,
     crude_tail_estimator,
     hill_estimator,
     laplace_derivative_table,
     max_tail_estimator,
     ratio_curve,
-    size_control,
     table_slope,
-    tail_bands,
+    tail_table,
 )
 from .heavytail import (
     BoundedUniform,
@@ -76,6 +75,7 @@ from .ldp import (
 from .oracle import (
     DiscreteJointModel,
     _hawkes_lattice,
+    _renewal_lattice,
     exact_renewal_max_distribution,
     exact_renewal_max_tail,
     exact_renewal_sum_distribution,
@@ -312,9 +312,10 @@ def _x_grid(value, field: str) -> list[float]:
 def _parse_discrete(config: ExperimentConfig):
     """The discrete model, and the hawkes kind's x grid (None for the renewal kind).
 
-    The renewal kind reads an offspring mark table; the hawkes kind redraws
-    every node from the joint table, and reads its x grid, whose largest x
-    must fit the transform's lattice cells.  Its ``max_children`` and
+    The renewal kind reads an offspring mark table, and its largest D must
+    fit the exact law's lattice cells; the hawkes kind redraws every node
+    from the joint table, and reads its x grid, whose largest x must fit the
+    transform's lattice cells.  Its ``max_children`` and
     ``max_depth``, the truncation of the bracket that older configs printed,
     are checked as whole numbers >= 0 and unread.
     """
@@ -334,13 +335,13 @@ def _parse_discrete(config: ExperimentConfig):
         )
     except (ModelError, ValueError, TypeError) as exc:
         raise ConfigError(str(exc), "discrete") from None
-    if hawkes:
-        try:
-            _hawkes_lattice(model, max(x_grid))
-        except LatticeMismatch as exc:
-            raise ConfigError(str(exc), "discrete") from None
-        except ModelError as exc:
-            raise ConfigError(exc.message, "discrete.x_grid") from None
+    try:
+        _hawkes_lattice(model, max(x_grid)) if hawkes else _renewal_lattice(model)
+    except LatticeMismatch as exc:
+        raise ConfigError(str(exc), "discrete") from None
+    except ModelError as exc:
+        # the hawkes kind's cells reach its largest x, the renewal kind's its largest D
+        raise ConfigError(exc.message, "discrete.x_grid" if hawkes else "discrete") from None
     return model, x_grid
 
 
@@ -509,13 +510,12 @@ def _run_cluster_tails(config: ExperimentConfig, rng: RngStream, grid: QuantileG
         estimate = None
         if name == "max" and model.independent_marks:
             # the max tail is read off the sizes where the marks are independent of them
-            survival = np.asarray(model.mark_law.survival(xs))
-            estimate = conditional_max_tail(sizes.tally, survival, *size_control(model))
-        counts, *tail = tail_bands(ts, xs, estimate)
-        # a point is certified by the exceedances of the sample, whichever estimate its tail is
-        certified = [bool(c >= grid.min_exceedances) for c in counts]
-        summary["certified_points"][name] = sum(certified)
-        rows += [(name, *cells) for cells in zip(grid.levels, xs, counts, *tail, certified)]
+            estimate = cluster_max_tail(model, sizes.tally, xs)
+        t = tail_table(ts, xs, grid.min_exceedances, estimate)
+        summary["certified_points"][name] = int(t.certified.sum())
+        # the certified column as Python bools, which the CSV writes as True and False
+        cells = zip(grid.levels, t.grid, t.exceedances, t.empirical, t.ci_low, t.ci_high, t.certified.tolist())
+        rows += [(name, *row) for row in cells]
     return _csv("functional,level,x,exceedances,survival,ci_low,ci_high,certified", rows), summary
 
 
@@ -540,7 +540,8 @@ def _run_tail_ratio(config: ExperimentConfig, rng: RngStream, functional, grid):
         "functional": functional,
         "target": denominator_label(config.model, functional),
         "n": config.clusters,
-        "max_abs_dev": float(np.max(np.abs(curve.ratio - 1.0))),
+        # every point is certified, since ratio_curve certifies the top one of its ascending grid
+        "max_abs_dev": curve.sup_abs_dev,
         "ratios": curve.ratio.tolist(),
         "grid": curve.grid.tolist(),
         "provenance": curve.provenance,

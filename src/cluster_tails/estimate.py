@@ -1,8 +1,10 @@
 """Empirical-tail machinery.
 
-Tail estimates with their 95% bands, ratio curves against the asymptotic
-denominators, the Hill tail-index estimator, and numeric Laplace-transform
-slope checks of regular variation.
+One tail table behind every printed tail (:func:`tail_table`: a tail
+estimate with its 95% band over a denominator, certified by exceedance
+counts), ratio curves against the asymptotic denominators, the Hill
+tail-index estimator, and numeric Laplace-transform slope checks of
+regular variation.
 
 Where the marks are i.i.d. and independent of the counts
 (:attr:`~cluster_tails.heavytail.JointMarkModel.independent_marks`), the
@@ -46,9 +48,10 @@ __all__ = [
     "QuantileGrid",
     "RatioCurve",
     "HillEstimate",
-    "tail_bands",
+    "tail_table",
     "conditional_max_tail",
     "size_control",
+    "cluster_max_tail",
     "crude_tail_estimator",
     "max_tail_estimator",
     "ratio_curve",
@@ -163,23 +166,6 @@ def wilson_interval(count: int, n: int, z: float = _Z95) -> tuple[float, float]:
     return max(0.0, min(center - half, p)), min(1.0, max(center + half, p))
 
 
-def tail_bands(sample: TailSample, xs, estimate=None):
-    """Exceedance counts, tail estimates and their 95% bands at each x of ``xs``.
-
-    Without ``estimate`` the tail is the exceedance fraction of ``sample``
-    with its Wilson band.  ``estimate`` is a (tail, standard error) pair of
-    arrays over ``xs``; its band is p +- 1.96 se, clipped to [0, 1].  Returns
-    (counts, tail, low, high).
-    """
-    counts = np.asarray(sample.exceedances(np.asarray(xs, dtype=float)))
-    if estimate is None:
-        tail = counts / sample.n
-        low, high = np.array([wilson_interval(int(c), sample.n) for c in counts]).T
-        return counts, tail, low, high
-    tail, se = estimate
-    return counts, tail, np.clip(tail - _Z95 * se, 0.0, 1.0), np.clip(tail + _Z95 * se, 0.0, 1.0)
-
-
 def _distinct_counts(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct values of a nonnegative integer array, ascending, and how often each occurs.
 
@@ -284,6 +270,17 @@ def size_control(model: JointMarkModel) -> tuple[float, ...]:
     return moments[: model.count_control_order]
 
 
+def cluster_max_tail(model: JointMarkModel, tally, xs) -> tuple[np.ndarray, np.ndarray]:
+    """P(H > x) at each x of ``xs`` and its standard error, from the tally of the cluster sizes.
+
+    This is :func:`conditional_max_tail` of the sizes, with the controls
+    that :func:`size_control` gives; the marks of ``model`` must be
+    independent of the counts.
+    """
+    survival = np.asarray(model.mark_law.survival(xs))
+    return conditional_max_tail(tally, survival, *size_control(model))
+
+
 def crude_tail_estimator(over: str, statistic: str) -> str:
     """The crude estimator of P(``statistic`` > x) over ``over``, and its band."""
     return f"crude Monte Carlo: fraction of {over} with {statistic} > x; 95% Wilson score band"
@@ -351,7 +348,12 @@ class QuantileGrid:
 
 @dataclass
 class RatioCurve:
-    """Pointwise empirical survival over a theoretical denominator."""
+    """One tail table: a tail estimate and its band at each grid point, over a denominator.
+
+    ``certified`` marks the points with at least ``min_exceedances``
+    exceedances of the sample, and ``sup_abs_dev`` is sup |ratio - 1| over
+    them, nan when none is certified.
+    """
 
     grid: np.ndarray
     empirical: np.ndarray
@@ -360,7 +362,34 @@ class RatioCurve:
     ci_low: np.ndarray
     ci_high: np.ndarray
     exceedances: np.ndarray
+    certified: np.ndarray
+    sup_abs_dev: float
     provenance: str = ""
+
+
+def tail_table(sample: TailSample, xs, min_exceedances: int, estimate=None, denominator=None) -> RatioCurve:
+    """The tail table of ``sample`` at each x of ``xs``: the routine behind every printed tail.
+
+    Without ``estimate`` the tail is the exceedance fraction of ``sample``
+    with its Wilson band.  ``estimate`` is a (tail, standard error) pair of
+    arrays over ``xs``; its band is p +- 1.96 se, clipped to [0, 1].  The
+    tail and its band are divided by ``denominator``, or by ones without
+    one, which leaves their bits.  A point is certified by the exceedances
+    of ``sample``, whichever estimate its tail is.
+    """
+    xs = np.asarray(xs, dtype=float)
+    counts = np.asarray(sample.exceedances(xs))
+    if estimate is None:
+        tail = counts / sample.n
+        low, high = np.array([wilson_interval(int(c), sample.n) for c in counts]).T
+    else:
+        tail, se = estimate
+        low, high = np.clip(tail - _Z95 * se, 0.0, 1.0), np.clip(tail + _Z95 * se, 0.0, 1.0)
+    denom = np.ones(xs.size) if denominator is None else np.asarray(denominator)
+    ratio = tail / denom
+    certified = counts >= min_exceedances
+    sup_dev = float(np.abs(ratio[certified] - 1.0).max()) if certified.any() else math.nan
+    return RatioCurve(xs, tail, denom, ratio, low / denom, high / denom, counts, certified, sup_dev)
 
 
 def ratio_curve(
@@ -381,11 +410,10 @@ def ratio_curve(
     The numerator is the exceedance fraction of ``sample`` with its Wilson
     band, unless ``size_tally`` gives the sizes of the clusters whose
     maxima ``sample`` holds, tallied as :func:`conditional_max_tail` takes
-    them: then it is :func:`conditional_max_tail` of the sizes,
-    which needs a max and a model whose marks are independent of the
-    counts, and the provenance says so; the exact mean size is its control
-    variate where :func:`size_control` gives one.  The sample's quantiles
-    place the grid and its exceedance counts certify it either way.
+    them: then it is :func:`cluster_max_tail` of the sizes, which needs a
+    max and a model whose marks are independent of the counts, and the
+    provenance says so.  The sample's quantiles place the grid and its
+    exceedance counts certify it either way.
     """
     xs = np.asarray(sample.quantile(list(grid.levels)), dtype=float)
     estimate = None
@@ -397,27 +425,15 @@ def ratio_curve(
         tallied = int(size_tally[1].sum())
         if tallied != sample.n:
             raise ValueError(f"{tallied} cluster sizes for {sample.n} maxima")
-        survival = np.asarray(model.mark_law.survival(xs))
-        estimate = conditional_max_tail(size_tally, survival, *size_control(model))
-    counts, emp, low, high = tail_bands(sample, xs, estimate)
-    if counts[-1] < grid.min_exceedances:
-        raise InsufficientExceedances(
-            float(xs[-1]), int(counts[-1]), grid.min_exceedances
-        )
+        estimate = cluster_max_tail(model, size_tally, xs)
     denom = np.asarray(theoretical_denominator(model, functional, xs))
-    provenance = f"denominator={denominator_label(model, functional)} joint=closed"
+    curve = tail_table(sample, xs, grid.min_exceedances, estimate, denom)
+    if not curve.certified[-1]:
+        raise InsufficientExceedances(float(xs[-1]), int(curve.exceedances[-1]), grid.min_exceedances)
+    curve.provenance = f"denominator={denominator_label(model, functional)} joint=closed"
     if estimate is not None:
-        provenance += " estimator=conditional"
-    return RatioCurve(
-        grid=xs,
-        empirical=emp,
-        denominator=denom,
-        ratio=emp / denom,
-        ci_low=low / denom,
-        ci_high=high / denom,
-        exceedances=counts,
-        provenance=provenance,
-    )
+        curve.provenance += " estimator=conditional"
+    return curve
 
 
 @dataclass(frozen=True)

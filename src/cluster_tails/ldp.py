@@ -61,11 +61,12 @@ import numpy as np
 
 from .errors import ModelError
 from .estimate import (
+    RatioCurve,
     TailSample,
     _distinct_counts,
     conditional_max_tail,
     max_tail_estimator,
-    tail_bands,
+    tail_table,
 )
 from .heavytail import (
     JointMarkModel,
@@ -147,38 +148,11 @@ def _horizon_grid(config: SweepConfig, horizon: float, sample: TailSample) -> np
     return np.geomspace(x_lo, x_hi, config.x_levels)
 
 
-def _sweep_rows(
-    config: SweepConfig,
-    horizon: float,
-    sample: TailSample,
-    grid: np.ndarray,
-    denom: np.ndarray,
-    estimate: tuple[np.ndarray, np.ndarray] | None = None,
-) -> list[SweepRow]:
-    """One row per grid point, with the tail and band of :func:`~cluster_tails.estimate.tail_bands`.
-
-    The exceedance counts of the deviations in ``sample`` certify the grid
-    whichever estimate the tail is.
-    """
-    counts, empirical, lo, hi = tail_bands(sample, grid, estimate)
-    ratio = empirical / denom
-    certified = counts >= config.min_exceedances
-    sup_dev = float(np.abs(ratio[certified] - 1.0).max()) if certified.any() else float("nan")
-    return [
-        SweepRow(
-            horizon=float(horizon),
-            x=float(grid[i]),
-            empirical=float(empirical[i]),
-            denominator=float(denom[i]),
-            ratio=float(ratio[i]),
-            ci_low=float(lo[i] / denom[i]),
-            ci_high=float(hi[i] / denom[i]),
-            exceedances=int(counts[i]),
-            certified=bool(certified[i]),
-            sup_abs_dev=sup_dev,
-        )
-        for i in range(len(grid))
-    ]
+def _sweep_rows(horizon: float, t: RatioCurve) -> list[SweepRow]:
+    """One row per point of ``t``, a horizon's :func:`~cluster_tails.estimate.tail_table`."""
+    columns = (t.grid, t.empirical, t.denominator, t.ratio, t.ci_low, t.ci_high, t.exceedances, t.certified)
+    # tolist() gives each cell as a Python float, int or bool, in SweepRow's field order
+    return [SweepRow(float(horizon), *row, t.sup_abs_dev) for row in zip(*(c.tolist() for c in columns))]
 
 
 def _normalizer(config: SweepConfig, functional: str, horizon: float, grid: np.ndarray) -> np.ndarray:
@@ -238,13 +212,13 @@ def ldp_max_sweep(
     for i, (horizon, dev) in enumerate(zip(horizons, paths["max_in_window"])):
         sample = TailSample.from_values(dev)
         grid = _horizon_grid(config, horizon, sample)
-        survival = np.asarray(window.model.mark_law.survival(grid))
         denom = _normalizer(config, "max", float(horizon), grid)
         estimate = None
         if conditional:
             tally = _distinct_counts(paths["n_events"][i])
+            survival = np.asarray(window.model.mark_law.survival(grid))
             estimate = conditional_max_tail(tally, survival, *controls[i])
-        rows.extend(_sweep_rows(config, horizon, sample, grid, denom, estimate))
+        rows += _sweep_rows(horizon, tail_table(sample, grid, config.min_exceedances, estimate, denom))
     return rows
 
 
@@ -268,7 +242,7 @@ def ldp_sum_sweep(config: SweepConfig, rng: RngStream, workers: int = 1) -> list
         sample = TailSample.from_values(s - float(mean))
         grid = _horizon_grid(config, horizon, sample)
         denom = _normalizer(config, "sum", float(horizon), grid)
-        rows.extend(_sweep_rows(config, horizon, sample, grid, denom))
+        rows += _sweep_rows(horizon, tail_table(sample, grid, config.min_exceedances, denominator=denom))
     return rows
 
 

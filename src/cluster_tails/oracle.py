@@ -125,25 +125,48 @@ def exact_renewal_max_distribution(
     return np.asarray(values, dtype=float), pmf
 
 
+# the most lattice cells that an exact law of D takes, either kind: the
+# hawkes kind's transform reach.  A renewal law of 16,016 cells convolves in
+# about 13 ms, and the convolution is quadratic in the cells
+_LATTICE_CELLS = _SIZE_LAW_POINTS // 4
+
+
+def _renewal_lattice(model: DiscreteJointModel) -> tuple[float, int, int]:
+    """(step, mark cells, cells): the lattice step of D, an offspring mark's cells and D's.
+
+    Raises :class:`LatticeMismatch` when the marks share no step, and
+    :class:`ModelError` on field ``support`` when D would pass
+    ``_LATTICE_CELLS`` cells, before anything is allocated.
+    """
+    xs = [x0 for x0, _, _ in model.support]
+    marks = [m for m, _ in model.offspring_support]
+    step = _lattice_step(xs + marks)
+    mark_cells = round(max(marks) / step) + 1
+    cells = round(max(xs) / step) + int(max(k for _, k, _ in model.support)) * (mark_cells - 1) + 1
+    if cells > _LATTICE_CELLS:
+        raise ModelError(
+            f"D spans {cells} lattice cells of step {step:g}: the exact law takes at most {_LATTICE_CELLS}",
+            "support",
+        )
+    return step, mark_cells, cells
+
+
 def _sum_distribution(model: DiscreteJointModel) -> tuple[float, np.ndarray]:
     """(step, pmf) of D on the common lattice, by exact convolution."""
-    marks = [m for m, _ in model.offspring_support]
-    xs = [x0 for x0, _, _ in model.support]
-    step = _lattice_step(xs + marks)
-    off_len = int(round(max(marks) / step)) + 1 if marks else 1
+    step, off_len, out_len = _renewal_lattice(model)
     q = np.zeros(off_len)
     for m, p in model.offspring_support:
         q[int(round(m / step))] += p
 
-    kmax = int(max(k for _, k, _ in model.support))
-    xmax_idx = int(round(max(xs) / step)) if xs else 0
-    out_len = xmax_idx + kmax * (off_len - 1) + 1
+    counts = {int(k) for _, k, _ in model.support}
     acc = np.zeros(out_len)
     conv = np.array([1.0])  # zero-fold convolution: point mass at 0
     powers = {0: conv}
-    for k in range(1, kmax + 1):
+    # only the counts of the support keep their power: K powers would hold K**2 cells
+    for k in range(1, max(counts) + 1):
         conv = np.convolve(conv, q)
-        powers[k] = conv
+        if k in counts:
+            powers[k] = conv
     for x0, k, p in model.support:
         shift = int(round(x0 / step))
         vec = powers[int(k)]
@@ -175,17 +198,17 @@ def _hawkes_lattice(model: DiscreteJointModel, x: float) -> tuple[float, int, in
     """(step, cells, n): the lattice step of D, its cells 0 .. cells - 1 up to ``x``, and the transform's points.
 
     n is the least power of two of at least 4 * cells.  Raises
-    :class:`ModelError` on field ``x``, before anything is allocated, when n
-    would pass ``_SIZE_LAW_POINTS``.
+    :class:`ModelError` on field ``x``, before anything is allocated, when
+    the cells would pass ``_LATTICE_CELLS``, so n ``_SIZE_LAW_POINTS``.
     """
     if model.kind != "hawkes":
         raise ModelError("hawkes oracle needs a hawkes-kind model", "kind")
     step = _lattice_step([x0 for x0, _, _ in model.support])
     last = max(x, 0.0) / step + 1e-9  # the last cell is its floor
-    if not last < _SIZE_LAW_POINTS // 4:
+    if not last < _LATTICE_CELLS:
         raise ModelError(
             f"x={x:g} is {last:.0f} lattice steps of {step:g}: the transform takes at most "
-            f"{_SIZE_LAW_POINTS // 4} cells",
+            f"{_LATTICE_CELLS} cells",
             "x",
         )
     cells = math.floor(last) + 1

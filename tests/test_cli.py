@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -553,6 +554,23 @@ class TestHostileConfigs:
         )
     ]
 
+    # a renewal oracle whose marks share no lattice step validated, then failed
+    # in the run with exit 4 and no field; one whose D spans 410,041 lattice
+    # cells validated, then convolved for minutes
+    RENEWAL_LATTICES = [
+        (
+            "oracle-compare",
+            {"discrete": {"kind": "renewal", "support": [[1.0, 1, 1.0]], "offspring": [[2**0.5, 0.5], [1.0, 0.5]]}},
+            "discrete",
+        ),
+        (
+            "oracle-compare",
+            {"discrete": {"kind": "renewal", "support": [[1.0, 40, 1.0]], "offspring": [[1.0, 0.5], [1.0001, 0.5]]}},
+            "discrete",
+        ),
+    ]
+    CASES += RENEWAL_LATTICES
+
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize(
         "experiment, fields, field", CASES, ids=case_ids(f"{c[0]}-{c[2]}" for c in CASES)
@@ -567,6 +585,16 @@ class TestHostileConfigs:
         assert err["error"] == "ConfigError"
         assert err["field"] == field
         assert not list(tmp_path.glob(f"{experiment}-1.*"))
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("fields", [c[1] for c in RENEWAL_LATTICES], ids=["no-step", "past-the-cells"])
+    def test_renewal_lattice_fails_within_a_second(self, tmp_path, capsys, command, fields):
+        payload = {"experiment": "oracle-compare", "seed": 1, "output_dir": str(tmp_path), **fields}
+        path = write_config(tmp_path, payload)
+        started = time.perf_counter()
+        assert main([command, str(path)]) == 2
+        assert time.perf_counter() - started < 1.0
+        assert json.loads(capsys.readouterr().err)["field"] == "discrete"
 
     def test_least_renewal_cluster_at_the_guard_validates(self, tmp_path):
         # 1 + ceil(999,999) events is the most a cluster may hold, not more

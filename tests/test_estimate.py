@@ -25,13 +25,14 @@ from cluster_tails.estimate import (
     TailFold,
     TailSample,
     _distinct_counts,
+    cluster_max_tail,
     conditional_max_tail,
     hill_estimator,
     laplace_derivative_table,
     ratio_curve,
     size_control,
     table_slope,
-    tail_bands,
+    tail_table,
     wilson_interval,
 )
 from cluster_tails.heavytail import (
@@ -225,31 +226,66 @@ class TestFolds:
             assert got.provenance == want.provenance
 
 
-class TestTailBands:
-    """The one routine behind every printed tail estimate and its band."""
+class TestTailTable:
+    """The one routine behind every printed tail estimate, its band and its certificate."""
 
     SAMPLE = TailSample.from_values(pareto_values(1, 2_000))
     XS = np.array([0.5, 1.5, 3.0, 10.0, 100.0, 1e6])
+    P = np.array([0.5, 0.2, 0.01, 0.001, 1e-5, 0.0])
+    SE = np.array([0.1, 0.15, 0.02, 0.0, 1e-4, 0.0])
 
     def test_counts_are_the_exceedances(self):
-        counts, _, _, _ = tail_bands(self.SAMPLE, self.XS)
+        counts = tail_table(self.SAMPLE, self.XS, 50).exceedances
         assert counts.tolist() == [self.SAMPLE.exceedances(float(x)) for x in self.XS]
 
     def test_fraction_with_its_wilson_band(self):
-        counts, tail, low, high = tail_bands(self.SAMPLE, self.XS)
+        t = tail_table(self.SAMPLE, self.XS, 50)
+        counts, tail, low, high = t.exceedances, t.empirical, t.ci_low, t.ci_high
         n = self.SAMPLE.n
         assert tail.tolist() == [int(c) / n for c in counts]
         assert list(zip(low, high)) == [wilson_interval(int(c), n) for c in counts]
 
     def test_estimate_with_its_clipped_normal_band(self):
-        p = np.array([0.5, 0.2, 0.01, 0.001, 1e-5, 0.0])
-        se = np.array([0.1, 0.15, 0.02, 0.0, 1e-4, 0.0])
-        counts, tail, low, high = tail_bands(self.SAMPLE, self.XS, (p, se))
+        p, se = self.P, self.SE
+        t = tail_table(self.SAMPLE, self.XS, 50, (p, se))
+        counts, tail, low, high = t.exceedances, t.empirical, t.ci_low, t.ci_high
         assert counts.tolist() == [self.SAMPLE.exceedances(float(x)) for x in self.XS]
         assert tail is p
         assert np.array_equal(low, np.clip(p - 1.959963984540054 * se, 0.0, 1.0))
         assert np.array_equal(high, np.clip(p + 1.959963984540054 * se, 0.0, 1.0))
         assert low[4] == 0.0 and high[3] == low[3] == p[3]
+
+    def test_without_a_denominator_the_ratio_and_band_are_the_tails_bits(self):
+        n = self.SAMPLE.n
+        counts = self.SAMPLE.exceedances(self.XS)
+        wilson = np.array([wilson_interval(int(c), n) for c in counts]).T
+        clipped = np.clip(self.P - _Z95 * self.SE, 0.0, 1.0), np.clip(self.P + _Z95 * self.SE, 0.0, 1.0)
+        for estimate, band in ((None, wilson), ((self.P, self.SE), clipped)):
+            t = tail_table(self.SAMPLE, self.XS, 50, estimate)
+            assert t.denominator.tolist() == [1.0] * self.XS.size
+            assert t.ratio.tobytes() == t.empirical.tobytes()
+            assert t.ci_low.tobytes() == band[0].tobytes()
+            assert t.ci_high.tobytes() == band[1].tobytes()
+
+    def test_a_denominator_divides_the_tail_and_its_band(self):
+        denom = np.array([0.9, 0.5, 0.3, 0.1, 0.01, 1e-9])
+        plain = tail_table(self.SAMPLE, self.XS, 50)
+        t = tail_table(self.SAMPLE, self.XS, 50, denominator=denom)
+        assert np.array_equal(t.ratio, plain.empirical / denom)
+        assert np.array_equal(t.ci_low, plain.ci_low / denom)
+        assert np.array_equal(t.ci_high, plain.ci_high / denom)
+
+    def test_sup_covers_the_certified_points_only(self):
+        counts = self.SAMPLE.exceedances(self.XS)
+        # the uncertified points' ratios are far off 1, so a sup over them would show
+        denom = np.array([0.9, 0.5, 0.3, 0.1, 1e-12, 1e-12])
+        for least in (1, 50, int(counts[1]), int(counts[0])):
+            t = tail_table(self.SAMPLE, self.XS, least, denominator=denom)
+            assert t.certified.tolist() == [int(c) >= least for c in counts]
+            want = max(abs(r - 1.0) for r, ok in zip(t.ratio, t.certified) if ok)
+            assert t.sup_abs_dev == want
+        # no point certified: no sup
+        assert math.isnan(tail_table(self.SAMPLE, self.XS, self.SAMPLE.n + 1, denominator=denom).sup_abs_dev)
 
 
 class TestRatioCurve:
@@ -334,6 +370,25 @@ class TestConditionalMaxTail:
             assert low <= p <= high, (x, p, low, high)
         crude_rel_var = (1.0 - counts[-1] / n) / counts[-1]
         assert (se[-1] / tail[-1]) ** 2 * 100 <= crude_rel_var
+
+    @pytest.mark.parametrize("name", sorted(CLUSTER_MAX_MODELS))
+    def test_cluster_max_helper_is_the_conditional_estimate_of_ratio_curve(self, name):
+        # the one conditional cluster max: the sizes' conditional estimate with
+        # size_control's moments, bit for bit the tail and band of ratio_curve
+        model, params, _ = CLUSTER_MAX_MODELS[name]
+        grid = QuantileGrid(levels=(0.9, 0.99))
+        sample = batch_functionals(model, params, 50_000, RngStream(48, 0), fields=("h", "sizes"))
+        h, sizes = TailSample.from_values(sample.h), _distinct_counts(sample.sizes)
+        xs = h.quantile(list(grid.levels))
+        survival = np.asarray(model.mark_law.survival(xs))
+        want, want_se = conditional_max_tail(sizes, survival, *size_control(model))
+        tail, se = cluster_max_tail(model, sizes, xs)
+        assert tail.tobytes() == want.tobytes() and se.tobytes() == want_se.tobytes()
+        curve = ratio_curve(h, model, "max", grid, size_tally=sizes)
+        assert curve.empirical.tobytes() == want.tobytes()
+        low, high = np.clip(want - _Z95 * want_se, 0.0, 1.0), np.clip(want + _Z95 * want_se, 0.0, 1.0)
+        assert curve.ci_low.tobytes() == (low / curve.denominator).tobytes()
+        assert curve.ci_high.tobytes() == (high / curve.denominator).tobytes()
 
     def test_ratio_curve_reads_the_sizes(self):
         model, params, _ = CLUSTER_MAX_MODELS["light-count"]

@@ -109,6 +109,23 @@ class TestRenewalSumOracle:
         with pytest.raises(LatticeMismatch):
             exact_renewal_sum_tail(model, 1.0)
 
+    def test_lattice_cells_are_capped_before_anything_is_allocated(self):
+        # 40 marks of step 1e-4 up to 1.0001 put D on 410,041 cells: refused, where
+        # the quadratic convolution used to run for minutes
+        wide = DiscreteJointModel(
+            kind="renewal", support=((1.0, 40, 1.0),), offspring_support=((1.0, 0.5), (1.0001, 0.5))
+        )
+        with pytest.raises(ModelError, match="410041 lattice cells") as exc:
+            exact_renewal_sum_distribution(wide)
+        assert exc.value.field == "support"
+        # 15 of them put D on 16,016 cells, inside the cap of 2**14
+        at_cap = DiscreteJointModel(
+            kind="renewal", support=((1.0, 15, 1.0),), offspring_support=((1.0, 0.5), (1.001, 0.5))
+        )
+        values, pmf = exact_renewal_sum_distribution(at_cap)
+        assert pmf.size == 16_016 and pmf.sum() == pytest.approx(1.0, abs=1e-12)
+        assert values[np.flatnonzero(pmf)[[0, -1]]] == pytest.approx([16.0, 16.015])
+
     @pytest.mark.parametrize("unit", [1e-10, 1e-13])
     def test_lattice_step_relative_to_the_largest_value(self, unit):
         # the hand model with every mark in units of 1e-10 or 1e-13
