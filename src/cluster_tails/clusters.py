@@ -7,15 +7,15 @@ marks, never on event times, which is what makes the vectorized batch path
 legitimate: it skips drawing times entirely.  :func:`functional_chunks`
 yields the functionals chunk by chunk, so a caller that folds each chunk
 into what it reads never holds n clusters; :func:`batch_functionals` joins
-the same chunks into arrays of n.  No Hawkes cluster is grown node by node:
-a HawkesLightIntensity cluster, whose marks are i.i.d. and independent of
-kappa, draws its size from the exact law of its total progeny (or, with
-E[kappa] too near 1 for that law's table, grows its size by generation
-totals) and then its marks, as a renewal cluster does; a
+the same chunks into arrays of n.  No Hawkes cluster of a batch is grown
+node by node: a HawkesLightIntensity cluster, whose marks are i.i.d. and
+independent of kappa, draws its size from the exact law of its total
+progeny (or, with E[kappa] too near 1 for that law's table, grows its size
+by generation totals) and then its marks, as a renewal cluster does; a
 HawkesComonotoneIntensity one grows by generation totals, one Poisson draw
-per cluster and generation.  The window kernels of
-:mod:`cluster_tails.process`, which do draw times, keep their own
-node-by-node generation loop.
+per cluster and generation.  Every Hawkes cascade, the window kernels' of
+:mod:`cluster_tails.process` too, grows through one generation loop,
+:func:`_grown_sizes`.
 """
 
 from __future__ import annotations
@@ -142,41 +142,46 @@ def _renewal_chunk(model: JointMarkModel, n: int, rng: RngStream, fields):
     return _renewal_functionals(x, k, marks, fields)
 
 
-def _overflow_check(grown: np.ndarray, clusters, max_events: int) -> None:
-    """Raise :class:`ClusterOverflow` for the first largest of ``grown`` past ``max_events``, counted in ``clusters``."""
+def _overflow_check(grown: np.ndarray, clusters, max_events: int, offspring: bool = False) -> None:
+    """Raise :class:`ClusterOverflow` for the first largest of ``grown`` (less its immigrants, if ``offspring``) past ``max_events``."""
+    if not grown.size:
+        return
     worst = int(grown.argmax())
-    if grown[worst] > max_events:
+    if grown[worst] + offspring > max_events:
         raise ClusterOverflow(int(clusters[worst]), max_events)
 
 
-def _grown_sizes(gen: np.random.Generator, brood: np.ndarray, children_mean, max_events: int) -> np.ndarray:
+def _grown_sizes(gen: np.random.Generator, brood: np.ndarray, children, max_events: int) -> np.ndarray:
     """The sizes of Hawkes clusters grown one generation at a time from their first ``brood``, in its array.
 
-    ``children_mean(live, nodes)`` draws what the ``nodes`` of each live
-    cluster's newest generation need and gives their mean number of
-    children: its next generation is one Poisson draw (superposition).  A
-    cluster whose running size passes ``max_events`` raises, the first
-    largest, before its next generation is drawn.
+    ``children(live, nodes)`` draws the next generation of each live
+    cluster, whose newest generation has ``nodes`` nodes, and returns how
+    many children each live cluster got.  A cluster whose running size
+    passes ``max_events`` raises, the first largest, before its next
+    generation is drawn.  Until the loop ends, ``brood``'s array counts each
+    cluster's events after its immigrant, so the first call can still read
+    the immigrants' broods there.
     """
     sizes = brood
-    live = np.flatnonzero(brood)
+    # the narrowest dtype that holds a cluster's index: it is repeated per node
+    live = np.flatnonzero(brood).astype(np.min_scalar_type(brood.size))
     brood = brood[live]
-    sizes += 1
-    _overflow_check(sizes, range(sizes.size), max_events)
+    _overflow_check(sizes, range(sizes.size), max_events, offspring=True)
     while live.size:
-        brood = gen.poisson(children_mean(live, brood))
+        brood = children(live, brood)
         grown = sizes[live] + brood
         sizes[live] = grown
-        _overflow_check(grown, live, max_events)
+        _overflow_check(grown, live, max_events, offspring=True)
         kept = np.flatnonzero(brood)
         live, brood = live[kept], brood[kept]
+    sizes += 1
     return sizes
 
 
 def _kappa_totals(model: JointMarkModel, gen: np.random.Generator, live, nodes: np.ndarray) -> np.ndarray:
-    """The kappas of each HawkesLightIntensity cluster's ``nodes`` newest nodes, drawn and summed."""
+    """The children of each HawkesLightIntensity cluster's ``nodes`` newest nodes: one Poisson draw of their kappas' sum."""
     kappa = sample_joint(model, None, gen, int(nodes.sum())).count
-    return np.add.reduceat(kappa, np.cumsum(nodes) - nodes)
+    return gen.poisson(np.add.reduceat(kappa, np.cumsum(nodes) - nodes))
 
 
 def _hawkes_light_chunk(model: JointMarkModel, n: int, rng: RngStream, max_events: int, fields):
@@ -193,7 +198,7 @@ def _hawkes_light_chunk(model: JointMarkModel, n: int, rng: RngStream, max_event
         first = gen.poisson(sample_joint(model, None, gen, n).count)
         k = _grown_sizes(gen, first, partial(_kappa_totals, model, gen), max_events)
     else:
-        k = _invert(*table, gen.random(n)).astype(np.int64)
+        k = _invert(*table, gen.random(n)).astype(np.int64, copy=False)
         _overflow_check(k, range(n), max_events)
     if "h" not in fields and "d" not in fields:
         return {"sizes": k} if fields else {}
@@ -230,7 +235,8 @@ def _hawkes_comonotone_chunk(model: JointMarkModel, n: int, rng: RngStream, max_
         del marks, starts  # before D's update copies d[live]
         if d is not None:
             d[live] += total
-        return total * r
+        total *= r
+        return gen.poisson(total)
 
     first = gen.poisson(x * r)
     del x

@@ -756,8 +756,7 @@ def _poisson_table(mu: float) -> tuple[np.ndarray, np.ndarray] | None:
     if full.size == 0:
         return None
     cdf = cdf[: full[0] + 1]
-    cells = np.arange(_GUIDE_CELLS) / _GUIDE_CELLS
-    guide = np.searchsorted(cdf, cells, side="right")
+    guide = _guide(cdf, _GUIDE_CELLS)
     for a in (cdf, guide):
         a.setflags(write=False)  # every caller shares the cached arrays
     return cdf, guide
@@ -767,11 +766,9 @@ def _poisson_counts(gen: np.random.Generator, mu: float, size=None):
     """Poisson(mu) counts, each by inversion of one uniform where mu has a table.
 
     A count is ``np.searchsorted(cdf, u, side="right")`` of its uniform u,
-    found by a guide table (Chen & Asau 1974; Devroye 1986, ch. III): the
-    guide gives where u's cell starts, one compare steps past a cdf jump
-    inside the cell, and the rare u whose cell holds more jumps are
-    searched.  The uniforms are the generator's next ``size`` doubles, drawn
-    a block at a time, so no temporary the size of the sample is made.
+    found by a guide table (:func:`_invert`).  The uniforms are the
+    generator's next ``size`` doubles, drawn and inverted a block at a
+    time, so no temporary the size of the sample is made.
     """
     table = _poisson_table(float(mu))
     if table is None:
@@ -784,13 +781,7 @@ def _poisson_counts(gen: np.random.Generator, mu: float, size=None):
     buf = np.empty(min(flat.size, _POISSON_BLOCK))
     for lo in range(0, flat.size, _POISSON_BLOCK):
         part = flat[lo : lo + _POISSON_BLOCK]
-        u = gen.random(part.size, out=buf[: part.size])
-        np.multiply(u, _GUIDE_CELLS, out=part, casting="unsafe")  # u's cell
-        # index j is read before part[j] is written, and "clip" leaves ``out`` unbuffered
-        np.take(guide, part, out=part, mode="clip")
-        part += np.take(cdf, part) <= u
-        rest = np.flatnonzero(np.take(cdf, part) <= u)
-        part[rest] = np.searchsorted(cdf, u[rest], side="right")
+        _invert(cdf, guide, gen.random(part.size, out=buf[: part.size]), out=part)
     return k
 
 
@@ -846,21 +837,31 @@ def _mixed_poisson_short(gen: np.random.Generator, mu: float, k: np.ndarray):
 
 
 def _guide(cdf: np.ndarray, cells: int) -> np.ndarray:
-    """Entry i is the first index whose ``cdf`` exceeds i / cells: where inverting a u in cell i starts (Chen & Asau 1974)."""
-    return np.searchsorted(cdf, np.arange(cells) / cells, side="right").astype(np.int32)
+    """Entry i is the first index whose ``cdf`` exceeds i / cells: where inverting a u in cell i starts (Chen & Asau 1974).
 
-
-def _invert(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(cdf, u, side="right")``, for u below ``cdf[-1]``, by ``_guide(cdf, guide.size)``.
-
-    One compare steps past a cdf value inside u's cell; the u whose cell
-    holds more values are searched.
+    ``cells`` is a power of two, so that i / cells and u's cell, u * cells
+    rounded down, are exact.
     """
-    k = guide[(u * guide.size).astype(np.intp)]
-    k += cdf[k] <= u
-    rest = np.flatnonzero(cdf[k] <= u)
-    k[rest] = np.searchsorted(cdf, u[rest], side="right")
-    return k
+    return np.searchsorted(cdf, np.arange(cells) / cells, side="right")
+
+
+def _invert(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``np.searchsorted(cdf, u, side="right")``, for u in [0, 1) below ``cdf[-1]``, by ``_guide(cdf, guide.size)``.
+
+    The guide gives where u's cell starts, one compare steps past a cdf
+    value inside the cell, and the u whose cell holds more values are
+    searched (Chen & Asau 1974; Devroye 1986, ch. III).  The indices are
+    made in ``out``, an intp array of u's shape, if it is given.
+    """
+    if out is None:
+        out = np.empty(u.shape, dtype=np.intp)
+    np.multiply(u, guide.size, out=out, casting="unsafe")  # u's cell
+    # index j is read before out[j] is written, and "clip" leaves ``out`` unbuffered
+    np.take(guide, out, out=out, mode="clip")
+    out += np.take(cdf, out) <= u
+    rest = np.flatnonzero(np.take(cdf, out) <= u)
+    out[rest] = np.searchsorted(cdf, u[rest], side="right")
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -158,19 +158,14 @@ def _sum_distribution(model: DiscreteJointModel) -> tuple[float, np.ndarray]:
     for m, p in model.offspring_support:
         q[int(round(m / step))] += p
 
-    counts = {int(k) for _, k, _ in model.support}
     acc = np.zeros(out_len)
-    conv = np.array([1.0])  # zero-fold convolution: point mass at 0
-    powers = {0: conv}
-    # only the counts of the support keep their power: K powers would hold K**2 cells
-    for k in range(1, max(counts) + 1):
-        conv = np.convolve(conv, q)
-        if k in counts:
-            powers[k] = conv
-    for x0, k, p in model.support:
+    conv, power = np.array([1.0]), 0  # zero-fold convolution: point mass at 0
+    # the rows in count order, so one power is held at a time
+    for x0, k, p in sorted(model.support, key=lambda row: row[1]):
+        while power < k:
+            conv, power = np.convolve(conv, q), power + 1
         shift = int(round(x0 / step))
-        vec = powers[int(k)]
-        acc[shift : shift + len(vec)] += p * vec
+        acc[shift : shift + len(conv)] += p * conv
     return step, acc
 
 

@@ -122,6 +122,7 @@ from .clusters import (
     HawkesParams,
     RenewalParams,
     _chunk_size,
+    _grown_sizes,
     chunked_fill,
 )
 from .errors import ClusterOverflow, ModelError
@@ -733,43 +734,27 @@ def _slot_law(model: JointMarkModel, mu: float) -> _SlotLaw:
 _KEPT_TABLE, _KEPT_GUIDE = 1 << 14, 1 << 11
 
 
-class _KeptTables(NamedTuple):
-    """Inversion tables of the sums of 2**j i.i.d. K that stay in their slot (:class:`_SlotLaw`).
-
-    Table j holds the values from ``lo[j]`` on; their cdfs are
-    ``cdf[start[j]:start[j + 1]]``, and ``guide[j]`` is their
-    :func:`_guide`, as indices into ``cdf``.
-    """
-
-    lo: np.ndarray
-    start: np.ndarray
-    cdf: np.ndarray
-    guide: np.ndarray
-
-
 @lru_cache(maxsize=64)
-def _kept_tables(model: JointMarkModel, mu: float, levels: int) -> _KeptTables:
+def _kept_tables(model: JointMarkModel, mu: float, levels: int) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
     """The first ``levels`` tables of kept sums, up to the first one past half of _KEPT_TABLE.
 
-    Table j is the 2**j-fold convolution of ``kept``, normalised, without
-    the values before its cdf's last 0.0 and after its first 1.0, which no
-    uniform in [0, 1) inverts to: the mass left out is below the rounding
-    of one.
+    Table j holds the sums of 2**j i.i.d. K that stay in their slot
+    (:class:`_SlotLaw`) as (lo, cdf, guide): the cdf of the values from lo
+    on and its :func:`_guide`, of twice its length in cells, up to
+    _KEPT_GUIDE.  It is the 2**j-fold convolution of ``kept``, normalised,
+    without the values before its cdf's last 0.0 and after its first 1.0,
+    which no uniform in [0, 1) inverts to: the mass left out is below the
+    rounding of one.
     """
-    lo, pmf, los, cdfs = 0, _slot_law(model, mu).kept, [], []
+    lo, pmf, tables = 0, _slot_law(model, mu).kept, []
     while True:
         cdf = _cdf(pmf / pmf.sum())
         first, last = int(np.argmax(cdf > 0.0)), int(np.argmax(cdf == 1.0)) + 1
-        lo, pmf = lo + first, pmf[first:last] / pmf[first:last].sum()
-        los.append(lo)
-        cdfs.append(cdf[first:last])
-        if len(cdfs) == levels or last - first > _KEPT_TABLE // 2:
-            break
+        lo, pmf, cdf = lo + first, pmf[first:last] / pmf[first:last].sum(), cdf[first:last]
+        tables.append((lo, cdf, _guide(cdf, min(_KEPT_GUIDE, 1 << (2 * cdf.size - 1).bit_length()))))
+        if len(tables) == levels or last - first > _KEPT_TABLE // 2:
+            return tuple(tables)
         lo, pmf = 2 * lo, np.convolve(pmf, pmf)
-    start = np.cumsum([0, *(c.size for c in cdfs)])
-    cells = min(_KEPT_GUIDE, 1 << (2 * max(c.size for c in cdfs) - 1).bit_length())
-    guide = np.stack([_guide(c, cells) + np.int32(s) for s, c in zip(start, cdfs)])
-    return _KeptTables(np.array(los), start, np.concatenate(cdfs), guide)
 
 
 def _stay_totals(gen: np.random.Generator, model: JointMarkModel, mu: float, counts: np.ndarray):
@@ -779,35 +764,30 @@ def _stay_totals(gen: np.random.Generator, model: JointMarkModel, mu: float, cou
     of c, each the inverse of one uniform (:func:`_kept_tables`).  A table
     past half of _KEPT_TABLE is not convolved again: if it is the 2**J-fold
     one and bits past J are set, the cell takes c >> J inversions of it
-    instead.  The uniforms go table by table, cell by cell within one, and
-    each is inverted by its table's guide, then a search where that falls
-    short.
+    instead.  The uniforms go table by table, cell by cell within one.
     """
     n, levels = counts.size, int(counts.max(initial=0)).bit_length()
     if not levels:
         return np.zeros(n, dtype=np.int64)
-    lo, start, cdf, guide = _kept_tables(model, mu, levels)
-    last, cells = lo.size - 1, guide.shape[1]
-    bits = (counts & (1 << np.arange(last))[:, None]) != 0
-    reps = counts >> last
-    # each draw's table and cell, as table * n + cell
-    cell = np.concatenate((np.flatnonzero(bits), last * n + np.repeat(np.arange(n), reps)))
-    table = np.repeat(np.arange(last + 1), [*np.count_nonzero(bits, axis=1), reps.sum()])
-    cell -= table * n
-    u = gen.random(cell.size)
-    k = guide.ravel()[table * cells + (u * cells).astype(np.intp)]
-    k += cdf[k] <= u
-    rest = np.flatnonzero(cdf[k] <= u)  # a guide cell with more than two values in it
-    for j in range(lo.size) if rest.size else ():
-        at = rest[table[rest] == j]
-        k[at] = start[j] + np.searchsorted(cdf[start[j] : start[j + 1]], u[at], side="right")
-    return np.bincount(cell, k + (lo - start[:-1])[table], n).astype(np.int64)
+    tables = _kept_tables(model, mu, levels)
+    last = len(tables) - 1
+    # each table's cells, one entry per draw
+    cells = [np.flatnonzero(counts & (1 << j)) for j in range(last)]
+    cells.append(np.repeat(np.arange(n), counts >> last))
+    u = gen.random(sum(c.size for c in cells))
+    k, used = np.empty(u.size, dtype=np.intp), 0
+    for (lo, cdf, guide), cell in zip(tables, cells):
+        part = k[used : used + cell.size]
+        _invert(cdf, guide, u[used : used + cell.size], out=part)
+        part += lo
+        used += cell.size
+    return np.bincount(np.concatenate(cells), k, n).astype(np.int64)
 
 
 def _single_clusters(gen: np.random.Generator, model: JointMarkModel, mu: float, count: int):
     """K and the Y <= K offspring in their slot of ``count`` clusters that do not stay (:class:`_SlotLaw`)."""
     law = _slot_law(model, mu)
-    kids = _invert(law.spill, law.spill_guide, gen.random(count)).astype(np.int64)
+    kids = _invert(law.spill, law.spill_guide, gen.random(count)).astype(np.int64, copy=False)
     past = np.flatnonzero(kids == law.size)
     if past.size:
         kids[past] = np.ceil(law.tail.sample(gen, past.size))
@@ -979,71 +959,6 @@ def _cell_times(gen: np.random.Generator, horizons: np.ndarray, cells: np.ndarra
     return times
 
 
-def _runs(owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where each run of equal values starts in a sorted, nonempty array, and its value.
-
-    ``owner[starts]`` are the clusters present in a generation, so
-    per-generation reductions cost the generation's size, not the chunk's.
-    """
-    first = np.empty(owner.size, dtype=bool)
-    first[0] = True
-    np.not_equal(owner[1:], owner[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    return starts, owner[starts]
-
-
-def _add_broods(
-    born: np.ndarray, live: np.ndarray, starts: np.ndarray, brood: np.ndarray, limit: int
-) -> int | None:
-    """Adds each live cluster's brood to ``born``; the first largest cluster over ``limit``.
-
-    ``born`` counts each cluster's events after its immigrant, so a cluster
-    is over ``limit`` when its count plus one is.  ``brood`` holds the child
-    counts of the generation's nodes, in runs per cluster: ``live`` and
-    ``starts`` name each run's cluster and first node.  Called before the
-    next generation is allocated, so one node with a huge brood fails fast
-    instead of exhausting memory.
-    """
-    grown = np.add.reduceat(brood, starts)
-    grown += born[live]
-    born[live] = grown
-    worst = int(grown.argmax())
-    return int(live[worst]) if grown[worst] + 1 > limit else None
-
-
-def grow_hawkes(gen: np.random.Generator, brood: np.ndarray, limit: int, draw) -> np.ndarray:
-    """Grows Hawkes clusters from their immigrants, one generation at a time; returns their sizes.
-
-    ``brood`` holds the immigrants' child counts, Poisson(kappa) draws the
-    caller makes, and every later node has Poisson(kappa) children too.  A
-    generation's nodes come in runs, one per cluster still growing.
-    ``draw(brood, owner)`` gets each parent's child count and each child's
-    cluster; it draws the children and returns their intensities.  A
-    cluster that grows past ``limit`` events raises
-    :class:`ClusterOverflow` with its index, before its generation is
-    drawn.  The sizes are returned in ``brood``'s array.
-    """
-    # offspring per cluster, counted in the immigrants' brood array once
-    # generation 1 is drawn, so no second immigrant-sized array is alive then
-    born = brood
-    if born.size:
-        worst = int(born.argmax())
-        if born[worst] + 1 > limit:
-            raise ClusterOverflow(worst, limit)
-    owner = np.repeat(np.arange(born.size), brood)
-    while owner.size:
-        brood = gen.poisson(np.asarray(draw(brood, owner), dtype=float))
-        if not brood.any():
-            break
-        starts, live = _runs(owner)
-        bad = _add_broods(born, live, starts, brood, limit)
-        if bad is not None:
-            raise ClusterOverflow(bad, limit)
-        owner = np.repeat(owner, brood)
-    born += 1
-    return born
-
-
 def _hawkes_windows(
     config: WindowConfig, horizons: np.ndarray, n: int, rng: RngStream, fields
 ) -> dict[str, np.ndarray]:
@@ -1071,19 +986,23 @@ def _hawkes_windows(
     tally.immigrants(win_of_cluster, home, x0, counted=True)
     del x0, windows
 
-    def draw(brood, owner):
-        nonlocal evt_time
+    parents = brood  # each node's brood, the immigrants' first
+
+    def children(live, nodes):
+        nonlocal evt_time, parents
+        owner = np.repeat(live, nodes)
         dt = gen.exponential(1.0 / params.decay_rate, owner.size)
-        evt_time = np.repeat(evt_time, brood)
+        evt_time = np.repeat(evt_time, parents)
         evt_time += dt
         del dt
         xc, kc = sample_joint(model, marks, gen, owner.size)
-        win, slot = win_of_cluster[owner], tally.slot(evt_time)
-        tally.offspring(win, slot, xc, home[owner] if tally.leftover else None)
-        return kc
+        tally.offspring(win_of_cluster[owner], tally.slot(evt_time), xc, home[owner] if tally.leftover else None)
+        del owner, xc  # before the broods are drawn
+        parents = gen.poisson(kc)
+        return np.add.reduceat(parents, np.cumsum(nodes) - nodes)
 
     try:
-        grow_hawkes(gen, brood, params.max_cluster_events, draw)
+        _grown_sizes(gen, brood, children, params.max_cluster_events)
     except ClusterOverflow as exc:
         raise ClusterOverflow(int(win_of_cluster[exc.replication]), exc.limit) from None
     return tally.result(rng)

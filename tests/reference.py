@@ -12,7 +12,8 @@ window-max law of a Poisson-count renewal model checks the ldp-max sweep's.
 The conditional estimator as it was before the count became its control
 variate is kept here, to check that the estimator without a control mean
 is still that one, bit for bit; so is the node-by-node Hawkes cluster
-cascade, which checks the batch functionals' generation totals.  The
+cascade (:func:`grow_hawkes`), which shares no code with the package's one
+generation loop and checks the batch functionals' generation totals.  The
 bracket on the discrete Hawkes cluster sum by dynamic programming over a
 truncated branching tree checks that law's transform, and so does the
 same transform in extended precision, up to the largest lattice it takes.
@@ -43,7 +44,6 @@ from cluster_tails.heavytail import (
     sample_joint,
 )
 from cluster_tails.oracle import DiscreteJointModel, _hawkes_lattice, _lattice_step
-from cluster_tails.process import grow_hawkes
 from cluster_tails.rng import RngStream
 
 
@@ -123,16 +123,84 @@ def sample_hawkes_cluster(
     return Cluster(immigrant_mark=float(x0), events=tuple(events), model_kind="hawkes")
 
 
+def _runs(owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each run of equal values starts in a sorted, nonempty array, and its value.
+
+    ``owner[starts]`` are the clusters present in a generation, so
+    per-generation reductions cost the generation's size, not the chunk's.
+    """
+    first = np.empty(owner.size, dtype=bool)
+    first[0] = True
+    np.not_equal(owner[1:], owner[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    return starts, owner[starts]
+
+
+def _add_broods(
+    born: np.ndarray, live: np.ndarray, starts: np.ndarray, brood: np.ndarray, limit: int
+) -> int | None:
+    """Adds each live cluster's brood to ``born``; the first largest cluster over ``limit``.
+
+    ``born`` counts each cluster's events after its immigrant, so a cluster
+    is over ``limit`` when its count plus one is.  ``brood`` holds the child
+    counts of the generation's nodes, in runs per cluster: ``live`` and
+    ``starts`` name each run's cluster and first node.  Called before the
+    next generation is allocated, so one node with a huge brood fails fast
+    instead of exhausting memory.
+    """
+    grown = np.add.reduceat(brood, starts)
+    grown += born[live]
+    born[live] = grown
+    worst = int(grown.argmax())
+    return int(live[worst]) if grown[worst] + 1 > limit else None
+
+
+def grow_hawkes(gen: np.random.Generator, brood: np.ndarray, limit: int, draw) -> np.ndarray:
+    """Grows Hawkes clusters from their immigrants, one generation at a time, node by node; returns their sizes.
+
+    The package's window kernels grew their cascades by this loop before
+    they grew them through :func:`~cluster_tails.clusters._grown_sizes`.
+    ``brood`` holds the immigrants' child counts, Poisson(kappa) draws the
+    caller makes, and every later node has Poisson(kappa) children too.  A
+    generation's nodes come in runs, one per cluster still growing.
+    ``draw(brood, owner)`` gets each parent's child count and each child's
+    cluster; it draws the children and returns their intensities.  A
+    cluster that grows past ``limit`` events raises
+    :class:`ClusterOverflow` with its index, before its generation is
+    drawn.  The sizes are returned in ``brood``'s array.
+    """
+    # offspring per cluster, counted in the immigrants' brood array once
+    # generation 1 is drawn, so no second immigrant-sized array is alive then
+    born = brood
+    if born.size:
+        worst = int(born.argmax())
+        if born[worst] + 1 > limit:
+            raise ClusterOverflow(worst, limit)
+    owner = np.repeat(np.arange(born.size), brood)
+    while owner.size:
+        brood = gen.poisson(np.asarray(draw(brood, owner), dtype=float))
+        if not brood.any():
+            break
+        starts, live = _runs(owner)
+        bad = _add_broods(born, live, starts, brood, limit)
+        if bad is not None:
+            raise ClusterOverflow(bad, limit)
+        owner = np.repeat(owner, brood)
+    born += 1
+    return born
+
+
 def hawkes_cascade_functionals(
     model: JointMarkModel, n: int, rng: RngStream, max_events: int = 10**7
 ) -> dict[str, np.ndarray]:
     """The max H, sum D and size of n Hawkes clusters, grown node by node.
 
     Every node draws its own (X, kappa) and then Poisson(kappa) children, a
-    generation of all n clusters at a time, with the package's window
-    generation loop (``grow_hawkes``): the route the batch functionals took
-    before they drew sizes from the exact size law or grew by generation
-    totals.
+    generation of all n clusters at a time, with :func:`grow_hawkes`, a
+    generation loop over nodes that shares no code with the package's
+    :func:`~cluster_tails.clusters._grown_sizes`: the route the batch
+    functionals took before they drew sizes from the exact size law or
+    grew by generation totals.
     """
     gen = rng.generator
     x, kappa = sample_joint(model, gen, gen, n)

@@ -769,6 +769,38 @@ class _FixedUniforms:
         return out
 
 
+class TestInvert:
+    """The guide-table inverter that every table sampler of the package uses."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        weights=st.lists(st.integers(0, 9), min_size=1, max_size=80).filter(any),
+        cells=st.integers(0, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_searchsorted(self, weights, cells, seed):
+        # zero weights repeat a cdf value, and fewer cells than values put
+        # several jumps of the cdf in one cell
+        w = np.array(weights, dtype=float)
+        cdf = np.cumsum(w) / w.sum()
+        guide = heavytail._guide(cdf, 1 << cells)
+        u = np.concatenate(
+            (
+                np.random.default_rng(seed).random(500),
+                cdf,
+                np.nextafter(cdf, 0.0),
+                np.arange(1 << cells) / (1 << cells),
+                [0.0, np.nextafter(1.0, 0.0)],
+            )
+        )
+        u = u[u < cdf[-1]]
+        expected = np.searchsorted(cdf, u, side="right")
+        assert np.array_equal(heavytail._invert(cdf, guide, u), expected)
+        out = np.full(u.size, -1, dtype=np.intp)
+        assert heavytail._invert(cdf, guide, u, out=out) is out
+        assert np.array_equal(out, expected)
+
+
 class TestPoissonCounts:
     """The inversion sampler of the IndependentLightCount counts."""
 

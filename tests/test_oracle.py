@@ -126,6 +126,35 @@ class TestRenewalSumOracle:
         assert pmf.size == 16_016 and pmf.sum() == pytest.approx(1.0, abs=1e-12)
         assert values[np.flatnonzero(pmf)[[0, -1]]] == pytest.approx([16.0, 16.015])
 
+    # 2,000 rows, counts 1 .. 2,000: one convolution power per count
+    MANY_COUNTS = DiscreteJointModel(
+        kind="renewal",
+        support=tuple((1.0, k, 1 / 2000) for k in range(1, 2001)),
+        offspring_support=((1.0, 0.5), (2.0, 0.5)),
+    )
+
+    def test_one_power_held_at_a_time(self):
+        # a power held per count took 32.6 MB for this support, and about 1 GB near the cell cap
+        tracemalloc.start()
+        try:
+            _, pmf = exact_renewal_sum_distribution(self.MANY_COUNTS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_row_order_does_not_change_the_law(self):
+        rows = list(self.MANY_COUNTS.support)
+        np.random.default_rng(5).shuffle(rows)
+        shuffled = DiscreteJointModel(
+            kind="renewal", support=tuple(rows), offspring_support=self.MANY_COUNTS.offspring_support
+        )
+        values, pmf = exact_renewal_sum_distribution(self.MANY_COUNTS)
+        values_s, pmf_s = exact_renewal_sum_distribution(shuffled)
+        assert np.array_equal(values, values_s)
+        assert np.max(np.abs(pmf - pmf_s)) <= 1e-15
+
     @pytest.mark.parametrize("unit", [1e-10, 1e-13])
     def test_lattice_step_relative_to_the_largest_value(self, unit):
         # the hand model with every mark in units of 1e-10 or 1e-13
@@ -285,7 +314,9 @@ class TestHawkesSumTail:
     @settings(max_examples=40, deadline=None)
     @given(
         rows=st.lists(
-            st.tuples(st.integers(0, 6), st.floats(0.0, 3.0), st.floats(0.05, 1.0)), min_size=1, max_size=4
+            st.tuples(st.integers(0, 6), st.floats(0.0, 3.0, allow_subnormal=False), st.floats(0.05, 1.0)),
+            min_size=1,
+            max_size=4,
         ),
         mean=st.floats(0.0, 0.8),
         step=st.sampled_from([1.0, 0.5, 0.25]),
@@ -294,8 +325,10 @@ class TestHawkesSumTail:
     def test_inside_the_bracket_for_random_supports(self, rows, mean, step, x):
         total = sum(p for _, _, p in rows)
         weight = sum(kappa * p for _, kappa, p in rows) / total
-        scale = mean / weight if weight > 0 else 0.0
-        support = tuple((c * step, kappa * scale, p / total) for c, kappa, p in rows)
+        # kappa / weight first: mean / weight overflows where the kappas are tiny
+        support = tuple(
+            (c * step, mean * (kappa / weight) if weight > 0 else 0.0, p / total) for c, kappa, p in rows
+        )
         model = DiscreteJointModel(kind="hawkes", support=support)
         self.assert_inside(model, [x * step / 2, x * step], 6, 6)
 

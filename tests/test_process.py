@@ -952,12 +952,12 @@ class TestLeftoverIntensity:
     )
     def test_immigrant_fields_grow_no_clusters(self, monkeypatch, fields):
         def no_growth(*args):
-            raise AssertionError("grow_hawkes called")
+            raise AssertionError("_grown_sizes called")
 
-        monkeypatch.setattr(process, "grow_hawkes", no_growth)
+        monkeypatch.setattr(process, "_grown_sizes", no_growth)
         out = self.sweep("light", fields, seed=87)
         assert set(out) == set(fields)
-        with pytest.raises(AssertionError, match="grow_hawkes called"):
+        with pytest.raises(AssertionError, match="_grown_sizes called"):
             self.sweep("light", (*fields, "n_events"), seed=87)
 
 
@@ -970,6 +970,16 @@ class TestHawkesCells:
     """
 
     HORIZONS = np.array([4.0, 10.0, 25.0, 60.0])
+
+    @pytest.mark.parametrize("make", [hawkes_config, hawkes_comonotone_config], ids=["light", "comonotone"])
+    def test_chunk_with_no_immigrant_is_all_zero(self, make):
+        # at nu = 1e-12 the 64 windows draw no immigrant: the cascade has
+        # no cluster to grow, and every statistic is 0 at every horizon
+        fields = (*WINDOW_FIELDS, "leftover_intensity")
+        out = process._hawkes_windows(make(nu=1e-12), self.HORIZONS, 64, RngStream(1, 0).child(0), fields)
+        assert set(out) == set(fields)
+        for field, values in out.items():
+            assert values.shape == (len(self.HORIZONS), 64) and not values.any(), field
 
     def test_slot_counts_have_mean_nu_times_the_slot_length(self):
         nu, n = 1.3, 20_000
